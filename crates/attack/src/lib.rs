@@ -20,11 +20,10 @@
 //! | H, I | 0.9 | both |
 
 use dike_netsim::{Addr, SimDuration, SimTime, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled attack: `loss`-fraction random drop at each target's
 /// ingress from `start` for `duration`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attack {
     /// The victim addresses (authoritative servers).
     pub targets: Vec<Addr>,
@@ -142,7 +141,7 @@ impl Attack {
 /// Real volumetric attacks are rarely flat: booter-driven floods pulse
 /// on and off, and build-ups ramp. A waveform turns one [`Attack`] into
 /// the corresponding schedule of ingress-loss changes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Waveform {
     /// Constant loss for the whole duration (the paper's emulation).
     Constant,
@@ -220,7 +219,7 @@ impl Attack {
 /// A sequence of attacks (e.g. ramping intensity for ablations). Each is
 /// scheduled independently; overlapping attacks on the same target let
 /// the later filter overwrite the earlier one.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttackSchedule {
     /// The attacks, in any order.
     pub attacks: Vec<Attack>,

@@ -30,9 +30,8 @@ pub fn fixed_latency_sim(seed: u64, ms: u64) -> Simulator {
     sim
 }
 
-/// One iteration of the `netsim_core/sharded_round_trips` arm, shared by
-/// the criterion suite and the offline stand-in: the back-to-back
-/// query/response burst of `query_response_round_trips`, cut into two
+/// One iteration of the `netsim_core/sharded_round_trips` arm: the
+/// back-to-back query/response burst of `query_response_round_trips`, cut into two
 /// shards (echo plus one client on shard 0, three clients on shard 1)
 /// over a fixed 1 ms fabric — the lookahead floor, so every round trip
 /// spans two conservative windows. Against the single-threaded baseline

@@ -1,12 +1,11 @@
 //! Cache configuration.
 
 use dike_netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Tunable cache behaviour. The defaults model a well-behaved resolver
 /// that honors TTLs; the named constructors model the deviations the
 /// paper attributes the ~30% cache-miss rate to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Maximum number of RRset entries before LRU eviction.
     pub capacity: usize,

@@ -2,10 +2,9 @@
 
 use dike_netsim::SimTime;
 use dike_wire::{Name, Record, RecordType};
-use serde::{Deserialize, Serialize};
 
 /// Cache lookup key: the owner name and record type. Class is always IN.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Owner name (canonical lowercase, via [`Name`]).
     pub name: Name,
@@ -23,7 +22,7 @@ impl CacheKey {
 /// RFC 2181 §5.4.1 data ranking: where a record came from decides whether
 /// it may replace what is already cached. Authoritative answers outrank
 /// referral (glue) data; equal or higher trust always replaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TrustLevel {
     /// Data from a referral's authority/additional sections (glue).
     Glue,
@@ -32,7 +31,7 @@ pub enum TrustLevel {
 }
 
 /// Why a negative entry exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NegativeKind {
     /// The name does not exist at all (NXDOMAIN).
     NxDomain,

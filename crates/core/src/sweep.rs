@@ -35,6 +35,7 @@
 use crate::{Report, Scenario};
 use dike_stats::ecdf::Ecdf;
 use dike_stats::quantile::{quantile, LatencySummary};
+use dike_telemetry::json::Writer;
 
 /// Points kept per replicate when downsampling the latency ECDF.
 const ECDF_POINTS: usize = 32;
@@ -414,7 +415,7 @@ pub struct SweepResult {
 
 /// Formats an `f64` with shortest round-trip precision (stable across
 /// runs and platforms — `Debug` for `f64` is the Grisu/Ryū shortest
-/// representation, also valid JSON).
+/// representation, and what the JSON export prints too).
 fn fmt_f64(x: f64) -> String {
     format!("{x:?}")
 }
@@ -423,39 +424,22 @@ fn fmt_opt(x: Option<f64>) -> String {
     x.filter(|v| v.is_finite()).map(fmt_f64).unwrap_or_default()
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        fmt_f64(x)
-    } else {
-        "null".into()
-    }
+fn opt_f64_json(w: &mut Writer, x: Option<f64>) {
+    w.f64(x.unwrap_or(f64::NAN)); // non-finite prints as null
 }
 
-fn json_band(b: Option<Band>) -> String {
+fn band_json(w: &mut Writer, key: &str, b: Option<Band>) {
+    w.key(key);
     match b {
-        Some(b) => format!(
-            "{{\"lo\":{},\"median\":{},\"hi\":{}}}",
-            json_num(b.lo),
-            json_num(b.median),
-            json_num(b.hi)
-        ),
-        None => "null".into(),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        Some(b) => {
+            w.begin_object();
+            w.key("lo").f64(b.lo).key("median").f64(b.median);
+            w.key("hi").f64(b.hi).end_object();
+        }
+        None => {
+            w.null();
         }
     }
-    out.push('"');
-    out
 }
 
 impl SweepResult {
@@ -505,97 +489,74 @@ impl SweepResult {
         out
     }
 
-    /// The full result as JSON (hand-rolled for byte-stable output):
-    /// grid spec, per-arm bands, and per-replicate summaries including
-    /// the downsampled latency ECDFs.
+    /// The full result as JSON: grid spec, per-arm bands, and
+    /// per-replicate summaries including the downsampled latency ECDFs.
     pub fn to_json(&self) -> String {
-        let axes: Vec<String> = self
-            .axes
-            .iter()
-            .map(|(name, values)| {
-                let vals: Vec<String> = values.iter().map(|v| json_str(v)).collect();
-                format!(
-                    "{{\"name\":{},\"values\":[{}]}}",
-                    json_str(name),
-                    vals.join(",")
-                )
-            })
-            .collect();
-        let arms: Vec<String> = self
-            .arms
-            .iter()
-            .map(|arm| {
-                let coords: Vec<String> = arm
-                    .coords
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
-                    .collect();
-                let reps: Vec<String> = arm
-                    .replicates
-                    .iter()
-                    .map(|r| {
-                        let ecdf: Vec<String> = r
-                            .latency_ecdf
-                            .iter()
-                            .map(|(v, f)| format!("[{},{}]", json_num(*v), json_num(*f)))
-                            .collect();
-                        let latency = match r.latency {
-                            Some(s) => format!(
-                                "{{\"count\":{},\"median\":{},\"mean\":{},\"p75\":{},\"p90\":{}}}",
-                                s.count,
-                                json_num(s.median),
-                                json_num(s.mean),
-                                json_num(s.p75),
-                                json_num(s.p90)
-                            ),
-                            None => "null".into(),
-                        };
-                        format!(
-                            "{{\"seed\":{},\"queries\":{},\"ok\":{},\"ok_fraction\":{},\
-                             \"ok_during_attack\":{},\"traffic_multiplier\":{},\
-                             \"latency\":{},\"latency_ecdf_ms\":[{}],\
-                             \"server_queries\":{},\"retries\":{}}}",
-                            r.seed,
-                            r.queries,
-                            r.ok,
-                            json_num(r.ok_fraction),
-                            r.ok_during_attack
-                                .map(json_num)
-                                .unwrap_or_else(|| "null".into()),
-                            r.traffic_multiplier
-                                .map(json_num)
-                                .unwrap_or_else(|| "null".into()),
-                            latency,
-                            ecdf.join(","),
-                            r.server_queries,
-                            r.retries
-                                .map(|v| v.to_string())
-                                .unwrap_or_else(|| "null".into()),
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"arm\":{},\"coords\":{{{}}},\"ok_fraction\":{},\
-                     \"ok_during_attack\":{},\"traffic_multiplier\":{},\
-                     \"latency_median_ms\":{},\"replicates\":[{}]}}",
-                    arm.arm,
-                    coords.join(","),
-                    json_band(arm.ok_fraction),
-                    json_band(arm.ok_during_attack),
-                    json_band(arm.traffic_multiplier),
-                    json_band(arm.latency_median_ms),
-                    reps.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"dike-sweep/1\",\"seed\":{},\"replicates\":{},\
-             \"axes\":[{}],\"arms\":[{}]}}\n",
-            self.seed,
-            self.replicates,
-            axes.join(","),
-            arms.join(",")
-        )
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("schema").str("dike-sweep/1");
+        w.key("seed").u64(self.seed);
+        w.key("replicates").u64(self.replicates.into());
+        w.key("axes").begin_array();
+        for (name, values) in &self.axes {
+            w.begin_object().key("name").str(name);
+            w.key("values").begin_array();
+            for v in values {
+                w.str(v);
+            }
+            w.end_array().end_object();
+        }
+        w.end_array();
+        w.key("arms").begin_array();
+        for arm in &self.arms {
+            w.begin_object().key("arm").u64(arm.arm as u64);
+            w.key("coords").begin_object();
+            for (k, v) in &arm.coords {
+                w.key(k).str(v);
+            }
+            w.end_object();
+            band_json(&mut w, "ok_fraction", arm.ok_fraction);
+            band_json(&mut w, "ok_during_attack", arm.ok_during_attack);
+            band_json(&mut w, "traffic_multiplier", arm.traffic_multiplier);
+            band_json(&mut w, "latency_median_ms", arm.latency_median_ms);
+            w.key("replicates").begin_array();
+            for r in &arm.replicates {
+                w.begin_object();
+                w.key("seed").u64(r.seed);
+                w.key("queries").u64(r.queries as u64);
+                w.key("ok").u64(r.ok as u64);
+                w.key("ok_fraction").f64(r.ok_fraction);
+                opt_f64_json(w.key("ok_during_attack"), r.ok_during_attack);
+                opt_f64_json(w.key("traffic_multiplier"), r.traffic_multiplier);
+                w.key("latency");
+                match r.latency {
+                    Some(s) => {
+                        w.begin_object().key("count").u64(s.count as u64);
+                        w.key("median").f64(s.median).key("mean").f64(s.mean);
+                        w.key("p75").f64(s.p75).key("p90").f64(s.p90);
+                        w.end_object();
+                    }
+                    None => {
+                        w.null();
+                    }
+                }
+                w.key("latency_ecdf_ms").begin_array();
+                for &(v, f) in &r.latency_ecdf {
+                    w.begin_array().f64(v).f64(f).end_array();
+                }
+                w.end_array();
+                w.key("server_queries").u64(r.server_queries);
+                w.key("retries");
+                match r.retries {
+                    Some(n) => w.u64(n),
+                    None => w.null(),
+                };
+                w.end_object();
+            }
+            w.end_array().end_object();
+        }
+        w.end_array().end_object();
+        w.finish() + "\n"
     }
 }
 
@@ -885,6 +846,92 @@ mod tests {
             .with_attack(Attack::complete().window_min(40, 40))
             .duration_min(100)
             .seed(77)
+    }
+
+    /// A hand-built result (no simulation, so no RNG in the bytes) with
+    /// an escaped axis name, present and absent bands, `1e300`, `1e-7`,
+    /// a non-finite quantile and `u64::MAX`.
+    fn golden_result() -> SweepResult {
+        let rep = |seed: u64, lat: Option<LatencySummary>| ReplicateSummary {
+            seed,
+            queries: 1200,
+            ok: 900,
+            ok_fraction: 0.75,
+            ok_during_attack: lat.map(|_| 0.3333333333333333),
+            traffic_multiplier: lat.map(|_| 8.2),
+            latency: lat,
+            latency_ecdf: lat.map_or(vec![], |_| vec![(0.5, 0.25), (12.0, 0.5), (1e-7, 1.0)]),
+            server_queries: if seed == 3 { u64::MAX } else { 5000 },
+            retries: lat.map(|_| 17),
+        };
+        let lat = LatencySummary {
+            count: 900,
+            median: 12.5,
+            mean: 1e300,
+            p75: f64::NAN,
+            p90: 40.0,
+        };
+        let coords = |ttl: &str| {
+            vec![
+                ("ttl".to_string(), ttl.to_string()),
+                ("loss \"q\"".to_string(), "0.9".to_string()),
+            ]
+        };
+        SweepResult {
+            axes: vec![
+                ("ttl".into(), vec!["60".into(), "1800".into()]),
+                ("loss \"q\"".into(), vec!["0.9".into()]),
+            ],
+            replicates: 2,
+            seed: 42,
+            arms: vec![
+                ArmSummary::of(0, coords("60"), vec![rep(1, Some(lat)), rep(2, None)]),
+                ArmSummary::of(1, coords("1800"), vec![rep(3, None)]),
+            ],
+        }
+    }
+
+    /// Byte for byte what the exports were before the JSON half moved
+    /// onto `dike_telemetry::json`.
+    #[test]
+    fn exports_match_the_golden_bytes() {
+        let null_rep = r#""ok_fraction":0.75,"ok_during_attack":null,"traffic_multiplier":null,"latency":null,"latency_ecdf_ms":[],"#;
+        let json = [
+            r#"{"schema":"dike-sweep/1","seed":42,"replicates":2,"#,
+            r#""axes":[{"name":"ttl","values":["60","1800"]},{"name":"loss \"q\"","values":["0.9"]}],"#,
+            r#""arms":[{"arm":0,"coords":{"ttl":"60","loss \"q\"":"0.9"},"#,
+            r#""ok_fraction":{"lo":0.75,"median":0.75,"hi":0.75},"#,
+            r#""ok_during_attack":{"lo":0.3333333333333333,"median":0.3333333333333333,"hi":0.3333333333333333},"#,
+            r#""traffic_multiplier":{"lo":8.2,"median":8.2,"hi":8.2},"#,
+            r#""latency_median_ms":{"lo":12.5,"median":12.5,"hi":12.5},"#,
+            r#""replicates":[{"seed":1,"queries":1200,"ok":900,"ok_fraction":0.75,"#,
+            r#""ok_during_attack":0.3333333333333333,"traffic_multiplier":8.2,"#,
+            r#""latency":{"count":900,"median":12.5,"mean":1e300,"p75":null,"p90":40.0},"#,
+            r#""latency_ecdf_ms":[[0.5,0.25],[12.0,0.5],[1e-7,1.0]],"server_queries":5000,"retries":17},"#,
+            r#"{"seed":2,"queries":1200,"ok":900,"#,
+            null_rep,
+            r#""server_queries":5000,"retries":null}]},"#,
+            r#"{"arm":1,"coords":{"ttl":"1800","loss \"q\"":"0.9"},"#,
+            r#""ok_fraction":{"lo":0.75,"median":0.75,"hi":0.75},"#,
+            r#""ok_during_attack":null,"traffic_multiplier":null,"latency_median_ms":null,"#,
+            r#""replicates":[{"seed":3,"queries":1200,"ok":900,"#,
+            null_rep,
+            r#""server_queries":18446744073709551615,"retries":null}]}]}"#,
+            "\n",
+        ]
+        .concat();
+        assert_eq!(golden_result().to_json(), json);
+        let csv = "arm,ttl,loss \"q\",replicates,queries,\
+            ok_fraction_p10,ok_fraction_p50,ok_fraction_p90,\
+            ok_during_attack_p10,ok_during_attack_p50,ok_during_attack_p90,\
+            traffic_multiplier_p10,traffic_multiplier_p50,traffic_multiplier_p90,\
+            latency_median_ms_p10,latency_median_ms_p50,latency_median_ms_p90,\
+            server_queries,retries\n\
+            0,60,0.9,2,2400,0.75,0.75,0.75,\
+            0.3333333333333333,0.3333333333333333,0.3333333333333333,\
+            8.2,8.2,8.2,12.5,12.5,12.5,10000,\n\
+            1,1800,0.9,1,1200,0.75,0.75,0.75,,,,,,,,,,18446744073709551615,\n";
+        assert_eq!(golden_result().to_csv(), csv);
     }
 
     fn tiny_base() -> Scenario {

@@ -44,8 +44,8 @@ use dike_netsim::{
     Addr, ClassedQueue, ClassedQueueConfig, IngressDefense, IngressVerdict, NodeId, QueueClass,
     QueueOutcome, SimDuration, SimTime, Simulator,
 };
+use dike_telemetry::json::{self, Field, Writer};
 use dike_wire::Message;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
 // RRL: per-source-prefix token buckets
@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 /// Response-rate-limiting parameters (the knobs of BIND's `rate-limit`
 /// block, reduced to what the simulation distinguishes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RrlConfig {
     /// Sustained responses per second allowed per source prefix.
     pub rate_qps: f64,
@@ -256,7 +256,7 @@ impl SourceClassifier for HistoryClassifier {
 
 /// The serializable description of a classifier — what a [`Defense`]
 /// carries; [`ClassifierKind::build`] turns it into the live object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClassifierKind {
     /// A [`StaticClassifier`] over explicit lists.
     Static {
@@ -385,7 +385,7 @@ impl IngressDefense for DefenseEngine {
 // ---------------------------------------------------------------------
 
 /// One defense. See the crate docs for the taxonomy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Defense {
     /// Response-rate limiting at `target` from `start` on.
     Rrl {
@@ -641,7 +641,7 @@ impl Defense {
 /// A composable defense scenario: any number of defenses, scheduled
 /// together. RRL and admission layers aimed at the same target compose
 /// into one [`DefenseEngine`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DefensePlan {
     /// The defenses, in any order (each carries its own times).
     pub defenses: Vec<Defense>,
@@ -805,284 +805,182 @@ impl DefensePlan {
 }
 
 // ---------------------------------------------------------------------
-// JSON (hand-rolled)
+// JSON
 // ---------------------------------------------------------------------
 //
-// Same contract as `dike-faults`: plans must survive record/replay in
-// stripped-down offline builds where the JSON dependency is stubbed, so
-// the wire format is written and parsed by hand. The serde derives
-// above serve full environments; this format is the portable one and is
-// what the tests pin.
+// A plan's record/replay form: `{"defenses":[{"kind":…,…},…]}`, one
+// flat object per defense. As in `dike-faults`, this section only maps
+// fields to keys; the format itself (escaping, number syntax, strict
+// parsing, range-checked field access) lives in `dike_telemetry::json`,
+// the workspace's one codec. `dike-serve --plan FILE` feeds `from_json`
+// an operator's file, so it rejects what it does not understand.
 
 impl DefensePlan {
     /// Serializes the plan to one-line JSON.
     pub fn to_json(&self) -> String {
-        let defenses: Vec<String> = self.defenses.iter().map(defense_json).collect();
-        format!("{{\"defenses\":[{}]}}", defenses.join(","))
+        let mut w = Writer::new();
+        w.begin_object().key("defenses").begin_array();
+        for d in &self.defenses {
+            defense_json(d, &mut w);
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Parses [`DefensePlan::to_json`] output. Returns a description of
     /// the first problem on malformed input.
     pub fn from_json(text: &str) -> Result<DefensePlan, String> {
-        let body = strip_wrapped(text.trim(), '{', '}').ok_or("plan is not a JSON object")?;
-        let (key, value) = split_kv(body).ok_or("plan has no fields")?;
-        if key != "defenses" {
-            return Err(format!("expected \"defenses\", found \"{key}\""));
-        }
-        let list = strip_wrapped(value, '[', ']').ok_or("\"defenses\" is not an array")?;
-        let mut defenses = Vec::new();
-        for obj in split_top_level(list) {
-            defenses.push(defense_from_json(obj)?);
-        }
+        let doc = json::parse(text)?;
+        let defenses = doc
+            .named("plan")
+            .get("defenses")?
+            .array()?
+            .map(defense_from_json)
+            .collect::<Result<_, _>>()?;
         Ok(DefensePlan { defenses })
     }
 }
 
-fn join_f64(xs: &[f64]) -> String {
-    xs.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn u64_array(w: &mut Writer, key: &str, xs: impl IntoIterator<Item = u32>) {
+    w.key(key).begin_array();
+    for x in xs {
+        w.u64(x.into());
+    }
+    w.end_array();
 }
 
-fn join_u64<T: Copy + Into<u64>>(xs: &[T]) -> String {
-    xs.iter()
-        .map(|x| (*x).into().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn defense_json(d: &Defense) -> String {
+fn defense_json(d: &Defense, w: &mut Writer) {
+    w.begin_object();
     match d {
         Defense::Rrl {
             target,
             start,
             config,
-        } => format!(
-            "{{\"kind\":\"rrl\",\"target\":{},\"start_ns\":{},\"rate_qps\":{},\"burst\":{},\"slip\":{},\"prefix_bits\":{}}}",
-            target.0,
-            start.as_nanos(),
-            config.rate_qps,
-            config.burst,
-            config.slip,
-            config.prefix_bits
-        ),
+        } => {
+            w.key("kind").str("rrl");
+            w.key("target").u64(target.0.into());
+            w.key("start_ns").u64(start.as_nanos());
+            w.key("rate_qps").f64(config.rate_qps);
+            w.key("burst").f64(config.burst);
+            w.key("slip").u64(config.slip.into());
+            w.key("prefix_bits").u64(config.prefix_bits.into());
+        }
         Defense::Admission {
             target,
             start,
             queue,
             classifier,
         } => {
-            let mut s = format!(
-                "{{\"kind\":\"admission\",\"target\":{},\"start_ns\":{},\"rate_pps\":{},\"weights\":[{}],\"capacity\":[{}]",
-                target.0,
-                start.as_nanos(),
-                queue.rate_pps,
-                join_f64(&queue.weights),
-                join_u64(&queue.capacity)
-            );
-            match classifier {
-                ClassifierKind::Static { known, flagged } => s.push_str(&format!(
-                    ",\"classifier\":\"static\",\"known\":[{}],\"flagged\":[{}]",
-                    join_u64(&known.iter().map(|a| a.0).collect::<Vec<_>>()),
-                    join_u64(&flagged.iter().map(|a| a.0).collect::<Vec<_>>())
-                )),
-                ClassifierKind::History { cutoff } => s.push_str(&format!(
-                    ",\"classifier\":\"history\",\"cutoff_ns\":{}",
-                    cutoff.as_nanos()
-                )),
+            w.key("kind").str("admission");
+            w.key("target").u64(target.0.into());
+            w.key("start_ns").u64(start.as_nanos());
+            w.key("rate_pps").f64(queue.rate_pps);
+            w.key("weights").begin_array();
+            for x in queue.weights {
+                w.f64(x);
             }
-            s.push('}');
-            s
+            w.end_array();
+            u64_array(w, "capacity", queue.capacity);
+            match classifier {
+                ClassifierKind::Static { known, flagged } => {
+                    w.key("classifier").str("static");
+                    u64_array(w, "known", known.iter().map(|a| a.0));
+                    u64_array(w, "flagged", flagged.iter().map(|a| a.0));
+                }
+                ClassifierKind::History { cutoff } => {
+                    w.key("classifier").str("history");
+                    w.key("cutoff_ns").u64(cutoff.as_nanos());
+                }
+            }
         }
-        Defense::Cookie { target, secret } => format!(
-            "{{\"kind\":\"cookie\",\"target\":{},\"secret\":{}}}",
-            target.0, secret
-        ),
+        Defense::Cookie { target, secret } => {
+            w.key("kind").str("cookie");
+            w.key("target").u64(target.0.into());
+            w.key("secret").u64(*secret);
+        }
         Defense::ScaleOut {
             target,
             at,
             detection_delay,
             capacity_factor,
             join,
-        } => format!(
-            "{{\"kind\":\"scale_out\",\"target\":{},\"at_ns\":{},\"detection_delay_ns\":{},\"capacity_factor\":{},\"join\":[{}]}}",
-            target.0,
-            at.as_nanos(),
-            detection_delay.as_nanos(),
-            capacity_factor,
-            join_u64(&join.iter().map(|n| n.0).collect::<Vec<_>>())
-        ),
-    }
-}
-
-/// Strips one `open … close` wrapper, returning the interior.
-fn strip_wrapped(s: &str, open: char, close: char) -> Option<&str> {
-    Some(s.trim().strip_prefix(open)?.strip_suffix(close)?.trim())
-}
-
-/// Splits `s` on top-level commas (commas at bracket depth 0, outside
-/// string literals). The format this module writes has no escapes inside
-/// strings, so string state is a simple toggle.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let (mut depth, mut in_str, mut start) = (0i32, false, 0usize);
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => depth -= 1,
-            ',' if !in_str && depth == 0 => {
-                parts.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
+        } => {
+            w.key("kind").str("scale_out");
+            w.key("target").u64(target.0.into());
+            w.key("at_ns").u64(at.as_nanos());
+            w.key("detection_delay_ns").u64(detection_delay.as_nanos());
+            w.key("capacity_factor").f64(*capacity_factor);
+            u64_array(w, "join", join.iter().map(|n| n.0));
         }
     }
-    let tail = s[start..].trim();
-    if !tail.is_empty() {
-        parts.push(tail);
-    }
-    parts.retain(|p| !p.is_empty());
-    parts
+    w.end_object();
 }
 
-/// Splits one `"key": value` pair.
-fn split_kv(field: &str) -> Option<(&str, &str)> {
-    let (key, value) = field.split_once(':')?;
-    Some((
-        key.trim().strip_prefix('"')?.strip_suffix('"')?,
-        value.trim(),
-    ))
+fn time(f: Field<'_>, key: &str) -> Result<SimTime, String> {
+    Ok(SimTime::from_nanos(f.get(key)?.uint()?))
 }
 
-/// The fields of one defense object, as `(key, raw_value)` pairs.
-fn defense_fields(obj: &str) -> Result<Vec<(&str, &str)>, String> {
-    let body = strip_wrapped(obj, '{', '}').ok_or_else(|| format!("not an object: {obj}"))?;
-    split_top_level(body)
-        .into_iter()
-        .map(|f| split_kv(f).ok_or_else(|| format!("bad field: {f}")))
-        .collect()
+/// The `u32` elements of array `key`, wrapped (as `Addr` or `NodeId`).
+fn u32_array<T>(f: Field<'_>, key: &str, wrap: fn(u32) -> T) -> Result<Vec<T>, String> {
+    f.get(key)?.array()?.map(|x| x.uint().map(wrap)).collect()
 }
 
-fn find<'a>(fields: &[(&str, &'a str)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("missing field \"{key}\""))
+/// Array `key` as exactly three elements, one per [`QueueClass`].
+fn per_class<'a, T>(
+    f: Field<'a>,
+    key: &'a str,
+    element: impl Fn(Field<'a>) -> Result<T, String>,
+) -> Result<[T; 3], String> {
+    let xs: Vec<T> = f
+        .get(key)?
+        .array()?
+        .map(element)
+        .collect::<Result<_, _>>()?;
+    xs.try_into()
+        .map_err(|_| format!("field \"{key}\" needs exactly 3 elements"))
 }
 
-fn find_u64(fields: &[(&str, &str)], key: &str) -> Result<u64, String> {
-    find(fields, key)?
-        .parse()
-        .map_err(|_| format!("field \"{key}\" is not an integer"))
-}
-
-fn find_f64(fields: &[(&str, &str)], key: &str) -> Result<f64, String> {
-    find(fields, key)?
-        .parse()
-        .map_err(|_| format!("field \"{key}\" is not a number"))
-}
-
-fn find_u64_list(fields: &[(&str, &str)], key: &str) -> Result<Vec<u64>, String> {
-    let list = strip_wrapped(find(fields, key)?, '[', ']')
-        .ok_or_else(|| format!("\"{key}\" is not an array"))?;
-    split_top_level(list)
-        .into_iter()
-        .map(|t| {
-            t.parse::<u64>()
-                .map_err(|_| format!("bad {key} element {t}"))
-        })
-        .collect()
-}
-
-fn find_f64_list(fields: &[(&str, &str)], key: &str) -> Result<Vec<f64>, String> {
-    let list = strip_wrapped(find(fields, key)?, '[', ']')
-        .ok_or_else(|| format!("\"{key}\" is not an array"))?;
-    split_top_level(list)
-        .into_iter()
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|_| format!("bad {key} element {t}"))
-        })
-        .collect()
-}
-
-fn fixed<const N: usize, T: Copy + Default>(xs: Vec<T>, key: &str) -> Result<[T; N], String> {
-    if xs.len() != N {
-        return Err(format!("\"{key}\" needs exactly {N} elements"));
-    }
-    let mut out = [T::default(); N];
-    out.copy_from_slice(&xs);
-    Ok(out)
-}
-
-fn defense_from_json(obj: &str) -> Result<Defense, String> {
-    let fields = defense_fields(obj)?;
-    let kind = find(&fields, "kind").and_then(|v| {
-        v.strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| "\"kind\" is not a string".to_string())
-    })?;
-    match kind {
+fn defense_from_json(f: Field<'_>) -> Result<Defense, String> {
+    match f.get("kind")?.str()? {
         "rrl" => Ok(Defense::Rrl {
-            target: Addr(find_u64(&fields, "target")? as u32),
-            start: SimTime::from_nanos(find_u64(&fields, "start_ns")?),
+            target: Addr(f.get("target")?.uint()?),
+            start: time(f, "start_ns")?,
             config: RrlConfig {
-                rate_qps: find_f64(&fields, "rate_qps")?,
-                burst: find_f64(&fields, "burst")?,
-                slip: find_u64(&fields, "slip")? as u32,
-                prefix_bits: find_u64(&fields, "prefix_bits")? as u8,
+                rate_qps: f.get("rate_qps")?.f64()?,
+                burst: f.get("burst")?.f64()?,
+                slip: f.get("slip")?.uint()?,
+                prefix_bits: f.get("prefix_bits")?.uint()?,
             },
         }),
-        "admission" => {
-            let classifier = match find(&fields, "classifier")? {
-                "\"static\"" => ClassifierKind::Static {
-                    known: find_u64_list(&fields, "known")?
-                        .into_iter()
-                        .map(|a| Addr(a as u32))
-                        .collect(),
-                    flagged: find_u64_list(&fields, "flagged")?
-                        .into_iter()
-                        .map(|a| Addr(a as u32))
-                        .collect(),
+        "admission" => Ok(Defense::Admission {
+            target: Addr(f.get("target")?.uint()?),
+            start: time(f, "start_ns")?,
+            queue: ClassedQueueConfig {
+                rate_pps: f.get("rate_pps")?.f64()?,
+                weights: per_class(f, "weights", Field::f64)?,
+                capacity: per_class(f, "capacity", Field::uint)?,
+            },
+            classifier: match f.get("classifier")?.str()? {
+                "static" => ClassifierKind::Static {
+                    known: u32_array(f, "known", Addr)?,
+                    flagged: u32_array(f, "flagged", Addr)?,
                 },
-                "\"history\"" => ClassifierKind::History {
-                    cutoff: SimTime::from_nanos(find_u64(&fields, "cutoff_ns")?),
+                "history" => ClassifierKind::History {
+                    cutoff: time(f, "cutoff_ns")?,
                 },
-                other => return Err(format!("unknown classifier {other}")),
-            };
-            Ok(Defense::Admission {
-                target: Addr(find_u64(&fields, "target")? as u32),
-                start: SimTime::from_nanos(find_u64(&fields, "start_ns")?),
-                queue: ClassedQueueConfig {
-                    rate_pps: find_f64(&fields, "rate_pps")?,
-                    weights: fixed::<3, f64>(find_f64_list(&fields, "weights")?, "weights")?,
-                    capacity: fixed::<3, u32>(
-                        find_u64_list(&fields, "capacity")?
-                            .into_iter()
-                            .map(|c| c as u32)
-                            .collect(),
-                        "capacity",
-                    )?,
-                },
-                classifier,
-            })
-        }
+                other => return Err(format!("unknown classifier \"{other}\"")),
+            },
+        }),
         "cookie" => Ok(Defense::Cookie {
-            target: Addr(find_u64(&fields, "target")? as u32),
-            secret: find_u64(&fields, "secret")?,
+            target: Addr(f.get("target")?.uint()?),
+            secret: f.get("secret")?.uint()?,
         }),
         "scale_out" => Ok(Defense::ScaleOut {
-            target: Addr(find_u64(&fields, "target")? as u32),
-            at: SimTime::from_nanos(find_u64(&fields, "at_ns")?),
-            detection_delay: SimDuration::from_nanos(find_u64(&fields, "detection_delay_ns")?),
-            capacity_factor: find_f64(&fields, "capacity_factor")?,
-            join: find_u64_list(&fields, "join")?
-                .into_iter()
-                .map(|n| NodeId(n as u32))
-                .collect(),
+            target: Addr(f.get("target")?.uint()?),
+            at: time(f, "at_ns")?,
+            detection_delay: SimDuration::from_nanos(f.get("detection_delay_ns")?.uint()?),
+            capacity_factor: f.get("capacity_factor")?.f64()?,
+            join: u32_array(f, "join", NodeId)?,
         }),
         other => Err(format!("unknown defense kind \"{other}\"")),
     }
@@ -1139,6 +1037,71 @@ mod tests {
         assert_eq!(plan, back);
         // And the round-tripped plan serializes identically (stable form).
         assert_eq!(json, back.to_json());
+    }
+
+    /// Every row is a plan the parser accepted before it moved onto
+    /// `dike_telemetry::json` (non-finite numbers, integers truncated
+    /// with `as`, first-duplicate-wins, Unicode `trim`). The error must
+    /// name the offending field.
+    #[test]
+    fn from_json_rejects_hostile_plans() {
+        let rrl = |tail: &str| format!(r#"{{"kind":"rrl","start_ns":0,{tail}}}"#);
+        let admission = |tail: &str| {
+            format!(
+                r#"{{"kind":"admission","target":1,"start_ns":0,"rate_pps":100,"weights":[8,3,1],{tail}}}"#
+            )
+        };
+        let rows = [
+            (rrl(r#""target":1,"rate_qps":inf,"burst":5,"slip":2,"prefix_bits":24"#), "byte"),
+            (rrl(r#""target":1,"rate_qps":5,"burst":NaN,"slip":2,"prefix_bits":24"#), "byte"),
+            (rrl(r#""target":1,"rate_qps":5,"burst":Infinity,"slip":2,"prefix_bits":24"#), "byte"),
+            (rrl(r#""target":1,"rate_qps":5,"burst":5,"slip":2,"prefix_bits":280"#), "\"prefix_bits\""),
+            (rrl(r#""target":1,"rate_qps":5,"burst":5,"slip":4294967296,"prefix_bits":24"#), "\"slip\""),
+            (rrl(r#""target":4294967297,"rate_qps":5,"burst":5,"slip":2,"prefix_bits":24"#), "\"target\""),
+            (
+                rrl(r#""target":1,"target":2,"rate_qps":5,"burst":5,"slip":2,"prefix_bits":24"#),
+                "duplicate field \"target\"",
+            ),
+            (
+                admission(r#""capacity":[1000,4294967296,20],"classifier":"history","cutoff_ns":0"#),
+                "\"capacity\"",
+            ),
+            (
+                admission(r#""capacity":[9,9,9],"classifier":"static","known":[4294967297],"flagged":[]"#),
+                "\"known\"",
+            ),
+            (
+                r#"{"kind":"scale_out","target":1,"at_ns":0,"detection_delay_ns":1,"capacity_factor":2,"join":[4294967303]}"#
+                    .to_string(),
+                "\"join\"",
+            ),
+        ];
+        for (defense, needle) in rows {
+            let err =
+                DefensePlan::from_json(&format!(r#"{{"defenses":[{defense}]}}"#)).unwrap_err();
+            assert!(err.contains(needle), "{defense}: {err}");
+        }
+        // Trailing bytes: a no-break space is not JSON whitespace.
+        let err = DefensePlan::from_json("{\"defenses\":[]}\u{a0}").unwrap_err();
+        assert!(err.contains("trailing bytes"), "{err}");
+    }
+
+    /// A plan file written before the move (integral floats print as
+    /// `5`, not `5.0`) still reads back as the same plan.
+    #[test]
+    fn plans_written_by_the_old_writer_still_parse() {
+        let old = concat!(
+            r#"{"defenses":[{"kind":"rrl","target":167772161,"start_ns":10000000000,"#,
+            r#""rate_qps":5,"burst":5,"slip":2,"prefix_bits":24},"#,
+            r#"{"kind":"admission","target":167772161,"start_ns":0,"rate_pps":2000,"#,
+            r#""weights":[8,3,1],"capacity":[1000,200,20],"classifier":"history","cutoff_ns":60000000000},"#,
+            r#"{"kind":"admission","target":167772162,"start_ns":0,"rate_pps":500,"#,
+            r#""weights":[4,2,0],"capacity":[100,20,0],"classifier":"static","known":[1,2],"flagged":[9]},"#,
+            r#"{"kind":"scale_out","target":3323068417,"at_ns":60000000000,"detection_delay_ns":300000000000,"#,
+            r#""capacity_factor":3,"join":[7,8]},"#,
+            r#"{"kind":"cookie","target":167772161,"secret":1592639489}]}"#,
+        );
+        assert_eq!(DefensePlan::from_json(old).unwrap(), full_plan());
     }
 
     #[test]

@@ -9,13 +9,12 @@
 use dike_netsim::SimDuration;
 use dike_stats::classify::{AnswerClass, Classification, Classifier};
 use dike_stats::timeseries::{class_timeseries, ClassBin};
-use serde::{Deserialize, Serialize};
 
 use crate::population::R1Kind;
 use crate::setup::{run_experiment, ExperimentOutput, ExperimentSetup};
 
 /// One baseline configuration (a column of Tables 1 and 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineConfig {
     /// Human-readable label ("3600-10min" etc.).
     pub label: &'static str,
@@ -62,7 +61,7 @@ pub const BASELINES: [BaselineConfig; 5] = [
 ];
 
 /// Table 3's public/non-public split of the AC (cache miss) answers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublicSplit {
     /// Total AC answers.
     pub ac_total: usize,

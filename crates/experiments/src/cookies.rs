@@ -34,7 +34,6 @@ use dike_netsim::{
 use dike_stats::timeseries::outcome_timeseries;
 use dike_telemetry::TelemetryConfig;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{SpoofedFlood, SpoofedStats};
 use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentSetup};
@@ -52,7 +51,7 @@ pub const COOKIE_SECRET: u64 = 0x7873_c00c_1e5e_c4e7;
 /// idle reaper closes it, re-dialing continuously. With
 /// `conns_per_sec × idle_timeout ≥ table_capacity` the table stays full
 /// and legitimate TCP retries are shed with RST.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpExhaustion {
     /// Sustained connection attempts per second per target.
     pub conns_per_sec: f64,
@@ -163,7 +162,7 @@ pub(crate) fn install_tcp_exhaustion(
 // ---------------------------------------------------------------------
 
 /// One arm of the `repro cookies` comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CookieArm {
     /// No defense — the legit-success and amplification baseline.
     Undefended,

@@ -5,12 +5,11 @@ use dike_netsim::SimDuration;
 use dike_stats::classify::Classifier;
 use dike_stats::latency::{latency_timeseries, LatencyBin};
 use dike_stats::timeseries::{class_timeseries, outcome_timeseries, ClassBin, OutcomeBin};
-use serde::{Deserialize, Serialize};
 
 use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentOutput, ExperimentSetup};
 
 /// Table 4's experiment identifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DdosExperiment {
     /// 3600 s TTL, one warm-up query, complete failure of both servers.
     A,
@@ -46,7 +45,7 @@ pub const ALL: [DdosExperiment; 9] = [
 ];
 
 /// Table 4 parameters for one experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdosParams {
     /// Experiment letter.
     pub name: char,

@@ -29,7 +29,6 @@ use dike_stats::timeseries::outcome_timeseries;
 use dike_telemetry::TelemetryConfig;
 use dike_wire::{Message, Name, RecordType};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentSetup};
 
@@ -41,7 +40,7 @@ use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentSetup};
 /// authoritatives: `sources` timer-paced sender nodes, each with its own
 /// simulated address (RRL sees distinct sources), alternating between
 /// the two name servers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpoofedFlood {
     /// Number of distinct spoofed sources (one node each).
     pub sources: usize,
@@ -173,7 +172,7 @@ pub(crate) fn install_spoofed_flood(
 /// slice with the flood. This fleet measures that false-positive cost:
 /// timer-paced, slow (well under every RRL rate), deterministic sources
 /// arriving at a steady rate through the attack window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LateResolverWave {
     /// New resolvers arriving per minute, spread evenly over the window.
     pub arrivals_per_min: f64,
@@ -235,7 +234,7 @@ pub(crate) fn install_late_wave(
 /// The defense configurations the §7 comparison (and the sweep engine's
 /// defense axis) steps through. Each maps to a [`DefensePlan`] against
 /// the two cachetest.nl authoritatives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefensePreset {
     /// No server-side defense: the paper's original scenario.
     None,

@@ -14,10 +14,9 @@ use dike_netsim::{Addr, Context, Node, SimDuration, Simulator, TimerToken};
 use dike_resolver::{profiles, RecursiveResolver};
 use dike_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Table 5's TTL buckets for client-observed NS/A record TTLs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TtlBuckets {
     /// Answers observed.
     pub total: usize,

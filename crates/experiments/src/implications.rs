@@ -23,12 +23,11 @@ use dike_resolver::{profiles, RecursiveResolver};
 use dike_stats::timeseries::outcome_timeseries;
 use dike_stub::{new_shared_log, StubConfig, StubProbe};
 use dike_wire::{Name, RData, Record, SoaData};
-use serde::{Deserialize, Serialize};
 
 use dike_auth::{AuthServer, CacheTestZone, Zone};
 
 /// One point in the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImplicationsConfig {
     /// Nameservers for the zone (NS records), each its own anycast VIP.
     pub ns_count: usize,
@@ -75,7 +74,7 @@ impl ImplicationsConfig {
 }
 
 /// One sweep point's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImplicationsResult {
     /// The configuration.
     pub config: ImplicationsConfig,

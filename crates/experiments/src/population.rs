@@ -6,10 +6,9 @@
 
 use rand::rngs::SmallRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// What kind of first-hop recursive (R1) a vantage point uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum R1Kind {
     /// The Google-like public farm (farm 0).
     PublicGoogle,
@@ -31,7 +30,7 @@ impl R1Kind {
 }
 
 /// The population mix. Defaults are calibrated to the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationMix {
     /// Fractions of probes with 1, 2 and 3 local recursives. The paper's
     /// 9.2k probes yield 15.3k VPs (≈1.67 recursives/probe, Table 1).

@@ -15,10 +15,9 @@ use dike_stats::passive::{PassiveAnalyzer, PassiveReport};
 use dike_wire::{Message, Name, RData, Record, RecordType};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How one simulated recursive treats the measured records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum RecursiveBehavior {
     /// Honors the TTL with one shared cache.
     Honoring,
@@ -61,7 +60,7 @@ impl Default for NlConfig {
 }
 
 /// Fig. 4 output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NlResult {
     /// ECDF of each recursive's median inter-arrival Δt (seconds),
     /// after excluding sub-10-second parallel queries — the paper's
@@ -244,7 +243,7 @@ impl Default for RootConfig {
 }
 
 /// Fig. 5 output: CDFs of queries-per-recursive.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RootResult {
     /// `(n, F(n))` for all letters combined: the fraction of recursives
     /// sending ≤ n queries in the day.

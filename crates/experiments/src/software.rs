@@ -9,12 +9,11 @@ use dike_netsim::trace::{Disposition, TraceSink};
 use dike_netsim::{Addr, Context, Node, SimDuration, SimTime, Simulator, TimerToken};
 use dike_resolver::{profiles, RecursiveResolver, ResolverConfig};
 use dike_wire::{Message, Name, RecordType};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::add_hierarchy;
 
 /// Which software profile to exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Software {
     /// BIND 9.10-like.
     Bind,
@@ -41,7 +40,7 @@ impl Software {
 
 /// Fig. 16's bars: queries offered to each hierarchy level for one cold
 /// resolution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryBreakdown {
     /// Queries to the root server.
     pub to_root: u64,

@@ -36,11 +36,11 @@
 
 use dike_attack::{Attack, AttackError};
 use dike_netsim::{Addr, DegradeParams, NodeId, QueueConfig, SimDuration, SimTime, Simulator};
-use serde::{Deserialize, Serialize};
+use dike_telemetry::json::{self, Field, Writer};
 
 /// Restart half of a crash/restart pair: bring the node back `after` the
 /// crash, optionally wiping volatile state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Restart {
     /// Downtime: how long after the crash the node comes back.
     pub after: SimDuration,
@@ -49,7 +49,7 @@ pub struct Restart {
 }
 
 /// The waveform a [`Fault::Flood`] drives the background load with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FloodShape {
     /// Full peak for the whole window (on/off — the paper's emulation
     /// translated to queue load).
@@ -70,7 +70,7 @@ pub enum FloodShape {
 }
 
 /// One fault. See the crate docs for the taxonomy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     /// Crash `node` at `at`; optionally restart it later.
     NodeDown {
@@ -411,7 +411,7 @@ fn schedule_flood(
 }
 
 /// A composable fault scenario: any number of faults, scheduled together.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The faults, in any order (each carries its own times).
     pub faults: Vec<Fault>,
@@ -471,52 +471,53 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------
-// JSON (hand-rolled)
+// JSON
 // ---------------------------------------------------------------------
 //
-// Plans must survive record/replay in stripped-down offline builds where
-// the JSON dependency is stubbed, so — like the telemetry exporter and
-// the netsim trace writer — the wire format is written and parsed by
-// hand. The serde derives above serve full environments; this format is
-// the portable one and is what the tests pin.
+// A plan's record/replay form: `{"faults":[{"kind":…,…},…]}`, one flat
+// object per fault. This section only maps fields to keys; the format
+// itself (escaping, number syntax, strict parsing, range-checked field
+// access) lives in `dike_telemetry::json`, the workspace's one codec.
+// Plan files come from operators (`dike-serve --plan`), so `from_json`
+// rejects what it does not understand instead of guessing.
 
 impl FaultPlan {
     /// Serializes the plan to one-line JSON.
     pub fn to_json(&self) -> String {
-        let faults: Vec<String> = self.faults.iter().map(fault_json).collect();
-        format!("{{\"faults\":[{}]}}", faults.join(","))
+        let mut w = Writer::new();
+        w.begin_object().key("faults").begin_array();
+        for f in &self.faults {
+            fault_json(f, &mut w);
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Parses [`FaultPlan::to_json`] output. Returns a description of
     /// the first problem on malformed input.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let body = strip_wrapped(text.trim(), '{', '}').ok_or("plan is not a JSON object")?;
-        let (key, value) = split_kv(body).ok_or("plan has no fields")?;
-        if key != "faults" {
-            return Err(format!("expected \"faults\", found \"{key}\""));
-        }
-        let list = strip_wrapped(value, '[', ']').ok_or("\"faults\" is not an array")?;
-        let mut faults = Vec::new();
-        for obj in split_top_level(list) {
-            faults.push(fault_from_json(obj)?);
-        }
+        let doc = json::parse(text)?;
+        let faults = doc
+            .named("plan")
+            .get("faults")?
+            .array()?
+            .map(fault_from_json)
+            .collect::<Result<_, _>>()?;
         Ok(FaultPlan { faults })
     }
 }
 
-fn fault_json(f: &Fault) -> String {
+fn fault_json(f: &Fault, w: &mut Writer) {
+    w.begin_object();
     match f {
         Fault::NodeDown { node, at, restart } => {
-            let mut s = format!("{{\"kind\":\"node_down\",\"node\":{},\"at_ns\":{}", node.0, at.as_nanos());
+            w.key("kind").str("node_down");
+            w.key("node").u64(node.0.into());
+            w.key("at_ns").u64(at.as_nanos());
             if let Some(r) = restart {
-                s.push_str(&format!(
-                    ",\"restart_after_ns\":{},\"cold_cache\":{}",
-                    r.after.as_nanos(),
-                    r.cold_cache
-                ));
+                w.key("restart_after_ns").u64(r.after.as_nanos());
+                w.key("cold_cache").bool(r.cold_cache);
             }
-            s.push('}');
-            s
         }
         Fault::LinkDegrade {
             target,
@@ -525,15 +526,15 @@ fn fault_json(f: &Fault) -> String {
             mean_loss,
             mean_burst,
             latency_factor,
-        } => format!(
-            "{{\"kind\":\"link_degrade\",\"target\":{},\"start_ns\":{},\"duration_ns\":{},\"mean_loss\":{},\"mean_burst\":{},\"latency_factor\":{}}}",
-            target.0,
-            start.as_nanos(),
-            duration.as_nanos(),
-            mean_loss,
-            mean_burst,
-            latency_factor
-        ),
+        } => {
+            w.key("kind").str("link_degrade");
+            w.key("target").u64(target.0.into());
+            w.key("start_ns").u64(start.as_nanos());
+            w.key("duration_ns").u64(duration.as_nanos());
+            w.key("mean_loss").f64(*mean_loss);
+            w.key("mean_burst").f64(*mean_burst);
+            w.key("latency_factor").f64(*latency_factor);
+        }
         Fault::Flood {
             target,
             start,
@@ -542,189 +543,108 @@ fn fault_json(f: &Fault) -> String {
             shape,
             queue,
         } => {
-            let mut s = format!(
-                "{{\"kind\":\"flood\",\"target\":{},\"start_ns\":{},\"duration_ns\":{},\"peak_load\":{}",
-                target.0,
-                start.as_nanos(),
-                duration.as_nanos(),
-                peak_load
-            );
+            w.key("kind").str("flood");
+            w.key("target").u64(target.0.into());
+            w.key("start_ns").u64(start.as_nanos());
+            w.key("duration_ns").u64(duration.as_nanos());
+            w.key("peak_load").f64(*peak_load);
             match shape {
-                FloodShape::Square => s.push_str(",\"shape\":\"square\""),
-                FloodShape::Pulse { period, duty } => s.push_str(&format!(
-                    ",\"shape\":\"pulse\",\"period_ns\":{},\"duty\":{}",
-                    period.as_nanos(),
-                    duty
-                )),
+                FloodShape::Square => {
+                    w.key("shape").str("square");
+                }
+                FloodShape::Pulse { period, duty } => {
+                    w.key("shape").str("pulse");
+                    w.key("period_ns").u64(period.as_nanos());
+                    w.key("duty").f64(*duty);
+                }
                 FloodShape::Ramp { steps } => {
-                    s.push_str(&format!(",\"shape\":\"ramp\",\"steps\":{steps}"))
+                    w.key("shape").str("ramp");
+                    w.key("steps").u64((*steps).into());
                 }
             }
             if let Some(q) = queue {
-                s.push_str(&format!(
-                    ",\"queue_rate_pps\":{},\"queue_capacity\":{}",
-                    q.rate_pps, q.capacity
-                ));
+                w.key("queue_rate_pps").f64(q.rate_pps);
+                w.key("queue_capacity").u64(q.capacity.into());
             }
-            s.push('}');
-            s
         }
         Fault::RandomDrop(a) => {
-            let targets: Vec<String> = a.targets.iter().map(|t| t.0.to_string()).collect();
-            format!(
-                "{{\"kind\":\"random_drop\",\"targets\":[{}],\"loss\":{},\"start_ns\":{},\"duration_ns\":{}}}",
-                targets.join(","),
-                a.loss,
-                a.start.as_nanos(),
-                a.duration.as_nanos()
-            )
-        }
-    }
-}
-
-/// Strips one `open … close` wrapper, returning the interior.
-fn strip_wrapped(s: &str, open: char, close: char) -> Option<&str> {
-    Some(s.trim().strip_prefix(open)?.strip_suffix(close)?.trim())
-}
-
-/// Splits `s` on top-level commas (commas at bracket depth 0, outside
-/// string literals). The format this module writes has no escapes inside
-/// strings, so string state is a simple toggle.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let (mut depth, mut in_str, mut start) = (0i32, false, 0usize);
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => depth -= 1,
-            ',' if !in_str && depth == 0 => {
-                parts.push(s[start..i].trim());
-                start = i + 1;
+            w.key("kind").str("random_drop");
+            w.key("targets").begin_array();
+            for t in &a.targets {
+                w.u64(t.0.into());
             }
-            _ => {}
+            w.end_array();
+            w.key("loss").f64(a.loss);
+            w.key("start_ns").u64(a.start.as_nanos());
+            w.key("duration_ns").u64(a.duration.as_nanos());
         }
     }
-    let tail = s[start..].trim();
-    if !tail.is_empty() {
-        parts.push(tail);
-    }
-    parts.retain(|p| !p.is_empty());
-    parts
+    w.end_object();
 }
 
-/// Splits one `"key": value` pair.
-fn split_kv(field: &str) -> Option<(&str, &str)> {
-    let (key, value) = field.split_once(':')?;
-    Some((
-        key.trim().strip_prefix('"')?.strip_suffix('"')?,
-        value.trim(),
-    ))
+fn time(f: Field<'_>, key: &str) -> Result<SimTime, String> {
+    Ok(SimTime::from_nanos(f.get(key)?.uint()?))
 }
 
-/// The fields of one fault object, as `(key, raw_value)` pairs.
-fn fault_fields(obj: &str) -> Result<Vec<(&str, &str)>, String> {
-    let body = strip_wrapped(obj, '{', '}').ok_or_else(|| format!("not an object: {obj}"))?;
-    split_top_level(body)
-        .into_iter()
-        .map(|f| split_kv(f).ok_or_else(|| format!("bad field: {f}")))
-        .collect()
+fn span(f: Field<'_>, key: &str) -> Result<SimDuration, String> {
+    Ok(SimDuration::from_nanos(f.get(key)?.uint()?))
 }
 
-fn find<'a>(fields: &[(&str, &'a str)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("missing field \"{key}\""))
-}
-
-fn find_u64(fields: &[(&str, &str)], key: &str) -> Result<u64, String> {
-    find(fields, key)?
-        .parse()
-        .map_err(|_| format!("field \"{key}\" is not an integer"))
-}
-
-fn find_f64(fields: &[(&str, &str)], key: &str) -> Result<f64, String> {
-    find(fields, key)?
-        .parse()
-        .map_err(|_| format!("field \"{key}\" is not a number"))
-}
-
-fn fault_from_json(obj: &str) -> Result<Fault, String> {
-    let fields = fault_fields(obj)?;
-    let kind = find(&fields, "kind").and_then(|v| {
-        v.strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| "\"kind\" is not a string".to_string())
-    })?;
-    match kind {
-        "node_down" => {
-            let node = NodeId(find_u64(&fields, "node")? as u32);
-            let at = SimTime::from_nanos(find_u64(&fields, "at_ns")?);
-            let restart = match find_u64(&fields, "restart_after_ns") {
-                Ok(ns) => Some(Restart {
-                    after: SimDuration::from_nanos(ns),
-                    cold_cache: find(&fields, "cold_cache")? == "true",
+fn fault_from_json(f: Field<'_>) -> Result<Fault, String> {
+    match f.get("kind")?.str()? {
+        "node_down" => Ok(Fault::NodeDown {
+            node: NodeId(f.get("node")?.uint()?),
+            at: time(f, "at_ns")?,
+            restart: match f.opt("restart_after_ns")? {
+                Some(after) => Some(Restart {
+                    after: SimDuration::from_nanos(after.uint()?),
+                    cold_cache: f.get("cold_cache")?.bool()?,
                 }),
-                Err(_) => None,
-            };
-            Ok(Fault::NodeDown { node, at, restart })
-        }
-        "link_degrade" => Ok(Fault::LinkDegrade {
-            target: Addr(find_u64(&fields, "target")? as u32),
-            start: SimTime::from_nanos(find_u64(&fields, "start_ns")?),
-            duration: SimDuration::from_nanos(find_u64(&fields, "duration_ns")?),
-            mean_loss: find_f64(&fields, "mean_loss")?,
-            mean_burst: find_f64(&fields, "mean_burst")?,
-            latency_factor: find_f64(&fields, "latency_factor")?,
+                None => None,
+            },
         }),
-        "flood" => {
-            let shape = match find(&fields, "shape")? {
-                "\"square\"" => FloodShape::Square,
-                "\"pulse\"" => FloodShape::Pulse {
-                    period: SimDuration::from_nanos(find_u64(&fields, "period_ns")?),
-                    duty: find_f64(&fields, "duty")?,
+        "link_degrade" => Ok(Fault::LinkDegrade {
+            target: Addr(f.get("target")?.uint()?),
+            start: time(f, "start_ns")?,
+            duration: span(f, "duration_ns")?,
+            mean_loss: f.get("mean_loss")?.f64()?,
+            mean_burst: f.get("mean_burst")?.f64()?,
+            latency_factor: f.get("latency_factor")?.f64()?,
+        }),
+        "flood" => Ok(Fault::Flood {
+            target: Addr(f.get("target")?.uint()?),
+            start: time(f, "start_ns")?,
+            duration: span(f, "duration_ns")?,
+            peak_load: f.get("peak_load")?.f64()?,
+            shape: match f.get("shape")?.str()? {
+                "square" => FloodShape::Square,
+                "pulse" => FloodShape::Pulse {
+                    period: span(f, "period_ns")?,
+                    duty: f.get("duty")?.f64()?,
                 },
-                "\"ramp\"" => FloodShape::Ramp {
-                    steps: find_u64(&fields, "steps")? as u32,
+                "ramp" => FloodShape::Ramp {
+                    steps: f.get("steps")?.uint()?,
                 },
-                other => return Err(format!("unknown flood shape {other}")),
-            };
-            let queue = match find_f64(&fields, "queue_rate_pps") {
-                Ok(rate_pps) => Some(QueueConfig {
-                    rate_pps,
-                    capacity: find_u64(&fields, "queue_capacity")? as u32,
+                other => return Err(format!("unknown flood shape \"{other}\"")),
+            },
+            queue: match f.opt("queue_rate_pps")? {
+                Some(rate) => Some(QueueConfig {
+                    rate_pps: rate.f64()?,
+                    capacity: f.get("queue_capacity")?.uint()?,
                 }),
-                Err(_) => None,
-            };
-            Ok(Fault::Flood {
-                target: Addr(find_u64(&fields, "target")? as u32),
-                start: SimTime::from_nanos(find_u64(&fields, "start_ns")?),
-                duration: SimDuration::from_nanos(find_u64(&fields, "duration_ns")?),
-                peak_load: find_f64(&fields, "peak_load")?,
-                shape,
-                queue,
-            })
-        }
-        "random_drop" => {
-            let list = strip_wrapped(find(&fields, "targets")?, '[', ']')
-                .ok_or("\"targets\" is not an array")?;
-            let targets = split_top_level(list)
-                .into_iter()
-                .map(|t| {
-                    t.parse::<u32>()
-                        .map(Addr)
-                        .map_err(|_| format!("bad target {t}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Fault::RandomDrop(Attack {
-                targets,
-                loss: find_f64(&fields, "loss")?,
-                start: SimTime::from_nanos(find_u64(&fields, "start_ns")?),
-                duration: SimDuration::from_nanos(find_u64(&fields, "duration_ns")?),
-            }))
-        }
+                None => None,
+            },
+        }),
+        "random_drop" => Ok(Fault::RandomDrop(Attack {
+            targets: f
+                .get("targets")?
+                .array()?
+                .map(|t| t.uint().map(Addr))
+                .collect::<Result<_, _>>()?,
+            loss: f.get("loss")?.f64()?,
+            start: time(f, "start_ns")?,
+            duration: span(f, "duration_ns")?,
+        })),
         other => Err(format!("unknown fault kind \"{other}\"")),
     }
 }
@@ -813,6 +733,92 @@ mod tests {
         assert!(
             FaultPlan::from_json("{\"faults\":[{\"kind\":\"node_down\",\"node\":1}]}").is_err(),
             "missing at_ns"
+        );
+    }
+
+    /// Every row is a plan the parser accepted before it moved onto
+    /// `dike_telemetry::json` (non-finite numbers, integers truncated
+    /// with `as`, first-duplicate-wins, anything-but-`true` is `false`,
+    /// Unicode `trim`). The error must name the offending field.
+    #[test]
+    fn from_json_rejects_hostile_plans() {
+        let node_down = |tail: &str| format!(r#"{{"kind":"node_down","at_ns":5,{tail}}}"#);
+        let degrade = |tail: &str| {
+            format!(
+                r#"{{"kind":"link_degrade","start_ns":0,"duration_ns":1,"latency_factor":1,{tail}}}"#
+            )
+        };
+        let flood = |tail: &str| {
+            format!(
+                r#"{{"kind":"flood","target":1,"start_ns":0,"duration_ns":1,"peak_load":0.5,{tail}}}"#
+            )
+        };
+        let rows = [
+            (
+                degrade(r#""target":1,"mean_loss":NaN,"mean_burst":2"#),
+                "byte",
+            ),
+            (
+                degrade(r#""target":1,"mean_loss":0.5,"mean_burst":inf"#),
+                "byte",
+            ),
+            (
+                degrade(r#""target":1,"mean_loss":-Infinity,"mean_burst":2"#),
+                "byte",
+            ),
+            (
+                degrade(r#""target":4294967297,"mean_loss":0.5,"mean_burst":2"#),
+                "\"target\"",
+            ),
+            (node_down(r#""node":4294967297"#), "\"node\""),
+            (
+                node_down(r#""node":1,"node":2"#),
+                "duplicate field \"node\"",
+            ),
+            (
+                node_down(r#""node":1,"restart_after_ns":9,"cold_cache":"yes""#),
+                "\"cold_cache\"",
+            ),
+            (
+                node_down(r#""node":1,"restart_after_ns":9,"cold_cache":1"#),
+                "\"cold_cache\"",
+            ),
+            (flood(r#""shape":"ramp","steps":4294967296"#), "\"steps\""),
+            (
+                flood(r#""shape":"square","queue_rate_pps":100,"queue_capacity":4294967296"#),
+                "\"queue_capacity\"",
+            ),
+        ];
+        for (fault, needle) in rows {
+            let err = FaultPlan::from_json(&format!(r#"{{"faults":[{fault}]}}"#)).unwrap_err();
+            assert!(err.contains(needle), "{fault}: {err}");
+        }
+        // Trailing bytes: a no-break space is not JSON whitespace.
+        let err = FaultPlan::from_json("{\"faults\":[]}\u{a0}").unwrap_err();
+        assert!(err.contains("trailing bytes"), "{err}");
+    }
+
+    /// A plan file written before the move (integral floats print as
+    /// `25`, not `25.0`) still reads back as the same plan.
+    #[test]
+    fn plans_written_by_the_old_writer_still_parse() {
+        let old = concat!(
+            r#"{"faults":[{"kind":"node_down","node":3,"at_ns":10000000000,"restart_after_ns":30000000000,"cold_cache":true},"#,
+            r#"{"kind":"node_down","node":4,"at_ns":100000000000},"#,
+            r#"{"kind":"link_degrade","target":167772161,"start_ns":5000000000,"duration_ns":60000000000,"#,
+            r#""mean_loss":0.4,"mean_burst":25,"latency_factor":3.5},"#,
+            r#"{"kind":"flood","target":167772162,"start_ns":20000000000,"duration_ns":40000000000,"peak_load":0.95,"#,
+            r#""shape":"ramp","steps":4,"queue_rate_pps":10000,"queue_capacity":1000},"#,
+            r#"{"kind":"flood","target":167772163,"start_ns":0,"duration_ns":10000000000,"peak_load":0.5,"#,
+            r#""shape":"pulse","period_ns":2000000000,"duty":0.5,"queue_rate_pps":500,"queue_capacity":64},"#,
+            r#"{"kind":"random_drop","targets":[1,2],"loss":0.9,"start_ns":30000000000,"duration_ns":30000000000}]}"#,
+        );
+        assert_eq!(FaultPlan::from_json(old).unwrap(), full_plan());
+        assert_eq!(
+            full_plan().to_json(),
+            old.replace(":25,", ":25.0,")
+                .replace(":10000,", ":10000.0,")
+                .replace(":500,", ":500.0,")
         );
     }
 

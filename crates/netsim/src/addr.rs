@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node inside one [`crate::Simulator`]. Stable for the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// A simulated network address.
@@ -13,7 +11,7 @@ pub struct NodeId(pub u32);
 /// One address per node; the experiments count "unique recursive IP
 /// addresses" (paper Fig. 12) by counting distinct `Addr`s. Displayed in a
 /// dotted-quad style for readable logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(pub u32);
 
 impl Addr {

@@ -5,13 +5,12 @@ use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::addr::Addr;
 use crate::time::SimDuration;
 
 /// How long a datagram takes to cross a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// A constant delay.
     Fixed(SimDuration),
@@ -55,7 +54,7 @@ impl LatencyModel {
 }
 
 /// Per-path parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// One-way delay model.
     pub latency: LatencyModel,
@@ -92,7 +91,7 @@ impl Default for LinkParams {
 /// transition is sampled, then the loss draw uses the *post-transition*
 /// state. Both draws come from the run's seeded RNG, so fault runs stay
 /// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-arrival probability of moving Good → Bad.
     pub p_enter_bad: f64,
@@ -170,7 +169,7 @@ impl GilbertElliott {
 /// A degraded-but-not-failed condition on every path toward one
 /// destination: bursty Gilbert–Elliott loss plus latency inflation
 /// (congested queues upstream of the target slow what they do not drop).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeParams {
     /// The loss process.
     pub ge: GilbertElliott,

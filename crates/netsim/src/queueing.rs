@@ -17,12 +17,10 @@
 //! [`ServiceQueue::inject_background_load`], which consumes a fraction of
 //! the service capacity exactly the way a volumetric flood does.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Configuration of one ingress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueConfig {
     /// Service rate in datagrams per second.
     pub rate_pps: f64,
@@ -161,7 +159,7 @@ impl ServiceQueue {
 /// Priority class of one arriving datagram, assigned by a source
 /// classifier (see `dike-defense`). The discriminant indexes per-class
 /// arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueClass {
     /// A source seen behaving like a resolver before the attack, or on a
     /// static allowlist.
@@ -200,7 +198,7 @@ impl QueueClass {
 /// Configuration of a weighted-class admission scheduler: one service
 /// rate split across the three [`QueueClass`]es by weight, with a
 /// per-class buffer. A class with weight 0 is shed outright.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassedQueueConfig {
     /// Total service rate in datagrams per second, shared by all classes.
     pub rate_pps: f64,

@@ -780,7 +780,7 @@ pub struct Simulator {
 /// not simulation state*: nothing here feeds back into the run, and none
 /// of it enters the telemetry registry (whose snapshots are asserted
 /// byte-identical across same-seed runs).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SimPerf {
     /// Events processed by the run loop.
     pub events_popped: u64,

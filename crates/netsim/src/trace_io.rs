@@ -12,13 +12,13 @@
 //! {"at_ns":1000000,"src":167772167,"dst":167772161,"disposition":"delivered","wire_len":40,"msg_hex":"abcd0100..."}
 //! ```
 //!
-//! Rows are written and parsed by hand (no serde involvement): the format
-//! is a fixed six-field record, and hand-rolling it keeps record/replay
-//! working in stripped-down offline builds where the JSON dependency is
-//! stubbed out — the same trade the telemetry exporter makes.
+//! This module owns the row's six fields and the hex payload; the JSON
+//! itself — escaping, number syntax, strict parsing, range-checked field
+//! access — is `dike_telemetry::json`, the workspace's one codec.
 
 use std::io::{BufRead, Write};
 
+use dike_telemetry::json::{self, Writer};
 use dike_wire::codec;
 use dike_wire::Message;
 
@@ -43,15 +43,22 @@ pub struct TraceRow {
     pub msg: Message,
 }
 
+/// The inverse of [`disposition_str`].
+fn disposition_named(name: &str) -> Option<Disposition> {
+    Some(match name {
+        "delivered" => Disposition::Delivered,
+        "dropped" => Disposition::Dropped,
+        "no_route" => Disposition::NoRoute,
+        "malformed" => Disposition::Malformed,
+        _ => return None,
+    })
+}
+
 impl TraceRow {
-    /// The disposition as the enum.
+    /// The disposition as the enum (`NoRoute` for a hand-built row whose
+    /// string is none of the four names; parsed rows always carry one).
     pub fn disposition(&self) -> Disposition {
-        match self.disposition.as_str() {
-            "delivered" => Disposition::Delivered,
-            "dropped" => Disposition::Dropped,
-            "malformed" => Disposition::Malformed,
-            _ => Disposition::NoRoute,
-        }
+        disposition_named(&self.disposition).unwrap_or(Disposition::NoRoute)
     }
 
     /// Renders the row as one JSON line (no trailing newline). Returns
@@ -63,63 +70,38 @@ impl TraceRow {
             use std::fmt::Write as _;
             let _ = write!(hex, "{b:02x}");
         }
-        Some(format!(
-            "{{\"at_ns\":{},\"src\":{},\"dst\":{},\"disposition\":\"{}\",\"wire_len\":{},\"msg_hex\":\"{}\"}}",
-            self.at_ns, self.src, self.dst, self.disposition, self.wire_len, hex
-        ))
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("at_ns").u64(self.at_ns);
+        w.key("src").u64(self.src.into());
+        w.key("dst").u64(self.dst.into());
+        w.key("disposition").str(&self.disposition);
+        w.key("wire_len").u64(self.wire_len as u64);
+        w.key("msg_hex").str(&hex);
+        w.end_object();
+        Some(w.finish())
     }
 
     /// Parses one JSON line produced by [`TraceRow::to_json_line`].
     /// Field order is not significant; unknown fields are ignored.
     /// Returns `None` for anything that is not a well-formed row (bad
-    /// JSON, missing fields, undecodable `msg_hex`).
+    /// JSON, missing or out-of-range fields, an unknown `disposition`,
+    /// undecodable `msg_hex`).
     pub fn from_json_line(line: &str) -> Option<TraceRow> {
-        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut at_ns = None;
-        let mut src = None;
-        let mut dst = None;
-        let mut disposition = None;
-        let mut wire_len = None;
-        let mut msg = None;
-        for (key, value) in json_fields(body) {
-            match key {
-                "at_ns" => at_ns = value.parse::<u64>().ok(),
-                "src" => src = value.parse::<u32>().ok(),
-                "dst" => dst = value.parse::<u32>().ok(),
-                "wire_len" => wire_len = value.parse::<usize>().ok(),
-                "disposition" => disposition = unquote(value).map(str::to_string),
-                "msg_hex" => {
-                    let wire = hex_bytes(unquote(value)?)?;
-                    msg = codec::decode(&wire).ok();
-                }
-                _ => {}
-            }
-        }
+        let doc = json::parse(line).ok()?;
+        let row = doc.named("row");
+        let disposition = row.get("disposition").ok()?.str().ok()?;
+        disposition_named(disposition)?;
+        let wire = hex_bytes(row.get("msg_hex").ok()?.str().ok()?)?;
         Some(TraceRow {
-            at_ns: at_ns?,
-            src: src?,
-            dst: dst?,
-            disposition: disposition?,
-            wire_len: wire_len?,
-            msg: msg?,
+            at_ns: row.get("at_ns").ok()?.uint().ok()?,
+            src: row.get("src").ok()?.uint().ok()?,
+            dst: row.get("dst").ok()?.uint().ok()?,
+            disposition: disposition.to_string(),
+            wire_len: row.get("wire_len").ok()?.uint().ok()?,
+            msg: codec::decode(&wire).ok()?,
         })
     }
-}
-
-/// Splits `{...}` body text into `(key, raw_value)` pairs. Values in a
-/// trace row are integers or simple quoted strings (dispositions, hex) —
-/// neither contains commas, quotes-in-quotes, or nesting, so a flat comma
-/// split is exact for the format this module writes.
-fn json_fields(body: &str) -> impl Iterator<Item = (&str, &str)> {
-    body.split(',').filter_map(|field| {
-        let (key, value) = field.split_once(':')?;
-        Some((unquote(key.trim())?, value.trim()))
-    })
-}
-
-/// Strips the surrounding double quotes from a JSON string literal.
-fn unquote(s: &str) -> Option<&str> {
-    s.strip_prefix('"')?.strip_suffix('"')
 }
 
 /// Decodes a lowercase/uppercase hex string.
@@ -337,6 +319,56 @@ mod tests {
         )
         .is_none());
         assert!(TraceRow::from_json_line("at_ns: 1").is_none());
+    }
+
+    /// Byte for byte what the writer emitted before it moved onto
+    /// `dike_telemetry::json`, at both ends of every integer field.
+    #[test]
+    fn jsonl_matches_the_golden_bytes() {
+        let mut w = JsonlTraceWriter::new(Vec::new());
+        w.observe(
+            SimTime::from_nanos(u64::MAX),
+            Addr(u32::MAX),
+            Addr(0),
+            Some(&msg(0xbeef)),
+            40,
+            Disposition::NoRoute,
+        );
+        w.observe(
+            SimTime::from_nanos(1_000_000),
+            Addr(167772167),
+            Addr(167772161),
+            Some(&msg(7)),
+            40,
+            Disposition::Delivered,
+        );
+        assert_eq!(
+            String::from_utf8(w.into_inner()).unwrap(),
+            concat!(
+                r#"{"at_ns":18446744073709551615,"src":4294967295,"dst":0,"disposition":"no_route","wire_len":40,"#,
+                r#""msg_hex":"beef01000001000000000000013709636163686574657374026e6c00001c0001"}"#,
+                "\n",
+                r#"{"at_ns":1000000,"src":167772167,"dst":167772161,"disposition":"delivered","wire_len":40,"#,
+                r#""msg_hex":"000701000001000000000000013709636163686574657374026e6c00001c0001"}"#,
+                "\n",
+            )
+        );
+    }
+
+    #[test]
+    fn unknown_disposition_is_a_bad_row() {
+        let good = row(1, "delivered", 7).to_json_line().unwrap();
+        let forged = good.replace("delivered", "teleported");
+        assert!(TraceRow::from_json_line(&forged).is_none());
+        let (rows, bad) = read_jsonl(std::io::Cursor::new(format!("{good}\n{forged}\n")));
+        assert_eq!((rows.len(), bad), (1, 1));
+        // So are integers that do not fit their field, and duplicates.
+        assert!(
+            TraceRow::from_json_line(&good.replace("\"src\":2", "\"src\":4294967296")).is_none()
+        );
+        assert!(
+            TraceRow::from_json_line(&good.replace("\"src\":2", "\"src\":2,\"src\":2")).is_none()
+        );
     }
 
     #[test]

@@ -19,11 +19,10 @@
 use dike_auth::decode_probe_aaaa;
 use dike_netsim::{SimDuration, SimTime};
 use dike_stub::{ProbeLog, QueryOutcome, VpKey};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Where an answer came from vs. where it should have come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnswerClass {
     /// The VP's first answer: necessarily from the authoritative.
     WarmUp,
@@ -38,7 +37,7 @@ pub enum AnswerClass {
 }
 
 /// One classified answer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClassifiedAnswer {
     /// The vantage point.
     pub vp: VpKey,
@@ -57,7 +56,7 @@ pub struct ClassifiedAnswer {
 }
 
 /// Aggregate counts in the shape of the paper's Table 2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassificationSummary {
     /// Valid answers considered (OK answers carrying the payload).
     pub valid_answers: usize,
@@ -112,7 +111,7 @@ impl ClassificationSummary {
 }
 
 /// Full classification result.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Classification {
     /// Every classified answer, in per-VP time order.
     pub answers: Vec<ClassifiedAnswer>,

@@ -1,9 +1,7 @@
 //! Empirical cumulative distribution functions (Figures 4 and 5).
 
-use serde::{Deserialize, Serialize};
-
 /// One ECDF: sorted sample values with their cumulative fractions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     /// `(value, F(value))` points, ascending in value.
     pub points: Vec<(f64, f64)>,

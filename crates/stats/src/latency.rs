@@ -2,13 +2,12 @@
 
 use dike_netsim::SimDuration;
 use dike_stub::ProbeLog;
-use serde::{Deserialize, Serialize};
 
 use crate::quantile::LatencySummary;
 
 /// Latency summary for one time bin. Bins with no successful answers
 /// carry `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBin {
     /// Bin start, minutes after experiment start.
     pub start_min: u64,

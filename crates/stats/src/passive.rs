@@ -16,12 +16,11 @@ use std::collections::HashMap;
 use dike_netsim::trace::{Disposition, TraceSink};
 use dike_netsim::{Addr, SimTime};
 use dike_wire::{Message, Name, RecordType};
-use serde::{Deserialize, Serialize};
 
 use crate::ecdf::Ecdf;
 
 /// The §4.1 statistics extracted from a capture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PassiveReport {
     /// Sources that sent at least `min_queries`.
     pub analyzed_sources: usize,

@@ -48,7 +48,7 @@ pub fn median(values: &[f64]) -> Option<f64> {
 
 /// Summary of a latency distribution: the quantiles the paper plots
 /// (median, mean, 75th, 90th).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

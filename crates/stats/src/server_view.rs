@@ -15,12 +15,11 @@ use std::collections::{HashMap, HashSet};
 use dike_netsim::trace::{Disposition, TraceSink};
 use dike_netsim::{Addr, SimDuration, SimTime};
 use dike_wire::{Message, RecordType};
-use serde::{Deserialize, Serialize};
 
 use crate::quantile::quantile;
 
 /// The paper's query-type breakdown for authoritative-side traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerQueryType {
     /// NS queries for the zone.
     Ns,
@@ -90,7 +89,7 @@ impl ServerBin {
 /// Fig. 11's per-bin distribution over probes: median / 90th / max of the
 /// number of distinct Rn used per probe and of AAAA-for-PID queries per
 /// probe.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AmplificationBin {
     /// Bin start, minutes.
     pub start_min: u64,

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use dike_telemetry::json::Writer;
+
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -87,23 +89,22 @@ impl TextTable {
 }
 
 impl TextTable {
-    /// The table as JSON: `{"title": ..., "rows": [{col: cell, ...}]}`.
-    /// Cells stay strings; consumers parse numerics as needed.
-    pub fn to_json(&self) -> serde_json::Value {
-        let rows: Vec<serde_json::Value> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let obj: serde_json::Map<String, serde_json::Value> = self
-                    .header
-                    .iter()
-                    .zip(row)
-                    .map(|(h, c)| (h.clone(), serde_json::Value::String(c.clone())))
-                    .collect();
-                serde_json::Value::Object(obj)
-            })
-            .collect();
-        serde_json::json!({ "title": self.title, "rows": rows })
+    /// The table as a JSON document:
+    /// `{"title": ..., "rows": [{col: cell, ...}]}`, members in column
+    /// order. Cells stay strings; consumers parse numerics as needed.
+    pub fn to_json(&self) -> String {
+        let mut w = Writer::new();
+        w.begin_object().key("title").str(&self.title);
+        w.key("rows").begin_array();
+        for row in &self.rows {
+            w.begin_object();
+            for (h, c) in self.header.iter().zip(row) {
+                w.key(h).str(c);
+            }
+            w.end_object();
+        }
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
@@ -150,11 +151,10 @@ mod tests {
         let mut t = TextTable::new("demo", &["name", "count"]);
         t.row(&["a".into(), "1".into()]);
         t.row(&["b".into(), "2".into()]);
-        let j = t.to_json();
-        assert_eq!(j["title"], "demo");
-        assert_eq!(j["rows"][0]["name"], "a");
-        assert_eq!(j["rows"][1]["count"], "2");
-        assert_eq!(j["rows"].as_array().unwrap().len(), 2);
+        assert_eq!(
+            t.to_json(),
+            r#"{"title":"demo","rows":[{"name":"a","count":"1"},{"name":"b","count":"2"}]}"#
+        );
     }
 
     #[test]

@@ -3,12 +3,11 @@
 
 use dike_netsim::SimDuration;
 use dike_stub::ProbeLog;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::{AnswerClass, Classification};
 
 /// Counts of client outcomes in one time bin.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeBin {
     /// Bin start, minutes after experiment start.
     pub start_min: u64,
@@ -63,7 +62,7 @@ pub fn outcome_timeseries(log: &ProbeLog, bin_width: SimDuration) -> Vec<Outcome
 }
 
 /// Counts of answer classes in one bin (Figures 7 and 13).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassBin {
     /// Bin start, minutes after experiment start.
     pub start_min: u64,

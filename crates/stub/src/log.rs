@@ -6,10 +6,9 @@ use std::sync::Arc;
 use dike_netsim::{Addr, SimDuration, SimTime};
 use dike_wire::Rcode;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a vantage point: one probe querying one recursive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VpKey {
     /// Probe id (also the queried label).
     pub probe: u16,
@@ -18,7 +17,7 @@ pub struct VpKey {
 }
 
 /// What happened to one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// A response arrived within the timeout.
     Answer {
@@ -65,7 +64,7 @@ impl QueryOutcome {
 }
 
 /// One logged query.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QueryRecord {
     /// Which vantage point sent it.
     pub vp: VpKey,

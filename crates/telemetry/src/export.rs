@@ -1,81 +1,46 @@
 //! JSON and CSV export.
 //!
-//! Hand-rolled writers: the output shape is small and fixed, and
-//! rolling it by hand keeps this crate zero-dependency (see the crate
-//! docs). JSON carries the full registry including histogram bins; CSV
-//! flattens to one row per series point (histogram bins are summarized
-//! as count/sum/mean — use JSON when you need the distribution).
+//! JSON goes through [`crate::json`] and carries the full registry
+//! including histogram bins; CSV flattens to one row per series point
+//! (histogram bins are summarized as count/sum/mean — use JSON when you
+//! need the distribution).
 
 use std::fmt::Write as _;
 
+use crate::json::Writer;
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{MetricValue, MetricsRegistry};
 
-/// Escapes a string for a JSON string literal (without the quotes).
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Writes an f64 as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn json_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        // `{}` prints integral floats without a decimal point; keep one
-        // so consumers always see a number with consistent type.
-        if v == v.trunc() && v.abs() < 1e15 {
-            let _ = write!(out, "{v:.1}");
-        } else {
-            let _ = write!(out, "{v}");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn json_histogram(h: &HistogramSnapshot, out: &mut String) {
-    let _ = write!(out, "{{\"count\":{},\"sum\":{}", h.count, h.sum);
+fn histogram_json(h: &HistogramSnapshot, w: &mut Writer) {
+    w.begin_object();
+    w.key("count").u64(h.count).key("sum").u64(h.sum);
     if let Some(min) = h.min {
-        let _ = write!(out, ",\"min\":{min}");
+        w.key("min").u64(min);
     }
     if let Some(max) = h.max {
-        let _ = write!(out, ",\"max\":{max}");
+        w.key("max").u64(max);
     }
-    out.push_str(",\"bins\":[");
-    for (i, (lo, c)) in h.bins.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{lo},{c}]");
+    w.key("bins").begin_array();
+    for &(lo, c) in &h.bins {
+        w.begin_array().u64(lo).u64(c).end_array();
     }
-    out.push_str("]}");
+    w.end_array().end_object();
 }
 
-fn json_value_fields(v: &MetricValue, out: &mut String) {
+/// The `type` member and the value members of one metric value, into
+/// the object `w` has open.
+fn value_fields(v: &MetricValue, w: &mut Writer) {
     match v {
         MetricValue::Counter(n) => {
-            let _ = write!(out, "\"type\":\"counter\",\"total\":{n}");
+            w.key("type").str("counter").key("total").u64(*n);
         }
         MetricValue::Gauge { value, high_water } => {
-            out.push_str("\"type\":\"gauge\",\"value\":");
-            json_f64(*value, out);
-            out.push_str(",\"high_water\":");
-            json_f64(*high_water, out);
+            w.key("type").str("gauge").key("value").f64(*value);
+            w.key("high_water").f64(*high_water);
         }
         MetricValue::Histogram(h) => {
-            out.push_str("\"type\":\"histogram\",\"histogram\":");
-            json_histogram(h, out);
+            w.key("type").str("histogram").key("histogram");
+            histogram_json(h, w);
         }
     }
 }
@@ -85,54 +50,38 @@ impl MetricsRegistry {
     /// every metric's latest value plus its sparse series — as a JSON
     /// object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"snapshot_times_nanos\":[");
-        for (i, t) in self.snapshot_times().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{t}");
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("snapshot_times_nanos").begin_array();
+        for &t in self.snapshot_times() {
+            w.u64(t);
         }
-        out.push_str("],\"node_labels\":{");
-        for (i, (node, label)) in self.node_labels().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{node}\":\"");
-            json_escape(label, &mut out);
-            out.push('"');
+        w.end_array();
+        w.key("node_labels").begin_object();
+        for (node, label) in self.node_labels() {
+            w.key(&node.to_string()).str(label);
         }
-        out.push_str("},\"metrics\":[");
-        for (i, (key, series)) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"component\":\"");
-            json_escape(&key.component, &mut out);
-            out.push_str("\",\"node\":");
+        w.end_object();
+        w.key("metrics").begin_array();
+        for (key, series) in self.iter() {
+            w.begin_object();
+            w.key("component").str(&key.component).key("node");
             match key.node {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
+                Some(n) => w.u64(n.into()),
+                None => w.null(),
+            };
+            w.key("metric").str(&key.metric);
+            value_fields(&series.current, &mut w);
+            w.key("points").begin_array();
+            for (idx, v) in &series.points {
+                w.begin_object().key("snapshot").u64((*idx).into());
+                value_fields(v, &mut w);
+                w.end_object();
             }
-            out.push_str(",\"metric\":\"");
-            json_escape(&key.metric, &mut out);
-            out.push_str("\",");
-            json_value_fields(&series.current, &mut out);
-            out.push_str(",\"points\":[");
-            for (j, (idx, v)) in series.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"snapshot\":{idx},");
-                json_value_fields(v, &mut out);
-                out.push('}');
-            }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Serializes the series as CSV: header row, then one row per
@@ -222,17 +171,70 @@ mod tests {
         assert!(json.contains("\"type\":\"counter\",\"total\":12"));
         assert!(json.contains("\"type\":\"gauge\",\"value\":3.0"));
         assert!(json.contains("\"bins\":[[1,1],[4,1]]"));
-        // Balanced braces/brackets — cheap structural sanity check.
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+        crate::json::parse(&json).expect("the export is one valid document");
+    }
+
+    /// Byte for byte what the exporter wrote before it moved onto
+    /// `crate::json` (escapes, `u64::MAX`, integral / fractional /
+    /// negative-zero / non-finite gauges, empty and populated histograms).
+    #[test]
+    fn json_export_matches_the_golden_bytes() {
+        let mut r = MetricsRegistry::new();
+        r.set_node_label(1, "auth:\"ns1\"\n");
+        r.set_node_label(7, "r\u{e9}solveur\t\u{1}");
+        r.record_counter("auth", Some(1), "queries", u64::MAX);
+        r.record_counter("net", None, "back\\slash", 0);
+        r.record_gauge("resolver", Some(7), "in_flight", 3.0);
+        r.record_gauge("resolver", Some(7), "load", 0.1);
+        r.record_gauge("resolver", Some(7), "neg_zero", -0.0);
+        r.record_gauge("resolver", Some(7), "nan", f64::NAN);
+        r.record_gauge("resolver", Some(7), "small", 0.00012);
+        r.record_gauge("resolver", Some(7), "big", 123456789012345.0);
+        let mut h = Histogram::new();
+        h.observe(1);
+        h.observe(4);
+        h.observe(1_000_000);
+        r.record_histogram("resolver", Some(7), "retries_per_query", &h);
+        r.record_histogram("resolver", None, "empty", &Histogram::new());
+        r.snapshot(60_000_000_000);
+        r.record_counter("auth", Some(1), "queries", u64::MAX);
+        r.record_gauge("resolver", Some(7), "in_flight", 1.5);
+        r.snapshot(120_000_000_000);
+        let golden = concat!(
+            r#"{"snapshot_times_nanos":[60000000000,120000000000],"#,
+            r#""node_labels":{"1":"auth:\"ns1\"\n","7":"résolveur\t\u0001"},"metrics":["#,
+            r#"{"component":"auth","node":1,"metric":"queries","type":"counter","total":18446744073709551615,"#,
+            r#""points":[{"snapshot":0,"type":"counter","total":18446744073709551615}]},"#,
+            r#"{"component":"net","node":null,"metric":"back\\slash","type":"counter","total":0,"#,
+            r#""points":[{"snapshot":0,"type":"counter","total":0}]},"#,
+            r#"{"component":"resolver","node":null,"metric":"empty","type":"histogram","#,
+            r#""histogram":{"count":0,"sum":0,"bins":[]},"#,
+            r#""points":[{"snapshot":0,"type":"histogram","histogram":{"count":0,"sum":0,"bins":[]}}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"big","type":"gauge","#,
+            r#""value":123456789012345.0,"high_water":123456789012345.0,"points":["#,
+            r#"{"snapshot":0,"type":"gauge","value":123456789012345.0,"high_water":123456789012345.0}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"in_flight","type":"gauge","value":1.5,"high_water":3.0,"#,
+            r#""points":[{"snapshot":0,"type":"gauge","value":3.0,"high_water":3.0},"#,
+            r#"{"snapshot":1,"type":"gauge","value":1.5,"high_water":3.0}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"load","type":"gauge","value":0.1,"high_water":0.1,"#,
+            r#""points":[{"snapshot":0,"type":"gauge","value":0.1,"high_water":0.1}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"nan","type":"gauge","value":null,"high_water":null,"#,
+            r#""points":[{"snapshot":0,"type":"gauge","value":null,"high_water":null},"#,
+            r#"{"snapshot":1,"type":"gauge","value":null,"high_water":null}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"neg_zero","type":"gauge","value":-0.0,"high_water":-0.0,"#,
+            r#""points":[{"snapshot":0,"type":"gauge","value":-0.0,"high_water":-0.0}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"retries_per_query","type":"histogram","#,
+            r#""histogram":{"count":3,"sum":1000005,"min":1,"max":1000000,"bins":[[1,1],[4,1],[524288,1]]},"#,
+            r#""points":[{"snapshot":0,"type":"histogram","#,
+            r#""histogram":{"count":3,"sum":1000005,"min":1,"max":1000000,"bins":[[1,1],[4,1],[524288,1]]}}]},"#,
+            r#"{"component":"resolver","node":7,"metric":"small","type":"gauge","value":0.00012,"high_water":0.00012,"#,
+            r#""points":[{"snapshot":0,"type":"gauge","value":0.00012,"high_water":0.00012}]}]}"#,
+        );
+        assert_eq!(r.to_json(), golden);
     }
 
     #[test]
-    fn json_escapes_strings() {
+    fn export_escapes_strings() {
         let mut r = MetricsRegistry::new();
         r.record_counter("we\"ird", None, "a\\b", 1);
         let json = r.to_json();

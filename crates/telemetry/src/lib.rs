@@ -10,8 +10,9 @@
 //! Design rules:
 //!
 //! * **Zero dependencies.** Instrumentation must never drag the build
-//!   graph around; JSON and CSV export are hand-rolled (the output is a
-//!   fixed, simple shape). The crate compiles with a bare
+//!   graph around. Being at the bottom of the graph, the crate is also
+//!   where the workspace's one JSON codec lives ([`json`]); every other
+//!   crate's JSON goes through it. The crate compiles with a bare
 //!   `rustc --edition 2021 --test src/lib.rs`.
 //! * **Deterministic.** Snapshots are cut on *simulated*-time boundaries
 //!   only — never wall clock — so two runs with the same seed produce
@@ -52,6 +53,7 @@
 //! ```
 
 mod export;
+pub mod json;
 mod metrics;
 mod registry;
 

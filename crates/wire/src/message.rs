@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::Name;
 use crate::rdata::RData;
 use crate::record::Record;
 use crate::types::{Opcode, Rcode, RecordClass, RecordType};
 
 /// A question: the name/type/class a query asks about.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name.
     pub name: Name,
@@ -42,7 +40,7 @@ impl fmt::Display for Question {
 /// Bit-level header flags are expanded into named booleans; the section
 /// counts implied by the wire header are derived from the vectors when
 /// encoding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction ID, echoed by responders.
     pub id: u16,

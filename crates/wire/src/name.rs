@@ -13,8 +13,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum length of a single label, per RFC 1035 §2.3.4.
 pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a whole name on the wire (including length octets and
@@ -70,7 +68,7 @@ fn check_label(bytes: &[u8]) -> Result<(), NameError> {
 }
 
 /// The flat label-run storage: inline for short names, heap for the tail.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Run {
     /// `buf[..len]` is the wire run.
     Inline { len: u8, buf: [u8; INLINE_CAP] },
@@ -156,7 +154,7 @@ impl NameBuilder {
 /// The root is the empty sequence of labels. `Name` is ordered in canonical
 /// DNS order (reversed label sequence), so `a.example.nl < b.example.nl`
 /// and both sort under `example.nl`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Name {
     run: Run,
 }

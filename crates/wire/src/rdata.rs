@@ -3,14 +3,12 @@
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::Name;
 use crate::types::RecordType;
 
 /// SOA record data (RFC 1035 §3.3.13). The experiments use the serial to
 /// tag zone rotations and `minimum` for negative-cache TTLs (RFC 2308).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SoaData {
     /// Primary name server.
     pub mname: Name,
@@ -31,7 +29,7 @@ pub struct SoaData {
 /// Resource record data. Each variant stores decoded, typed content;
 /// [`RData::Unknown`] carries anything else opaquely so unknown records
 /// survive a decode/encode round trip.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),

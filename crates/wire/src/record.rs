@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::Name;
 use crate::rdata::RData;
 use crate::types::{RecordClass, RecordType};
@@ -13,7 +11,7 @@ use crate::types::{RecordClass, RecordType};
 /// The TTL is the *remaining* lifetime wherever the record currently lives:
 /// authoritative servers emit the zone TTL, caches decrement it as wall
 /// time passes (RFC 1035 §3.2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     /// Owner name.
     pub name: Name,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// DNS resource record types (RFC 1035 §3.2.2 and successors).
 ///
 /// Only the types exercised by the experiments get named variants; anything
 /// else round-trips through [`RecordType::Unknown`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordType {
     /// IPv4 host address.
     A,
@@ -107,7 +105,7 @@ impl fmt::Display for RecordType {
 }
 
 /// DNS classes. Everything here is `IN`; other classes are preserved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordClass {
     /// The Internet.
     IN,
@@ -148,7 +146,7 @@ impl fmt::Display for RecordClass {
 }
 
 /// Message opcodes (RFC 1035 §4.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Standard query.
     Query,
@@ -192,7 +190,7 @@ impl Opcode {
 
 /// Response codes (RFC 1035 §4.1.1). The experiments observe `NOERROR`,
 /// `SERVFAIL`, `NXDOMAIN` and `REFUSED`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// No error condition.
     NoError,

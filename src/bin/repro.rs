@@ -36,6 +36,7 @@ use dike_experiments::implications;
 use dike_experiments::production::{run_nl, run_root, NlConfig, RootConfig};
 use dike_experiments::software::{run_software_mean, Software};
 use dike_stats::table::{pct, ratio, TextTable};
+use dike_telemetry::json::Writer;
 use dike_wire::RecordType;
 
 struct Args {
@@ -194,7 +195,7 @@ struct Ctx {
     collect_metrics: bool,
     baselines: Option<Vec<BaselineResult>>,
     ddos: HashMap<char, DdosResult>,
-    json: Vec<serde_json::Value>,
+    json: Vec<String>,
 }
 
 impl Ctx {
@@ -319,13 +320,17 @@ fn main() {
     }
 
     if let Some(path) = args.json {
-        let doc = serde_json::json!({
-            "paper": "When the Dike Breaks: Dissecting DNS Defenses During DDoS (IMC 2018)",
-            "scale": ctx.scale,
-            "seed": ctx.seed,
-            "results": ctx.json,
-        });
-        let text = serde_json::to_string_pretty(&doc).expect("results serialize");
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("paper")
+            .str("When the Dike Breaks: Dissecting DNS Defenses During DDoS (IMC 2018)");
+        w.key("scale").f64(ctx.scale).key("seed").u64(ctx.seed);
+        w.key("results").begin_array();
+        for table in &ctx.json {
+            w.raw(table);
+        }
+        w.end_array().end_object();
+        let text = w.finish() + "\n";
         std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
         eprintln!("[repro] wrote JSON results to {path}");
     }
@@ -341,10 +346,13 @@ fn main() {
             eprintln!("[repro] --metrics: target '{t}' ran no DDoS experiments, nothing to write");
         } else {
             // Each registry already serializes itself; wrap them in one
-            // document keyed by experiment letter.
+            // document keyed by experiment letter. Consumers pin this
+            // file's bytes, spaces after ':' and ',' included, so the
+            // members are joined here and only the keys go through the
+            // writer.
             let body: Vec<String> = entries
                 .iter()
-                .map(|(l, json)| format!("\"{l}\": {json}"))
+                .map(|(l, json)| format!("{}: {json}", Writer::new().str(&l.to_string()).finish()))
                 .collect();
             let text = format!("{{{}}}\n", body.join(", "));
             std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
