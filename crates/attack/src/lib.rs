@@ -216,40 +216,6 @@ impl Attack {
     }
 }
 
-/// A sequence of attacks (e.g. ramping intensity for ablations). Each is
-/// scheduled independently; overlapping attacks on the same target let
-/// the later filter overwrite the earlier one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AttackSchedule {
-    /// The attacks, in any order.
-    pub attacks: Vec<Attack>,
-}
-
-impl AttackSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        AttackSchedule::default()
-    }
-
-    /// Adds an attack.
-    pub fn push(&mut self, attack: Attack) -> &mut Self {
-        self.attacks.push(attack);
-        self
-    }
-
-    /// Schedules every attack.
-    pub fn schedule(&self, sim: &mut Simulator) {
-        for a in &self.attacks {
-            a.schedule(sim);
-        }
-    }
-
-    /// The instant the last attack ends, if any.
-    pub fn last_end(&self) -> Option<SimTime> {
-        self.attacks.iter().map(|a| a.end()).max()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,25 +259,6 @@ mod tests {
         );
         assert_eq!(a.loss, 1.0);
         assert_eq!(a.end(), SimDuration::from_mins(60).after_zero());
-    }
-
-    #[test]
-    fn schedule_tracks_last_end() {
-        let mut s = AttackSchedule::new();
-        assert_eq!(s.last_end(), None);
-        s.push(Attack::partial(
-            vec![Addr(1)],
-            0.5,
-            SimDuration::from_mins(10).after_zero(),
-            SimDuration::from_mins(30),
-        ));
-        s.push(Attack::partial(
-            vec![Addr(2)],
-            0.75,
-            SimDuration::from_mins(20).after_zero(),
-            SimDuration::from_mins(60),
-        ));
-        assert_eq!(s.last_end(), Some(SimDuration::from_mins(80).after_zero()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dike_bench::BENCH_SCALE;
-use dike_experiments::ddos::{run_ddos, traffic_multiplier, DdosExperiment};
+use dike_experiments::ddos::{run_ddos, DdosExperiment};
 
 fn bench_server_load(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig10_server_load");
@@ -16,7 +16,7 @@ fn bench_server_load(c: &mut Criterion) {
             |b, &exp| {
                 b.iter(|| {
                     let r = run_ddos(exp, BENCH_SCALE, 42);
-                    let mult = traffic_multiplier(&r);
+                    let mult = r.traffic_multiplier();
                     let amplification = r.output.server.amplification();
                     (mult, amplification.len())
                 })

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dike_bench::BENCH_SCALE;
-use dike_experiments::ddos::{ok_fraction_during_attack, run_ddos, DdosExperiment};
+use dike_experiments::ddos::{run_ddos, DdosExperiment};
 
 fn bench_partial(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8_partial");
@@ -19,12 +19,7 @@ fn bench_partial(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("experiment", exp.letter()),
             &exp,
-            |b, &exp| {
-                b.iter(|| {
-                    let r = run_ddos(exp, BENCH_SCALE, 42);
-                    ok_fraction_during_attack(&r)
-                })
-            },
+            |b, &exp| b.iter(|| run_ddos(exp, BENCH_SCALE, 42).ok_fraction_during_attack()),
         );
     }
     g.finish();

@@ -28,11 +28,8 @@
 
 pub mod sweep;
 
-use dike_experiments::setup::{run_experiment, AttackPlan, ExperimentSetup};
+use dike_experiments::setup::{AttackPlan, ExperimentSetup};
 use dike_netsim::SimDuration;
-use dike_stats::classify::{Classification, Classifier};
-use dike_stats::latency::{latency_timeseries, LatencyBin};
-use dike_stats::timeseries::{outcome_timeseries, OutcomeBin};
 
 // Re-export the building blocks for users who outgrow the builder.
 pub use dike_attack as attack;
@@ -45,6 +42,7 @@ pub use dike_experiments::cookies::{CookieArm, CookieComparison, CookieRow, TcpE
 pub use dike_experiments::defense::{DefensePreset, LateResolverWave, SpoofedFlood, SpoofedStats};
 pub use dike_experiments::nxns::{NxnsArm, NxnsAttack, NxnsComparison, NxnsRow, NxnsStats};
 pub use dike_experiments::setup::AttackScope;
+pub use dike_experiments::Report;
 pub use dike_faults as faults;
 pub use dike_faults::{Fault, FaultPlan};
 pub use dike_netsim as netsim;
@@ -462,152 +460,13 @@ impl Scenario {
     /// Runs the scenario and gathers the derived series.
     pub fn run(mut self) -> Report {
         self.resolve();
-        let attack = self.setup.attack;
-        let output = run_experiment(&self.setup);
-        let outcomes = outcome_timeseries(&output.log, SimDuration::from_mins(10));
-        let latencies = latency_timeseries(&output.log, SimDuration::from_mins(10));
-        let classification = Classifier::default().classify(&output.log);
-        Report {
-            output,
-            outcomes,
-            latencies,
-            classification,
-            attack,
-        }
+        Report::run(&self.setup)
     }
 }
 
 impl Default for Scenario {
     fn default() -> Self {
         Scenario::new()
-    }
-}
-
-/// Everything a scenario run produced, with convenience accessors for the
-/// paper's headline metrics.
-#[derive(Debug)]
-pub struct Report {
-    /// Raw experiment output (client log, server view, population).
-    pub output: dike_experiments::ExperimentOutput,
-    /// OK / SERVFAIL / no-answer per 10-minute round.
-    pub outcomes: Vec<OutcomeBin>,
-    /// Latency quantiles per round.
-    pub latencies: Vec<LatencyBin>,
-    /// The §3.4 answer classification.
-    pub classification: Classification,
-    attack: Option<AttackPlan>,
-}
-
-impl Report {
-    /// Fraction of queries answered OK over the whole run.
-    pub fn ok_fraction(&self) -> f64 {
-        let total = self.output.log.records.len();
-        if total == 0 {
-            return 0.0;
-        }
-        self.output.log.ok_count() as f64 / total as f64
-    }
-
-    /// Per-query OK fraction inside the attack window (the whole run
-    /// when there was no attack): total OK answers over total queries
-    /// across the window's rounds, matching the paper's per-query
-    /// Tables. (An earlier version averaged per-round fractions
-    /// unweighted, which over-counted sparse partial rounds.) `None`
-    /// when no round with traffic overlaps the window — an attack
-    /// scheduled past the end of the run, or a run that produced no
-    /// queries at all.
-    pub fn ok_fraction_during_attack(&self) -> Option<f64> {
-        let (start, end) = match self.attack {
-            Some(a) => (a.start_min, a.start_min.saturating_add(a.duration_min)),
-            None => (0, u64::MAX),
-        };
-        let (ok, total) = self
-            .outcomes
-            .iter()
-            .filter(|b| b.start_min >= start && b.start_min < end)
-            .fold((0usize, 0usize), |(ok, total), b| {
-                (ok + b.ok, total + b.total())
-            });
-        if total == 0 {
-            return None;
-        }
-        Some(ok as f64 / total as f64)
-    }
-
-    /// The §3.4 cache-miss rate.
-    pub fn miss_rate(&self) -> f64 {
-        self.classification.summary.miss_rate()
-    }
-
-    /// Offered-load multiplier at the authoritatives during the attack:
-    /// mean queries per round inside the window over the mean before it
-    /// (Fig. 10's headline 3.5×/8.2× factors). `Some(1.0)` without an
-    /// attack. `None` when there is no usable baseline: an attack
-    /// starting in the first round (nothing before it but the cold-start
-    /// bin, which is excluded) or a run with no pre-attack traffic.
-    pub fn traffic_multiplier(&self) -> Option<f64> {
-        let Some(a) = self.attack else {
-            return Some(1.0);
-        };
-        let start = (a.start_min / 10) as usize;
-        let end = ((a.start_min.saturating_add(a.duration_min)) / 10) as usize;
-        let bins = self.output.server.bins();
-        let mean = |lo: usize, hi: usize| {
-            let v: Vec<usize> = bins
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i >= lo && *i < hi)
-                .map(|(_, b)| b.total())
-                .collect();
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.iter().sum::<usize>() as f64 / v.len() as f64)
-            }
-        };
-        // Skip the cold-start bin: every cache is empty in round 0, so its
-        // load is not a representative baseline.
-        let before = mean(1, start)?;
-        if before == 0.0 {
-            return None;
-        }
-        Some(mean(start, end).unwrap_or(0.0) / before)
-    }
-
-    /// The metric registry collected during the run, when the scenario
-    /// asked for [`Scenario::telemetry`].
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.output.metrics.as_ref()
-    }
-
-    /// The spoofed fleet's tally, when [`Scenario::spoofed_flood`] was
-    /// configured.
-    pub fn spoofed_stats(&self) -> Option<SpoofedStats> {
-        self.output.spoofed
-    }
-
-    /// The NXNS attack client's tally, when [`Scenario::nxns`] was
-    /// configured.
-    pub fn nxns_stats(&self) -> Option<NxnsStats> {
-        self.output.nxns
-    }
-
-    /// The late legitimate wave's tally, when
-    /// [`Scenario::late_resolvers`] was configured. Its
-    /// [`SpoofedStats::served_fraction`] is the complement of the
-    /// history classifier's false-positive cost: every unanswered query
-    /// here came from a legitimate source the defense refused (or queue
-    /// contention the flood caused).
-    pub fn late_resolver_stats(&self) -> Option<SpoofedStats> {
-        self.output.late
-    }
-
-    /// Hot-path throughput counters for the run: events popped, datagrams
-    /// decoded/delivered, bytes through the codec, and the wall-clock time
-    /// the event loop spent. Observability only — wall-clock fields vary
-    /// across machines while the datagram counters are deterministic.
-    pub fn perf(&self) -> dike_netsim::SimPerf {
-        self.output.perf
     }
 }
 
@@ -853,64 +712,6 @@ mod tests {
         assert_eq!(report.traffic_multiplier(), None);
         // The OK fraction during the attack is still well-defined.
         assert!(report.ok_fraction_during_attack().is_some());
-    }
-
-    #[test]
-    fn ok_fraction_during_attack_weights_per_query() {
-        use dike_stats::timeseries::OutcomeBin;
-        // A dense round (100 queries, half OK) and a sparse partial round
-        // (2 queries, both OK) inside the same attack window. The old
-        // unweighted mean of per-round fractions said 75%; per-query
-        // weighting says 52/102.
-        let log = dike_stub::ProbeLog::default();
-        let classification = Classifier::default().classify(&log);
-        let report = Report {
-            output: dike_experiments::ExperimentOutput {
-                log,
-                server: dike_stats::server_view::ServerView::new(
-                    [netsim::Addr(1), netsim::Addr(2)],
-                    SimDuration::from_mins(10),
-                ),
-                vps: Vec::new(),
-                google_backends: Vec::new(),
-                public_r1s: Default::default(),
-                n_probes: 0,
-                n_vps: 0,
-                metrics: None,
-                perf: Default::default(),
-                spoofed: None,
-                late: None,
-                exhaustion: None,
-                nxns: None,
-            },
-            outcomes: vec![
-                OutcomeBin {
-                    start_min: 60,
-                    ok: 50,
-                    servfail: 25,
-                    no_answer: 25,
-                },
-                OutcomeBin {
-                    start_min: 70,
-                    ok: 2,
-                    servfail: 0,
-                    no_answer: 0,
-                },
-            ],
-            latencies: Vec::new(),
-            classification,
-            attack: Some(AttackPlan {
-                start_min: 60,
-                duration_min: 60,
-                loss: 1.0,
-                scope: AttackScope::BothNs,
-            }),
-        };
-        let got = report
-            .ok_fraction_during_attack()
-            .expect("window has traffic");
-        assert!((got - 52.0 / 102.0).abs() < 1e-12, "weighted: {got}");
-        assert!((got - 0.75).abs() > 0.2, "must not be the unweighted mean");
     }
 
     #[test]

@@ -109,8 +109,7 @@ impl BaselineResult {
 /// Runs one baseline experiment. `scale` scales the probe population
 /// (1.0 ≈ the paper's 9.2k probes).
 pub fn run_baseline(config: BaselineConfig, scale: f64, seed: u64) -> BaselineResult {
-    let n_probes = ((9_200.0 * scale).round() as usize).max(10);
-    let mut setup = ExperimentSetup::new(n_probes, config.ttl);
+    let mut setup = ExperimentSetup::new(ExperimentSetup::probes_at_scale(scale), config.ttl);
     setup.seed = seed;
     setup.round_interval = SimDuration::from_mins(config.interval_min);
     setup.rounds = config.rounds;

@@ -29,14 +29,14 @@ use std::sync::Arc;
 
 use dike_defense::{Defense, DefensePlan, RrlConfig};
 use dike_netsim::{
-    Addr, Context, Node, SimDuration, SimTime, Simulator, TcpConfig, TcpConnId, TimerToken,
+    Addr, Context, DefenseLedger, Node, SimDuration, SimTime, Simulator, TcpConfig, TcpConnId,
+    TimerToken,
 };
-use dike_stats::timeseries::outcome_timeseries;
-use dike_telemetry::TelemetryConfig;
 use parking_lot::Mutex;
 
-use crate::defense::{SpoofedFlood, SpoofedStats};
-use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentSetup};
+use crate::defense::{flooded_experiment_h, SpoofedFlood, SpoofedStats};
+use crate::report::Report;
+use crate::setup::{AttackPlan, ExperimentSetup};
 
 /// The cookie secret the comparison arms share between the
 /// authoritatives (minting) and the ingress gates (validation).
@@ -243,29 +243,14 @@ pub struct CookieComparison {
     pub rows: Vec<CookieRow>,
 }
 
-/// The Experiment-H-style scenario every arm runs under, mirroring
-/// [`crate::defense::defense_setup`] so rows are comparable across the
-/// two repro targets.
+/// The flooded Experiment H scenario of [`crate::defense::defense_setup`]
+/// (so rows are comparable across the two repro targets) with `arm`'s
+/// defenses, transport and hog fleet armed.
 pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
-    let attack = AttackPlan {
-        start_min: 60,
-        duration_min: 60,
-        loss: 0.9,
-        scope: AttackScope::BothNs,
-    };
+    let mut setup = flooded_experiment_h(scale, seed);
+    let attack = setup.attack.expect("Experiment H attacks");
     let onset = SimDuration::from_mins(attack.start_min).after_zero();
     let ns = crate::topology::ns_addrs();
-    let n_probes = ((9_200.0 * scale).round() as usize).max(10);
-    let mut setup = ExperimentSetup::new(n_probes, 1800);
-    setup.seed = seed;
-    setup.round_interval = SimDuration::from_mins(10);
-    setup.rounds = 18;
-    setup.total_duration = SimDuration::from_mins(180);
-    setup.first_round_spread = SimDuration::from_mins(8);
-    setup.round_jitter = SimDuration::from_mins(4);
-    setup.attack = Some(attack);
-    setup.spoofed_flood = Some(SpoofedFlood::aligned_with(&attack, 24, 10.0));
-    setup.telemetry = Some(TelemetryConfig::every_mins(10));
 
     // Much tighter than the §7 presets' 0.1 qps: this comparison needs
     // the collateral the paper worries about — legitimate aggregating
@@ -313,36 +298,23 @@ pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
 
 /// Runs one arm and derives its comparison row.
 pub fn run_cookie_case(arm: CookieArm, scale: f64, seed: u64) -> CookieRow {
-    let setup = cookie_setup(arm, scale, seed);
-    let attack = setup.attack.expect("cookie_setup always attacks");
-    let out = run_experiment(&setup);
-
-    let bins = outcome_timeseries(&out.log, SimDuration::from_mins(10));
-    let (ok, total) = bins
-        .iter()
-        .filter(|b| {
-            b.start_min >= attack.start_min && b.start_min < attack.start_min + attack.duration_min
-        })
-        .fold((0usize, 0usize), |(ok, total), b| {
-            (ok + b.ok, total + b.total())
-        });
-    let ok_during_attack = (total > 0).then(|| ok as f64 / total as f64);
-
-    let reg = out.metrics.as_ref().expect("cookie_setup sets telemetry");
+    let report = Report::run(&cookie_setup(arm, scale, seed));
+    let reg = report.metrics().expect("cookie_setup sets telemetry");
+    let ledger = DefenseLedger::from_registry(reg, "netsim");
     let counter = |name: &str| reg.counter_total("netsim", None, name).unwrap_or(0);
     CookieRow {
         arm,
-        ok_during_attack,
-        spoofed: out.spoofed.unwrap_or_default(),
-        rrl_limited: counter("rrl_limited"),
-        rrl_slipped: counter("rrl_slipped"),
-        cookie_exempt: counter("cookie_exempt"),
+        ok_during_attack: report.ok_fraction_during_attack(),
+        spoofed: report.spoofed_stats().unwrap_or_default(),
+        rrl_limited: ledger.rrl_limited,
+        rrl_slipped: ledger.rrl_slipped,
+        cookie_exempt: ledger.cookie_exempt,
         tcp_fallbacks: reg.counter_sum("resolver", "tcp_fallbacks"),
         tcp_answers: reg.counter_sum("resolver", "tcp_answers"),
         tcp_failures: reg.counter_sum("resolver", "tcp_failures"),
         tcp_opened: counter("tcp_conns_opened"),
         syn_refused: counter("tcp_syn_refused"),
-        exhaustion: out.exhaustion,
+        exhaustion: report.output.exhaustion,
     }
 }
 
@@ -388,6 +360,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Golden `Debug` of what the arms run under, captured at commit
+    /// 747963d from the hand-built setup (cookie arm, scale 0.012, seed
+    /// 29).
+    #[test]
+    fn cookie_setup_matches_the_captured_setup() {
+        let setup = cookie_setup(CookieArm::Cookies, 0.012, 29);
+        assert_eq!(setup.track_probe, None, "no Table 7 drill-down");
+        assert_eq!((setup.n_probes, setup.ttl, setup.rounds), (110, 1800, 18));
+        assert_eq!(
+            format!(
+                "{:?}",
+                (
+                    setup.attack,
+                    setup.spoofed_flood,
+                    &setup.defense,
+                    setup.telemetry
+                )
+            ),
+            "(Some(AttackPlan { start_min: 60, duration_min: 60, loss: 0.9, scope: BothNs }), \
+             Some(SpoofedFlood { sources: 24, qps_per_source: 10.0, start_min: 60, \
+             duration_min: 60 }), \
+             Some(DefensePlan { defenses: [\
+             Rrl { target: Addr(167772163), start: SimTime(3600000000000), config: \
+             RrlConfig { rate_qps: 0.002, burst: 1.0, slip: 0, prefix_bits: 32 } }, \
+             Rrl { target: Addr(167772164), start: SimTime(3600000000000), config: \
+             RrlConfig { rate_qps: 0.002, burst: 1.0, slip: 0, prefix_bits: 32 } }, \
+             Cookie { target: Addr(167772163), secret: 8679492065154745575 }, \
+             Cookie { target: Addr(167772164), secret: 8679492065154745575 }] }), \
+             Some(TelemetryConfig { snapshot_interval_nanos: 600000000000, per_node_net: true }))"
+        );
     }
 
     /// The acceptance contract at reduced scale, all three ways:

@@ -1,12 +1,8 @@
 //! The DDoS experiments of paper §5–6: Table 4's scenarios A–I and the
 //! figures they feed (6–12, 14, 15, Table 7).
 
-use dike_netsim::SimDuration;
-use dike_stats::classify::Classifier;
-use dike_stats::latency::{latency_timeseries, LatencyBin};
-use dike_stats::timeseries::{class_timeseries, outcome_timeseries, ClassBin, OutcomeBin};
-
-use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentOutput, ExperimentSetup};
+use crate::report::Report;
+use crate::setup::{AttackPlan, AttackScope, ExperimentSetup};
 
 /// Table 4's experiment identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,169 +123,41 @@ impl DdosExperiment {
             both_ns: both,
         }
     }
+
+    /// This Table 4 row as a runnable setup: the population at `scale`
+    /// (1.0 ≈ 9.2k probes) under Table 4's pacing, the row's attack, and
+    /// Table 7's drill-down on a mid-range probe id. Callers wanting the
+    /// queueing model or telemetry set `queueing` / `telemetry` on the
+    /// result.
+    pub fn setup(self, scale: f64, seed: u64) -> ExperimentSetup {
+        let p = self.params();
+        let mut setup = ExperimentSetup::table4_paced(scale, p.ttl, p.total_min, seed);
+        setup.attack = Some(p.attack());
+        setup.track_probe = Some((setup.n_probes as u16 / 2).max(1));
+        setup
+    }
 }
 
-/// A completed DDoS run with its derived series.
-#[derive(Debug)]
-pub struct DdosResult {
-    /// Which experiment.
-    pub experiment: DdosExperiment,
-    /// Its parameters.
-    pub params: DdosParams,
-    /// Raw output (client log, server view, population).
-    pub output: ExperimentOutput,
-    /// Fig. 6/8/14: OK / SERVFAIL / no-answer per 10-minute round.
-    pub outcomes: Vec<OutcomeBin>,
-    /// Fig. 9/15: latency quantiles per round.
-    pub latencies: Vec<LatencyBin>,
-    /// Fig. 7: AA/CC/CA class series (meaningful for B, C).
-    pub classes: Vec<ClassBin>,
-}
-
-/// Optional knobs for a DDoS run beyond the Table 4 parameters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DdosOptions {
-    /// The paper's future-work queueing model at the authoritatives: the
-    /// attack then also consumes service capacity, so surviving queries
-    /// see queueing delay (§5.1).
-    pub queueing: Option<dike_netsim::QueueConfig>,
-    /// Collect sim-time metric snapshots; the registry comes back in
-    /// [`ExperimentOutput::metrics`].
-    pub telemetry: Option<dike_telemetry::TelemetryConfig>,
+impl DdosParams {
+    /// The row's attack window, loss and scope.
+    pub fn attack(&self) -> AttackPlan {
+        AttackPlan {
+            start_min: self.ddos_start_min,
+            duration_min: self.ddos_duration_min,
+            loss: self.loss,
+            scope: if self.both_ns {
+                AttackScope::BothNs
+            } else {
+                AttackScope::OneNs
+            },
+        }
+    }
 }
 
 /// Runs one of Table 4's experiments. `scale` scales the probe count
 /// (1.0 ≈ 9.2k probes).
-pub fn run_ddos(exp: DdosExperiment, scale: f64, seed: u64) -> DdosResult {
-    run_ddos_with_options(exp, scale, seed, DdosOptions::default())
-}
-
-/// Like [`run_ddos`] but optionally with the queueing model at the
-/// authoritatives. Kept for callers predating [`DdosOptions`].
-pub fn run_ddos_with_queueing(
-    exp: DdosExperiment,
-    scale: f64,
-    seed: u64,
-    queueing: Option<dike_netsim::QueueConfig>,
-) -> DdosResult {
-    run_ddos_with_options(
-        exp,
-        scale,
-        seed,
-        DdosOptions {
-            queueing,
-            ..DdosOptions::default()
-        },
-    )
-}
-
-/// Runs one of Table 4's experiments with every optional knob.
-pub fn run_ddos_with_options(
-    exp: DdosExperiment,
-    scale: f64,
-    seed: u64,
-    opts: DdosOptions,
-) -> DdosResult {
-    let p = exp.params();
-    let n_probes = ((9_200.0 * scale).round() as usize).max(10);
-    let mut setup = ExperimentSetup::new(n_probes, p.ttl);
-    setup.seed = seed;
-    setup.round_interval = SimDuration::from_mins(p.interval_min);
-    setup.rounds = (p.total_min / p.interval_min) as u32;
-    setup.total_duration = SimDuration::from_mins(p.total_min);
-    // Spread first rounds so the configured number of pre-attack queries
-    // happens: the first round fires within the first interval.
-    setup.first_round_spread = SimDuration::from_mins(p.interval_min.min(8));
-    setup.round_jitter = SimDuration::from_mins(4);
-    setup.attack = Some(AttackPlan {
-        start_min: p.ddos_start_min,
-        duration_min: p.ddos_duration_min,
-        loss: p.loss,
-        scope: if p.both_ns {
-            AttackScope::BothNs
-        } else {
-            AttackScope::OneNs
-        },
-    });
-    // Table 7 drills into one probe; track a mid-range id.
-    setup.track_probe = Some((n_probes as u16 / 2).max(1));
-    setup.queueing = opts.queueing;
-    setup.telemetry = opts.telemetry;
-
-    let output = run_experiment(&setup);
-    let outcomes = outcome_timeseries(&output.log, SimDuration::from_mins(10));
-    let latencies = latency_timeseries(&output.log, SimDuration::from_mins(10));
-    let classes = class_timeseries(
-        &Classifier::default().classify(&output.log),
-        SimDuration::from_mins(10),
-    );
-    DdosResult {
-        experiment: exp,
-        params: p,
-        output,
-        outcomes,
-        latencies,
-        classes,
-    }
-}
-
-/// Per-query OK fraction over the attack window's rounds: total OK
-/// answers over total queries, weighting each query once the way the
-/// paper's Tables do (an unweighted mean of per-round fractions would
-/// over-count sparse partial rounds). `None` when no round with traffic
-/// overlaps the window.
-pub fn ok_fraction_during_attack(r: &DdosResult) -> Option<f64> {
-    let start = (r.params.ddos_start_min / 10) as usize;
-    let end = ((r.params.ddos_start_min + r.params.ddos_duration_min) / 10) as usize;
-    let (ok, total) = r
-        .outcomes
-        .iter()
-        .filter(|b| {
-            let i = (b.start_min / 10) as usize;
-            i >= start && i < end
-        })
-        .fold((0usize, 0usize), |(ok, total), b| {
-            (ok + b.ok, total + b.total())
-        });
-    if total == 0 {
-        return None;
-    }
-    Some(ok as f64 / total as f64)
-}
-
-/// The server-side traffic multiplier: mean offered queries per round
-/// during the attack over the mean before it (Fig. 10's headline 3.5× /
-/// 8.2× factors). `None` when there is no usable baseline — an attack
-/// starting in the first round (the excluded cold-start bin is all that
-/// precedes it) or no pre-attack traffic.
-pub fn traffic_multiplier(r: &DdosResult) -> Option<f64> {
-    let start = (r.params.ddos_start_min / 10) as usize;
-    let end = ((r.params.ddos_start_min + r.params.ddos_duration_min) / 10) as usize;
-    let bins = r.output.server.bins();
-    let before: Vec<usize> = bins
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i >= 1 && *i < start) // skip the cold-start bin
-        .map(|(_, b)| b.total())
-        .collect();
-    let during: Vec<usize> = bins
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i >= start && *i < end)
-        .map(|(_, b)| b.total())
-        .collect();
-    let mean = |v: &[usize]| {
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<usize>() as f64 / v.len() as f64)
-        }
-    };
-    let b = mean(&before)?;
-    if b == 0.0 {
-        return None;
-    }
-    Some(mean(&during).unwrap_or(0.0) / b)
+pub fn run_ddos(exp: DdosExperiment, scale: f64, seed: u64) -> Report {
+    Report::run(&exp.setup(scale, seed))
 }
 
 #[cfg(test)]
@@ -312,12 +180,58 @@ mod tests {
         }
     }
 
+    /// Golden `Debug` strings, captured at commit 747963d from the setup
+    /// its Table 4 runner built by hand: seed 42, all nine letters, two
+    /// scales (110 and 9200 probes).
+    #[test]
+    fn setup_matches_the_captured_table_4_setups() {
+        const BOTH: &str = "BothNs";
+        // (letter, ttl, rounds, total ns, start, duration, loss, scope)
+        let rows = [
+            ('A', 3600, 12, 7_200_000_000_000u64, 10, 110, "1.0", BOTH),
+            ('B', 3600, 24, 14_400_000_000_000, 60, 60, "1.0", BOTH),
+            ('C', 1800, 18, 10_800_000_000_000, 60, 60, "1.0", BOTH),
+            ('D', 1800, 18, 10_800_000_000_000, 60, 60, "0.5", "OneNs"),
+            ('E', 1800, 18, 10_800_000_000_000, 60, 60, "0.5", BOTH),
+            ('F', 1800, 18, 10_800_000_000_000, 60, 60, "0.75", BOTH),
+            ('G', 300, 18, 10_800_000_000_000, 60, 60, "0.75", BOTH),
+            ('H', 1800, 18, 10_800_000_000_000, 60, 60, "0.9", BOTH),
+            ('I', 60, 18, 10_800_000_000_000, 60, 60, "0.9", BOTH),
+        ];
+        for (scale, n_probes, tracked) in [(0.012, 110, 55), (1.0, 9200, 4600)] {
+            for (letter, ttl, rounds, total, start, dur, loss, scope) in rows {
+                let expected = format!(
+                    "ExperimentSetup {{ seed: 42, population_seed: 7, n_probes: {n_probes}, \
+                     ttl: {ttl}, round_interval: SimDuration(600000000000), rounds: {rounds}, \
+                     total_duration: SimDuration({total}), attack: Some(AttackPlan {{ \
+                     start_min: {start}, duration_min: {dur}, loss: {loss}, scope: {scope} }}), \
+                     mix: PopulationMix {{ recursives_per_probe: [0.55, 0.3, 0.15], \
+                     frac_public: 0.33, google_share: 0.75, frac_isp: 0.45, \
+                     frac_home_router: 0.12, frac_capper: 0.1, probes_per_isp: 3, \
+                     isp_bind_share: 0.5, isp_sixhour_cap_share: 0.3, isp_flush_share: 0.08, \
+                     farm_serve_stale_share: 0.25, farm_frontends: 3, farm_backends: 5, \
+                     farm_count: 3, home_router_public_upstream_share: 0.15 }}, \
+                     first_round_spread: SimDuration(480000000000), \
+                     round_jitter: SimDuration(240000000000), track_probe: Some({tracked}), \
+                     regional_latency: true, queueing: None, telemetry: None, faults: None, \
+                     defense: None, spoofed_flood: None, late_wave: None, tcp: None, \
+                     cookie_secret: None, tcp_exhaustion: None, nxns: None, \
+                     resolver_max_fetch: None, audit: false, shards: 1 }}"
+                );
+                let exp = DdosExperiment::from_letter(letter).expect("a Table 4 letter");
+                assert_eq!(format!("{:?}", exp.setup(scale, 42)), expected);
+            }
+        }
+    }
+
     /// Experiment E at small scale: 50% loss at both servers barely dents
     /// client success (paper: "nearly all VPs are successful").
     #[test]
     fn experiment_e_clients_mostly_survive() {
         let r = run_ddos(DdosExperiment::E, 0.012, 21);
-        let ok = ok_fraction_during_attack(&r).expect("attack window has rounds");
+        let ok = r
+            .ok_fraction_during_attack()
+            .expect("attack window has rounds");
         assert!(ok > 0.85, "ok fraction during 50% attack: {ok}");
     }
 
@@ -336,8 +250,10 @@ mod tests {
             capacity: 400,
         };
         let plain = run_ddos(DdosExperiment::I, 0.012, 23);
-        let queued = run_ddos_with_queueing(DdosExperiment::I, 0.012, 23, Some(queue));
-        let median_during = |r: &DdosResult| {
+        let mut queued = DdosExperiment::I.setup(0.012, 23);
+        queued.queueing = Some(queue);
+        let queued = Report::run(&queued);
+        let median_during = |r: &Report| {
             let meds: Vec<f64> = r
                 .latencies
                 .iter()
@@ -353,7 +269,7 @@ mod tests {
             "queueing adds delay to every success: {queued_med} vs {plain_med}"
         );
         // Outside the attack the queue is idle and changes nothing much.
-        let pre = |r: &DdosResult| {
+        let pre = |r: &Report| {
             let meds: Vec<f64> = r
                 .latencies
                 .iter()
@@ -376,13 +292,15 @@ mod tests {
     #[test]
     fn experiment_i_retries_save_a_minority() {
         let r = run_ddos(DdosExperiment::I, 0.012, 22);
-        let ok = ok_fraction_during_attack(&r).expect("attack window has rounds");
+        let ok = r
+            .ok_fraction_during_attack()
+            .expect("attack window has rounds");
         assert!(
             (0.10..0.75).contains(&ok),
             "ok fraction during 90% attack with no cache: {ok}"
         );
         // And the offered load on the server grows several-fold.
-        let mult = traffic_multiplier(&r).expect("pre-attack baseline exists");
+        let mult = r.traffic_multiplier().expect("pre-attack baseline exists");
         assert!(mult > 2.0, "traffic multiplier {mult}");
     }
 }

@@ -23,14 +23,16 @@ use std::sync::Arc;
 
 use dike_defense::{ClassifierKind, Defense, DefensePlan, RrlConfig};
 use dike_netsim::{
-    Addr, ClassedQueueConfig, Context, Node, SimDuration, SimTime, Simulator, TimerToken,
+    Addr, ClassedQueueConfig, Context, DefenseLedger, Node, SimDuration, SimTime, Simulator,
+    TimerToken,
 };
-use dike_stats::timeseries::outcome_timeseries;
 use dike_telemetry::TelemetryConfig;
 use dike_wire::{Message, Name, RecordType};
 use parking_lot::Mutex;
 
-use crate::setup::{run_experiment, AttackPlan, AttackScope, ExperimentSetup};
+use crate::ddos::DdosExperiment;
+use crate::report::Report;
+use crate::setup::{AttackPlan, ExperimentSetup};
 
 // ---------------------------------------------------------------------
 // The spoofed-source flood
@@ -375,66 +377,50 @@ pub struct DefenseComparison {
     pub rows: Vec<DefenseRow>,
 }
 
-/// The Experiment-H-style scenario every preset runs under. `scale`
-/// scales the probe population exactly like [`crate::ddos::run_ddos`].
-pub fn defense_setup(preset: DefensePreset, scale: f64, seed: u64) -> ExperimentSetup {
-    let attack = AttackPlan {
-        start_min: 60,
-        duration_min: 60,
-        loss: 0.9,
-        scope: AttackScope::BothNs,
-    };
-    let n_probes = ((9_200.0 * scale).round() as usize).max(10);
-    let mut setup = ExperimentSetup::new(n_probes, 1800);
-    setup.seed = seed;
-    setup.round_interval = SimDuration::from_mins(10);
-    setup.rounds = 18;
-    setup.total_duration = SimDuration::from_mins(180);
-    setup.first_round_spread = SimDuration::from_mins(8);
-    setup.round_jitter = SimDuration::from_mins(4);
+/// Experiment H (Table 4: 90% loss at both name servers, minutes
+/// 60–120, TTL 1800) plus a 24 × 10 qps spoofed flood over the attack
+/// window, with telemetry cuts on the figures' 10-minute grid — the
+/// scenario the §7 and cookie comparisons run their arms under. `scale`
+/// scales the probe population exactly like [`crate::ddos::run_ddos`];
+/// no probe is tracked for Table 7.
+pub(crate) fn flooded_experiment_h(scale: f64, seed: u64) -> ExperimentSetup {
+    let p = DdosExperiment::H.params();
+    let attack = p.attack();
+    let mut setup = ExperimentSetup::table4_paced(scale, p.ttl, p.total_min, seed);
     setup.attack = Some(attack);
     setup.spoofed_flood = Some(SpoofedFlood::aligned_with(&attack, 24, 10.0));
+    setup.telemetry = Some(TelemetryConfig::every_mins(10));
+    setup
+}
+
+/// The flooded Experiment H scenario with `preset` armed at the attack
+/// onset.
+pub fn defense_setup(preset: DefensePreset, scale: f64, seed: u64) -> ExperimentSetup {
+    let mut setup = flooded_experiment_h(scale, seed);
+    let attack = setup.attack.expect("Experiment H attacks");
     setup.defense = Some(preset.plan(
         crate::topology::ns_addrs(),
         SimDuration::from_mins(attack.start_min).after_zero(),
     ));
-    setup.telemetry = Some(TelemetryConfig::every_mins(10));
     setup
 }
 
 /// Runs one preset and derives its comparison row.
 pub fn run_defense_case(preset: DefensePreset, scale: f64, seed: u64) -> DefenseRow {
-    let setup = defense_setup(preset, scale, seed);
-    let attack = setup.attack.expect("defense_setup always attacks");
-    let out = run_experiment(&setup);
-
-    let bins = outcome_timeseries(&out.log, SimDuration::from_mins(10));
-    let (start, end) = (
-        (attack.start_min / 10) as usize,
-        ((attack.start_min + attack.duration_min) / 10) as usize,
-    );
-    let (ok, total) = bins
-        .iter()
-        .filter(|b| {
-            let i = (b.start_min / 10) as usize;
-            i >= start && i < end
-        })
-        .fold((0usize, 0usize), |(ok, total), b| {
-            (ok + b.ok, total + b.total())
-        });
-    let ok_during_attack = (total > 0).then(|| ok as f64 / total as f64);
-
-    let reg = out.metrics.as_ref().expect("defense_setup sets telemetry");
-    let counter = |name: &str| reg.counter_total("netsim", None, name).unwrap_or(0);
+    let report = Report::run(&defense_setup(preset, scale, seed));
+    let reg = report.metrics().expect("defense_setup sets telemetry");
+    let ledger = DefenseLedger::from_registry(reg, "netsim");
     DefenseRow {
         preset,
-        ok_during_attack,
-        spoofed: out.spoofed.unwrap_or_default(),
-        defense_drops: counter("defense_drops"),
-        rrl_limited: counter("rrl_limited"),
-        rrl_slipped: counter("rrl_slipped"),
-        shed: counter("shed_known") + counter("shed_unknown") + counter("shed_flagged"),
-        scaleouts: counter("scaleout_activations"),
+        ok_during_attack: report.ok_fraction_during_attack(),
+        spoofed: report.spoofed_stats().unwrap_or_default(),
+        defense_drops: ledger.defense_drops,
+        rrl_limited: ledger.rrl_limited,
+        rrl_slipped: ledger.rrl_slipped,
+        shed: ledger.shed(),
+        scaleouts: reg
+            .counter_total("netsim", None, "scaleout_activations")
+            .unwrap_or(0),
     }
 }
 
@@ -469,6 +455,39 @@ mod tests {
         }
         assert!(DefensePreset::None.plan(ns, onset).is_empty());
         assert_eq!(DefensePreset::from_label("martian"), None);
+    }
+
+    /// Golden `Debug` of what every preset runs under, captured at
+    /// commit 747963d from the hand-built setup (`RrlSlip`, scale 0.012,
+    /// seed 29).
+    #[test]
+    fn defense_setup_matches_the_captured_setup() {
+        let setup = defense_setup(DefensePreset::RrlSlip, 0.012, 29);
+        assert_eq!(
+            setup.track_probe, None,
+            "no Table 7 drill-down (and sharded runs reject one)"
+        );
+        assert_eq!((setup.n_probes, setup.ttl, setup.rounds), (110, 1800, 18));
+        assert_eq!(
+            format!(
+                "{:?}",
+                (
+                    setup.attack,
+                    setup.spoofed_flood,
+                    &setup.defense,
+                    setup.telemetry
+                )
+            ),
+            "(Some(AttackPlan { start_min: 60, duration_min: 60, loss: 0.9, scope: BothNs }), \
+             Some(SpoofedFlood { sources: 24, qps_per_source: 10.0, start_min: 60, \
+             duration_min: 60 }), \
+             Some(DefensePlan { defenses: [\
+             Rrl { target: Addr(167772163), start: SimTime(3600000000000), config: \
+             RrlConfig { rate_qps: 0.1, burst: 4.0, slip: 2, prefix_bits: 32 } }, \
+             Rrl { target: Addr(167772164), start: SimTime(3600000000000), config: \
+             RrlConfig { rate_qps: 0.1, burst: 4.0, slip: 2, prefix_bits: 32 } }] }), \
+             Some(TelemetryConfig { snapshot_interval_nanos: 600000000000, per_node_net: true }))"
+        );
     }
 
     /// The §7 acceptance numbers at reduced scale: RRL-with-slip must

@@ -13,10 +13,9 @@
 
 use dike_faults::{Fault, FaultPlan, FloodShape};
 use dike_netsim::{QueueConfig, SimDuration};
-use dike_stats::latency::{latency_timeseries, LatencyBin};
-use dike_stats::timeseries::{outcome_timeseries, OutcomeBin};
 
-use crate::setup::{run_experiment, ExperimentOutput, ExperimentSetup};
+use crate::report::Report;
+use crate::setup::ExperimentSetup;
 use crate::topology;
 
 /// Knobs for the degraded scenario. Defaults mirror Experiment H's
@@ -85,55 +84,14 @@ impl DegradedParams {
     }
 }
 
-/// A completed degraded-scenario run with its derived series.
-#[derive(Debug)]
-pub struct DegradedResult {
-    /// The knobs that produced it.
-    pub params: DegradedParams,
-    /// Raw output (client log, server view, population).
-    pub output: ExperimentOutput,
-    /// OK / SERVFAIL / no-answer per 10-minute round.
-    pub outcomes: Vec<OutcomeBin>,
-    /// Latency quantiles per round.
-    pub latencies: Vec<LatencyBin>,
-}
-
 /// Runs the degraded scenario. `scale` scales the probe count exactly as
-/// the Table 4 runners do (1.0 ≈ 9.2k probes).
-pub fn run_degraded(params: DegradedParams, scale: f64, seed: u64) -> DegradedResult {
-    let n_probes = ((9_200.0 * scale).round() as usize).max(10);
-    let mut setup = ExperimentSetup::new(n_probes, params.ttl);
-    setup.seed = seed;
-    setup.round_interval = SimDuration::from_mins(10);
-    setup.rounds = (params.total_min / 10) as u32;
-    setup.total_duration = SimDuration::from_mins(params.total_min);
-    setup.first_round_spread = SimDuration::from_mins(8);
-    setup.round_jitter = SimDuration::from_mins(4);
+/// the Table 4 runners do (1.0 ≈ 9.2k probes). The window is
+/// `[params.start_min, params.start_min + params.duration_min)`; read its
+/// OK share with [`Report::ok_fraction_between`].
+pub fn run_degraded(params: DegradedParams, scale: f64, seed: u64) -> Report {
+    let mut setup = ExperimentSetup::table4_paced(scale, params.ttl, params.total_min, seed);
     setup.faults = Some(params.plan());
-    let output = run_experiment(&setup);
-    let outcomes = outcome_timeseries(&output.log, SimDuration::from_mins(10));
-    let latencies = latency_timeseries(&output.log, SimDuration::from_mins(10));
-    DegradedResult {
-        params,
-        output,
-        outcomes,
-        latencies,
-    }
-}
-
-/// Mean per-round OK fraction over rounds whose start lies in
-/// `[from_min, to_min)` (rounds with traffic only). `None` when no such
-/// round exists.
-pub fn ok_fraction_between(r: &DegradedResult, from_min: u64, to_min: u64) -> Option<f64> {
-    let bins: Vec<_> = r
-        .outcomes
-        .iter()
-        .filter(|b| b.start_min >= from_min && b.start_min < to_min && b.total() > 0)
-        .collect();
-    if bins.is_empty() {
-        return None;
-    }
-    Some(bins.iter().map(|b| b.ok_fraction()).sum::<f64>() / bins.len() as f64)
+    Report::run(&setup)
 }
 
 #[cfg(test)]
@@ -160,8 +118,8 @@ mod tests {
     #[test]
     fn degraded_run_degrades_but_does_not_fail() {
         let r = run_degraded(small(), 0.006, 11);
-        let before = ok_fraction_between(&r, 10, 40).expect("pre-window rounds");
-        let during = ok_fraction_between(&r, 40, 80).expect("in-window rounds");
+        let before = r.ok_fraction_between(10, 40).expect("pre-window rounds");
+        let during = r.ok_fraction_between(40, 80).expect("in-window rounds");
         assert!(before > 0.9, "healthy before: {before}");
         assert!(
             during < before,
@@ -185,7 +143,7 @@ mod tests {
             setup.total_duration = SimDuration::from_mins(params.total_min);
             setup.faults = Some(params.plan());
             setup.audit = true;
-            run_experiment(&setup)
+            crate::setup::run_experiment(&setup)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.log.records.len(), b.log.records.len());

@@ -17,9 +17,11 @@
 //! | [`production`] | Fig. 4, Fig. 5 (`.nl` and root-DITL trace emulation) |
 //! | [`implications`] | §8's root-vs-Dyn contrast as a controlled anycast sweep |
 //!
-//! [`population`] holds the calibrated resolver-population mix and
+//! [`population`] holds the calibrated resolver-population mix,
 //! [`topology`] assembles the simulated world (hierarchy + resolvers +
-//! probes). The `repro` binary prints any table or figure:
+//! probes), [`setup`] runs one [`ExperimentSetup`] and [`report`] pairs
+//! the run with its per-round series and the paper's headline attack
+//! metrics ([`Report`]). The `repro` binary prints any table or figure:
 //!
 //! ```text
 //! repro table2 --scale 0.05
@@ -38,11 +40,13 @@ pub mod nxns;
 pub mod population;
 pub mod production;
 pub mod public_resolvers;
+pub mod report;
 pub mod setup;
 pub mod shard;
 pub mod software;
 pub mod topology;
 
 pub use population::PopulationMix;
+pub use report::Report;
 pub use setup::{AttackPlan, AttackScope, ExperimentOutput, ExperimentSetup};
 pub use shard::run_experiment_sharded;

@@ -195,6 +195,49 @@ impl ExperimentSetup {
             shards: 1,
         }
     }
+
+    /// The probe count at `scale` (1.0 ≈ the paper's 9.2k probes).
+    pub fn probes_at_scale(scale: f64) -> usize {
+        ((9_200.0 * scale).round() as usize).max(10)
+    }
+
+    /// A run paced like Table 4's: the population at `scale`, one round
+    /// every 10 minutes for `total_min` minutes, first rounds spread over
+    /// 8 minutes (so the first round fires within the first interval and
+    /// the configured number of pre-attack queries happens), 4 minutes of
+    /// per-round jitter. No attack yet.
+    pub fn table4_paced(scale: f64, ttl: u32, total_min: u64, seed: u64) -> Self {
+        ExperimentSetup {
+            seed,
+            round_interval: SimDuration::from_mins(10),
+            rounds: (total_min / 10) as u32,
+            total_duration: SimDuration::from_mins(total_min),
+            first_round_spread: SimDuration::from_mins(8),
+            round_jitter: SimDuration::from_mins(4),
+            ..ExperimentSetup::new(Self::probes_at_scale(scale), ttl)
+        }
+    }
+}
+
+/// The world a setup asks [`topology::build`] for.
+impl From<&ExperimentSetup> for BuildConfig {
+    fn from(setup: &ExperimentSetup) -> Self {
+        BuildConfig {
+            n_probes: setup.n_probes,
+            ttl: setup.ttl,
+            mix: setup.mix,
+            first_round_spread: setup.first_round_spread,
+            round_interval: setup.round_interval,
+            round_jitter: setup.round_jitter,
+            rounds: setup.rounds,
+            population_seed: setup.population_seed,
+            regional_latency: setup.regional_latency,
+            resolver_tcp_fallback: setup.tcp.is_some(),
+            cookie_secret: setup.cookie_secret,
+            resolver_max_fetch: setup.resolver_max_fetch,
+            nxns: setup.nxns.map(|a| a.zone),
+        }
+    }
 }
 
 /// Whether runs should end with an invariant audit: the setup's `audit`
@@ -251,22 +294,7 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
         return crate::shard::run_experiment_sharded(setup);
     }
     let mut sim = Simulator::new(setup.seed);
-    let build = BuildConfig {
-        n_probes: setup.n_probes,
-        ttl: setup.ttl,
-        mix: setup.mix,
-        first_round_spread: setup.first_round_spread,
-        round_interval: setup.round_interval,
-        round_jitter: setup.round_jitter,
-        rounds: setup.rounds,
-        population_seed: setup.population_seed,
-        regional_latency: setup.regional_latency,
-        resolver_tcp_fallback: setup.tcp.is_some(),
-        cookie_secret: setup.cookie_secret,
-        resolver_max_fetch: setup.resolver_max_fetch,
-        nxns: setup.nxns.map(|a| a.zone),
-    };
-    let topo = topology::build(&mut sim, &build);
+    let topo = topology::build(&mut sim, &BuildConfig::from(setup));
 
     // The TCP fallback path needs listeners at every hierarchy server;
     // installing none keeps the pure-UDP world (and its pinned digest)

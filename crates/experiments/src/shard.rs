@@ -119,22 +119,7 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
     // topology module runs unchanged, so the population, addressing and
     // link fabric are byte-for-byte those of a `shards = 1` run.
     let mut staging = Simulator::new(setup.seed);
-    let build = BuildConfig {
-        n_probes: setup.n_probes,
-        ttl: setup.ttl,
-        mix: setup.mix,
-        first_round_spread: setup.first_round_spread,
-        round_interval: setup.round_interval,
-        round_jitter: setup.round_jitter,
-        rounds: setup.rounds,
-        population_seed: setup.population_seed,
-        regional_latency: setup.regional_latency,
-        resolver_tcp_fallback: false,
-        cookie_secret: None,
-        resolver_max_fetch: setup.resolver_max_fetch,
-        nxns: None,
-    };
-    let topo = topology::build(&mut staging, &build);
+    let topo = topology::build(&mut staging, &BuildConfig::from(setup));
     let (nodes, links) = staging.dismantle();
     let n = nodes.len();
     assert!(
@@ -283,26 +268,7 @@ mod tests {
     use crate::setup::{AttackPlan, AttackScope};
 
     fn digest(out: &ExperimentOutput) -> (usize, u64) {
-        // FNV-1a over the canonical record stream, mirroring the
-        // integration tests' log digest.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut push = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for r in &out.log.records {
-            push(r.vp.probe as u64);
-            push(r.vp.recursive as u64);
-            push(r.recursive.0 as u64);
-            push(r.round as u64);
-            push(r.sent_at.as_nanos());
-            push(r.outcome.is_ok() as u64);
-            push(r.outcome.is_timeout() as u64);
-            push(r.rtt.map_or(u64::MAX, |d| d.as_nanos()));
-        }
-        (out.log.records.len(), h)
+        (out.log.records.len(), out.log.digest())
     }
 
     fn small_setup() -> ExperimentSetup {

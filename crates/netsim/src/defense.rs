@@ -20,7 +20,7 @@
 //! every decision from sim time, the source address, and its own
 //! serializable configuration.
 
-use dike_telemetry::Histogram;
+use dike_telemetry::{Histogram, MetricsRegistry};
 use dike_wire::Message;
 
 use crate::addr::Addr;
@@ -104,6 +104,54 @@ impl DefenseLedger {
             *a += b;
         }
         self.cookie_exempt += other.cookie_exempt;
+    }
+
+    /// The telemetry counter [`DefenseLedger::cookie_exempt`] goes
+    /// under. Left to the publisher because the two differ on when: the
+    /// simulator's cut only once an exemption has fired (cookie-free runs
+    /// keep their snapshot shape), the live server always.
+    pub const COOKIE_EXEMPT_METRIC: &'static str = "cookie_exempt";
+
+    /// Publishes the drop accounting, and `queue_delay` (indexed like
+    /// [`QUEUE_CLASSES`]), as `component`'s run-wide metrics. Empty
+    /// histograms are skipped so defense-free runs keep their snapshot
+    /// shape.
+    pub fn publish(
+        &self,
+        queue_delay: &[Histogram; QUEUE_CLASSES.len()],
+        reg: &mut MetricsRegistry,
+        component: &str,
+    ) {
+        reg.record_counter(component, None, "defense_drops", self.defense_drops);
+        reg.record_counter(component, None, "rrl_limited", self.rrl_limited);
+        reg.record_counter(component, None, "rrl_slipped", self.rrl_slipped);
+        for class in QUEUE_CLASSES {
+            let shed = self.shed_by_class[class.index()];
+            reg.record_counter(component, None, class.shed_metric(), shed);
+            let delay = &queue_delay[class.index()];
+            if delay.count() > 0 {
+                reg.record_histogram(component, None, class.queue_delay_metric(), delay);
+            }
+        }
+    }
+
+    /// Reads back what [`DefenseLedger::publish`] (and the publisher's
+    /// `cookie_exempt` counter) last wrote under `component`; a counter
+    /// never published reads as zero.
+    pub fn from_registry(reg: &MetricsRegistry, component: &str) -> DefenseLedger {
+        let counter = |name: &str| reg.counter_total(component, None, name).unwrap_or(0);
+        DefenseLedger {
+            defense_drops: counter("defense_drops"),
+            rrl_limited: counter("rrl_limited"),
+            rrl_slipped: counter("rrl_slipped"),
+            shed_by_class: QUEUE_CLASSES.map(|class| counter(class.shed_metric())),
+            cookie_exempt: counter(Self::COOKIE_EXEMPT_METRIC),
+        }
+    }
+
+    /// Queries shed by the admission scheduler, all classes.
+    pub fn shed(&self) -> u64 {
+        self.shed_by_class.iter().sum()
     }
 }
 

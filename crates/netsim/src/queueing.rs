@@ -193,6 +193,24 @@ impl QueueClass {
             QueueClass::Flagged => "flagged",
         }
     }
+
+    /// The telemetry counter of queries shed from this class's queue.
+    pub fn shed_metric(self) -> &'static str {
+        match self {
+            QueueClass::Known => "shed_known",
+            QueueClass::Unknown => "shed_unknown",
+            QueueClass::Flagged => "shed_flagged",
+        }
+    }
+
+    /// The telemetry histogram of this class's admission queue delay.
+    pub fn queue_delay_metric(self) -> &'static str {
+        match self {
+            QueueClass::Known => "defense_queue_delay_known",
+            QueueClass::Unknown => "defense_queue_delay_unknown",
+            QueueClass::Flagged => "defense_queue_delay_flagged",
+        }
+    }
 }
 
 /// Configuration of a weighted-class admission scheduler: one service

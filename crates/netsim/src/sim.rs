@@ -958,40 +958,14 @@ impl Simulator {
         // Defense accounting lives in the gates (plus the retired fold),
         // not in NetStats: sum it at the snapshot boundary.
         let ledger = self.world.defense_ledger();
-        reg.record_counter("netsim", None, "defense_drops", ledger.defense_drops);
-        reg.record_counter("netsim", None, "rrl_limited", ledger.rrl_limited);
-        reg.record_counter("netsim", None, "rrl_slipped", ledger.rrl_slipped);
-        // Published only once a cookie exemption has fired, so runs
-        // without cookie validation keep their exact snapshot shape.
+        ledger.publish(&self.world.defense_queue_delays(), &mut reg, "netsim");
         if ledger.cookie_exempt > 0 {
-            reg.record_counter("netsim", None, "cookie_exempt", ledger.cookie_exempt);
-        }
-        let delays = self.world.defense_queue_delays();
-        for class in crate::queueing::QUEUE_CLASSES {
             reg.record_counter(
                 "netsim",
                 None,
-                match class {
-                    crate::queueing::QueueClass::Known => "shed_known",
-                    crate::queueing::QueueClass::Unknown => "shed_unknown",
-                    crate::queueing::QueueClass::Flagged => "shed_flagged",
-                },
-                ledger.shed_by_class[class.index()],
+                DefenseLedger::COOKIE_EXEMPT_METRIC,
+                ledger.cookie_exempt,
             );
-            // Skip empty histograms so defense-free runs keep their
-            // exact pre-gate snapshot shape.
-            if delays[class.index()].count() > 0 {
-                reg.record_histogram(
-                    "netsim",
-                    None,
-                    match class {
-                        crate::queueing::QueueClass::Known => "defense_queue_delay_known",
-                        crate::queueing::QueueClass::Unknown => "defense_queue_delay_unknown",
-                        crate::queueing::QueueClass::Flagged => "defense_queue_delay_flagged",
-                    },
-                    &delays[class.index()],
-                );
-            }
         }
         reg.record_counter(
             "netsim",
@@ -2454,6 +2428,72 @@ mod tests {
                 "{absent} must not appear without samples"
             );
         }
+    }
+
+    /// A defense that cycles through one verdict of every kind the
+    /// ledger counts, plus a delayed admission.
+    struct EveryVerdict(usize);
+
+    impl crate::defense::IngressDefense for EveryVerdict {
+        fn on_query(
+            &mut self,
+            _now: SimTime,
+            _src: Addr,
+            _msg: &Message,
+        ) -> crate::defense::IngressVerdict {
+            use crate::defense::IngressVerdict::*;
+            use crate::queueing::QueueClass::*;
+            self.0 += 1;
+            match self.0 % 7 {
+                0 => Pass,
+                1 => RrlDrop,
+                2 => RrlSlip,
+                3 => Shed(Known),
+                4 | 5 => Shed(Unknown),
+                _ => Enqueue {
+                    delay: SimDuration::from_millis(1),
+                    class: Flagged,
+                },
+            }
+        }
+    }
+
+    /// The registry reader and the two writers share one name table: what
+    /// a defended echo world publishes reads back as its own ledger.
+    #[test]
+    fn ledger_read_from_the_registry_equals_the_simulators() {
+        let mut sim = Simulator::new(12);
+        fixed_fabric(&mut sim, 10);
+        let (_, echo_addr) = sim.add_node(Box::new(Echo));
+        for _ in 0..20 {
+            sim.add_node(Box::new(Pinger {
+                target: echo_addr,
+                sent_at: None,
+                rtt: None,
+            }));
+        }
+        sim.set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
+        let reg = dike_telemetry::shared_registry();
+        sim.attach_telemetry(reg.clone(), dike_telemetry::TelemetryConfig::every_secs(1));
+        sim.run_until(SimDuration::from_secs(2).after_zero());
+        let ledger = sim.defense_ledger();
+        drop(sim);
+        let reg = std::sync::Arc::try_unwrap(reg)
+            .expect("simulator dropped its registry handle")
+            .into_inner()
+            .expect("registry not poisoned");
+
+        assert_eq!(ledger.rrl_limited, 6);
+        assert_eq!(ledger.rrl_slipped, 3);
+        assert_eq!(ledger.shed_by_class, [3, 6, 0]);
+        assert_eq!(ledger.shed(), 9);
+        assert_eq!(ledger.defense_drops, 15);
+        assert_eq!(DefenseLedger::from_registry(&reg, "netsim"), ledger);
+        assert_eq!(
+            DefenseLedger::from_registry(&reg, "serve"),
+            DefenseLedger::default(),
+            "nothing was published under another component"
+        );
     }
 
     /// A TCP-capable echo: answers stream queries in place, over the

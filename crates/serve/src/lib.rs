@@ -44,10 +44,7 @@ use bytes::Bytes;
 use dike_auth::{AuthServer, AuthStats};
 use dike_defense::DefensePlan;
 use dike_netsim::service::{Clock, Transport};
-use dike_netsim::{
-    Addr, DefenseLedger, GateAction, IngressGate, Node, QueueClass, SimDuration, SimTime,
-    QUEUE_CLASSES,
-};
+use dike_netsim::{Addr, DefenseLedger, GateAction, IngressGate, Node, SimDuration, SimTime};
 use dike_telemetry::{MetricsRegistry, NodePublisher};
 use dike_wire::codec::{self, EncodeBuffer};
 use dike_wire::Message;
@@ -600,35 +597,13 @@ fn publish_snapshot(shared: &Shared) -> String {
         let gate = shared.gate.lock().expect("gate lock");
         if let Some(gate) = &*gate {
             let ledger = gate.ledger();
-            reg.record_counter("serve", None, "defense_drops", ledger.defense_drops);
-            reg.record_counter("serve", None, "rrl_limited", ledger.rrl_limited);
-            reg.record_counter("serve", None, "rrl_slipped", ledger.rrl_slipped);
-            reg.record_counter("serve", None, "cookie_exempt", ledger.cookie_exempt);
-            for class in QUEUE_CLASSES {
-                reg.record_counter(
-                    "serve",
-                    None,
-                    match class {
-                        QueueClass::Known => "shed_known",
-                        QueueClass::Unknown => "shed_unknown",
-                        QueueClass::Flagged => "shed_flagged",
-                    },
-                    ledger.shed_by_class[class.index()],
-                );
-                let h = gate.queue_delay(class);
-                if h.count() > 0 {
-                    reg.record_histogram(
-                        "serve",
-                        None,
-                        match class {
-                            QueueClass::Known => "defense_queue_delay_known",
-                            QueueClass::Unknown => "defense_queue_delay_unknown",
-                            QueueClass::Flagged => "defense_queue_delay_flagged",
-                        },
-                        h,
-                    );
-                }
-            }
+            ledger.publish(gate.queue_delays(), &mut reg, "serve");
+            reg.record_counter(
+                "serve",
+                None,
+                DefenseLedger::COOKIE_EXEMPT_METRIC,
+                ledger.cookie_exempt,
+            );
         }
     }
     reg.snapshot(now.as_nanos());

@@ -61,6 +61,23 @@ pub fn outcome_timeseries(log: &ProbeLog, bin_width: SimDuration) -> Vec<Outcome
     bins
 }
 
+/// The paper's headline client metric over a time window: OK answers
+/// over all queries, summed across the bins whose `start_min` lies in
+/// `[from_min, to_min)`. Each query counts once (Table 4's "roughly 60%
+/// are still served"), so a sparse partial round cannot outweigh a dense
+/// one the way a mean of per-bin fractions would let it. `None` when the
+/// window holds no traffic — it lies past the end of the run, or the run
+/// produced no queries.
+pub fn ok_fraction_in(bins: &[OutcomeBin], from_min: u64, to_min: u64) -> Option<f64> {
+    let (ok, total) = bins
+        .iter()
+        .filter(|b| (from_min..to_min).contains(&b.start_min))
+        .fold((0usize, 0usize), |(ok, total), b| {
+            (ok + b.ok, total + b.total())
+        });
+    (total > 0).then(|| ok as f64 / total as f64)
+}
+
 /// Counts of answer classes in one bin (Figures 7 and 13).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassBin {
@@ -153,6 +170,45 @@ mod tests {
         assert_eq!((bins[1].ok, bins[1].no_answer, bins[1].servfail), (1, 0, 1));
         assert_eq!(bins[0].total(), 2);
         assert!((bins[0].ok_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ok_fraction_in_weights_per_query_over_the_half_open_window() {
+        let bin = |start_min, ok, servfail, no_answer| OutcomeBin {
+            start_min,
+            ok,
+            servfail,
+            no_answer,
+        };
+        // A dense round (100 queries, half OK) and a sparse partial round
+        // (2 queries, both OK): the mean of per-round fractions says 75%.
+        let dense_sparse = [bin(60, 50, 25, 25), bin(70, 2, 0, 0)];
+        let grid = [
+            bin(0, 9, 1, 0),
+            bin(10, 8, 0, 2),
+            bin(20, 0, 0, 0),
+            bin(30, 1, 0, 3),
+        ];
+        let check = |what: &str, bins: &[OutcomeBin], from, to, want: Option<f64>| {
+            assert_eq!(ok_fraction_in(bins, from, to), want, "{what}");
+        };
+        check("no bins", &[], 0, u64::MAX, None);
+        check("window past the end", &grid, 40, 100, None);
+        check("window of empty bins", &grid, 20, 30, None);
+        check("empty window", &grid, 10, 10, None);
+        check(
+            "window starting in round 0",
+            &grid,
+            0,
+            20,
+            Some(17.0 / 20.0),
+        );
+        check("whole run", &grid, 0, u64::MAX, Some(18.0 / 24.0));
+        // Off the 10-minute grid: only the bin starting at 70 lies in
+        // [65, 80); selecting by bin index 65/10..80/10 would take the
+        // bin at 60 as well.
+        check("off-grid window", &dense_sparse, 65, 80, Some(1.0));
+        check("dense + sparse", &dense_sparse, 60, 120, Some(52.0 / 102.0));
     }
 
     #[test]

@@ -117,6 +117,41 @@ impl ProbeLog {
         vps.len()
     }
 
+    /// FNV-1a over every field of every record, in log order: any
+    /// reordered, dropped or altered query — down to a response code, an
+    /// answer address or a TTL — changes it. Two logs with equal record
+    /// counts and equal digests are the same run.
+    pub fn digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut push = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for r in &self.records {
+            push(r.vp.probe as u64);
+            push(r.vp.recursive as u64);
+            push(r.recursive.0 as u64);
+            push(r.round as u64);
+            push(r.sent_at.as_nanos());
+            match r.outcome {
+                QueryOutcome::Answer { rcode, aaaa, ttl } => {
+                    push(1);
+                    push(rcode.to_u8() as u64);
+                    match aaaa {
+                        Some(a) => push(u128::from(a) as u64 ^ (u128::from(a) >> 64) as u64),
+                        None => push(0xffff),
+                    }
+                    push(ttl.map(u64::from).unwrap_or(0xfffe));
+                }
+                QueryOutcome::Timeout => push(2),
+            }
+            push(r.rtt.map(|d| d.as_nanos()).unwrap_or(u64::MAX));
+        }
+        h
+    }
+
     /// Sorts the records into the canonical `(vp, round, sent_at)`
     /// order. A sharded run appends from several shard threads, so raw
     /// append order depends on thread scheduling even though the record
@@ -177,6 +212,38 @@ mod tests {
             ttl: None,
         };
         assert!(!empty.is_ok());
+    }
+
+    #[test]
+    fn digest_sees_every_field() {
+        let answer = |rcode, ttl| QueryOutcome::Answer {
+            rcode,
+            aaaa: Some(Ipv6Addr::LOCALHOST),
+            ttl: Some(ttl),
+        };
+        let log = |records: Vec<QueryRecord>| ProbeLog { records };
+        let base = log(vec![
+            rec(answer(Rcode::NoError, 60)),
+            rec(QueryOutcome::Timeout),
+        ]);
+        assert_eq!(base.digest(), log(base.records.clone()).digest());
+        assert_ne!(base.digest(), ProbeLog::default().digest());
+        // Fields an is_ok/is_timeout summary cannot tell apart.
+        let other_ttl = log(vec![
+            rec(answer(Rcode::NoError, 61)),
+            rec(QueryOutcome::Timeout),
+        ]);
+        let other_rcode = log(vec![
+            rec(answer(Rcode::Refused, 60)),
+            rec(QueryOutcome::Timeout),
+        ]);
+        let reordered = log(vec![
+            rec(QueryOutcome::Timeout),
+            rec(answer(Rcode::NoError, 60)),
+        ]);
+        for changed in [other_ttl, other_rcode, reordered] {
+            assert_ne!(base.digest(), changed.digest());
+        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! packet loss, 30-minute TTL — the paper's headline "more than half of
 //! clients still get answers" scenario).
 
-use dike::experiments::ddos::{
-    ok_fraction_during_attack, run_ddos, traffic_multiplier, DdosExperiment,
-};
+use dike::experiments::ddos::{run_ddos, DdosExperiment};
 
 fn main() {
     let letter = std::env::args()
@@ -72,7 +70,7 @@ fn main() {
 
     println!(
         "\nOK during attack: {:.1}%   offered-load multiplier: {:.1}x",
-        ok_fraction_during_attack(&r).unwrap_or(f64::NAN) * 100.0,
-        traffic_multiplier(&r).unwrap_or(f64::NAN)
+        r.ok_fraction_during_attack().unwrap_or(f64::NAN) * 100.0,
+        r.traffic_multiplier().unwrap_or(f64::NAN)
     );
 }

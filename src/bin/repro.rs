@@ -3,14 +3,11 @@
 //!
 //! ```text
 //! repro <target> [--scale X] [--seed N]
-//!
-//! targets:
-//!   table1 table2 table3 table4 table5 table6 table7
-//!   fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!   fig13 fig14 fig15 fig16
-//!   sweep falsepos
-//!   all
+//! repro --list
 //! ```
+//!
+//! The targets are the rows of `TARGETS`; `all` runs the ones marked
+//! so, in table order.
 //!
 //! `sweep` runs the population-scale attack-intensity × TTL grid through
 //! [`dike_core::SweepEngine`] (paper Tables 4/5 as a dense grid instead
@@ -26,16 +23,16 @@
 use std::collections::HashMap;
 
 use dike_experiments::baseline::{run_baseline, BaselineResult, BASELINES};
-use dike_experiments::ddos::{
-    ok_fraction_during_attack, run_ddos_with_options, run_ddos_with_queueing, traffic_multiplier,
-    DdosExperiment, DdosOptions, DdosResult, ALL,
-};
-use dike_experiments::degraded::{ok_fraction_between, run_degraded, DegradedParams};
+use dike_experiments::ddos::{DdosExperiment, ALL};
+use dike_experiments::degraded::{run_degraded, DegradedParams};
 use dike_experiments::glue;
 use dike_experiments::implications;
 use dike_experiments::production::{run_nl, run_root, NlConfig, RootConfig};
 use dike_experiments::software::{run_software_mean, Software};
+use dike_experiments::Report;
+use dike_netsim::{DefenseLedger, SimDuration};
 use dike_stats::table::{pct, ratio, TextTable};
+use dike_stats::timeseries::class_timeseries;
 use dike_telemetry::json::Writer;
 use dike_wire::RecordType;
 
@@ -118,47 +115,17 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| die("--shards needs an integer"));
             }
             "--list" => {
-                for t in [
-                    "table1",
-                    "table2",
-                    "table3",
-                    "table4",
-                    "table5",
-                    "table6",
-                    "table7",
-                    "fig3",
-                    "fig4",
-                    "fig5",
-                    "fig6",
-                    "fig7",
-                    "fig8",
-                    "fig9",
-                    "fig10",
-                    "fig11",
-                    "fig12",
-                    "fig13",
-                    "fig14",
-                    "fig15",
-                    "fig16",
-                    "implications",
-                    "queueing",
-                    "degraded",
-                    "defense",
-                    "cookies",
-                    "nxns",
-                    "sweep",
-                    "falsepos",
-                    "scale",
-                    "all",
-                ] {
-                    println!("{t}");
+                for (name, ..) in TARGETS {
+                    println!("{name}");
                 }
+                println!("all");
                 std::process::exit(0);
             }
             "--help" | "-h" => {
+                let names: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
                 println!(
                     "usage: repro <target> [--scale X] [--seed N] [--json FILE] [--metrics FILE]\n\
-                     targets: table1-7, fig3-16, implications, queueing, degraded, defense, cookies, nxns, sweep, falsepos, all\n\
+                     targets: {} all\n\
                      --metrics collects sim-time telemetry during the DDoS runs and\n\
                      writes the full metric registry (per-node counters, gauges,\n\
                      retry histograms) as JSON, keyed by experiment letter\n\
@@ -169,7 +136,8 @@ fn parse_args() -> Args {
                      scale: run one large population through the sharded\n\
                      parallel engine; [--shards K] runs exactly K shards\n\
                      (default: a 1/2/4 ladder with a digest cross-check);\n\
-                     --scale sizes the population against the paper's 9.2k"
+                     --scale sizes the population against the paper's 9.2k",
+                    names.join(" ")
                 );
                 std::process::exit(0);
             }
@@ -194,7 +162,7 @@ struct Ctx {
     /// When set, DDoS runs collect sim-time telemetry for `--metrics`.
     collect_metrics: bool,
     baselines: Option<Vec<BaselineResult>>,
-    ddos: HashMap<char, DdosResult>,
+    ddos: HashMap<char, Report>,
     json: Vec<String>,
 }
 
@@ -236,83 +204,73 @@ impl Ctx {
         self.baselines.as_deref().expect("just populated")
     }
 
-    fn ddos(&mut self, exp: DdosExperiment) -> &DdosResult {
+    fn ddos(&mut self, exp: DdosExperiment) -> &Report {
         let letter = exp.letter();
         if !self.ddos.contains_key(&letter) {
             eprintln!(
                 "[repro] running DDoS experiment {letter} at scale {} ...",
                 self.scale
             );
+            let mut setup = exp.setup(self.scale, self.seed + letter as u64);
             // Snapshot on the same 10-minute grid the paper's figures use.
-            let opts = DdosOptions {
-                telemetry: self
-                    .collect_metrics
-                    .then(|| dike_telemetry::TelemetryConfig::every_mins(10)),
-                ..DdosOptions::default()
-            };
-            let r = run_ddos_with_options(exp, self.scale, self.seed + letter as u64, opts);
-            self.ddos.insert(letter, r);
+            setup.telemetry = self
+                .collect_metrics
+                .then(|| dike_telemetry::TelemetryConfig::every_mins(10));
+            self.ddos.insert(letter, Report::run(&setup));
         }
         &self.ddos[&letter]
     }
 }
 
+type Target = (&'static str, fn(&mut Ctx, &Args), bool);
+
+/// Every target: its name, its runner, and whether `all` includes it
+/// (`sweep`, `falsepos` and `scale` are sized by their own flags and can
+/// dwarf the lettered runs). `all` runs in this order, and `--list` and
+/// `--help` print it.
+const TARGETS: &[Target] = &[
+    ("table1", |c, _| table1(c), true),
+    ("table2", |c, _| table2(c), true),
+    ("fig3", |c, _| fig3(c), true),
+    ("table3", |c, _| table3(c), true),
+    ("fig4", |c, _| fig4(c), true),
+    ("fig5", |c, _| fig5(c), true),
+    ("table4", |c, _| table4(c), true),
+    ("fig6", |c, _| fig6(c), true),
+    ("fig7", |c, _| fig7(c), true),
+    ("fig8", |c, _| fig8(c), true),
+    ("fig9", |c, _| fig9(c), true),
+    ("fig10", |c, _| fig10(c), true),
+    ("fig11", |c, _| fig11(c), true),
+    ("fig12", |c, _| fig12(c), true),
+    ("fig13", |c, _| fig13(c), true),
+    ("fig14", |c, _| fig14(c), true),
+    ("fig15", |c, _| fig15(c), true),
+    ("fig16", |c, _| fig16(c), true),
+    ("table5", |c, _| table5(c), true),
+    ("table6", |c, _| table6(c), true),
+    ("table7", |c, _| table7(c), true),
+    ("implications", |c, _| implications_sweep(c), true),
+    ("queueing", |c, _| queueing_extension(c), true),
+    ("degraded", |c, _| degraded_scenario(c), true),
+    ("defense", |c, _| defense_comparison(c), true),
+    ("cookies", |c, _| cookies_comparison(c), true),
+    ("nxns", |c, _| nxns_comparison(c), true),
+    ("sweep", sweep_grid, false),
+    ("falsepos", false_positive_sweep, false),
+    ("scale", scale_benchmark, false),
+];
+
 fn main() {
     let args = parse_args();
     let mut ctx = Ctx::new(args.scale, args.seed, args.metrics.is_some());
     let t = args.target.clone();
-    let all = t == "all";
     let mut matched = false;
-
-    macro_rules! target {
-        ($name:expr, $body:expr) => {
-            if all || t == $name {
-                matched = true;
-                $body;
-            }
-        };
-    }
-
-    target!("table1", table1(&mut ctx));
-    target!("table2", table2(&mut ctx));
-    target!("fig3", fig3(&mut ctx));
-    target!("table3", table3(&mut ctx));
-    target!("fig4", fig4(&mut ctx));
-    target!("fig5", fig5(&mut ctx));
-    target!("table4", table4(&mut ctx));
-    target!("fig6", fig6(&mut ctx));
-    target!("fig7", fig7(&mut ctx));
-    target!("fig8", fig8(&mut ctx));
-    target!("fig9", fig9(&mut ctx));
-    target!("fig10", fig10(&mut ctx));
-    target!("fig11", fig11(&mut ctx));
-    target!("fig12", fig12(&mut ctx));
-    target!("fig13", fig13(&mut ctx));
-    target!("fig14", fig14(&mut ctx));
-    target!("fig15", fig15(&mut ctx));
-    target!("fig16", fig16(&mut ctx));
-    target!("table5", table5(&mut ctx));
-    target!("table6", table6(&mut ctx));
-    target!("table7", table7(&mut ctx));
-    target!("implications", implications_sweep(&mut ctx));
-    target!("queueing", queueing_extension(&mut ctx));
-    target!("degraded", degraded_scenario(&mut ctx));
-    target!("defense", defense_comparison(&mut ctx));
-    target!("cookies", cookies_comparison(&mut ctx));
-    target!("nxns", nxns_comparison(&mut ctx));
-
-    // Not part of `all`: grid size is governed by its own flags.
-    if t == "sweep" {
-        matched = true;
-        sweep_grid(&mut ctx, &args);
-    }
-    if t == "falsepos" {
-        matched = true;
-        false_positive_sweep(&mut ctx, &args);
-    }
-    if t == "scale" {
-        matched = true;
-        scale_benchmark(&mut ctx, &args);
+    for (name, run, in_all) in TARGETS {
+        if t == *name || (t == "all" && *in_all) {
+            matched = true;
+            run(&mut ctx, &args);
+        }
     }
 
     if !matched {
@@ -598,11 +556,8 @@ fn table4(ctx: &mut Ctx) {
     );
     for exp in ALL {
         let p = exp.params();
-        let ok = {
-            let r = ctx.ddos(exp);
-            ok_fraction_during_attack(r)
-        };
         let r = ctx.ddos(exp);
+        let ok = r.ok_fraction_during_attack();
         let answers = r.output.log.records.len() - r.output.log.timeout_count();
         tbl.row(&[
             p.name.to_string(),
@@ -656,7 +611,7 @@ fn fig7(ctx: &mut Ctx) {
         "Figure 7: answer classes over time (Experiment B)",
         &["min", "AA", "CC", "AC", "CA"],
     );
-    for b in &r.classes {
+    for b in class_timeseries(&r.classification, SimDuration::from_mins(10)) {
         tbl.row(&[
             b.start_min.to_string(),
             b.aa.to_string(),
@@ -734,11 +689,8 @@ fn fig9(ctx: &mut Ctx) {
 
 fn fig10(ctx: &mut Ctx) {
     for exp in [DdosExperiment::F, DdosExperiment::H, DdosExperiment::I] {
-        let mult = {
-            let r = ctx.ddos(exp);
-            traffic_multiplier(r)
-        };
         let r = ctx.ddos(exp);
+        let mult = r.traffic_multiplier();
         let mut tbl = TextTable::new(
             format!(
                 "Figure 10: queries at authoritatives — Experiment {} (offered load {} during attack)",
@@ -1032,13 +984,10 @@ fn queueing_extension(ctx: &mut Ctx) {
         rate_pps: 2_000.0,
         capacity: 2_000,
     };
-    let plain = run_ddos_with_options(
-        DdosExperiment::H,
-        ctx.scale,
-        ctx.seed,
-        DdosOptions::default(),
-    );
-    let queued = run_ddos_with_queueing(DdosExperiment::H, ctx.scale, ctx.seed, Some(queue));
+    let mut setup = DdosExperiment::H.setup(ctx.scale, ctx.seed);
+    let plain = Report::run(&setup);
+    setup.queueing = Some(queue);
+    let queued = Report::run(&setup);
     let mut tbl = TextTable::new(
         "Queueing extension (paper 5.1 future work): Experiment H latency, loss-only vs loss+queueing",
         &["min", "median (loss)", "p90 (loss)", "median (+queue)", "p90 (+queue)"],
@@ -1095,7 +1044,7 @@ fn degraded_scenario(ctx: &mut Ctx) {
         ]);
     }
     ctx.emit(&tbl);
-    let during = ok_fraction_between(&r, params.start_min, params.start_min + params.duration_min);
+    let during = r.ok_fraction_between(params.start_min, params.start_min + params.duration_min);
     if let Some(d) = during {
         println!(
             "unlike the random-drop emulation, the victims stay reachable: {} of\n\
@@ -1416,18 +1365,16 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
     }
     let folded: Vec<Vec<Cell>> = engine.run_fold(|_job, report| {
         let late = report.late_resolver_stats().unwrap_or_default();
-        let counter = |name: &str| {
-            report
-                .metrics()
-                .and_then(|m| m.counter_total("netsim", None, name))
-                .unwrap_or(0)
-        };
+        let ledger = report
+            .metrics()
+            .map(|m| DefenseLedger::from_registry(m, "netsim"))
+            .unwrap_or_default();
         Cell {
             ok_during_attack: report.ok_fraction_during_attack(),
             late_sent: late.sent,
             late_served: late.full_answers + late.truncated_answers,
-            shed: counter("shed_known") + counter("shed_unknown") + counter("shed_flagged"),
-            rrl_limited: counter("rrl_limited"),
+            shed: ledger.shed(),
+            rrl_limited: ledger.rrl_limited,
         }
     });
 
@@ -1487,29 +1434,6 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
 // Sharded scale-out benchmark (ROADMAP: one scenario across all cores)
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the canonical record stream — the cross-shard-count
-/// identity check the `scale` rows print.
-fn scale_log_digest(log: &dike_stub::ProbeLog) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for r in &log.records {
-        push(r.vp.probe as u64);
-        push(r.vp.recursive as u64);
-        push(r.recursive.0 as u64);
-        push(r.round as u64);
-        push(r.sent_at.as_nanos());
-        push(r.outcome.is_ok() as u64);
-        push(r.outcome.is_timeout() as u64);
-        push(r.rtt.map_or(u64::MAX, |d| d.as_nanos()));
-    }
-    h
-}
-
 /// One large population under a partial attack, run through the sharded
 /// parallel engine at each requested shard count. `--scale` sizes the
 /// population against the paper's 9.2k probes (so `--scale 0.5` is ~10×
@@ -1520,7 +1444,6 @@ fn scale_log_digest(log: &dike_stub::ProbeLog) -> u64 {
 fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
     use dike_experiments::setup::{AttackPlan, AttackScope};
     use dike_experiments::{run_experiment_sharded, ExperimentSetup};
-    use dike_netsim::SimDuration;
 
     let probes = ((9_200.0 * ctx.scale) as usize).max(40);
     let shard_counts: Vec<usize> = if args.shards > 0 {
@@ -1559,7 +1482,7 @@ fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
         let started = std::time::Instant::now();
         let out = run_experiment_sharded(&setup);
         let wall = started.elapsed();
-        let digest = scale_log_digest(&out.log);
+        let digest = out.log.digest();
         digests.push(digest);
         let events = out.perf.events_popped;
         tbl.row(&[

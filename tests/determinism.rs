@@ -5,7 +5,6 @@
 //! the experiment suite was validated against.
 
 use dike::core::{Attack, Report, Scenario};
-use dike::stub::QueryOutcome;
 
 fn fixed_scenario() -> Scenario {
     Scenario::new()
@@ -16,37 +15,11 @@ fn fixed_scenario() -> Scenario {
         .with_attack(Attack::loss(0.9).window_min(30, 30))
 }
 
-/// FNV-1a over every field of every stub-log record — any reordering,
+/// Record count plus [`dike::stub::ProbeLog::digest`] — any reordering,
 /// dropped query, or shifted timestamp changes it.
 fn log_digest(report: &Report) -> (usize, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for r in &report.output.log.records {
-        push(r.vp.probe as u64);
-        push(r.vp.recursive as u64);
-        push(r.recursive.0 as u64);
-        push(r.round as u64);
-        push(r.sent_at.as_nanos());
-        match r.outcome {
-            QueryOutcome::Answer { rcode, aaaa, ttl } => {
-                push(1);
-                push(rcode.to_u8() as u64);
-                match aaaa {
-                    Some(a) => push(u128::from(a) as u64 ^ (u128::from(a) >> 64) as u64),
-                    None => push(0xffff),
-                }
-                push(ttl.map(u64::from).unwrap_or(0xfffe));
-            }
-            QueryOutcome::Timeout => push(2),
-        }
-        push(r.rtt.map(|d| d.as_nanos()).unwrap_or(u64::MAX));
-    }
-    (report.output.log.records.len(), h)
+    let log = &report.output.log;
+    (log.records.len(), log.digest())
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use dike::core::{Attack, Scenario};
 use dike::experiments::baseline::{run_baseline, BASELINES};
-use dike::experiments::ddos::{ok_fraction_during_attack, run_ddos, DdosExperiment};
+use dike::experiments::ddos::{run_ddos, DdosExperiment};
 
 /// §3 headline: "about 30% of the time clients do not benefit from
 /// caching" — the miss rate for cacheable TTLs sits near 30%, and the
@@ -72,9 +72,9 @@ fn claim_attack_intensity_gradient() {
     let e = run_ddos(DdosExperiment::E, 0.012, 4);
     let h = run_ddos(DdosExperiment::H, 0.012, 4);
     let i = run_ddos(DdosExperiment::I, 0.012, 4);
-    let ok_e = ok_fraction_during_attack(&e).expect("attack rounds");
-    let ok_h = ok_fraction_during_attack(&h).expect("attack rounds");
-    let ok_i = ok_fraction_during_attack(&i).expect("attack rounds");
+    let ok_e = e.ok_fraction_during_attack().expect("attack rounds");
+    let ok_h = h.ok_fraction_during_attack().expect("attack rounds");
+    let ok_i = i.ok_fraction_during_attack().expect("attack rounds");
     assert!(ok_e > 0.85, "E (50% loss): {ok_e} (paper ~91%)");
     assert!(ok_h > 0.45, "H (90% loss, TTL 1800): {ok_h} (paper ~60%)");
     assert!(ok_i > 0.15, "I (90% loss, TTL 60): {ok_i} (paper ~37%)");
@@ -92,25 +92,10 @@ fn claim_caches_ride_out_complete_outage_until_ttl() {
     let a = run_ddos(DdosExperiment::A, 0.012, 5);
     // Experiment A: TTL 3600, attack at minute 10. Cache-only window is
     // minutes 10-70; after 70 everything expired.
-    let during_cache: Vec<_> = a
-        .outcomes
-        .iter()
-        .filter(|b| b.start_min >= 20 && b.start_min < 60 && b.total() > 0)
-        .collect();
-    let after_expiry: Vec<_> = a
-        .outcomes
-        .iter()
-        .filter(|b| b.start_min >= 80 && b.total() > 0)
-        .collect();
-    // Per-query weighting, matching the fixed ok_fraction_during_attack:
-    // sum ok over sum total, not a mean of per-round fractions.
-    let weighted = |v: &[&dike::stats::timeseries::OutcomeBin]| {
-        let ok: usize = v.iter().map(|b| b.ok).sum();
-        let total: usize = v.iter().map(|b| b.total()).sum();
-        ok as f64 / total.max(1) as f64
-    };
-    let protected = weighted(&during_cache);
-    let exposed = weighted(&after_expiry);
+    let protected = a.ok_fraction_between(20, 60).expect("cache-only rounds");
+    let exposed = a
+        .ok_fraction_between(80, u64::MAX)
+        .expect("post-expiry rounds");
     assert!(
         protected > 0.35,
         "cache-only window success {protected} (paper: 35-70%)"
@@ -127,8 +112,8 @@ fn claim_caches_ride_out_complete_outage_until_ttl() {
 fn claim_retries_amplify_server_load() {
     let f = run_ddos(DdosExperiment::F, 0.012, 6);
     let h = run_ddos(DdosExperiment::H, 0.012, 6);
-    let mult_f = dike::experiments::ddos::traffic_multiplier(&f).expect("baseline");
-    let mult_h = dike::experiments::ddos::traffic_multiplier(&h).expect("baseline");
+    let mult_f = f.traffic_multiplier().expect("baseline");
+    let mult_h = h.traffic_multiplier().expect("baseline");
     assert!(mult_f > 1.5, "75% loss multiplier {mult_f} (paper ~3.5x)");
     assert!(
         mult_h > mult_f,
@@ -185,17 +170,10 @@ fn claim_runs_are_reproducible() {
 #[test]
 fn claim_telemetry_agrees_with_server_view() {
     use dike::core::telemetry::TelemetryConfig;
-    use dike::experiments::ddos::{run_ddos_with_options, DdosOptions};
-    let r = run_ddos_with_options(
-        DdosExperiment::F,
-        0.008,
-        7,
-        DdosOptions {
-            telemetry: Some(TelemetryConfig::every_mins(10)),
-            ..Default::default()
-        },
-    );
-    let reg = r.output.metrics.as_ref().expect("telemetry requested");
+    let mut setup = DdosExperiment::F.setup(0.008, 7);
+    setup.telemetry = Some(TelemetryConfig::every_mins(10));
+    let r = dike::core::Report::run(&setup);
+    let reg = r.metrics().expect("telemetry requested");
     let ns_ids: Vec<u32> = reg
         .node_labels()
         .filter(|(_, l)| *l == "auth:ns1" || *l == "auth:ns2")
@@ -234,13 +212,9 @@ fn claim_telemetry_agrees_with_server_view() {
 /// (AA) surge back.
 #[test]
 fn claim_fig7_cache_classes_during_outage() {
-    use dike::stats::classify::Classifier;
     use dike::stats::timeseries::class_timeseries;
     let b = run_ddos(DdosExperiment::B, 0.012, 31);
-    let classes = class_timeseries(
-        &Classifier::default().classify(&b.output.log),
-        dike::netsim::SimDuration::from_mins(10),
-    );
+    let classes = class_timeseries(&b.classification, dike::netsim::SimDuration::from_mins(10));
     // During the attack (minutes 60-120): answered queries are cache
     // hits, never fresh authoritative data.
     let during: Vec<_> = classes
@@ -274,7 +248,7 @@ fn claim_fig7_cache_classes_during_outage() {
 fn claim_fig12_unique_recursives_shape() {
     let f = run_ddos(DdosExperiment::F, 0.012, 32);
     let i = run_ddos(DdosExperiment::I, 0.012, 32);
-    let pre = |r: &dike::experiments::ddos::DdosResult| -> Vec<usize> {
+    let pre = |r: &dike::core::Report| -> Vec<usize> {
         r.output
             .server
             .bins()

@@ -11,28 +11,9 @@ use dike::experiments::{run_experiment_sharded, ExperimentOutput, ExperimentSetu
 use dike::faults::{Fault, FaultPlan};
 use dike::netsim::{NodeId, SimDuration};
 
-/// FNV-1a over the full record stream (field-for-field the digest in
-/// `tests/determinism.rs`).
+/// Record count plus the full-field log digest.
 fn digest(out: &ExperimentOutput) -> (usize, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for r in &out.log.records {
-        push(r.vp.probe as u64);
-        push(r.vp.recursive as u64);
-        push(r.recursive.0 as u64);
-        push(r.round as u64);
-        push(r.sent_at.as_nanos());
-        push(r.outcome.is_ok() as u64);
-        push(r.outcome.is_servfail() as u64);
-        push(r.outcome.is_timeout() as u64);
-        push(r.rtt.map_or(u64::MAX, |d| d.as_nanos()));
-    }
-    (out.log.records.len(), h)
+    (out.log.records.len(), out.log.digest())
 }
 
 fn report_digest(report: &Report) -> (usize, u64) {
