@@ -3,7 +3,7 @@
 //!
 //! Every scenario run is a pure function of its configuration and seed,
 //! so sweeps parallelize perfectly — each arm gets its own simulator on
-//! its own OS thread (crossbeam scoped threads; the simulator itself
+//! its own OS thread (std scoped threads; the simulator itself
 //! stays single-threaded and deterministic).
 //!
 //! [`SweepEngine`] is the population-scale engine: arbitrary axes
@@ -756,11 +756,11 @@ impl SweepEngine {
         let engine = &self;
         let fold = &fold;
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let next = &next;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut mine = Vec::new();
                     loop {
                         let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -786,8 +786,7 @@ impl SweepEngine {
                     slots[idx] = Some(value);
                 }
             }
-        })
-        .expect("sweep scope panicked");
+        });
 
         let mut flat = slots.into_iter().map(|s| s.expect("every cell folded"));
         (0..arms)

@@ -295,25 +295,6 @@ impl IngressGate {
         }
     }
 
-    /// Runs a batch of same-instant queries through the defense, in
-    /// arrival order, pushing one [`GateAction`] per query into `out`.
-    ///
-    /// This is the batched entry point matching the simulator's batched
-    /// delivery and a live socket loop's `recvmmsg` burst: the verdicts
-    /// (and all accounting) are exactly what the same sequence of
-    /// [`IngressGate::on_query`] calls would produce — the batch shape
-    /// is never observable to the defense.
-    pub fn on_queries<'m>(
-        &mut self,
-        now: SimTime,
-        queries: impl IntoIterator<Item = (Addr, &'m Message)>,
-        out: &mut Vec<GateAction>,
-    ) {
-        for (src, msg) in queries {
-            out.push(self.on_query(now, src, msg));
-        }
-    }
-
     /// This gate's cumulative drop accounting.
     pub fn ledger(&self) -> &DefenseLedger {
         &self.ledger
@@ -398,40 +379,6 @@ mod tests {
         );
         assert_eq!(gate.queue_delay(QueueClass::Known).count(), 1);
         assert_eq!(gate.queue_delay(QueueClass::Unknown).count(), 0);
-    }
-
-    #[test]
-    fn batched_queries_match_sequential_calls() {
-        let verdicts = vec![
-            IngressVerdict::Pass,
-            IngressVerdict::RrlDrop,
-            IngressVerdict::Shed(QueueClass::Unknown),
-            IngressVerdict::RrlSlip,
-        ];
-        let mut seq_gate = IngressGate::new(Box::new(Script(verdicts.clone())));
-        let mut batch_gate = IngressGate::new(Box::new(Script(verdicts)));
-        let q = query();
-        let srcs = [Addr(1), Addr(2), Addr(3), Addr(4)];
-
-        let seq: Vec<GateAction> = srcs
-            .iter()
-            .map(|&s| seq_gate.on_query(SimTime::ZERO, s, &q))
-            .collect();
-        let mut batched = Vec::new();
-        batch_gate.on_queries(SimTime::ZERO, srcs.iter().map(|&s| (s, &q)), &mut batched);
-
-        assert_eq!(seq.len(), batched.len());
-        for (a, b) in seq.iter().zip(&batched) {
-            match (a, b) {
-                (GateAction::Deliver, GateAction::Deliver) => {}
-                (GateAction::DeliverAfter(x), GateAction::DeliverAfter(y)) => assert_eq!(x, y),
-                (GateAction::Drop { slip: x }, GateAction::Drop { slip: y }) => {
-                    assert_eq!(x.is_some(), y.is_some());
-                }
-                other => panic!("actions diverged: {other:?}"),
-            }
-        }
-        assert_eq!(seq_gate.ledger(), batch_gate.ledger());
     }
 
     #[test]

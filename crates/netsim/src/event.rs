@@ -274,12 +274,6 @@ impl EventWheel {
         self.len
     }
 
-    /// Whether no entries are pending.
-    #[allow(dead_code)] // API symmetry with len(); tests use it
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Inserts an entry. Entries landing at or before the cursor window
     /// are merge-inserted into the sorted ready run (same-instant pushes
     /// go behind earlier seqs — FIFO within the instant); later entries
@@ -330,20 +324,6 @@ impl EventWheel {
         debug_assert!(entry.is_some(), "advance found no entry despite len > 0");
         self.len -= 1;
         entry
-    }
-
-    /// Pops the next entry only when it is due at exactly `at` and
-    /// `pred` accepts it — how the simulator collects a same-instant
-    /// delivery batch without disturbing anything later. Same-instant
-    /// entries always share a slot, so after one has popped the rest are
-    /// already in the ready run; no cursor advance is needed.
-    pub fn pop_if(&mut self, at: SimTime, pred: impl FnOnce(&Event) -> bool) -> Option<HeapEntry> {
-        let front = self.ready.front()?;
-        if front.at != at || !pred(&front.event) {
-            return None;
-        }
-        self.len -= 1;
-        self.ready.pop_front()
     }
 
     /// The time of the earliest pending entry, without removing it. May
@@ -543,24 +523,6 @@ mod tests {
         q.push(timer_entry(SimDuration::from_millis(3).after_zero(), 1));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
         assert_eq!(order, vec![1, 0]);
-    }
-
-    #[test]
-    fn pop_if_takes_only_matching_same_instant_entries() {
-        let at = SimDuration::from_millis(5).after_zero();
-        let later = SimDuration::from_millis(6).after_zero();
-        let mut q = EventQueue::new();
-        q.push(timer_entry(at, 0));
-        q.push(timer_entry(at, 1));
-        q.push(timer_entry(later, 2));
-        let first = q.pop().expect("entry");
-        assert_eq!(first.seq, 0);
-        // Same instant, predicate accepts.
-        assert_eq!(q.pop_if(at, |_| true).map(|e| e.seq), Some(1));
-        // Next entry is at a later instant: refused.
-        assert!(q.pop_if(at, |_| true).is_none());
-        assert_eq!(q.pop().map(|e| e.seq), Some(2));
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -20,17 +20,6 @@ pub struct TimerId(pub(crate) u64);
 /// A simulated host. Nodes are single-threaded state machines driven by
 /// datagram arrivals and timer expirations — nothing else.
 ///
-/// # Batched delivery is unobservable
-///
-/// The simulator may hand a node several same-instant datagrams as one
-/// batch (keeping the node checked out of the registry across the run
-/// instead of re-fetching it per datagram). The contract: a batch is
-/// *exactly* the sequence of [`Node::on_datagram`] calls, in the same
-/// arrival order, with the same `Context` view (time, RNG stream, send
-/// ordering), that unbatched delivery would have produced.
-/// Implementations must not try to detect batch edges — there is nothing
-/// to observe, and nothing in this trait will ever expose one.
-///
 /// `Send` is a supertrait: the sharded engine ([`crate::shard`]) moves
 /// each shard's node registry onto its own worker thread. Nodes still
 /// run strictly single-threaded — one shard, one thread, one event at a

@@ -766,9 +766,6 @@ pub struct Simulator {
     started: Vec<bool>,
     world: World,
     telemetry: Option<Telemetry>,
-    /// Reusable buffer for same-instant delivery batches (see
-    /// [`Simulator::deliver_batch`]); drained after every use.
-    batch: Vec<Datagram>,
     /// Wall-clock nanoseconds spent inside the run methods. Kept out of
     /// [`NetStats`]/telemetry (those must stay deterministic); surfaced
     /// through [`Simulator::perf`].
@@ -847,7 +844,6 @@ impl Simulator {
                 tcp: TcpWorld::default(),
             },
             telemetry: None,
-            batch: Vec::new(),
             wall_nanos: 0,
         }
     }
@@ -1242,30 +1238,7 @@ impl Simulator {
         self.world.now = entry.at;
         self.world.net.events_popped += 1;
         match entry.event {
-            Event::Deliver(dgram) => {
-                // Collect the run of consecutive same-instant deliveries
-                // to the same ingress address into one batch. Each popped
-                // entry counts exactly as it would have under one-at-a-
-                // time stepping; processing order is untouched (pop_if
-                // only takes the queue front).
-                let at = entry.at;
-                let dst = dgram.dst;
-                let mut batch = std::mem::take(&mut self.batch);
-                batch.push(dgram);
-                while let Some(e) = self
-                    .world
-                    .queue
-                    .pop_if(at, |ev| matches!(ev, Event::Deliver(d) if d.dst == dst))
-                {
-                    self.world.net.events_popped += 1;
-                    let Event::Deliver(d) = e.event else {
-                        unreachable!("pop_if predicate admits only Deliver events")
-                    };
-                    batch.push(d);
-                }
-                self.deliver_batch(&mut batch);
-                self.batch = batch;
-            }
+            Event::Deliver(dgram) => self.deliver(dgram),
             Event::DeliverQueued {
                 dgram,
                 msg,
@@ -1273,7 +1246,7 @@ impl Simulator {
                 local,
             } => {
                 let wire_len = dgram.wire_len();
-                self.deliver_to_node(dgram.src, &msg, wire_len, node, local);
+                self.hand_to_node(dgram.src, &msg, wire_len, node, local);
             }
             Event::Timer {
                 node,
@@ -1523,31 +1496,7 @@ impl Simulator {
         self.nodes[idx] = Some(node);
     }
 
-    /// Delivers a batch of same-instant datagrams headed for the same
-    /// ingress address. Each datagram runs the full per-datagram ingress
-    /// pipeline *sequentially, in arrival order* — filters, decode,
-    /// sinks, gate, and queue all draw RNG and allocate event seqs in
-    /// exactly the unbatched order, which is what keeps the fixed-seed
-    /// digest byte-identical. What batching hoists is the node hand-off:
-    /// the destination's `Box<dyn Node>` is checked out of the registry
-    /// once and kept out across the whole run instead of being re-fetched
-    /// per datagram (see the batched-delivery contract on [`Node`]).
-    fn deliver_batch(&mut self, batch: &mut Vec<Datagram>) {
-        let mut checkout: Option<(NodeId, Box<dyn Node>)> = None;
-        for dgram in batch.drain(..) {
-            self.deliver(dgram, &mut checkout);
-        }
-        self.put_back(checkout);
-    }
-
-    /// Returns a checked-out node to the registry.
-    fn put_back(&mut self, checkout: Option<(NodeId, Box<dyn Node>)>) {
-        if let Some((id, node)) = checkout {
-            self.nodes[id.0 as usize] = Some(node);
-        }
-    }
-
-    fn deliver(&mut self, dgram: Datagram, checkout: &mut Option<(NodeId, Box<dyn Node>)>) {
+    fn deliver(&mut self, dgram: Datagram) {
         let wire_len = dgram.wire_len();
 
         // Anycast resolves to a member site first; the attack filter of
@@ -1705,7 +1654,7 @@ impl Simulator {
                             },
                         );
                     } else {
-                        self.hand_to_node(dgram.src, &msg, wire_len, id, local, checkout);
+                        self.hand_to_node(dgram.src, &msg, wire_len, id, local);
                     }
                     return;
                 }
@@ -1758,36 +1707,18 @@ impl Simulator {
                 }
             }
         }
-        self.hand_to_node(dgram.src, &msg, wire_len, id, local, checkout);
+        self.hand_to_node(dgram.src, &msg, wire_len, id, local);
     }
 
-    /// Hands a datagram that has cleared every ingress stage to its node,
-    /// through the batch checkout: the node's `Box` stays out of the
-    /// registry between same-destination hand-offs. Takes the message
-    /// decoded at ingress — this path never re-decodes.
-    fn hand_to_node(
-        &mut self,
-        src: Addr,
-        msg: &Message,
-        wire_len: usize,
-        id: NodeId,
-        local: Addr,
-        checkout: &mut Option<(NodeId, Box<dyn Node>)>,
-    ) {
-        self.world.nodes.delivered[id.0 as usize] += 1;
-        match checkout {
-            Some((held, _)) if *held == id => {}
-            _ => {
-                // Holding a different node (anycast catchments can spread
-                // one batch across members): swap it back first.
-                self.put_back(checkout.take());
-                let Some(node) = self.nodes[id.0 as usize].take() else {
-                    return; // node is mid-dispatch; cannot happen single-threaded
-                };
-                *checkout = Some((id, node));
-            }
-        }
-        let (_, node) = checkout.as_mut().expect("node just checked out");
+    /// Hands a datagram that has cleared every ingress stage (directly,
+    /// or after its wait in a service or defense queue) to its node.
+    /// Takes the message decoded at ingress — this path never re-decodes.
+    fn hand_to_node(&mut self, src: Addr, msg: &Message, wire_len: usize, id: NodeId, local: Addr) {
+        let idx = id.0 as usize;
+        self.world.nodes.delivered[idx] += 1;
+        let Some(mut node) = self.nodes[idx].take() else {
+            return; // node is mid-dispatch; cannot happen single-threaded
+        };
         node.on_datagram(
             &mut Context {
                 world: &mut self.world,
@@ -1798,21 +1729,7 @@ impl Simulator {
             msg,
             wire_len,
         );
-    }
-
-    /// Single-datagram hand-off (the queued-delivery path): a checkout
-    /// that lives for exactly one dispatch.
-    fn deliver_to_node(
-        &mut self,
-        src: Addr,
-        msg: &Message,
-        wire_len: usize,
-        id: NodeId,
-        local: Addr,
-    ) {
-        let mut checkout = None;
-        self.hand_to_node(src, msg, wire_len, id, local, &mut checkout);
-        self.put_back(checkout);
+        self.nodes[idx] = Some(node);
     }
 
     /// Runs the restart sequence on a node that just came back up:

@@ -153,6 +153,15 @@ pub struct ServeStats {
     pub tcp_queries: u64,
 }
 
+impl ServeStats {
+    /// Adds the UDP loop's send errors since its last fold and zeroes
+    /// `pending`. A sum, not a store: TCP connection threads increment
+    /// `send_errors` on the shared record directly.
+    fn fold_send_errors(&mut self, pending: &mut u64) {
+        self.send_errors += std::mem::take(pending);
+    }
+}
+
 /// Configuration for [`LiveServer::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -412,7 +421,7 @@ fn socket_loop(
         {
             let mut stats = shared.stats.lock().expect("stats lock");
             stats.datagrams_received += 1;
-            stats.send_errors = send_errors;
+            stats.fold_send_errors(&mut send_errors);
         }
         let Ok(msg) = codec::decode(&buf[..len]) else {
             shared.stats.lock().expect("stats lock").undecodable += 1;
@@ -457,7 +466,11 @@ fn socket_loop(
             .expect("server lock")
             .serve_datagram(&mut ctx, src, &msg);
     }
-    shared.stats.lock().expect("stats lock").send_errors = send_errors;
+    shared
+        .stats
+        .lock()
+        .expect("stats lock")
+        .fold_send_errors(&mut send_errors);
 }
 
 /// The DNS-over-TCP accept loop: poll the nonblocking listener, spawn a
@@ -665,6 +678,22 @@ mod tests {
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn udp_send_errors_fold_into_the_shared_count_without_erasing_tcp() {
+        // Two TCP write failures are already on the shared record when
+        // the UDP loop folds in three of its own.
+        let mut stats = ServeStats {
+            send_errors: 2,
+            ..ServeStats::default()
+        };
+        let mut pending = 3;
+        stats.fold_send_errors(&mut pending);
+        assert_eq!((stats.send_errors, pending), (5, 0));
+        // The next datagram's fold has nothing new to add.
+        stats.fold_send_errors(&mut pending);
+        assert_eq!(stats.send_errors, 5);
     }
 
     #[test]

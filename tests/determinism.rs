@@ -4,6 +4,7 @@
 //! single delivery, drop, or timer relative to the behaviour the rest of
 //! the experiment suite was validated against.
 
+use dike::core::telemetry::TelemetryConfig;
 use dike::core::{Attack, Report, Scenario};
 
 fn fixed_scenario() -> Scenario {
@@ -29,6 +30,14 @@ fn fixed_seed_runs_are_bit_identical() {
     assert!(n1 > 0, "scenario produced no records");
     assert_eq!(n1, n2);
     assert_eq!(d1, d2, "same seed, different log");
+    // Telemetry is pull-only: minute-cadence snapshot cuts must not
+    // move a single record.
+    let with_cuts = fixed_scenario().telemetry(TelemetryConfig::every_mins(1));
+    assert_eq!(
+        log_digest(&with_cuts.run()),
+        (n1, d1),
+        "telemetry changed the run"
+    );
 }
 
 #[test]
@@ -60,20 +69,18 @@ fn fixed_seed_log_matches_pinned_digest() {
     assert_eq!(d, 0xcab1_5b65_bd36_2dd0);
 }
 
-/// Pinned delivery order under batched delivery. 64 clients fire one
-/// query each at the *same instant* into a single recorder node over a
-/// fixed-latency fabric, every round for 8 rounds — the shape the timer
-/// wheel's batched-delivery path collapses into one node checkout per
-/// instant. The recorder digests `(arrival time, source, query id)` in
-/// delivery order; the pinned value was measured with batching disabled
-/// (one checkout per datagram), so it proves batching is unobservable:
-/// FIFO-within-instant order survives exactly.
+/// Pinned delivery order within an instant. 64 clients fire one query
+/// each at the *same instant* into a single recorder node over a
+/// fixed-latency fabric, every round for 8 rounds. The recorder digests
+/// `(arrival time, source, query id)` in delivery order: datagrams due
+/// at one instant reach the node in the order they were sent (FIFO
+/// within the instant).
 ///
 /// Unlike [`fixed_seed_log_matches_pinned_digest`], nothing here draws
 /// from the RNG (fixed latency, no loss), so the digest is independent
 /// of the `rand` build and safe to pin unconditionally.
 #[test]
-fn batched_fan_in_delivery_order_matches_pinned_digest() {
+fn same_instant_fan_in_is_fifo_and_matches_pinned_digest() {
     use dike::netsim::{
         Addr, Context, LatencyModel, LinkParams, LinkTable, Node, SimDuration, Simulator,
         TimerToken,
@@ -135,10 +142,10 @@ fn batched_fan_in_delivery_order_matches_pinned_digest() {
 
     let seen = seen.lock();
     assert_eq!(seen.len(), 64 * 8, "every fan-in datagram delivered");
-    // Analytic check: this IS the sequential (unbatched) order. Round k
-    // timers were armed in node-insertion order, so within each instant
-    // the sends — and, over a fixed-latency link, the deliveries — land
-    // in ascending pinger order, and round k arrives at 5(k+1)+1 ms.
+    // Analytic check: this IS the sequential order. Round k timers
+    // were armed in node-insertion order, so within each instant the
+    // sends — and, over a fixed-latency link, the deliveries — land in
+    // ascending pinger order, and round k arrives at 5(k+1)+1 ms.
     for (j, &(at, _, id)) in seen.iter().enumerate() {
         let round = j / 64;
         let expect_at = SimDuration::from_millis(5 * (round as u64 + 1) + 1);
@@ -160,14 +167,11 @@ fn batched_fan_in_delivery_order_matches_pinned_digest() {
         push(id as u64);
     }
     drop(push);
-    assert_eq!(
-        h, BATCHED_FAN_IN_DIGEST,
-        "batched delivery reordered fan-in"
-    );
+    assert_eq!(h, FAN_IN_DIGEST, "same-instant fan-in was reordered");
 }
 
 /// Digest of the fan-in delivery sequence above. The analytic
 /// assertions establish that the sequence is the sequential FIFO order,
-/// so this constant pins it byte-exactly against future event-core or
-/// batching changes.
-const BATCHED_FAN_IN_DIGEST: u64 = 0x0b1c_a58b_b858_6425;
+/// so this constant pins it byte-exactly against future event-core
+/// changes.
+const FAN_IN_DIGEST: u64 = 0x0b1c_a58b_b858_6425;
