@@ -110,11 +110,6 @@ impl CacheTestZone {
         self.answer_ttl
     }
 
-    /// The current rotation serial.
-    pub fn current_serial(&self) -> u16 {
-        self.serial
-    }
-
     /// Extracts a probe id from `{pid}.cachetest.nl`.
     fn probe_id_of(&self, name: &Name) -> Option<u16> {
         if name.label_count() != self.zone.origin().label_count() + 1

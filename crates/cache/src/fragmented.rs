@@ -33,11 +33,6 @@ impl FragmentedCache {
         }
     }
 
-    /// Number of backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
     /// Selects the backend that will serve this query. Load balancers hash
     /// flows, which from a single client's perspective over time looks
     /// random; we sample uniformly.

@@ -28,7 +28,7 @@
 
 pub mod sweep;
 
-use dike_experiments::setup::{AttackPlan, ExperimentSetup};
+use dike_experiments::setup::ExperimentSetup;
 use dike_netsim::SimDuration;
 
 // Re-export the building blocks for users who outgrow the builder.
@@ -59,7 +59,9 @@ pub use sweep::{
 };
 
 /// A typed attack description for [`Scenario::with_attack`]: loss rate,
-/// scope, and window, in the vocabulary of the paper's Table 4.
+/// scope, and window, in the vocabulary of the paper's Table 4 — the
+/// experiment layer's own [`AttackPlan`](dike_experiments::setup::AttackPlan)
+/// under its builder-facing name.
 ///
 /// ```
 /// use dike_core::{Attack, AttackScope};
@@ -69,81 +71,15 @@ pub use sweep::{
 ///     .scope(AttackScope::OneNs)
 ///     .window_min(60, 60);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Attack {
-    loss: f64,
-    scope: AttackScope,
-    start_min: u64,
-    duration_min: u64,
-}
+pub use dike_experiments::setup::AttackPlan as Attack;
 
-impl Attack {
-    /// An attack dropping this fraction of ingress at the victims
-    /// (`1.0` = complete failure). Defaults: both name servers, minutes
-    /// 60–120 (Table 4's common window). Loss is clamped to `[0, 1]`.
-    pub fn loss(loss: f64) -> Self {
-        Attack {
-            loss: loss.clamp(0.0, 1.0),
-            scope: AttackScope::BothNs,
-            start_min: 60,
-            duration_min: 60,
-        }
-    }
-
-    /// A complete outage (loss `1.0`), the paper's experiments A–C.
-    pub fn complete() -> Self {
-        Attack::loss(1.0)
-    }
-
-    /// Which authoritatives the attack hits.
-    pub fn scope(mut self, scope: AttackScope) -> Self {
-        self.scope = scope;
-        self
-    }
-
-    /// When the attack starts and how long it lasts, in minutes.
-    pub fn window_min(mut self, start: u64, duration: u64) -> Self {
-        self.start_min = start;
-        self.duration_min = duration;
-        self
-    }
-
-    /// The configured loss rate.
-    pub fn loss_rate(&self) -> f64 {
-        self.loss
-    }
-
-    /// The configured `(start, duration)` window in minutes.
-    pub fn window(&self) -> (u64, u64) {
-        (self.start_min, self.duration_min)
-    }
-
-    fn plan(&self) -> AttackPlan {
-        AttackPlan {
-            start_min: self.start_min,
-            duration_min: self.duration_min,
-            loss: self.loss,
-            scope: self.scope,
-        }
-    }
-
-    /// This attack as a one-fault [`FaultPlan`] — the exact faults a
-    /// scenario carrying it will schedule. Random drop is the fault
-    /// engine's compatibility case, so the same plan can be serialized
-    /// ([`FaultPlan::to_json`]) or composed with richer faults.
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::new().with(self.plan().fault())
-    }
-}
-
-/// How a scenario's server-side defense is specified: not at all, as an
-/// explicit [`DefensePlan`], or as intent ([`DefensePreset`] / bare RRL
-/// rate) that resolves against the attack window and the standard
-/// two-authoritative topology when the scenario runs.
+/// How a scenario's server-side defense is specified: not at all, or
+/// as intent ([`DefensePreset`] / bare RRL rate) that resolves against
+/// the attack window and the standard two-authoritative topology when
+/// the scenario runs.
 #[derive(Debug, Clone)]
 enum DefenseSpec {
     None,
-    Plan(DefensePlan),
     Preset(DefensePreset),
     /// RRL at both authoritatives: this sustained rate per source, slip
     /// 2, armed at attack onset.
@@ -247,15 +183,6 @@ impl Scenario {
         }
     }
 
-    /// Installs an explicit server-side [`DefensePlan`] for this run,
-    /// replacing any earlier defense. Composes with the attack: the
-    /// fault engine degrades ingress while the defense layer filters
-    /// what still arrives.
-    pub fn with_defense(mut self, plan: DefensePlan) -> Self {
-        self.defense = DefenseSpec::Plan(plan);
-        self
-    }
-
     /// Arms one of the §7 defense presets at both authoritatives,
     /// activating at the attack onset (minute 0 when no attack is
     /// armed). Replaces any earlier defense.
@@ -276,8 +203,8 @@ impl Scenario {
 
     /// The defenses this scenario will schedule, as a [`DefensePlan`]:
     /// intent (preset or RRL rate) resolved against the attack window
-    /// and the standard topology, an explicit plan verbatim, or an
-    /// empty plan when no defense is configured. Like
+    /// and the standard topology, or an empty plan when no defense is
+    /// configured. Like
     /// [`Scenario::fault_plan`], equality of defense plans is equality
     /// of the installed defenses.
     pub fn defense_plan(&self) -> DefensePlan {
@@ -291,7 +218,6 @@ impl Scenario {
         };
         let mut plan = match &self.defense {
             DefenseSpec::None => DefensePlan::new(),
-            DefenseSpec::Plan(plan) => plan.clone(),
             DefenseSpec::Preset(preset) => {
                 preset.plan(dike_experiments::topology::ns_addrs(), onset())
             }
@@ -355,7 +281,7 @@ impl Scenario {
     /// Arms the NXNSAttack: the malicious `attack` and victim `victim`
     /// zones join the hierarchy and a dedicated attack client cycles
     /// fresh delegation cuts through its own recursive. The client's
-    /// tally comes back via [`Report::nxns_stats`]; the victim's load is
+    /// tally comes back as `Report::output.nxns`; the victim's load is
     /// visible through [`Scenario::telemetry`] as the
     /// `auth:nxns-victim` node's `queries` counter.
     pub fn nxns(mut self, attack: NxnsAttack) -> Self {
@@ -428,7 +354,7 @@ impl Scenario {
         self.setup.total_duration = SimDuration::from_mins(self.duration_min);
         self.setup.rounds = (self.duration_min / self.interval_min) as u32;
         if self.attack_armed {
-            self.setup.attack = Some(self.attack.plan());
+            self.setup.attack = Some(self.attack);
         }
         // An absent defense stays `None` so the simulator keeps its
         // defense-free hot path (and the pinned determinism digest).
@@ -442,7 +368,7 @@ impl Scenario {
         // when no attack is armed — the fleets still need an onset).
         if let Some((sources, qps)) = self.spoofed {
             self.setup.spoofed_flood = Some(dike_experiments::defense::SpoofedFlood::aligned_with(
-                &self.attack.plan(),
+                &self.attack,
                 sources,
                 qps,
             ));

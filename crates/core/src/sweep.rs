@@ -1049,7 +1049,7 @@ mod tests {
             ]))
             .axis(SweepAxis::RrlRateQps(vec![0.25]));
         // The last axis wins (defense axes replace each other, like
-        // repeated with_defense calls).
+        // repeated `defense_preset`/`rrl_qps` calls).
         let s = engine.scenario_for(0, 0);
         let plan = s.defense_plan();
         assert_eq!(plan.len(), 2, "RRL at both authoritatives");

@@ -310,27 +310,6 @@ impl DefenseEngine {
     pub fn new() -> DefenseEngine {
         DefenseEngine::default()
     }
-
-    /// Arms the RRL layer from `start`.
-    pub fn with_rrl(mut self, start: SimTime, config: RrlConfig) -> DefenseEngine {
-        self.rrl = Some((start, Rrl::new(config)));
-        self
-    }
-
-    /// Arms the admission layer from `start`.
-    pub fn with_admission(
-        mut self,
-        start: SimTime,
-        queue: ClassedQueueConfig,
-        classifier: Box<dyn SourceClassifier>,
-    ) -> DefenseEngine {
-        self.admission = Some(AdmissionLayer {
-            start,
-            queue: ClassedQueue::new(queue),
-            classifier,
-        });
-        self
-    }
 }
 
 impl IngressDefense for DefenseEngine {
@@ -364,12 +343,6 @@ impl IngressDefense for DefenseEngine {
         match queued {
             Some((delay, class)) => IngressVerdict::Enqueue { delay, class },
             None => IngressVerdict::Pass,
-        }
-    }
-
-    fn inject_background_load(&mut self, load: f64) {
-        if let Some(adm) = &mut self.admission {
-            adm.queue.inject_background_load(load);
         }
     }
 

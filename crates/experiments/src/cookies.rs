@@ -390,7 +390,7 @@ mod tests {
              RrlConfig { rate_qps: 0.002, burst: 1.0, slip: 0, prefix_bits: 32 } }, \
              Cookie { target: Addr(167772163), secret: 8679492065154745575 }, \
              Cookie { target: Addr(167772164), secret: 8679492065154745575 }] }), \
-             Some(TelemetryConfig { snapshot_interval_nanos: 600000000000, per_node_net: true }))"
+             Some(TelemetryConfig { snapshot_interval_nanos: 600000000000 }))"
         );
     }
 

@@ -80,16 +80,6 @@ pub struct SpoofedStats {
     pub truncated_answers: u64,
 }
 
-impl SpoofedStats {
-    /// Fraction of the fleet's queries that earned a full answer.
-    pub fn served_fraction(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        self.full_answers as f64 / self.sent as f64
-    }
-}
-
 /// One spoofed source: paces queries with a timer, tallies what comes
 /// back. Deterministic — the only per-source variation is the start
 /// stagger, derived from the source index.
@@ -486,7 +476,7 @@ mod tests {
              RrlConfig { rate_qps: 0.1, burst: 4.0, slip: 2, prefix_bits: 32 } }, \
              Rrl { target: Addr(167772164), start: SimTime(3600000000000), config: \
              RrlConfig { rate_qps: 0.1, burst: 4.0, slip: 2, prefix_bits: 32 } }] }), \
-             Some(TelemetryConfig { snapshot_interval_nanos: 600000000000, per_node_net: true }))"
+             Some(TelemetryConfig { snapshot_interval_nanos: 600000000000 }))"
         );
     }
 

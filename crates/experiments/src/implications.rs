@@ -20,10 +20,11 @@ use std::sync::Arc;
 
 use dike_netsim::{Addr, NodeId, SimDuration, Simulator};
 use dike_resolver::{profiles, RecursiveResolver};
-use dike_stats::timeseries::outcome_timeseries;
+use dike_stats::timeseries::{ok_fraction_in, outcome_timeseries, OutcomeBin};
 use dike_stub::{new_shared_log, StubConfig, StubProbe};
 use dike_wire::{Name, RData, Record, SoaData};
 
+use dike_attack::Attack;
 use dike_auth::{AuthServer, CacheTestZone, Zone};
 
 /// One point in the sweep.
@@ -78,10 +79,25 @@ impl ImplicationsConfig {
 pub struct ImplicationsResult {
     /// The configuration.
     pub config: ImplicationsConfig,
-    /// Mean per-round answered fraction during the attack window.
-    pub ok_during_attack: f64,
-    /// Answered fraction before the attack (sanity baseline).
-    pub ok_before_attack: f64,
+    /// Share of the attack window's queries that were answered; `None`
+    /// when the window saw no query.
+    pub ok_during_attack: Option<f64>,
+    /// The same share before the attack (sanity baseline; skips the
+    /// first, cold-cache round).
+    pub ok_before_attack: Option<f64>,
+}
+
+impl ImplicationsResult {
+    /// Folds a run's 10-minute outcome bins into the two windows, each
+    /// query counting once ([`ok_fraction_in`]).
+    fn from_bins(config: ImplicationsConfig, bins: &[OutcomeBin]) -> Self {
+        let attack_end = ATTACK_START_MIN + ATTACK_DURATION_MIN;
+        ImplicationsResult {
+            config,
+            ok_during_attack: ok_fraction_in(bins, ATTACK_START_MIN, attack_end),
+            ok_before_attack: ok_fraction_in(bins, 10, ATTACK_START_MIN),
+        }
+    }
 }
 
 /// Attack timing: warm for 60 minutes, attack for 60, observe 30 more.
@@ -221,45 +237,21 @@ pub fn run_implications(cfg: &ImplicationsConfig) -> ImplicationsResult {
         }
     };
     let victims = pick_victims(cfg, &all_sites);
-    let victims2 = victims.clone();
-    sim.schedule_control(
-        SimDuration::from_mins(ATTACK_START_MIN).after_zero(),
-        move |w| {
-            for v in &victims {
-                w.links_mut().set_ingress_loss(*v, 1.0);
-            }
-        },
-    );
-    sim.schedule_control(
-        SimDuration::from_mins(ATTACK_START_MIN + ATTACK_DURATION_MIN).after_zero(),
-        move |w| {
-            for v in &victims2 {
-                w.links_mut().clear_ingress_loss(*v);
-            }
-        },
-    );
+    if !victims.is_empty() {
+        Attack::complete_failure(
+            victims,
+            SimDuration::from_mins(ATTACK_START_MIN).after_zero(),
+            SimDuration::from_mins(ATTACK_DURATION_MIN),
+        )
+        .schedule(&mut sim);
+    }
 
     sim.run_until(SimDuration::from_mins(TOTAL_MIN).after_zero());
     drop(sim);
     let log = Arc::try_unwrap(log).expect("single owner").into_inner();
 
     let bins = outcome_timeseries(&log, SimDuration::from_mins(10));
-    let window = |lo: u64, hi: u64| {
-        let sel: Vec<_> = bins
-            .iter()
-            .filter(|b| b.start_min >= lo && b.start_min < hi && b.total() > 0)
-            .collect();
-        if sel.is_empty() {
-            0.0
-        } else {
-            sel.iter().map(|b| b.ok_fraction()).sum::<f64>() / sel.len() as f64
-        }
-    };
-    ImplicationsResult {
-        config: *cfg,
-        ok_during_attack: window(ATTACK_START_MIN, ATTACK_START_MIN + ATTACK_DURATION_MIN),
-        ok_before_attack: window(10, ATTACK_START_MIN),
-    }
+    ImplicationsResult::from_bins(*cfg, &bins)
 }
 
 /// The sweep the `repro implications` target prints: TTLs × attacked
@@ -286,6 +278,33 @@ pub fn sweep(n_probes: usize, seed: u64) -> Vec<ImplicationsResult> {
 mod tests {
     use super::*;
 
+    /// The `(before, during)` shares of a run whose windows saw traffic.
+    fn shares(r: &ImplicationsResult) -> (f64, f64) {
+        (
+            r.ok_before_attack.expect("pre-attack rounds have traffic"),
+            r.ok_during_attack.expect("attack rounds have traffic"),
+        )
+    }
+
+    /// A dense round (100 queries, half OK) and a sparse partial round
+    /// (2 queries, both OK) in the attack window: per-query weighting
+    /// says 52/102 where the mean of per-round fractions said 75%. A
+    /// window without a query has no share — it is not 0%.
+    #[test]
+    fn windows_weight_per_query_and_an_empty_window_has_no_share() {
+        let bin = |start_min, ok, no_answer| OutcomeBin {
+            start_min,
+            ok,
+            servfail: 0,
+            no_answer,
+        };
+        let cfg = ImplicationsConfig::dyn_like(60, 1);
+        let r = ImplicationsResult::from_bins(cfg, &[bin(60, 50, 50), bin(70, 2, 0)]);
+        let during = r.ok_during_attack.expect("window has traffic");
+        assert!((during - 52.0 / 102.0).abs() < 1e-12, "weighted: {during}");
+        assert_eq!(r.ok_before_attack, None);
+    }
+
     /// §8's core claim, controlled: the same partial-site attack that a
     /// long-TTL, multi-site service rides out takes down a short-TTL
     /// service once every site is hit.
@@ -297,9 +316,10 @@ mod tests {
             sites_attacked: 4,
             ..ImplicationsConfig::root_like(60, 11)
         });
-        assert!(root.ok_before_attack > 0.95, "{root:?}");
+        let (root_before, root_during) = shares(&root);
+        assert!(root_before > 0.95, "{root:?}");
         assert!(
-            root.ok_during_attack > 0.85,
+            root_during > 0.85,
             "root-like service barely notices: {root:?}"
         );
 
@@ -308,15 +328,11 @@ mod tests {
             sites_attacked: 8,
             ..ImplicationsConfig::dyn_like(60, 11)
         });
+        let (_, dyn_during) = shares(&dyn_);
+        assert!(dyn_during < 0.35, "dyn-like service collapses: {dyn_:?}");
         assert!(
-            dyn_.ok_during_attack < 0.35,
-            "dyn-like service collapses: {dyn_:?}"
-        );
-        assert!(
-            root.ok_during_attack > dyn_.ok_during_attack + 0.4,
-            "the paper's contrast: {} vs {}",
-            root.ok_during_attack,
-            dyn_.ok_during_attack
+            root_during > dyn_during + 0.4,
+            "the paper's contrast: {root_during} vs {dyn_during}"
         );
     }
 
@@ -339,9 +355,10 @@ mod tests {
             seed: 12,
         };
         let concentrated = run_implications(&base);
-        assert!(concentrated.ok_before_attack > 0.95);
+        let (before, concentrated_during) = shares(&concentrated);
+        assert!(before > 0.95);
         assert!(
-            concentrated.ok_during_attack > 0.9,
+            concentrated_during > 0.9,
             "one whole NS dead, the other carries everyone: {concentrated:?}"
         );
 
@@ -350,7 +367,7 @@ mod tests {
             ..base
         });
         assert!(
-            spread.ok_during_attack < concentrated.ok_during_attack - 0.1,
+            shares(&spread).1 < concentrated_during - 0.1,
             "spread victims strand double-dead catchments: {spread:?} vs {concentrated:?}"
         );
     }

@@ -37,11 +37,6 @@ pub fn attack_origin() -> Name {
     Name::parse("attack").expect("static")
 }
 
-/// The victim TLD absorbing the amplified NS-address fetches.
-pub fn victim_origin() -> Name {
-    Name::parse("victim").expect("static")
-}
-
 /// The attack-side plan: the malicious zone's shape plus the client's
 /// pacing. Each query targets a fresh delegation cut (`w.s<q>.attack`),
 /// defeating both the referral cache and the failure cache — a repeat

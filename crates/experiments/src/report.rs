@@ -12,7 +12,6 @@ use dike_stats::timeseries::{ok_fraction_in, outcome_timeseries, OutcomeBin};
 use dike_telemetry::MetricsRegistry;
 
 use crate::defense::SpoofedStats;
-use crate::nxns::NxnsStats;
 use crate::setup::{run_experiment, AttackPlan, ExperimentOutput, ExperimentSetup};
 
 /// Everything a run produced, with convenience accessors for the paper's
@@ -128,16 +127,10 @@ impl Report {
         self.output.spoofed
     }
 
-    /// The NXNS attack client's tally, when [`ExperimentSetup::nxns`]
-    /// was configured.
-    pub fn nxns_stats(&self) -> Option<NxnsStats> {
-        self.output.nxns
-    }
-
     /// The late legitimate wave's tally, when
-    /// [`ExperimentSetup::late_wave`] was configured. Its
-    /// [`SpoofedStats::served_fraction`] is the complement of the
-    /// history classifier's false-positive cost: every unanswered query
+    /// [`ExperimentSetup::late_wave`] was configured. Its answered share
+    /// (`full_answers / sent`) is the complement of the history
+    /// classifier's false-positive cost: every unanswered query
     /// here came from a legitimate source the defense refused (or queue
     /// contention the flood caused).
     pub fn late_resolver_stats(&self) -> Option<SpoofedStats> {

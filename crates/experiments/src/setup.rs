@@ -30,7 +30,10 @@ pub enum AttackScope {
     BothNs,
 }
 
-/// An attack in Table 4 terms.
+/// An attack in Table 4 terms: loss rate, scope, and window. Built
+/// field by field, or through [`AttackPlan::loss`] and the setters
+/// (`dike_core` re-exports this type as `Attack`, the argument of
+/// `Scenario::with_attack`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackPlan {
     /// Minutes after start when the attack begins.
@@ -44,6 +47,36 @@ pub struct AttackPlan {
 }
 
 impl AttackPlan {
+    /// An attack dropping this fraction of ingress at the victims
+    /// (`1.0` = complete failure). Defaults: both name servers, minutes
+    /// 60–120 (Table 4's common window). Loss is clamped to `[0, 1]`.
+    pub fn loss(loss: f64) -> Self {
+        AttackPlan {
+            start_min: 60,
+            duration_min: 60,
+            loss: loss.clamp(0.0, 1.0),
+            scope: AttackScope::BothNs,
+        }
+    }
+
+    /// A complete outage (loss `1.0`), the paper's experiments A–C.
+    pub fn complete() -> Self {
+        AttackPlan::loss(1.0)
+    }
+
+    /// Which authoritatives the attack hits.
+    pub fn scope(mut self, scope: AttackScope) -> Self {
+        self.scope = scope;
+        self
+    }
+
+    /// When the attack starts and how long it lasts, in minutes.
+    pub fn window_min(mut self, start: u64, duration: u64) -> Self {
+        self.start_min = start;
+        self.duration_min = duration;
+        self
+    }
+
     /// The victim addresses this plan targets (the scope resolved against
     /// the fixed hierarchy layout, see [`crate::topology::ns_addrs`]).
     pub fn targets(&self) -> Vec<Addr> {
@@ -64,6 +97,14 @@ impl AttackPlan {
             SimDuration::from_mins(self.start_min).after_zero(),
             SimDuration::from_mins(self.duration_min),
         ))
+    }
+
+    /// This attack as a one-fault [`FaultPlan`] — the exact faults a
+    /// scenario carrying it will schedule. Random drop is the fault
+    /// engine's compatibility case, so the same plan can be serialized
+    /// ([`FaultPlan::to_json`]) or composed with richer faults.
+    pub fn fault_plan(&self) -> FaultPlan {
+        FaultPlan::new().with(self.fault())
     }
 }
 

@@ -14,11 +14,6 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(pub u32);
 
-impl Addr {
-    /// The simulator-reserved null address; never assigned to a node.
-    pub const NULL: Addr = Addr(0);
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -39,7 +34,6 @@ mod tests {
     #[test]
     fn addr_displays_as_dotted_quad() {
         assert_eq!(Addr(0xC0000201).to_string(), "192.0.2.1");
-        assert_eq!(Addr::NULL.to_string(), "0.0.0.0");
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl AnycastTable {
         self.groups.insert(vip, members);
     }
 
-    /// Whether `addr` is an anycast address.
-    pub fn is_anycast(&self, addr: Addr) -> bool {
-        self.groups.contains_key(&addr)
-    }
-
     /// The members of a group.
     pub fn members(&self, vip: Addr) -> Option<&[NodeId]> {
         self.groups.get(&vip).map(|v| v.as_slice())
@@ -57,14 +52,6 @@ impl AnycastTable {
         let members = self.groups.get(&vip)?;
         let h = mix(src.0 as u64 ^ ((vip.0 as u64) << 32));
         Some(members[(h % members.len() as u64) as usize])
-    }
-
-    /// Whether `node` belongs to the group behind `vip`.
-    pub fn is_member(&self, vip: Addr, node: NodeId) -> bool {
-        self.groups
-            .get(&vip)
-            .map(|m| m.contains(&node))
-            .unwrap_or(false)
     }
 }
 
@@ -124,15 +111,6 @@ mod tests {
     #[test]
     fn non_anycast_addresses_have_no_catchment() {
         let t = table();
-        assert!(!t.is_anycast(Addr(7)));
         assert_eq!(t.catchment(Addr(7), Addr(42)), None);
-    }
-
-    #[test]
-    fn membership_checks() {
-        let t = table();
-        assert!(t.is_member(Addr(1000), NodeId(2)));
-        assert!(!t.is_member(Addr(1000), NodeId(9)));
-        assert!(!t.is_member(Addr(999), NodeId(2)));
     }
 }

@@ -62,12 +62,6 @@ pub trait IngressDefense: Send {
     /// Evaluates one query that already cleared the loss filters.
     fn on_query(&mut self, now: SimTime, src: Addr, msg: &Message) -> IngressVerdict;
 
-    /// Applies a volumetric background load to the defense's internal
-    /// admission queues (mirrors
-    /// [`crate::ServiceQueue::inject_background_load`]); default no-op
-    /// for defenses without an admission layer.
-    fn inject_background_load(&mut self, _load: f64) {}
-
     /// Multiplies internal service capacity — the scale-out action
     /// adding replica capacity behind this ingress. Default no-op.
     fn scale_capacity(&mut self, _factor: f64) {}
@@ -214,6 +208,13 @@ impl IngressGate {
         self
     }
 
+    /// Swaps the wrapped defense for `defense`. Everything the gate
+    /// owns — ledger, delay histograms, cookie secret — stays, so the
+    /// accounting of a defended address is cumulative across engines.
+    pub(crate) fn replace_defense(&mut self, defense: Box<dyn IngressDefense>) {
+        self.defense = defense;
+    }
+
     /// Sets or clears the cookie-exemption secret on an installed gate.
     pub fn set_cookie_secret(&mut self, secret: Option<u64>) {
         self.cookie_secret = secret;
@@ -309,11 +310,6 @@ impl IngressGate {
     /// [`QUEUE_CLASSES`].
     pub fn queue_delays(&self) -> &[Histogram; QUEUE_CLASSES.len()] {
         &self.queue_delay
-    }
-
-    /// Passes a volumetric background load to the wrapped defense.
-    pub fn inject_background_load(&mut self, load: f64) {
-        self.defense.inject_background_load(load);
     }
 
     /// Passes a capacity multiplication to the wrapped defense.

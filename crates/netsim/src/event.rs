@@ -3,9 +3,10 @@
 //! The sequence number makes ordering total and FIFO among simultaneous
 //! events, which is what makes runs reproducible. The production queue is
 //! [`EventWheel`], a calendar queue with O(1) push and amortized-O(1) pop;
-//! the original [`ReferenceHeap`] (a `BinaryHeap` over the same
-//! `(time, seq)` key) is kept as the executable specification the
-//! equivalence property test drives both structures against.
+//! the original `ReferenceHeap` (a `BinaryHeap` over the same
+//! `(time, seq)` key) lives on in this module's tests as the executable
+//! specification the equivalence property test drives both structures
+//! against.
 //!
 //! # Wheel layout (DESIGN.md §5.7)
 //!
@@ -22,8 +23,7 @@
 //! cursor) are merge-inserted into `ready` directly, preserving the exact
 //! total order the reference heap produces.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::addr::NodeId;
 use crate::datagram::Datagram;
@@ -166,8 +166,7 @@ impl std::fmt::Debug for Event {
     }
 }
 
-/// A queue entry. Ordering is reversed so a `BinaryHeap` pops the
-/// earliest `(time, seq)` first.
+/// A queue entry, ordered by `(time, seq)`.
 pub struct HeapEntry {
     /// When the event occurs.
     pub at: SimTime,
@@ -176,32 +175,6 @@ pub struct HeapEntry {
     /// The event itself.
     pub event: Event,
 }
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: the smallest (time, seq) is the "greatest" heap entry.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The original binary-heap event queue, kept as the executable ordering
-/// specification for [`EventWheel`] (see the equivalence property test).
-#[allow(dead_code)] // the production loop uses the wheel; tests use this
-pub type ReferenceHeap = BinaryHeap<HeapEntry>;
 
 /// Nanoseconds per level-0 slot, as a shift: 2^16 ns ≈ 65.5 µs.
 const SLOT_BITS: u32 = 16;
@@ -230,8 +203,8 @@ pub struct WheelAudit {
 }
 
 /// Hierarchical timer wheel keyed by `(SimTime, seq)`: the production
-/// event queue. Same pop order as [`ReferenceHeap`], O(1) push, O(1)
-/// amortized pop.
+/// event queue. Same pop order as a binary heap over the same key (the
+/// tests' `ReferenceHeap`), O(1) push, O(1) amortized pop.
 pub struct EventWheel {
     /// Slot index (`at >> SLOT_BITS`) of the open window: every pending
     /// entry in a slot at or before it has been drained into `ready`.
@@ -452,6 +425,34 @@ pub type EventQueue = EventWheel;
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// The original binary-heap event queue, kept as the executable
+    /// ordering specification for [`EventWheel`]. `HeapEntry` orders
+    /// reversed so the heap pops the earliest `(time, seq)` first.
+    type ReferenceHeap = BinaryHeap<HeapEntry>;
+
+    impl PartialEq for HeapEntry {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: the smallest (time, seq) is the "greatest" heap entry.
+            (other.at, other.seq).cmp(&(self.at, self.seq))
+        }
+    }
 
     fn timer_entry(at: SimTime, seq: u64) -> HeapEntry {
         HeapEntry {

@@ -52,7 +52,6 @@
 
 mod addr;
 pub mod anycast;
-pub mod audit;
 mod datagram;
 pub mod defense;
 mod event;
@@ -69,7 +68,6 @@ pub mod trace_io;
 
 pub use addr::{Addr, NodeId};
 pub use anycast::AnycastTable;
-pub use audit::AuditReport;
 pub use datagram::Datagram;
 pub use defense::{DefenseLedger, GateAction, IngressDefense, IngressGate, IngressVerdict};
 pub use dike_telemetry as telemetry;
@@ -83,6 +81,7 @@ pub use service::{Clock, Transport};
 pub use shard::{
     even_starts, Envelope, ShardAuditReport, ShardConfig, ShardedSim, DEFAULT_LOOKAHEAD,
 };
+pub use sim::audit::{self, AuditReport};
 pub use sim::{SimPerf, Simulator};
 pub use tcp::{TcpConfig, TcpConnId, TcpStats};
 pub use time::{SimDuration, SimTime};

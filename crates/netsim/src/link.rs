@@ -216,7 +216,6 @@ struct DegradeEntry {
 pub struct LinkTable {
     default: LinkParams,
     overrides: HashMap<(Addr, Addr), LinkParams>,
-    per_dst: HashMap<Addr, LinkParams>,
     ingress_loss: HashMap<Addr, f64>,
     degrade: HashMap<Addr, DegradeEntry>,
 }
@@ -227,7 +226,6 @@ impl LinkTable {
         LinkTable {
             default,
             overrides: HashMap::new(),
-            per_dst: HashMap::new(),
             ingress_loss: HashMap::new(),
             degrade: HashMap::new(),
         }
@@ -238,25 +236,16 @@ impl LinkTable {
         self.overrides.insert((src, dst), params);
     }
 
-    /// Sets parameters for every path *toward* `dst` (unless a more
-    /// specific pair override exists).
-    pub fn set_paths_to(&mut self, dst: Addr, params: LinkParams) {
-        self.per_dst.insert(dst, params);
-    }
-
     /// The parameters governing `src → dst`.
     pub fn params(&self, src: Addr, dst: Addr) -> LinkParams {
         // Fast path: most fabrics install no overrides at all, and the
-        // emptiness check skips two hash lookups on every datagram.
-        if self.overrides.is_empty() && self.per_dst.is_empty() {
+        // emptiness check skips the hash lookup on every datagram.
+        if self.overrides.is_empty() {
             return self.default;
         }
-        if let Some(p) = self.overrides.get(&(src, dst)) {
-            *p
-        } else if let Some(p) = self.per_dst.get(&dst) {
-            *p
-        } else {
-            self.default
+        match self.overrides.get(&(src, dst)) {
+            Some(p) => *p,
+            None => self.default,
         }
     }
 
@@ -292,11 +281,6 @@ impl LinkTable {
         self.degrade.remove(&dst);
     }
 
-    /// The degrade parameters installed toward `dst`, if any.
-    pub fn degrade_params(&self, dst: Addr) -> Option<DegradeParams> {
-        self.degrade.get(&dst).map(|e| e.params)
-    }
-
     /// The latency multiplier currently applied to sends toward `dst`
     /// (1.0 when no degrade is installed).
     pub fn latency_factor(&self, dst: Addr) -> f64 {
@@ -323,9 +307,12 @@ impl LinkTable {
         }
     }
 
-    /// Decides the fate of one datagram: `None` if dropped, or
-    /// `Some(delay)` if it will be delivered after `delay`.
-    pub fn transmit(&self, src: Addr, dst: Addr, rng: &mut SmallRng) -> Option<SimDuration> {
+    /// Decides the fate of one datagram in one call — `None` if dropped,
+    /// `Some(delay)` if delivered after `delay`: the reference the loss
+    /// tests below draw against (the simulator samples the delay at send
+    /// and the loss at arrival).
+    #[cfg(test)]
+    fn transmit(&self, src: Addr, dst: Addr, rng: &mut SmallRng) -> Option<SimDuration> {
         let params = self.params(src, dst);
         // Ambient loss and attack loss are independent Bernoulli trials.
         if params.loss > 0.0 && rng.random_bool(params.loss.clamp(0.0, 1.0)) {
@@ -395,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn override_precedence_pair_then_dst_then_default() {
+    fn pair_override_wins_over_default() {
         let mut t = LinkTable::default();
         let a = Addr(1);
         let b = Addr(2);
@@ -404,14 +391,9 @@ mod tests {
             latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
             loss: 0.0,
         };
-        let slow = LinkParams {
-            latency: LatencyModel::Fixed(SimDuration::from_millis(100)),
-            loss: 0.0,
-        };
-        t.set_paths_to(b, slow);
         t.set_path(a, b, fast);
         assert_eq!(t.params(a, b), fast, "pair override wins");
-        assert_eq!(t.params(c, b), slow, "dst override for other sources");
+        assert_eq!(t.params(c, b), LinkParams::default(), "other sources");
         assert_eq!(t.params(a, c), LinkParams::default(), "default elsewhere");
     }
 
@@ -510,7 +492,6 @@ mod tests {
             assert!(t.degrade_drop(dst, &mut r));
         }
         t.clear_degrade(dst);
-        assert_eq!(t.degrade_params(dst), None);
         assert!(!t.degrade_drop(dst, &mut r));
         assert_eq!(t.latency_factor(dst), 1.0);
     }

@@ -208,11 +208,6 @@ impl<'a> Context<'a> {
         self.world.now()
     }
 
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// This node's address.
     pub fn self_addr(&self) -> Addr {
         self.addr

@@ -284,14 +284,6 @@ impl ClassedQueue {
         &self.queues[class.index()]
     }
 
-    /// Applies a volumetric background load to every class (the flood
-    /// consumes the shared server, not one class's share).
-    pub fn inject_background_load(&mut self, load: f64) {
-        for q in &mut self.queues {
-            q.inject_background_load(load);
-        }
-    }
-
     /// Multiplies every class's service rate — scale-out capacity.
     pub fn scale_capacity(&mut self, factor: f64) {
         for q in &mut self.queues {

@@ -219,27 +219,6 @@ impl ShardedSim {
         }
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Borrows one shard (e.g. to read node state after a run).
-    pub fn shard(&self, i: usize) -> &Simulator {
-        &self.shards[i]
-    }
-
-    /// Mutable access to one shard, for wiring (sinks, links, fault
-    /// schedules) before or between runs.
-    pub fn shard_mut(&mut self, i: usize) -> &mut Simulator {
-        &mut self.shards[i]
-    }
-
-    /// Consumes the sharded world, returning the shard simulators.
-    pub fn into_shards(self) -> Vec<Simulator> {
-        self.shards
-    }
-
     /// Runs every shard in parallel until the global clock reaches
     /// `deadline` (events at exactly `deadline` are processed, matching
     /// [`Simulator::run_until`]) or all shards drain.

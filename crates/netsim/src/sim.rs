@@ -21,6 +21,8 @@ use crate::tcp::{TcpConfig, TcpConn, TcpConnId, TcpConnState, TcpListener, TcpSt
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, SharedSink};
 
+pub mod audit;
+
 /// First address handed out by [`Simulator::add_node`]: `10.0.0.1`.
 pub(crate) const FIRST_ADDR: u32 = 0x0a00_0001;
 
@@ -72,25 +74,6 @@ struct NetStats {
     scaleout_activations: u64,
 }
 
-/// Defense accounting inherited from gates that were replaced or
-/// cleared mid-run. Folded in so `World::defense_ledger` and the
-/// per-class delay histograms stay cumulative across gate swaps —
-/// the datagram-conservation audit depends on nothing vanishing.
-#[derive(Debug, Default)]
-struct RetiredDefenseStats {
-    ledger: DefenseLedger,
-    queue_delay: [Histogram; 3],
-}
-
-impl RetiredDefenseStats {
-    fn absorb(&mut self, gate: &IngressGate) {
-        self.ledger.merge(gate.ledger());
-        for (mine, theirs) in self.queue_delay.iter_mut().zip(gate.queue_delays()) {
-            mine.merge(theirs);
-        }
-    }
-}
-
 /// Per-shard engine state, present only in worlds created through
 /// [`Simulator::new_sharded`]. Holds everything the sharded engine adds
 /// on top of a plain world: the shard layout, the per-node RNG streams,
@@ -133,6 +116,24 @@ impl ShardState {
     }
 }
 
+/// The RNG stream behind dense node index `idx` (`addr - first_addr`):
+/// that node's own stream in a sharded world — per-node streams are what
+/// make the outcome independent of the shard count, see [`crate::shard`]
+/// — and the world RNG in a plain one. Send-side draws pass the sender's
+/// index, arrival-side draws the receiver's. An index that is no local
+/// node (an anycast VIP; those are gated out of sharded runs) falls back
+/// to the world RNG.
+fn rng_stream<'a>(
+    shard: &'a mut Option<Box<ShardState>>,
+    rng: &'a mut SmallRng,
+    idx: usize,
+) -> &'a mut SmallRng {
+    match shard.as_deref_mut().and_then(|s| s.rngs.get_mut(idx)) {
+        Some(stream) => stream,
+        None => rng,
+    }
+}
+
 /// Everything in the simulation except the nodes themselves. Split out so
 /// a node can be taken off the registry and run against `&mut World`
 /// without borrow gymnastics.
@@ -159,13 +160,11 @@ pub struct World {
     /// Ingress defense gates, dense-indexed like `queues`; the
     /// `defense_count == 0` fast path keeps the undefended hot path to
     /// one branch (see [`crate::defense`]). Each [`IngressGate`] owns
-    /// its own verdict accounting; removed gates fold their ledger and
-    /// histograms into `retired_defense` so run totals survive
-    /// mid-run gate replacement.
+    /// its own verdict accounting, and a gate is never removed — a
+    /// replacement swaps the engine inside it — so run totals are the
+    /// sum over this table.
     defenses: Vec<Option<IngressGate>>,
     defense_count: usize,
-    /// Accounting folded out of gates that were replaced or cleared.
-    retired_defense: RetiredDefenseStats,
     /// Generation-stamped timer slots. A [`TimerId`] packs `(gen, slot)`;
     /// cancellation bumps the slot's generation so the already-queued event
     /// is recognized as stale when it pops — O(1), no tombstone set.
@@ -199,20 +198,9 @@ impl World {
         &self.links
     }
 
-    /// The run's RNG.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    /// The RNG stream for `node`: the world RNG in a plain world, the
-    /// node's own per-node stream in a sharded one (see
-    /// [`crate::shard`] — per-node streams are what make the outcome
-    /// independent of the shard count).
+    /// The RNG stream for `node` (see [`rng_stream`]).
     pub(crate) fn rng_for(&mut self, node: NodeId) -> &mut SmallRng {
-        match self.shard.as_deref_mut() {
-            Some(s) => &mut s.rngs[node.0 as usize],
-            None => &mut self.rng,
-        }
+        rng_stream(&mut self.shard, &mut self.rng, node.0 as usize)
     }
 
     /// The address of `node`.
@@ -220,10 +208,10 @@ impl World {
         self.nodes.addr[node.0 as usize]
     }
 
-    /// The node behind `addr`, if any (unicast only; anycast addresses
-    /// resolve per source via [`World::anycast`]). O(1): unicast addresses
-    /// are assigned densely from `FIRST_ADDR`, so this is arithmetic, not
-    /// a map lookup.
+    /// The node behind `addr`, if any (unicast only; an anycast address
+    /// resolves per source, by catchment). O(1): unicast addresses are
+    /// assigned densely from `FIRST_ADDR`, so this is arithmetic, not a
+    /// map lookup.
     pub fn node_at(&self, addr: Addr) -> Option<NodeId> {
         let idx = addr.0.wrapping_sub(self.first_addr);
         ((idx as usize) < self.nodes.len()).then_some(NodeId(idx))
@@ -235,11 +223,6 @@ impl World {
         (self.first_addr..FIRST_VIP)
             .contains(&addr.0)
             .then_some((addr.0 - self.first_addr) as usize)
-    }
-
-    /// The anycast registry.
-    pub fn anycast(&self) -> &AnycastTable {
-        &self.anycast
     }
 
     /// Mutable anycast registry — scale-out defenses grow a group's
@@ -267,18 +250,6 @@ impl World {
         }
     }
 
-    /// Removes the ingress queue on `addr`.
-    pub fn clear_ingress_queue(&mut self, addr: Addr) {
-        if let Some(slot) = self
-            .unicast_index(addr)
-            .and_then(|i| self.queues.get_mut(i))
-        {
-            if slot.take().is_some() {
-                self.queue_count -= 1;
-            }
-        }
-    }
-
     /// Mutable access to an installed queue (e.g. to inject background
     /// attack load mid-run from a control event).
     pub fn queue_mut(&mut self, addr: Addr) -> Option<&mut ServiceQueue> {
@@ -287,16 +258,12 @@ impl World {
             .and_then(|slot| slot.as_mut())
     }
 
-    /// Read-only view of an installed ingress queue, for stats.
-    pub fn queue(&self, addr: Addr) -> Option<&ServiceQueue> {
-        self.unicast_index(addr)
-            .and_then(|i| self.queues.get(i))
-            .and_then(|slot| slot.as_ref())
-    }
-
-    /// Installs (or replaces) an ingress defense pipeline in front of
-    /// `addr` (see [`crate::defense`]). Typically called from a control
-    /// event scheduled by a `dike-defense` `DefensePlan`.
+    /// Installs an ingress defense pipeline in front of `addr` (see
+    /// [`crate::defense`]). Typically called from a control event
+    /// scheduled by a `dike-defense` `DefensePlan`. On an address that
+    /// is already defended this swaps the engine inside the installed
+    /// gate: its ledger, delay histograms and cookie secret stay, so run
+    /// totals — and the conservation audit — survive a replacement.
     pub fn set_ingress_defense(&mut self, addr: Addr, defense: Box<dyn IngressDefense>) {
         let Some(idx) = self.unicast_index(addr) else {
             debug_assert!(false, "ingress defense on non-unicast address {addr}");
@@ -305,22 +272,11 @@ impl World {
         if idx >= self.defenses.len() {
             self.defenses.resize_with(idx + 1, || None);
         }
-        match self.defenses[idx].replace(IngressGate::new(defense)) {
-            Some(old) => self.retired_defense.absorb(&old),
-            None => self.defense_count += 1,
-        }
-    }
-
-    /// Removes the ingress defense on `addr`, folding its accounting
-    /// into the run totals.
-    pub fn clear_ingress_defense(&mut self, addr: Addr) {
-        if let Some(slot) = self
-            .unicast_index(addr)
-            .and_then(|i| self.defenses.get_mut(i))
-        {
-            if let Some(old) = slot.take() {
-                self.retired_defense.absorb(&old);
-                self.defense_count -= 1;
+        match &mut self.defenses[idx] {
+            Some(gate) => gate.replace_defense(defense),
+            slot => {
+                *slot = Some(IngressGate::new(defense));
+                self.defense_count += 1;
             }
         }
     }
@@ -344,17 +300,9 @@ impl World {
             .and_then(|slot| slot.as_mut())
     }
 
-    /// Read-only view of the defense gate installed on `addr`.
-    pub fn ingress_gate(&self, addr: Addr) -> Option<&IngressGate> {
-        self.unicast_index(addr)
-            .and_then(|i| self.defenses.get(i))
-            .and_then(|slot| slot.as_ref())
-    }
-
-    /// Run-wide defense drop accounting: every active gate's ledger plus
-    /// everything folded out of replaced or cleared gates.
+    /// Run-wide defense drop accounting: the sum of every gate's ledger.
     pub fn defense_ledger(&self) -> DefenseLedger {
-        let mut total = self.retired_defense.ledger;
+        let mut total = DefenseLedger::default();
         for gate in self.defenses.iter().flatten() {
             total.merge(gate.ledger());
         }
@@ -362,10 +310,9 @@ impl World {
     }
 
     /// Run-wide per-class queue-delay histograms (nanoseconds), merged
-    /// across active and retired gates; indexed like
-    /// [`crate::queueing::QUEUE_CLASSES`].
+    /// across gates; indexed like [`crate::queueing::QUEUE_CLASSES`].
     pub fn defense_queue_delays(&self) -> [Histogram; 3] {
-        let mut merged = self.retired_defense.queue_delay.clone();
+        let mut merged: [Histogram; 3] = Default::default();
         for gate in self.defenses.iter().flatten() {
             for (mine, theirs) in merged.iter_mut().zip(gate.queue_delays()) {
                 mine.merge(theirs);
@@ -414,29 +361,11 @@ impl World {
     /// conservative lookahead), uniformly for local and cross-shard
     /// paths — see [`crate::shard`].
     fn path_delay(&mut self, src: Addr, dst: Addr) -> SimDuration {
-        let World {
-            links,
-            rng,
-            shard,
-            first_addr,
-            ..
-        } = self;
-        let (rng, floor) = match shard.as_deref_mut() {
-            Some(s) => {
-                let floor = s.floor;
-                let idx = src.0.wrapping_sub(*first_addr) as usize;
-                let r = match s.rngs.get_mut(idx) {
-                    Some(r) => r,
-                    // Non-node senders (anycast VIP replies) are gated
-                    // out of sharded runs; fall back defensively.
-                    None => rng,
-                };
-                (r, Some(floor))
-            }
-            None => (rng, None),
-        };
-        let mut delay = links.params(src, dst).latency.sample(rng);
-        let factor = links.latency_factor(dst);
+        let floor = self.shard.as_deref().map(|s| s.floor);
+        let idx = src.0.wrapping_sub(self.first_addr) as usize;
+        let rng = rng_stream(&mut self.shard, &mut self.rng, idx);
+        let mut delay = self.links.params(src, dst).latency.sample(rng);
+        let factor = self.links.latency_factor(dst);
         if factor != 1.0 {
             delay = SimDuration::from_nanos((delay.as_nanos() as f64 * factor) as u64);
         }
@@ -752,7 +681,6 @@ impl World {
 struct Telemetry {
     registry: SharedRegistry,
     interval: SimDuration,
-    per_node_net: bool,
     next_at: SimTime,
 }
 
@@ -797,24 +725,6 @@ pub struct SimPerf {
     pub wall_nanos: u64,
 }
 
-impl SimPerf {
-    /// Events processed per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.events_popped as f64 / (self.wall_nanos as f64 / 1e9)
-    }
-
-    /// Encoder octets produced per wall-clock second.
-    pub fn encoded_bytes_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.bytes_encoded as f64 / (self.wall_nanos as f64 / 1e9)
-    }
-}
-
 impl Simulator {
     /// A fresh simulator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
@@ -836,7 +746,6 @@ impl Simulator {
                 queue_count: 0,
                 defenses: Vec::new(),
                 defense_count: 0,
-                retired_defense: RetiredDefenseStats::default(),
                 timers: TimerSlab::default(),
                 encoder: EncodeBuffer::new(),
                 net: NetStats::default(),
@@ -859,14 +768,8 @@ impl Simulator {
         self.telemetry = Some(Telemetry {
             registry,
             interval,
-            per_node_net: config.per_node_net,
             next_at: self.world.now + interval,
         });
-    }
-
-    /// The attached registry, if any.
-    pub fn telemetry_registry(&self) -> Option<&SharedRegistry> {
-        self.telemetry.as_ref().map(|t| &t.registry)
     }
 
     /// Attaches a human-readable label (e.g. `auth:ns1`) to a node in
@@ -886,6 +789,13 @@ impl Simulator {
         if let Some(id) = self.world.node_at(addr) {
             self.label_node(id, label);
         }
+    }
+
+    /// Closes a run out at `at`: every boundary still due, then one
+    /// final snapshot labeled `at`.
+    fn cut_final_snapshots(&mut self, at: SimTime) {
+        self.cut_due_snapshots(at);
+        self.cut_snapshot(at);
     }
 
     /// Cuts snapshots at every due boundary `<= upto`.
@@ -951,8 +861,8 @@ impl Simulator {
             "timers_suppressed_crash",
             net.timers_suppressed_crash,
         );
-        // Defense accounting lives in the gates (plus the retired fold),
-        // not in NetStats: sum it at the snapshot boundary.
+        // Defense accounting lives in the gates, not in NetStats: sum it
+        // at the snapshot boundary.
         let ledger = self.world.defense_ledger();
         ledger.publish(&self.world.defense_queue_delays(), &mut reg, "netsim");
         if ledger.cookie_exempt > 0 {
@@ -992,38 +902,31 @@ impl Simulator {
             "event_queue_depth_high_water",
             net.queue_depth_high_water as f64,
         );
-        if tel.per_node_net {
-            for idx in 0..self.world.nodes.len() {
-                let offered = self.world.nodes.offered[idx];
-                if offered == 0 {
-                    continue;
-                }
-                let id = Some(idx as u32);
-                reg.record_counter("netsim", id, "datagrams_offered", offered);
-                reg.record_counter(
-                    "netsim",
-                    id,
-                    "datagrams_delivered",
-                    self.world.nodes.delivered[idx],
-                );
-                reg.record_counter(
-                    "netsim",
-                    id,
-                    "datagrams_dropped",
-                    self.world.nodes.dropped[idx],
-                );
-                // Ingress-queue statistics for the node's unicast address
-                // (queues are keyed by address, dense like nodes).
-                if let Some(Some(q)) = self.world.queues.get(idx) {
-                    reg.record_counter("netsim", id, "queue_accepted", q.accepted());
-                    reg.record_counter("netsim", id, "queue_dropped", q.dropped());
-                    reg.record_high_water(
-                        "netsim",
-                        id,
-                        "queue_peak_backlog",
-                        q.peak_backlog() as f64,
-                    );
-                }
+        for idx in 0..self.world.nodes.len() {
+            let offered = self.world.nodes.offered[idx];
+            if offered == 0 {
+                continue;
+            }
+            let id = Some(idx as u32);
+            reg.record_counter("netsim", id, "datagrams_offered", offered);
+            reg.record_counter(
+                "netsim",
+                id,
+                "datagrams_delivered",
+                self.world.nodes.delivered[idx],
+            );
+            reg.record_counter(
+                "netsim",
+                id,
+                "datagrams_dropped",
+                self.world.nodes.dropped[idx],
+            );
+            // Ingress-queue statistics for the node's unicast address
+            // (queues are keyed by address, dense like nodes).
+            if let Some(Some(q)) = self.world.queues.get(idx) {
+                reg.record_counter("netsim", id, "queue_accepted", q.accepted());
+                reg.record_counter("netsim", id, "queue_dropped", q.dropped());
+                reg.record_high_water("netsim", id, "queue_peak_backlog", q.peak_backlog() as f64);
             }
         }
         for (idx, slot) in self.nodes.iter().enumerate() {
@@ -1141,8 +1044,7 @@ impl Simulator {
         &mut self.world
     }
 
-    /// Run-wide defense drop accounting (active gates plus anything
-    /// folded out of replaced ones) — what the sim/live parity test
+    /// Run-wide defense drop accounting — what the sim/live parity test
     /// compares against a live server's gate ledger.
     pub fn defense_ledger(&self) -> DefenseLedger {
         self.world.defense_ledger()
@@ -1183,7 +1085,7 @@ impl Simulator {
         );
     }
 
-    /// Whether `node` is currently up (see [`World::node_is_up`]).
+    /// Whether `node` is currently up (see `World::node_is_up`).
     pub fn node_is_up(&self, node: NodeId) -> bool {
         self.world.node_is_up(node)
     }
@@ -1194,11 +1096,6 @@ impl Simulator {
         self.nodes
             .get(id.0 as usize)
             .and_then(|slot| slot.as_deref())
-    }
-
-    /// Mutable access to a node between runs.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Box<dyn Node>> {
-        self.nodes.get_mut(id.0 as usize).and_then(|s| s.as_mut())
     }
 
     /// Ensures every node has had `on_start` called. Invoked automatically
@@ -1520,10 +1417,9 @@ impl Simulator {
         let (ambient_drop, attack_drop, degrade_drop) = if node_down {
             (false, false, false)
         } else {
-            // Arrival-side randomness comes from the destination node's
-            // stream in a sharded world (the world RNG otherwise), so
-            // the draw order is the node's own arrival order — which is
-            // what keeps the outcome independent of the shard count.
+            // Arrival-side randomness comes from the destination's
+            // stream, so in a sharded world the draw order is the node's
+            // own arrival order.
             let World {
                 links,
                 rng,
@@ -1531,16 +1427,8 @@ impl Simulator {
                 first_addr,
                 ..
             } = &mut self.world;
-            let rng: &mut SmallRng = match shard.as_deref_mut() {
-                Some(s) => {
-                    let idx = dgram.dst.0.wrapping_sub(*first_addr) as usize;
-                    match s.rngs.get_mut(idx) {
-                        Some(r) => r,
-                        None => rng,
-                    }
-                }
-                None => rng,
-            };
+            let idx = dgram.dst.0.wrapping_sub(*first_addr) as usize;
+            let rng = rng_stream(shard, rng, idx);
             let params = links.params(dgram.src, dgram.dst);
             let ambient =
                 params.loss > 0.0 && rand::RngExt::random_bool(rng, params.loss.clamp(0.0, 1.0));
@@ -1629,35 +1517,20 @@ impl Simulator {
         // undefended common case to one branch, and like queue drops,
         // defense drops happen after the Delivered accounting above —
         // they stay inside the conservation ledger, broken out by cause.
+        let now = self.world.now;
+        let site_addr = site_filter_addr.unwrap_or(dgram.dst);
+        // The wait a queueing stage imposed, once one has taken the query.
+        let mut wait = None;
         if self.world.defense_count > 0 {
-            let defense_addr = site_filter_addr.unwrap_or(dgram.dst);
-            let now = self.world.now;
-            let action = self
+            match self
                 .world
-                .unicast_index(defense_addr)
-                .and_then(|idx| self.world.defenses.get_mut(idx))
-                .and_then(|slot| slot.as_mut())
-                .map(|gate| gate.on_query(now, dgram.src, &msg));
-            match action {
+                .defense_mut(site_addr)
+                .map(|gate| gate.on_query(now, dgram.src, &msg))
+            {
                 None | Some(GateAction::Deliver) => {}
-                Some(GateAction::DeliverAfter(delay)) => {
-                    // The defense's class scheduler is the queue:
-                    // skip the plain ingress queue below.
-                    if delay > SimDuration::ZERO {
-                        self.world.push(
-                            now + delay,
-                            Event::DeliverQueued {
-                                dgram,
-                                msg: Box::new(msg),
-                                node: id,
-                                local,
-                            },
-                        );
-                    } else {
-                        self.hand_to_node(dgram.src, &msg, wire_len, id, local);
-                    }
-                    return;
-                }
+                // The defense's class scheduler is the queue: skip the
+                // plain ingress queue below.
+                Some(GateAction::DeliverAfter(delay)) => wait = Some(delay),
                 Some(GateAction::Drop { slip }) => {
                     // The gate already did the per-cause accounting; the
                     // pipeline only records the per-node drop and, for an
@@ -1677,10 +1550,8 @@ impl Simulator {
         // the queue sits in front of the *site*, so anycast looks up the
         // member's unicast address, unicast the destination itself.
         // `queue_count` keeps the no-queues common case to one branch.
-        if self.world.queue_count > 0 {
-            let queue_addr = site_filter_addr.unwrap_or(dgram.dst);
-            let now = self.world.now;
-            if let Some(q) = self.world.queue_mut(queue_addr) {
+        if wait.is_none() && self.world.queue_count > 0 {
+            if let Some(q) = self.world.queue_mut(site_addr) {
                 match q.offer(now) {
                     QueueOutcome::Dropped => {
                         // Already observed as Delivered above (it passed the
@@ -1691,23 +1562,22 @@ impl Simulator {
                         self.world.nodes.dropped[id.0 as usize] += 1;
                         return;
                     }
-                    QueueOutcome::Enqueued(delay) if delay > SimDuration::ZERO => {
-                        self.world.push(
-                            now + delay,
-                            Event::DeliverQueued {
-                                dgram,
-                                msg: Box::new(msg),
-                                node: id,
-                                local,
-                            },
-                        );
-                        return;
-                    }
-                    QueueOutcome::Enqueued(_) => {}
+                    QueueOutcome::Enqueued(delay) => wait = Some(delay),
                 }
             }
         }
-        self.hand_to_node(dgram.src, &msg, wire_len, id, local);
+        match wait {
+            Some(delay) if delay > SimDuration::ZERO => self.world.push(
+                now + delay,
+                Event::DeliverQueued {
+                    dgram,
+                    msg: Box::new(msg),
+                    node: id,
+                    local,
+                },
+            ),
+            _ => self.hand_to_node(dgram.src, &msg, wire_len, id, local),
+        }
     }
 
     /// Hands a datagram that has cleared every ingress stage (directly,
@@ -1774,9 +1644,7 @@ impl Simulator {
         let t0 = std::time::Instant::now();
         self.start_pending();
         while self.step() {}
-        let now = self.world.now;
-        self.cut_due_snapshots(now);
-        self.cut_snapshot(now);
+        self.cut_final_snapshots(self.world.now);
         self.wall_nanos += t0.elapsed().as_nanos() as u64;
     }
 
@@ -1796,8 +1664,7 @@ impl Simulator {
         if self.world.now < deadline {
             self.world.now = deadline;
         }
-        self.cut_due_snapshots(deadline);
-        self.cut_snapshot(deadline);
+        self.cut_final_snapshots(deadline);
         self.wall_nanos += t0.elapsed().as_nanos() as u64;
     }
 
@@ -1932,42 +1799,6 @@ impl Simulator {
             .map(|slot| slot.expect("node missing from an unstarted registry"))
             .collect();
         (nodes, self.world.links)
-    }
-
-    /// Read-only view of the bookkeeping the auditor cross-checks
-    /// (see [`crate::audit`]).
-    pub(crate) fn audit_internals(&self) -> crate::audit::AuditInternals<'_> {
-        let net = &self.world.net;
-        let ledger = self.world.defense_ledger();
-        let (xshard_out, xshard_in) = self
-            .world
-            .shard
-            .as_deref()
-            .map_or((0, 0), |s| (s.xshard_out, s.xshard_in));
-        crate::audit::AuditInternals {
-            sent: net.datagrams_sent,
-            xshard_out,
-            xshard_in,
-            delivered: net.datagrams_delivered,
-            dropped: net.datagrams_dropped,
-            no_route: net.datagrams_no_route,
-            undecodable: net.datagrams_undecodable,
-            decoded: net.datagrams_decoded,
-            node_crashes: net.node_crashes,
-            node_restarts: net.node_restarts,
-            defense_drops: ledger.defense_drops,
-            rrl_limited: ledger.rrl_limited,
-            rrl_slipped: ledger.rrl_slipped,
-            shed_by_class: ledger.shed_by_class,
-            scaleout_activations: net.scaleout_activations,
-            tcp: self.world.tcp.stats,
-            tcp_live: self.world.tcp.live(),
-            queue: &self.world.queue,
-            allocated_timer_slots: self.world.timers.allocated(),
-            nodes_len: self.nodes.len(),
-            node_up_len: self.world.nodes.up.len(),
-            node_epoch_len: self.world.nodes.epoch.len(),
-        }
     }
 
     /// Wall-clock throughput summary of the run so far: the deterministic
@@ -2411,6 +2242,52 @@ mod tests {
             DefenseLedger::default(),
             "nothing was published under another component"
         );
+    }
+
+    /// Installing a second defense on a defended address swaps the
+    /// engine inside the gate: the drops, the delay samples and the
+    /// cookie secret of the first engine's lifetime stay.
+    #[test]
+    fn replacing_a_defense_keeps_the_gates_accounting_and_secret() {
+        use crate::queueing::QueueClass;
+
+        let ping = |sim: &mut Simulator, target, n| {
+            for _ in 0..n {
+                sim.add_node(Box::new(Pinger {
+                    target,
+                    sent_at: None,
+                    rtt: None,
+                }));
+            }
+        };
+        let mut sim = Simulator::new(13);
+        fixed_fabric(&mut sim, 10);
+        let (_, echo_addr) = sim.add_node(Box::new(Echo));
+        ping(&mut sim, echo_addr, 20);
+        sim.set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
+        sim.set_ingress_cookie_secret(echo_addr, Some(0x5ec2e7));
+        sim.run_until(SimDuration::from_secs(1).after_zero());
+        let first_life = sim.defense_ledger();
+        assert_eq!(first_life.defense_drops, 15);
+
+        sim.set_ingress_defense(
+            echo_addr,
+            Box::new(DelayAll(SimDuration::from_millis(3), QueueClass::Known)),
+        );
+        ping(&mut sim, echo_addr, 5);
+        sim.run_until(SimDuration::from_secs(2).after_zero());
+
+        assert_eq!(
+            sim.defense_ledger(),
+            first_life,
+            "the second engine drops nothing; the first engine's drops stay"
+        );
+        let delays = sim.world_mut().defense_queue_delays();
+        assert_eq!(delays[QueueClass::Flagged.index()].count(), 3);
+        assert_eq!(delays[QueueClass::Known.index()].count(), 5);
+        let gate = sim.world_mut().defense_mut(echo_addr).expect("defended");
+        assert_eq!(gate.cookie_secret(), Some(0x5ec2e7));
+        sim.audit().assert_clean();
     }
 
     /// A TCP-capable echo: answers stream queries in place, over the

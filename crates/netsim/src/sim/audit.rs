@@ -12,15 +12,15 @@
 //! 1. **Datagram conservation** — every datagram ever sent is accounted
 //!    for exactly once: `sent + xshard_in = delivered + dropped +
 //!    no_route + undecodable + in_flight + xshard_out`, where *in
-//!    flight* counts pending [`Event::Deliver`] entries still in the
+//!    flight* counts pending `Event::Deliver` entries still in the
 //!    queue and the `xshard` terms (0 outside a sharded world, see
 //!    [`crate::shard`]) account for datagrams crossing shard
-//!    boundaries. (Pending [`Event::DeliverQueued`] entries passed the
+//!    boundaries. (Pending `Event::DeliverQueued` entries passed the
 //!    ingress filters and were already counted delivered.)
 //! 2. **Decode-once** — every arrival is decoded exactly once:
 //!    `decoded + undecodable + in_flight + xshard_out = sent + xshard_in`.
 //! 3. **Timer hygiene** — no slot leaks: the number of allocated timer
-//!    slots equals the number of pending [`Event::Timer`] entries (every
+//!    slots equals the number of pending `Event::Timer` entries (every
 //!    slot is recycled exactly when its event pops, fired, cancelled, or
 //!    crash-suppressed alike).
 //! 4. **Liveness bookkeeping** — restarts never exceed crashes, and the
@@ -29,7 +29,7 @@
 //! 6. **Wheel-slot conservation** — walking the event wheel finds
 //!    exactly `len()` entries, every slot entry files under the
 //!    level/slot its time dictates, and the ready run is sorted (see
-//!    [`crate::event::EventWheel::audit`]).
+//!    `EventWheel::audit`).
 //! 7. **Connection conservation** — every TCP connection ever dialed is
 //!    accounted for exactly once:
 //!    `opened = closed + reset + live` (see [`crate::tcp`]), with
@@ -41,36 +41,8 @@
 //! honor the `DIKE_AUDIT=1` environment variable to assert a clean audit
 //! at the end of every run.
 
-use crate::event::{Event, EventQueue};
-use crate::sim::Simulator;
-
-/// Snapshot of the simulator bookkeeping the audit is computed from.
-/// Produced by `Simulator::audit_internals` (crate-private) so the
-/// auditor never needs mutable or public access to the sim's guts.
-pub(crate) struct AuditInternals<'a> {
-    pub(crate) sent: u64,
-    pub(crate) xshard_out: u64,
-    pub(crate) xshard_in: u64,
-    pub(crate) delivered: u64,
-    pub(crate) dropped: u64,
-    pub(crate) no_route: u64,
-    pub(crate) undecodable: u64,
-    pub(crate) decoded: u64,
-    pub(crate) node_crashes: u64,
-    pub(crate) node_restarts: u64,
-    pub(crate) defense_drops: u64,
-    pub(crate) rrl_limited: u64,
-    pub(crate) rrl_slipped: u64,
-    pub(crate) shed_by_class: [u64; 3],
-    pub(crate) scaleout_activations: u64,
-    pub(crate) tcp: crate::tcp::TcpStats,
-    pub(crate) tcp_live: u64,
-    pub(crate) queue: &'a EventQueue,
-    pub(crate) allocated_timer_slots: u64,
-    pub(crate) nodes_len: usize,
-    pub(crate) node_up_len: usize,
-    pub(crate) node_epoch_len: usize,
-}
+use super::Simulator;
+use crate::event::Event;
 
 /// The result of one audit pass: the raw quantities each invariant was
 /// computed from, plus a human-readable description of every violation.
@@ -99,9 +71,9 @@ pub struct AuditReport {
     pub undecodable: u64,
     /// Payloads decoded at ingress.
     pub decoded: u64,
-    /// Pending [`Event::Deliver`] entries: sent but not yet arrived.
+    /// Pending `Event::Deliver` entries: sent but not yet arrived.
     pub in_flight: u64,
-    /// Pending [`Event::DeliverQueued`] entries (already counted in
+    /// Pending `Event::DeliverQueued` entries (already counted in
     /// `delivered`; reported for visibility).
     pub queued_deliveries: u64,
     /// Queries an ingress defense kept from its node (already counted in
@@ -125,7 +97,7 @@ pub struct AuditReport {
     /// Pending TCP transport events (SYNs, deliveries, FINs, idle
     /// probes) in the queue; informational.
     pub pending_tcp: u64,
-    /// Pending [`Event::Timer`] entries in the queue.
+    /// Pending `Event::Timer` entries in the queue.
     pub pending_timers: u64,
     /// Entries pending in the event wheel, per its incremental count.
     pub wheel_len: u64,
@@ -196,27 +168,36 @@ impl Simulator {
     /// most callers audit after a run drains (`run_until_idle`) or stops
     /// at its deadline.
     pub fn audit(&self) -> AuditReport {
-        let mut report = AuditReport::default();
-        let st = self.audit_internals();
-        report.sent = st.sent;
-        report.xshard_out = st.xshard_out;
-        report.xshard_in = st.xshard_in;
-        report.delivered = st.delivered;
-        report.dropped = st.dropped;
-        report.no_route = st.no_route;
-        report.undecodable = st.undecodable;
-        report.decoded = st.decoded;
-        report.node_crashes = st.node_crashes;
-        report.node_restarts = st.node_restarts;
-        report.defense_drops = st.defense_drops;
-        report.rrl_limited = st.rrl_limited;
-        report.rrl_slipped = st.rrl_slipped;
-        report.shed_by_class = st.shed_by_class;
-        report.scaleout_activations = st.scaleout_activations;
-        report.tcp = st.tcp;
-        report.tcp_live = st.tcp_live;
+        let world = &self.world;
+        let net = &world.net;
+        let ledger = world.defense_ledger();
+        let (xshard_out, xshard_in) = world
+            .shard
+            .as_deref()
+            .map_or((0, 0), |s| (s.xshard_out, s.xshard_in));
+        let mut report = AuditReport {
+            sent: net.datagrams_sent,
+            xshard_out,
+            xshard_in,
+            delivered: net.datagrams_delivered,
+            dropped: net.datagrams_dropped,
+            no_route: net.datagrams_no_route,
+            undecodable: net.datagrams_undecodable,
+            decoded: net.datagrams_decoded,
+            node_crashes: net.node_crashes,
+            node_restarts: net.node_restarts,
+            defense_drops: ledger.defense_drops,
+            rrl_limited: ledger.rrl_limited,
+            rrl_slipped: ledger.rrl_slipped,
+            shed_by_class: ledger.shed_by_class,
+            scaleout_activations: net.scaleout_activations,
+            tcp: world.tcp.stats,
+            tcp_live: world.tcp.live(),
+            allocated_timer_slots: world.timers.allocated(),
+            ..AuditReport::default()
+        };
 
-        for entry in st.queue.iter() {
+        for entry in world.queue.iter() {
             match &entry.event {
                 Event::Deliver(_) => report.in_flight += 1,
                 Event::DeliverQueued { .. } => report.queued_deliveries += 1,
@@ -229,8 +210,7 @@ impl Simulator {
                 Event::NodeDown { .. } | Event::NodeUp { .. } | Event::Control(_) => {}
             }
         }
-        report.allocated_timer_slots = st.allocated_timer_slots;
-        let wheel = st.queue.audit();
+        let wheel = world.queue.audit();
         report.wheel_len = wheel.len;
         report.wheel_scanned = wheel.scanned;
         report.wheel_misplaced = wheel.misplaced;
@@ -272,10 +252,14 @@ impl Simulator {
                 report.node_restarts, report.node_crashes
             ));
         }
-        if st.node_up_len != st.nodes_len || st.node_epoch_len != st.nodes_len {
+        let (nodes, ups, epochs) = (
+            self.nodes.len(),
+            world.nodes.up.len(),
+            world.nodes.epoch.len(),
+        );
+        if ups != nodes || epochs != nodes {
             report.violations.push(format!(
-                "liveness vectors out of step: {} nodes but {} up-flags / {} epochs",
-                st.nodes_len, st.node_up_len, st.node_epoch_len
+                "liveness vectors out of step: {nodes} nodes but {ups} up-flags / {epochs} epochs"
             ));
         }
         // Invariant 5: defense drops stay inside the delivered ledger and

@@ -125,11 +125,6 @@ impl RecursiveResolver {
         &self.config
     }
 
-    /// Cache statistics aggregated over backends.
-    pub fn cache_stats(&self) -> dike_cache::CacheStats {
-        self.cache.stats()
-    }
-
     /// The distribution of upstream retries (sends beyond the first)
     /// per finished task.
     pub fn retry_histogram(&self) -> &dike_telemetry::Histogram {

@@ -159,33 +159,6 @@ pub fn home_router(upstreams: Vec<Addr>) -> ResolverConfig {
     }
 }
 
-/// An ISP-level forwarding tier that fans out to several resolver
-/// backends (an Rn layer in front of iterative resolvers).
-pub fn isp_forwarder(upstreams: Vec<Addr>) -> ResolverConfig {
-    ResolverConfig {
-        mode: ResolverMode::Forwarding { upstreams },
-        retry: RetryPolicy {
-            initial_timeout: SimDuration::from_millis(800),
-            backoff_factor: 1.8,
-            max_timeout: SimDuration::from_secs(4),
-            max_attempts: 4,
-        },
-        cache: CacheConfig::default(),
-        cache_backends: 1,
-        infra_a: false,
-        infra_aaaa: false,
-        is_public: false,
-        selection: SelectionPolicy::SrttBased,
-        answer_from_glue: false,
-        max_pending: 10_000,
-        flush_interval: None,
-        servfail_ttl: SimDuration::from_secs(5),
-        tcp_fallback: None,
-        use_cookies: false,
-        max_fetch: None,
-    }
-}
-
 /// A serve-stale adopter (the paper found OpenDNS and Google already
 /// serving stale during outages, §5.3).
 pub fn with_serve_stale(mut config: ResolverConfig) -> ResolverConfig {

@@ -17,8 +17,8 @@
 //! ledgers in both modes.
 //!
 //! Threading model: one thread per UDP socket (queries are independent;
-//! the socket thread owns the encode buffer and takes the server/gate
-//! locks per datagram), an optional TCP accept thread plus one thread
+//! the socket thread owns the encode buffer and takes the one state
+//! lock once per datagram), an optional TCP accept thread plus one thread
 //! per DNS-over-TCP connection (RFC 7766 two-byte length framing,
 //! served through [`AuthServer::answer_stream`] — the same seam the
 //! simulator's `on_tcp_message` path uses, so stream answers match the
@@ -36,12 +36,12 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dike_auth::{AuthServer, AuthStats};
+use dike_auth::AuthServer;
 use dike_defense::DefensePlan;
 use dike_netsim::service::{Clock, Transport};
 use dike_netsim::{Addr, DefenseLedger, GateAction, IngressGate, Node, SimDuration, SimTime};
@@ -209,13 +209,29 @@ impl Default for ServeConfig {
     }
 }
 
+/// Everything the threads mutate.
+struct Core {
+    server: AuthServer,
+    gate: Option<IngressGate>,
+    stats: ServeStats,
+    registry: MetricsRegistry,
+}
+
 /// Shared state between the socket, telemetry, and caller threads.
 struct Shared {
-    server: Mutex<AuthServer>,
-    gate: Mutex<Option<IngressGate>>,
-    registry: Mutex<MetricsRegistry>,
-    stats: Mutex<ServeStats>,
+    core: Mutex<Core>,
     clock: WallClock,
+}
+
+impl Shared {
+    /// Locks the state. A poisoned lock is recovered, not propagated: a
+    /// handler that panicked mid-query (one TCP connection thread, say)
+    /// must not take the UDP loop down with it, and everything in
+    /// [`Core`] is counters and tables that stay valid after every
+    /// single store, so there is no half-done update to inherit.
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running live server: one UDP socket thread, an optional telemetry
@@ -271,10 +287,12 @@ impl LiveServer {
 
         let rotations = server.rotation_schedule();
         let shared = Arc::new(Shared {
-            server: Mutex::new(server),
-            gate: Mutex::new(gate),
-            registry: Mutex::new(MetricsRegistry::new()),
-            stats: Mutex::new(ServeStats::default()),
+            core: Mutex::new(Core {
+                server,
+                gate,
+                stats: ServeStats::default(),
+                registry: MetricsRegistry::new(),
+            }),
             clock: WallClock::new(),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -335,25 +353,15 @@ impl LiveServer {
 
     /// Socket-loop counters so far.
     pub fn stats(&self) -> ServeStats {
-        *self.shared.stats.lock().expect("stats lock")
-    }
-
-    /// The authoritative server's cumulative counters.
-    pub fn auth_stats(&self) -> AuthStats {
-        *self.shared.server.lock().expect("server lock").stats()
+        self.shared.core().stats
     }
 
     /// The ingress gate's drop accounting — the same [`DefenseLedger`]
     /// shape `Simulator::defense_ledger` returns, which is what the
     /// parity test compares. Zeroed when no plan is mounted.
     pub fn defense_ledger(&self) -> DefenseLedger {
-        self.shared
-            .gate
-            .lock()
-            .expect("gate lock")
-            .as_ref()
-            .map(|g| *g.ledger())
-            .unwrap_or_default()
+        let core = self.shared.core();
+        core.gate.as_ref().map(|g| *g.ledger()).unwrap_or_default()
     }
 
     /// Publishes a snapshot now and returns the registry as JSON — the
@@ -405,11 +413,7 @@ fn socket_loop(
             // Zone rotation, driven by the wall clock the way the
             // simulator drives it by timer events.
             while now >= r.2 {
-                shared
-                    .server
-                    .lock()
-                    .expect("server lock")
-                    .rotate_zone(r.0, now);
+                shared.core().server.rotate_zone(r.0, now);
                 r.2 = r.2 + r.1;
             }
         }
@@ -418,25 +422,21 @@ fn socket_loop(
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => continue,
         };
-        {
-            let mut stats = shared.stats.lock().expect("stats lock");
-            stats.datagrams_received += 1;
-            stats.fold_send_errors(&mut send_errors);
-        }
-        let Ok(msg) = codec::decode(&buf[..len]) else {
-            shared.stats.lock().expect("stats lock").undecodable += 1;
-            continue;
-        };
+        let decoded = codec::decode(&buf[..len]);
         let src = addr_of_peer(peer);
         let now = shared.clock.now();
-        let action = shared
-            .gate
-            .lock()
-            .expect("gate lock")
-            .as_mut()
-            .map(|gate| gate.on_query(now, src, &msg));
+        // One lock per datagram: count it, run the gate, serve it.
+        let mut core = shared.core();
+        core.stats.datagrams_received += 1;
+        core.stats.fold_send_errors(&mut send_errors);
+        let Ok(msg) = decoded else {
+            core.stats.undecodable += 1;
+            continue;
+        };
+        let action = core.gate.as_mut().map(|gate| gate.on_query(now, src, &msg));
         match action {
             Some(GateAction::Drop { slip }) => {
+                drop(core);
                 if let Some(resp) = slip {
                     let payload = enc.encode(&resp).expect("slip response encodes");
                     if socket.send_to(&payload, peer).is_err() {
@@ -460,17 +460,9 @@ fn socket_loop(
             enc: &mut enc,
             send_errors: &mut send_errors,
         };
-        shared
-            .server
-            .lock()
-            .expect("server lock")
-            .serve_datagram(&mut ctx, src, &msg);
+        core.server.serve_datagram(&mut ctx, src, &msg);
     }
-    shared
-        .stats
-        .lock()
-        .expect("stats lock")
-        .fold_send_errors(&mut send_errors);
+    shared.core().stats.fold_send_errors(&mut send_errors);
 }
 
 /// The DNS-over-TCP accept loop: poll the nonblocking listener, spawn a
@@ -481,7 +473,7 @@ fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>, shutdown: &Arc<
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, peer)) => {
-                shared.stats.lock().expect("stats lock").tcp_connections += 1;
+                shared.core().stats.tcp_connections += 1;
                 let shared = Arc::clone(shared);
                 let shutdown = Arc::clone(shutdown);
                 conns.push(std::thread::spawn(move || {
@@ -557,15 +549,11 @@ fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutd
             Ok(false) | Err(_) => return,
         }
         let Ok(msg) = codec::decode(&body) else {
-            shared.stats.lock().expect("stats lock").undecodable += 1;
+            shared.core().stats.undecodable += 1;
             continue;
         };
         let now = shared.clock.now();
-        let resp = shared
-            .server
-            .lock()
-            .expect("server lock")
-            .answer_stream(now, src, &msg);
+        let resp = shared.core().server.answer_stream(now, src, &msg);
         let Some(resp) = resp else { continue };
         let payload = enc.encode(&resp).expect("stream response encodes");
         debug_assert!(
@@ -575,9 +563,9 @@ fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutd
         let frame_len = (payload.len() as u16).to_be_bytes();
         // Counted before the write so a caller that has the reply in
         // hand never observes a stale counter.
-        shared.stats.lock().expect("stats lock").tcp_queries += 1;
+        shared.core().stats.tcp_queries += 1;
         if stream.write_all(&frame_len).is_err() || stream.write_all(&payload).is_err() {
-            shared.stats.lock().expect("stats lock").send_errors += 1;
+            shared.core().stats.send_errors += 1;
             return;
         }
     }
@@ -587,37 +575,34 @@ fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutd
 /// ledger and per-class delay histograms — the same metric names the
 /// simulator's standard cuts use) and returns the registry as JSON.
 fn publish_snapshot(shared: &Shared) -> String {
-    let mut reg = shared.registry.lock().expect("registry lock");
     let now = shared.clock.now();
-    {
-        let stats = shared.stats.lock().expect("stats lock");
+    let mut core = shared.core();
+    let Core {
+        server,
+        gate,
+        stats,
+        registry: reg,
+    } = &mut *core;
+    reg.record_counter(
+        "serve",
+        None,
+        "datagrams_received",
+        stats.datagrams_received,
+    );
+    reg.record_counter("serve", None, "undecodable", stats.undecodable);
+    reg.record_counter("serve", None, "send_errors", stats.send_errors);
+    reg.record_counter("serve", None, "tcp_connections", stats.tcp_connections);
+    reg.record_counter("serve", None, "tcp_queries", stats.tcp_queries);
+    server.publish_metrics(&mut NodePublisher::new(reg, 0));
+    if let Some(gate) = gate {
+        let ledger = gate.ledger();
+        ledger.publish(gate.queue_delays(), reg, "serve");
         reg.record_counter(
             "serve",
             None,
-            "datagrams_received",
-            stats.datagrams_received,
+            DefenseLedger::COOKIE_EXEMPT_METRIC,
+            ledger.cookie_exempt,
         );
-        reg.record_counter("serve", None, "undecodable", stats.undecodable);
-        reg.record_counter("serve", None, "send_errors", stats.send_errors);
-        reg.record_counter("serve", None, "tcp_connections", stats.tcp_connections);
-        reg.record_counter("serve", None, "tcp_queries", stats.tcp_queries);
-    }
-    {
-        let server = shared.server.lock().expect("server lock");
-        server.publish_metrics(&mut NodePublisher::new(&mut reg, 0));
-    }
-    {
-        let gate = shared.gate.lock().expect("gate lock");
-        if let Some(gate) = &*gate {
-            let ledger = gate.ledger();
-            ledger.publish(gate.queue_delays(), &mut reg, "serve");
-            reg.record_counter(
-                "serve",
-                None,
-                DefenseLedger::COOKIE_EXEMPT_METRIC,
-                ledger.cookie_exempt,
-            );
-        }
     }
     reg.snapshot(now.as_nanos());
     reg.to_json()

@@ -12,13 +12,14 @@ use std::net::{TcpStream, UdpSocket};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dike_auth::{AuthServer, CacheTestZone};
+use dike_auth::{AuthServer, CacheTestZone, ZoneAnswer, ZoneProvider};
 use dike_defense::{Defense, DefensePlan, RrlConfig};
 use dike_netsim::{
-    Addr, Context, DefenseLedger, LatencyModel, LinkParams, LinkTable, Node, SimDuration, Simulator,
+    Addr, Context, DefenseLedger, LatencyModel, LinkParams, LinkTable, Node, SimDuration, SimTime,
+    Simulator,
 };
 use dike_serve::{LiveServer, ServeConfig};
-use dike_wire::{codec, Message, Name, RecordType};
+use dike_wire::{codec, Message, Name, Question, RecordType};
 use std::net::Ipv4Addr;
 
 const QUERY_COUNT: u16 = 6;
@@ -374,4 +375,69 @@ fn cookie_exempt_client_sails_past_the_slipping_gate() {
     };
     assert_eq!(ledger, expected, "gate ledger");
     handle.stop();
+}
+
+/// A zone whose lookup panics on one name: the stand-in for any bug in
+/// a handler that runs under the server's lock.
+struct Tripwire(CacheTestZone);
+
+const TRAP: &str = "666.cachetest.nl";
+
+impl ZoneProvider for Tripwire {
+    fn origin(&self) -> &Name {
+        self.0.origin()
+    }
+
+    fn answer(&mut self, now: SimTime, q: &Question) -> ZoneAnswer {
+        assert!(
+            q.name != Name::parse(TRAP).unwrap(),
+            "tripwire name queried"
+        );
+        self.0.answer(now, q)
+    }
+}
+
+/// One TCP connection thread dying mid-query must cost that connection
+/// and nothing else: the UDP loop keeps answering and every accessor
+/// keeps reading.
+#[test]
+fn a_panicking_tcp_handler_does_not_take_the_udp_loop_down() {
+    let handle = LiveServer::start(
+        ServeConfig {
+            tcp_bind: Some("127.0.0.1:0".parse().unwrap()),
+            ..ServeConfig::default()
+        },
+        AuthServer::new().with_zone(Box::new(Tripwire(zone()))),
+    )
+    .expect("bind loopback");
+    let tcp_addr = handle.tcp_local_addr().expect("tcp listener is live");
+
+    // The trap query over TCP: its connection thread panics inside the
+    // zone lookup, lock held. The peer sees the stream close with no
+    // reply — and by then the unwinding thread has released the lock.
+    let mut stream = TcpStream::connect(tcp_addr).expect("tcp connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let trap = Message::query(9, Name::parse(TRAP).unwrap(), RecordType::AAAA);
+    let wire = codec::encode(&trap).expect("query encodes");
+    stream
+        .write_all(&(wire.len() as u16).to_be_bytes())
+        .expect("send frame length");
+    stream.write_all(&wire).expect("send query");
+    let mut reply = Vec::new();
+    let closed = stream.read_to_end(&mut reply);
+    assert!(
+        matches!(closed, Ok(0)) || closed.is_err(),
+        "the trapped connection closes without a reply: {closed:?}"
+    );
+
+    let client = udp_client(&handle);
+    let answer = codec::decode(&udp_exchange(&client, &query(1))).expect("decodes");
+    assert!(!answer.answers.is_empty(), "UDP is still served in full");
+    assert!(handle.telemetry_json().contains("datagrams_received"));
+    let stats = handle.stop();
+    assert_eq!(stats.tcp_connections, 1);
+    assert_eq!(stats.tcp_queries, 0, "the trapped query was never answered");
+    assert_eq!(stats.datagrams_received, 1);
 }

@@ -98,16 +98,6 @@ impl ClassificationSummary {
             self.ac as f64 / total as f64
         }
     }
-
-    /// The cache-hit fraction among answers that had a warm cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cc + self.ac;
-        if total == 0 {
-            0.0
-        } else {
-            self.cc as f64 / total as f64
-        }
-    }
 }
 
 /// Full classification result.

@@ -30,12 +30,6 @@ impl TextTable {
         self
     }
 
-    /// Convenience for rows of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -17,11 +17,11 @@
 //! * **Deterministic.** Snapshots are cut on *simulated*-time boundaries
 //!   only — never wall clock — so two runs with the same seed produce
 //!   byte-identical metric series.
-//! * **Cheap.** Hot paths bump plain `u64` fields ([`Counter`],
-//!   [`Gauge`], [`Histogram`] are unsynchronized values owned by the
-//!   component); the registry is only touched when a snapshot boundary
-//!   is crossed. The `ablations` bench arm holds telemetry-on overhead
-//!   on the `netsim_core` workload under 5%.
+//! * **Cheap.** Hot paths bump plain integer fields the component owns
+//!   (a count is a `u64`, a distribution an unsynchronized
+//!   [`Histogram`]); the registry is only touched when a snapshot
+//!   boundary is crossed. `benchmark/`'s `telemetry.cut_overhead` layer
+//!   metric is the measured cost of those cuts.
 //!
 //! # Model
 //!
@@ -57,7 +57,7 @@ pub mod json;
 mod metrics;
 mod registry;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use registry::{MetricKey, MetricValue, MetricsRegistry, NodePublisher, SharedRegistry};
 
 /// Telemetry configuration: how often (in simulated time) the driver
@@ -72,10 +72,6 @@ pub struct TelemetryConfig {
     /// `interval, 2*interval, ...` plus one final snapshot at the end of
     /// the run. Must be non-zero.
     pub snapshot_interval_nanos: u64,
-    /// Publish per-node rows for the network layer (offered / delivered
-    /// / dropped datagrams per destination node). Costs registry space
-    /// proportional to node count; aggregate rows are always published.
-    pub per_node_net: bool,
 }
 
 impl TelemetryConfig {
@@ -88,19 +84,12 @@ impl TelemetryConfig {
     pub const fn every_secs(secs: u64) -> Self {
         TelemetryConfig {
             snapshot_interval_nanos: secs * 1_000_000_000,
-            per_node_net: true,
         }
-    }
-
-    /// Disable per-node network rows (keep only aggregates).
-    pub const fn aggregate_net_only(mut self) -> Self {
-        self.per_node_net = false;
-        self
     }
 }
 
 impl Default for TelemetryConfig {
-    /// One snapshot per simulated minute, per-node network rows on.
+    /// One snapshot per simulated minute.
     fn default() -> Self {
         TelemetryConfig::every_mins(1)
     }

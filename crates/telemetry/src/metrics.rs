@@ -1,78 +1,11 @@
-//! The three instrument kinds: counter, gauge, histogram.
+//! The one instrument type: [`Histogram`]. Counters and gauges need no
+//! type of their own — components keep plain `u64`/`f64` fields and
+//! publish them with `record_counter`/`record_gauge`.
 //!
-//! All three are plain unsynchronized values. The simulator is
-//! single-threaded per run, so hot paths pay one integer add — no
+//! A histogram is a plain unsynchronized value. The simulator is
+//! single-threaded per run, so hot paths pay a few integer adds — no
 //! atomics, no locks. Sharing across sweep threads happens at the
 //! registry level (each run owns its registry).
-
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Self {
-        Counter { value: 0 }
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current total.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A value that goes up and down, with a high-water mark.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge {
-    value: f64,
-    high_water: f64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge {
-            value: 0.0,
-            high_water: 0.0,
-        }
-    }
-
-    /// Sets the current value (updates the high-water mark).
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.value = v;
-        if v > self.high_water {
-            self.high_water = v;
-        }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-
-    /// Highest value ever set.
-    #[inline]
-    pub fn high_water(&self) -> f64 {
-        self.high_water
-    }
-}
 
 /// Number of log-scaled bins: bin 0 holds the value 0, bin `i` (for
 /// `i >= 1`) holds values in `[2^(i-1), 2^i)`. 64 bins cover all of
@@ -258,24 +191,6 @@ pub struct HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn gauge_tracks_high_water() {
-        let mut g = Gauge::new();
-        g.set(3.0);
-        g.set(10.0);
-        g.set(2.0);
-        assert_eq!(g.get(), 2.0);
-        assert_eq!(g.high_water(), 10.0);
-    }
 
     #[test]
     fn bin_index_is_log2() {

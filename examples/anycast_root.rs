@@ -12,6 +12,11 @@
 
 use dike::experiments::implications::{run_implications, ImplicationsConfig};
 
+/// A share as a percentage; `-` for a window that saw no query.
+fn pct(share: Option<f64>) -> String {
+    share.map_or_else(|| "-".into(), |s| format!("{:.1}%", s * 100.0))
+}
+
 fn main() {
     println!("2 nameservers x 4 anycast sites each; 60-minute total-site failures\n");
     println!(
@@ -30,11 +35,11 @@ fn main() {
                 seed: 42,
             });
             println!(
-                "{:>8} {:>13}/8 {:>11.1}% {:>17.1}%",
+                "{:>8} {:>13}/8 {:>12} {:>18}",
                 ttl,
                 attacked,
-                r.ok_before_attack * 100.0,
-                r.ok_during_attack * 100.0
+                pct(r.ok_before_attack),
+                pct(r.ok_during_attack)
             );
         }
         println!();
@@ -64,9 +69,9 @@ fn main() {
         seed: 42,
     });
     println!(
-        "\nsame 2 dead sites, short TTL: one whole NS down -> {:.1}% served;\n\
-         one site of each NS down -> {:.1}% served (double-dead catchments strand).",
-        concentrated.ok_during_attack * 100.0,
-        spread.ok_during_attack * 100.0
+        "\nsame 2 dead sites, short TTL: one whole NS down -> {} served;\n\
+         one site of each NS down -> {} served (double-dead catchments strand).",
+        pct(concentrated.ok_during_attack),
+        pct(spread.ok_during_attack)
     );
 }

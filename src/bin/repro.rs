@@ -962,8 +962,8 @@ fn implications_sweep(ctx: &mut Ctx) {
         tbl.row(&[
             r.config.ttl.to_string(),
             r.config.sites_attacked.to_string(),
-            pct(r.ok_before_attack),
-            pct(r.ok_during_attack),
+            r.ok_before_attack.map(pct).unwrap_or_else(|| "-".into()),
+            r.ok_during_attack.map(pct).unwrap_or_else(|| "-".into()),
         ]);
     }
     ctx.emit(&tbl);
