@@ -59,15 +59,14 @@ mod link;
 mod node;
 pub mod queueing;
 pub mod service;
-pub mod shard;
 mod sim;
-pub mod tcp;
 mod time;
 pub mod trace;
 pub mod trace_io;
 
 pub use addr::{Addr, NodeId};
 pub use anycast::AnycastTable;
+pub use audit::AuditReport;
 pub use datagram::Datagram;
 pub use defense::{DefenseLedger, GateAction, IngressDefense, IngressGate, IngressVerdict};
 pub use dike_telemetry as telemetry;
@@ -81,7 +80,7 @@ pub use service::{Clock, Transport};
 pub use shard::{
     even_starts, Envelope, ShardAuditReport, ShardConfig, ShardedSim, DEFAULT_LOOKAHEAD,
 };
-pub use sim::audit::{self, AuditReport};
+pub use sim::{audit, shard, tcp};
 pub use sim::{SimPerf, Simulator};
 pub use tcp::{TcpConfig, TcpConnId, TcpStats};
 pub use time::{SimDuration, SimTime};

@@ -1,0 +1,328 @@
+//! The ingress stages in front of a node: the per-address tables of
+//! service queues and defense gates, and [`Simulator::deliver`], which
+//! walks one arriving datagram through them — routing, the loss
+//! filters, decode, the defense gate, the service queue — and hands
+//! what survives to its node.
+
+use dike_telemetry::Histogram;
+
+use super::{rng_stream, Simulator, World};
+use crate::addr::Addr;
+use crate::datagram::Datagram;
+use crate::defense::{DefenseLedger, GateAction, IngressDefense, IngressGate};
+use crate::event::Event;
+use crate::queueing::{QueueConfig, QueueOutcome, ServiceQueue};
+use crate::time::SimDuration;
+use crate::trace::Disposition;
+
+impl World {
+    /// Installs (or replaces) an ingress service queue in front of
+    /// `addr` — the paper's future-work queueing model
+    /// (see [`crate::queueing`]).
+    pub fn set_ingress_queue(&mut self, addr: Addr, config: QueueConfig) {
+        let Some(idx) = self.unicast_index(addr) else {
+            debug_assert!(false, "ingress queue on non-unicast address {addr}");
+            return;
+        };
+        if idx >= self.queues.len() {
+            self.queues.resize_with(idx + 1, || None);
+        }
+        if self.queues[idx]
+            .replace(ServiceQueue::new(config))
+            .is_none()
+        {
+            self.queue_count += 1;
+        }
+    }
+
+    /// Mutable access to an installed queue (e.g. to inject background
+    /// attack load mid-run from a control event).
+    pub fn queue_mut(&mut self, addr: Addr) -> Option<&mut ServiceQueue> {
+        self.unicast_index(addr)
+            .and_then(|i| self.queues.get_mut(i))
+            .and_then(|slot| slot.as_mut())
+    }
+
+    /// Installs an ingress defense pipeline in front of `addr` (see
+    /// [`crate::defense`]). Typically called from a control event
+    /// scheduled by a `dike-defense` `DefensePlan`. On an address that
+    /// is already defended this swaps the engine inside the installed
+    /// gate: its ledger, delay histograms and cookie secret stay, so run
+    /// totals — and the conservation audit — survive a replacement.
+    pub fn set_ingress_defense(&mut self, addr: Addr, defense: Box<dyn IngressDefense>) {
+        let Some(idx) = self.unicast_index(addr) else {
+            debug_assert!(false, "ingress defense on non-unicast address {addr}");
+            return;
+        };
+        if idx >= self.defenses.len() {
+            self.defenses.resize_with(idx + 1, || None);
+        }
+        match &mut self.defenses[idx] {
+            Some(gate) => gate.replace_defense(defense),
+            slot => {
+                *slot = Some(IngressGate::new(defense));
+                self.defense_count += 1;
+            }
+        }
+    }
+
+    /// Sets (or clears) the RFC 7873 cookie-exemption secret on the
+    /// defense gate installed at `addr` (see
+    /// [`IngressGate::with_cookie_secret`]). Debug-asserts when no gate
+    /// is installed — defense plans install engines before secrets.
+    pub fn set_ingress_cookie_secret(&mut self, addr: Addr, secret: Option<u64>) {
+        match self.defense_mut(addr) {
+            Some(gate) => gate.set_cookie_secret(secret),
+            None => debug_assert!(false, "cookie secret on undefended address {addr}"),
+        }
+    }
+
+    /// Mutable access to an installed defense gate (e.g. for a flood
+    /// fault to consume its admission capacity, or scale-out to grow it).
+    pub fn defense_mut(&mut self, addr: Addr) -> Option<&mut IngressGate> {
+        self.unicast_index(addr)
+            .and_then(|i| self.defenses.get_mut(i))
+            .and_then(|slot| slot.as_mut())
+    }
+
+    /// Run-wide defense drop accounting: the sum of every gate's ledger.
+    pub fn defense_ledger(&self) -> DefenseLedger {
+        let mut total = DefenseLedger::default();
+        for gate in self.defenses.iter().flatten() {
+            total.merge(gate.ledger());
+        }
+        total
+    }
+
+    /// Run-wide per-class queue-delay histograms (nanoseconds), merged
+    /// across gates; indexed like [`crate::queueing::QUEUE_CLASSES`].
+    pub fn defense_queue_delays(&self) -> [Histogram; 3] {
+        let mut merged: [Histogram; 3] = Default::default();
+        for gate in self.defenses.iter().flatten() {
+            for (mine, theirs) in merged.iter_mut().zip(gate.queue_delays()) {
+                mine.merge(theirs);
+            }
+        }
+        merged
+    }
+
+    /// Records one scale-out activation (replica capacity provisioned);
+    /// called by the defense layer's detection-delay control event.
+    pub fn note_scaleout_activation(&mut self) {
+        self.net.scaleout_activations += 1;
+    }
+}
+
+impl Simulator {
+    /// Installs an ingress service queue in front of `addr`
+    /// (see [`crate::queueing`]).
+    pub fn set_ingress_queue(&mut self, addr: Addr, config: QueueConfig) {
+        self.world.set_ingress_queue(addr, config);
+    }
+
+    /// Installs an ingress defense pipeline in front of `addr`
+    /// (see [`crate::defense`]).
+    pub fn set_ingress_defense(&mut self, addr: Addr, defense: Box<dyn IngressDefense>) {
+        self.world.set_ingress_defense(addr, defense);
+    }
+
+    /// Arms (or clears) RFC 7873 cookie validation on the ingress gate
+    /// already installed at `addr` (see
+    /// [`crate::defense::IngressGate::set_cookie_secret`]).
+    pub fn set_ingress_cookie_secret(&mut self, addr: Addr, secret: Option<u64>) {
+        self.world.set_ingress_cookie_secret(addr, secret);
+    }
+
+    /// Run-wide defense drop accounting — what the sim/live parity test
+    /// compares against a live server's gate ledger.
+    pub fn defense_ledger(&self) -> DefenseLedger {
+        self.world.defense_ledger()
+    }
+
+    pub(super) fn deliver(&mut self, dgram: Datagram) {
+        let wire_len = dgram.wire_len();
+
+        // Anycast resolves to a member site first; the attack filter of
+        // that *site* (its unicast address) then applies, so a DDoS can
+        // take down one catchment while others stay clean (paper §8).
+        let (dest, site_filter_addr) = match self.world.anycast.catchment(dgram.dst, dgram.src) {
+            Some(member) => (Some(member), Some(self.world.addr_of(member))),
+            None => (self.world.node_at(dgram.dst), None),
+        };
+
+        // A crashed destination drops everything at its ingress. Checked
+        // before the loss filters and without drawing randomness, so a
+        // fault plan that never fires leaves the RNG stream — and hence
+        // the fixed-seed digest — untouched.
+        let node_down = dest.is_some_and(|id| !self.world.nodes.up[id.0 as usize]);
+
+        // Ingress loss (ambient + attack + bursty degrade) is evaluated at
+        // arrival, which matches filtering in front of the target and lets
+        // filters that start mid-flight affect packets already "in the
+        // air".
+        let (ambient_drop, attack_drop, degrade_drop) = if node_down {
+            (false, false, false)
+        } else {
+            // Arrival-side randomness comes from the destination's
+            // stream, so in a sharded world the draw order is the node's
+            // own arrival order.
+            let World {
+                links,
+                rng,
+                shard,
+                first_addr,
+                ..
+            } = &mut self.world;
+            let idx = dgram.dst.0.wrapping_sub(*first_addr) as usize;
+            let rng = rng_stream(shard, rng, idx);
+            let params = links.params(dgram.src, dgram.dst);
+            let ambient =
+                params.loss > 0.0 && rand::RngExt::random_bool(rng, params.loss.clamp(0.0, 1.0));
+            let mut attack = links.ingress_loss(dgram.dst);
+            if let Some(site) = site_filter_addr {
+                attack = attack.max(links.ingress_loss(site));
+            }
+            let attack = attack > 0.0 && rand::RngExt::random_bool(rng, attack);
+            // Gilbert–Elliott degrade: its state chain advances per
+            // arrival at the degraded address (RNG is drawn only while a
+            // degrade is installed there). Like the attack filter, an
+            // anycast delivery consults both the VIP and the member site.
+            let mut degrade = links.degrade_drop(dgram.dst, rng);
+            if let Some(site) = site_filter_addr {
+                degrade |= links.degrade_drop(site, rng);
+            }
+            (ambient, attack, degrade)
+        };
+
+        // Decode once, at ingress; sinks, the queueing stage, and the
+        // destination node all reuse this one Message (decode-once
+        // invariant, DESIGN.md §5.2). A payload our own codec rejects is
+        // counted and dropped rather than aborting the run — one bad
+        // packet must not kill a sweep arm.
+        let msg = match dgram.message() {
+            Ok(m) => {
+                self.world.net.datagrams_decoded += 1;
+                self.world.net.bytes_decoded += wire_len as u64;
+                Some(m)
+            }
+            Err(_) => None,
+        };
+
+        let disposition = if msg.is_none() {
+            Disposition::Malformed
+        } else if dest.is_none() {
+            Disposition::NoRoute
+        } else if node_down || ambient_drop || attack_drop || degrade_drop {
+            Disposition::Dropped
+        } else {
+            Disposition::Delivered
+        };
+        self.world
+            .observe(dgram.src, dgram.dst, msg.as_ref(), wire_len, disposition);
+        if let Some(id) = dest {
+            if disposition != Disposition::Malformed {
+                // Offered counts before the loss filters — the same ingress
+                // accounting the trace sinks use for the paper's server view.
+                self.world.nodes.offered[id.0 as usize] += 1;
+            }
+        }
+        match disposition {
+            Disposition::Malformed => self.world.net.datagrams_undecodable += 1,
+            Disposition::NoRoute => self.world.net.datagrams_no_route += 1,
+            Disposition::Dropped => {
+                self.world.net.datagrams_dropped += 1;
+                if node_down {
+                    self.world.net.datagrams_dropped_node_down += 1;
+                } else if degrade_drop {
+                    self.world.net.datagrams_dropped_degrade += 1;
+                }
+                if let Some(id) = dest {
+                    self.world.nodes.dropped[id.0 as usize] += 1;
+                }
+            }
+            Disposition::Delivered => self.world.net.datagrams_delivered += 1,
+        }
+
+        if disposition != Disposition::Delivered {
+            return;
+        }
+        let msg = msg.expect("delivered implies decoded");
+        let id = dest.expect("delivered implies destination exists");
+        // Anycast deliveries run the node with the VIP as its local
+        // address, so replies naturally come from the anycast address —
+        // like a real anycast site answering from the shared prefix.
+        let local = if site_filter_addr.is_some() {
+            dgram.dst
+        } else {
+            self.world.addr_of(id)
+        };
+
+        // Ingress defense pipeline (classifier → admission → RRL; see
+        // `crate::defense` and `dike-defense`). Evaluated in front of the
+        // *site*, like the queue below. `defense_count` keeps the
+        // undefended common case to one branch, and like queue drops,
+        // defense drops happen after the Delivered accounting above —
+        // they stay inside the conservation ledger, broken out by cause.
+        let now = self.world.now;
+        let site_addr = site_filter_addr.unwrap_or(dgram.dst);
+        // The wait a queueing stage imposed, once one has taken the query.
+        let mut wait = None;
+        if self.world.defense_count > 0 {
+            match self
+                .world
+                .defense_mut(site_addr)
+                .map(|gate| gate.on_query(now, dgram.src, &msg))
+            {
+                None | Some(GateAction::Deliver) => {}
+                // The defense's class scheduler is the queue: skip the
+                // plain ingress queue below.
+                Some(GateAction::DeliverAfter(delay)) => wait = Some(delay),
+                Some(GateAction::Drop { slip }) => {
+                    // The gate already did the per-cause accounting; the
+                    // pipeline only records the per-node drop and, for an
+                    // RRL slip, sends the synthesized TC=1 response from
+                    // the server's (possibly anycast) address.
+                    self.world.nodes.dropped[id.0 as usize] += 1;
+                    if let Some(resp) = slip {
+                        let payload = self.world.encode(&resp);
+                        self.world.send_datagram(local, dgram.src, payload);
+                    }
+                    return;
+                }
+            }
+        }
+
+        // Ingress service queue (the paper's future-work queueing model):
+        // the queue sits in front of the *site*, so anycast looks up the
+        // member's unicast address, unicast the destination itself.
+        // `queue_count` keeps the no-queues common case to one branch.
+        if wait.is_none() && self.world.queue_count > 0 {
+            if let Some(q) = self.world.queue_mut(site_addr) {
+                match q.offer(now) {
+                    QueueOutcome::Dropped => {
+                        // Already observed as Delivered above (it passed the
+                        // random-loss filters); report the queue drop too so
+                        // sinks can distinguish. Simplest faithful model:
+                        // count it as a drop at the ingress.
+                        self.world.net.queue_drops += 1;
+                        self.world.nodes.dropped[id.0 as usize] += 1;
+                        return;
+                    }
+                    QueueOutcome::Enqueued(delay) => wait = Some(delay),
+                }
+            }
+        }
+        match wait {
+            Some(delay) if delay > SimDuration::ZERO => self.world.push(
+                now + delay,
+                Event::DeliverQueued {
+                    dgram,
+                    msg: Box::new(msg),
+                    node: id,
+                    local,
+                },
+            ),
+            _ => self.hand_to_node(dgram.src, &msg, wire_len, id, local),
+        }
+    }
+}

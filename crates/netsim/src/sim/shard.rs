@@ -59,10 +59,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use bytes::Bytes;
+use rand::rngs::SmallRng;
 
+use super::audit::AuditReport;
+use super::{SimPerf, Simulator, FIRST_ADDR, FIRST_VIP};
 use crate::addr::Addr;
-use crate::audit::AuditReport;
-use crate::sim::{SimPerf, Simulator};
+use crate::datagram::Datagram;
+use crate::event::Event;
+use crate::link::LinkTable;
+use crate::node::Node;
 use crate::time::{SimDuration, SimTime};
 
 /// Default propagation floor / lookahead: 1 ms. Far below every latency
@@ -382,6 +387,201 @@ fn post_outboxes(
             .lock()
             .expect("outbox cell poisoned")
             .append(&mut out);
+    }
+}
+
+/// Per-shard engine state, present only in worlds created through
+/// [`Simulator::new_sharded`]. Holds everything the sharded engine adds
+/// on top of a plain world: the shard layout, the per-node RNG streams,
+/// the cross-shard outboxes, and the envelope ledger the auditor checks.
+pub(crate) struct ShardState {
+    /// This shard's index.
+    pub(crate) id: usize,
+    /// First raw unicast address of every shard, ascending.
+    pub(crate) starts: Vec<u32>,
+    /// Propagation floor = conservative lookahead; every one-way delay
+    /// is clamped up to this, local and cross-shard alike.
+    pub(crate) floor: SimDuration,
+    /// World seed, kept so nodes added later derive their stream from
+    /// `(seed, global node index)`.
+    pub(crate) seed: u64,
+    /// One RNG stream per *local* node, seeded from the node's global
+    /// index so the stream is shard-layout-independent.
+    pub(crate) rngs: Vec<SmallRng>,
+    /// Outgoing cross-shard envelopes, one bin per destination shard;
+    /// drained by the barrier loop at every window boundary.
+    pub(crate) outbox: Vec<Vec<Envelope>>,
+    /// Datagrams handed to another shard (counted at send).
+    pub(crate) xshard_out: u64,
+    /// Datagrams injected from another shard (counted at injection).
+    pub(crate) xshard_in: u64,
+}
+
+impl ShardState {
+    /// Which shard owns `addr`. Anycast VIPs resolve locally (anycast is
+    /// not supported sharded; the gate lives in the experiment driver),
+    /// as do addresses below the first shard's start.
+    pub(super) fn shard_of(&self, addr: Addr) -> usize {
+        if addr.0 >= FIRST_VIP {
+            return self.id;
+        }
+        match self.starts.partition_point(|s| *s <= addr.0) {
+            0 => 0,
+            n => n - 1,
+        }
+    }
+}
+
+/// The RNG stream behind dense node index `idx` (`addr - first_addr`):
+/// that node's own stream in a sharded world — per-node streams are what
+/// make the outcome independent of the shard count, see [`crate::shard`]
+/// — and the world RNG in a plain one. Send-side draws pass the sender's
+/// index, arrival-side draws the receiver's. An index that is no local
+/// node (an anycast VIP; those are gated out of sharded runs) falls back
+/// to the world RNG.
+pub(super) fn rng_stream<'a>(
+    shard: &'a mut Option<Box<ShardState>>,
+    rng: &'a mut SmallRng,
+    idx: usize,
+) -> &'a mut SmallRng {
+    match shard.as_deref_mut().and_then(|s| s.rngs.get_mut(idx)) {
+        Some(stream) => stream,
+        None => rng,
+    }
+}
+
+impl Simulator {
+    /// A fresh simulator for one shard of a sharded world (see
+    /// [`crate::shard`]): it owns the slice of the global node space
+    /// starting at `cfg.starts[cfg.id]`, gives every node its own RNG
+    /// stream, clamps all one-way delays to `cfg.floor`, and parks
+    /// datagrams bound for other shards in per-destination outboxes.
+    ///
+    /// # Panics
+    /// Panics on an inconsistent config (id out of range, unsorted
+    /// starts, zero floor).
+    pub fn new_sharded(seed: u64, cfg: ShardConfig) -> Self {
+        let k = cfg.starts.len();
+        assert!(cfg.id < k, "shard id {} out of range 0..{k}", cfg.id);
+        assert!(
+            cfg.starts.windows(2).all(|w| w[0] < w[1]) && cfg.starts[0] == FIRST_ADDR,
+            "shard starts must ascend from FIRST_ADDR"
+        );
+        assert!(
+            cfg.floor > SimDuration::ZERO,
+            "the propagation floor (lookahead) must be positive"
+        );
+        let mut sim = Simulator::new(seed);
+        sim.world.first_addr = cfg.starts[cfg.id];
+        sim.world.shard = Some(Box::new(ShardState {
+            id: cfg.id,
+            starts: cfg.starts,
+            floor: cfg.floor,
+            seed,
+            rngs: Vec::new(),
+            outbox: (0..k).map(|_| Vec::new()).collect(),
+            xshard_out: 0,
+            xshard_in: 0,
+        }));
+        sim
+    }
+
+    /// `(id, shard count, floor)` when this simulator is a shard of a
+    /// sharded world; `None` for a plain simulator.
+    pub(crate) fn shard_params(&self) -> Option<(usize, usize, SimDuration)> {
+        self.world
+            .shard
+            .as_deref()
+            .map(|s| (s.id, s.starts.len(), s.floor))
+    }
+
+    /// Time of the earliest pending event, if any — what a shard
+    /// publishes at the window barrier.
+    pub(crate) fn next_event_at(&mut self) -> Option<SimTime> {
+        self.world.queue.next_at()
+    }
+
+    /// Runs every pending event strictly before `end` (the half-open
+    /// conservative window `[_, end)`). Unlike [`Simulator::run_until`]
+    /// this neither advances the clock to `end` nor cuts telemetry
+    /// snapshots — the barrier loop calls it once per window and
+    /// [`Simulator::finish_window_run`] closes the run out.
+    pub(crate) fn run_window(&mut self, end: SimTime) {
+        self.start_pending();
+        while let Some(at) = self.world.queue.next_at() {
+            if at >= end {
+                break;
+            }
+            self.step();
+        }
+    }
+
+    /// Closes out a windowed run: advances the clock to `deadline` like
+    /// [`Simulator::run_until`] does after its loop.
+    pub(crate) fn finish_window_run(&mut self, deadline: SimTime) {
+        if self.world.now < deadline {
+            self.world.now = deadline;
+        }
+    }
+
+    /// Takes the accumulated cross-shard outboxes (one bin per
+    /// destination shard), leaving them empty.
+    ///
+    /// # Panics
+    /// Panics on a plain (non-sharded) simulator.
+    pub(crate) fn take_outboxes(&mut self) -> Vec<Vec<Envelope>> {
+        let s = self
+            .world
+            .shard
+            .as_deref_mut()
+            .expect("take_outboxes on a non-sharded simulator");
+        s.outbox.iter_mut().map(std::mem::take).collect()
+    }
+
+    /// Injects envelopes received from other shards, already merged in
+    /// the fixed cross-shard order. Arrival times must not be in this
+    /// shard's past — the conservative window guarantees it.
+    pub(crate) fn inject_envelopes(&mut self, envelopes: Vec<Envelope>) {
+        if let Some(s) = self.world.shard.as_deref_mut() {
+            s.xshard_in += envelopes.len() as u64;
+        }
+        for env in envelopes {
+            debug_assert!(
+                env.at >= self.world.now,
+                "cross-shard envelope arrived in the past: {} < {}",
+                env.at,
+                self.world.now
+            );
+            self.world.push(
+                env.at,
+                Event::Deliver(Datagram {
+                    src: env.src,
+                    dst: env.dst,
+                    payload: env.payload,
+                }),
+            );
+        }
+    }
+
+    /// Tears a *never-run* simulator apart into its nodes and fabric —
+    /// the staging step of sharded experiment setup: build the full
+    /// topology into one plain simulator, dismantle it, and deal the
+    /// node slices out to per-shard simulators.
+    ///
+    /// # Panics
+    /// Panics if the simulator has already started (processed events or
+    /// run `on_start` hooks) — a running world cannot be repartitioned.
+    pub fn dismantle(self) -> (Vec<Box<dyn Node>>, LinkTable) {
+        assert!(
+            self.world.net.events_popped == 0 && self.started.iter().all(|s| !s),
+            "dismantle requires an unstarted simulator"
+        );
+        let nodes = self
+            .nodes
+            .into_iter()
+            .map(|slot| slot.expect("node missing from an unstarted registry"))
+            .collect();
+        (nodes, self.world.links)
     }
 }
 

@@ -1,0 +1,737 @@
+use super::*;
+use crate::defense::DefenseLedger;
+use crate::link::{LatencyModel, LinkParams};
+use crate::trace::{shared, CountingTrace, MemoryTrace};
+use dike_wire::{Message, Name, RecordType};
+
+/// A node that answers every query with an empty NOERROR response.
+struct Echo;
+
+impl Node for Echo {
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, src: Addr, msg: &Message, _wire_len: usize) {
+        if !msg.is_response {
+            let resp = Message::response_to(msg);
+            ctx.send(src, &resp);
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+}
+
+/// A node that sends one query at start and records the reply time.
+struct Pinger {
+    target: Addr,
+    sent_at: Option<SimTime>,
+    rtt: Option<SimDuration>,
+}
+
+impl Node for Pinger {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let q = Message::query(1, Name::parse("cachetest.nl").unwrap(), RecordType::AAAA);
+        self.sent_at = Some(ctx.now());
+        ctx.send(self.target, &q);
+    }
+
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, _src: Addr, msg: &Message, _wire_len: usize) {
+        if msg.is_response {
+            self.rtt = Some(ctx.now() - self.sent_at.unwrap());
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+}
+
+fn fixed_fabric(sim: &mut Simulator, ms: u64) {
+    *sim.links_mut() = LinkTable::new(LinkParams {
+        latency: LatencyModel::Fixed(SimDuration::from_millis(ms)),
+        loss: 0.0,
+    });
+}
+
+#[test]
+fn query_response_round_trip_takes_two_link_delays() {
+    let mut sim = Simulator::new(1);
+    fixed_fabric(&mut sim, 10);
+    let (_echo_id, echo_addr) = sim.add_node(Box::new(Echo));
+    let (ping_id, _) = sim.add_node(Box::new(Pinger {
+        target: echo_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    sim.run_until_idle();
+    // One query (10 ms) plus one response (10 ms): the clock stops at
+    // exactly 20 ms.
+    assert_eq!(sim.now().as_nanos() / 1_000_000, 20);
+    let _ = ping_id;
+}
+
+#[test]
+fn sinks_see_delivered_and_dropped() {
+    let mut sim = Simulator::new(2);
+    fixed_fabric(&mut sim, 5);
+    let (_id, echo_addr) = sim.add_node(Box::new(Echo));
+    sim.add_node(Box::new(Pinger {
+        target: echo_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    let (counts, sink) = shared(CountingTrace::default());
+    sim.add_sink(sink);
+    sim.run_until_idle();
+    // One query delivered + one response delivered.
+    assert_eq!(counts.lock().delivered, 2);
+    assert_eq!(counts.lock().dropped, 0);
+}
+
+#[test]
+fn full_ingress_loss_blackholes_queries_but_sinks_observe_them() {
+    let mut sim = Simulator::new(3);
+    fixed_fabric(&mut sim, 5);
+    let (_id, echo_addr) = sim.add_node(Box::new(Echo));
+    sim.add_node(Box::new(Pinger {
+        target: echo_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    sim.links_mut().set_ingress_loss(echo_addr, 1.0);
+    let (trace, sink) = shared(MemoryTrace::default());
+    sim.add_sink(sink);
+    sim.run_until_idle();
+    let events = &trace.lock().events;
+    assert_eq!(events.len(), 1, "the query is observed even though dropped");
+    assert_eq!(events[0].disposition, Disposition::Dropped);
+}
+
+#[test]
+fn control_event_starts_attack_mid_run() {
+    let mut sim = Simulator::new(4);
+    fixed_fabric(&mut sim, 1);
+    let (_id, echo_addr) = sim.add_node(Box::new(Echo));
+
+    // Two pingers: one starts before the attack, one after (via timer).
+    // Results are reported through shared handles, like the real
+    // experiment nodes do.
+    struct DelayedPinger {
+        target: Addr,
+        delay: SimDuration,
+        got_reply: std::sync::Arc<parking_lot::Mutex<bool>>,
+    }
+    impl Node for DelayedPinger {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(self.delay, TimerToken(0));
+        }
+        fn on_datagram(
+            &mut self,
+            _ctx: &mut Context<'_>,
+            _src: Addr,
+            msg: &Message,
+            _wire_len: usize,
+        ) {
+            if msg.is_response {
+                *self.got_reply.lock() = true;
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+            let q = Message::query(7, Name::parse("x.nl").unwrap(), RecordType::A);
+            ctx.send(self.target, &q);
+        }
+    }
+
+    let early_ok = std::sync::Arc::new(parking_lot::Mutex::new(false));
+    let late_ok = std::sync::Arc::new(parking_lot::Mutex::new(false));
+    sim.add_node(Box::new(DelayedPinger {
+        target: echo_addr,
+        delay: SimDuration::from_secs(1),
+        got_reply: early_ok.clone(),
+    }));
+    sim.add_node(Box::new(DelayedPinger {
+        target: echo_addr,
+        delay: SimDuration::from_secs(30),
+        got_reply: late_ok.clone(),
+    }));
+
+    // Attack starts at t=10s.
+    sim.schedule_control(SimDuration::from_secs(10).after_zero(), move |w| {
+        w.links_mut().set_ingress_loss(echo_addr, 1.0);
+    });
+    sim.run_until_idle();
+
+    assert!(*early_ok.lock(), "query before attack must succeed");
+    assert!(!*late_ok.lock(), "query during 100% attack must fail");
+}
+
+#[test]
+fn timers_fire_in_order_and_cancel_works() {
+    struct TimerNode {
+        fired: std::sync::Arc<parking_lot::Mutex<Vec<u64>>>,
+        to_cancel: Option<TimerId>,
+    }
+    impl Node for TimerNode {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_secs(3), TimerToken(3));
+            ctx.set_timer(SimDuration::from_secs(1), TimerToken(1));
+            let id = ctx.set_timer(SimDuration::from_secs(2), TimerToken(2));
+            self.to_cancel = Some(id);
+        }
+        fn on_datagram(
+            &mut self,
+            _ctx: &mut Context<'_>,
+            _src: Addr,
+            _msg: &Message,
+            _wire_len: usize,
+        ) {
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+            self.fired.lock().push(token.0);
+            if token.0 == 1 {
+                // Cancel the 2s timer before it fires.
+                let id = self.to_cancel.take().unwrap();
+                ctx.cancel_timer(id);
+            }
+        }
+    }
+
+    let fired = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let mut sim = Simulator::new(5);
+    sim.add_node(Box::new(TimerNode {
+        fired: fired.clone(),
+        to_cancel: None,
+    }));
+    sim.run_until_idle();
+    assert_eq!(*fired.lock(), vec![1, 3]);
+}
+
+#[test]
+fn identical_seeds_produce_identical_runs() {
+    fn run(seed: u64) -> u64 {
+        let mut sim = Simulator::new(seed);
+        let (_, echo_addr) = sim.add_node(Box::new(Echo));
+        for _ in 0..20 {
+            sim.add_node(Box::new(Pinger {
+                target: echo_addr,
+                sent_at: None,
+                rtt: None,
+            }));
+        }
+        let (counts, sink) = shared(CountingTrace::default());
+        sim.add_sink(sink);
+        sim.run_until_idle();
+        let c = *counts.lock();
+        sim.now().as_nanos() ^ c.delivered ^ (c.octets << 1)
+    }
+    assert_eq!(run(42), run(42));
+    assert_ne!(run(42), run(43), "different seeds should differ");
+}
+
+#[test]
+fn run_until_advances_clock_to_deadline() {
+    let mut sim = Simulator::new(6);
+    sim.run_until(SimDuration::from_secs(100).after_zero());
+    assert_eq!(sim.now().as_secs(), 100);
+}
+
+fn telemetry_run(seed: u64) -> dike_telemetry::MetricsRegistry {
+    let mut sim = Simulator::new(seed);
+    fixed_fabric(&mut sim, 10);
+    let (echo_id, echo_addr) = sim.add_node(Box::new(Echo));
+    sim.add_node(Box::new(Pinger {
+        target: echo_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    let reg = dike_telemetry::shared_registry();
+    sim.attach_telemetry(reg.clone(), dike_telemetry::TelemetryConfig::every_secs(1));
+    sim.label_node(echo_id, "echo");
+    sim.run_until(SimDuration::from_secs(5).after_zero());
+    drop(sim);
+    std::sync::Arc::try_unwrap(reg)
+        .expect("simulator dropped its registry handle")
+        .into_inner()
+        .expect("registry not poisoned")
+}
+
+#[test]
+fn telemetry_counts_events_and_per_node_traffic() {
+    let reg = telemetry_run(7);
+    // One query + one response.
+    assert_eq!(reg.counter_total("netsim", None, "datagrams_sent"), Some(2));
+    assert_eq!(
+        reg.counter_total("netsim", None, "datagrams_delivered"),
+        Some(2)
+    );
+    assert_eq!(
+        reg.counter_total("netsim", None, "datagrams_dropped"),
+        Some(0)
+    );
+    // The echo node (node 0) was offered exactly the query.
+    assert_eq!(
+        reg.counter_total("netsim", Some(0), "datagrams_offered"),
+        Some(1)
+    );
+    assert_eq!(
+        reg.counter_total("netsim", Some(0), "datagrams_delivered"),
+        Some(1)
+    );
+    assert_eq!(reg.node_label(0), Some("echo"));
+    // Boundaries at 1..=5 s, cut on sim time.
+    assert_eq!(reg.snapshot_times().len(), 5);
+    assert_eq!(reg.snapshot_times()[0], 1_000_000_000);
+    assert_eq!(reg.snapshot_times()[4], 5_000_000_000);
+}
+
+#[test]
+fn telemetry_snapshots_are_deterministic_across_runs() {
+    assert_eq!(telemetry_run(9).to_json(), telemetry_run(9).to_json());
+}
+
+/// An admission-style defense that delays every query by a fixed
+/// amount in one class.
+struct DelayAll(SimDuration, crate::queueing::QueueClass);
+
+impl crate::defense::IngressDefense for DelayAll {
+    fn on_query(
+        &mut self,
+        _now: SimTime,
+        _src: Addr,
+        _msg: &Message,
+    ) -> crate::defense::IngressVerdict {
+        crate::defense::IngressVerdict::Enqueue {
+            delay: self.0,
+            class: self.1,
+        }
+    }
+}
+
+#[test]
+fn queue_delay_histograms_reach_the_telemetry_cuts() {
+    use crate::queueing::QueueClass;
+
+    let mut sim = Simulator::new(11);
+    fixed_fabric(&mut sim, 10);
+    let (_, echo_addr) = sim.add_node(Box::new(Echo));
+    sim.add_node(Box::new(Pinger {
+        target: echo_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    sim.set_ingress_defense(
+        echo_addr,
+        Box::new(DelayAll(SimDuration::from_millis(3), QueueClass::Known)),
+    );
+    let reg = dike_telemetry::shared_registry();
+    sim.attach_telemetry(reg.clone(), dike_telemetry::TelemetryConfig::every_secs(1));
+    sim.run_until(SimDuration::from_secs(2).after_zero());
+    drop(sim);
+    let reg = std::sync::Arc::try_unwrap(reg)
+        .expect("simulator dropped its registry handle")
+        .into_inner()
+        .expect("registry not poisoned");
+
+    // The delayed class publishes a histogram row; the classes that
+    // saw no traffic stay absent so defense-free snapshot shapes are
+    // unchanged.
+    let known = reg
+        .histogram("netsim", None, "defense_queue_delay_known")
+        .expect("known-class delay histogram is published");
+    assert_eq!(known.count, 1, "one query was enqueued");
+    assert_eq!(known.sum, SimDuration::from_millis(3).as_nanos());
+    for absent in ["defense_queue_delay_unknown", "defense_queue_delay_flagged"] {
+        assert!(
+            reg.histogram("netsim", None, absent).is_none(),
+            "{absent} must not appear without samples"
+        );
+    }
+}
+
+/// A defense that cycles through one verdict of every kind the
+/// ledger counts, plus a delayed admission.
+struct EveryVerdict(usize);
+
+impl crate::defense::IngressDefense for EveryVerdict {
+    fn on_query(
+        &mut self,
+        _now: SimTime,
+        _src: Addr,
+        _msg: &Message,
+    ) -> crate::defense::IngressVerdict {
+        use crate::defense::IngressVerdict::*;
+        use crate::queueing::QueueClass::*;
+        self.0 += 1;
+        match self.0 % 7 {
+            0 => Pass,
+            1 => RrlDrop,
+            2 => RrlSlip,
+            3 => Shed(Known),
+            4 | 5 => Shed(Unknown),
+            _ => Enqueue {
+                delay: SimDuration::from_millis(1),
+                class: Flagged,
+            },
+        }
+    }
+}
+
+/// The registry reader and the two writers share one name table: what
+/// a defended echo world publishes reads back as its own ledger.
+#[test]
+fn ledger_read_from_the_registry_equals_the_simulators() {
+    let mut sim = Simulator::new(12);
+    fixed_fabric(&mut sim, 10);
+    let (_, echo_addr) = sim.add_node(Box::new(Echo));
+    for _ in 0..20 {
+        sim.add_node(Box::new(Pinger {
+            target: echo_addr,
+            sent_at: None,
+            rtt: None,
+        }));
+    }
+    sim.set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
+    let reg = dike_telemetry::shared_registry();
+    sim.attach_telemetry(reg.clone(), dike_telemetry::TelemetryConfig::every_secs(1));
+    sim.run_until(SimDuration::from_secs(2).after_zero());
+    let ledger = sim.defense_ledger();
+    drop(sim);
+    let reg = std::sync::Arc::try_unwrap(reg)
+        .expect("simulator dropped its registry handle")
+        .into_inner()
+        .expect("registry not poisoned");
+
+    assert_eq!(ledger.rrl_limited, 6);
+    assert_eq!(ledger.rrl_slipped, 3);
+    assert_eq!(ledger.shed_by_class, [3, 6, 0]);
+    assert_eq!(ledger.shed(), 9);
+    assert_eq!(ledger.defense_drops, 15);
+    assert_eq!(DefenseLedger::from_registry(&reg, "netsim"), ledger);
+    assert_eq!(
+        DefenseLedger::from_registry(&reg, "serve"),
+        DefenseLedger::default(),
+        "nothing was published under another component"
+    );
+}
+
+/// Installing a second defense on a defended address swaps the
+/// engine inside the gate: the drops, the delay samples and the
+/// cookie secret of the first engine's lifetime stay.
+#[test]
+fn replacing_a_defense_keeps_the_gates_accounting_and_secret() {
+    use crate::queueing::QueueClass;
+
+    let ping = |sim: &mut Simulator, target, n| {
+        for _ in 0..n {
+            sim.add_node(Box::new(Pinger {
+                target,
+                sent_at: None,
+                rtt: None,
+            }));
+        }
+    };
+    let mut sim = Simulator::new(13);
+    fixed_fabric(&mut sim, 10);
+    let (_, echo_addr) = sim.add_node(Box::new(Echo));
+    ping(&mut sim, echo_addr, 20);
+    sim.set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
+    sim.set_ingress_cookie_secret(echo_addr, Some(0x5ec2e7));
+    sim.run_until(SimDuration::from_secs(1).after_zero());
+    let first_life = sim.defense_ledger();
+    assert_eq!(first_life.defense_drops, 15);
+
+    sim.set_ingress_defense(
+        echo_addr,
+        Box::new(DelayAll(SimDuration::from_millis(3), QueueClass::Known)),
+    );
+    ping(&mut sim, echo_addr, 5);
+    sim.run_until(SimDuration::from_secs(2).after_zero());
+
+    assert_eq!(
+        sim.defense_ledger(),
+        first_life,
+        "the second engine drops nothing; the first engine's drops stay"
+    );
+    let delays = sim.world_mut().defense_queue_delays();
+    assert_eq!(delays[QueueClass::Flagged.index()].count(), 3);
+    assert_eq!(delays[QueueClass::Known.index()].count(), 5);
+    let gate = sim.world_mut().defense_mut(echo_addr).expect("defended");
+    assert_eq!(gate.cookie_secret(), Some(0x5ec2e7));
+    sim.audit().assert_clean();
+}
+
+/// A TCP-capable echo: answers stream queries in place, over the
+/// same connection.
+struct TcpEcho;
+
+impl Node for TcpEcho {
+    fn on_datagram(&mut self, ctx: &mut Context<'_>, src: Addr, msg: &Message, _wire_len: usize) {
+        if !msg.is_response {
+            let resp = Message::response_to(msg);
+            ctx.send(src, &resp);
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+
+    fn on_tcp_message(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: crate::tcp::TcpConnId,
+        _peer: Addr,
+        msg: &Message,
+        _wire_len: usize,
+    ) {
+        if !msg.is_response {
+            let resp = Message::response_to(msg);
+            ctx.tcp_send(conn, &resp);
+        }
+    }
+}
+
+/// Dials `target` at start, sends one query when connected, and logs
+/// `(event, sim-millis)` pairs for the test to assert on.
+struct TcpClient {
+    target: Addr,
+    close_after_reply: bool,
+    log: std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>>,
+}
+
+impl TcpClient {
+    fn log(&self, ctx: &Context<'_>, what: &str) {
+        self.log
+            .lock()
+            .push((what.to_string(), ctx.now().as_nanos() / 1_000_000));
+    }
+}
+
+impl Node for TcpClient {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.tcp_connect(self.target);
+    }
+
+    fn on_datagram(
+        &mut self,
+        _ctx: &mut Context<'_>,
+        _src: Addr,
+        _msg: &Message,
+        _wire_len: usize,
+    ) {
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+
+    fn on_tcp_connected(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: crate::tcp::TcpConnId,
+        _peer: Addr,
+    ) {
+        self.log(ctx, "connected");
+        let q = Message::query(9, Name::parse("tcp.nl").unwrap(), RecordType::A);
+        ctx.tcp_send(conn, &q);
+    }
+
+    fn on_tcp_message(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: crate::tcp::TcpConnId,
+        _peer: Addr,
+        msg: &Message,
+        _wire_len: usize,
+    ) {
+        assert!(msg.is_response);
+        self.log(ctx, "reply");
+        if self.close_after_reply {
+            ctx.tcp_close(conn);
+        }
+    }
+
+    fn on_tcp_closed(&mut self, ctx: &mut Context<'_>, _conn: crate::tcp::TcpConnId, reset: bool) {
+        self.log(ctx, if reset { "reset" } else { "fin" });
+    }
+}
+
+fn tcp_log() -> std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>> {
+    std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()))
+}
+
+#[test]
+fn tcp_handshake_costs_one_rtt_and_per_conn_cost_applies() {
+    let mut sim = Simulator::new(21);
+    fixed_fabric(&mut sim, 10);
+    let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
+    sim.set_tcp_listener(
+        server_addr,
+        crate::tcp::TcpConfig {
+            per_conn_cost: SimDuration::from_millis(5),
+            ..Default::default()
+        },
+    );
+    let log = tcp_log();
+    sim.add_node(Box::new(TcpClient {
+        target: server_addr,
+        close_after_reply: true,
+        log: log.clone(),
+    }));
+    sim.run_until_idle();
+    // SYN 10ms + SYN-ACK 10ms = connected at 20; query 10ms + 5ms
+    // per-connection cost + reply 10ms = 45.
+    assert_eq!(
+        *log.lock(),
+        vec![("connected".to_string(), 20), ("reply".to_string(), 45)]
+    );
+    let stats = sim.tcp_stats();
+    assert_eq!(stats.opened, 1);
+    assert_eq!(stats.closed, 1);
+    assert_eq!(stats.reset, 0);
+    assert_eq!(stats.messages, 2);
+    assert_eq!(sim.tcp_conns_live(), 0);
+    sim.audit().assert_clean();
+}
+
+#[test]
+fn tcp_dial_without_listener_is_reset() {
+    let mut sim = Simulator::new(22);
+    fixed_fabric(&mut sim, 10);
+    let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
+    // No listener installed: a live node refuses like a closed port.
+    let log = tcp_log();
+    sim.add_node(Box::new(TcpClient {
+        target: server_addr,
+        close_after_reply: false,
+        log: log.clone(),
+    }));
+    sim.run_until_idle();
+    assert_eq!(*log.lock(), vec![("reset".to_string(), 20)]);
+    let stats = sim.tcp_stats();
+    assert_eq!((stats.opened, stats.reset, stats.syn_refused), (1, 1, 1));
+    assert_eq!(sim.tcp_conns_live(), 0);
+    sim.audit().assert_clean();
+}
+
+#[test]
+fn tcp_table_full_sheds_handshakes_but_udp_still_served() {
+    let mut sim = Simulator::new(23);
+    fixed_fabric(&mut sim, 10);
+    let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
+    sim.set_tcp_listener(
+        server_addr,
+        crate::tcp::TcpConfig {
+            table_capacity: 1,
+            per_conn_cost: SimDuration::ZERO,
+            // Long idle timeout: the first connection holds its slot
+            // (the client never closes) while the second dials.
+            idle_timeout: SimDuration::from_secs(60),
+        },
+    );
+    let holder = tcp_log();
+    sim.add_node(Box::new(TcpClient {
+        target: server_addr,
+        close_after_reply: false, // holds the only table slot
+        log: holder.clone(),
+    }));
+    let shed = tcp_log();
+    sim.add_node(Box::new(TcpClient {
+        target: server_addr,
+        close_after_reply: false,
+        log: shed.clone(),
+    }));
+    // A plain UDP client must sail through the whole time.
+    sim.add_node(Box::new(Pinger {
+        target: server_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    sim.run_until(SimDuration::from_secs(30).after_zero());
+    let stats = sim.tcp_stats();
+    assert_eq!(stats.syn_refused, 1, "second handshake shed with RST");
+    // Same-instant SYNs race deterministically: exactly one of the
+    // two dialers connected, the other saw a reset.
+    let connected = |l: &std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>>| {
+        l.lock().iter().any(|(e, _)| e == "connected")
+    };
+    let was_reset = |l: &std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>>| {
+        l.lock().iter().any(|(e, _)| e == "reset")
+    };
+    assert!(connected(&holder) ^ connected(&shed));
+    assert!(was_reset(&holder) ^ was_reset(&shed));
+    // UDP round-tripped: delivered query + response.
+    assert!(sim.perf().datagrams_delivered >= 2, "UDP must keep flowing");
+    sim.audit().assert_clean();
+}
+
+#[test]
+fn tcp_idle_timeout_reaps_and_releases_the_table_slot() {
+    let mut sim = Simulator::new(24);
+    fixed_fabric(&mut sim, 10);
+    let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
+    sim.set_tcp_listener(
+        server_addr,
+        crate::tcp::TcpConfig {
+            table_capacity: 4,
+            per_conn_cost: SimDuration::ZERO,
+            idle_timeout: SimDuration::from_secs(2),
+        },
+    );
+    let log = tcp_log();
+    sim.add_node(Box::new(TcpClient {
+        target: server_addr,
+        close_after_reply: false, // lingers until the server reaps it
+        log: log.clone(),
+    }));
+    sim.run_until_idle();
+    let entries = log.lock().clone();
+    assert_eq!(entries.len(), 3, "connected, reply, fin: {entries:?}");
+    assert_eq!(entries[2].0, "fin", "idle reap is a graceful close");
+    // Last activity is the reply reaching the client at t=40ms;
+    // reaped 2s later, plus one path delay for the FIN.
+    assert_eq!(entries[2].1, 2050);
+    assert_eq!(sim.world_mut().tcp_listener_open(server_addr), Some(0));
+    let stats = sim.tcp_stats();
+    assert_eq!((stats.opened, stats.closed, stats.reset), (1, 1, 0));
+    sim.audit().assert_clean();
+}
+
+#[test]
+fn tcp_server_crash_resets_connections_and_conserves() {
+    let mut sim = Simulator::new(25);
+    fixed_fabric(&mut sim, 10);
+    let (server_id, server_addr) = sim.add_node(Box::new(TcpEcho));
+    sim.set_tcp_listener(
+        server_addr,
+        crate::tcp::TcpConfig {
+            idle_timeout: SimDuration::from_secs(60),
+            ..Default::default()
+        },
+    );
+    let log = tcp_log();
+    sim.add_node(Box::new(TcpClient {
+        target: server_addr,
+        close_after_reply: false,
+        log: log.clone(),
+    }));
+    sim.schedule_node_down(SimDuration::from_secs(1).after_zero(), server_id);
+    sim.run_until(SimDuration::from_secs(5).after_zero());
+    let entries = log.lock().clone();
+    assert_eq!(
+        entries.last().map(|(e, at)| (e.as_str(), *at)),
+        Some(("reset", 1010)),
+        "crash severs the connection with an RST: {entries:?}"
+    );
+    let stats = sim.tcp_stats();
+    assert_eq!((stats.opened, stats.closed, stats.reset), (1, 0, 1));
+    assert_eq!(sim.tcp_conns_live(), 0);
+    sim.audit().assert_clean();
+}
+
+#[test]
+fn udp_only_runs_never_touch_tcp_state() {
+    let mut sim = Simulator::new(26);
+    fixed_fabric(&mut sim, 10);
+    let (_, echo_addr) = sim.add_node(Box::new(Echo));
+    sim.add_node(Box::new(Pinger {
+        target: echo_addr,
+        sent_at: None,
+        rtt: None,
+    }));
+    sim.run_until_idle();
+    assert_eq!(sim.tcp_stats(), crate::tcp::TcpStats::default());
+    assert_eq!(sim.tcp_conns_live(), 0);
+    sim.audit().assert_clean();
+}
