@@ -7,11 +7,12 @@
 //! hosts.
 //!
 //! Design follows the event-driven, poll-free philosophy of embedded
-//! network stacks: a single virtual clock, a binary-heap event queue keyed
+//! network stacks: a single virtual clock, a timer-wheel event queue keyed
 //! by `(time, sequence)`, and nodes that react to exactly two stimuli —
 //! datagram delivery and timer expiry. All randomness (latency jitter,
-//! packet loss) flows from one seeded [`rand::rngs::SmallRng`], so a run is
-//! a pure function of its configuration and seed.
+//! packet loss) flows from seeded [`rand::rngs::SmallRng`] streams — one
+//! per run, or one per node in a sharded world ([`shard`]) — so a run is a
+//! pure function of its configuration and seed.
 //!
 //! * [`SimTime`] / [`SimDuration`] — the virtual clock.
 //! * [`Addr`], [`NodeId`] — addressing; one simulated IPv4-style address
@@ -20,7 +21,12 @@
 //! * [`LinkTable`], [`LatencyModel`], ingress-loss filters — the network
 //!   fabric, including the paper's iptables-style DDoS emulation
 //!   (random drop at the target's ingress, §5.1).
-//! * [`Simulator`] — the event loop.
+//! * [`Simulator`] — the event loop. Its file holds the loop and the
+//!   world's core and nothing else; what else reaches into the world's
+//!   private state lives in child modules of it: the ingress stages
+//!   (loss filters → decode → [`IngressGate`] → [`ServiceQueue`]), the
+//!   [`tcp`] state machine, the telemetry cuts, the [`shard`] plumbing
+//!   and the [`audit`]or.
 //! * [`trace`] — pluggable observation: every delivered or dropped
 //!   datagram can be fed to a [`trace::TraceSink`] for server-side traffic
 //!   accounting (paper §6).

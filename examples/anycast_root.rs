@@ -14,7 +14,7 @@ use dike::experiments::implications::{run_implications, ImplicationsConfig};
 
 /// A share as a percentage; `-` for a window that saw no query.
 fn pct(share: Option<f64>) -> String {
-    share.map_or_else(|| "-".into(), |s| format!("{:.1}%", s * 100.0))
+    share.map_or_else(|| "-".into(), dike::stats::table::pct)
 }
 
 fn main() {
