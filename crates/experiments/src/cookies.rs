@@ -248,9 +248,6 @@ pub struct CookieComparison {
 /// defenses, transport and hog fleet armed.
 pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
     let mut setup = flooded_experiment_h(scale, seed);
-    let attack = setup.attack.expect("Experiment H attacks");
-    let onset = SimDuration::from_mins(attack.start_min).after_zero();
-    let ns = crate::topology::ns_addrs();
 
     // Much tighter than the §7 presets' 0.1 qps: this comparison needs
     // the collateral the paper worries about — legitimate aggregating
@@ -258,7 +255,7 @@ pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
     // is visible. At 0.002 qps a prefix gets its burst token and then
     // roughly one answer every eight minutes; every recursive serving
     // more than one client trips it during the attack.
-    let rrl = |slip: u32| {
+    let rrl = |slip: u32, ns: [Addr; 2], onset: SimTime| {
         let cfg = RrlConfig {
             rate_qps: 0.002,
             burst: 1.0,
@@ -273,24 +270,23 @@ pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
     };
     match arm {
         CookieArm::Undefended => {}
-        CookieArm::RrlDrop => setup.defense = Some(rrl(0)),
+        CookieArm::RrlDrop => setup.arm_defense(|ns, onset| rrl(0, ns, onset)),
         CookieArm::SlipTcp | CookieArm::SlipTcpExhausted => {
-            setup.defense = Some(rrl(2));
+            setup.arm_defense(|ns, onset| rrl(2, ns, onset));
             setup.tcp = Some(TcpConfig::default());
             if arm == CookieArm::SlipTcpExhausted {
                 // 30 dials/sec against a 64-slot table with a 10 s idle
                 // reaper: the hogs re-fill slots ~5× faster than the
                 // reaper frees them.
+                let attack = setup.attack.expect("Experiment H attacks");
                 setup.tcp_exhaustion = Some(TcpExhaustion::aligned_with(&attack, 30.0));
             }
         }
         CookieArm::Cookies => {
-            let mut plan = rrl(0);
-            for t in ns {
-                plan.push(Defense::cookie(t, COOKIE_SECRET));
-            }
-            setup.defense = Some(plan);
+            // Drop-mode RRL; `arm_defense` adds the exemption at both
+            // gates because the secret is set.
             setup.cookie_secret = Some(COOKIE_SECRET);
+            setup.arm_defense(|ns, onset| rrl(0, ns, onset));
         }
     }
     setup

@@ -387,11 +387,7 @@ pub(crate) fn flooded_experiment_h(scale: f64, seed: u64) -> ExperimentSetup {
 /// onset.
 pub fn defense_setup(preset: DefensePreset, scale: f64, seed: u64) -> ExperimentSetup {
     let mut setup = flooded_experiment_h(scale, seed);
-    let attack = setup.attack.expect("Experiment H attacks");
-    setup.defense = Some(preset.plan(
-        crate::topology::ns_addrs(),
-        SimDuration::from_mins(attack.start_min).after_zero(),
-    ));
+    setup.arm_defense(|ns, onset| preset.plan(ns, onset));
     setup
 }
 

@@ -12,8 +12,10 @@ use dike_auth::{AuthServer, Zone};
 use dike_cache::TrustLevel;
 use dike_netsim::{Addr, Context, Node, SimDuration, Simulator, TimerToken};
 use dike_resolver::{profiles, RecursiveResolver};
-use dike_wire::{Message, Name, RData, Rcode, Record, RecordType, SoaData};
+use dike_wire::{Message, Name, RData, Rcode, Record, RecordType};
 use parking_lot::Mutex;
+
+use crate::topology::{root_and_nl_zones, soa_for};
 
 /// Table 5's TTL buckets for client-observed NS/A record TTLs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,51 +69,15 @@ fn build_glue_world(sim: &mut Simulator) -> (Addr, Addr) {
     let ns_addr = Addr(base + 2);
     let v4 = |a: Addr| std::net::Ipv4Addr::from(a.0);
 
-    let soa = |origin: &Name| SoaData {
-        mname: origin.child("ns1").unwrap_or_else(|_| origin.clone()),
-        rname: origin
-            .child("hostmaster")
-            .unwrap_or_else(|_| origin.clone()),
-        serial: 1,
-        refresh: 14_400,
-        retry: 3_600,
-        expire: 1_209_600,
-        minimum: 60,
-    };
-
-    let origin = Name::root();
-    let mut root_zone = Zone::new(origin.clone(), 86_400, soa(&origin));
-    let nl = Name::parse("nl").expect("static");
-    root_zone.add(Record::new(
-        nl.clone(),
-        86_400,
-        RData::Ns(Name::parse("ns1.dns.nl").expect("static")),
-    ));
-    root_zone.add(Record::new(
-        Name::parse("ns1.dns.nl").expect("static"),
-        86_400,
-        RData::A(v4(nl_addr)),
-    ));
-
     // Parent: referral NS + glue with TTL 3600.
-    let mut nl_zone = Zone::new(nl.clone(), 3_600, soa(&nl));
-    nl_zone.add(Record::new(
-        nl.clone(),
-        3_600,
-        RData::Ns(Name::parse("ns1.dns.nl").expect("static")),
-    ));
-    nl_zone.add(Record::new(
-        Name::parse("ns1.dns.nl").expect("static"),
-        3_600,
-        RData::A(v4(nl_addr)),
-    ));
+    let (root_zone, mut nl_zone) = root_and_nl_zones(nl_addr);
     let ct = Name::parse("cachetest.nl").expect("static");
     let ns_name = Name::parse("ns1.cachetest.nl").expect("static");
     nl_zone.add(Record::new(ct.clone(), 3_600, RData::Ns(ns_name.clone())));
     nl_zone.add(Record::new(ns_name.clone(), 3_600, RData::A(v4(ns_addr))));
 
     // Child: the same records with TTL 60 (authoritative values).
-    let mut child = Zone::new(ct.clone(), 60, soa(&ct));
+    let mut child = Zone::new(ct.clone(), 60, soa_for(&ct));
     child.add(Record::new(ct.clone(), 60, RData::Ns(ns_name.clone())));
     child.add(Record::new(ns_name, 60, RData::A(v4(ns_addr))));
 
@@ -253,20 +219,8 @@ pub fn run_amazon_fixture(seed: u64) -> Option<(u32, TrustLevel)> {
     let amazon_addr = Addr(root_addr.0 + 2);
     let v4 = |a: Addr| std::net::Ipv4Addr::from(a.0);
 
-    let soa = |origin: &Name| SoaData {
-        mname: origin.child("ns1").unwrap_or_else(|_| origin.clone()),
-        rname: origin
-            .child("hostmaster")
-            .unwrap_or_else(|_| origin.clone()),
-        serial: 1,
-        refresh: 14_400,
-        retry: 3_600,
-        expire: 1_209_600,
-        minimum: 60,
-    };
-
     let origin = Name::root();
-    let mut root_zone = dike_auth::Zone::new(origin.clone(), 86_400, soa(&origin));
+    let mut root_zone = dike_auth::Zone::new(origin.clone(), 86_400, soa_for(&origin));
     let com = Name::parse("com").expect("static");
     root_zone.add(Record::new(
         com.clone(),
@@ -279,7 +233,7 @@ pub fn run_amazon_fixture(seed: u64) -> Option<(u32, TrustLevel)> {
         RData::A(v4(com_addr)),
     ));
 
-    let mut com_zone = dike_auth::Zone::new(com.clone(), 172_800, soa(&com));
+    let mut com_zone = dike_auth::Zone::new(com.clone(), 172_800, soa_for(&com));
     com_zone.add(Record::new(
         com.clone(),
         172_800,
@@ -301,7 +255,7 @@ pub fn run_amazon_fixture(seed: u64) -> Option<(u32, TrustLevel)> {
         RData::A(v4(amazon_addr)),
     ));
 
-    let mut amazon_zone = dike_auth::Zone::new(amazon.clone(), 3_600, soa(&amazon));
+    let mut amazon_zone = dike_auth::Zone::new(amazon.clone(), 3_600, soa_for(&amazon));
     amazon_zone.add(Record::new(
         amazon.clone(),
         3_600,

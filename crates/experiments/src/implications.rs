@@ -22,10 +22,10 @@ use dike_netsim::{Addr, NodeId, SimDuration, Simulator};
 use dike_resolver::{profiles, RecursiveResolver};
 use dike_stats::timeseries::{ok_fraction_in, outcome_timeseries, OutcomeBin};
 use dike_stub::{new_shared_log, StubConfig, StubProbe};
-use dike_wire::{Name, RData, Record, SoaData};
+use dike_wire::{Name, RData, Record};
 
 use dike_attack::Attack;
-use dike_auth::{AuthServer, CacheTestZone, Zone};
+use dike_auth::{AuthServer, CacheTestZone};
 
 /// One point in the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,20 +105,6 @@ const ATTACK_START_MIN: u64 = 60;
 const ATTACK_DURATION_MIN: u64 = 60;
 const TOTAL_MIN: u64 = 150;
 
-fn soa(origin: &Name) -> SoaData {
-    SoaData {
-        mname: origin.child("ns1").unwrap_or_else(|_| origin.clone()),
-        rname: origin
-            .child("hostmaster")
-            .unwrap_or_else(|_| origin.clone()),
-        serial: 1,
-        refresh: 14_400,
-        retry: 3_600,
-        expire: 1_209_600,
-        minimum: 60,
-    }
-}
-
 /// Runs one sweep point.
 pub fn run_implications(cfg: &ImplicationsConfig) -> ImplicationsResult {
     let mut sim = Simulator::new(cfg.seed);
@@ -136,31 +122,7 @@ pub fn run_implications(cfg: &ImplicationsConfig) -> ImplicationsResult {
     let nl_addr = Addr(root_addr.0 + 1);
     let v4 = |a: Addr| std::net::Ipv4Addr::from(a.0);
 
-    let origin = Name::root();
-    let mut root_zone = Zone::new(origin.clone(), 86_400, soa(&origin));
-    let nl = Name::parse("nl").expect("static");
-    root_zone.add(Record::new(
-        nl.clone(),
-        86_400,
-        RData::Ns(Name::parse("ns1.dns.nl").expect("static")),
-    ));
-    root_zone.add(Record::new(
-        Name::parse("ns1.dns.nl").expect("static"),
-        86_400,
-        RData::A(v4(nl_addr)),
-    ));
-
-    let mut nl_zone = Zone::new(nl.clone(), 3_600, soa(&nl));
-    nl_zone.add(Record::new(
-        nl.clone(),
-        3_600,
-        RData::Ns(Name::parse("ns1.dns.nl").expect("static")),
-    ));
-    nl_zone.add(Record::new(
-        Name::parse("ns1.dns.nl").expect("static"),
-        3_600,
-        RData::A(v4(nl_addr)),
-    ));
+    let (root_zone, mut nl_zone) = crate::topology::root_and_nl_zones(nl_addr);
     let ct = Name::parse("cachetest.nl").expect("static");
     let ns_v4: Vec<std::net::Ipv4Addr> = vips.iter().map(|a| v4(*a)).collect();
     for (i, vip) in vips.iter().enumerate() {

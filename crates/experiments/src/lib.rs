@@ -19,13 +19,32 @@
 //!
 //! [`population`] holds the calibrated resolver-population mix,
 //! [`topology`] assembles the simulated world (hierarchy + resolvers +
-//! probes), [`setup`] runs one [`ExperimentSetup`] and [`report`] pairs
-//! the run with its per-round series and the paper's headline attack
-//! metrics ([`Report`]). The `repro` binary prints any table or figure:
+//! probes), [`setup`] runs one [`ExperimentSetup`] — the one description
+//! of a run — [`report`] pairs the run with its per-round series and the
+//! paper's headline attack metrics ([`Report`]), and [`sweep`] varies a
+//! setup along axes ([`SweepEngine`]).
+//!
+//! ```
+//! use dike_experiments::{AttackPlan, ExperimentSetup, Report};
+//!
+//! let report = Report::run(&ExperimentSetup {
+//!     // 90% ingress loss at both authoritatives, minutes 60–120.
+//!     attack: Some(AttackPlan::loss(0.9).window_min(60, 60)),
+//!     seed: 7,
+//!     // 150 probes, TTL 1800 s, a round every 10 minutes for 3 hours.
+//!     ..ExperimentSetup::paced(150, 1800, 10, 180)
+//! });
+//!
+//! // Half-hour caches plus retries keep most clients alive (paper §5.4).
+//! assert!(report.ok_fraction_during_attack().unwrap() > 0.4);
+//! assert!(report.traffic_multiplier().unwrap() > 1.0);
+//! ```
+//!
+//! The `repro` binary prints any table or figure:
 //!
 //! ```text
 //! repro table2 --scale 0.05
-//! repro fig8 --experiment H
+//! repro fig8 --scale 0.05 --seed 7
 //! repro all
 //! ```
 
@@ -44,9 +63,13 @@ pub mod report;
 pub mod setup;
 pub mod shard;
 pub mod software;
+pub mod sweep;
 pub mod topology;
 
 pub use population::PopulationMix;
 pub use report::Report;
 pub use setup::{AttackPlan, AttackScope, ExperimentOutput, ExperimentSetup};
 pub use shard::run_experiment_sharded;
+pub use sweep::{
+    ArmSummary, Band, ReplicateSummary, SweepAxis, SweepEngine, SweepJob, SweepResult,
+};

@@ -224,4 +224,89 @@ mod tests {
         // Without an attack the "attack window" is the whole run.
         assert_eq!(report.ok_fraction_during_attack(), Some(got));
     }
+
+    /// A default-population run: `n_probes` probes at TTL 1800, a round
+    /// every 10 minutes for `total_min` minutes.
+    fn run(n_probes: usize, total_min: u64, seed: u64, attack: Option<AttackPlan>) -> Report {
+        Report::run(&ExperimentSetup {
+            seed,
+            attack,
+            ..ExperimentSetup::paced(n_probes, 1800, 10, total_min)
+        })
+    }
+
+    #[test]
+    fn healthy_run_reports_high_ok_fraction() {
+        let report = run(40, 60, 3, None);
+        assert!(report.ok_fraction() > 0.9, "{}", report.ok_fraction());
+        assert_eq!(report.traffic_multiplier(), Some(1.0));
+        // The population's cache-miss mix shows through the report too.
+        let miss = report.miss_rate();
+        assert!((0.05..0.6).contains(&miss), "miss rate {miss}");
+    }
+
+    #[test]
+    fn attack_degrades_and_amplifies() {
+        let report = Report::run(&ExperimentSetup {
+            seed: 5,
+            attack: Some(AttackPlan::loss(0.95).window_min(40, 60)),
+            ..ExperimentSetup::paced(60, 60, 10, 120) // TTL 60: no cache protection
+        });
+        let during = report
+            .ok_fraction_during_attack()
+            .expect("rounds in window");
+        assert!(during < 0.8, "ok during 95% attack: {during}");
+        assert!(report.traffic_multiplier().expect("baseline exists") > 1.5);
+    }
+
+    #[test]
+    fn attack_window_past_end_of_run_yields_none() {
+        let attack = AttackPlan::complete().window_min(500, 60);
+        let report = run(10, 30, 11, Some(attack));
+        // No round overlaps the window, so there is no "during" fraction —
+        // previously this reported a misleading 0.0.
+        assert_eq!(report.ok_fraction_during_attack(), None);
+        // The multiplier exists (quiet window over a real baseline) and
+        // shows no amplification.
+        let mult = report.traffic_multiplier().expect("baseline exists");
+        assert!(mult < 0.5, "empty attack window amplifies nothing: {mult}");
+    }
+
+    #[test]
+    fn attack_from_minute_zero_has_no_baseline() {
+        let report = run(10, 40, 12, Some(AttackPlan::loss(0.5).window_min(0, 40)));
+        // Everything is under attack: no pre-attack rounds to compare
+        // against — previously this reported a misleading 0.0.
+        assert_eq!(report.traffic_multiplier(), None);
+        // The OK fraction during the attack is still well-defined.
+        assert!(report.ok_fraction_during_attack().is_some());
+    }
+
+    #[test]
+    fn zero_round_run_yields_none_not_zero() {
+        let report = run(10, 0, 13, None);
+        assert!(report.output.log.records.is_empty());
+        assert_eq!(report.ok_fraction_during_attack(), None);
+    }
+
+    #[test]
+    fn metric_snapshots_are_deterministic_per_seed() {
+        let run = || {
+            Report::run(&ExperimentSetup {
+                seed: 21,
+                attack: Some(AttackPlan::loss(0.9).window_min(20, 20)),
+                telemetry: Some(dike_telemetry::TelemetryConfig::every_mins(10)),
+                ..ExperimentSetup::paced(15, 1800, 10, 40)
+            })
+        };
+        let (a, b) = (run(), run());
+        let (ra, rb) = (a.metrics().unwrap(), b.metrics().unwrap());
+        assert!(!ra.is_empty());
+        assert_eq!(ra.snapshot_times(), rb.snapshot_times());
+        assert_eq!(
+            ra.to_json(),
+            rb.to_json(),
+            "identical seeds, identical series"
+        );
+    }
 }

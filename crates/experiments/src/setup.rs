@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use dike_attack::Attack;
-use dike_defense::DefensePlan;
+use dike_defense::{Defense, DefensePlan};
 use dike_faults::{Fault, FaultPlan};
-use dike_netsim::{trace, Addr, QueueConfig, SimDuration, Simulator};
+use dike_netsim::{trace, Addr, QueueConfig, SimDuration, SimTime, Simulator};
 use dike_stats::server_view::ServerView;
 use dike_stub::ProbeLog;
 use dike_telemetry::{MetricsRegistry, TelemetryConfig};
@@ -31,9 +31,7 @@ pub enum AttackScope {
 }
 
 /// An attack in Table 4 terms: loss rate, scope, and window. Built
-/// field by field, or through [`AttackPlan::loss`] and the setters
-/// (`dike_core` re-exports this type as `Attack`, the argument of
-/// `Scenario::with_attack`).
+/// field by field, or through [`AttackPlan::loss`] and the setters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackPlan {
     /// Minutes after start when the attack begins.
@@ -100,7 +98,7 @@ impl AttackPlan {
     }
 
     /// This attack as a one-fault [`FaultPlan`] — the exact faults a
-    /// scenario carrying it will schedule. Random drop is the fault
+    /// setup carrying it will schedule. Random drop is the fault
     /// engine's compatibility case, so the same plan can be serialized
     /// ([`FaultPlan::to_json`]) or composed with richer faults.
     pub fn fault_plan(&self) -> FaultPlan {
@@ -237,6 +235,20 @@ impl ExperimentSetup {
         }
     }
 
+    /// `n_probes` probes asked once every `interval_min` minutes (must be
+    /// positive) for `total_min` minutes. Duration, pacing and round
+    /// count are reconciled here and nowhere else:
+    /// `rounds = total_min / interval_min`. Everything else as in
+    /// [`ExperimentSetup::new`].
+    pub fn paced(n_probes: usize, ttl: u32, interval_min: u64, total_min: u64) -> Self {
+        ExperimentSetup {
+            round_interval: SimDuration::from_mins(interval_min),
+            rounds: (total_min / interval_min) as u32,
+            total_duration: SimDuration::from_mins(total_min),
+            ..ExperimentSetup::new(n_probes, ttl)
+        }
+    }
+
     /// The probe count at `scale` (1.0 ≈ the paper's 9.2k probes).
     pub fn probes_at_scale(scale: f64) -> usize {
         ((9_200.0 * scale).round() as usize).max(10)
@@ -250,13 +262,37 @@ impl ExperimentSetup {
     pub fn table4_paced(scale: f64, ttl: u32, total_min: u64, seed: u64) -> Self {
         ExperimentSetup {
             seed,
-            round_interval: SimDuration::from_mins(10),
-            rounds: (total_min / 10) as u32,
-            total_duration: SimDuration::from_mins(total_min),
             first_round_spread: SimDuration::from_mins(8),
             round_jitter: SimDuration::from_mins(4),
-            ..ExperimentSetup::new(Self::probes_at_scale(scale), ttl)
+            ..ExperimentSetup::paced(Self::probes_at_scale(scale), ttl, 10, total_min)
         }
+    }
+
+    /// Arms server-side defenses at the two authoritatives. `plan`
+    /// builds them from the name-server addresses and the onset — the
+    /// attack's first minute, or minute 0 without an attack. With
+    /// cookies armed ([`ExperimentSetup::cookie_secret`]), every
+    /// authoritative the plan gates with RRL or admission also gets the
+    /// cookie exemption (validation rejects one without a gate). An
+    /// empty plan leaves `defense` at `None`, so the simulator keeps its
+    /// defense-free hot path and the pinned determinism digest.
+    pub fn arm_defense(&mut self, plan: impl FnOnce([Addr; 2], SimTime) -> DefensePlan) {
+        let ns = topology::ns_addrs();
+        let onset = SimDuration::from_mins(self.attack.map_or(0, |a| a.start_min)).after_zero();
+        let mut plan = plan(ns, onset);
+        if let Some(secret) = self.cookie_secret {
+            for ns in ns {
+                let gated = plan.defenses.iter().any(|d| {
+                    matches!(d,
+                        Defense::Rrl { target, .. } | Defense::Admission { target, .. }
+                            if *target == ns)
+                });
+                if gated {
+                    plan.push(Defense::cookie(ns, secret));
+                }
+            }
+        }
+        self.defense = (!plan.is_empty()).then_some(plan);
     }
 }
 
@@ -389,8 +425,7 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
         // fixed build order.
         let targets = plan.targets();
         debug_assert_eq!(targets[0], topo.ns[0]);
-        FaultPlan::new()
-            .with(plan.fault())
+        plan.fault_plan()
             .schedule(&mut sim)
             .unwrap_or_else(|(_, e)| panic!("invalid attack plan: {e}"));
         // With queueing enabled, the flood also eats service capacity
@@ -595,6 +630,110 @@ mod tests {
             late.ok_fraction() < 0.35,
             "late ok fraction {} should collapse",
             late.ok_fraction()
+        );
+    }
+
+    #[test]
+    fn paced_derives_rounds_from_duration_and_interval() {
+        let s = ExperimentSetup::paced(50, 300, 20, 120);
+        assert_eq!((s.n_probes, s.ttl, s.rounds), (50, 300, 6));
+        assert_eq!(s.round_interval, SimDuration::from_mins(20));
+        assert_eq!(s.total_duration, SimDuration::from_mins(120));
+        // A partial last interval holds no round.
+        assert_eq!(ExperimentSetup::paced(50, 300, 10, 125).rounds, 12);
+        // Table 4's pacing is the same arithmetic at 10 minutes.
+        assert_eq!(ExperimentSetup::table4_paced(0.01, 1800, 180, 1).rounds, 18);
+    }
+
+    #[test]
+    fn typed_attacks_produce_valid_single_fault_plans() {
+        // Every attack shape resolves to exactly one valid random-drop
+        // fault, and equal attacks mean equal plans (same JSON too).
+        let cases = [
+            AttackPlan::loss(0.5),
+            AttackPlan::complete().scope(AttackScope::OneNs),
+            AttackPlan::loss(0.9).window_min(20, 45),
+            AttackPlan::loss(0.75)
+                .scope(AttackScope::OneNs)
+                .window_min(30, 20),
+        ];
+        for attack in cases {
+            let (a, b) = (attack.fault_plan(), attack.fault_plan());
+            assert_eq!(a, b);
+            assert_eq!(a.to_json(), b.to_json());
+            assert_eq!(a.len(), 1, "one random-drop fault");
+            a.validate().expect("typed-attack plan is valid");
+            // And it survives the portable JSON round trip.
+            assert_eq!(FaultPlan::from_json(&a.to_json()).unwrap(), a);
+        }
+    }
+
+    fn rrl_at_both(rate_qps: f64) -> impl FnOnce([Addr; 2], SimTime) -> DefensePlan {
+        move |ns, onset| {
+            let config = dike_defense::RrlConfig {
+                prefix_bits: 32,
+                ..dike_defense::RrlConfig::slip_at(rate_qps, 2)
+            };
+            let mut plan = DefensePlan::new();
+            for ns in ns {
+                plan.push(Defense::rrl(ns, config).starting_at(onset));
+            }
+            plan
+        }
+    }
+
+    #[test]
+    fn defenses_arm_at_the_attack_onset_and_cookies_ride_on_gates() {
+        let mut s = ExperimentSetup::new(5, 1800);
+        s.attack = Some(AttackPlan::loss(0.9).window_min(30, 30));
+        s.arm_defense(rrl_at_both(0.2));
+        let plan = s.defense.clone().expect("two RRL layers");
+        assert_eq!(plan.len(), 2, "one RRL layer per authoritative");
+        plan.validate().expect("armed plans are valid");
+        let onset = SimDuration::from_mins(30).after_zero();
+        assert!(plan
+            .defenses
+            .iter()
+            .all(|d| matches!(d, Defense::Rrl { start, .. } if *start == onset)));
+
+        // With cookies armed, each gate gets its exemption — and the
+        // combined plan validates and survives the JSON round trip.
+        s.cookie_secret = Some(crate::cookies::COOKIE_SECRET);
+        s.arm_defense(rrl_at_both(0.05));
+        let plan = s.defense.clone().expect("gates and exemptions");
+        assert_eq!(plan.len(), 4, "2 RRL gates + 2 cookie exemptions");
+        plan.validate().expect("gated cookie plans are valid");
+        assert_eq!(DefensePlan::from_json(&plan.to_json()).unwrap(), plan);
+
+        // No gate, nothing to exempt from; an empty plan is no defense
+        // at all (the pinned determinism digest depends on this), and
+        // without an attack the onset is minute 0.
+        s.arm_defense(|_, _| DefensePlan::new());
+        assert!(s.defense.is_none());
+        s.attack = None;
+        s.arm_defense(|_, onset| {
+            assert_eq!(onset, SimDuration::ZERO.after_zero());
+            DefensePlan::new()
+        });
+    }
+
+    #[test]
+    fn armed_defense_is_installed_and_counted() {
+        // A near-zero rate (burst 1, one token per ~100 s) rate-limits
+        // most repeat queries, so the netsim defense counters must move.
+        let mut setup = ExperimentSetup {
+            seed: 8,
+            attack: Some(AttackPlan::loss(0.0).window_min(10, 50)),
+            telemetry: Some(TelemetryConfig::every_mins(10)),
+            ..ExperimentSetup::paced(12, 60, 10, 60)
+        };
+        setup.arm_defense(rrl_at_both(0.01));
+        let m = run_experiment(&setup).metrics.expect("telemetry on");
+        assert!(m.counter_total("netsim", None, "rrl_limited").unwrap_or(0) > 0);
+        assert!(
+            m.counter_total("netsim", None, "defense_drops")
+                .unwrap_or(0)
+                > 0
         );
     }
 }

@@ -1,10 +1,10 @@
-//! Parameter sweeps: run many independent scenarios in parallel and fold
+//! Parameter sweeps: run many independent setups in parallel and fold
 //! each one into a compact summary as it finishes.
 //!
-//! Every scenario run is a pure function of its configuration and seed,
-//! so sweeps parallelize perfectly — each arm gets its own simulator on
-//! its own OS thread (std scoped threads; the simulator itself
-//! stays single-threaded and deterministic).
+//! Every run is a pure function of its [`ExperimentSetup`], seed
+//! included, so sweeps parallelize perfectly — each arm gets its own
+//! simulator on its own OS thread (std scoped threads; the simulator
+//! itself stays single-threaded and deterministic).
 //!
 //! [`SweepEngine`] is the population-scale engine: arbitrary axes
 //! ([`SweepAxis`]) span a grid of arms, each arm runs `K` seed
@@ -15,16 +15,16 @@
 //! exports) are byte-identical regardless of worker count.
 //!
 //! ```
-//! use dike_core::{Attack, Scenario, SweepAxis, SweepEngine};
+//! use dike_experiments::{AttackPlan, ExperimentSetup, SweepAxis, SweepEngine};
 //!
-//! let base = Scenario::new()
-//!     .probes(30)
-//!     .with_attack(Attack::complete().window_min(40, 40))
-//!     .duration_min(100)
-//!     .seed(7);
+//! let base = ExperimentSetup {
+//!     attack: Some(AttackPlan::complete().window_min(40, 40)),
+//!     seed: 7,
+//!     ..ExperimentSetup::paced(30, 1800, 10, 100)
+//! };
 //! let result = SweepEngine::new(base)
-//!     .axis(SweepAxis::AttackLoss(vec![0.5, 1.0]))
-//!     .axis(SweepAxis::CacheTtlSecs(vec![60, 1800]))
+//!     .axis(SweepAxis::attack_loss(vec![0.5, 1.0]))
+//!     .axis(SweepAxis::cache_ttl_secs(vec![60, 1800]))
 //!     .replicates(2)
 //!     .run();
 //! assert_eq!(result.arms.len(), 4);
@@ -32,197 +32,156 @@
 //! assert!(csv.starts_with("arm,loss,ttl_s,"));
 //! ```
 
-use crate::{Report, Scenario};
 use dike_stats::ecdf::Ecdf;
 use dike_stats::quantile::{quantile, LatencySummary};
 use dike_telemetry::json::Writer;
 
+use crate::defense::{DefensePreset, LateResolverWave};
+use crate::report::Report;
+use crate::setup::{AttackPlan, ExperimentSetup};
+
 /// Points kept per replicate when downsampling the latency ECDF.
 const ECDF_POINTS: usize = 32;
 
-/// One axis of a sweep grid: a named list of values, each mapping an arm
-/// coordinate into a mutation of the base [`Scenario`]. Axes compose as
-/// a cross product — two axes of 4 and 3 values span 12 arms.
-#[derive(Debug, Clone)]
-pub enum SweepAxis {
-    /// Attack ingress loss rates (arms this value onto the base attack,
-    /// clamped to `[0, 1]`) — the paper's §5.4 intensity axis.
-    AttackLoss(Vec<f64>),
-    /// Zone TTLs in seconds — the cache-lifetime axis of Tables 4–6.
-    CacheTtlSecs(Vec<u32>),
-    /// Probe round intervals in minutes.
-    ProbeIntervalMin(Vec<u64>),
-    /// Probe population sizes (client-population scaling).
-    Probes(Vec<usize>),
-    /// Share of resolver-farm backends with serve-stale enabled
-    /// (`0.0` = off everywhere, `1.0` = on everywhere).
-    ServeStaleShare(Vec<f64>),
-    /// Server-side defense presets (§7): each arm arms one preset at
-    /// both authoritatives from the attack onset.
-    DefensePreset(Vec<crate::DefensePreset>),
-    /// RRL sustained rates in responses/sec per source address (slip 2,
-    /// both authoritatives, armed at attack onset) — the defense-tuning
-    /// axis of the §7 tension between protection and collateral damage.
-    RrlRateQps(Vec<f64>),
-    /// New-resolver arrival rates (legitimate resolvers per minute first
-    /// seen after the attack onset, see [`crate::Scenario::late_resolvers`]).
-    /// Crossed with [`SweepAxis::DefensePreset`], this is the
-    /// history-classifier false-positive grid: every arrival postdates
-    /// the history cutoff, so admission defenses misfile the whole wave
-    /// as unknown. Each resolver queries once per 30 s — far below the
-    /// presets' RRL rate, so only classification can refuse it.
-    LateArrivalsPerMin(Vec<f64>),
-    /// TCP connection-table capacities at the hierarchy servers. Each
-    /// arm arms the TC=1 → TCP fallback path (see
-    /// [`crate::Scenario::tcp_fallback`]) with this many slots per
-    /// server — crossed with an RRL-slip defense axis, this is the
-    /// slip-recovery headroom grid: how many concurrent TCP retries the
-    /// server survives before shedding handshakes with RST.
-    TcpTableCapacity(Vec<usize>),
-    /// RFC 7873 DNS cookies on or off (see [`crate::Scenario::cookies`];
-    /// the on-arms use [`SWEEP_COOKIE_SECRET`]). Crossed with a defense
-    /// axis, the on-arm exempts cookie-validated resolvers from the
-    /// gate while spoofed sources stay limited.
-    CookieMode(Vec<bool>),
-    /// NXNSAttack NS fan-outs per malicious referral (see
-    /// [`crate::Scenario::nxns`]). Each arm arms the attack with this
-    /// fan-out; crossed with [`SweepAxis::MaxFetchK`], this is the
-    /// amplification-vs-mitigation grid.
-    NxnsFanout(Vec<usize>),
-    /// MaxFetch(k) values: each arm caps every recursive's NS-address
-    /// fetches per referral at this k (see [`crate::Scenario::max_fetch`]).
-    MaxFetchK(Vec<u32>),
+/// What one axis value does to the arm's setup.
+type Mutation = Box<dyn Fn(&mut ExperimentSetup) + Send + Sync>;
+
+/// One axis of a sweep grid: a name and, per value, a label and a
+/// mutation of the base [`ExperimentSetup`]. Axes compose as a cross
+/// product — two axes of 4 and 3 values span 12 arms — and an arm
+/// applies its mutations in axis order, so an axis that reads a field
+/// (the defense and late-wave axes read the attack window) goes after
+/// the axes that write it.
+pub struct SweepAxis {
+    name: String,
+    values: Vec<(String, Mutation)>,
 }
 
 /// Query pacing of one late-wave resolver on the
-/// [`SweepAxis::LateArrivalsPerMin`] axis: one query per 30 seconds
+/// [`SweepAxis::late_arrivals_per_min`] axis: one query per 30 seconds
 /// (0.033 qps, under every preset's RRL rate of 0.1 qps).
 pub const LATE_RESOLVER_QPS: f64 = 1.0 / 30.0;
 
-/// The cookie secret [`SweepAxis::CookieMode`]'s on-arms share (the
-/// `repro cookies` comparison secret, so sweep arms and the comparison
-/// table mint identical cookies).
-pub const SWEEP_COOKIE_SECRET: u64 = dike_experiments::cookies::COOKIE_SECRET;
-
 impl SweepAxis {
-    /// The axis name used in CSV headers and JSON keys.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SweepAxis::AttackLoss(_) => "loss",
-            SweepAxis::CacheTtlSecs(_) => "ttl_s",
-            SweepAxis::ProbeIntervalMin(_) => "interval_min",
-            SweepAxis::Probes(_) => "probes",
-            SweepAxis::ServeStaleShare(_) => "serve_stale_share",
-            SweepAxis::DefensePreset(_) => "defense",
-            SweepAxis::RrlRateQps(_) => "rrl_qps",
-            SweepAxis::LateArrivalsPerMin(_) => "late_per_min",
-            SweepAxis::TcpTableCapacity(_) => "tcp_table",
-            SweepAxis::CookieMode(_) => "cookies",
-            SweepAxis::NxnsFanout(_) => "nxns_fanout",
-            SweepAxis::MaxFetchK(_) => "max_fetch_k",
+    /// An axis called `name` (the CSV header and JSON key) over
+    /// `(label, mutation)` values. Any field of the setup is an axis in
+    /// one line:
+    ///
+    /// ```
+    /// use dike_experiments::{ExperimentSetup, SweepAxis};
+    ///
+    /// let probes = SweepAxis::new(
+    ///     "probes",
+    ///     [50, 500].map(|n| (n.to_string(), move |s: &mut ExperimentSetup| s.n_probes = n)),
+    /// );
+    /// assert_eq!(probes.labels(), ["50", "500"]);
+    /// ```
+    pub fn new<L, F>(name: &str, values: impl IntoIterator<Item = (L, F)>) -> Self
+    where
+        L: Into<String>,
+        F: Fn(&mut ExperimentSetup) + Send + Sync + 'static,
+    {
+        SweepAxis {
+            name: name.to_string(),
+            values: values
+                .into_iter()
+                .map(|(label, apply)| (label.into(), Box::new(apply) as Mutation))
+                .collect(),
         }
+    }
+
+    /// Attack ingress loss rates — the paper's §5.4 intensity axis. Each
+    /// value (clamped to `[0, 1]`) replaces the loss of the base attack,
+    /// arming Table 4's common window (minutes 60–120) if the base has
+    /// none.
+    pub fn attack_loss(rates: Vec<f64>) -> Self {
+        Self::new(
+            "loss",
+            rates.into_iter().map(|loss| {
+                (fmt_f64(loss), move |s: &mut ExperimentSetup| {
+                    s.attack.get_or_insert_with(AttackPlan::complete).loss = loss.clamp(0.0, 1.0);
+                })
+            }),
+        )
+    }
+
+    /// Zone TTLs in seconds — the cache-lifetime axis of Tables 4–6.
+    pub fn cache_ttl_secs(ttls: Vec<u32>) -> Self {
+        Self::new(
+            "ttl_s",
+            ttls.into_iter()
+                .map(|ttl| (ttl.to_string(), move |s: &mut ExperimentSetup| s.ttl = ttl)),
+        )
+    }
+
+    /// Server-side defense presets (§7): each value arms one preset at
+    /// both authoritatives from the attack onset
+    /// ([`ExperimentSetup::arm_defense`]), replacing any earlier defense.
+    pub fn defense_preset(presets: Vec<DefensePreset>) -> Self {
+        Self::new(
+            "defense",
+            presets.into_iter().map(|preset| {
+                (preset.label(), move |s: &mut ExperimentSetup| {
+                    s.arm_defense(|ns, onset| preset.plan(ns, onset));
+                })
+            }),
+        )
+    }
+
+    /// New-resolver arrival rates: legitimate resolvers per minute that
+    /// first appear after the attack onset, spread over the attack
+    /// window (Table 4's common window without an attack) and each
+    /// querying at [`LATE_RESOLVER_QPS`] until it closes. Crossed with
+    /// [`SweepAxis::defense_preset`], this is the history-classifier
+    /// false-positive grid: every arrival postdates the history cutoff,
+    /// so admission defenses misfile the whole wave as unknown, and the
+    /// pacing is far below the presets' RRL rate, so only classification
+    /// can refuse it.
+    pub fn late_arrivals_per_min(rates: Vec<f64>) -> Self {
+        Self::new(
+            "late_per_min",
+            rates.into_iter().map(|arrivals_per_min| {
+                (fmt_f64(arrivals_per_min), move |s: &mut ExperimentSetup| {
+                    let window = s.attack.unwrap_or_else(AttackPlan::complete);
+                    s.late_wave = Some(LateResolverWave {
+                        arrivals_per_min,
+                        qps_per_resolver: LATE_RESOLVER_QPS,
+                        start_min: window.start_min,
+                        window_min: window.duration_min,
+                    });
+                })
+            }),
+        )
+    }
+
+    /// The axis name used in CSV headers and JSON keys.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Number of values on the axis.
     pub fn len(&self) -> usize {
-        match self {
-            SweepAxis::AttackLoss(v) => v.len(),
-            SweepAxis::CacheTtlSecs(v) => v.len(),
-            SweepAxis::ProbeIntervalMin(v) => v.len(),
-            SweepAxis::Probes(v) => v.len(),
-            SweepAxis::ServeStaleShare(v) => v.len(),
-            SweepAxis::DefensePreset(v) => v.len(),
-            SweepAxis::RrlRateQps(v) => v.len(),
-            SweepAxis::LateArrivalsPerMin(v) => v.len(),
-            SweepAxis::TcpTableCapacity(v) => v.len(),
-            SweepAxis::CookieMode(v) => v.len(),
-            SweepAxis::NxnsFanout(v) => v.len(),
-            SweepAxis::MaxFetchK(v) => v.len(),
-        }
+        self.values.len()
     }
 
     /// True when the axis carries no values.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.values.is_empty()
     }
 
     /// The label of value `i`, as it appears in exports.
-    pub fn label(&self, i: usize) -> String {
-        match self {
-            SweepAxis::AttackLoss(v) => fmt_f64(v[i]),
-            SweepAxis::CacheTtlSecs(v) => v[i].to_string(),
-            SweepAxis::ProbeIntervalMin(v) => v[i].to_string(),
-            SweepAxis::Probes(v) => v[i].to_string(),
-            SweepAxis::ServeStaleShare(v) => fmt_f64(v[i]),
-            SweepAxis::DefensePreset(v) => v[i].label().to_string(),
-            SweepAxis::RrlRateQps(v) => fmt_f64(v[i]),
-            SweepAxis::LateArrivalsPerMin(v) => fmt_f64(v[i]),
-            SweepAxis::TcpTableCapacity(v) => v[i].to_string(),
-            SweepAxis::CookieMode(v) => if v[i] { "on" } else { "off" }.to_string(),
-            SweepAxis::NxnsFanout(v) => v[i].to_string(),
-            SweepAxis::MaxFetchK(v) => v[i].to_string(),
-        }
+    pub fn label(&self, i: usize) -> &str {
+        &self.values[i].0
     }
 
     /// All value labels, in axis order.
     pub fn labels(&self) -> Vec<String> {
-        (0..self.len()).map(|i| self.label(i)).collect()
+        self.values.iter().map(|(label, _)| label.clone()).collect()
     }
-
-    /// Applies value `i` to a scenario.
-    fn apply(&self, i: usize, s: &mut Scenario) {
-        match self {
-            SweepAxis::AttackLoss(v) => {
-                s.attack.loss = v[i].clamp(0.0, 1.0);
-                s.attack_armed = true;
-            }
-            SweepAxis::CacheTtlSecs(v) => s.setup.ttl = v[i],
-            SweepAxis::ProbeIntervalMin(v) => s.interval_min = v[i].max(1),
-            SweepAxis::Probes(v) => s.setup.n_probes = v[i].max(1),
-            SweepAxis::ServeStaleShare(v) => {
-                s.setup.mix.farm_serve_stale_share = v[i].clamp(0.0, 1.0);
-            }
-            SweepAxis::DefensePreset(v) => *s = s.clone().defense_preset(v[i]),
-            SweepAxis::RrlRateQps(v) => *s = s.clone().rrl_qps(v[i]),
-            SweepAxis::LateArrivalsPerMin(v) => {
-                *s = s.clone().late_resolvers(v[i], LATE_RESOLVER_QPS);
-            }
-            SweepAxis::TcpTableCapacity(v) => *s = s.clone().tcp_fallback(v[i]),
-            SweepAxis::CookieMode(v) => {
-                if v[i] {
-                    *s = s.clone().cookies(SWEEP_COOKIE_SECRET);
-                } else {
-                    s.setup.cookie_secret = None;
-                }
-            }
-            SweepAxis::NxnsFanout(v) => {
-                let mut attack = s.setup.nxns.unwrap_or_default();
-                attack.zone.fanout = v[i];
-                s.setup.nxns = Some(attack);
-            }
-            SweepAxis::MaxFetchK(v) => *s = s.clone().max_fetch(v[i]),
-        }
-    }
-}
-
-/// How per-run seeds are assigned across the grid. Both strategies are
-/// pure functions of `(base seed, arm, replicate)`, so sweep output
-/// never depends on worker count or scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedStrategy {
-    /// Replicate `r` uses the same seed in *every* arm (and replicate 0
-    /// uses the base seed verbatim). Arms are compared under identical
-    /// randomness — the paired, common-random-numbers design the paper's
-    /// intensity sweeps imply. A one-replicate paired sweep is
-    /// bit-identical to running each arm by hand.
-    #[default]
-    Paired,
-    /// Every `(arm, replicate)` cell gets its own derived seed.
-    PerArm,
 }
 
 /// Splitmix64: the standard 64-bit finalizer used to derive independent
-/// per-run seeds from `(base, arm, replicate)`.
+/// replicate seeds from the base seed.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -230,13 +189,11 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives the seed for one `(arm, replicate)` cell from the base seed.
-/// Pure and order-free: the same inputs give the same seed no matter how
-/// many workers run the sweep or in which order cells complete.
-pub fn derive_seed(base: u64, arm: usize, replicate: u32) -> u64 {
-    splitmix64(
-        splitmix64(base ^ (arm as u64).wrapping_mul(0xA24B_AED4_963E_E407)) ^ replicate as u64,
-    )
+/// Derives the seed of replicate `replicate` from the base seed. Pure
+/// and order-free: the same inputs give the same seed no matter how many
+/// workers run the sweep or in which order cells complete.
+fn derive_seed(base: u64, replicate: u32) -> u64 {
+    splitmix64(splitmix64(base) ^ replicate as u64)
 }
 
 /// One unit of sweep work: which arm, which replicate, which seed.
@@ -273,7 +230,7 @@ pub struct ReplicateSummary {
     pub latency_ecdf: Vec<(f64, f64)>,
     /// Queries offered to the authoritatives (retry/traffic counter).
     pub server_queries: u64,
-    /// Upstream retries, when the base scenario collected telemetry.
+    /// Upstream retries, when the base setup collected telemetry.
     pub retries: Option<u64>,
 }
 
@@ -564,7 +521,7 @@ impl SweepResult {
 /// `detected` parallelism (falling back to 8 when detection fails),
 /// capped at the number of jobs. Factored out so the fallback path is
 /// unit-testable without faking `available_parallelism`.
-pub(crate) fn worker_count(threads: usize, jobs: usize, detected: Option<usize>) -> usize {
+fn worker_count(threads: usize, jobs: usize, detected: Option<usize>) -> usize {
     if jobs == 0 {
         return 0;
     }
@@ -577,12 +534,12 @@ pub(crate) fn worker_count(threads: usize, jobs: usize, detected: Option<usize>)
 }
 
 /// Worker count for a sweep whose *jobs* are themselves parallel: a
-/// scenario with `shards` shard workers occupies `shards` threads, so
+/// setup with `shards` shard workers occupies `shards` threads, so
 /// the sweep pool shrinks to keep `workers × shards` within the budget
 /// [`worker_count`] resolved. Without this, a `--threads 0` sweep of
-/// sharded scenarios oversubscribes the machine `shards`-fold (and a
+/// sharded setups oversubscribes the machine `shards`-fold (and a
 /// 4-core box sweeping 4-shard runs would spawn 16 hot threads).
-pub(crate) fn sharded_worker_count(
+fn sharded_worker_count(
     threads: usize,
     jobs: usize,
     shards: usize,
@@ -601,38 +558,35 @@ fn detected_parallelism() -> Option<usize> {
         .ok()
 }
 
-/// The population-scale sweep engine: a base [`Scenario`], a grid of
-/// [`SweepAxis`] values, `K` seed replicates per arm, and a worker pool.
+/// The population-scale sweep engine: a base [`ExperimentSetup`], a grid
+/// of [`SweepAxis`] values, `K` seed replicates per arm, and a worker
+/// pool.
 ///
-/// Determinism contract: every `(arm, replicate)` cell's seed is a pure
-/// function of the base seed (see [`derive_seed`] and [`SeedStrategy`]),
-/// cells are folded into pre-assigned slots, and exports iterate arms in
-/// index order — so [`SweepEngine::run`] produces byte-identical
+/// Determinism contract: every replicate's seed is a pure function of
+/// the base seed (see [`SweepEngine::job_seed`]), cells are folded into
+/// pre-assigned slots, and exports iterate arms in index order — so
+/// [`SweepEngine::run`] produces byte-identical
 /// [`SweepResult::to_csv`]/[`SweepResult::to_json`] output for 1 worker
 /// and N workers.
-#[derive(Debug, Clone)]
 pub struct SweepEngine {
-    /// The scenario template every arm mutates.
-    pub base: Scenario,
+    /// The setup every arm mutates.
+    pub base: ExperimentSetup,
     /// The grid axes (cross product; first axis varies slowest).
     pub axes: Vec<SweepAxis>,
     /// Seed replicates per arm (≥ 1).
     pub replicates: u32,
     /// Worker threads (0 = the machine's available parallelism).
     pub threads: usize,
-    /// Seed-assignment strategy across the grid.
-    pub seed_strategy: SeedStrategy,
 }
 
 impl SweepEngine {
     /// An engine over `base` with no axes yet (a single arm).
-    pub fn new(base: Scenario) -> Self {
+    pub fn new(base: ExperimentSetup) -> Self {
         SweepEngine {
             base,
             axes: Vec::new(),
             replicates: 1,
             threads: 0,
-            seed_strategy: SeedStrategy::default(),
         }
     }
 
@@ -660,15 +614,9 @@ impl SweepEngine {
         self
     }
 
-    /// Seed-assignment strategy (default [`SeedStrategy::Paired`]).
-    pub fn seed_strategy(mut self, s: SeedStrategy) -> Self {
-        self.seed_strategy = s;
-        self
-    }
-
-    /// The base seed all cell seeds derive from (the base scenario's).
+    /// The base seed all replicate seeds derive from (the base setup's).
     pub fn base_seed(&self) -> u64 {
-        self.base.setup.seed
+        self.base.seed
     }
 
     /// Number of arms in the grid (1 with no axes).
@@ -687,32 +635,26 @@ impl SweepEngine {
         idx
     }
 
-    /// The seed for one `(arm, replicate)` cell.
-    pub fn job_seed(&self, arm: usize, replicate: u32) -> u64 {
-        let base = self.base_seed();
-        match self.seed_strategy {
-            SeedStrategy::Paired => {
-                if replicate == 0 {
-                    // Replicate 0 runs the base scenario's own seed, so a
-                    // one-replicate paired sweep is bit-identical to
-                    // running the scenarios by hand.
-                    base
-                } else {
-                    derive_seed(base, 0, replicate)
-                }
-            }
-            SeedStrategy::PerArm => derive_seed(base, arm + 1, replicate),
+    /// The seed of replicate `replicate`, the same in *every* arm: arms
+    /// are compared under identical randomness — the paired,
+    /// common-random-numbers design the paper's intensity sweeps imply.
+    /// Replicate 0 runs the base setup's own seed, so a one-replicate
+    /// sweep is bit-identical to running each arm by hand.
+    pub fn job_seed(&self, replicate: u32) -> u64 {
+        match replicate {
+            0 => self.base_seed(),
+            r => derive_seed(self.base_seed(), r),
         }
     }
 
-    /// The fully mutated scenario one cell runs.
-    pub fn scenario_for(&self, arm: usize, replicate: u32) -> Scenario {
-        let mut s = self.base.clone();
+    /// The fully mutated setup one cell runs.
+    pub fn setup_for(&self, arm: usize, replicate: u32) -> ExperimentSetup {
+        let mut setup = self.base.clone();
         for (axis, &i) in self.axes.iter().zip(&self.coords_of(arm)) {
-            axis.apply(i, &mut s);
+            (axis.values[i].1)(&mut setup);
         }
-        s.setup.seed = self.job_seed(arm, replicate);
-        s
+        setup.seed = self.job_seed(replicate);
+        setup
     }
 
     /// The `(axis name, value label)` coordinates of `arm`.
@@ -720,7 +662,7 @@ impl SweepEngine {
         self.axes
             .iter()
             .zip(&self.coords_of(arm))
-            .map(|(axis, &i)| (axis.name().to_string(), axis.label(i)))
+            .map(|(axis, &i)| (axis.name().to_string(), axis.label(i).to_string()))
             .collect()
     }
 
@@ -743,12 +685,8 @@ impl SweepEngine {
         if jobs == 0 {
             return Vec::new();
         }
-        let workers = sharded_worker_count(
-            self.threads,
-            jobs,
-            self.base.setup.shards,
-            detected_parallelism(),
-        );
+        let workers =
+            sharded_worker_count(self.threads, jobs, self.base.shards, detected_parallelism());
 
         let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
         slots.resize_with(jobs, || None);
@@ -771,9 +709,9 @@ impl SweepEngine {
                         let job = SweepJob {
                             arm,
                             replicate: rep,
-                            seed: engine.job_seed(arm, rep),
+                            seed: engine.job_seed(rep),
                         };
-                        let report = engine.scenario_for(arm, rep).run();
+                        let report = Report::run(&engine.setup_for(arm, rep));
                         // Fold in-worker: `report` dies here, only the
                         // compact T survives.
                         mine.push((idx, fold(&job, report)));
@@ -820,31 +758,28 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Attack;
+    use dike_netsim::TcpConfig;
 
     /// Sweeps `base` over loss rates keeping the full [`Report`] per
-    /// arm — the `run_fold` idiom for custom per-run data (what the
-    /// removed `LossSweep` wrapper used to package).
-    fn sweep_reports(base: Scenario, rates: &[f64], threads: usize) -> Vec<(f64, Report)> {
+    /// arm — the `run_fold` idiom for custom per-run data.
+    fn sweep_reports(base: ExperimentSetup, rates: &[f64], threads: usize) -> Vec<(f64, Report)> {
         let rates = rates.to_vec();
         SweepEngine::new(base)
-            .axis(SweepAxis::AttackLoss(rates.clone()))
+            .axis(SweepAxis::attack_loss(rates.clone()))
             .replicates(1)
             .threads(threads)
-            .seed_strategy(SeedStrategy::Paired)
             .run_fold(|job, report| (rates[job.arm], report))
             .into_iter()
             .map(|mut reps| reps.pop().expect("one replicate per arm"))
             .collect()
     }
 
-    fn small_base() -> Scenario {
-        Scenario::new()
-            .probes(40)
-            .ttl(1800)
-            .with_attack(Attack::complete().window_min(40, 40))
-            .duration_min(100)
-            .seed(77)
+    fn small_base() -> ExperimentSetup {
+        ExperimentSetup {
+            attack: Some(AttackPlan::complete().window_min(40, 40)),
+            seed: 77,
+            ..ExperimentSetup::paced(40, 1800, 10, 100)
+        }
     }
 
     /// A hand-built result (no simulation, so no RNG in the bytes) with
@@ -933,14 +868,12 @@ mod tests {
         assert_eq!(golden_result().to_csv(), csv);
     }
 
-    fn tiny_base() -> Scenario {
-        Scenario::new()
-            .probes(6)
-            .ttl(600)
-            .with_attack(Attack::loss(0.9).window_min(20, 20))
-            .duration_min(40)
-            .round_interval_min(10)
-            .seed(5)
+    fn tiny_base() -> ExperimentSetup {
+        ExperimentSetup {
+            attack: Some(AttackPlan::loss(0.9).window_min(20, 20)),
+            seed: 5,
+            ..ExperimentSetup::paced(6, 600, 10, 40)
+        }
     }
 
     #[test]
@@ -981,22 +914,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "has no values")]
     fn empty_axis_is_rejected() {
-        let _ = SweepEngine::new(small_base()).axis(SweepAxis::AttackLoss(Vec::new()));
+        let _ = SweepEngine::new(small_base()).axis(SweepAxis::attack_loss(Vec::new()));
     }
 
     #[test]
-    fn paired_single_replicate_sweep_matches_direct_scenario_runs() {
+    fn single_replicate_sweep_matches_direct_runs() {
         // The paired-seed contract: replicate 0 of every arm runs the
-        // base scenario's own seed, so a one-replicate paired sweep is
+        // base setup's own seed, so a one-replicate sweep is
         // bit-identical to running each arm by hand — same record
         // counts, same outcome series.
         let rates = [0.3, 0.9];
         let points = sweep_reports(tiny_base(), &rates, 0);
         for ((arm_loss, report), &loss) in points.iter().zip(&rates) {
-            let mut direct = tiny_base();
-            direct.attack.loss = loss;
-            direct.attack_armed = true;
-            let direct = direct.run();
+            let direct = Report::run(&ExperimentSetup {
+                attack: Some(AttackPlan::loss(loss).window_min(20, 20)),
+                ..tiny_base()
+            });
             assert_eq!(*arm_loss, loss);
             assert_eq!(
                 report.output.log.records.len(),
@@ -1013,8 +946,8 @@ mod tests {
     #[test]
     fn grid_is_a_cross_product_in_row_major_order() {
         let engine = SweepEngine::new(tiny_base())
-            .axis(SweepAxis::AttackLoss(vec![0.0, 1.0]))
-            .axis(SweepAxis::CacheTtlSecs(vec![60, 600, 3600]));
+            .axis(SweepAxis::attack_loss(vec![0.0, 1.0]))
+            .axis(SweepAxis::cache_ttl_secs(vec![60, 600, 3600]));
         assert_eq!(engine.arm_count(), 6);
         assert_eq!(engine.coords_of(0), vec![0, 0]);
         assert_eq!(engine.coords_of(2), vec![0, 2]);
@@ -1025,110 +958,91 @@ mod tests {
         assert_eq!(labels[1], ("ttl_s".into(), "600".into()));
     }
 
+    /// The four constructors and one call-site axis, crossed: each value
+    /// lands in the setup its arm runs, under the label the exports
+    /// print.
     #[test]
-    fn axes_mutate_the_scenario() {
+    fn axes_mutate_the_setup() {
+        let tcp_table = SweepAxis::new(
+            "tcp_table",
+            [4usize, 64].map(|capacity| {
+                (capacity.to_string(), move |s: &mut ExperimentSetup| {
+                    s.tcp = Some(TcpConfig {
+                        table_capacity: capacity,
+                        ..TcpConfig::default()
+                    });
+                })
+            }),
+        );
         let engine = SweepEngine::new(tiny_base())
-            .axis(SweepAxis::Probes(vec![3, 12]))
-            .axis(SweepAxis::ProbeIntervalMin(vec![5]))
-            .axis(SweepAxis::ServeStaleShare(vec![0.0, 1.0]));
-        let s = engine.scenario_for(3, 0); // probes=12, interval=5, stale=1.0
-        assert_eq!(s.setup.n_probes, 12);
-        assert_eq!(s.interval_min, 5);
-        assert_eq!(s.setup.mix.farm_serve_stale_share, 1.0);
-        let s0 = engine.scenario_for(0, 0);
-        assert_eq!(s0.setup.n_probes, 3);
-        assert_eq!(s0.setup.mix.farm_serve_stale_share, 0.0);
-    }
-
-    #[test]
-    fn defense_axes_mutate_the_scenario() {
-        let engine = SweepEngine::new(tiny_base())
-            .axis(SweepAxis::DefensePreset(vec![
-                crate::DefensePreset::None,
-                crate::DefensePreset::RrlSlip,
+            .axis(SweepAxis::attack_loss(vec![0.5, 7.0]))
+            .axis(SweepAxis::cache_ttl_secs(vec![60]))
+            .axis(SweepAxis::defense_preset(vec![
+                DefensePreset::None,
+                DefensePreset::RrlSlip,
             ]))
-            .axis(SweepAxis::RrlRateQps(vec![0.25]));
-        // The last axis wins (defense axes replace each other, like
-        // repeated `defense_preset`/`rrl_qps` calls).
-        let s = engine.scenario_for(0, 0);
-        let plan = s.defense_plan();
-        assert_eq!(plan.len(), 2, "RRL at both authoritatives");
+            .axis(SweepAxis::late_arrivals_per_min(vec![2.0]))
+            .axis(tcp_table);
+        assert_eq!(engine.arm_count(), 8);
+
+        // Arm 0: the first value of every axis. An empty preset leaves
+        // the setup on the defense-free path.
+        let s0 = engine.setup_for(0, 0);
+        assert_eq!(s0.attack, Some(AttackPlan::loss(0.5).window_min(20, 20)));
+        assert_eq!(s0.ttl, 60);
+        assert!(s0.defense.is_none());
+        assert_eq!(s0.tcp.expect("axis arms TCP").table_capacity, 4);
+
+        // Arm 7: the last value of every axis. Loss is clamped; the
+        // preset and the late wave align with the base attack's window.
+        let s7 = engine.setup_for(7, 0);
+        assert_eq!(s7.attack.expect("base attack").loss, 1.0);
+        let mut expect = tiny_base();
+        expect.arm_defense(|ns, onset| DefensePreset::RrlSlip.plan(ns, onset));
+        let plan = s7.defense.expect("rrl-slip arms both authoritatives");
+        assert_eq!(Some(&plan), expect.defense.as_ref());
+        assert_eq!(plan.len(), 2);
         plan.validate().expect("axis-built plan is valid");
         assert_eq!(
-            engine.coord_labels(3)[0],
-            ("defense".into(), "rrl-slip".into())
+            s7.late_wave,
+            Some(LateResolverWave {
+                arrivals_per_min: 2.0,
+                qps_per_resolver: LATE_RESOLVER_QPS,
+                start_min: 20,
+                window_min: 20,
+            })
         );
-        assert_eq!(engine.coord_labels(3)[1], ("rrl_qps".into(), "0.25".into()));
-    }
-
-    #[test]
-    fn tcp_and_cookie_axes_mutate_the_scenario() {
-        let engine = SweepEngine::new(tiny_base().rrl_qps(0.05))
-            .axis(SweepAxis::TcpTableCapacity(vec![4, 64]))
-            .axis(SweepAxis::CookieMode(vec![false, true]));
-        assert_eq!(engine.arm_count(), 4);
-
-        // Arm 0: table of 4, cookies off.
-        let s0 = engine.scenario_for(0, 0);
-        assert_eq!(s0.setup.tcp.unwrap().table_capacity, 4);
-        assert!(s0.setup.cookie_secret.is_none());
-        assert_eq!(s0.defense_plan().len(), 2, "just the RRL gates");
-
-        // Arm 3: table of 64, cookies on — exemption layers appended to
-        // the base scenario's RRL gates.
-        let s3 = engine.scenario_for(3, 0);
-        assert_eq!(s3.setup.tcp.unwrap().table_capacity, 64);
-        assert_eq!(s3.setup.cookie_secret, Some(SWEEP_COOKIE_SECRET));
-        let plan = s3.defense_plan();
-        assert_eq!(plan.len(), 4, "RRL gates + cookie exemptions");
-        plan.validate().expect("axis-built cookie plan is valid");
-
+        assert_eq!(s7.tcp.expect("axis arms TCP").table_capacity, 64);
         assert_eq!(
-            engine.coord_labels(3),
-            vec![
-                ("tcp_table".into(), "64".into()),
-                ("cookies".into(), "on".into())
+            engine.coord_labels(7),
+            [
+                ("loss", "7.0"),
+                ("ttl_s", "60"),
+                ("defense", "rrl-slip"),
+                ("late_per_min", "2.0"),
+                ("tcp_table", "64"),
             ]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
         );
-    }
 
-    #[test]
-    fn nxns_axes_mutate_the_scenario() {
-        let engine = SweepEngine::new(tiny_base())
-            .axis(SweepAxis::NxnsFanout(vec![10, 40]))
-            .axis(SweepAxis::MaxFetchK(vec![2, 5]));
-        assert_eq!(engine.arm_count(), 4);
-
-        // Arm 0: fan-out 10, MaxFetch(2).
-        let s0 = engine.scenario_for(0, 0);
-        assert_eq!(s0.setup.nxns.expect("attack armed").zone.fanout, 10);
-        assert_eq!(s0.setup.resolver_max_fetch, Some(2));
-
-        // Arm 3: fan-out 40, MaxFetch(5).
-        let s3 = engine.scenario_for(3, 0);
-        assert_eq!(s3.setup.nxns.expect("attack armed").zone.fanout, 40);
-        assert_eq!(s3.setup.resolver_max_fetch, Some(5));
-
-        assert_eq!(
-            engine.coord_labels(3),
-            vec![
-                ("nxns_fanout".into(), "40".into()),
-                ("max_fetch_k".into(), "5".into())
-            ]
-        );
+        // Without a base attack the loss axis arms Table 4's common
+        // window.
+        let unarmed =
+            SweepEngine::new(ExperimentSetup::new(6, 600)).axis(SweepAxis::attack_loss(vec![0.25]));
+        assert_eq!(unarmed.setup_for(0, 0).attack, Some(AttackPlan::loss(0.25)));
     }
 
     #[test]
     fn defense_grid_is_identical_across_worker_counts() {
-        // The acceptance grid: a defense axis crossed with AttackLoss,
-        // byte-identical CSV/JSON for 1 worker and N workers.
+        // The acceptance grid: a defense axis crossed with the loss
+        // axis, byte-identical CSV/JSON for 1 worker and N workers.
         let grid = || {
             SweepEngine::new(tiny_base())
-                .axis(SweepAxis::DefensePreset(vec![
-                    crate::DefensePreset::None,
-                    crate::DefensePreset::RrlSlip,
+                .axis(SweepAxis::defense_preset(vec![
+                    DefensePreset::None,
+                    DefensePreset::RrlSlip,
                 ]))
-                .axis(SweepAxis::AttackLoss(vec![0.9]))
+                .axis(SweepAxis::attack_loss(vec![0.9]))
                 .replicates(2)
         };
         let one = grid().threads(1).run();
@@ -1143,23 +1057,23 @@ mod tests {
 
     #[test]
     fn seed_derivation_is_pure_and_spreads() {
-        assert_eq!(derive_seed(7, 3, 2), derive_seed(7, 3, 2));
-        assert_ne!(derive_seed(7, 3, 2), derive_seed(7, 3, 3));
-        assert_ne!(derive_seed(7, 3, 2), derive_seed(7, 4, 2));
-        assert_ne!(derive_seed(7, 3, 2), derive_seed(8, 3, 2));
+        assert_eq!(derive_seed(7, 2), derive_seed(7, 2));
+        assert_ne!(derive_seed(7, 2), derive_seed(7, 3));
+        assert_ne!(derive_seed(7, 2), derive_seed(8, 2));
 
-        let paired = SweepEngine::new(tiny_base().seed(11))
-            .axis(SweepAxis::AttackLoss(vec![0.1, 0.9]))
+        let mut base = tiny_base();
+        base.seed = 11;
+        let engine = SweepEngine::new(base)
+            .axis(SweepAxis::attack_loss(vec![0.1, 0.9]))
             .replicates(3);
-        // Paired: replicate 0 is the base seed, in every arm.
-        assert_eq!(paired.job_seed(0, 0), 11);
-        assert_eq!(paired.job_seed(1, 0), 11);
-        assert_eq!(paired.job_seed(0, 1), paired.job_seed(1, 1));
-        assert_ne!(paired.job_seed(0, 0), paired.job_seed(0, 1));
-
-        let per_arm = paired.clone().seed_strategy(SeedStrategy::PerArm);
-        assert_ne!(per_arm.job_seed(0, 0), per_arm.job_seed(1, 0));
-        assert_ne!(per_arm.job_seed(0, 0), per_arm.job_seed(0, 1));
+        // Replicate 0 is the base seed, in every arm; later replicates
+        // are derived, and shared across arms too.
+        assert_eq!(engine.job_seed(0), 11);
+        assert_ne!(engine.job_seed(0), engine.job_seed(1));
+        for rep in 0..3 {
+            assert_eq!(engine.setup_for(0, rep).seed, engine.job_seed(rep));
+            assert_eq!(engine.setup_for(1, rep).seed, engine.job_seed(rep));
+        }
     }
 
     #[test]
@@ -1194,8 +1108,8 @@ mod tests {
     fn engine_output_is_identical_across_worker_counts() {
         let grid = || {
             SweepEngine::new(tiny_base())
-                .axis(SweepAxis::AttackLoss(vec![0.5, 1.0]))
-                .axis(SweepAxis::CacheTtlSecs(vec![60, 1800]))
+                .axis(SweepAxis::attack_loss(vec![0.5, 1.0]))
+                .axis(SweepAxis::cache_ttl_secs(vec![60, 1800]))
                 .replicates(2)
         };
         let one = grid().threads(1).run();
@@ -1211,9 +1125,8 @@ mod tests {
     #[test]
     fn replicate_bands_are_ordered() {
         let result = SweepEngine::new(tiny_base())
-            .axis(SweepAxis::AttackLoss(vec![0.8]))
+            .axis(SweepAxis::attack_loss(vec![0.8]))
             .replicates(4)
-            .seed_strategy(SeedStrategy::PerArm)
             .run();
         let band = result.arms[0].ok_fraction.expect("queries ran");
         assert!(band.lo <= band.median && band.median <= band.hi);
@@ -1223,8 +1136,15 @@ mod tests {
     #[test]
     fn csv_and_json_carry_the_grid_spec() {
         let result = SweepEngine::new(tiny_base())
-            .axis(SweepAxis::AttackLoss(vec![0.5]))
-            .axis(SweepAxis::ServeStaleShare(vec![0.0, 1.0]))
+            .axis(SweepAxis::attack_loss(vec![0.5]))
+            .axis(SweepAxis::new(
+                "serve_stale_share",
+                [0.0, 1.0].map(|share| {
+                    (fmt_f64(share), move |s: &mut ExperimentSetup| {
+                        s.mix.farm_serve_stale_share = share;
+                    })
+                }),
+            ))
             .run();
         let csv = result.to_csv();
         let mut lines = csv.lines();

@@ -133,7 +133,7 @@ fn v4(addr: Addr) -> Ipv4Addr {
     Ipv4Addr::from(addr.0)
 }
 
-fn soa_for(origin: &Name) -> SoaData {
+pub(crate) fn soa_for(origin: &Name) -> SoaData {
     SoaData {
         mname: origin.child("ns1").unwrap_or_else(|_| origin.clone()),
         rname: origin
@@ -145,6 +145,22 @@ fn soa_for(origin: &Name) -> SoaData {
         expire: 1_209_600,
         minimum: 60,
     }
+}
+
+/// The top of every simulated hierarchy: the root zone, delegating `nl`
+/// to `ns1.dns.nl` at `nl_addr`, and the `nl` zone with its own apex NS
+/// and address. Callers add their `cachetest.nl` delegation (and the
+/// NXNS TLDs) to the zones they get back.
+pub(crate) fn root_and_nl_zones(nl_addr: Addr) -> (Zone, Zone) {
+    let nl = Name::parse("nl").expect("static");
+    let nl_ns = Name::parse("ns1.dns.nl").expect("static");
+    let zone = |origin: &Name, ttl: u32| {
+        let mut zone = Zone::new(origin.clone(), ttl, soa_for(origin));
+        zone.add(Record::new(nl.clone(), ttl, RData::Ns(nl_ns.clone())));
+        zone.add(Record::new(nl_ns.clone(), ttl, RData::A(v4(nl_addr))));
+        zone
+    };
+    (zone(&Name::root(), 86_400), zone(&nl, 3_600))
 }
 
 /// Adds the three-level hierarchy (root, `nl`, two `cachetest.nl`
@@ -181,19 +197,7 @@ fn hierarchy(
     let ns1_addr = Addr(base + 2);
     let ns2_addr = Addr(base + 3);
 
-    let origin = Name::root();
-    let mut root_zone = Zone::new(origin.clone(), 86_400, soa_for(&origin));
-    let nl = Name::parse("nl").expect("static");
-    root_zone.add(Record::new(
-        nl.clone(),
-        86_400,
-        RData::Ns(Name::parse("ns1.dns.nl").expect("static")),
-    ));
-    root_zone.add(Record::new(
-        Name::parse("ns1.dns.nl").expect("static"),
-        86_400,
-        RData::A(v4(nl_addr)),
-    ));
+    let (mut root_zone, mut nl_zone) = root_and_nl_zones(nl_addr);
 
     // The NXNS cast: two extra TLDs delegated straight from the root,
     // each served by its own authoritative at a deterministic address.
@@ -208,17 +212,6 @@ fn hierarchy(
         }
     }
 
-    let mut nl_zone = Zone::new(nl.clone(), 3_600, soa_for(&nl));
-    nl_zone.add(Record::new(
-        nl.clone(),
-        3_600,
-        RData::Ns(Name::parse("ns1.dns.nl").expect("static")),
-    ));
-    nl_zone.add(Record::new(
-        Name::parse("ns1.dns.nl").expect("static"),
-        3_600,
-        RData::A(v4(nl_addr)),
-    ));
     let ct = Name::parse("cachetest.nl").expect("static");
     for (i, a) in [ns1_addr, ns2_addr].iter().enumerate() {
         let ns = ct.child(&format!("ns{}", i + 1)).expect("static");

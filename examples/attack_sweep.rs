@@ -6,23 +6,21 @@
 //! cargo run --release --example attack_sweep
 //! ```
 
-use dike::core::{Attack, Scenario, SeedStrategy, SweepAxis, SweepEngine};
+use dike::experiments::{AttackPlan, ExperimentSetup, SweepAxis, SweepEngine};
 
 fn main() {
-    let base = Scenario::new()
-        .probes(200)
-        .ttl(1800)
-        .with_attack(Attack::complete().window_min(60, 60))
-        .duration_min(150)
-        .seed(42);
+    let base = ExperimentSetup {
+        attack: Some(AttackPlan::complete().window_min(60, 60)),
+        seed: 42,
+        ..ExperimentSetup::paced(200, 1800, 10, 150)
+    };
 
     let rates = vec![0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0];
     println!("running {} scenario arms in parallel ...\n", rates.len());
     let loss_of = rates.clone();
     let mut points: Vec<_> = SweepEngine::new(base)
-        .axis(SweepAxis::AttackLoss(rates))
+        .axis(SweepAxis::attack_loss(rates))
         .replicates(1)
-        .seed_strategy(SeedStrategy::Paired)
         .run_fold(move |job, report| (loss_of[job.arm], report))
         .into_iter()
         .flatten()

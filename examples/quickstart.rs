@@ -9,17 +9,18 @@
 //! authoritative servers with a 90% packet-loss DDoS for an hour, then
 //! prints what the clients experienced.
 
-use dike::core::{Attack, Scenario};
+use dike::experiments::{AttackPlan, ExperimentSetup, Report};
 
 fn main() {
-    let report = Scenario::new()
-        .probes(300) // each probe has 1-3 local recursives (vantage points)
-        .ttl(1800) // 30-minute records, like a conservative zone
+    let report = Report::run(&ExperimentSetup {
         // 90% ingress loss at both authoritatives, minutes 60-120.
-        .with_attack(Attack::loss(0.90).window_min(60, 60))
-        .duration_min(180)
-        .seed(42)
-        .run();
+        attack: Some(AttackPlan::loss(0.90).window_min(60, 60)),
+        seed: 42,
+        // 300 probes (each has 1-3 local recursives, its vantage points),
+        // 30-minute records like a conservative zone, one round every
+        // 10 minutes for three hours.
+        ..ExperimentSetup::paced(300, 1800, 10, 180)
+    });
 
     println!("clients: {} vantage points", report.output.n_vps);
     println!(

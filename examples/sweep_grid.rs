@@ -7,18 +7,18 @@
 //! cargo run --release --example sweep_grid
 //! ```
 
-use dike::core::{Attack, Scenario, SweepAxis, SweepEngine};
+use dike::experiments::{AttackPlan, ExperimentSetup, SweepAxis, SweepEngine};
 
 fn main() {
-    let base = Scenario::new()
-        .probes(120)
-        .with_attack(Attack::complete().window_min(60, 60))
-        .duration_min(150)
-        .seed(42);
+    let base = ExperimentSetup {
+        attack: Some(AttackPlan::complete().window_min(60, 60)),
+        seed: 42,
+        ..ExperimentSetup::paced(120, 1800, 10, 150)
+    };
 
     let engine = SweepEngine::new(base)
-        .axis(SweepAxis::AttackLoss(vec![0.0, 0.5, 0.9, 1.0]))
-        .axis(SweepAxis::CacheTtlSecs(vec![60, 1800, 3600]))
+        .axis(SweepAxis::attack_loss(vec![0.0, 0.5, 0.9, 1.0]))
+        .axis(SweepAxis::cache_ttl_secs(vec![60, 1800, 3600]))
         .replicates(3);
     println!(
         "running {} arms x {} replicates in parallel ...\n",

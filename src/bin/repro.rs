@@ -10,7 +10,7 @@
 //! so, in table order.
 //!
 //! `sweep` runs the population-scale attack-intensity × TTL grid through
-//! [`dike_core::SweepEngine`] (paper Tables 4/5 as a dense grid instead
+//! [`SweepEngine`] (paper Tables 4/5 as a dense grid instead
 //! of the nine lettered experiments); `--csv`/`--grid-json` export the
 //! per-arm summaries. It is deliberately not part of `all` — grids are
 //! sized by `--replicates`/`--scale` and can dwarf the lettered runs.
@@ -29,7 +29,7 @@ use dike_experiments::glue;
 use dike_experiments::implications;
 use dike_experiments::production::{run_nl, run_root, NlConfig, RootConfig};
 use dike_experiments::software::{run_software_mean, Software};
-use dike_experiments::Report;
+use dike_experiments::{AttackPlan, ExperimentSetup, Report, SweepAxis, SweepEngine};
 use dike_netsim::{DefenseLedger, SimDuration};
 use dike_stats::table::{pct, ratio, TextTable};
 use dike_stats::timeseries::class_timeseries;
@@ -55,7 +55,18 @@ struct Args {
     shards: usize,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: repro <target> [--scale X] [--seed N] [--json FILE] [--metrics FILE]";
+
+/// The value of `flag`, parsed; `what` names it in the error.
+fn value<T: std::str::FromStr>(flag: &str, what: &str, v: Option<String>) -> Result<T, String> {
+    v.and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// Reads the command line (without the program name). Anything it does
+/// not understand — an unknown `--option`, a second target — is an
+/// error, never ignored. `--list` and `--help` print and exit here.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         target: String::from("all"),
         scale: 0.05,
@@ -68,52 +79,18 @@ fn parse_args() -> Args {
         replicates: 3,
         shards: 0,
     };
-    let mut it = std::env::args().skip(1);
-    let mut positional = Vec::new();
+    let mut target = None;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--json" => {
-                args.json = Some(it.next().unwrap_or_else(|| die("--json needs a path")));
-            }
-            "--metrics" => {
-                args.metrics = Some(it.next().unwrap_or_else(|| die("--metrics needs a path")));
-            }
-            "--csv" => {
-                args.csv = Some(it.next().unwrap_or_else(|| die("--csv needs a path")));
-            }
-            "--grid-json" => {
-                args.grid_json = Some(it.next().unwrap_or_else(|| die("--grid-json needs a path")));
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs an integer"));
-            }
-            "--replicates" => {
-                args.replicates = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--replicates needs an integer"));
-            }
-            "--shards" => {
-                args.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--shards needs an integer"));
-            }
+            "--scale" => args.scale = value(&a, "a number", it.next())?,
+            "--seed" => args.seed = value(&a, "an integer", it.next())?,
+            "--json" => args.json = Some(value(&a, "a path", it.next())?),
+            "--metrics" => args.metrics = Some(value(&a, "a path", it.next())?),
+            "--csv" => args.csv = Some(value(&a, "a path", it.next())?),
+            "--grid-json" => args.grid_json = Some(value(&a, "a path", it.next())?),
+            "--threads" => args.threads = value(&a, "an integer", it.next())?,
+            "--replicates" => args.replicates = value(&a, "an integer", it.next())?,
+            "--shards" => args.shards = value(&a, "an integer", it.next())?,
             "--list" => {
                 for (name, ..) in TARGETS {
                     println!("{name}");
@@ -124,7 +101,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 let names: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
                 println!(
-                    "usage: repro <target> [--scale X] [--seed N] [--json FILE] [--metrics FILE]\n\
+                    "{USAGE}\n\
                      targets: {} all\n\
                      --metrics collects sim-time telemetry during the DDoS runs and\n\
                      writes the full metric registry (per-node counters, gauges,\n\
@@ -141,13 +118,18 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => positional.push(other.to_string()),
+            option if option.starts_with('-') => return Err(format!("unknown option '{option}'")),
+            word => {
+                if target.replace(word.to_lowercase()).is_some() {
+                    return Err(format!("unexpected argument '{word}'"));
+                }
+            }
         }
     }
-    if let Some(t) = positional.first() {
-        args.target = t.to_lowercase();
+    if let Some(t) = target {
+        args.target = t;
     }
-    args
+    Ok(args)
 }
 
 fn die(msg: &str) -> ! {
@@ -262,7 +244,8 @@ const TARGETS: &[Target] = &[
 ];
 
 fn main() {
-    let args = parse_args();
+    let args =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&format!("{e}\n{USAGE}")));
     let mut ctx = Ctx::new(args.scale, args.seed, args.metrics.is_some());
     let t = args.target.clone();
     let mut matched = false;
@@ -1251,25 +1234,34 @@ fn nxns_comparison(ctx: &mut Ctx) {
 // Population-scale sweep (paper §5.4 / Tables 4-5 as a dense grid)
 // ---------------------------------------------------------------------
 
+/// The `sweep` grid: attack loss × TTL over a complete outage in minutes
+/// 40–80 of a 100-minute run.
+fn sweep_engine(args: &Args) -> SweepEngine {
+    let base = ExperimentSetup {
+        attack: Some(AttackPlan::complete().window_min(40, 40)),
+        seed: args.seed,
+        shards: args.shards.max(1),
+        ..ExperimentSetup::paced(sweep_probes(args.scale), 1800, 10, 100)
+    };
+    SweepEngine::new(base)
+        .axis(SweepAxis::attack_loss(vec![0.0, 0.5, 0.75, 0.9, 1.0]))
+        .axis(SweepAxis::cache_ttl_secs(vec![60, 1800, 3600]))
+        .replicates(args.replicates)
+        .threads(args.threads)
+}
+
+/// Probes per arm of the `sweep` and `falsepos` grids.
+fn sweep_probes(scale: f64) -> usize {
+    ((400.0 * scale) as usize).max(16)
+}
+
 /// Runs the attack-intensity × TTL grid through the streaming
-/// [`dike_core::SweepEngine`]: every arm folds into a compact summary as
-/// it finishes, so memory stays O(arms) however large the grid gets, and
+/// [`SweepEngine`]: every arm folds into a compact summary as it
+/// finishes, so memory stays O(arms) however large the grid gets, and
 /// output is byte-identical for any `--threads` value.
 fn sweep_grid(ctx: &mut Ctx, args: &Args) {
-    use dike_core::{Attack, Scenario, SweepAxis, SweepEngine};
-
-    let probes = ((400.0 * ctx.scale) as usize).max(16);
-    let base = Scenario::new()
-        .probes(probes)
-        .with_attack(Attack::complete().window_min(40, 40))
-        .duration_min(100)
-        .seed(ctx.seed);
-    let base = base.shards(args.shards.max(1));
-    let engine = SweepEngine::new(base)
-        .axis(SweepAxis::AttackLoss(vec![0.0, 0.5, 0.75, 0.9, 1.0]))
-        .axis(SweepAxis::CacheTtlSecs(vec![60, 1800, 3600]))
-        .replicates(args.replicates)
-        .threads(args.threads);
+    let engine = sweep_engine(args);
+    let probes = engine.base.n_probes;
     eprintln!(
         "[repro] sweep: {} arms x {} replicates, {probes} probes per arm ...",
         engine.arm_count(),
@@ -1289,7 +1281,7 @@ fn sweep_grid(ctx: &mut Ctx, args: &Args) {
             "median ms",
         ],
     );
-    let band = |b: Option<dike_core::Band>, fmt: &dyn Fn(f64) -> String| match b {
+    let band = |b: Option<dike_experiments::Band>, fmt: &dyn Fn(f64) -> String| match b {
         Some(b) => format!("{} [{}-{}]", fmt(b.median), fmt(b.lo), fmt(b.hi)),
         None => "-".into(),
     };
@@ -1322,6 +1314,26 @@ fn sweep_grid(ctx: &mut Ctx, args: &Args) {
 // History-classifier false positives (ROADMAP: layered-defense follow-up)
 // ---------------------------------------------------------------------
 
+/// The `falsepos` grid: defense preset × late-arrival rate over a
+/// loss-free attack window with the 24 × 10 qps spoofed flood.
+fn false_positive_engine(args: &Args) -> SweepEngine {
+    use dike_experiments::defense::{SpoofedFlood, ALL_PRESETS};
+
+    let attack = AttackPlan::loss(0.0).window_min(60, 60);
+    let base = ExperimentSetup {
+        attack: Some(attack),
+        seed: args.seed,
+        spoofed_flood: Some(SpoofedFlood::aligned_with(&attack, 24, 10.0)),
+        telemetry: Some(dike_telemetry::TelemetryConfig::every_mins(10)),
+        ..ExperimentSetup::paced(sweep_probes(args.scale), 1800, 10, 130)
+    };
+    SweepEngine::new(base)
+        .axis(SweepAxis::defense_preset(ALL_PRESETS.to_vec()))
+        .axis(SweepAxis::late_arrivals_per_min(vec![0.5, 2.0, 8.0]))
+        .replicates(args.replicates)
+        .threads(args.threads)
+}
+
 /// New-resolver arrival rate × defense preset: how much legitimate
 /// late-arriving traffic each defense refuses. The wave's resolvers are
 /// slow (one query per 30 s — far below every preset's RRL rate) but
@@ -1331,29 +1343,13 @@ fn sweep_grid(ctx: &mut Ctx, args: &Args) {
 /// query is collateral from the defense layer (or the queue contention
 /// the flood causes inside it), not random attack loss.
 fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
-    use dike_core::{Attack, Scenario, SweepAxis, SweepEngine, TelemetryConfig};
-    use dike_experiments::defense::ALL_PRESETS;
-
-    let probes = ((400.0 * ctx.scale) as usize).max(16);
-    let base = Scenario::new()
-        .probes(probes)
-        .ttl(1800)
-        .with_attack(Attack::loss(0.0).window_min(60, 60))
-        .duration_min(130)
-        .spoofed_flood(24, 10.0)
-        .telemetry(TelemetryConfig::every_mins(10))
-        .seed(ctx.seed);
-    let rates = vec![0.5, 2.0, 8.0];
-    let engine = SweepEngine::new(base)
-        .axis(SweepAxis::DefensePreset(ALL_PRESETS.to_vec()))
-        .axis(SweepAxis::LateArrivalsPerMin(rates.clone()))
-        .replicates(args.replicates)
-        .threads(args.threads);
+    let engine = false_positive_engine(args);
     eprintln!(
-        "[repro] falsepos: {} presets x {} arrival rates x {} replicate(s), {probes} probes per arm ...",
-        ALL_PRESETS.len(),
-        rates.len(),
+        "[repro] falsepos: {} presets x {} arrival rates x {} replicate(s), {} probes per arm ...",
+        engine.axes[0].len(),
+        engine.axes[1].len(),
         engine.replicates,
+        engine.base.n_probes,
     );
 
     struct Cell {
@@ -1505,5 +1501,110 @@ fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
             "all shard counts produced digest {:016x} — outcome is shard-count-independent",
             digests[0]
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Args, String> {
+        parse_args(words.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn the_parser_rejects_what_it_does_not_understand() {
+        for (words, complaint) in [
+            (
+                &["fig8", "--experiment", "H"][..],
+                "unknown option '--experiment'",
+            ),
+            (
+                &["sweep", "--replicate", "5"],
+                "unknown option '--replicate'",
+            ),
+            (&["fig8", "fig9"], "unexpected argument 'fig9'"),
+            (&["sweep", "--replicates"], "--replicates needs an integer"),
+            (&["--scale", "big"], "--scale needs a number"),
+        ] {
+            assert_eq!(parse(words).err().as_deref(), Some(complaint), "{words:?}");
+        }
+        let args = parse(&["Sweep", "--replicates", "5", "--scale", "0.1"]).expect("valid");
+        assert_eq!(
+            (args.target.as_str(), args.replicates, args.scale),
+            ("sweep", 5, 0.1)
+        );
+        assert_eq!(parse(&[]).expect("no words").target, "all");
+    }
+
+    /// `repro sweep --scale 0.05 --seed 42`, arm loss 0.9 × TTL 1800: the
+    /// setup it ran at commit faa78c4.
+    #[test]
+    fn sweep_arm_is_the_captured_setup() {
+        let engine = sweep_engine(&parse(&["sweep", "--scale", "0.05", "--seed", "42"]).unwrap());
+        assert_eq!(
+            format!("{:?}", engine.setup_for(10, 0)),
+            "ExperimentSetup { seed: 42, population_seed: 7, n_probes: 20, \
+             ttl: 1800, round_interval: SimDuration(600000000000), rounds: 10, \
+             total_duration: SimDuration(6000000000000), \
+             attack: Some(AttackPlan { start_min: 40, duration_min: 40, loss: 0.9, \
+             scope: BothNs }), mix: PopulationMix { recursives_per_probe: [0.55, \
+             0.3, 0.15], frac_public: 0.33, google_share: 0.75, frac_isp: 0.45, \
+             frac_home_router: 0.12, frac_capper: 0.1, probes_per_isp: 3, \
+             isp_bind_share: 0.5, isp_sixhour_cap_share: 0.3, isp_flush_share: 0.08, \
+             farm_serve_stale_share: 0.25, farm_frontends: 3, farm_backends: 5, \
+             farm_count: 3, home_router_public_upstream_share: 0.15 }, \
+             first_round_spread: SimDuration(300000000000), \
+             round_jitter: SimDuration(240000000000), track_probe: None, \
+             regional_latency: true, queueing: None, telemetry: None, faults: None, \
+             defense: None, spoofed_flood: None, late_wave: None, tcp: None, \
+             cookie_secret: None, tcp_exhaustion: None, nxns: None, \
+             resolver_max_fetch: None, audit: false, shards: 1 }"
+        );
+        // Later replicates change the seed and nothing else.
+        assert_eq!(engine.setup_for(10, 1).seed, 17_532_488_217_563_185_893);
+    }
+
+    /// `repro falsepos --scale 0.02 --seed 42`, arm admission × 2.0/min:
+    /// the setup it ran at commit faa78c4.
+    #[test]
+    fn falsepos_arm_is_the_captured_setup() {
+        let engine = false_positive_engine(&parse(&["falsepos", "--scale", "0.02"]).unwrap());
+        assert_eq!(
+            format!("{:?}", engine.setup_for(10, 0)),
+            "ExperimentSetup { seed: 42, population_seed: 7, n_probes: 16, \
+             ttl: 1800, round_interval: SimDuration(600000000000), rounds: 13, \
+             total_duration: SimDuration(7800000000000), \
+             attack: Some(AttackPlan { start_min: 60, duration_min: 60, loss: 0.0, \
+             scope: BothNs }), mix: PopulationMix { recursives_per_probe: [0.55, \
+             0.3, 0.15], frac_public: 0.33, google_share: 0.75, frac_isp: 0.45, \
+             frac_home_router: 0.12, frac_capper: 0.1, probes_per_isp: 3, \
+             isp_bind_share: 0.5, isp_sixhour_cap_share: 0.3, isp_flush_share: 0.08, \
+             farm_serve_stale_share: 0.25, farm_frontends: 3, farm_backends: 5, \
+             farm_count: 3, home_router_public_upstream_share: 0.15 }, \
+             first_round_spread: SimDuration(300000000000), \
+             round_jitter: SimDuration(240000000000), track_probe: None, \
+             regional_latency: true, queueing: None, \
+             telemetry: Some(TelemetryConfig { snapshot_interval_nanos: 600000000000 }), \
+             faults: None, \
+             defense: Some(DefensePlan { defenses: [Admission { target: Addr(167772163), \
+             start: SimTime(3600000000000), \
+             queue: ClassedQueueConfig { rate_pps: 60.0, weights: [8.0, 1.0, 1.0], \
+             capacity: [500, 20, 20] }, \
+             classifier: History { cutoff: SimTime(3600000000000) } }, \
+             Admission { target: Addr(167772164), start: SimTime(3600000000000), \
+             queue: ClassedQueueConfig { rate_pps: 60.0, weights: [8.0, 1.0, 1.0], \
+             capacity: [500, 20, 20] }, \
+             classifier: History { cutoff: SimTime(3600000000000) } }] }), \
+             spoofed_flood: Some(SpoofedFlood { sources: 24, qps_per_source: 10.0, \
+             start_min: 60, duration_min: 60 }), \
+             late_wave: Some(LateResolverWave { arrivals_per_min: 2.0, \
+             qps_per_resolver: 0.03333333333333333, start_min: 60, \
+             window_min: 60 }), tcp: None, cookie_secret: None, \
+             tcp_exhaustion: None, nxns: None, resolver_max_fetch: None, \
+             audit: false, shards: 1 }"
+        );
+        // The `none` preset leaves the run undefended.
+        assert!(engine.setup_for(0, 0).defense.is_none());
     }
 }

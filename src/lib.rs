@@ -2,13 +2,14 @@
 //! Dissecting DNS Defenses During DDoS"* (Moura et al., ACM IMC 2018).
 //!
 //! This crate re-exports the full workspace public API. Start with
-//! [`dike_core`] for the high-level experiment builder, or see the
-//! `examples/` directory for runnable scenarios.
+//! [`experiments`]: an [`experiments::ExperimentSetup`] describes a run,
+//! [`experiments::Report::run`] executes it, and
+//! [`experiments::SweepEngine`] varies it along axes. The `examples/`
+//! directory has runnable scenarios.
 
 pub use dike_attack as attack;
 pub use dike_auth as auth;
 pub use dike_cache as cache;
-pub use dike_core as core;
 pub use dike_defense as defense;
 pub use dike_experiments as experiments;
 pub use dike_faults as faults;

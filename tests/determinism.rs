@@ -4,16 +4,41 @@
 //! single delivery, drop, or timer relative to the behaviour the rest of
 //! the experiment suite was validated against.
 
-use dike::core::telemetry::TelemetryConfig;
-use dike::core::{Attack, Report, Scenario};
+use dike::experiments::{AttackPlan, ExperimentSetup, Report};
+use dike::telemetry::TelemetryConfig;
 
-fn fixed_scenario() -> Scenario {
-    Scenario::new()
-        .probes(25)
-        .ttl(1800)
-        .seed(1414)
-        .duration_min(90)
-        .with_attack(Attack::loss(0.9).window_min(30, 30))
+fn fixed_setup() -> ExperimentSetup {
+    ExperimentSetup {
+        seed: 1414,
+        attack: Some(AttackPlan::loss(0.9).window_min(30, 30)),
+        ..ExperimentSetup::paced(25, 1800, 10, 90)
+    }
+}
+
+/// The fixture is the run the pinned digest was measured on: this
+/// `Debug` string is the setup the fixture ran at commit faa78c4, where
+/// the digest held.
+#[test]
+fn fixed_setup_is_the_pinned_run() {
+    assert_eq!(
+        format!("{:?}", fixed_setup()),
+        "ExperimentSetup { seed: 1414, population_seed: 7, n_probes: 25, ttl: 1800, \
+         round_interval: SimDuration(600000000000), rounds: 9, \
+         total_duration: SimDuration(5400000000000), \
+         attack: Some(AttackPlan { start_min: 30, duration_min: 30, loss: 0.9, \
+         scope: BothNs }), mix: PopulationMix { recursives_per_probe: [0.55, 0.3, \
+         0.15], frac_public: 0.33, google_share: 0.75, frac_isp: 0.45, \
+         frac_home_router: 0.12, frac_capper: 0.1, probes_per_isp: 3, \
+         isp_bind_share: 0.5, isp_sixhour_cap_share: 0.3, isp_flush_share: 0.08, \
+         farm_serve_stale_share: 0.25, farm_frontends: 3, farm_backends: 5, \
+         farm_count: 3, home_router_public_upstream_share: 0.15 }, \
+         first_round_spread: SimDuration(300000000000), \
+         round_jitter: SimDuration(240000000000), track_probe: None, \
+         regional_latency: true, queueing: None, telemetry: None, faults: None, \
+         defense: None, spoofed_flood: None, late_wave: None, tcp: None, \
+         cookie_secret: None, tcp_exhaustion: None, nxns: None, \
+         resolver_max_fetch: None, audit: false, shards: 1 }"
+    );
 }
 
 /// Record count plus [`dike::stub::ProbeLog::digest`] — any reordering,
@@ -25,16 +50,19 @@ fn log_digest(report: &Report) -> (usize, u64) {
 
 #[test]
 fn fixed_seed_runs_are_bit_identical() {
-    let (n1, d1) = log_digest(&fixed_scenario().run());
-    let (n2, d2) = log_digest(&fixed_scenario().run());
+    let (n1, d1) = log_digest(&Report::run(&fixed_setup()));
+    let (n2, d2) = log_digest(&Report::run(&fixed_setup()));
     assert!(n1 > 0, "scenario produced no records");
     assert_eq!(n1, n2);
     assert_eq!(d1, d2, "same seed, different log");
     // Telemetry is pull-only: minute-cadence snapshot cuts must not
     // move a single record.
-    let with_cuts = fixed_scenario().telemetry(TelemetryConfig::every_mins(1));
+    let with_cuts = ExperimentSetup {
+        telemetry: Some(TelemetryConfig::every_mins(1)),
+        ..fixed_setup()
+    };
     assert_eq!(
-        log_digest(&with_cuts.run()),
+        log_digest(&Report::run(&with_cuts)),
         (n1, d1),
         "telemetry changed the run"
     );
@@ -44,19 +72,17 @@ fn fixed_seed_runs_are_bit_identical() {
 fn decoded_equals_delivered_loss_free() {
     // No attack, no ambient loss: every datagram that reaches a node was
     // decoded exactly once on the way in.
-    let report = Scenario::new()
-        .probes(10)
-        .ttl(1800)
-        .seed(99)
-        .duration_min(30)
-        .run();
+    let report = Report::run(&ExperimentSetup {
+        seed: 99,
+        ..ExperimentSetup::paced(10, 1800, 10, 30)
+    });
     let perf = report.perf();
     assert!(perf.datagrams_delivered > 0);
     assert_eq!(perf.datagrams_decoded, perf.datagrams_delivered);
     assert_eq!(perf.datagrams_undecodable, 0);
 }
 
-/// Pinned digest for the fixed scenario, measured before the hot-path
+/// Pinned digest for the fixed setup, measured before the hot-path
 /// overhaul. The value depends on the RNG stream, so it is only
 /// meaningful against one `rand` build — run explicitly (`--ignored`)
 /// when validating a hot-path change against a known-good tree built in
@@ -64,7 +90,7 @@ fn decoded_equals_delivered_loss_free() {
 #[test]
 #[ignore = "digest is rand-build-specific; run with --ignored to compare against a pinned tree"]
 fn fixed_seed_log_matches_pinned_digest() {
-    let (n, d) = log_digest(&fixed_scenario().run());
+    let (n, d) = log_digest(&Report::run(&fixed_setup()));
     assert_eq!(n, 321);
     assert_eq!(d, 0xcab1_5b65_bd36_2dd0);
 }

@@ -2,9 +2,9 @@
 //! every test runs full simulations through the public API and checks
 //! the *shape* the paper reports.
 
-use dike::core::{Attack, Scenario};
 use dike::experiments::baseline::{run_baseline, BASELINES};
 use dike::experiments::ddos::{run_ddos, DdosExperiment};
+use dike::experiments::{AttackPlan, ExperimentSetup, Report};
 
 /// §3 headline: "about 30% of the time clients do not benefit from
 /// caching" — the miss rate for cacheable TTLs sits near 30%, and the
@@ -174,20 +174,14 @@ fn claim_retries_amplify_server_load() {
 /// more than a long-TTL zone (like the root).
 #[test]
 fn claim_long_ttls_explain_root_vs_dyn_outcomes() {
-    let root_like = Scenario::new()
-        .probes(100)
-        .ttl(3600)
-        .with_attack(Attack::loss(0.9).window_min(60, 60))
-        .duration_min(150)
-        .seed(8)
-        .run();
-    let dyn_like = Scenario::new()
-        .probes(100)
-        .ttl(120)
-        .with_attack(Attack::loss(0.9).window_min(60, 60))
-        .duration_min(150)
-        .seed(8)
-        .run();
+    let run = |ttl| {
+        Report::run(&ExperimentSetup {
+            attack: Some(AttackPlan::loss(0.9).window_min(60, 60)),
+            seed: 8,
+            ..ExperimentSetup::paced(100, ttl, 10, 150)
+        })
+    };
+    let (root_like, dyn_like) = (run(3600), run(120));
     let ok_root = root_like
         .ok_fraction_during_attack()
         .expect("attack rounds");
@@ -217,10 +211,10 @@ fn claim_runs_are_reproducible() {
 /// retry histograms must be populated during an attack.
 #[test]
 fn claim_telemetry_agrees_with_server_view() {
-    use dike::core::telemetry::TelemetryConfig;
+    use dike::telemetry::TelemetryConfig;
     let mut setup = DdosExperiment::F.setup(0.008, 7);
     setup.telemetry = Some(TelemetryConfig::every_mins(10));
-    let r = dike::core::Report::run(&setup);
+    let r = Report::run(&setup);
     let reg = r.metrics().expect("telemetry requested");
     let ns_ids: Vec<u32> = reg
         .node_labels()
@@ -296,7 +290,7 @@ fn claim_fig7_cache_classes_during_outage() {
 fn claim_fig12_unique_recursives_shape() {
     let f = run_ddos(DdosExperiment::F, 0.012, 32);
     let i = run_ddos(DdosExperiment::I, 0.012, 32);
-    let pre = |r: &dike::core::Report| -> Vec<usize> {
+    let pre = |r: &Report| -> Vec<usize> {
         r.output
             .server
             .bins()

@@ -1,13 +1,11 @@
 //! Sharded-engine regressions: the parallel engine's outcome is a pure
 //! function of `(setup, seed)` — independent of the shard count and of
-//! thread scheduling — and `shards(1)` through the scenario builder
-//! still routes to the single-threaded engine, so its pinned digest
-//! never moves.
+//! thread scheduling — and `shards: 1` still routes to the
+//! single-threaded engine, so its pinned digest never moves.
 
-use dike::core::{Attack, Report, Scenario};
 use dike::defense::{Defense, DefensePlan};
 use dike::experiments::setup::{AttackPlan, AttackScope};
-use dike::experiments::{run_experiment_sharded, ExperimentOutput, ExperimentSetup};
+use dike::experiments::{run_experiment_sharded, ExperimentOutput, ExperimentSetup, Report};
 use dike::faults::{Fault, FaultPlan};
 use dike::netsim::{NodeId, SimDuration};
 
@@ -16,20 +14,14 @@ fn digest(out: &ExperimentOutput) -> (usize, u64) {
     (out.log.records.len(), out.log.digest())
 }
 
-fn report_digest(report: &Report) -> (usize, u64) {
-    digest(&report.output)
-}
-
-/// The `tests/determinism.rs` fixed scenario, with an explicit shard
-/// count.
-fn fixed_scenario(shards: usize) -> Scenario {
-    Scenario::new()
-        .probes(25)
-        .ttl(1800)
-        .seed(1414)
-        .duration_min(90)
-        .with_attack(Attack::loss(0.9).window_min(30, 30))
-        .shards(shards)
+/// The `tests/determinism.rs` fixed setup, with an explicit shard count.
+fn fixed_setup(shards: usize) -> ExperimentSetup {
+    ExperimentSetup {
+        seed: 1414,
+        attack: Some(AttackPlan::loss(0.9).window_min(30, 30)),
+        shards,
+        ..ExperimentSetup::paced(25, 1800, 10, 90)
+    }
 }
 
 /// A full-topology setup for driving `run_experiment_sharded` directly:
@@ -51,23 +43,14 @@ fn sharded_setup(shards: usize) -> ExperimentSetup {
     setup
 }
 
-/// `shards(1)` is the identity: it routes to the single-threaded engine,
-/// so the digest equals the default run's bit for bit (and the pinned
-/// `fixed_seed_log_matches_pinned_digest` value still governs it).
+/// `shards: 0` and `shards: 1` are the identity: `Report::run` routes
+/// both to the single-threaded engine, so the pinned
+/// `fixed_seed_log_matches_pinned_digest` value governs them.
 #[test]
 fn one_shard_is_the_single_threaded_engine() {
-    let base = report_digest(&fixed_scenario(1).run());
-    let plain = report_digest(
-        &Scenario::new()
-            .probes(25)
-            .ttl(1800)
-            .seed(1414)
-            .duration_min(90)
-            .with_attack(Attack::loss(0.9).window_min(30, 30))
-            .run(),
-    );
-    assert!(base.0 > 0);
-    assert_eq!(base, plain, "shards(1) must not change the engine");
+    let [zero, one] = [0, 1].map(|k| digest(&Report::run(&fixed_setup(k)).output));
+    assert!(one.0 > 0);
+    assert_eq!(zero, one, "shards: 1 must not change the engine");
 }
 
 /// The headline invariant: K ∈ {1, 2, 4, 8} shard cuts of the full
@@ -80,16 +63,6 @@ fn shard_count_never_changes_the_outcome() {
         let out = run_experiment_sharded(&sharded_setup(k));
         assert_eq!(digest(&out), base, "shards = {k} diverged");
     }
-}
-
-/// The scenario builder's `shards(k)` reaches the same engine: two
-/// builder runs at different counts agree with each other.
-#[test]
-fn scenario_builder_shards_agree_across_counts() {
-    let two = report_digest(&fixed_scenario(2).run());
-    let four = report_digest(&fixed_scenario(4).run());
-    assert!(two.0 > 0);
-    assert_eq!(two, four, "builder shard counts diverged");
 }
 
 /// Run-twice determinism with the full supported fault + defense

@@ -1,17 +1,17 @@
 //! Sweep-engine contract tests: worker-count-independent output,
 //! memory-bounded streaming aggregation, and paired-seed bit-identity
-//! with direct scenario runs.
+//! with direct runs.
 
-use dike::core::{Attack, ReplicateSummary, Scenario, SeedStrategy, SweepAxis, SweepEngine};
+use dike::experiments::{
+    AttackPlan, ExperimentSetup, ReplicateSummary, Report, SweepAxis, SweepEngine,
+};
 
-fn tiny_base() -> Scenario {
-    Scenario::new()
-        .probes(4)
-        .ttl(600)
-        .with_attack(Attack::loss(0.9).window_min(10, 10))
-        .duration_min(30)
-        .round_interval_min(10)
-        .seed(9)
+fn tiny_base() -> ExperimentSetup {
+    ExperimentSetup {
+        attack: Some(AttackPlan::loss(0.9).window_min(10, 10)),
+        seed: 9,
+        ..ExperimentSetup::paced(4, 600, 10, 30)
+    }
 }
 
 /// The headline determinism contract: a two-axis grid with seed
@@ -22,18 +22,12 @@ fn tiny_base() -> Scenario {
 fn sweep_exports_are_byte_identical_for_one_and_many_workers() {
     let grid = || {
         SweepEngine::new(tiny_base())
-            .axis(SweepAxis::AttackLoss(vec![0.0, 0.75, 1.0]))
-            .axis(SweepAxis::CacheTtlSecs(vec![60, 1800]))
+            .axis(SweepAxis::attack_loss(vec![0.0, 0.75, 1.0]))
+            .axis(SweepAxis::cache_ttl_secs(vec![60, 1800]))
             .replicates(2)
     };
     let serial = grid().threads(1).run();
     let parallel = grid().threads(0).run();
-    assert_eq!(serial.to_csv(), parallel.to_csv());
-    assert_eq!(serial.to_json(), parallel.to_json());
-
-    // Same again under fully independent per-arm seeds.
-    let serial = grid().seed_strategy(SeedStrategy::PerArm).threads(1).run();
-    let parallel = grid().seed_strategy(SeedStrategy::PerArm).threads(0).run();
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());
 }
@@ -46,17 +40,16 @@ fn sweep_exports_are_byte_identical_for_one_and_many_workers() {
 /// registry, just scalars and a downsampled ECDF).
 #[test]
 fn large_grid_retains_only_compact_summaries() {
-    let minimal = Scenario::new()
-        .probes(2)
-        .with_attack(Attack::complete().window_min(10, 10))
-        .duration_min(20)
-        .round_interval_min(10)
-        .seed(3);
+    let minimal = ExperimentSetup {
+        attack: Some(AttackPlan::complete().window_min(10, 10)),
+        seed: 3,
+        ..ExperimentSetup::paced(2, 1800, 10, 20)
+    };
     let result = SweepEngine::new(minimal)
-        .axis(SweepAxis::AttackLoss(vec![
+        .axis(SweepAxis::attack_loss(vec![
             0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999, 1.0,
         ]))
-        .axis(SweepAxis::CacheTtlSecs(vec![60, 600, 1800, 3600]))
+        .axis(SweepAxis::cache_ttl_secs(vec![60, 600, 1800, 3600]))
         .replicates(4)
         .run();
 
@@ -76,23 +69,23 @@ fn large_grid_retains_only_compact_summaries() {
     assert!(cells * per_cell < 1 << 20, "summaries stay under a MiB");
 }
 
-/// A one-replicate paired sweep (replicate 0 runs the base seed
-/// verbatim) must match running each arm's scenario directly — same
-/// seed, same loss, bit for bit in the outcome series.
+/// A one-replicate sweep (replicate 0 runs the base seed verbatim) must
+/// match running each arm's setup directly — same seed, same loss, bit
+/// for bit in the outcome series.
 #[test]
 fn paired_sweep_is_identical_to_direct_runs() {
     let rates = vec![0.0, 0.9, 1.0];
     let points = SweepEngine::new(tiny_base())
-        .axis(SweepAxis::AttackLoss(rates.clone()))
+        .axis(SweepAxis::attack_loss(rates.clone()))
         .replicates(1)
-        .seed_strategy(SeedStrategy::Paired)
         .run_fold(|_job, report| report);
     assert_eq!(points.len(), rates.len());
     for (reps, &loss) in points.iter().zip(&rates) {
         let report = &reps[0];
-        let direct = tiny_base()
-            .with_attack(Attack::loss(loss).window_min(10, 10))
-            .run();
+        let direct = Report::run(&ExperimentSetup {
+            attack: Some(AttackPlan::loss(loss).window_min(10, 10)),
+            ..tiny_base()
+        });
         assert_eq!(report.outcomes, direct.outcomes);
         assert_eq!(
             report.output.log.records.len(),
@@ -105,18 +98,22 @@ fn paired_sweep_is_identical_to_direct_runs() {
     }
 }
 
-/// Replicate seeds are derived, not sequential: paired replicates share
-/// seeds across arms (common random numbers), and replicate 0 is the
-/// base seed itself.
+/// Replicate seeds are derived, not sequential: replicates share seeds
+/// across arms (common random numbers), and replicate 0 is the base
+/// seed itself.
 #[test]
 fn paired_replicates_share_randomness_across_arms() {
     let engine = SweepEngine::new(tiny_base())
-        .axis(SweepAxis::AttackLoss(vec![0.2, 0.8]))
+        .axis(SweepAxis::attack_loss(vec![0.2, 0.8]))
         .replicates(3);
     for rep in 0..3 {
-        assert_eq!(engine.job_seed(0, rep), engine.job_seed(1, rep));
+        assert_eq!(engine.setup_for(0, rep).seed, engine.setup_for(1, rep).seed);
     }
-    assert_eq!(engine.job_seed(0, 0), 9, "replicate 0 = the base seed");
-    let seeds: std::collections::HashSet<u64> = (0..3).map(|r| engine.job_seed(0, r)).collect();
+    assert_eq!(
+        engine.setup_for(0, 0).seed,
+        9,
+        "replicate 0 = the base seed"
+    );
+    let seeds: std::collections::HashSet<u64> = (0..3).map(|r| engine.job_seed(r)).collect();
     assert_eq!(seeds.len(), 3, "replicates draw distinct seeds");
 }
