@@ -218,7 +218,6 @@ impl World {
     /// conservative lookahead), uniformly for local and cross-shard
     /// paths — see [`crate::shard`].
     fn path_delay(&mut self, src: Addr, dst: Addr) -> SimDuration {
-        let floor = self.shard.as_deref().map(|s| s.floor);
         let idx = src.0.wrapping_sub(self.first_addr) as usize;
         let rng = rng_stream(&mut self.shard, &mut self.rng, idx);
         let mut delay = self.links.params(src, dst).latency.sample(rng);
@@ -226,9 +225,12 @@ impl World {
         if factor != 1.0 {
             delay = SimDuration::from_nanos((delay.as_nanos() as f64 * factor) as u64);
         }
-        match floor {
-            Some(f) => delay.max(f),
-            None => delay,
+        match self.shard.as_deref_mut() {
+            Some(s) if delay < s.floor => {
+                s.floor_clamped += 1;
+                s.floor
+            }
+            _ => delay,
         }
     }
 
@@ -236,7 +238,8 @@ impl World {
     /// arrival (see [`Simulator::step`]). In a sharded world a datagram
     /// whose destination lives on another shard is parked in that
     /// shard's outbox instead (counted `xshard_out`), to be exchanged at
-    /// the next window barrier.
+    /// the next round barrier; the earliest such arrival bounds how far
+    /// this shard may run before then (see [`crate::shard`]).
     pub(crate) fn send_datagram(&mut self, src: Addr, dst: Addr, payload: Bytes) {
         self.net.datagrams_sent += 1;
         let delay = self.path_delay(src, dst);
@@ -245,6 +248,7 @@ impl World {
             let target = s.shard_of(dst);
             if target != s.id {
                 s.xshard_out += 1;
+                s.parked_min = s.parked_min.min(at.as_nanos());
                 s.outbox[target].push(Envelope {
                     at,
                     src,
@@ -311,7 +315,10 @@ impl World {
 /// identical event sequence.
 pub struct Simulator {
     nodes: Vec<Option<Box<dyn Node>>>,
-    started: Vec<bool>,
+    /// Nodes `[0, started_upto)` have had `on_start` called. Nodes are
+    /// append-only and start in index order, so one watermark says it
+    /// all and [`Simulator::start_pending`] is O(1) when nothing is new.
+    started_upto: usize,
     world: World,
     telemetry: Option<Telemetry>,
     /// Wall-clock nanoseconds spent inside the run methods. Kept out of
@@ -341,6 +348,12 @@ pub struct SimPerf {
     pub bytes_encoded: u64,
     /// Octets consumed by the ingress decoder.
     pub bytes_decoded: u64,
+    /// One-way delay samples the sharded engine clamped up to its
+    /// propagation floor (0 on the plain engine, which has no floor).
+    pub floor_clamped: u64,
+    /// Synchronisation rounds (barrier crossings) of the sharded engine,
+    /// identical on every shard; 0 on the plain engine.
+    pub sync_rounds: u64,
     /// Wall-clock nanoseconds spent inside `run_until`/`run_until_idle`.
     pub wall_nanos: u64,
 }
@@ -350,7 +363,7 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
-            started: Vec::new(),
+            started_upto: 0,
             world: World {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
@@ -398,7 +411,6 @@ impl Simulator {
         let id = NodeId(self.nodes.len() as u32);
         let addr = Addr(self.world.first_addr + id.0);
         self.nodes.push(Some(node));
-        self.started.push(false);
         self.world.nodes.push(addr);
         if let Some(s) = self.world.shard.as_deref_mut() {
             let global = (addr.0 - FIRST_ADDR) as u64;
@@ -499,11 +511,9 @@ impl Simulator {
     /// Ensures every node has had `on_start` called. Invoked automatically
     /// by the run methods; idempotent per node.
     pub(crate) fn start_pending(&mut self) {
-        for idx in 0..self.nodes.len() {
-            if self.started[idx] {
-                continue;
-            }
-            self.started[idx] = true;
+        while self.started_upto < self.nodes.len() {
+            let idx = self.started_upto;
+            self.started_upto += 1;
             let id = NodeId(idx as u32);
             let addr = self.world.addr_of(id);
             let mut node = self.nodes[idx].take().expect("node missing during start");
@@ -714,6 +724,8 @@ impl Simulator {
             datagrams_undecodable: net.datagrams_undecodable,
             bytes_encoded: net.bytes_encoded,
             bytes_decoded: net.bytes_decoded,
+            floor_clamped: self.world.shard.as_deref().map_or(0, |s| s.floor_clamped),
+            sync_rounds: 0,
             wall_nanos: self.wall_nanos,
         }
     }

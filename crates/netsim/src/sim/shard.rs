@@ -1,5 +1,5 @@
 //! The sharded parallel engine: one scenario split across K per-core
-//! shards, synchronized by conservative time windows, deterministic and
+//! shards, synchronized by conservative rounds, deterministic and
 //! shard-count-independent by construction.
 //!
 //! # Model
@@ -14,18 +14,52 @@
 //! a per-`(src, dst)`-shard outbox as an [`Envelope`] carrying its
 //! absolute arrival time.
 //!
-//! # Conservative windows
+//! # Conservative rounds
 //!
 //! All one-way delays in a sharded world are clamped to a propagation
 //! floor `L` (the lookahead, [`DEFAULT_LOOKAHEAD`] = 1 ms), applied
 //! uniformly to local and cross-shard sends alike so the clamp itself is
-//! shard-count-independent. Execution proceeds in half-open windows: at
-//! each barrier every shard publishes the time of its earliest pending
-//! event, every shard independently computes the same global minimum
-//! `T`, and the next window is `[T, T + L)`. Any datagram sent at time
-//! `t ≥ T` arrives at `t + delay ≥ T + L`, i.e. strictly after the
-//! window — so envelopes exchanged at the *next* barrier can never be
-//! late, and no shard ever sees an event in its past.
+//! shard-count-independent. Execution proceeds in rounds with **one
+//! barrier each**. In a round shard `i` runs its events up to its
+//! horizon, appends its outboxes to a double-buffered `(src, dst)`
+//! matrix, publishes (per round parity) its own queue head `Q_i` and the
+//! earliest arrival `M_{i→j}` of what it posted to each destination, and
+//! crosses the barrier. Every shard then derives the identical
+//! `N_j = min(Q_j, min_m M_{m→j})` — shard `j`'s next event once it has
+//! injected its column — drains its own column and runs again. The run
+//! ends, on every shard in the same round, when `min_j N_j` is past the
+//! deadline. Double buffering is what lets one barrier do: a fast shard
+//! already writes round `r + 1`'s cells while a slow one still reads
+//! round `r`'s, and nobody can reach round `r + 2` before the slow one
+//! has crossed barrier `r + 1`.
+//!
+//! The horizon is per shard and comes from the delays actually sampled,
+//! not from the floor alone: shard `i` runs every event strictly before
+//! `L + min(min_{j≠i} N_j, a_i)`, where `a_i` is the earliest arrival
+//! among the envelopes `i` has parked so far in this round (re-read
+//! after every event). That is still conservative:
+//!
+//! * the earliest event any *other* shard can execute before `i` next
+//!   hears from it is `min(min_{j≠i} N_j, a_i)` — its own next event, or
+//!   one `i` itself hands it — and whatever that event sends lands at
+//!   least `L` later, so nothing can reach `i` before its horizon;
+//! * an envelope `i` sends at `t ≥ N_i` arrives at `t + delay ≥ N_i + L`,
+//!   and the receiver `j`'s own horizon is `≤ N_i + L`, so `j`'s clock
+//!   is still short of the arrival when it injects the envelope after
+//!   the barrier.
+//!
+//! So the ~20 ms sampled path delay, not the 1 ms worst case, is the
+//! lookahead most rounds get, and a one-shard world (no peers, no
+//! envelopes) runs the whole deadline as a single round. The invariant
+//! is checked, not assumed: an envelope injected behind its shard's
+//! clock is counted (`xshard_late`) in every build and
+//! [`ShardedSim::audit`] reports it.
+//!
+//! The barrier is a sense-reversing counter on two atomics that spins
+//! briefly and then [`std::thread::yield_now`]s — no mutex, no condvar,
+//! no futex sleep — so a crossing costs about as much with all workers
+//! pinned to one core (the waiter yields to the one still running) as
+//! with a core each.
 //!
 //! # Determinism, independent of K
 //!
@@ -36,8 +70,9 @@
 //!   index)`; send-side draws (latency) come from the sender's stream,
 //!   arrival-side draws (ambient loss, attack loss, degrade chains) from
 //!   the receiver's. A node's draw order is therefore exactly its own
-//!   event order, which windowed execution preserves regardless of K.
-//! * **Fixed merge order.** At each barrier a shard drains its incoming
+//!   event order, which round-by-round execution preserves regardless
+//!   of K.
+//! * **Fixed merge order.** After each barrier a shard drains its incoming
 //!   envelope column in ascending source-shard order and stable-sorts by
 //!   `(arrival time, source address)` before injection, so injection
 //!   order never depends on thread scheduling.
@@ -55,8 +90,8 @@
 //! end to end: per-shard ledgers (with the cross-shard terms) plus
 //! `posted == drained` for every shard pair. See DESIGN.md §5.10.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
@@ -70,10 +105,15 @@ use crate::link::LinkTable;
 use crate::node::Node;
 use crate::time::{SimDuration, SimTime};
 
-/// Default propagation floor / lookahead: 1 ms. Far below every latency
-/// model the experiments use (the ambient fabric is LogNormal with a
-/// 20 ms median), so the clamp almost never binds; large enough that
-/// windows amortize barrier crossings over many events.
+/// Default propagation floor / lookahead: 1 ms. Below the *median* of
+/// every latency model the experiments use, but not out of reach of
+/// their tails: 60 % of probes sit on a last-mile LogNormal with a
+/// 2–11 ms median and σ 0.25, so on the shortest paths 1 ms is under
+/// 3 σ out and the clamp does bind — on 16 of 316,341 samples
+/// (0.005 %) in `repro scale --scale 0.5`, which prints the share from
+/// [`crate::SimPerf::floor_clamped`]. It is the worst-case lookahead
+/// only: a round's horizon comes from the delays actually sampled (see
+/// the module docs).
 pub const DEFAULT_LOOKAHEAD: SimDuration = SimDuration::from_millis(1);
 
 /// A datagram in transit between shards: the path delay was already
@@ -174,18 +214,222 @@ impl ShardAuditReport {
     }
 }
 
-/// K shard [`Simulator`]s plus the conservative-window barrier loop that
-/// runs them in parallel. Construct the shards with
+/// Busy-wait iterations at the barrier before a waiter starts yielding.
+/// Long enough to catch a peer that is a few events from arriving on its
+/// own core; short enough that workers sharing a core hand it over at
+/// once instead of burning the slice the peer needs to arrive at all.
+const BARRIER_SPINS: u32 = 32;
+
+/// A reusable sense-reversing barrier for a fixed set of `n` threads:
+/// an arrival counter plus a generation number. The last arriver resets
+/// the counter and bumps the generation; the others wait for the bump,
+/// spinning [`BARRIER_SPINS`] times and then yielding the CPU. No thread
+/// ever sleeps in the kernel, so a crossing needs no wake-up.
+struct SpinBarrier {
+    n: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Set when a participant unwinds: its peers would otherwise wait
+    /// for an arrival that never comes.
+    poisoned: AtomicBool,
+}
+
+impl SpinBarrier {
+    fn new(n: usize) -> Self {
+        SpinBarrier {
+            n,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Blocks until all `n` threads have called `wait` in this
+    /// generation. Everything a thread wrote before its `wait` is
+    /// visible to every thread after theirs: each arrival is an `AcqRel`
+    /// read-modify-write on `arrived` (one release sequence, so the last
+    /// arriver has acquired them all), and the last arriver's `Release`
+    /// store of `generation` pairs with the waiters' `Acquire` loads.
+    ///
+    /// # Panics
+    /// Panics when another participant panicked instead of arriving.
+    fn wait(&self) {
+        // Read before arriving: the generation cannot move until this
+        // thread has arrived too.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            // Nobody re-arrives before seeing the new generation, so the
+            // reset is ordered before every arrival of the next one.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            return;
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            assert!(
+                !self.poisoned.load(Ordering::Relaxed),
+                "a peer shard panicked; abandoning the barrier"
+            );
+            if spins < BARRIER_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Poisons the barrier if the worker holding it unwinds, so the other
+/// workers panic out of their wait instead of spinning forever and
+/// `std::thread::scope` can report the failure.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// What the workers share during one [`ShardedSim::run_until`]: the
+/// barrier and the double-buffered exchange. Everything is indexed by
+/// round parity first, so what a shard writes in round `r + 1` never
+/// touches what a slower peer is still reading from round `r`.
+struct Exchange {
+    k: usize,
+    barrier: SpinBarrier,
+    /// Outbox matrix, `[parity][src][dst]`. The source appends before
+    /// the round's barrier, the destination drains after it — the lock
+    /// is never contended, it only makes the hand-over safe code.
+    cells: Vec<Mutex<Vec<Envelope>>>,
+    /// `M_{src→dst}`: earliest arrival among the envelopes `src` posted
+    /// to `dst` this round (`u64::MAX` = none), same indexing.
+    earliest: Vec<AtomicU64>,
+    /// `Q_i`: shard `i`'s queue head after its round (`u64::MAX` =
+    /// idle), `[parity][shard]`.
+    heads: Vec<AtomicU64>,
+}
+
+impl Exchange {
+    fn new(k: usize) -> Self {
+        Exchange {
+            k,
+            barrier: SpinBarrier::new(k),
+            cells: (0..2 * k * k).map(|_| Mutex::new(Vec::new())).collect(),
+            earliest: (0..2 * k * k).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            heads: (0..2 * k).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        }
+    }
+
+    fn cell(&self, parity: usize, src: usize, dst: usize) -> usize {
+        (parity * self.k + src) * self.k + dst
+    }
+}
+
+/// What one worker hands back when the run ends.
+struct WorkerTally {
+    /// Envelopes this shard posted, per destination shard.
+    posted: Vec<u64>,
+    /// Envelopes this shard drained, per source shard.
+    drained: Vec<u64>,
+    /// Barrier crossings; the same on every worker.
+    rounds: u64,
+}
+
+/// One shard's side of the round protocol (see the module docs). `i` is
+/// the shard's index, `deadline_ns` the inclusive end of the run.
+fn run_shard(sim: &mut Simulator, i: usize, deadline_ns: u64, ex: &Exchange) -> WorkerTally {
+    let k = ex.k;
+    let _poison = PoisonOnPanic(&ex.barrier);
+    let end = deadline_ns.saturating_add(1);
+    let mut tally = WorkerTally {
+        posted: vec![0; k],
+        drained: vec![0; k],
+        rounds: 0,
+    };
+    let mut incoming: Vec<Envelope> = Vec::new();
+    // Nothing is known about the peers yet, and 0 bounds any next event
+    // from below: the first round runs `on_start` and `[0, L)`.
+    let mut peers_next = 0u64;
+    loop {
+        let parity = (tally.rounds & 1) as usize;
+        sim.run_round(peers_next, end);
+
+        let state = sim.world.shard.as_deref_mut().expect("a sharded world");
+        state.parked_min = u64::MAX;
+        for (j, out) in state.outbox.iter_mut().enumerate() {
+            let c = ex.cell(parity, i, j);
+            let first = out.iter().map(|e| e.at.as_nanos()).min();
+            // Pairs with the post-barrier `Acquire` loads below; the
+            // barrier alone already orders them.
+            ex.earliest[c].store(first.unwrap_or(u64::MAX), Ordering::Release);
+            if first.is_some() {
+                tally.posted[j] += out.len() as u64;
+                ex.cells[c]
+                    .lock()
+                    .expect("outbox cell poisoned")
+                    .append(out);
+            }
+        }
+        let head = sim
+            .world
+            .queue
+            .next_at()
+            .map_or(u64::MAX, SimTime::as_nanos);
+        ex.heads[parity * k + i].store(head, Ordering::Release);
+
+        ex.barrier.wait();
+        tally.rounds += 1;
+
+        for j in 0..k {
+            let mut cell = ex.cells[ex.cell(parity, j, i)]
+                .lock()
+                .expect("outbox cell poisoned");
+            tally.drained[j] += cell.len() as u64;
+            incoming.append(&mut cell);
+        }
+        // Fixed merge order: arrival time, then source address; the sort
+        // is stable, so each sender's own send order survives ties.
+        incoming.sort_by_key(|e| (e.at, e.src.0));
+        sim.inject_envelopes(&mut incoming);
+
+        // N_j for every shard, identically on every shard: the global
+        // minimum decides termination, the minimum over the *others*
+        // bounds this shard's next round.
+        let mut next = u64::MAX;
+        peers_next = u64::MAX;
+        for j in 0..k {
+            let mut n = ex.heads[parity * k + j].load(Ordering::Acquire);
+            for m in 0..k {
+                n = n.min(ex.earliest[ex.cell(parity, m, j)].load(Ordering::Acquire));
+            }
+            next = next.min(n);
+            if j != i {
+                peers_next = peers_next.min(n);
+            }
+        }
+        if next > deadline_ns {
+            return tally;
+        }
+    }
+}
+
+/// K shard [`Simulator`]s plus the conservative round loop that runs
+/// them in parallel. Construct the shards with
 /// [`Simulator::new_sharded`] (one per slice of the global node space),
 /// populate each with its slice of nodes, then drive the whole world
 /// with [`ShardedSim::run_until`].
 pub struct ShardedSim {
     shards: Vec<Simulator>,
-    floor: SimDuration,
     /// Pairwise envelopes posted / drained, row-major `[src * k + dst]`,
-    /// folded out of the atomics after every run.
+    /// folded out of the workers' tallies after every run.
     posted: Vec<u64>,
     drained: Vec<u64>,
+    /// Barrier crossings so far (per worker, not summed).
+    sync_rounds: u64,
     wall_nanos: u64,
 }
 
@@ -217,9 +461,9 @@ impl ShardedSim {
         }
         ShardedSim {
             shards,
-            floor,
             posted: vec![0; k * k],
             drained: vec![0; k * k],
+            sync_rounds: 0,
             wall_nanos: 0,
         }
     }
@@ -228,90 +472,53 @@ impl ShardedSim {
     /// `deadline` (events at exactly `deadline` are processed, matching
     /// [`Simulator::run_until`]) or all shards drain.
     ///
-    /// One OS thread per shard; windows are computed identically and
-    /// locally on every thread (no coordinator), and all cross-shard
-    /// traffic moves at the two barriers bounding each window.
+    /// One OS thread per shard — for a single shard too, so callers that
+    /// place the workers see the same thing at every K. Horizons are
+    /// computed identically and locally on every thread (no
+    /// coordinator), and all cross-shard traffic moves at the one
+    /// barrier ending each round.
     pub fn run_until(&mut self, deadline: SimTime) {
         let k = self.shards.len();
         let t0 = std::time::Instant::now();
         let deadline_ns = deadline.as_nanos();
-        let floor_ns = self.floor.as_nanos();
-        let barrier = Barrier::new(k);
-        // Earliest pending event per shard (u64::MAX = idle), valid
-        // between the second barrier of a window and the first barrier
-        // of the next — the only region where anyone reads it.
-        let next_ats: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        // Outbox matrix, row-major [src * k + dst]. Writers lock their
-        // cell after the window barrier; the owning reader drains it
-        // after the next barrier — never concurrently.
-        let matrix: Vec<Mutex<Vec<Envelope>>> =
-            (0..k * k).map(|_| Mutex::new(Vec::new())).collect();
-        let posted: Vec<AtomicU64> = (0..k * k).map(|_| AtomicU64::new(0)).collect();
-        let drained: Vec<AtomicU64> = (0..k * k).map(|_| AtomicU64::new(0)).collect();
-
-        std::thread::scope(|scope| {
-            for (i, sim) in self.shards.iter_mut().enumerate() {
-                let (barrier, next_ats, matrix, posted, drained) =
-                    (&barrier, &next_ats, &matrix, &posted, &drained);
-                scope.spawn(move || {
-                    // Prologue: run `on_start` hooks (window [0, 0) is
-                    // empty, so this only seeds the queues/outboxes).
-                    sim.run_window(SimTime::ZERO);
-                    post_outboxes(sim, i, k, matrix, posted);
-                    loop {
-                        // Barrier A: every shard's outboxes are posted.
-                        barrier.wait();
-                        let mut incoming: Vec<Envelope> = Vec::new();
-                        for j in 0..k {
-                            let mut cell = matrix[j * k + i].lock().expect("outbox cell poisoned");
-                            drained[j * k + i].fetch_add(cell.len() as u64, Ordering::Relaxed);
-                            incoming.append(&mut cell);
-                        }
-                        // Fixed merge order: arrival time, then source
-                        // address; the sort is stable, so each sender's
-                        // own send order survives ties.
-                        incoming.sort_by_key(|e| (e.at, e.src.0));
-                        sim.inject_envelopes(incoming);
-                        next_ats[i].store(
-                            sim.next_event_at().map_or(u64::MAX, SimTime::as_nanos),
-                            Ordering::Release,
-                        );
-                        // Barrier B: every next_at is final; each shard
-                        // now computes the identical window bound.
-                        barrier.wait();
-                        let t = (0..k)
-                            .map(|j| next_ats[j].load(Ordering::Acquire))
-                            .min()
-                            .expect("k >= 1");
-                        if t > deadline_ns {
-                            break;
-                        }
-                        let end = SimTime::from_nanos(
-                            t.saturating_add(floor_ns)
-                                .min(deadline_ns.saturating_add(1)),
-                        );
-                        sim.run_window(end);
-                        post_outboxes(sim, i, k, matrix, posted);
-                    }
-                });
-            }
+        let ex = Exchange::new(k);
+        let tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, sim)| {
+                    let ex = &ex;
+                    scope.spawn(move || run_shard(sim, i, deadline_ns, ex))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("a shard worker panicked"))
+                .collect()
         });
+        // Like `Simulator::run_until` after its loop: the clock ends at
+        // the deadline even when the queue ran dry before it.
         for sim in &mut self.shards {
-            sim.finish_window_run(deadline);
+            sim.world.now = sim.world.now.max(deadline);
         }
-        for (acc, v) in self.posted.iter_mut().zip(&posted) {
-            *acc += v.load(Ordering::Relaxed);
+        for (i, tally) in tallies.iter().enumerate() {
+            debug_assert_eq!(tally.rounds, tallies[0].rounds);
+            for j in 0..k {
+                self.posted[i * k + j] += tally.posted[j];
+                self.drained[j * k + i] += tally.drained[j];
+            }
         }
-        for (acc, v) in self.drained.iter_mut().zip(&drained) {
-            *acc += v.load(Ordering::Relaxed);
-        }
+        self.sync_rounds += tallies[0].rounds;
         self.wall_nanos += t0.elapsed().as_nanos() as u64;
     }
 
     /// Audits every shard (cross-shard terms included) plus the pairwise
     /// envelope-conservation invariant: everything posted into the
-    /// barrier matrix was drained exactly once, and the matrix totals
-    /// match each shard's own `xshard_out` / `xshard_in` ledger.
+    /// exchange matrix was drained exactly once, and the matrix totals
+    /// match each shard's own `xshard_out` / `xshard_in` ledger. An
+    /// envelope that reached its shard late (`xshard_late`) is a
+    /// violation of the horizon's causality argument, in every build.
     pub fn audit(&self) -> ShardAuditReport {
         let k = self.shards.len();
         let mut report = ShardAuditReport {
@@ -343,13 +550,20 @@ impl ShardedSim {
                     report.shards[s].xshard_in
                 ));
             }
+            let late = report.shards[s].xshard_late;
+            if late != 0 {
+                report.violations.push(format!(
+                    "cross-shard causality: {late} envelopes reached shard {s} behind its clock"
+                ));
+            }
         }
         report
     }
 
     /// Aggregated wall-clock throughput summary: deterministic volume
-    /// counters summed across shards, wall time measured around the
-    /// parallel run (not summed per thread).
+    /// counters summed across shards, the round count every worker
+    /// agrees on, wall time measured around the parallel run (not summed
+    /// per thread).
     pub fn perf(&self) -> SimPerf {
         let mut total = SimPerf::default();
         for sim in &self.shards {
@@ -361,32 +575,11 @@ impl ShardedSim {
             total.datagrams_undecodable += p.datagrams_undecodable;
             total.bytes_encoded += p.bytes_encoded;
             total.bytes_decoded += p.bytes_decoded;
+            total.floor_clamped += p.floor_clamped;
         }
+        total.sync_rounds = self.sync_rounds;
         total.wall_nanos = self.wall_nanos;
         total
-    }
-}
-
-/// Moves a shard's accumulated outboxes into the barrier matrix,
-/// counting what was posted per destination.
-fn post_outboxes(
-    sim: &mut Simulator,
-    i: usize,
-    k: usize,
-    matrix: &[Mutex<Vec<Envelope>>],
-    posted: &[AtomicU64],
-) {
-    let outboxes = sim.take_outboxes();
-    debug_assert_eq!(outboxes.len(), k);
-    for (j, mut out) in outboxes.into_iter().enumerate() {
-        if out.is_empty() {
-            continue;
-        }
-        posted[i * k + j].fetch_add(out.len() as u64, Ordering::Relaxed);
-        matrix[i * k + j]
-            .lock()
-            .expect("outbox cell poisoned")
-            .append(&mut out);
     }
 }
 
@@ -409,12 +602,20 @@ pub(crate) struct ShardState {
     /// index so the stream is shard-layout-independent.
     pub(crate) rngs: Vec<SmallRng>,
     /// Outgoing cross-shard envelopes, one bin per destination shard;
-    /// drained by the barrier loop at every window boundary.
+    /// emptied into the exchange matrix at the end of every round.
     pub(crate) outbox: Vec<Vec<Envelope>>,
+    /// Earliest arrival time among the envelopes parked in `outbox`
+    /// (`u64::MAX` when it is empty) — the `a_i` term of the horizon.
+    pub(crate) parked_min: u64,
     /// Datagrams handed to another shard (counted at send).
     pub(crate) xshard_out: u64,
     /// Datagrams injected from another shard (counted at injection).
     pub(crate) xshard_in: u64,
+    /// Injected envelopes whose arrival time was already behind this
+    /// shard's clock. The horizon rules this out; the auditor checks.
+    pub(crate) xshard_late: u64,
+    /// One-way delay samples clamped up to `floor`.
+    pub(crate) floor_clamped: u64,
 }
 
 impl ShardState {
@@ -480,8 +681,11 @@ impl Simulator {
             seed,
             rngs: Vec::new(),
             outbox: (0..k).map(|_| Vec::new()).collect(),
+            parked_min: u64::MAX,
             xshard_out: 0,
             xshard_in: 0,
+            xshard_late: 0,
+            floor_clamped: 0,
         }));
         sim
     }
@@ -495,62 +699,46 @@ impl Simulator {
             .map(|s| (s.id, s.starts.len(), s.floor))
     }
 
-    /// Time of the earliest pending event, if any — what a shard
-    /// publishes at the window barrier.
-    pub(crate) fn next_event_at(&mut self) -> Option<SimTime> {
-        self.world.queue.next_at()
-    }
-
-    /// Runs every pending event strictly before `end` (the half-open
-    /// conservative window `[_, end)`). Unlike [`Simulator::run_until`]
-    /// this neither advances the clock to `end` nor cuts telemetry
-    /// snapshots — the barrier loop calls it once per window and
-    /// [`Simulator::finish_window_run`] closes the run out.
-    pub(crate) fn run_window(&mut self, end: SimTime) {
+    /// One round of the sharded engine: runs every pending event
+    /// strictly before this shard's horizon `L + min(peers_next, a_i)` —
+    /// `peers_next` the earliest next event of any other shard, `a_i` the
+    /// earliest arrival parked in the outboxes so far, re-read after
+    /// every event — and strictly before `end` (see [`crate::shard`]).
+    /// Unlike [`Simulator::run_until`] this neither advances the clock
+    /// to the bound nor cuts telemetry snapshots.
+    ///
+    /// # Panics
+    /// Panics on a plain (non-sharded) simulator.
+    pub(crate) fn run_round(&mut self, peers_next: u64, end: u64) {
         self.start_pending();
         while let Some(at) = self.world.queue.next_at() {
-            if at >= end {
+            let s = self.world.shard.as_deref().expect("a sharded world");
+            let horizon = peers_next
+                .min(s.parked_min)
+                .saturating_add(s.floor.as_nanos())
+                .min(end);
+            if at.as_nanos() >= horizon {
                 break;
             }
             self.step();
         }
     }
 
-    /// Closes out a windowed run: advances the clock to `deadline` like
-    /// [`Simulator::run_until`] does after its loop.
-    pub(crate) fn finish_window_run(&mut self, deadline: SimTime) {
-        if self.world.now < deadline {
-            self.world.now = deadline;
-        }
-    }
-
-    /// Takes the accumulated cross-shard outboxes (one bin per
-    /// destination shard), leaving them empty.
-    ///
-    /// # Panics
-    /// Panics on a plain (non-sharded) simulator.
-    pub(crate) fn take_outboxes(&mut self) -> Vec<Vec<Envelope>> {
-        let s = self
-            .world
-            .shard
-            .as_deref_mut()
-            .expect("take_outboxes on a non-sharded simulator");
-        s.outbox.iter_mut().map(std::mem::take).collect()
-    }
-
     /// Injects envelopes received from other shards, already merged in
-    /// the fixed cross-shard order. Arrival times must not be in this
-    /// shard's past — the conservative window guarantees it.
-    pub(crate) fn inject_envelopes(&mut self, envelopes: Vec<Envelope>) {
+    /// the fixed cross-shard order, leaving `envelopes` empty. Arrival
+    /// times must not be in this shard's past — the horizon guarantees
+    /// it, and `xshard_late` counts the exceptions for the auditor.
+    pub(crate) fn inject_envelopes(&mut self, envelopes: &mut Vec<Envelope>) {
+        let now = self.world.now;
         if let Some(s) = self.world.shard.as_deref_mut() {
             s.xshard_in += envelopes.len() as u64;
+            s.xshard_late += envelopes.iter().filter(|e| e.at < now).count() as u64;
         }
-        for env in envelopes {
+        for env in envelopes.drain(..) {
             debug_assert!(
-                env.at >= self.world.now,
-                "cross-shard envelope arrived in the past: {} < {}",
+                env.at >= now,
+                "cross-shard envelope arrived in the past: {} < {now}",
                 env.at,
-                self.world.now
             );
             self.world.push(
                 env.at,
@@ -573,7 +761,7 @@ impl Simulator {
     /// run `on_start` hooks) — a running world cannot be repartitioned.
     pub fn dismantle(self) -> (Vec<Box<dyn Node>>, LinkTable) {
         assert!(
-            self.world.net.events_popped == 0 && self.started.iter().all(|s| !s),
+            self.world.net.events_popped == 0 && self.started_upto == 0,
             "dismantle requires an unstarted simulator"
         );
         let nodes = self
@@ -612,12 +800,16 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
     }
 
+    /// `(client's global index, reply time in ns)`, appended from every
+    /// shard's thread.
+    type ReplyLog = Arc<parking_lot::Mutex<Vec<(u32, u64)>>>;
+
     /// Sends `remaining` queries on a jittered timer and records reply
-    /// times into a shared, thread-safe log.
+    /// times into the shared log.
     struct Chatter {
         target: Addr,
         remaining: u32,
-        log: Arc<parking_lot::Mutex<Vec<(u32, u64)>>>,
+        log: ReplyLog,
         me: u32,
     }
     impl Node for Chatter {
@@ -653,20 +845,21 @@ mod tests {
         }
     }
 
-    /// Builds the same little world — one echo server, `chatters`
-    /// clients — cut into `k` shards, runs it, and returns the sorted
-    /// reply log plus the audited sim.
-    fn run_cut(seed: u64, chatters: usize, k: usize) -> (Vec<(u32, u64)>, ShardedSim) {
-        let n = chatters + 1;
+    /// Builds the same little world — one echo server at global index 0,
+    /// then `clients` nodes made by `client(echo address, log, global
+    /// index)` — over `links`, cut into `k` shards, runs it for 10 s and
+    /// returns the sorted reply log plus the sim, ready to audit.
+    fn run_world(
+        links: LinkParams,
+        seed: u64,
+        clients: usize,
+        k: usize,
+        client: impl Fn(Addr, ReplyLog, u32) -> Box<dyn Node>,
+    ) -> (Vec<(u32, u64)>, ShardedSim) {
+        let n = clients + 1;
         let starts = even_starts(n, k);
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let links = LinkTable::new(LinkParams {
-            latency: LatencyModel::LogNormal {
-                median: SimDuration::from_millis(20),
-                sigma: 0.4,
-            },
-            loss: 0.05,
-        });
+        let log: ReplyLog = Arc::default();
+        let links = LinkTable::new(links);
         let echo_addr = Addr(crate::sim::FIRST_ADDR);
         let mut shards = Vec::new();
         let mut next_global = 0usize;
@@ -688,12 +881,7 @@ mod tests {
                 if g == 0 {
                     sim.add_node(Box::new(Echo));
                 } else {
-                    sim.add_node(Box::new(Chatter {
-                        target: echo_addr,
-                        remaining: 30,
-                        log: log.clone(),
-                        me: g as u32,
-                    }));
+                    sim.add_node(client(echo_addr, log.clone(), g as u32));
                 }
             }
             next_global = end;
@@ -704,6 +892,145 @@ mod tests {
         let mut entries = log.lock().clone();
         entries.sort_unstable();
         (entries, sharded)
+    }
+
+    /// [`run_world`] with jittered [`Chatter`]s on a lossy LogNormal
+    /// fabric (20 ms median).
+    fn run_cut(seed: u64, chatters: usize, k: usize) -> (Vec<(u32, u64)>, ShardedSim) {
+        let links = LinkParams {
+            latency: LatencyModel::LogNormal {
+                median: SimDuration::from_millis(20),
+                sigma: 0.4,
+            },
+            loss: 0.05,
+        };
+        run_world(links, seed, chatters, k, |target, log, me| {
+            Box::new(Chatter {
+                target,
+                remaining: 30,
+                log,
+                me,
+            })
+        })
+    }
+
+    /// Ping-pong client: a new query the instant the last reply lands.
+    struct PingPong {
+        target: Addr,
+        remaining: u32,
+        log: ReplyLog,
+        me: u32,
+    }
+    impl PingPong {
+        fn ping(&mut self, ctx: &mut Context<'_>) {
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                let q = Message::query(
+                    self.remaining as u16,
+                    Name::parse("x.nl").unwrap(),
+                    RecordType::A,
+                );
+                ctx.send(self.target, &q);
+            }
+        }
+    }
+    impl Node for PingPong {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.ping(ctx);
+        }
+        fn on_datagram(&mut self, ctx: &mut Context<'_>, _: Addr, msg: &Message, _: usize) {
+            if msg.is_response {
+                self.log.lock().push((self.me, ctx.now().as_nanos()));
+                self.ping(ctx);
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+    }
+
+    /// The horizon's worst case: every one-way delay *equals* the floor,
+    /// so each reply lands exactly on the receiving shard's horizon
+    /// (`N_i + L`) and "strictly before" is all that keeps it out of the
+    /// past. Clients ping-pong with the echo on shard 0 as fast as the
+    /// fabric allows, from every other shard.
+    #[test]
+    fn delays_equal_to_the_floor_never_arrive_late() {
+        let run = |k: usize| {
+            let links = LinkParams {
+                latency: LatencyModel::Fixed(DEFAULT_LOOKAHEAD),
+                loss: 0.0,
+            };
+            let (log, sim) = run_world(links, 11, 5, k, |target, log, me| {
+                Box::new(PingPong {
+                    target,
+                    remaining: 200,
+                    log,
+                    me,
+                })
+            });
+            let report = sim.audit();
+            report.assert_clean();
+            assert!(report.shards.iter().all(|s| s.xshard_late == 0));
+            assert_eq!(sim.perf().floor_clamped, 0, "equal is not below");
+            (log, report)
+        };
+        let (base, _) = run(1);
+        assert_eq!(base.len(), 5 * 200, "every ping is answered");
+        // Reply `n` of every client lands at exactly `2 n L`.
+        assert_eq!(base[199].1, 400 * DEFAULT_LOOKAHEAD.as_nanos());
+        for k in [2, 4] {
+            let (cut, report) = run(k);
+            assert_eq!(base, cut, "K={k} diverged from K=1");
+            assert!(report.posted.iter().sum::<u64>() > 0, "K={k} never crossed");
+        }
+    }
+
+    /// The barrier under more threads than cores: after every crossing
+    /// each thread must find every peer in the same round as itself — a
+    /// lost wake-up would hang, a doubled generation would let a peer
+    /// through a round early. Two crossings per round: the second keeps
+    /// peers from moving on while the counters are being compared.
+    #[test]
+    fn spin_barrier_keeps_oversubscribed_threads_in_step() {
+        const CROSSINGS: u64 = 100_000;
+        for n in [2usize, 3, 8] {
+            let barrier = SpinBarrier::new(n);
+            let round: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            std::thread::scope(|scope| {
+                for me in 0..n {
+                    let (barrier, round) = (&barrier, &round);
+                    scope.spawn(move || {
+                        let _poison = PoisonOnPanic(barrier);
+                        for r in 1..=CROSSINGS / 2 {
+                            // Relaxed: the barrier is what must order it.
+                            round[me].store(r, Ordering::Relaxed);
+                            barrier.wait();
+                            for peer in round {
+                                assert_eq!(peer.load(Ordering::Relaxed), r);
+                            }
+                            barrier.wait();
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    /// A worker that panics takes its peers down with it instead of
+    /// leaving them waiting at the barrier for ever.
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_worker_poisons_the_barrier() {
+        let barrier = SpinBarrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _poison = PoisonOnPanic(&barrier);
+                panic!("worker failed");
+            });
+            scope.spawn(|| {
+                let _poison = PoisonOnPanic(&barrier);
+                barrier.wait();
+            });
+        });
     }
 
     #[test]

@@ -230,6 +230,50 @@ fn run_until_advances_clock_to_deadline() {
     assert_eq!(sim.now().as_secs(), 100);
 }
 
+/// Nodes added between runs start on the next run, and nobody starts
+/// twice — on the plain run loops and on the sharded engine's rounds.
+#[test]
+fn nodes_added_after_a_run_start_exactly_once() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    struct CountsStarts(Arc<AtomicU32>);
+    impl Node for CountsStarts {
+        fn on_start(&mut self, _ctx: &mut Context<'_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+    }
+    let plain = Simulator::new(7);
+    let sharded = Simulator::new_sharded(
+        7,
+        shard::ShardConfig {
+            id: 0,
+            starts: vec![FIRST_ADDR],
+            floor: shard::DEFAULT_LOOKAHEAD,
+        },
+    );
+    for (mut sim, windowed) in [(plain, false), (sharded, true)] {
+        let starts: [Arc<AtomicU32>; 3] = Default::default();
+        let count = |i: usize| starts[i].load(Ordering::Relaxed);
+        let run = |sim: &mut Simulator, secs: u64| {
+            if windowed {
+                sim.run_round(u64::MAX, SimDuration::from_secs(secs).as_nanos());
+            } else {
+                sim.run_until(SimDuration::from_secs(secs).after_zero());
+            }
+        };
+        sim.add_node(Box::new(CountsStarts(starts[0].clone())));
+        run(&mut sim, 1);
+        assert_eq!((count(0), count(1), count(2)), (1, 0, 0));
+        sim.add_node(Box::new(CountsStarts(starts[1].clone())));
+        sim.add_node(Box::new(CountsStarts(starts[2].clone())));
+        run(&mut sim, 2);
+        run(&mut sim, 3);
+        assert_eq!((count(0), count(1), count(2)), (1, 1, 1));
+    }
+}
+
 fn telemetry_run(seed: u64) -> dike_telemetry::MetricsRegistry {
     let mut sim = Simulator::new(seed);
     fixed_fabric(&mut sim, 10);

@@ -1435,8 +1435,11 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
 /// population against the paper's 9.2k probes (so `--scale 0.5` is ~10×
 /// the default lettered runs), and every row of the table must print
 /// the same digest — the shard count changes wall-clock only, never the
-/// outcome. `DIKE_AUDIT=1` additionally asserts the cross-shard
-/// conservation ledger after every run.
+/// outcome. The `rounds` and `events/round` columns say where the time
+/// went (one barrier crossing per round), and the line under the table
+/// how often the sharded engine's 1 ms delay floor actually bound.
+/// `DIKE_AUDIT=1` additionally asserts the cross-shard conservation
+/// ledger after every run.
 fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
     use dike_experiments::setup::{AttackPlan, AttackScope};
     use dike_experiments::{run_experiment_sharded, ExperimentSetup};
@@ -1458,10 +1461,21 @@ fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
             "Sharded scale-out: {probes} probes on {cores} core(s); equal digests = equal runs"
         ),
         &[
-            "shards", "VPs", "records", "events", "wall s", "events/s", "digest",
+            "shards",
+            "VPs",
+            "records",
+            "events",
+            "wall s",
+            "rounds",
+            "events/round",
+            "events/s",
+            "digest",
         ],
     );
     let mut digests: Vec<u64> = Vec::new();
+    // Delays come from per-node streams, so the share is the same on
+    // every row; the last one is printed.
+    let mut clamped = (0, 0);
     for &k in &shard_counts {
         let mut setup = ExperimentSetup::new(probes, 1800);
         setup.seed = ctx.seed;
@@ -1481,17 +1495,27 @@ fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
         let digest = out.log.digest();
         digests.push(digest);
         let events = out.perf.events_popped;
+        let rounds = out.perf.sync_rounds;
+        clamped = (out.perf.floor_clamped, out.perf.datagrams_sent);
         tbl.row(&[
             k.to_string(),
             out.n_vps.to_string(),
             out.log.records.len().to_string(),
             events.to_string(),
             format!("{:.2}", wall.as_secs_f64()),
+            rounds.to_string(),
+            format!("{:.1}", events as f64 / rounds.max(1) as f64),
             format!("{:.0}", events as f64 / wall.as_secs_f64().max(1e-9)),
             format!("{digest:016x}"),
         ]);
     }
     ctx.emit(&tbl);
+    println!(
+        "delay floor (1 ms) bound on {} of {} sampled one-way delays ({:.3}%)",
+        clamped.0,
+        clamped.1,
+        100.0 * clamped.0 as f64 / clamped.1.max(1) as f64
+    );
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "shard counts disagreed: {digests:x?}"

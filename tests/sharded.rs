@@ -65,6 +65,21 @@ fn shard_count_never_changes_the_outcome() {
     }
 }
 
+/// The round loop earns its keep: horizons come from the delays actually
+/// sampled, so a two-shard run takes fewer barrier crossings than it has
+/// events (at the bare 1 ms floor it took nearly one each), and a
+/// one-shard run — no peers, nothing parked — is the `[0, L)` opening
+/// round plus one round for everything else.
+#[test]
+fn rounds_are_fewer_than_events() {
+    let two = run_experiment_sharded(&sharded_setup(2)).perf;
+    assert!(two.sync_rounds > 0 && two.sync_rounds < two.events_popped);
+    let one = run_experiment_sharded(&sharded_setup(1)).perf;
+    assert!((1..=2).contains(&one.sync_rounds), "{}", one.sync_rounds);
+    let legacy = Report::run(&fixed_setup(1)).perf();
+    assert_eq!((legacy.sync_rounds, legacy.floor_clamped), (0, 0));
+}
+
 /// Run-twice determinism with the full supported fault + defense
 /// surface armed: a resolver crash/restart (owner-shard local fault), a
 /// bursty link degrade with latency inflation (replicated to every
