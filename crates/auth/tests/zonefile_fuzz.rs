@@ -2,52 +2,47 @@
 //! input — arbitrary bytes, near-valid mutations, or pathological
 //! structures.
 
-use proptest::prelude::*;
-
 use dike_auth::zonefile;
+use dike_telemetry::check;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+const CASES: u64 = 512;
 
-    #[test]
-    fn parser_never_panics_on_arbitrary_text(text in "\\PC{0,400}") {
-        let _ = zonefile::parse(&text, None);
-    }
+#[test]
+fn parser_never_panics_on_arbitrary_text() {
+    check::cases("parser_never_panics_on_arbitrary_text", CASES, |g| {
+        let _ = zonefile::parse(&g.text(0..401), None);
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_mutated_valid_zone(
-        pos in 0usize..4096,
-        replacement in "\\PC{0,10}",
-    ) {
+#[test]
+fn parser_never_panics_on_mutated_valid_zone() {
+    check::cases("parser_never_panics_on_mutated_valid_zone", CASES, |g| {
         let valid = "$ORIGIN z.test.\n$TTL 300\n@ IN SOA ns1 h 1 2 3 4 5\n\
                      www IN A 192.0.2.1\nmx IN MX 10 mail\n\
                      srv IN SRV 1 2 53 ns1\ntxt IN TXT \"hi\"\n";
         let mut text = valid.to_string();
-        let idx = pos % text.len();
-        // Splice at a char boundary.
-        let idx = (0..=idx).rev().find(|i| text.is_char_boundary(*i)).unwrap_or(0);
-        text.replace_range(idx..idx, &replacement);
+        // Splice at a char boundary (the valid zone is ASCII: all are).
+        let idx = g.range(0..=text.len());
+        text.insert_str(idx, &g.text(0..11));
         let _ = zonefile::parse(&text, None);
-    }
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_line_permutations(
-        lines in proptest::collection::vec(
-            prop_oneof![
-                Just("$ORIGIN a.test."),
-                Just("$TTL 60"),
-                Just("@ IN SOA ns h 1 2 3 4 5"),
-                Just("x IN A 1.2.3.4"),
-                Just("y IN NS z"),
-                Just("  IN A 9.9.9.9"),
-                Just("$ORIGIN"),
-                Just("@ IN SOA"),
-                Just("junk"),
-            ],
-            0..12
-        )
-    ) {
-        let text = lines.join("\n");
+#[test]
+fn parser_never_panics_on_line_permutations() {
+    const LINES: [&str; 9] = [
+        "$ORIGIN a.test.",
+        "$TTL 60",
+        "@ IN SOA ns h 1 2 3 4 5",
+        "x IN A 1.2.3.4",
+        "y IN NS z",
+        "  IN A 9.9.9.9",
+        "$ORIGIN",
+        "@ IN SOA",
+        "junk",
+    ];
+    check::cases("parser_never_panics_on_line_permutations", CASES, |g| {
+        let text = g.vec(0..12, |g| *g.pick(&LINES)).join("\n");
         let _ = zonefile::parse(&text, None);
-    }
+    });
 }

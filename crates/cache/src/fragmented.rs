@@ -10,9 +10,8 @@
 //! with a selector choosing which backend handles each query.
 
 use dike_netsim::SimTime;
+use dike_telemetry::rng::Rng;
 use dike_wire::{Name, Record, RecordType};
-use rand::rngs::SmallRng;
-use rand::RngExt;
 
 use crate::cache::{CacheAnswer, CacheStats, ResolverCache};
 use crate::config::CacheConfig;
@@ -36,7 +35,7 @@ impl FragmentedCache {
     /// Selects the backend that will serve this query. Load balancers hash
     /// flows, which from a single client's perspective over time looks
     /// random; we sample uniformly.
-    pub fn pick_backend(&mut self, rng: &mut SmallRng) -> usize {
+    pub fn pick_backend(&mut self, rng: &mut Rng) -> usize {
         if self.backends.len() == 1 {
             0
         } else {
@@ -146,7 +145,6 @@ mod tests {
     use super::*;
     use dike_netsim::SimDuration;
     use dike_wire::RData;
-    use rand::SeedableRng;
     use std::net::Ipv6Addr;
 
     fn aaaa(name: &str, ttl: u32, serial: u16) -> Record {
@@ -162,7 +160,7 @@ mod tests {
     #[test]
     fn single_backend_behaves_like_plain_cache() {
         let mut f = FragmentedCache::new(1, CacheConfig::honoring());
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let b = f.pick_backend(&mut rng);
         assert_eq!(b, 0);
         f.insert_on(b, at(0), vec![aaaa("p1.cachetest.nl", 3600, 1)]);
@@ -224,7 +222,7 @@ mod tests {
     #[test]
     fn pick_backend_covers_all_backends() {
         let mut f = FragmentedCache::new(8, CacheConfig::honoring());
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
             seen.insert(f.pick_backend(&mut rng));

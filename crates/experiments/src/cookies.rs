@@ -32,7 +32,7 @@ use dike_netsim::{
     Addr, Context, DefenseLedger, Node, SimDuration, SimTime, Simulator, TcpConfig, TcpConnId,
     TimerToken,
 };
-use parking_lot::Mutex;
+use dike_telemetry::sync::Mutex;
 
 use crate::defense::{flooded_experiment_h, SpoofedFlood, SpoofedStats};
 use crate::report::Report;

@@ -26,9 +26,9 @@ use dike_netsim::{
     Addr, ClassedQueueConfig, Context, DefenseLedger, Node, SimDuration, SimTime, Simulator,
     TimerToken,
 };
+use dike_telemetry::sync::Mutex;
 use dike_telemetry::TelemetryConfig;
 use dike_wire::{Message, Name, RecordType};
-use parking_lot::Mutex;
 
 use crate::ddos::DdosExperiment;
 use crate::report::Report;

@@ -12,8 +12,8 @@ use dike_auth::{AuthServer, Zone};
 use dike_cache::TrustLevel;
 use dike_netsim::{Addr, Context, Node, SimDuration, Simulator, TimerToken};
 use dike_resolver::{profiles, RecursiveResolver};
+use dike_telemetry::sync::Mutex;
 use dike_wire::{Message, Name, RData, Rcode, Record, RecordType};
-use parking_lot::Mutex;
 
 use crate::topology::{root_and_nl_zones, soa_for};
 

@@ -26,9 +26,9 @@ use std::sync::Arc;
 
 use dike_auth::NxnsZoneConfig;
 use dike_netsim::{Addr, Context, Node, SimDuration, Simulator, TimerToken};
+use dike_telemetry::sync::Mutex;
 use dike_telemetry::TelemetryConfig;
 use dike_wire::{Message, Name, Rcode, RecordType};
-use parking_lot::Mutex;
 
 use crate::setup::{run_experiment, ExperimentOutput, ExperimentSetup};
 

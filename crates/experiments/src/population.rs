@@ -4,8 +4,7 @@
 //! they reproduce the headline caching numbers (≈70% hits / ≈30% misses,
 //! Fig. 3) and the public/non-public miss split (Table 3).
 
-use rand::rngs::SmallRng;
-use rand::RngExt;
+use dike_telemetry::rng::Rng;
 
 /// What kind of first-hop recursive (R1) a vantage point uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +101,7 @@ impl Default for PopulationMix {
 
 impl PopulationMix {
     /// Samples how many recursives a probe has (1–3).
-    pub fn sample_recursive_count(&self, rng: &mut SmallRng) -> usize {
+    pub fn sample_recursive_count(&self, rng: &mut Rng) -> usize {
         let x: f64 = rng.random_range(0.0..1.0);
         if x < self.recursives_per_probe[0] {
             1
@@ -114,7 +113,7 @@ impl PopulationMix {
     }
 
     /// Samples the R1 kind for one vantage point.
-    pub fn sample_r1_kind(&self, rng: &mut SmallRng) -> R1Kind {
+    pub fn sample_r1_kind(&self, rng: &mut Rng) -> R1Kind {
         let x: f64 = rng.random_range(0.0..1.0);
         if x < self.frac_public {
             if rng.random_range(0.0..1.0) < self.google_share {
@@ -142,7 +141,6 @@ impl PopulationMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn default_mix_sums_to_one() {
@@ -164,7 +162,7 @@ mod tests {
     #[test]
     fn sampling_matches_fractions() {
         let m = PopulationMix::default();
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let n = 20_000;
         let mut public = 0;
         let mut google = 0;
@@ -189,7 +187,7 @@ mod tests {
     #[test]
     fn recursive_count_is_one_to_three() {
         let m = PopulationMix::default();
-        let mut rng = SmallRng::seed_from_u64(10);
+        let mut rng = Rng::seed_from_u64(10);
         for _ in 0..1000 {
             let c = m.sample_recursive_count(&mut rng);
             assert!((1..=3).contains(&c));

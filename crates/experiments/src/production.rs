@@ -12,9 +12,8 @@ use dike_cache::{CacheAnswer, CacheConfig, FragmentedCache, ResolverCache};
 use dike_netsim::{Addr, Context, Node, SimDuration, SimTime, TimerToken};
 use dike_stats::ecdf::Ecdf;
 use dike_stats::passive::{PassiveAnalyzer, PassiveReport};
+use dike_telemetry::rng::Rng;
 use dike_wire::{Message, Name, RData, Record, RecordType};
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 
 /// How one simulated recursive treats the measured records.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +79,7 @@ pub struct NlResult {
     pub frac_at_half_ttl: f64,
 }
 
-fn sample_behavior_nl(rng: &mut SmallRng) -> RecursiveBehavior {
+fn sample_behavior_nl(rng: &mut Rng) -> RecursiveBehavior {
     let x: f64 = rng.random_range(0.0..1.0);
     if x < 0.42 {
         RecursiveBehavior::Honoring
@@ -99,7 +98,7 @@ fn sample_behavior_nl(rng: &mut SmallRng) -> RecursiveBehavior {
 
 /// Runs the Fig. 4 emulation.
 pub fn run_nl(cfg: &NlConfig) -> NlResult {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let names: Vec<Name> = (1..=5)
         .map(|i| Name::parse(&format!("ns{i}.dns.nl")).expect("static"))
         .collect();
@@ -260,7 +259,7 @@ pub struct RootResult {
 
 /// Runs the Fig. 5 emulation.
 pub fn run_root(cfg: &RootConfig) -> RootResult {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut per_recursive_total: Vec<u64> = Vec::with_capacity(cfg.n_recursives);
     // queries per (letter, recursive), sparse: per letter, a vec of counts.
     let mut per_letter: Vec<Vec<u64>> = vec![Vec::new(); cfg.letters];
@@ -356,7 +355,7 @@ pub fn run_root(cfg: &RootConfig) -> RootResult {
 /// Exposes a single-resolver Δt series for unit testing the mechanism.
 #[doc(hidden)]
 pub fn honoring_refresh_gap(ttl: u32, mean_gap_s: f64, hours: u64, seed: u64) -> Vec<f64> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut cache = ResolverCache::new(CacheConfig::honoring());
     let name = Name::parse("ns1.dns.nl").expect("static");
     let mut stamps = Vec::new();
@@ -575,7 +574,7 @@ pub fn run_nl_full_sim(cfg: &NlSimConfig) -> PassiveReport {
         dike_netsim::trace::shared(PassiveAnalyzer::new([auth], names.clone(), RecordType::A));
     sim.add_sink(sink);
 
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9e37);
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x9e37);
     for i in 0..cfg.n_recursives {
         // Population mirrors the generator's behaviour classes.
         let x: f64 = rng.random_range(0.0..1.0);

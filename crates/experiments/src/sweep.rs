@@ -35,6 +35,7 @@
 use dike_stats::ecdf::Ecdf;
 use dike_stats::quantile::{quantile, LatencySummary};
 use dike_telemetry::json::Writer;
+use dike_telemetry::rng::splitmix64;
 
 use crate::defense::{DefensePreset, LateResolverWave};
 use crate::report::Report;
@@ -178,15 +179,6 @@ impl SweepAxis {
     pub fn labels(&self) -> Vec<String> {
         self.values.iter().map(|(label, _)| label.clone()).collect()
     }
-}
-
-/// Splitmix64: the standard 64-bit finalizer used to derive independent
-/// replicate seeds from the base seed.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derives the seed of replicate `replicate` from the base seed. Pure

@@ -10,9 +10,8 @@ use dike_cache::CacheConfig;
 use dike_netsim::{Addr, LatencyModel, LinkParams, NodeId, SimDuration, Simulator};
 use dike_resolver::{profiles, RecursiveResolver};
 use dike_stub::{new_shared_log, SharedProbeLog, StubConfig, StubProbe, VpKey};
+use dike_telemetry::rng::Rng;
 use dike_wire::{Name, RData, Record, SoaData};
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 
 use crate::population::{PopulationMix, R1Kind};
 
@@ -257,7 +256,7 @@ fn hierarchy(
 
 /// Builds the whole measurement world into `sim`.
 pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
-    let mut rng = SmallRng::seed_from_u64(cfg.population_seed);
+    let mut rng = Rng::seed_from_u64(cfg.population_seed);
     let (root, nl, ns, nxns_auths) = hierarchy(sim, cfg.ttl, cfg.cookie_secret, cfg.nxns.as_ref());
     let roots = vec![root];
 

@@ -653,8 +653,8 @@ fn fault_from_json(f: Field<'_>) -> Result<Fault, String> {
 mod tests {
     use super::*;
     use dike_netsim::{Context, LatencyModel, LinkParams, LinkTable, Node, TimerToken};
+    use dike_telemetry::sync::Mutex;
     use dike_wire::{Message, Name, RecordType};
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn t(secs: u64) -> SimTime {

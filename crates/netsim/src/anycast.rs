@@ -15,6 +15,8 @@
 
 use std::collections::HashMap;
 
+use dike_telemetry::rng::splitmix64;
+
 use crate::addr::{Addr, NodeId};
 
 /// The anycast registry: virtual address → member nodes.
@@ -50,17 +52,9 @@ impl AnycastTable {
             return None;
         }
         let members = self.groups.get(&vip)?;
-        let h = mix(src.0 as u64 ^ ((vip.0 as u64) << 32));
+        let h = splitmix64(src.0 as u64 ^ ((vip.0 as u64) << 32));
         Some(members[(h % members.len() as u64) as usize])
     }
-}
-
-/// SplitMix64 finalizer: cheap, well-mixed, deterministic.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Datagrams: what moves across links.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use dike_wire::Message;
 
 use crate::addr::Addr;
@@ -11,9 +12,9 @@ use crate::addr::Addr;
 /// send time and decoded at delivery, so nothing a node observes can bypass
 /// the codec ("codec in the loop", DESIGN.md §5.2).
 ///
-/// The payload is a refcounted [`Bytes`] split off the world's pooled
-/// encoder, so cloning a datagram (retransmits, duplicate delivery) shares
-/// the underlying buffer instead of copying it.
+/// The payload is refcounted, cut to size by the world's encoder, so
+/// cloning a datagram (retransmits, duplicate delivery) shares the
+/// underlying buffer instead of copying it.
 #[derive(Debug, Clone)]
 pub struct Datagram {
     /// Source address.
@@ -21,7 +22,7 @@ pub struct Datagram {
     /// Destination address.
     pub dst: Addr,
     /// Encoded DNS payload.
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
 }
 
 impl Datagram {

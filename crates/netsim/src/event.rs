@@ -260,11 +260,11 @@ impl EventWheel {
             // Almost always the back: seqs grow monotonically, so a
             // same-window push during dispatch lands after everything
             // already queued for this window.
-            if self
+            let before_back = self
                 .ready
                 .back()
-                .map_or(true, |last| (last.at, last.seq) <= key)
-            {
+                .is_some_and(|last| (last.at, last.seq) > key);
+            if !before_back {
                 self.ready.push_back(entry);
             } else {
                 let idx = self.ready.partition_point(|e| (e.at, e.seq) <= key);

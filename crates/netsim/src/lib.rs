@@ -10,7 +10,7 @@
 //! network stacks: a single virtual clock, a timer-wheel event queue keyed
 //! by `(time, sequence)`, and nodes that react to exactly two stimuli —
 //! datagram delivery and timer expiry. All randomness (latency jitter,
-//! packet loss) flows from seeded [`rand::rngs::SmallRng`] streams — one
+//! packet loss) flows from seeded [`dike_telemetry::rng::Rng`] streams — one
 //! per run, or one per node in a sharded world ([`shard`]) — so a run is a
 //! pure function of its configuration and seed.
 //!

@@ -3,8 +3,7 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::SmallRng;
-use rand::RngExt;
+use dike_telemetry::rng::Rng;
 
 use crate::addr::Addr;
 use crate::time::SimDuration;
@@ -33,7 +32,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Samples a one-way delay.
-    pub fn sample(&self, rng: &mut SmallRng) -> SimDuration {
+    pub fn sample(&self, rng: &mut Rng) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
             LatencyModel::Uniform { min, max } => {
@@ -132,7 +131,7 @@ impl GilbertElliott {
 
     /// Steps the chain one arrival: transitions `state` (true = Bad),
     /// then samples a drop from the post-transition state.
-    pub fn sample_drop(&self, state: &mut bool, rng: &mut SmallRng) -> bool {
+    pub fn sample_drop(&self, state: &mut bool, rng: &mut Rng) -> bool {
         let flip = if *state {
             self.p_exit_bad
         } else {
@@ -297,7 +296,7 @@ impl LinkTable {
     /// whether the datagram is lost to the burst process. Draws from
     /// `rng` only when a degrade is installed, so fault-free runs keep an
     /// untouched RNG stream.
-    pub fn degrade_drop(&mut self, dst: Addr, rng: &mut SmallRng) -> bool {
+    pub fn degrade_drop(&mut self, dst: Addr, rng: &mut Rng) -> bool {
         if self.degrade.is_empty() {
             return false;
         }
@@ -312,7 +311,7 @@ impl LinkTable {
     /// tests below draw against (the simulator samples the delay at send
     /// and the loss at arrival).
     #[cfg(test)]
-    fn transmit(&self, src: Addr, dst: Addr, rng: &mut SmallRng) -> Option<SimDuration> {
+    fn transmit(&self, src: Addr, dst: Addr, rng: &mut Rng) -> Option<SimDuration> {
         let params = self.params(src, dst);
         // Ambient loss and attack loss are independent Bernoulli trials.
         if params.loss > 0.0 && rng.random_bool(params.loss.clamp(0.0, 1.0)) {
@@ -335,10 +334,9 @@ impl Default for LinkTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(7)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(7)
     }
 
     #[test]
@@ -505,7 +503,6 @@ mod tests {
         let mut r1 = rng();
         let mut r2 = rng();
         assert!(!t.degrade_drop(Addr(5), &mut r1));
-        use rand::RngCore;
         assert_eq!(r1.next_u64(), r2.next_u64(), "RNG advanced for clean dst");
     }
 }

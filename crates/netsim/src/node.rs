@@ -1,8 +1,10 @@
 //! The node programming model: the [`Node`] trait and the [`Context`]
 //! handed to nodes while they run.
 
+use std::sync::Arc;
+
+use dike_telemetry::rng::Rng;
 use dike_wire::Message;
-use rand::rngs::SmallRng;
 
 use crate::addr::{Addr, NodeId};
 use crate::sim::World;
@@ -232,14 +234,14 @@ impl<'a> Context<'a> {
     ///
     /// # Panics
     /// Panics if the message fails to encode (see [`Context::send`]).
-    pub fn encode(&mut self, msg: &Message) -> bytes::Bytes {
+    pub fn encode(&mut self, msg: &Message) -> Arc<[u8]> {
         self.world.encode(msg)
     }
 
     /// Sends an already-encoded payload to `dst`. The payload is
     /// refcounted, so sending the same bytes to several destinations
     /// shares one buffer.
-    pub fn send_wire(&mut self, dst: Addr, payload: bytes::Bytes) {
+    pub fn send_wire(&mut self, dst: Addr, payload: Arc<[u8]>) {
         self.world.send_datagram(self.addr, dst, payload);
     }
 
@@ -259,7 +261,7 @@ impl<'a> Context<'a> {
     /// *own* stream (seeded from the global node index), so draw order
     /// depends only on the node's event order — not on which shard, or
     /// how many shards, the world was cut into.
-    pub fn rng(&mut self) -> &mut SmallRng {
+    pub fn rng(&mut self) -> &mut Rng {
         self.world.rng_for(self.node)
     }
 

@@ -24,7 +24,8 @@
 //! `World`-global state in node logic (everything a handler needs
 //! arrives through its context argument).
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use dike_wire::Message;
 
 use crate::addr::Addr;
@@ -56,10 +57,10 @@ pub trait Transport {
     /// # Panics
     /// Panics if the message fails to encode — a node producing an
     /// unencodable message is a bug, not a runtime condition.
-    fn encode(&mut self, msg: &Message) -> Bytes;
+    fn encode(&mut self, msg: &Message) -> Arc<[u8]>;
 
     /// Sends an already-encoded payload to `dst`.
-    fn send_wire(&mut self, dst: Addr, payload: Bytes);
+    fn send_wire(&mut self, dst: Addr, payload: Arc<[u8]>);
 
     /// Encodes and sends in one step.
     ///
@@ -82,11 +83,11 @@ impl Transport for Context<'_> {
         Context::self_addr(self)
     }
 
-    fn encode(&mut self, msg: &Message) -> Bytes {
+    fn encode(&mut self, msg: &Message) -> Arc<[u8]> {
         Context::encode(self, msg)
     }
 
-    fn send_wire(&mut self, dst: Addr, payload: Bytes) {
+    fn send_wire(&mut self, dst: Addr, payload: Arc<[u8]>) {
         Context::send_wire(self, dst, payload)
     }
 
@@ -106,7 +107,7 @@ mod tests {
         now: SimTime,
         local: Addr,
         enc: dike_wire::codec::EncodeBuffer,
-        sent: Vec<(Addr, Bytes)>,
+        sent: Vec<(Addr, Arc<[u8]>)>,
     }
 
     impl Clock for Recorder {
@@ -119,10 +120,10 @@ mod tests {
         fn self_addr(&self) -> Addr {
             self.local
         }
-        fn encode(&mut self, msg: &Message) -> Bytes {
+        fn encode(&mut self, msg: &Message) -> Arc<[u8]> {
             self.enc.encode(msg).expect("encodable")
         }
-        fn send_wire(&mut self, dst: Addr, payload: Bytes) {
+        fn send_wire(&mut self, dst: Addr, payload: Arc<[u8]>) {
             self.sent.push((dst, payload));
         }
     }

@@ -9,11 +9,11 @@
 //! (`telemetry`), the sharded engine's plumbing ([`shard`]) and the
 //! auditor ([`audit`]).
 
-use bytes::Bytes;
+use std::sync::Arc;
+
+use dike_telemetry::rng::Rng;
 use dike_wire::codec::EncodeBuffer;
 use dike_wire::Message;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::addr::{Addr, NodeId};
 use crate::anycast::AnycastTable;
@@ -95,7 +95,7 @@ pub struct World {
     queue: EventQueue,
     seq: u64,
     links: LinkTable,
-    rng: SmallRng,
+    rng: Rng,
     /// First unicast address owned by this world: [`FIRST_ADDR`] for a
     /// plain world, the shard's slice start for a sharded one.
     first_addr: u32,
@@ -152,7 +152,7 @@ impl World {
     }
 
     /// The RNG stream for `node` (see [`rng_stream`]).
-    pub(crate) fn rng_for(&mut self, node: NodeId) -> &mut SmallRng {
+    pub(crate) fn rng_for(&mut self, node: NodeId) -> &mut Rng {
         rng_stream(&mut self.shard, &mut self.rng, node.0 as usize)
     }
 
@@ -200,7 +200,7 @@ impl World {
     /// # Panics
     /// Panics if the message fails to encode — a node producing an
     /// unencodable message is a bug, not a runtime condition.
-    pub(crate) fn encode(&mut self, msg: &Message) -> Bytes {
+    pub(crate) fn encode(&mut self, msg: &Message) -> Arc<[u8]> {
         let payload = self
             .encoder
             .encode(msg)
@@ -240,7 +240,7 @@ impl World {
     /// shard's outbox instead (counted `xshard_out`), to be exchanged at
     /// the next round barrier; the earliest such arrival bounds how far
     /// this shard may run before then (see [`crate::shard`]).
-    pub(crate) fn send_datagram(&mut self, src: Addr, dst: Addr, payload: Bytes) {
+    pub(crate) fn send_datagram(&mut self, src: Addr, dst: Addr, payload: Arc<[u8]>) {
         self.net.datagrams_sent += 1;
         let delay = self.path_delay(src, dst);
         let at = self.now + delay;
@@ -369,7 +369,7 @@ impl Simulator {
                 queue: EventQueue::new(),
                 seq: 0,
                 links: LinkTable::default(),
-                rng: SmallRng::seed_from_u64(seed),
+                rng: Rng::seed_from_u64(seed),
                 first_addr: FIRST_ADDR,
                 shard: None,
                 sinks: Vec::new(),
@@ -414,9 +414,8 @@ impl Simulator {
         self.world.nodes.push(addr);
         if let Some(s) = self.world.shard.as_deref_mut() {
             let global = (addr.0 - FIRST_ADDR) as u64;
-            s.rngs.push(SmallRng::seed_from_u64(crate::shard::mix_seed(
-                s.seed, global,
-            )));
+            s.rngs
+                .push(Rng::seed_from_u64(crate::shard::mix_seed(s.seed, global)));
         }
         (id, addr)
     }

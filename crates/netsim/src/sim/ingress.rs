@@ -176,13 +176,12 @@ impl Simulator {
             let idx = dgram.dst.0.wrapping_sub(*first_addr) as usize;
             let rng = rng_stream(shard, rng, idx);
             let params = links.params(dgram.src, dgram.dst);
-            let ambient =
-                params.loss > 0.0 && rand::RngExt::random_bool(rng, params.loss.clamp(0.0, 1.0));
+            let ambient = params.loss > 0.0 && rng.random_bool(params.loss.clamp(0.0, 1.0));
             let mut attack = links.ingress_loss(dgram.dst);
             if let Some(site) = site_filter_addr {
                 attack = attack.max(links.ingress_loss(site));
             }
-            let attack = attack > 0.0 && rand::RngExt::random_bool(rng, attack);
+            let attack = attack > 0.0 && rng.random_bool(attack);
             // Gilbert–Elliott degrade: its state chain advances per
             // arrival at the degraded address (RNG is drawn only while a
             // degrade is installed there). Like the attack filter, an

@@ -66,7 +66,7 @@
 //! Three mechanisms make the digest identical for every shard count:
 //!
 //! * **Per-node RNG streams.** Each node draws from its own
-//!   [`rand::rngs::SmallRng`] seeded from `(world seed, global node
+//!   [`dike_telemetry::rng::Rng`] seeded from `(world seed, global node
 //!   index)`; send-side draws (latency) come from the sender's stream,
 //!   arrival-side draws (ambient loss, attack loss, degrade chains) from
 //!   the receiver's. A node's draw order is therefore exactly its own
@@ -91,10 +91,9 @@
 //! `posted == drained` for every shard pair. See DESIGN.md §5.10.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-use rand::rngs::SmallRng;
+use dike_telemetry::rng::{mix64, Rng};
 
 use super::audit::AuditReport;
 use super::{SimPerf, Simulator, FIRST_ADDR, FIRST_VIP};
@@ -128,7 +127,7 @@ pub struct Envelope {
     /// Destination address (owned by the receiving shard).
     pub dst: Addr,
     /// Encoded wire payload.
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
 }
 
 /// Configuration for one shard of a sharded world, handed to
@@ -145,13 +144,10 @@ pub struct ShardConfig {
     pub floor: SimDuration,
 }
 
-/// splitmix64-style mixer deriving a node's RNG seed from the world
-/// seed and its *global* node index — shard-layout-independent.
+/// Derives a node's RNG seed from the world seed and its *global* node
+/// index — shard-layout-independent.
 pub(crate) fn mix_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Evenly cuts a global node population into K contiguous slices,
@@ -600,7 +596,7 @@ pub(crate) struct ShardState {
     pub(crate) seed: u64,
     /// One RNG stream per *local* node, seeded from the node's global
     /// index so the stream is shard-layout-independent.
-    pub(crate) rngs: Vec<SmallRng>,
+    pub(crate) rngs: Vec<Rng>,
     /// Outgoing cross-shard envelopes, one bin per destination shard;
     /// emptied into the exchange matrix at the end of every round.
     pub(crate) outbox: Vec<Vec<Envelope>>,
@@ -642,9 +638,9 @@ impl ShardState {
 /// to the world RNG.
 pub(super) fn rng_stream<'a>(
     shard: &'a mut Option<Box<ShardState>>,
-    rng: &'a mut SmallRng,
+    rng: &'a mut Rng,
     idx: usize,
-) -> &'a mut SmallRng {
+) -> &'a mut Rng {
     match shard.as_deref_mut().and_then(|s| s.rngs.get_mut(idx)) {
         Some(stream) => stream,
         None => rng,
@@ -802,7 +798,7 @@ mod tests {
 
     /// `(client's global index, reply time in ns)`, appended from every
     /// shard's thread.
-    type ReplyLog = Arc<parking_lot::Mutex<Vec<(u32, u64)>>>;
+    type ReplyLog = Arc<dike_telemetry::sync::Mutex<Vec<(u32, u64)>>>;
 
     /// Sends `remaining` queries on a jittered timer and records reply
     /// times into the shared log.
@@ -836,7 +832,7 @@ mod tests {
             ctx.send(self.target, &q);
             if self.remaining > 0 {
                 self.remaining -= 1;
-                let jitter = rand::RngExt::random_range(ctx.rng(), 0..20_000_000u64);
+                let jitter = ctx.rng().random_range(0..20_000_000u64);
                 ctx.set_timer(
                     SimDuration::from_millis(40) + SimDuration::from_nanos(jitter),
                     TimerToken(0),
@@ -1073,7 +1069,7 @@ mod tests {
         // chatters on the other shard lose replies while it is down.
         let n = 4;
         let starts = even_starts(n, 2);
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(dike_telemetry::sync::Mutex::new(Vec::new()));
         let mk = |id: usize| {
             Simulator::new_sharded(
                 5,

@@ -114,7 +114,7 @@ fn control_event_starts_attack_mid_run() {
     struct DelayedPinger {
         target: Addr,
         delay: SimDuration,
-        got_reply: std::sync::Arc<parking_lot::Mutex<bool>>,
+        got_reply: std::sync::Arc<dike_telemetry::sync::Mutex<bool>>,
     }
     impl Node for DelayedPinger {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -137,8 +137,8 @@ fn control_event_starts_attack_mid_run() {
         }
     }
 
-    let early_ok = std::sync::Arc::new(parking_lot::Mutex::new(false));
-    let late_ok = std::sync::Arc::new(parking_lot::Mutex::new(false));
+    let early_ok = std::sync::Arc::new(dike_telemetry::sync::Mutex::new(false));
+    let late_ok = std::sync::Arc::new(dike_telemetry::sync::Mutex::new(false));
     sim.add_node(Box::new(DelayedPinger {
         target: echo_addr,
         delay: SimDuration::from_secs(1),
@@ -163,7 +163,7 @@ fn control_event_starts_attack_mid_run() {
 #[test]
 fn timers_fire_in_order_and_cancel_works() {
     struct TimerNode {
-        fired: std::sync::Arc<parking_lot::Mutex<Vec<u64>>>,
+        fired: std::sync::Arc<dike_telemetry::sync::Mutex<Vec<u64>>>,
         to_cancel: Option<TimerId>,
     }
     impl Node for TimerNode {
@@ -191,7 +191,7 @@ fn timers_fire_in_order_and_cancel_works() {
         }
     }
 
-    let fired = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let fired = std::sync::Arc::new(dike_telemetry::sync::Mutex::new(Vec::new()));
     let mut sim = Simulator::new(5);
     sim.add_node(Box::new(TimerNode {
         fired: fired.clone(),
@@ -533,7 +533,7 @@ impl Node for TcpEcho {
 struct TcpClient {
     target: Addr,
     close_after_reply: bool,
-    log: std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>>,
+    log: std::sync::Arc<dike_telemetry::sync::Mutex<Vec<(String, u64)>>>,
 }
 
 impl TcpClient {
@@ -591,8 +591,8 @@ impl Node for TcpClient {
     }
 }
 
-fn tcp_log() -> std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>> {
-    std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()))
+fn tcp_log() -> std::sync::Arc<dike_telemetry::sync::Mutex<Vec<(String, u64)>>> {
+    std::sync::Arc::new(dike_telemetry::sync::Mutex::new(Vec::new()))
 }
 
 #[test]
@@ -687,10 +687,10 @@ fn tcp_table_full_sheds_handshakes_but_udp_still_served() {
     assert_eq!(stats.syn_refused, 1, "second handshake shed with RST");
     // Same-instant SYNs race deterministically: exactly one of the
     // two dialers connected, the other saw a reset.
-    let connected = |l: &std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>>| {
+    let connected = |l: &std::sync::Arc<dike_telemetry::sync::Mutex<Vec<(String, u64)>>>| {
         l.lock().iter().any(|(e, _)| e == "connected")
     };
-    let was_reset = |l: &std::sync::Arc<parking_lot::Mutex<Vec<(String, u64)>>>| {
+    let was_reset = |l: &std::sync::Arc<dike_telemetry::sync::Mutex<Vec<(String, u64)>>>| {
         l.lock().iter().any(|(e, _)| e == "reset")
     };
     assert!(connected(&holder) ^ connected(&shed));

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
+use dike_telemetry::sync::Mutex;
 use dike_wire::Message;
-use parking_lot::Mutex;
 
 use crate::addr::Addr;
 use crate::time::SimTime;

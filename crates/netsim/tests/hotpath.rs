@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dike_telemetry::sync::Mutex;
 
 use dike_netsim::trace::{shared, CountingTrace};
 use dike_netsim::{
@@ -94,7 +94,7 @@ impl Node for Garbler {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
         for _ in 0..self.count {
             // Too short to hold a DNS header; the decoder must reject it.
-            ctx.send_wire(self.target, bytes::Bytes::copy_from_slice(&[0xde, 0xad]));
+            ctx.send_wire(self.target, Arc::from([0xde, 0xad]));
         }
     }
 }

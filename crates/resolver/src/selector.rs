@@ -11,8 +11,7 @@
 use std::collections::HashMap;
 
 use dike_netsim::{Addr, SimDuration};
-use rand::rngs::SmallRng;
-use rand::RngExt;
+use dike_telemetry::rng::Rng;
 
 /// Exponential decay factor applied when updating SRTT with a new sample
 /// (BIND uses ~0.7 old + 0.3 new).
@@ -66,7 +65,7 @@ impl ServerSelector {
         &mut self,
         candidates: &[Addr],
         already_tried: &[Addr],
-        rng: &mut SmallRng,
+        rng: &mut Rng,
     ) -> Option<Addr> {
         if candidates.is_empty() {
             return None;
@@ -93,7 +92,7 @@ impl ServerSelector {
     pub fn pick_uniform(
         candidates: &[Addr],
         already_tried: &[Addr],
-        rng: &mut SmallRng,
+        rng: &mut Rng,
     ) -> Option<Addr> {
         if candidates.is_empty() {
             return None;
@@ -107,7 +106,7 @@ impl ServerSelector {
         Some(pool[rng.random_range(0..pool.len())])
     }
 
-    fn estimate(&mut self, server: Addr, rng: &mut SmallRng) -> f64 {
+    fn estimate(&mut self, server: Addr, rng: &mut Rng) -> f64 {
         *self
             .srtt_ms
             .entry(server)
@@ -118,10 +117,9 @@ impl ServerSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(11)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(11)
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dike_telemetry::sync::Mutex;
 
 use dike_auth::{AuthServer, Zone};
 use dike_netsim::{

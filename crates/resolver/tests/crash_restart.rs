@@ -6,7 +6,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dike_telemetry::sync::Mutex;
 
 use dike_auth::{AuthServer, CacheTestZone, Zone};
 use dike_netsim::{

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dike_telemetry::sync::Mutex;
 
 use dike_netsim::{
     Addr, Context, LatencyModel, LinkParams, LinkTable, Node, SimDuration, Simulator, TimerToken,

@@ -5,7 +5,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dike_telemetry::sync::Mutex;
 
 use dike_auth::{decode_probe_aaaa, AuthServer, CacheTestZone, Zone};
 use dike_netsim::{

@@ -36,15 +36,15 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use dike_auth::AuthServer;
 use dike_defense::DefensePlan;
 use dike_netsim::service::{Clock, Transport};
 use dike_netsim::{Addr, DefenseLedger, GateAction, IngressGate, Node, SimDuration, SimTime};
+use dike_telemetry::sync::Mutex;
 use dike_telemetry::{MetricsRegistry, NodePublisher};
 use dike_wire::codec::{self, EncodeBuffer};
 use dike_wire::Message;
@@ -121,11 +121,11 @@ impl Transport for LiveContext<'_> {
         self.local
     }
 
-    fn encode(&mut self, msg: &Message) -> Bytes {
+    fn encode(&mut self, msg: &Message) -> Arc<[u8]> {
         self.enc.encode(msg).expect("server response encodes")
     }
 
-    fn send_wire(&mut self, dst: Addr, payload: Bytes) {
+    fn send_wire(&mut self, dst: Addr, payload: Arc<[u8]>) {
         debug_assert_eq!(
             dst,
             addr_of_peer(self.peer),
@@ -219,19 +219,13 @@ struct Core {
 
 /// Shared state between the socket, telemetry, and caller threads.
 struct Shared {
+    /// Behind the non-poisoning mutex: a handler that panicked mid-query
+    /// (one TCP connection thread, say) must not take the UDP loop down
+    /// with it, and everything in [`Core`] is counters and tables that
+    /// stay valid after every single store, so there is no half-done
+    /// update to inherit.
     core: Mutex<Core>,
     clock: WallClock,
-}
-
-impl Shared {
-    /// Locks the state. A poisoned lock is recovered, not propagated: a
-    /// handler that panicked mid-query (one TCP connection thread, say)
-    /// must not take the UDP loop down with it, and everything in
-    /// [`Core`] is counters and tables that stay valid after every
-    /// single store, so there is no half-done update to inherit.
-    fn core(&self) -> MutexGuard<'_, Core> {
-        self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A running live server: one UDP socket thread, an optional telemetry
@@ -353,14 +347,14 @@ impl LiveServer {
 
     /// Socket-loop counters so far.
     pub fn stats(&self) -> ServeStats {
-        self.shared.core().stats
+        self.shared.core.lock().stats
     }
 
     /// The ingress gate's drop accounting — the same [`DefenseLedger`]
     /// shape `Simulator::defense_ledger` returns, which is what the
     /// parity test compares. Zeroed when no plan is mounted.
     pub fn defense_ledger(&self) -> DefenseLedger {
-        let core = self.shared.core();
+        let core = self.shared.core.lock();
         core.gate.as_ref().map(|g| *g.ledger()).unwrap_or_default()
     }
 
@@ -413,8 +407,8 @@ fn socket_loop(
             // Zone rotation, driven by the wall clock the way the
             // simulator drives it by timer events.
             while now >= r.2 {
-                shared.core().server.rotate_zone(r.0, now);
-                r.2 = r.2 + r.1;
+                shared.core.lock().server.rotate_zone(r.0, now);
+                r.2 += r.1;
             }
         }
         let (len, peer) = match socket.recv_from(&mut buf) {
@@ -426,7 +420,7 @@ fn socket_loop(
         let src = addr_of_peer(peer);
         let now = shared.clock.now();
         // One lock per datagram: count it, run the gate, serve it.
-        let mut core = shared.core();
+        let mut core = shared.core.lock();
         core.stats.datagrams_received += 1;
         core.stats.fold_send_errors(&mut send_errors);
         let Ok(msg) = decoded else {
@@ -462,7 +456,7 @@ fn socket_loop(
         };
         core.server.serve_datagram(&mut ctx, src, &msg);
     }
-    shared.core().stats.fold_send_errors(&mut send_errors);
+    shared.core.lock().stats.fold_send_errors(&mut send_errors);
 }
 
 /// The DNS-over-TCP accept loop: poll the nonblocking listener, spawn a
@@ -473,7 +467,7 @@ fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>, shutdown: &Arc<
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, peer)) => {
-                shared.core().stats.tcp_connections += 1;
+                shared.core.lock().stats.tcp_connections += 1;
                 let shared = Arc::clone(shared);
                 let shutdown = Arc::clone(shutdown);
                 conns.push(std::thread::spawn(move || {
@@ -495,7 +489,7 @@ fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>, shutdown: &Arc<
 /// server is up. `Ok(false)` means a clean stop: the peer closed before
 /// sending anything, or shutdown was requested.
 fn read_full(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shutdown: &AtomicBool,
 ) -> std::io::Result<bool> {
@@ -523,17 +517,21 @@ fn read_full(
     Ok(true)
 }
 
-/// One DNS-over-TCP connection: RFC 7766 framing (two-byte big-endian
-/// length before every message, both directions), answered through
-/// [`AuthServer::answer_stream`] — no truncation, no ingress gate, the
-/// same semantics as the simulator's `on_tcp_message` path. Serves any
-/// number of queries until the peer closes or errors.
-fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutdown: &AtomicBool) {
+/// One accepted DNS-over-TCP connection, served by [`serve_stream`].
+fn tcp_conn_loop(stream: TcpStream, peer: SocketAddr, shared: &Shared, shutdown: &AtomicBool) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let src = addr_of_peer(peer);
+    serve_stream(stream, addr_of_peer(peer), shared, shutdown);
+}
+
+/// RFC 7766 framing (two-byte big-endian length before every message,
+/// both directions) over any byte stream from `src`, answered through
+/// [`AuthServer::answer_stream`] — no truncation, no ingress gate, the
+/// same semantics as the simulator's `on_tcp_message` path. Serves any
+/// number of queries until the peer closes or errors.
+fn serve_stream(mut stream: impl Read + Write, src: Addr, shared: &Shared, shutdown: &AtomicBool) {
     let mut enc = EncodeBuffer::new();
     let mut len_prefix = [0u8; 2];
     let mut body = Vec::new();
@@ -549,11 +547,11 @@ fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutd
             Ok(false) | Err(_) => return,
         }
         let Ok(msg) = codec::decode(&body) else {
-            shared.core().stats.undecodable += 1;
+            shared.core.lock().stats.undecodable += 1;
             continue;
         };
         let now = shared.clock.now();
-        let resp = shared.core().server.answer_stream(now, src, &msg);
+        let resp = shared.core.lock().server.answer_stream(now, src, &msg);
         let Some(resp) = resp else { continue };
         let payload = enc.encode(&resp).expect("stream response encodes");
         debug_assert!(
@@ -563,9 +561,9 @@ fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutd
         let frame_len = (payload.len() as u16).to_be_bytes();
         // Counted before the write so a caller that has the reply in
         // hand never observes a stale counter.
-        shared.core().stats.tcp_queries += 1;
+        shared.core.lock().stats.tcp_queries += 1;
         if stream.write_all(&frame_len).is_err() || stream.write_all(&payload).is_err() {
-            shared.core().stats.send_errors += 1;
+            shared.core.lock().stats.send_errors += 1;
             return;
         }
     }
@@ -576,7 +574,7 @@ fn tcp_conn_loop(mut stream: TcpStream, peer: SocketAddr, shared: &Shared, shutd
 /// simulator's standard cuts use) and returns the registry as JSON.
 fn publish_snapshot(shared: &Shared) -> String {
     let now = shared.clock.now();
-    let mut core = shared.core();
+    let mut core = shared.core.lock();
     let Core {
         server,
         gate,
@@ -656,6 +654,7 @@ fn serve_http_snapshot(mut stream: TcpStream, body: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dike_telemetry::check;
 
     #[test]
     fn wall_clock_is_monotonic_from_zero() {
@@ -679,6 +678,110 @@ mod tests {
         // The next datagram's fold has nothing new to add.
         stats.fold_send_errors(&mut pending);
         assert_eq!(stats.send_errors, 5);
+    }
+
+    /// An in-memory connection: the peer's bytes in, the server's out.
+    struct Pipe {
+        from_peer: std::io::Cursor<Vec<u8>>,
+        to_peer: Vec<u8>,
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.from_peer.read(buf)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.to_peer.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `from_peer` as one connection's whole input and returns the
+    /// server's frames, each of which must be a decodable response.
+    fn serve_bytes(from_peer: Vec<u8>) -> Vec<Message> {
+        use dike_auth::CacheTestZone;
+        let zone = CacheTestZone::new(60, &[std::net::Ipv4Addr::new(198, 51, 100, 1)]);
+        let mut server = AuthServer::new().with_zone(Box::new(zone));
+        server.set_cookie_secret(Some(7));
+        let shared = Shared {
+            core: Mutex::new(Core {
+                server,
+                gate: None,
+                stats: ServeStats::default(),
+                registry: MetricsRegistry::new(),
+            }),
+            clock: WallClock::new(),
+        };
+        let mut pipe = Pipe {
+            from_peer: std::io::Cursor::new(from_peer),
+            to_peer: Vec::new(),
+        };
+        serve_stream(&mut pipe, Addr(9), &shared, &AtomicBool::new(false));
+
+        let mut replies = Vec::new();
+        let mut rest = &pipe.to_peer[..];
+        while !rest.is_empty() {
+            let len = usize::from(u16::from_be_bytes([rest[0], rest[1]]));
+            let reply =
+                codec::decode(&rest[2..2 + len]).expect("the server frames what it encodes");
+            assert!(reply.is_response);
+            replies.push(reply);
+            rest = &rest[2 + len..];
+        }
+        let stats = shared.core.lock().stats;
+        assert_eq!(stats.tcp_queries, replies.len() as u64);
+        replies
+    }
+
+    fn framed(msg: &Message) -> Vec<u8> {
+        let wire = codec::encode(msg).unwrap();
+        let mut frame = (wire.len() as u16).to_be_bytes().to_vec();
+        frame.extend(wire);
+        frame
+    }
+
+    fn query(id: u16) -> Message {
+        let name = dike_wire::Name::parse("1414.cachetest.nl").unwrap();
+        Message::query(id, name, dike_wire::RecordType::AAAA)
+    }
+
+    #[test]
+    fn tcp_framing_never_panics_on_noise() {
+        check::cases("tcp_framing_never_panics_on_noise", 256, |g| {
+            // Whatever the first two bytes claim, the stream ends early,
+            // on time or late; a length of zero frames an empty message.
+            let mut noise = g.bytes(0..600);
+            if g.bool() && noise.len() >= 2 {
+                let claim = g.range(0..=noise.len() as u16 - 2);
+                noise[..2].copy_from_slice(&claim.to_be_bytes());
+            }
+            serve_bytes(noise);
+        });
+    }
+
+    #[test]
+    fn tcp_framing_never_panics_on_a_damaged_conversation() {
+        check::cases(
+            "tcp_framing_never_panics_on_a_damaged_conversation",
+            256,
+            |g| {
+                let queries: Vec<Message> = (1..=g.range(1..5u16)).map(query).collect();
+                let mut stream: Vec<u8> = queries.iter().flat_map(framed).collect();
+                assert_eq!(serve_bytes(stream.clone()).len(), queries.len());
+
+                // One byte overwritten (a length prefix among them), then the
+                // tail cut anywhere: never more replies than frames sent.
+                let at = g.range(0..stream.len());
+                stream[at] = g.range(0..=u8::MAX);
+                stream.truncate(g.range(at..=stream.len()));
+                assert!(serve_bytes(stream).len() <= queries.len());
+            },
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use dike_netsim::{Addr, SimDuration, SimTime};
+use dike_telemetry::sync::Mutex;
 use dike_wire::Rcode;
-use parking_lot::Mutex;
 
 /// Identifies a vantage point: one probe querying one recursive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use dike_netsim::{Addr, Context, Node, SimDuration, TimerId, TimerToken};
 use dike_wire::{Message, Name, RecordType};
-use rand::RngExt;
 
 use crate::log::{QueryOutcome, QueryRecord, SharedProbeLog, VpKey};
 

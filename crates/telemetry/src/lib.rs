@@ -11,8 +11,10 @@
 //!
 //! * **Zero dependencies.** Instrumentation must never drag the build
 //!   graph around. Being at the bottom of the graph, the crate is also
-//!   where the workspace's one JSON codec lives ([`json`]); every other
-//!   crate's JSON goes through it. The crate compiles with a bare
+//!   where the workspace's one JSON codec lives ([`json`]), and the three
+//!   small things that used to be external crates: the random number
+//!   generator ([`rng`]), the non-poisoning lock ([`sync`]) and the seeded
+//!   property-test runner ([`check`]). The crate compiles with a bare
 //!   `rustc --edition 2021 --test src/lib.rs`.
 //! * **Deterministic.** Snapshots are cut on *simulated*-time boundaries
 //!   only — never wall clock — so two runs with the same seed produce
@@ -52,10 +54,13 @@
 //! assert!(json.contains("\"auth:ns1\""));
 //! ```
 
+pub mod check;
 mod export;
 pub mod json;
 mod metrics;
 mod registry;
+pub mod rng;
+pub mod sync;
 
 pub use metrics::{Histogram, HistogramSnapshot};
 pub use registry::{MetricKey, MetricValue, MetricsRegistry, NodePublisher, SharedRegistry};

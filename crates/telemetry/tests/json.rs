@@ -1,12 +1,10 @@
 //! `dike_telemetry::json`: what is written reads back as the same tree,
 //! and `parse` answers hostile input with `Err`, never a panic.
 //!
-//! The fixed corpus below is plain `#[test]`s, so it also runs where
-//! `proptest` is a stub whose `proptest!` swallows its bodies; the
-//! generated trees at the bottom need the real crate.
+//! A fixed corpus first, then generated trees on `dike_telemetry::check`.
 
+use dike_telemetry::check::{self, Gen};
 use dike_telemetry::json::{parse, Value, Writer, MAX_DEPTH};
-use proptest::prelude::*;
 
 /// Drives the streaming writer over a tree, the way exporters drive it
 /// over their own structs.
@@ -280,57 +278,74 @@ fn field_errors_name_the_key() {
 
 /// Strings with quotes, backslashes, control characters and astral
 /// code points all over.
-fn arb_string() -> impl Strategy<Value = String> {
-    proptest::collection::vec(any::<char>(), 0..12).prop_map(|cs| cs.into_iter().collect())
-}
-
-/// Trees of canonical values: what `parse` itself can produce.
-fn arb_value() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        Just(Value::Null),
-        any::<bool>().prop_map(Value::Bool),
-        any::<u64>().prop_map(Value::U64),
-        (i64::MIN..0).prop_map(Value::I64),
-        any::<u64>()
-            .prop_map(f64::from_bits)
-            .prop_filter("JSON has no non-finite numbers", |x| x.is_finite())
-            .prop_map(Value::F64),
-        arb_string().prop_map(Value::Str),
+fn arb_string(g: &mut Gen) -> String {
+    const AWKWARD: [char; 11] = [
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}',
     ];
-    leaf.prop_recursive(5, 96, 6, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
-            proptest::collection::vec((arb_string(), inner), 0..6).prop_map(Value::Object),
-        ]
-    })
+    (0..g.range(0..12))
+        .map(|_| {
+            if g.bool() {
+                *g.pick(&AWKWARD)
+            } else {
+                g.char()
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+/// Trees of canonical values, at most `depth` containers deep: what
+/// `parse` itself can produce.
+fn arb_value(g: &mut Gen, depth: u32) -> Value {
+    match g.range(if depth == 0 { 2..8u32 } else { 0..8u32 }) {
+        0 => Value::Array(g.vec(0..6, |g| arb_value(g, depth - 1))),
+        1 => Value::Object(g.vec(0..6, |g| (arb_string(g), arb_value(g, depth - 1)))),
+        2 => Value::Null,
+        3 => Value::Bool(g.bool()),
+        4 => Value::U64(g.range(0..=u64::MAX)),
+        5 => Value::I64(g.range(i64::MIN..0)),
+        6 => loop {
+            // JSON has no non-finite numbers.
+            let x = f64::from_bits(g.range(0..=u64::MAX));
+            if x.is_finite() {
+                break Value::F64(x);
+            }
+        },
+        _ => Value::Str(arb_string(g)),
+    }
+}
 
-    #[test]
-    fn generated_trees_round_trip(v in arb_value()) {
+const CASES: u64 = 512;
+const DEPTH: u32 = 5;
+
+#[test]
+fn generated_trees_round_trip() {
+    check::cases("generated_trees_round_trip", CASES, |g| {
+        let v = arb_value(g, DEPTH);
         let text = written(&v);
         let back = parse(&text);
-        prop_assert_eq!(back.as_ref(), Ok(&v), "{}", text);
-        prop_assert_eq!(written(&back.unwrap()), text);
-    }
+        assert_eq!(back.as_ref(), Ok(&v), "{text}");
+        assert_eq!(written(&back.unwrap()), text);
+    });
+}
 
-    #[test]
-    fn parse_never_panics_on_noise(text in arb_string()) {
-        let _ = parse(&text);
-    }
+#[test]
+fn parse_never_panics_on_noise() {
+    check::cases("parse_never_panics_on_noise", CASES, |g| {
+        let _ = parse(&arb_string(g));
+    });
+}
 
-    #[test]
-    fn parse_never_panics_on_a_damaged_document(
-        v in arb_value(),
-        at in any::<usize>(),
-        patch in arb_string(),
-    ) {
-        let mut text = written(&v);
-        let at = (0..=at % (text.len() + 1)).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
+#[test]
+fn parse_never_panics_on_a_damaged_document() {
+    check::cases("parse_never_panics_on_a_damaged_document", CASES, |g| {
+        let mut text = written(&arb_value(g, DEPTH));
+        let at = g.range(0..=text.len());
+        let at = (0..=at)
+            .rev()
+            .find(|&i| text.is_char_boundary(i))
+            .unwrap_or(0);
         let _ = parse(&text[..at]);
-        text.insert_str(at, &patch);
+        text.insert_str(at, &arb_string(g));
         let _ = parse(&text);
-    }
+    });
 }

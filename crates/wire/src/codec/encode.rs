@@ -2,13 +2,14 @@
 //!
 //! The encoder is built around [`EncodeBuffer`], a reusable scratch buffer
 //! designed for the simulator's hot path: one `EncodeBuffer` per run amortizes
-//! all encode-side allocation. Output payloads are refcounted [`Bytes`] split
-//! off the pooled buffer, so duplicating a datagram (retransmits, fan-out) is
-//! a pointer bump, not a copy. The name-compression table is a flat arena of
-//! registered suffixes scanned linearly — messages carry a handful of names,
-//! so a linear probe beats hashing every suffix key into a `HashMap`.
+//! all encode-side allocation but the payload's own. Output payloads are
+//! refcounted `Arc<[u8]>`s cut to size from the scratch buffer, so duplicating
+//! a datagram (retransmits, fan-out) is a pointer bump, not a copy. The
+//! name-compression table is a flat arena of registered suffixes scanned
+//! linearly — messages carry a handful of names, so a linear probe beats
+//! hashing every suffix key into a `HashMap`.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 use super::error::CodecError;
 use crate::message::{Message, Question};
@@ -24,7 +25,9 @@ const MAX_POINTER_TARGET: usize = 0x3fff;
 /// One-shot convenience over [`EncodeBuffer`]; hot paths should hold an
 /// `EncodeBuffer` and call [`EncodeBuffer::encode`] to reuse its storage.
 pub fn encode(msg: &Message) -> Result<Vec<u8>, CodecError> {
-    Ok(EncodeBuffer::new().encode(msg)?.to_vec())
+    let mut enc = EncodeBuffer::new();
+    enc.message_checked(msg)?;
+    Ok(enc.buf)
 }
 
 /// The encoded size of `msg`, computed by encoding it. Exposed so traffic
@@ -42,15 +45,38 @@ struct SuffixEntry {
     offset: u16,
 }
 
-/// Reusable encoder state: a pooled output buffer plus the per-message
+/// Big-endian appends, as the wire wants them.
+trait Put {
+    fn put_u8(&mut self, v: u8);
+    fn put_u16(&mut self, v: u16);
+    fn put_u32(&mut self, v: u32);
+    fn put_slice(&mut self, v: &[u8]);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+    fn put_slice(&mut self, v: &[u8]) {
+        self.extend_from_slice(v);
+    }
+}
+
+/// Reusable encoder state: a scratch output buffer plus the per-message
 /// name-compression table.
 ///
-/// `encode` resets the compression table, serializes into the pooled
-/// `BytesMut`, and splits the written bytes off as a refcounted [`Bytes`] —
-/// the buffer's remaining capacity is reused for the next message, and the
-/// allocator is only consulted when a pool chunk is exhausted.
+/// `encode` resets the compression table, serializes into the scratch
+/// `Vec`, and copies the written bytes out as a refcounted `Arc<[u8]>` — one
+/// allocation of exactly the payload's size per message; the scratch keeps
+/// its capacity for the next one.
 pub struct EncodeBuffer {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Wire-form bytes of every registered suffix, appended per name.
     arena: Vec<u8>,
     /// Registration-ordered suffix table; scanned linearly on lookup.
@@ -67,45 +93,31 @@ impl EncodeBuffer {
     /// A fresh buffer. One per run (or per thread) is the intended granularity.
     pub fn new() -> Self {
         EncodeBuffer {
-            buf: BytesMut::with_capacity(4096),
+            buf: Vec::with_capacity(4096),
             arena: Vec::with_capacity(256),
             entries: Vec::with_capacity(16),
         }
     }
 
-    /// Encodes `msg`, returning the payload as a refcounted [`Bytes`] backed
-    /// by the pooled buffer. Byte-for-byte identical to [`encode`].
-    pub fn encode(&mut self, msg: &Message) -> Result<Bytes, CodecError> {
-        self.arena.clear();
-        self.entries.clear();
-        debug_assert!(self.buf.is_empty());
-        // `split()` may have surrendered the pool's allocation (the stub
-        // `bytes` takes the whole buffer); one sized reserve up front
-        // beats growing from zero capacity during the write. With the
-        // real crate the pool retains capacity and this is a no-op.
-        self.buf.reserve(512);
-        match self.message_checked(msg) {
-            Ok(()) => Ok(self.buf.split().freeze()),
-            Err(e) => {
-                self.buf.clear();
-                Err(e)
-            }
-        }
+    /// Encodes `msg`, returning the payload as a refcounted `Arc<[u8]>`.
+    /// Byte-for-byte identical to [`encode`].
+    pub fn encode(&mut self, msg: &Message) -> Result<Arc<[u8]>, CodecError> {
+        self.message_checked(msg)?;
+        Ok(Arc::from(&self.buf[..]))
     }
 
-    /// The encoded size of `msg` without surrendering the buffer: encodes
-    /// into the pool, records the length, and rewinds. Allocation-free once
-    /// the pool is warm.
+    /// The encoded size of `msg` without cutting a payload: encodes into
+    /// the scratch buffer and reads its length. Allocation-free once the
+    /// buffer is warm.
     pub fn encoded_len(&mut self, msg: &Message) -> Result<usize, CodecError> {
-        self.arena.clear();
-        self.entries.clear();
-        debug_assert!(self.buf.is_empty());
-        let r = self.message_checked(msg).map(|()| self.buf.len());
-        self.buf.clear();
-        r
+        self.message_checked(msg)?;
+        Ok(self.buf.len())
     }
 
     fn message_checked(&mut self, msg: &Message) -> Result<(), CodecError> {
+        self.buf.clear();
+        self.arena.clear();
+        self.entries.clear();
         self.message(msg)?;
         if self.buf.len() > u16::MAX as usize {
             return Err(CodecError::MessageTooLong(self.buf.len()));

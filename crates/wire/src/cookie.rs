@@ -85,8 +85,7 @@ impl Cookie {
 /// pair, as RFC 7873 §6 recommends (one cookie per server, stable across
 /// queries so the server half stays valid).
 pub fn client_cookie_for(client_addr: u32, server_addr: u32) -> [u8; CLIENT_COOKIE_LEN] {
-    mix64((((client_addr as u64) << 32) | server_addr as u64) ^ 0x636f_6f6b_6965_21u64)
-        .to_be_bytes()
+    mix64((((client_addr as u64) << 32) | server_addr as u64) ^ 0x0063_6f6f_6b69_6521).to_be_bytes()
 }
 
 /// Computes the server cookie for `client_cookie` as seen from

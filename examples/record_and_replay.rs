@@ -128,7 +128,6 @@ impl dike::netsim::Node for PollingClient {
     ) {
     }
     fn on_timer(&mut self, ctx: &mut dike::netsim::Context<'_>, _t: dike::netsim::TimerToken) {
-        use rand::RngExt;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         let n = ctx.rng().random_range(1..=5u32);
         ctx.send(

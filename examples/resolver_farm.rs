@@ -14,9 +14,9 @@ use dike::netsim::{
     Addr, Context, LatencyModel, LinkParams, LinkTable, Node, SimDuration, Simulator, TimerToken,
 };
 use dike::resolver::{profiles, RecursiveResolver};
+use dike::telemetry::sync::Mutex;
 use dike::wire::{Message, Name, RData, RecordType};
 use dike_experiments::topology::add_hierarchy;
-use parking_lot::Mutex;
 
 /// Queries the farm every 5 minutes and records the serial embedded in
 /// each answer.

@@ -14,9 +14,9 @@ use dike::netsim::{
     Addr, Context, LatencyModel, LinkParams, LinkTable, Node, SimDuration, Simulator, TimerToken,
 };
 use dike::resolver::{profiles, RecursiveResolver};
+use dike::telemetry::sync::Mutex;
 use dike::wire::{Message, Name, Rcode, RecordType};
 use dike_experiments::topology::add_hierarchy;
-use parking_lot::Mutex;
 
 /// One observation: (minute, rcode, first answer TTL).
 type Obs = (u64, Rcode, Option<u32>);

@@ -55,6 +55,16 @@ struct Args {
     shards: usize,
 }
 
+/// What the command line asks for.
+enum Action {
+    /// Run `Args::target`.
+    Run(Args),
+    /// `--list`: print [`target_list`].
+    List,
+    /// `--help`: print [`help`].
+    Help,
+}
+
 const USAGE: &str = "usage: repro <target> [--scale X] [--seed N] [--json FILE] [--metrics FILE]";
 
 /// The value of `flag`, parsed; `what` names it in the error.
@@ -65,8 +75,9 @@ fn value<T: std::str::FromStr>(flag: &str, what: &str, v: Option<String>) -> Res
 
 /// Reads the command line (without the program name). Anything it does
 /// not understand — an unknown `--option`, a second target — is an
-/// error, never ignored. `--list` and `--help` print and exit here.
-fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+/// error, never ignored. `--list` and `--help` win over whatever else is
+/// there, as soon as they are read.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Action, String> {
     let mut args = Args {
         target: String::from("all"),
         scale: 0.05,
@@ -91,33 +102,8 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--threads" => args.threads = value(&a, "an integer", it.next())?,
             "--replicates" => args.replicates = value(&a, "an integer", it.next())?,
             "--shards" => args.shards = value(&a, "an integer", it.next())?,
-            "--list" => {
-                for (name, ..) in TARGETS {
-                    println!("{name}");
-                }
-                println!("all");
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                let names: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
-                println!(
-                    "{USAGE}\n\
-                     targets: {} all\n\
-                     --metrics collects sim-time telemetry during the DDoS runs and\n\
-                     writes the full metric registry (per-node counters, gauges,\n\
-                     retry histograms) as JSON, keyed by experiment letter\n\
-                     sweep-only flags: [--csv FILE] [--grid-json FILE]\n\
-                     [--replicates K] [--threads N] — run the attack-loss x TTL\n\
-                     grid through the SweepEngine and export per-arm summaries\n\
-                     (byte-identical output for any worker count)\n\
-                     scale: run one large population through the sharded\n\
-                     parallel engine; [--shards K] runs exactly K shards\n\
-                     (default: a 1/2/4 ladder with a digest cross-check);\n\
-                     --scale sizes the population against the paper's 9.2k",
-                    names.join(" ")
-                );
-                std::process::exit(0);
-            }
+            "--list" => return Ok(Action::List),
+            "--help" | "-h" => return Ok(Action::Help),
             option if option.starts_with('-') => return Err(format!("unknown option '{option}'")),
             word => {
                 if target.replace(word.to_lowercase()).is_some() {
@@ -129,7 +115,34 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     if let Some(t) = target {
         args.target = t;
     }
-    Ok(args)
+    Ok(Action::Run(args))
+}
+
+/// `--list`: every target in `all`'s execution order, then `all`.
+fn target_list() -> String {
+    let names = TARGETS.iter().map(|(name, ..)| *name).chain(["all"]);
+    names.map(|name| format!("{name}\n")).collect()
+}
+
+/// `--help`.
+fn help() -> String {
+    let names: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
+    format!(
+        "{USAGE}\n\
+         targets: {} all\n\
+         --metrics collects sim-time telemetry during the DDoS runs and\n\
+         writes the full metric registry (per-node counters, gauges,\n\
+         retry histograms) as JSON, keyed by experiment letter\n\
+         sweep-only flags: [--csv FILE] [--grid-json FILE]\n\
+         [--replicates K] [--threads N] — run the attack-loss x TTL\n\
+         grid through the SweepEngine and export per-arm summaries\n\
+         (byte-identical output for any worker count)\n\
+         scale: run one large population through the sharded\n\
+         parallel engine; [--shards K] runs exactly K shards\n\
+         (default: a 1/2/4 ladder with a digest cross-check);\n\
+         --scale sizes the population against the paper's 9.2k\n",
+        names.join(" ")
+    )
 }
 
 fn die(msg: &str) -> ! {
@@ -244,8 +257,12 @@ const TARGETS: &[Target] = &[
 ];
 
 fn main() {
-    let args =
-        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&format!("{e}\n{USAGE}")));
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Action::Run(args)) => args,
+        Ok(Action::List) => return print!("{}", target_list()),
+        Ok(Action::Help) => return print!("{}", help()),
+        Err(e) => die(&format!("{e}\n{USAGE}")),
+    };
     let mut ctx = Ctx::new(args.scale, args.seed, args.metrics.is_some());
     let t = args.target.clone();
     let mut matched = false;
@@ -1532,8 +1549,15 @@ fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
+    fn action(words: &[&str]) -> Result<Action, String> {
         parse_args(words.iter().map(|w| w.to_string()))
+    }
+
+    fn parse(words: &[&str]) -> Result<Args, String> {
+        action(words).map(|action| match action {
+            Action::Run(args) => args,
+            Action::List | Action::Help => panic!("{words:?} asks for a run"),
+        })
     }
 
     #[test]
@@ -1559,6 +1583,35 @@ mod tests {
             ("sweep", 5, 0.1)
         );
         assert_eq!(parse(&[]).expect("no words").target, "all");
+    }
+
+    /// `--list` and `--help` come back as actions for `main` to perform:
+    /// the parser neither prints nor exits (it used to do both, which
+    /// would have ended this test process here).
+    #[test]
+    fn list_and_help_are_actions_not_exits() {
+        for words in [&["--list"][..], &["fig8", "--list"], &["--list", "--bogus"]] {
+            assert!(matches!(action(words), Ok(Action::List)), "{words:?}");
+        }
+        for words in [&["--help"][..], &["-h"], &["sweep", "--threads", "2", "-h"]] {
+            assert!(matches!(action(words), Ok(Action::Help)), "{words:?}");
+        }
+        assert_eq!(
+            action(&["--bogus", "--list"]).err().as_deref(),
+            Some("unknown option '--bogus'")
+        );
+
+        let listed = target_list();
+        let names: Vec<&str> = listed.lines().collect();
+        assert_eq!(names.len(), TARGETS.len() + 1);
+        assert_eq!((names[0], names[names.len() - 1]), (TARGETS[0].0, "all"));
+        assert!(listed.ends_with("all\n"));
+
+        let text = help();
+        assert!(text.starts_with(USAGE) && text.ends_with("9.2k\n"));
+        for (name, ..) in TARGETS {
+            assert!(text.contains(&format!(" {name} ")), "--help names {name}");
+        }
     }
 
     /// `repro sweep --scale 0.05 --seed 42`, arm loss 0.9 × TTL 1800: the

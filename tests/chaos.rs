@@ -9,16 +9,14 @@
 //! 3. audit-clean — the invariant auditor (datagram conservation, timer
 //!    hygiene, crash/restart pairing) passes at the end of every run.
 //!
-//! The plain `#[test]` loops below are seeded and deterministic, so they
-//! run everywhere. The `proptest!` harness at the bottom adds shrinking
-//! case generation in environments with the real `proptest` crate
-//! (`PROPTEST_CASES` scales both).
+//! Every property runs on `dike::telemetry::check`: seeded, deterministic
+//! cases, 16 of them unless `DIKE_CASES` says otherwise.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use dike::telemetry::check;
+use dike::telemetry::rng::Rng;
+use dike::telemetry::sync::Mutex;
 
 use dike::defense::{ClassifierKind, Defense, DefensePlan, RrlConfig};
 use dike::experiments::run_experiment_sharded;
@@ -31,13 +29,10 @@ use dike::netsim::{
 };
 use dike::wire::{Message, Name, RecordType};
 
-/// Cases per property; `PROPTEST_CASES` (the proptest convention) scales
-/// the plain loops too so CI can crank it up in release builds.
+/// Cases per property; `DIKE_CASES` scales it so CI can crank it up in
+/// release builds. The heavier properties cap it.
 fn cases() -> u64 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
+    check::count(16)
 }
 
 // ---------------------------------------------------------------------
@@ -190,7 +185,7 @@ fn secs(s: u64) -> SimDuration {
 /// cover the full legal envelope, including the edges (total loss,
 /// full-capacity floods, 1-packet bursts, restarts landing after the
 /// horizon).
-fn random_fault(rng: &mut SmallRng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
+fn random_fault(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
     let target = addrs[rng.random_range(0..addrs.len())];
     let start = secs(rng.random_range(0..90)).after_zero();
     let duration = secs(rng.random_range(1..=60));
@@ -252,7 +247,7 @@ fn random_fault(rng: &mut SmallRng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
     }
 }
 
-fn random_plan(rng: &mut SmallRng, nodes: &[NodeId], addrs: &[Addr]) -> FaultPlan {
+fn random_plan(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for _ in 0..rng.random_range(0..=4u32) {
         plan.push(random_fault(rng, nodes, addrs));
@@ -263,7 +258,7 @@ fn random_plan(rng: &mut SmallRng, nodes: &[NodeId], addrs: &[Addr]) -> FaultPla
 /// A random fault from the envelope the sharded driver supports:
 /// crash/restart, link degrade, and random-drop attacks. Queue floods
 /// are gated off the parallel engine, so they are excluded here.
-fn random_sharded_fault(rng: &mut SmallRng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
+fn random_sharded_fault(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
     let target = addrs[rng.random_range(0..addrs.len())];
     let start = secs(rng.random_range(0..90)).after_zero();
     let duration = secs(rng.random_range(1..=60));
@@ -307,7 +302,7 @@ fn random_sharded_fault(rng: &mut SmallRng, nodes: &[NodeId], addrs: &[Addr]) ->
 /// plan-level coherence rule) plus optional scale-outs, with parameters
 /// spanning the legal envelope — tiny rates, /0 aggregation, zero-slip
 /// silent drops, single-class weight concentrations.
-fn random_defense_plan(rng: &mut SmallRng, addrs: &[Addr]) -> DefensePlan {
+fn random_defense_plan(rng: &mut Rng, addrs: &[Addr]) -> DefensePlan {
     random_defense_plan_with(rng, addrs, true)
 }
 
@@ -315,7 +310,7 @@ fn random_defense_plan(rng: &mut SmallRng, addrs: &[Addr]) -> DefensePlan {
 /// driver gates anycast scale-out (catchments resolve at delivery time,
 /// which would need cross-shard VIP tables), so sharded chaos runs draw
 /// from the RRL + admission surface only.
-fn random_defense_plan_with(rng: &mut SmallRng, addrs: &[Addr], scale_out: bool) -> DefensePlan {
+fn random_defense_plan_with(rng: &mut Rng, addrs: &[Addr], scale_out: bool) -> DefensePlan {
     let mut plan = DefensePlan::new();
     for &target in addrs {
         if rng.random_bool(0.5) {
@@ -386,7 +381,7 @@ fn fnv(h: &mut u64, v: u64) {
 /// One chaos iteration: build a world, throw a random plan at it, run to
 /// the horizon, audit, and digest everything observable.
 fn chaos_iteration(case_seed: u64) -> u64 {
-    let mut rng = SmallRng::seed_from_u64(case_seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = Rng::seed_from_u64(case_seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut world = chaos_world(case_seed, 3, 4);
     let plan = random_plan(&mut rng, &world.echo_ids, &world.echo_addrs);
     plan.validate().expect("generated plans are valid");
@@ -423,7 +418,7 @@ fn chaos_iteration(case_seed: u64) -> u64 {
 /// RRL-limited + shed, every drop inside datagram conservation) no
 /// matter how the layers compose with crashes, floods, and loss.
 fn defended_chaos_iteration(case_seed: u64) -> u64 {
-    let mut rng = SmallRng::seed_from_u64(case_seed ^ 0x2545_f491_4f6c_dd1d);
+    let mut rng = Rng::seed_from_u64(case_seed ^ 0x2545_f491_4f6c_dd1d);
     let mut world = chaos_world(case_seed, 3, 4);
     let faults = random_plan(&mut rng, &world.echo_ids, &world.echo_addrs);
     let defense = random_defense_plan(&mut rng, &world.echo_addrs);
@@ -474,7 +469,7 @@ fn defended_chaos_iteration(case_seed: u64) -> u64 {
 /// Returns `(digest, resets)` so the sweep can check the abortive path
 /// was actually exercised, not just survived.
 fn tcp_chaos_iteration(case_seed: u64) -> (u64, u64) {
-    let mut rng = SmallRng::seed_from_u64(case_seed ^ 0x94d0_49bb_1331_11eb);
+    let mut rng = Rng::seed_from_u64(case_seed ^ 0x94d0_49bb_1331_11eb);
     let mut world = chaos_world(case_seed, 3, 4);
     for &addr in &world.echo_addrs {
         world.sim.set_tcp_listener(
@@ -572,9 +567,11 @@ fn tcp_chaos_iteration(case_seed: u64) -> (u64, u64) {
 #[test]
 fn chaos_tcp_midhandshake_faults_conserve_connections() {
     let mut total_resets = 0;
-    for case in 0..cases() {
-        total_resets += tcp_chaos_iteration(case).1;
-    }
+    check::cases(
+        "chaos_tcp_midhandshake_faults_conserve_connections",
+        cases(),
+        |g| total_resets += tcp_chaos_iteration(g.case()).1,
+    );
     // The sweep must actually exercise the abortive path (the tiny
     // table plus mid-handshake crashes guarantee refusals and severed
     // connections); a sweep with zero resets means the faults missed.
@@ -583,43 +580,55 @@ fn chaos_tcp_midhandshake_faults_conserve_connections() {
 
 #[test]
 fn chaos_tcp_runs_are_deterministic() {
-    for case in 0..cases().min(8) {
-        let a = tcp_chaos_iteration(case);
-        let b = tcp_chaos_iteration(case);
-        assert_eq!(a, b, "case {case}: same seed+plan, different run");
-    }
+    check::cases("chaos_tcp_runs_are_deterministic", cases().min(8), |g| {
+        let a = tcp_chaos_iteration(g.case());
+        let b = tcp_chaos_iteration(g.case());
+        assert_eq!(a, b, "same seed+plan, different run");
+    });
 }
 
 #[test]
 fn chaos_random_fault_plans_never_panic_and_stay_audit_clean() {
-    for case in 0..cases() {
-        chaos_iteration(case);
-    }
+    check::cases(
+        "chaos_random_fault_plans_never_panic_and_stay_audit_clean",
+        cases(),
+        |g| {
+            chaos_iteration(g.case());
+        },
+    );
 }
 
 #[test]
 fn chaos_random_defense_plans_never_panic_and_stay_audit_clean() {
-    for case in 0..cases() {
-        defended_chaos_iteration(case);
-    }
+    check::cases(
+        "chaos_random_defense_plans_never_panic_and_stay_audit_clean",
+        cases(),
+        |g| {
+            defended_chaos_iteration(g.case());
+        },
+    );
 }
 
 #[test]
 fn chaos_defended_runs_are_deterministic() {
-    for case in 0..cases().min(8) {
-        let a = defended_chaos_iteration(case);
-        let b = defended_chaos_iteration(case);
-        assert_eq!(a, b, "case {case}: same seed+plans, different run");
-    }
+    check::cases(
+        "chaos_defended_runs_are_deterministic",
+        cases().min(8),
+        |g| {
+            let a = defended_chaos_iteration(g.case());
+            let b = defended_chaos_iteration(g.case());
+            assert_eq!(a, b, "same seed+plans, different run");
+        },
+    );
 }
 
 #[test]
 fn chaos_runs_are_deterministic() {
-    for case in 0..cases().min(8) {
-        let a = chaos_iteration(case);
-        let b = chaos_iteration(case);
-        assert_eq!(a, b, "case {case}: same seed+plan, different run");
-    }
+    check::cases("chaos_runs_are_deterministic", cases().min(8), |g| {
+        let a = chaos_iteration(g.case());
+        let b = chaos_iteration(g.case());
+        assert_eq!(a, b, "same seed+plan, different run");
+    });
 }
 
 #[test]
@@ -651,9 +660,11 @@ fn chaos_invalid_plans_schedule_nothing() {
 /// inside `run_experiment` via `setup.audit`.
 #[test]
 fn chaos_full_experiments_are_clean_and_deterministic() {
-    for case in 0..cases().min(3) {
+    let name = "chaos_full_experiments_are_clean_and_deterministic";
+    check::cases(name, cases().min(3), |g| {
+        let case = g.case();
         let run = || {
-            let mut rng = SmallRng::seed_from_u64(case ^ 0x517c_c1b7_2722_0a95);
+            let mut rng = Rng::seed_from_u64(case ^ 0x517c_c1b7_2722_0a95);
             let ns_nodes = topology::ns_node_ids();
             let ns_addrs = topology::ns_addrs();
             let plan = random_plan(&mut rng, &ns_nodes, &ns_addrs);
@@ -677,8 +688,8 @@ fn chaos_full_experiments_are_clean_and_deterministic() {
             }
             h
         };
-        assert_eq!(run(), run(), "case {case}: experiment not deterministic");
-    }
+        assert_eq!(run(), run(), "experiment not deterministic");
+    });
 }
 
 /// The chaos property on the *sharded* engine: the full paper topology
@@ -690,9 +701,11 @@ fn chaos_full_experiments_are_clean_and_deterministic() {
 /// function of `(setup, seed)` — identical across shard counts.
 #[test]
 fn chaos_sharded_experiments_are_clean_and_shard_count_invariant() {
-    for case in 0..cases().min(3) {
+    let name = "chaos_sharded_experiments_are_clean_and_shard_count_invariant";
+    check::cases(name, cases().min(3), |g| {
+        let case = g.case();
         let run = |shards: usize| {
-            let mut rng = SmallRng::seed_from_u64(case ^ 0x6a09_e667_f3bc_c908);
+            let mut rng = Rng::seed_from_u64(case ^ 0x6a09_e667_f3bc_c908);
             let ns_nodes = topology::ns_node_ids();
             let ns_addrs = topology::ns_addrs();
             let mut plan = FaultPlan::new();
@@ -722,21 +735,7 @@ fn chaos_sharded_experiments_are_clean_and_shard_count_invariant() {
         };
         let base = run(1);
         for k in [2usize, 4] {
-            assert_eq!(run(k), base, "case {case}: shards = {k} diverged");
+            assert_eq!(run(k), base, "shards = {k} diverged");
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// proptest harness (active where the real proptest crate is available;
-// the offline stub compiles this to nothing)
-// ---------------------------------------------------------------------
-
-proptest::proptest! {
-    #[test]
-    fn chaos_proptest_random_plans(case_seed in 0u64..u64::MAX) {
-        let a = chaos_iteration(case_seed);
-        let b = chaos_iteration(case_seed);
-        proptest::prop_assert_eq!(a, b);
-    }
+    });
 }

@@ -13,8 +13,8 @@ use dike::netsim::{
 };
 use dike::resolver::{profiles, RecursiveResolver};
 use dike::stub::{new_shared_log, StubConfig, StubProbe};
+use dike::telemetry::sync::Mutex;
 use dike::wire::{codec, Message, Name, RData, Record, RecordType, SoaData};
-use parking_lot::Mutex;
 
 fn name(s: &str) -> Name {
     Name::parse(s).unwrap()
