@@ -82,7 +82,7 @@ impl ResolverCache {
         &self.config
     }
 
-    /// Number of live slots (including expired-but-not-yet-purged ones).
+    /// Number of live slots (including expired ones not yet evicted).
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -284,23 +284,6 @@ impl ResolverCache {
         self.stats.flushes += 1;
     }
 
-    /// Removes entries that are expired beyond the stale window; returns
-    /// how many were purged. Callers run this periodically to bound memory.
-    pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let window = self.config.stale_window;
-        let dead: Vec<(CacheKey, u64)> = self
-            .map
-            .iter()
-            .filter(|(_, (e, _))| e.remaining_ttl(now).is_none() && !e.usable_as_stale(now, window))
-            .map(|(k, (_, stamp))| (k.clone(), *stamp))
-            .collect();
-        for (k, stamp) in &dead {
-            self.map.remove(k);
-            self.lru.remove(stamp);
-        }
-        dead.len()
-    }
-
     /// The remaining TTL of a cached entry, for inspection in experiments.
     pub fn remaining_ttl(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<u32> {
         self.map
@@ -479,19 +462,6 @@ mod tests {
             c.lookup(at(1), &Name::parse("a.nl").unwrap(), RecordType::A),
             CacheAnswer::Miss
         );
-    }
-
-    #[test]
-    fn purge_removes_long_dead_entries() {
-        let mut c = ResolverCache::new(CacheConfig {
-            stale_window: SimDuration::from_secs(10),
-            ..CacheConfig::honoring()
-        });
-        c.insert(at(0), vec![rec("a.nl", 60, 1)]);
-        c.insert(at(0), vec![rec("b.nl", 86_400, 2)]);
-        let purged = c.purge_expired(at(1000));
-        assert_eq!(purged, 1);
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl CacheConfig {
     pub fn clamp_ttl(&self, ttl: u32) -> u32 {
         ttl.max(self.min_ttl).min(self.max_ttl)
     }
-
-    /// Whether this configuration alters the given TTL.
-    pub fn alters_ttl(&self, ttl: u32) -> bool {
-        self.clamp_ttl(ttl) != ttl
-    }
 }
 
 #[cfg(test)]
@@ -92,14 +87,12 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.clamp_ttl(60), 60);
         assert_eq!(c.clamp_ttl(3600), 3600);
-        assert!(!c.alters_ttl(3600));
     }
 
     #[test]
     fn capper_truncates() {
         let c = CacheConfig::ttl_capper_60s();
         assert_eq!(c.clamp_ttl(3600), 60);
-        assert!(c.alters_ttl(3600));
         assert_eq!(c.clamp_ttl(30), 30);
     }
 

@@ -160,12 +160,6 @@ impl Rrl {
             RrlOutcome::Drop
         }
     }
-
-    /// Number of distinct prefixes that have been rate-limited at least
-    /// once.
-    pub fn limited_prefixes(&self) -> usize {
-        self.buckets.values().filter(|b| b.limited > 0).count()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -586,21 +580,6 @@ impl Defense {
         }
     }
 
-    /// The instant this defense's last scheduled action happens. RRL
-    /// and admission are open-ended, so their "end" is their arming
-    /// instant.
-    pub fn end(&self) -> SimTime {
-        match self {
-            Defense::Rrl { start, .. } | Defense::Admission { start, .. } => *start,
-            Defense::Cookie { .. } => SimTime::ZERO,
-            Defense::ScaleOut {
-                at,
-                detection_delay,
-                ..
-            } => *at + *detection_delay,
-        }
-    }
-
     fn target(&self) -> Addr {
         match self {
             Defense::Rrl { target, .. }
@@ -746,11 +725,8 @@ impl DefensePlan {
                 let (t, factor, join) = (*target, *capacity_factor, join.clone());
                 sim.schedule_control(*at + *detection_delay, move |w| {
                     w.note_scaleout_activation();
-                    if let Some(q) = w.queue_mut(t) {
-                        q.scale_capacity(factor);
-                    }
-                    if let Some(d) = w.defense_mut(t) {
-                        d.scale_capacity(factor);
+                    if let Some(gate) = w.gate_mut(t) {
+                        gate.scale_capacity(factor);
                     }
                     if !join.is_empty() {
                         let mut members = w
@@ -769,11 +745,6 @@ impl DefensePlan {
             }
         }
         Ok(())
-    }
-
-    /// The instant the last defense's last action happens, if any.
-    pub fn last_end(&self) -> Option<SimTime> {
-        self.defenses.iter().map(|d| d.end()).max()
     }
 }
 
@@ -1196,12 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_end_spans_detection_delays() {
-        let plan = full_plan();
-        assert_eq!(plan.last_end(), Some(t(360)));
-    }
-
-    #[test]
     fn rrl_buckets_refill_in_sim_time() {
         let mut rrl = Rrl::new(RrlConfig::drop_at(2.0)); // 2 qps, burst 2
         let src = Addr(0x0a00_0001);
@@ -1213,7 +1178,6 @@ mod tests {
         assert_eq!(rrl.check(t(1), src), RrlOutcome::Answer);
         assert_eq!(rrl.check(t(1), src), RrlOutcome::Answer);
         assert_eq!(rrl.check(t(1), src), RrlOutcome::Drop);
-        assert_eq!(rrl.limited_prefixes(), 1);
         // A different /24 has its own bucket.
         assert_eq!(rrl.check(t(1), Addr(0x0a00_0101)), RrlOutcome::Answer);
     }

@@ -127,8 +127,8 @@ impl DdosExperiment {
     /// This Table 4 row as a runnable setup: the population at `scale`
     /// (1.0 ≈ 9.2k probes) under Table 4's pacing, the row's attack, and
     /// Table 7's drill-down on a mid-range probe id. Callers wanting the
-    /// queueing model or telemetry set `queueing` / `telemetry` on the
-    /// result.
+    /// queueing model or telemetry set `faults` (see
+    /// [`AttackPlan::queue_floods`]) / `telemetry` on the result.
     pub fn setup(self, scale: f64, seed: u64) -> ExperimentSetup {
         let p = self.params();
         let mut setup = ExperimentSetup::table4_paced(scale, p.ttl, p.total_min, seed);
@@ -213,7 +213,7 @@ mod tests {
                      farm_count: 3, home_router_public_upstream_share: 0.15 }}, \
                      first_round_spread: SimDuration(480000000000), \
                      round_jitter: SimDuration(240000000000), track_probe: Some({tracked}), \
-                     regional_latency: true, queueing: None, telemetry: None, faults: None, \
+                     regional_latency: true, telemetry: None, faults: None, \
                      defense: None, spoofed_flood: None, late_wave: None, tcp: None, \
                      cookie_secret: None, tcp_exhaustion: None, nxns: None, \
                      resolver_max_fetch: None, audit: false, shards: 1 }}"
@@ -251,7 +251,7 @@ mod tests {
         };
         let plain = run_ddos(DdosExperiment::I, 0.012, 23);
         let mut queued = DdosExperiment::I.setup(0.012, 23);
-        queued.queueing = Some(queue);
+        queued.faults = queued.attack.map(|a| a.queue_floods(queue));
         let queued = Report::run(&queued);
         let median_during = |r: &Report| {
             let meds: Vec<f64> = r

@@ -11,7 +11,7 @@
 //! late, and only after retries — which is precisely the regime the
 //! paper distinguishes from outright failure.
 
-use dike_faults::{Fault, FaultPlan, FloodShape};
+use dike_faults::{Fault, FaultPlan, Waveform};
 use dike_netsim::{QueueConfig, SimDuration};
 
 use crate::report::Report;
@@ -77,7 +77,7 @@ impl DegradedParams {
             );
             plan.push(
                 Fault::flood(ns, start, duration, self.flood_load, self.queue)
-                    .with_shape(FloodShape::Square),
+                    .with_shape(Waveform::Square),
             );
         }
         plan

@@ -26,6 +26,7 @@ use dike_wire::{Name, RData, Record};
 
 use dike_attack::Attack;
 use dike_auth::{AuthServer, CacheTestZone};
+use dike_faults::{Fault, FaultPlan};
 
 /// One point in the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -200,12 +201,14 @@ pub fn run_implications(cfg: &ImplicationsConfig) -> ImplicationsResult {
     };
     let victims = pick_victims(cfg, &all_sites);
     if !victims.is_empty() {
-        Attack::complete_failure(
-            victims,
-            SimDuration::from_mins(ATTACK_START_MIN).after_zero(),
-            SimDuration::from_mins(ATTACK_DURATION_MIN),
-        )
-        .schedule(&mut sim);
+        FaultPlan::new()
+            .with(Fault::random_drop(Attack::complete_failure(
+                victims,
+                SimDuration::from_mins(ATTACK_START_MIN).after_zero(),
+                SimDuration::from_mins(ATTACK_DURATION_MIN),
+            )))
+            .schedule(&mut sim)
+            .unwrap_or_else(|(_, e)| panic!("invalid attack: {e}"));
     }
 
     sim.run_until(SimDuration::from_mins(TOTAL_MIN).after_zero());

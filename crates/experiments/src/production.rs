@@ -8,7 +8,7 @@
 //! authoritative-side query timestamp in these figures exists because a
 //! simulated cache missed.
 
-use dike_cache::{CacheAnswer, CacheConfig, FragmentedCache, ResolverCache};
+use dike_cache::{CacheAnswer, CacheConfig, FragmentedCache};
 use dike_netsim::{Addr, Context, Node, SimDuration, SimTime, TimerToken};
 use dike_stats::ecdf::Ecdf;
 use dike_stats::passive::{PassiveAnalyzer, PassiveReport};
@@ -352,43 +352,44 @@ pub fn run_root(cfg: &RootConfig) -> RootResult {
     }
 }
 
-/// Exposes a single-resolver Δt series for unit testing the mechanism.
-#[doc(hidden)]
-pub fn honoring_refresh_gap(ttl: u32, mean_gap_s: f64, hours: u64, seed: u64) -> Vec<f64> {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut cache = ResolverCache::new(CacheConfig::honoring());
-    let name = Name::parse("ns1.dns.nl").expect("static");
-    let mut stamps = Vec::new();
-    let mut t = 0.0f64;
-    let horizon = (hours * 3600) as f64;
-    loop {
-        let u: f64 = rng.random_range(f64::EPSILON..1.0);
-        t += -mean_gap_s * u.ln();
-        if t >= horizon {
-            break;
-        }
-        let now = SimTime::from_nanos((t * 1e9) as u64);
-        if !matches!(
-            cache.lookup(now, &name, dike_wire::RecordType::A),
-            CacheAnswer::Fresh(_)
-        ) {
-            stamps.push(t);
-            cache.insert(
-                now,
-                vec![Record::new(
-                    name.clone(),
-                    ttl,
-                    RData::A(std::net::Ipv4Addr::new(194, 0, 28, 53)),
-                )],
-            );
-        }
-    }
-    stamps.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dike_cache::ResolverCache;
+
+    /// A single honoring resolver's refresh Δt series under Poisson
+    /// clients with `mean_gap_s` between queries.
+    fn honoring_refresh_gap(ttl: u32, mean_gap_s: f64, hours: u64, seed: u64) -> Vec<f64> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut cache = ResolverCache::new(CacheConfig::honoring());
+        let name = Name::parse("ns1.dns.nl").expect("static");
+        let mut stamps = Vec::new();
+        let mut t = 0.0f64;
+        let horizon = (hours * 3600) as f64;
+        loop {
+            let u: f64 = rng.random_range(f64::EPSILON..1.0);
+            t += -mean_gap_s * u.ln();
+            if t >= horizon {
+                break;
+            }
+            let now = SimTime::from_nanos((t * 1e9) as u64);
+            if !matches!(
+                cache.lookup(now, &name, dike_wire::RecordType::A),
+                CacheAnswer::Fresh(_)
+            ) {
+                stamps.push(t);
+                cache.insert(
+                    now,
+                    vec![Record::new(
+                        name.clone(),
+                        ttl,
+                        RData::A(std::net::Ipv4Addr::new(194, 0, 28, 53)),
+                    )],
+                );
+            }
+        }
+        stamps.windows(2).map(|w| w[1] - w[0]).collect()
+    }
 
     #[test]
     fn honoring_resolver_refreshes_at_the_ttl() {

@@ -98,12 +98,6 @@ pub fn operator_of(addr: std::net::Ipv4Addr) -> Option<&'static str> {
         .map(|(_, op)| *op)
 }
 
-/// Whether an address belongs to Google Public DNS (the paper singles
-/// Google out in Table 3).
-pub fn is_google(addr: std::net::Ipv4Addr) -> bool {
-    operator_of(addr) == Some("Google Public DNS")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,9 +120,11 @@ mod tests {
             operator_of(Ipv4Addr::new(8, 8, 8, 8)),
             Some("Google Public DNS")
         );
-        assert!(is_google(Ipv4Addr::new(8, 8, 4, 4)));
+        assert_eq!(
+            operator_of(Ipv4Addr::new(8, 8, 4, 4)),
+            Some("Google Public DNS")
+        );
         assert_eq!(operator_of(Ipv4Addr::new(9, 9, 9, 9)), Some("Quad9"));
         assert_eq!(operator_of(Ipv4Addr::new(192, 0, 2, 1)), None);
-        assert!(!is_google(Ipv4Addr::new(9, 9, 9, 9)));
     }
 }

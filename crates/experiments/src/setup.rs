@@ -104,6 +104,20 @@ impl AttackPlan {
     pub fn fault_plan(&self) -> FaultPlan {
         FaultPlan::new().with(self.fault())
     }
+
+    /// The paper's future-work extension (§5.1) as faults: one square
+    /// [`Fault::flood`] per target over the attack window, installing a
+    /// `queue` there whose capacity the flood eats at the attack's
+    /// `loss`, so queries that survive the random drop also pay
+    /// queueing delay.
+    pub fn queue_floods(&self, queue: QueueConfig) -> FaultPlan {
+        let start = SimDuration::from_mins(self.start_min).after_zero();
+        let duration = SimDuration::from_mins(self.duration_min);
+        self.targets()
+            .into_iter()
+            .map(|ns| Fault::flood(ns, start, duration, self.loss, queue))
+            .fold(FaultPlan::new(), FaultPlan::with)
+    }
 }
 
 /// A full experiment description.
@@ -136,18 +150,15 @@ pub struct ExperimentSetup {
     /// Model regional last-mile latencies (see
     /// [`crate::topology::BuildConfig::regional_latency`]).
     pub regional_latency: bool,
-    /// The paper's future-work extension: install ingress service queues
-    /// at the authoritatives; during the attack the flood consumes a
-    /// `loss`-fraction of their capacity, so surviving queries pay
-    /// queueing delay on top of the random loss (paper §5.1).
-    pub queueing: Option<QueueConfig>,
     /// Collect sim-time metric snapshots during the run. The registry
     /// comes back in [`ExperimentOutput::metrics`]; auth servers and the
     /// public-farm resolvers get human-readable node labels.
     pub telemetry: Option<TelemetryConfig>,
     /// Additional faults beyond the classic random-drop attack: node
     /// crashes/restarts, bursty link degrades, queue floods (see
-    /// `dike-faults`). Scheduled after `attack`, so the two compose.
+    /// `dike-faults`; [`AttackPlan::queue_floods`] adds the paper's
+    /// future-work queueing to an attack). Scheduled after `attack`, so
+    /// the two compose.
     pub faults: Option<FaultPlan>,
     /// Server-side defenses at the authoritatives: RRL, class-based
     /// admission, anycast scale-out (see `dike-defense`). Installed
@@ -219,7 +230,6 @@ impl ExperimentSetup {
             round_jitter: SimDuration::from_mins(4),
             track_probe: None,
             regional_latency: true,
-            queueing: None,
             telemetry: None,
             faults: None,
             defense: None,
@@ -413,48 +423,14 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
     let (view_handle, sink) = trace::shared(view);
     sim.add_sink(sink);
 
-    if let Some(queue_cfg) = setup.queueing {
-        for ns in topo.ns {
-            sim.set_ingress_queue(ns, queue_cfg);
-        }
-    }
-
     if let Some(plan) = setup.attack {
         // The classic attack rides through the fault engine as its
         // compatibility case; plan.targets() matches topo.ns by the
         // fixed build order.
-        let targets = plan.targets();
-        debug_assert_eq!(targets[0], topo.ns[0]);
+        debug_assert_eq!(plan.targets()[0], topo.ns[0]);
         plan.fault_plan()
             .schedule(&mut sim)
             .unwrap_or_else(|(_, e)| panic!("invalid attack plan: {e}"));
-        // With queueing enabled, the flood also eats service capacity
-        // for the attack's duration.
-        if setup.queueing.is_some() {
-            let on_targets = targets.clone();
-            let load = plan.loss;
-            sim.schedule_control(
-                SimDuration::from_mins(plan.start_min).after_zero(),
-                move |w| {
-                    for t in &on_targets {
-                        if let Some(q) = w.queue_mut(*t) {
-                            q.inject_background_load(load);
-                        }
-                    }
-                },
-            );
-            let off_targets = targets;
-            sim.schedule_control(
-                SimDuration::from_mins(plan.start_min + plan.duration_min).after_zero(),
-                move |w| {
-                    for t in &off_targets {
-                        if let Some(q) = w.queue_mut(*t) {
-                            q.inject_background_load(0.0);
-                        }
-                    }
-                },
-            );
-        }
     }
 
     if let Some(faults) = &setup.faults {
@@ -506,7 +482,6 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
         Arc::try_unwrap(reg)
             .expect("simulator dropped, registry has one owner")
             .into_inner()
-            .expect("telemetry registry poisoned")
     });
     let spoofed = spoofed_handle.map(|h| {
         Arc::try_unwrap(h)

@@ -66,9 +66,6 @@ fn reject_unsupported(setup: &ExperimentSetup) {
     if setup.late_wave.is_some() {
         unsupported.push("late resolver wave");
     }
-    if setup.queueing.is_some() {
-        unsupported.push("ingress queueing");
-    }
     if setup.telemetry.is_some() {
         unsupported.push("telemetry snapshots");
     }
@@ -209,7 +206,7 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
                 });
             }
             Fault::Flood { .. } => unreachable!("rejected by reject_unsupported"),
-            replicated @ (Fault::LinkDegrade { .. } | Fault::RandomDrop(_)) => {
+            replicated @ (Fault::LinkDegrade { .. } | Fault::RandomDrop { .. }) => {
                 for plan in &mut per_shard {
                     plan.push(replicated.clone());
                 }

@@ -24,10 +24,14 @@
 //!   memoryless drop.
 //! * [`Fault::Flood`] — queueing collapse: drives the fraction of a
 //!   [`ServiceQueue`](dike_netsim::ServiceQueue)'s capacity consumed by
-//!   attack traffic as a waveform (square / pulse / ramp).
-//! * [`Fault::RandomDrop`] — the paper's original mechanism, embedded as
-//!   a compatibility case so every historical scenario is also a
-//!   `FaultPlan`.
+//!   attack traffic as a [`Waveform`] (square / pulse / ramp).
+//! * [`Fault::RandomDrop`] — the paper's original mechanism, random drop
+//!   at the targets' ingress, so every historical scenario is also a
+//!   `FaultPlan`; shaped by the same [`Waveform`]s (square by default).
+//!
+//! This crate is the one scheduler of attack waveforms: a flood and a
+//! drop expand their window into the same steps of a [`Waveform`], and
+//! differ only in what a step sets.
 //!
 //! Everything is validated up front ([`FaultPlan::validate`]) — a plan
 //! either schedules completely or not at all — and scheduling draws no
@@ -35,7 +39,9 @@
 //! with no plan.
 
 use dike_attack::{Attack, AttackError};
-use dike_netsim::{Addr, DegradeParams, NodeId, QueueConfig, SimDuration, SimTime, Simulator};
+use dike_netsim::{
+    Addr, DegradeParams, IngressGate, NodeId, QueueConfig, SimDuration, SimTime, Simulator,
+};
 use dike_telemetry::json::{self, Field, Writer};
 
 /// Restart half of a crash/restart pair: bring the node back `after` the
@@ -48,11 +54,14 @@ pub struct Restart {
     pub cold_cache: bool,
 }
 
-/// The waveform a [`Fault::Flood`] drives the background load with.
+/// Time-varying attack intensity across a fault's window: what a
+/// [`Fault::Flood`] drives its background load with and a
+/// [`Fault::RandomDrop`] its drop rate. Real volumetric attacks are
+/// rarely flat: booter-driven floods pulse on and off, and build-ups
+/// ramp.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FloodShape {
-    /// Full peak for the whole window (on/off — the paper's emulation
-    /// translated to queue load).
+pub enum Waveform {
+    /// Full peak for the whole window (on/off — the paper's emulation).
     Square,
     /// Booter-style pulsing: `period` per cycle, the first `duty`
     /// fraction of each cycle at peak, the rest clean.
@@ -62,11 +71,47 @@ pub enum FloodShape {
         /// Fraction of each cycle spent at peak, in `(0, 1]`.
         duty: f64,
     },
-    /// Linear build-up to the peak in `steps` equal stairs.
+    /// Linear build-up from 0 to the peak in `steps` equal stairs.
     Ramp {
         /// Stair count (≥ 1).
         steps: u32,
     },
+}
+
+impl Waveform {
+    /// Expands the window `[start, start + duration)` at `peak`
+    /// intensity into the instants the intensity changes and the level
+    /// it takes there, in scheduling order. The last level is 0: the
+    /// attack is over.
+    fn levels(self, start: SimTime, duration: SimDuration, peak: f64) -> Vec<(SimTime, f64)> {
+        let end = start + duration;
+        match self {
+            Waveform::Square => vec![(start, peak), (end, 0.0)],
+            Waveform::Pulse { period, duty } => {
+                let on_len = period.mul_f64(duty.clamp(0.01, 1.0));
+                let mut levels = Vec::new();
+                let mut t = start;
+                while t < end {
+                    levels.push((t, peak));
+                    levels.push(((t + on_len).min(end), 0.0));
+                    t += period;
+                }
+                levels
+            }
+            Waveform::Ramp { steps } => {
+                let steps = steps.max(1);
+                let stair = duration.as_nanos() / steps as u64;
+                let mut levels: Vec<_> = (0..steps)
+                    .map(|k| {
+                        let at = start + SimDuration::from_nanos(stair * k as u64);
+                        (at, peak * (k as f64 + 1.0) / steps as f64)
+                    })
+                    .collect();
+                levels.push((end, 0.0));
+                levels
+            }
+        }
+    }
 }
 
 /// One fault. See the crate docs for the taxonomy.
@@ -110,14 +155,20 @@ pub enum Fault {
         /// Peak fraction of service capacity consumed, in `(0, 1]`.
         peak_load: f64,
         /// Load waveform across the window.
-        shape: FloodShape,
+        shape: Waveform,
         /// Queue to install in front of `target` when the plan is
         /// scheduled. `None` reuses a queue installed elsewhere (the
         /// flood is a no-op against an address with no queue).
         queue: Option<QueueConfig>,
     },
-    /// The paper's iptables-style random drop, unchanged.
-    RandomDrop(Attack),
+    /// The paper's iptables-style random drop: `attack.loss` is the
+    /// peak drop rate, shaped by `shape`.
+    RandomDrop {
+        /// Targets, peak loss and window.
+        attack: Attack,
+        /// Drop-rate waveform across the window.
+        shape: Waveform,
+    },
 }
 
 /// Why a [`Fault`] (or the plan containing it) was rejected.
@@ -232,22 +283,27 @@ impl Fault {
             start,
             duration,
             peak_load,
-            shape: FloodShape::Square,
+            shape: Waveform::Square,
             queue: Some(queue),
         }
     }
 
-    /// Reshapes a [`Fault::Flood`]'s waveform; no-op on other variants.
-    pub fn with_shape(mut self, new_shape: FloodShape) -> Fault {
-        if let Fault::Flood { shape, .. } = &mut self {
+    /// Reshapes a [`Fault::Flood`]'s or [`Fault::RandomDrop`]'s
+    /// waveform; no-op on other variants.
+    pub fn with_shape(mut self, new_shape: Waveform) -> Fault {
+        if let Fault::Flood { shape, .. } | Fault::RandomDrop { shape, .. } = &mut self {
             *shape = new_shape;
         }
         self
     }
 
-    /// Wraps the paper's random-drop attack.
+    /// The paper's random-drop attack, square: full loss for the whole
+    /// window.
     pub fn random_drop(attack: Attack) -> Fault {
-        Fault::RandomDrop(attack)
+        Fault::RandomDrop {
+            attack,
+            shape: Waveform::Square,
+        }
     }
 
     /// Checks this fault's parameters.
@@ -295,25 +351,7 @@ impl Fault {
                 }
                 Ok(())
             }
-            Fault::RandomDrop(a) => Ok(a.validate()?),
-        }
-    }
-
-    /// The instant this fault's last scheduled action happens (a fault
-    /// with no restart and no window ends at its start).
-    pub fn end(&self) -> SimTime {
-        match self {
-            Fault::NodeDown { at, restart, .. } => match restart {
-                Some(r) => *at + r.after,
-                None => *at,
-            },
-            Fault::LinkDegrade {
-                start, duration, ..
-            }
-            | Fault::Flood {
-                start, duration, ..
-            } => *start + *duration,
-            Fault::RandomDrop(a) => a.end(),
+            Fault::RandomDrop { attack, .. } => Ok(attack.validate()?),
         }
     }
 
@@ -357,55 +395,31 @@ impl Fault {
                 if let Some(cfg) = queue {
                     sim.set_ingress_queue(*target, *cfg);
                 }
-                schedule_flood(sim, *target, *start, *duration, *peak_load, *shape);
+                let t = *target;
+                for (at, load) in shape.levels(*start, *duration, *peak_load) {
+                    sim.schedule_control(at, move |w| {
+                        if let Some(q) = w.gate_mut(t).and_then(IngressGate::queue_mut) {
+                            q.inject_background_load(load);
+                        }
+                    });
+                }
             }
-            Fault::RandomDrop(a) => a.schedule(sim),
-        }
-    }
-}
-
-/// Schedules one background-load change at `at`.
-fn set_load_at(sim: &mut Simulator, target: Addr, at: SimTime, load: f64) {
-    sim.schedule_control(at, move |w| {
-        if let Some(q) = w.queue_mut(target) {
-            q.inject_background_load(load);
-        }
-    });
-}
-
-fn schedule_flood(
-    sim: &mut Simulator,
-    target: Addr,
-    start: SimTime,
-    duration: SimDuration,
-    peak: f64,
-    shape: FloodShape,
-) {
-    let end = start + duration;
-    match shape {
-        FloodShape::Square => {
-            set_load_at(sim, target, start, peak);
-            set_load_at(sim, target, end, 0.0);
-        }
-        FloodShape::Pulse { period, duty } => {
-            let duty = duty.clamp(0.01, 1.0);
-            let on_len = period.mul_f64(duty);
-            let mut t = start;
-            while t < end {
-                set_load_at(sim, target, t, peak);
-                set_load_at(sim, target, (t + on_len).min(end), 0.0);
-                t += period;
+            Fault::RandomDrop { attack, shape } => {
+                for (at, loss) in shape.levels(attack.start, attack.duration, attack.loss) {
+                    let targets = attack.targets.clone();
+                    // Level 0 removes the filter, so a finished attack
+                    // leaves the fabric's empty-map fast path behind.
+                    sim.schedule_control(at, move |w| {
+                        for t in &targets {
+                            if loss > 0.0 {
+                                w.links_mut().set_ingress_loss(*t, loss);
+                            } else {
+                                w.links_mut().clear_ingress_loss(*t);
+                            }
+                        }
+                    });
+                }
             }
-        }
-        FloodShape::Ramp { steps } => {
-            let steps = steps.max(1);
-            let stair = SimDuration::from_nanos(duration.as_nanos() / steps as u64);
-            for k in 0..steps {
-                let load = peak * (k as f64 + 1.0) / steps as f64;
-                let at = start + SimDuration::from_nanos(stair.as_nanos() * k as u64);
-                set_load_at(sim, target, at, load);
-            }
-            set_load_at(sim, target, end, 0.0);
         }
     }
 }
@@ -462,11 +476,6 @@ impl FaultPlan {
             f.schedule(sim);
         }
         Ok(())
-    }
-
-    /// The instant the last fault's last action happens, if any.
-    pub fn last_end(&self) -> Option<SimTime> {
-        self.faults.iter().map(|f| f.end()).max()
     }
 }
 
@@ -548,26 +557,13 @@ fn fault_json(f: &Fault, w: &mut Writer) {
             w.key("start_ns").u64(start.as_nanos());
             w.key("duration_ns").u64(duration.as_nanos());
             w.key("peak_load").f64(*peak_load);
-            match shape {
-                FloodShape::Square => {
-                    w.key("shape").str("square");
-                }
-                FloodShape::Pulse { period, duty } => {
-                    w.key("shape").str("pulse");
-                    w.key("period_ns").u64(period.as_nanos());
-                    w.key("duty").f64(*duty);
-                }
-                FloodShape::Ramp { steps } => {
-                    w.key("shape").str("ramp");
-                    w.key("steps").u64((*steps).into());
-                }
-            }
+            waveform_json(shape, w);
             if let Some(q) = queue {
                 w.key("queue_rate_pps").f64(q.rate_pps);
                 w.key("queue_capacity").u64(q.capacity.into());
             }
         }
-        Fault::RandomDrop(a) => {
+        Fault::RandomDrop { attack: a, shape } => {
             w.key("kind").str("random_drop");
             w.key("targets").begin_array();
             for t in &a.targets {
@@ -577,9 +573,47 @@ fn fault_json(f: &Fault, w: &mut Writer) {
             w.key("loss").f64(a.loss);
             w.key("start_ns").u64(a.start.as_nanos());
             w.key("duration_ns").u64(a.duration.as_nanos());
+            // A square drop keeps the form plans had before drops took
+            // a shape.
+            if *shape != Waveform::Square {
+                waveform_json(shape, w);
+            }
         }
     }
     w.end_object();
+}
+
+fn waveform_json(shape: &Waveform, w: &mut Writer) {
+    match shape {
+        Waveform::Square => {
+            w.key("shape").str("square");
+        }
+        Waveform::Pulse { period, duty } => {
+            w.key("shape").str("pulse");
+            w.key("period_ns").u64(period.as_nanos());
+            w.key("duty").f64(*duty);
+        }
+        Waveform::Ramp { steps } => {
+            w.key("shape").str("ramp");
+            w.key("steps").u64((*steps).into());
+        }
+    }
+}
+
+/// The waveform named by the `shape` value `name`, with its parameters
+/// read from `f`.
+fn waveform(name: &str, f: Field<'_>) -> Result<Waveform, String> {
+    match name {
+        "square" => Ok(Waveform::Square),
+        "pulse" => Ok(Waveform::Pulse {
+            period: span(f, "period_ns")?,
+            duty: f.get("duty")?.f64()?,
+        }),
+        "ramp" => Ok(Waveform::Ramp {
+            steps: f.get("steps")?.uint()?,
+        }),
+        other => Err(format!("unknown waveform shape \"{other}\"")),
+    }
 }
 
 fn time(f: Field<'_>, key: &str) -> Result<SimTime, String> {
@@ -616,17 +650,7 @@ fn fault_from_json(f: Field<'_>) -> Result<Fault, String> {
             start: time(f, "start_ns")?,
             duration: span(f, "duration_ns")?,
             peak_load: f.get("peak_load")?.f64()?,
-            shape: match f.get("shape")?.str()? {
-                "square" => FloodShape::Square,
-                "pulse" => FloodShape::Pulse {
-                    period: span(f, "period_ns")?,
-                    duty: f.get("duty")?.f64()?,
-                },
-                "ramp" => FloodShape::Ramp {
-                    steps: f.get("steps")?.uint()?,
-                },
-                other => return Err(format!("unknown flood shape \"{other}\"")),
-            },
+            shape: waveform(f.get("shape")?.str()?, f)?,
             queue: match f.opt("queue_rate_pps")? {
                 Some(rate) => Some(QueueConfig {
                     rate_pps: rate.f64()?,
@@ -635,16 +659,22 @@ fn fault_from_json(f: Field<'_>) -> Result<Fault, String> {
                 None => None,
             },
         }),
-        "random_drop" => Ok(Fault::RandomDrop(Attack {
-            targets: f
-                .get("targets")?
-                .array()?
-                .map(|t| t.uint().map(Addr))
-                .collect::<Result<_, _>>()?,
-            loss: f.get("loss")?.f64()?,
-            start: time(f, "start_ns")?,
-            duration: span(f, "duration_ns")?,
-        })),
+        "random_drop" => Ok(Fault::RandomDrop {
+            attack: Attack {
+                targets: f
+                    .get("targets")?
+                    .array()?
+                    .map(|t| t.uint().map(Addr))
+                    .collect::<Result<_, _>>()?,
+                loss: f.get("loss")?.f64()?,
+                start: time(f, "start_ns")?,
+                duration: span(f, "duration_ns")?,
+            },
+            shape: match f.opt("shape")? {
+                Some(name) => waveform(name.str()?, f)?,
+                None => Waveform::Square,
+            },
+        }),
         other => Err(format!("unknown fault kind \"{other}\"")),
     }
 }
@@ -681,7 +711,7 @@ mod tests {
                     0.95,
                     QueueConfig::small_authoritative(),
                 )
-                .with_shape(FloodShape::Ramp { steps: 4 }),
+                .with_shape(Waveform::Ramp { steps: 4 }),
             )
             .with(
                 Fault::flood(
@@ -694,7 +724,7 @@ mod tests {
                         capacity: 64,
                     },
                 )
-                .with_shape(FloodShape::Pulse {
+                .with_shape(Waveform::Pulse {
                     period: d(2),
                     duty: 0.5,
                 }),
@@ -851,6 +881,7 @@ mod tests {
             ),
             Fault::crash_restart(NodeId(0), t(1), SimDuration::ZERO, true),
             Fault::random_drop(Attack::partial(vec![], 0.5, t(0), d(10))),
+            Fault::random_drop(Attack::partial(vec![Addr(1)], 2.0, t(0), d(10))),
         ];
         for f in bad {
             assert!(f.validate().is_err(), "{f:?} should be invalid");
@@ -861,14 +892,184 @@ mod tests {
         assert!(invalid.schedule(&mut sim).is_err());
     }
 
+    /// A random-drop plan as the writer wrote it before drops took a
+    /// shape reads back as a square drop, and every shaped drop
+    /// survives the round trip.
     #[test]
-    fn plan_end_spans_restarts_and_windows() {
-        let plan = full_plan();
-        assert_eq!(plan.last_end(), Some(t(100)));
+    fn drops_are_square_by_default_and_shaped_drops_round_trip() {
+        let old = r#"{"faults":[{"kind":"random_drop","targets":[1,2],"loss":0.9,"start_ns":30000000000,"duration_ns":30000000000}]}"#;
+        let parsed = FaultPlan::from_json(old).unwrap();
+        assert!(matches!(
+            parsed.faults[..],
+            [Fault::RandomDrop {
+                shape: Waveform::Square,
+                ..
+            }]
+        ));
+        assert_eq!(parsed.to_json(), old, "a square drop writes no shape");
+
+        let drop = Fault::random_drop(Attack::partial(vec![Addr(3)], 0.75, t(5), d(60)));
+        let plan = FaultPlan::new()
+            .with(drop.clone().with_shape(Waveform::Pulse {
+                period: d(20),
+                duty: 0.25,
+            }))
+            .with(drop.with_shape(Waveform::Ramp { steps: 3 }));
+        let json = plan.to_json();
+        assert!(json.contains(r#""shape":"pulse","period_ns":20000000000,"duty":0.25"#));
+        assert!(json.contains(r#""shape":"ramp","steps":3"#));
+        assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
+        let err = FaultPlan::from_json(&old.replace("}]}", r#","shape":"sine"}]}"#)).unwrap_err();
+        assert!(err.contains("unknown waveform shape"), "{err}");
+    }
+
+    #[test]
+    fn waveforms_expand_to_levels_of_the_peak() {
+        let levels = |shape: Waveform| shape.levels(t(0), d(90), 0.9);
+        assert_eq!(levels(Waveform::Square), [(t(0), 0.9), (t(90), 0.0)]);
+        let pulse = Waveform::Pulse {
+            period: d(40),
+            duty: 0.5,
+        };
         assert_eq!(
-            Fault::crash_restart(NodeId(0), t(10), d(30), false).end(),
-            t(40)
+            levels(pulse),
+            [
+                (t(0), 0.9),
+                (t(20), 0.0),
+                (t(40), 0.9),
+                (t(60), 0.0),
+                (t(80), 0.9),
+                (t(90), 0.0)
+            ],
+            "the last cycle is cut at the window's end"
         );
+        let ramp = levels(Waveform::Ramp { steps: 3 });
+        let at: Vec<SimTime> = ramp.iter().map(|l| l.0).collect();
+        assert_eq!(at, [t(0), t(30), t(60), t(90)]);
+        for (got, want) in ramp.iter().map(|l| l.1).zip([0.3, 0.6, 0.9, 0.0]) {
+            assert!((got - want).abs() < 1e-12, "{ramp:?}");
+        }
+    }
+
+    /// Runs `plan` on an empty world, sampling the ingress loss at
+    /// `target` at each of `at_secs`; returns the samples and the
+    /// control events the plan itself pushed.
+    fn loss_trace(plan: &FaultPlan, target: Addr, at_secs: &[u64]) -> (Vec<f64>, u64) {
+        let mut sim = Simulator::new(1);
+        plan.schedule(&mut sim).unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for &s in at_secs {
+            let seen = seen.clone();
+            sim.schedule_control(t(s), move |w| {
+                seen.lock().push(w.links().ingress_loss(target));
+            });
+        }
+        sim.run_until_idle();
+        let events = sim.perf().events_popped - at_secs.len() as u64;
+        let seen = seen.lock().clone();
+        (seen, events)
+    }
+
+    #[test]
+    fn square_drop_sets_and_clears_every_target_in_two_events() {
+        let (a, b) = (Addr(42), Addr(43));
+        let plan = FaultPlan::new().with(Fault::random_drop(Attack::partial(
+            vec![a, b],
+            0.9,
+            t(10),
+            d(20),
+        )));
+        for target in [a, b] {
+            let (seen, events) = loss_trace(&plan, target, &[5, 15, 25, 35]);
+            assert_eq!(seen, [0.0, 0.9, 0.9, 0.0]);
+            assert_eq!(events, 2, "one event sets every target, one clears them");
+        }
+        // A bystander is never filtered.
+        assert_eq!(loss_trace(&plan, Addr(44), &[15]).0, [0.0]);
+    }
+
+    #[test]
+    fn shaped_drops_pulse_and_ramp_from_zero() {
+        let target = Addr(5);
+        let attack = Attack::partial(vec![target], 0.8, t(0), d(100));
+        let pulsed = FaultPlan::new().with(Fault::random_drop(attack.clone()).with_shape(
+            Waveform::Pulse {
+                period: d(20),
+                duty: 0.5,
+            },
+        ));
+        assert_eq!(
+            loss_trace(&pulsed, target, &[5, 15, 25, 35, 45, 105]).0,
+            [0.8, 0.0, 0.8, 0.0, 0.8, 0.0]
+        );
+        let ramp = FaultPlan::new().with(
+            Fault::random_drop(Attack {
+                duration: d(90),
+                ..attack
+            })
+            .with_shape(Waveform::Ramp { steps: 4 }),
+        );
+        let (seen, _) = loss_trace(&ramp, target, &[10, 30, 50, 80, 95]);
+        for (got, want) in seen.iter().zip([0.2, 0.4, 0.6, 0.8, 0.0]) {
+            assert!((got - want).abs() < 1e-12, "{seen:?}");
+        }
+    }
+
+    #[test]
+    fn drop_at_time_zero_filters_the_first_packet() {
+        // Control events at equal times run FIFO, so the sample
+        // (scheduled after the plan) sees the t=0 filter in place.
+        let target = Addr(7);
+        let plan = FaultPlan::new().with(Fault::random_drop(Attack::complete_failure(
+            vec![target],
+            SimTime::ZERO,
+            d(10),
+        )));
+        assert_eq!(loss_trace(&plan, target, &[0]).0, [1.0]);
+    }
+
+    #[test]
+    fn overlapping_drops_last_writer_wins_including_the_clear() {
+        // Two overlapping windows on one target: the later set overwrites
+        // the earlier filter, and the earlier attack's end *clears* the
+        // filter outright — drops compose by overwrite, not by stacking.
+        // Pinned so anyone changing the semantics must come here.
+        let target = Addr(8);
+        let plan = FaultPlan::new()
+            .with(Fault::random_drop(Attack::partial(
+                vec![target],
+                0.5,
+                SimTime::ZERO,
+                d(100),
+            )))
+            .with(Fault::random_drop(Attack::partial(
+                vec![target],
+                0.9,
+                t(50),
+                d(100),
+            )));
+        assert_eq!(
+            loss_trace(&plan, target, &[25, 75, 125, 175]).0,
+            [0.5, 0.9, 0.0, 0.0],
+            "a's end at t=100 clears b's filter too (overwrite semantics)"
+        );
+    }
+
+    #[test]
+    fn drop_window_past_end_of_run_never_fires() {
+        let mut sim = Simulator::new(12);
+        let target = Addr(9);
+        FaultPlan::new()
+            .with(Fault::random_drop(Attack::partial(
+                vec![target],
+                0.9,
+                t(500),
+                d(100),
+            )))
+            .schedule(&mut sim)
+            .unwrap();
+        sim.run_until(t(100));
+        assert_eq!(sim.links_mut().ingress_loss(target), 0.0);
     }
 
     /// A node that answers every query (echo) — enough traffic machinery

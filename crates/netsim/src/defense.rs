@@ -1,22 +1,24 @@
-//! The ingress-defense hook: where server-side DDoS defenses plug into
-//! the delivery pipeline.
+//! The ingress stage: where server-side DDoS defenses and the plain
+//! service queue plug into the delivery pipeline.
 //!
 //! The mechanisms themselves (RRL token buckets, source classifiers,
 //! weighted-class admission — Rizvi et al.'s layered defenses) live in
 //! the `dike-defense` crate; this module defines the narrow,
 //! deterministic seam in front of a server: an installed
 //! [`IngressDefense`] inspects the decoded query and returns an
-//! [`IngressVerdict`], and the [`IngressGate`] wrapping it owns the
-//! accounting — the per-cause [`DefenseLedger`], the per-class
-//! queue-delay histograms — and the slip synthesis (a TC=1 response
-//! from the server's address). The gate's caller (the simulator's
-//! delivery pipeline, or a live socket loop in `dike-serve`) only obeys
-//! the returned [`GateAction`]; it never interprets verdicts itself, so
-//! simulated and live servers cannot drift in how defenses count.
+//! [`IngressVerdict`], and the [`IngressGate`] wrapping it — together
+//! with an optional [`ServiceQueue`], the paper's future-work queueing
+//! model — owns the accounting (the per-cause [`DefenseLedger`], the
+//! per-class admission-delay histograms, the queue's counters) and the
+//! slip synthesis (a TC=1 response from the server's address). The
+//! gate's caller (the simulator's delivery pipeline, or a live socket
+//! loop in `dike-serve`) only obeys the returned [`GateAction`]; it
+//! never interprets verdicts itself, so simulated and live servers
+//! cannot drift in how defenses count.
 //!
-//! Determinism contract: with no defense installed the hot path costs
-//! one branch (`defense_count == 0`) and the run is bit-identical to a
-//! defense-free build; an installed defense must draw no RNG and derive
+//! Determinism contract: with no gate installed the hot path costs one
+//! branch (`gate_count == 0`) and the run is bit-identical to a
+//! gate-free build; an installed defense must draw no RNG and derive
 //! every decision from sim time, the source address, and its own
 //! serializable configuration.
 
@@ -24,14 +26,14 @@ use dike_telemetry::{Histogram, MetricsRegistry};
 use dike_wire::Message;
 
 use crate::addr::Addr;
-use crate::queueing::{QueueClass, QUEUE_CLASSES};
+use crate::queueing::{QueueClass, QueueConfig, QueueOutcome, ServiceQueue, QUEUE_CLASSES};
 use crate::time::{SimDuration, SimTime};
 
 /// What the defense pipeline decided about one arriving query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngressVerdict {
-    /// No layer objected; hand the query onward (an ingress
-    /// [`crate::ServiceQueue`], if installed, still applies).
+    /// No layer objected; hand the query onward (the gate's plain
+    /// [`ServiceQueue`], if installed, still applies).
     Pass,
     /// The admission scheduler accepted the query into a class queue;
     /// deliver after this additional queueing delay. Bypasses any plain
@@ -154,14 +156,14 @@ impl DefenseLedger {
 /// moves (or stops) the datagram.
 #[derive(Debug)]
 pub enum GateAction {
-    /// Hand the query onward immediately (any plain ingress queue still
-    /// applies).
+    /// Hand the query to the server now.
     Deliver,
-    /// The admission scheduler accepted it: deliver after this delay,
-    /// bypassing any plain ingress queue.
+    /// A queue accepted it — the admission scheduler's or, failing
+    /// that, the plain one: hand it over after this delay.
     DeliverAfter(SimDuration),
-    /// The query stops here. If `slip` is set, send that synthesized
-    /// TC=1 response back to the source from the server's address.
+    /// The query stops here: refused by the defense or tail-dropped by
+    /// the plain queue. If `slip` is set, send that synthesized TC=1
+    /// response back to the source from the server's address.
     Drop {
         /// The RRL slip response to send, when the verdict was
         /// [`IngressVerdict::RrlSlip`].
@@ -169,16 +171,20 @@ pub enum GateAction {
     },
 }
 
-/// The ingress hook of the service seam (DESIGN.md §5.6): wraps one
-/// [`IngressDefense`] and owns its verdict accounting — the
-/// [`DefenseLedger`] and the per-class queue-delay histograms — plus
-/// the TC=1 slip synthesis. The simulator installs one per defended
-/// address; `dike-serve` runs one in front of each live socket. Both
-/// obey the returned [`GateAction`] and never touch the counters,
-/// which is what keeps simulated and live defense ledgers comparable
-/// query-for-query.
+/// The one ingress stage in front of a server (DESIGN.md §5.6): an
+/// optional [`IngressDefense`] and an optional plain [`ServiceQueue`],
+/// plus the accounting of both — the [`DefenseLedger`], the per-class
+/// admission-delay histograms, the queue's own counters — and the TC=1
+/// slip synthesis. The simulator keeps one per gated address;
+/// `dike-serve` runs one in front of each live socket. Both obey the
+/// returned [`GateAction`] and never touch the counters, which is what
+/// keeps simulated and live defense ledgers comparable
+/// query-for-query. The default gate has neither stage and delivers
+/// everything.
+#[derive(Default)]
 pub struct IngressGate {
-    defense: Box<dyn IngressDefense>,
+    defense: Option<Box<dyn IngressDefense>>,
+    queue: Option<ServiceQueue>,
     ledger: DefenseLedger,
     queue_delay: [Histogram; QUEUE_CLASSES.len()],
     /// RFC 7873 server-cookie secret. When set, a query carrying a full
@@ -193,10 +199,8 @@ impl IngressGate {
     /// A gate around `defense` with zeroed accounting.
     pub fn new(defense: Box<dyn IngressDefense>) -> Self {
         IngressGate {
-            defense,
-            ledger: DefenseLedger::default(),
-            queue_delay: [Histogram::new(), Histogram::new(), Histogram::new()],
-            cookie_secret: None,
+            defense: Some(defense),
+            ..IngressGate::default()
         }
     }
 
@@ -208,11 +212,34 @@ impl IngressGate {
         self
     }
 
-    /// Swaps the wrapped defense for `defense`. Everything the gate
-    /// owns — ledger, delay histograms, cookie secret — stays, so the
-    /// accounting of a defended address is cumulative across engines.
-    pub(crate) fn replace_defense(&mut self, defense: Box<dyn IngressDefense>) {
-        self.defense = defense;
+    /// Installs `defense`, or swaps it for the wrapped one. Everything
+    /// the gate owns — ledger, delay histograms, cookie secret, queue —
+    /// stays, so the accounting of a defended address is cumulative
+    /// across engines.
+    pub(crate) fn set_defense(&mut self, defense: Box<dyn IngressDefense>) {
+        self.defense = Some(defense);
+    }
+
+    /// Installs a plain service queue behind the defense, or replaces
+    /// the one there. A replacement starts idle under the new config
+    /// but keeps its predecessor's counts, like the ledger does.
+    pub(crate) fn set_queue(&mut self, config: QueueConfig) {
+        let mut queue = ServiceQueue::new(config);
+        if let Some(old) = &self.queue {
+            queue.keep_counts_of(old);
+        }
+        self.queue = Some(queue);
+    }
+
+    /// The plain service queue, if one is installed.
+    pub(crate) fn queue(&self) -> Option<&ServiceQueue> {
+        self.queue.as_ref()
+    }
+
+    /// Mutable access to the plain service queue (e.g. for a flood
+    /// fault to consume its capacity).
+    pub fn queue_mut(&mut self) -> Option<&mut ServiceQueue> {
+        self.queue.as_mut()
     }
 
     /// Sets or clears the cookie-exemption secret on an installed gate.
@@ -225,21 +252,33 @@ impl IngressGate {
         self.cookie_secret
     }
 
-    /// Runs one query through the defense, does the accounting, and
-    /// says what the caller must do with it.
+    /// Runs one query through the gate's stages in order — the cookie
+    /// exemption, the defense, the plain queue — does the accounting,
+    /// and says what the caller must do with it.
     pub fn on_query(&mut self, now: SimTime, src: Addr, msg: &Message) -> GateAction {
-        if let Some(secret) = self.cookie_secret {
-            if !msg.is_response {
-                if let Some(c) = dike_wire::cookie::cookie_of(msg) {
-                    if dike_wire::cookie::validate(&c, src.0, secret) {
-                        self.ledger.cookie_exempt += 1;
-                        return GateAction::Deliver;
-                    }
-                }
-            }
+        let exempt = !msg.is_response
+            && self.cookie_secret.is_some_and(|secret| {
+                dike_wire::cookie::cookie_of(msg)
+                    .is_some_and(|c| dike_wire::cookie::validate(&c, src.0, secret))
+            });
+        if exempt {
+            self.ledger.cookie_exempt += 1;
         }
-        match self.defense.on_query(now, src, msg) {
-            IngressVerdict::Pass => GateAction::Deliver,
+        let verdict = match &mut self.defense {
+            Some(defense) if !exempt => defense.on_query(now, src, msg),
+            _ => IngressVerdict::Pass,
+        };
+        match verdict {
+            // A query the defense passed (or never saw) waits in the
+            // plain queue. That wait is the queue's, not an admission
+            // class's, so it stays out of the delay histograms.
+            IngressVerdict::Pass => match self.queue.as_mut().map(|q| q.offer(now)) {
+                None => GateAction::Deliver,
+                Some(QueueOutcome::Enqueued(delay)) => GateAction::DeliverAfter(delay),
+                Some(QueueOutcome::Dropped) => GateAction::Drop { slip: None },
+            },
+            // The admission scheduler is the queue: the plain one is
+            // skipped.
             IngressVerdict::Enqueue { delay, class } => {
                 self.queue_delay[class.index()].observe(delay.as_nanos());
                 GateAction::DeliverAfter(delay)
@@ -301,20 +340,26 @@ impl IngressGate {
         &self.ledger
     }
 
-    /// Queueing delays observed for `class`, in nanoseconds.
+    /// Admission delays observed for `class`, in nanoseconds.
     pub fn queue_delay(&self, class: QueueClass) -> &Histogram {
         &self.queue_delay[class.index()]
     }
 
-    /// All three per-class delay histograms, indexed like
+    /// All three per-class admission-delay histograms, indexed like
     /// [`QUEUE_CLASSES`].
     pub fn queue_delays(&self) -> &[Histogram; QUEUE_CLASSES.len()] {
         &self.queue_delay
     }
 
-    /// Passes a capacity multiplication to the wrapped defense.
+    /// Multiplies the service capacity behind this ingress — scale-out
+    /// adding replicas: the plain queue's rate and the defense's.
     pub fn scale_capacity(&mut self, factor: f64) {
-        self.defense.scale_capacity(factor);
+        if let Some(queue) = &mut self.queue {
+            queue.scale_capacity(factor);
+        }
+        if let Some(defense) = &mut self.defense {
+            defense.scale_capacity(factor);
+        }
     }
 }
 

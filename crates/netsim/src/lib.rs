@@ -23,10 +23,11 @@
 //!   (random drop at the target's ingress, §5.1).
 //! * [`Simulator`] — the event loop. Its file holds the loop and the
 //!   world's core and nothing else; what else reaches into the world's
-//!   private state lives in child modules of it: the ingress stages
-//!   (loss filters → decode → [`IngressGate`] → [`ServiceQueue`]), the
-//!   [`tcp`] state machine, the telemetry cuts, the [`shard`] plumbing
-//!   and the [`audit`]or.
+//!   private state lives in child modules of it: the ingress path
+//!   (loss filters → decode → the one per-address [`IngressGate`]:
+//!   cookie exemption, defense, then [`ServiceQueue`]), the [`tcp`]
+//!   state machine, the telemetry cuts, the [`shard`] plumbing and the
+//!   [`audit`]or.
 //! * [`trace`] — pluggable observation: every delivered or dropped
 //!   datagram can be fed to a [`trace::TraceSink`] for server-side traffic
 //!   accounting (paper §6).

@@ -13,9 +13,11 @@
 //! `busy_until` instant per queue — with O(1) work per arrival.
 //!
 //! Attach queues per destination address via
-//! [`crate::Simulator::set_ingress_queue`]; attack traffic is modeled by
-//! [`ServiceQueue::inject_background_load`], which consumes a fraction of
-//! the service capacity exactly the way a volumetric flood does.
+//! [`crate::Simulator::set_ingress_queue`], which puts one in that
+//! address's [`crate::IngressGate`] behind any defense; attack traffic
+//! is modeled by [`ServiceQueue::inject_background_load`], which
+//! consumes a fraction of the service capacity exactly the way a
+//! volumetric flood does.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -137,6 +139,14 @@ impl ServiceQueue {
             self.service_time =
                 Self::effective_service_time(self.config.rate_pps, self.background_load);
         }
+    }
+
+    /// Carries `old`'s counters over into this queue, so the statistics
+    /// of an address survive a replacement of its queue.
+    pub(crate) fn keep_counts_of(&mut self, old: &ServiceQueue) {
+        self.accepted = old.accepted;
+        self.dropped = old.dropped;
+        self.peak_backlog = old.peak_backlog;
     }
 
     /// Datagrams accepted so far.
@@ -277,11 +287,6 @@ impl ClassedQueue {
     /// Offers one datagram of the given class at `now`.
     pub fn offer(&mut self, now: SimTime, class: QueueClass) -> QueueOutcome {
         self.queues[class.index()].offer(now)
-    }
-
-    /// The class's queue, for stats.
-    pub fn class_queue(&self, class: QueueClass) -> &ServiceQueue {
-        &self.queues[class.index()]
     }
 
     /// Multiplies every class's service rate — scale-out capacity.
@@ -439,8 +444,11 @@ mod tests {
             }
             QueueOutcome::Dropped => panic!("known class must accept"),
         }
-        assert_eq!(q.class_queue(QueueClass::Known).accepted(), 1);
-        assert_eq!(q.class_queue(QueueClass::Flagged).dropped(), flagged_drops);
+        assert_eq!(q.queues[QueueClass::Known.index()].accepted(), 1);
+        assert_eq!(
+            q.queues[QueueClass::Flagged.index()].dropped(),
+            flagged_drops
+        );
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::defense::IngressGate;
 use crate::event::{Event, EventQueue, HeapEntry};
 use crate::link::LinkTable;
 use crate::node::{Context, Node, NodeHotState, TimerId, TimerSlab, TimerToken};
-use crate::queueing::ServiceQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, SharedSink};
 
@@ -66,7 +65,6 @@ struct NetStats {
     bytes_encoded: u64,
     /// Octets consumed by the ingress decoder.
     bytes_decoded: u64,
-    queue_drops: u64,
     /// High-water mark of the event-queue depth.
     queue_depth_high_water: u64,
     /// Node crashes applied ([`Event::NodeDown`] on a live node).
@@ -105,19 +103,14 @@ pub struct World {
     sinks: Vec<SharedSink>,
     anycast: AnycastTable,
     next_vip: u32,
-    /// Ingress queues, dense-indexed like nodes (`addr - FIRST_ADDR`).
-    /// `queue_count` lets the hot path skip the lookup entirely when no
-    /// queues are installed (the common case).
-    queues: Vec<Option<ServiceQueue>>,
-    queue_count: usize,
-    /// Ingress defense gates, dense-indexed like `queues`; the
-    /// `defense_count == 0` fast path keeps the undefended hot path to
-    /// one branch (see [`crate::defense`]). Each [`IngressGate`] owns
-    /// its own verdict accounting, and a gate is never removed — a
-    /// replacement swaps the engine inside it — so run totals are the
-    /// sum over this table.
-    defenses: Vec<Option<IngressGate>>,
-    defense_count: usize,
+    /// Ingress gates (defense and service queue), dense-indexed like
+    /// nodes (`addr - FIRST_ADDR`); the `gate_count == 0` fast path
+    /// keeps the ungated hot path to one branch (see [`crate::defense`]).
+    /// Each [`IngressGate`] owns its own accounting, and a gate is never
+    /// removed — a replacement swaps the engine or queue inside it — so
+    /// run totals are the sum over this table.
+    gates: Vec<Option<IngressGate>>,
+    gate_count: usize,
     /// Generation-stamped timer slots. A [`TimerId`] packs `(gen, slot)`;
     /// cancellation bumps the slot's generation so the already-queued event
     /// is recognized as stale when it pops — O(1), no tombstone set.
@@ -170,7 +163,7 @@ impl World {
         ((idx as usize) < self.nodes.len()).then_some(NodeId(idx))
     }
 
-    /// Dense index for per-address state (queues): `addr - first_addr`
+    /// Dense index for per-address state (gates): `addr - first_addr`
     /// when `addr` is in this world's slice of the unicast pool.
     fn unicast_index(&self, addr: Addr) -> Option<usize> {
         (self.first_addr..FIRST_VIP)
@@ -375,10 +368,8 @@ impl Simulator {
                 sinks: Vec::new(),
                 anycast: AnycastTable::new(),
                 next_vip: FIRST_VIP,
-                queues: Vec::new(),
-                queue_count: 0,
-                defenses: Vec::new(),
-                defense_count: 0,
+                gates: Vec::new(),
+                gate_count: 0,
                 timers: TimerSlab::default(),
                 encoder: EncodeBuffer::new(),
                 net: NetStats::default(),

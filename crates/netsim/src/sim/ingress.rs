@@ -1,8 +1,7 @@
-//! The ingress stages in front of a node: the per-address tables of
-//! service queues and defense gates, and [`Simulator::deliver`], which
-//! walks one arriving datagram through them — routing, the loss
-//! filters, decode, the defense gate, the service queue — and hands
-//! what survives to its node.
+//! The ingress stages in front of a node: the per-address table of
+//! ingress gates, and [`Simulator::deliver`], which walks one arriving
+//! datagram through them — routing, the loss filters, decode, the gate
+//! (defense, then service queue) — and hands what survives to its node.
 
 use dike_telemetry::Histogram;
 
@@ -11,94 +10,82 @@ use crate::addr::Addr;
 use crate::datagram::Datagram;
 use crate::defense::{DefenseLedger, GateAction, IngressDefense, IngressGate};
 use crate::event::Event;
-use crate::queueing::{QueueConfig, QueueOutcome, ServiceQueue};
+use crate::queueing::QueueConfig;
 use crate::time::SimDuration;
 use crate::trace::Disposition;
 
 impl World {
-    /// Installs (or replaces) an ingress service queue in front of
-    /// `addr` — the paper's future-work queueing model
-    /// (see [`crate::queueing`]).
-    pub fn set_ingress_queue(&mut self, addr: Addr, config: QueueConfig) {
+    /// The gate at `addr`, installed empty on first use.
+    fn gate_entry(&mut self, addr: Addr) -> Option<&mut IngressGate> {
         let Some(idx) = self.unicast_index(addr) else {
-            debug_assert!(false, "ingress queue on non-unicast address {addr}");
-            return;
+            debug_assert!(false, "ingress gate on non-unicast address {addr}");
+            return None;
         };
-        if idx >= self.queues.len() {
-            self.queues.resize_with(idx + 1, || None);
+        if idx >= self.gates.len() {
+            self.gates.resize_with(idx + 1, || None);
         }
-        if self.queues[idx]
-            .replace(ServiceQueue::new(config))
-            .is_none()
-        {
-            self.queue_count += 1;
+        let slot = &mut self.gates[idx];
+        if slot.is_none() {
+            self.gate_count += 1;
         }
+        Some(slot.get_or_insert_with(IngressGate::default))
     }
 
-    /// Mutable access to an installed queue (e.g. to inject background
-    /// attack load mid-run from a control event).
-    pub fn queue_mut(&mut self, addr: Addr) -> Option<&mut ServiceQueue> {
-        self.unicast_index(addr)
-            .and_then(|i| self.queues.get_mut(i))
-            .and_then(|slot| slot.as_mut())
+    /// Installs (or replaces) the service queue in the ingress gate in
+    /// front of `addr` — the paper's future-work queueing model (see
+    /// [`crate::queueing`]). A replacement keeps the old queue's counts.
+    pub fn set_ingress_queue(&mut self, addr: Addr, config: QueueConfig) {
+        if let Some(gate) = self.gate_entry(addr) {
+            gate.set_queue(config);
+        }
     }
 
     /// Installs an ingress defense pipeline in front of `addr` (see
     /// [`crate::defense`]). Typically called from a control event
     /// scheduled by a `dike-defense` `DefensePlan`. On an address that
     /// is already defended this swaps the engine inside the installed
-    /// gate: its ledger, delay histograms and cookie secret stay, so run
-    /// totals — and the conservation audit — survive a replacement.
+    /// gate: its ledger, delay histograms, cookie secret and queue stay,
+    /// so run totals — and the conservation audit — survive a
+    /// replacement.
     pub fn set_ingress_defense(&mut self, addr: Addr, defense: Box<dyn IngressDefense>) {
-        let Some(idx) = self.unicast_index(addr) else {
-            debug_assert!(false, "ingress defense on non-unicast address {addr}");
-            return;
-        };
-        if idx >= self.defenses.len() {
-            self.defenses.resize_with(idx + 1, || None);
-        }
-        match &mut self.defenses[idx] {
-            Some(gate) => gate.replace_defense(defense),
-            slot => {
-                *slot = Some(IngressGate::new(defense));
-                self.defense_count += 1;
-            }
+        if let Some(gate) = self.gate_entry(addr) {
+            gate.set_defense(defense);
         }
     }
 
     /// Sets (or clears) the RFC 7873 cookie-exemption secret on the
-    /// defense gate installed at `addr` (see
-    /// [`IngressGate::with_cookie_secret`]). Debug-asserts when no gate
-    /// is installed — defense plans install engines before secrets.
+    /// gate installed at `addr` (see [`IngressGate::with_cookie_secret`]).
+    /// Debug-asserts when no gate is installed — defense plans install
+    /// engines before secrets.
     pub fn set_ingress_cookie_secret(&mut self, addr: Addr, secret: Option<u64>) {
-        match self.defense_mut(addr) {
+        match self.gate_mut(addr) {
             Some(gate) => gate.set_cookie_secret(secret),
-            None => debug_assert!(false, "cookie secret on undefended address {addr}"),
+            None => debug_assert!(false, "cookie secret on ungated address {addr}"),
         }
     }
 
-    /// Mutable access to an installed defense gate (e.g. for a flood
-    /// fault to consume its admission capacity, or scale-out to grow it).
-    pub fn defense_mut(&mut self, addr: Addr) -> Option<&mut IngressGate> {
+    /// Mutable access to an installed ingress gate (e.g. for a flood
+    /// fault to consume its queue's capacity, or scale-out to grow it).
+    pub fn gate_mut(&mut self, addr: Addr) -> Option<&mut IngressGate> {
         self.unicast_index(addr)
-            .and_then(|i| self.defenses.get_mut(i))
+            .and_then(|i| self.gates.get_mut(i))
             .and_then(|slot| slot.as_mut())
     }
 
     /// Run-wide defense drop accounting: the sum of every gate's ledger.
     pub fn defense_ledger(&self) -> DefenseLedger {
         let mut total = DefenseLedger::default();
-        for gate in self.defenses.iter().flatten() {
+        for gate in self.gates.iter().flatten() {
             total.merge(gate.ledger());
         }
         total
     }
 
-    /// Run-wide per-class queue-delay histograms (nanoseconds), merged
-    /// across gates; indexed like [`crate::queueing::QUEUE_CLASSES`].
+    /// Run-wide per-class admission-delay histograms (nanoseconds),
+    /// merged across gates; indexed like [`crate::queueing::QUEUE_CLASSES`].
     pub fn defense_queue_delays(&self) -> [Histogram; 3] {
         let mut merged: [Histogram; 3] = Default::default();
-        for gate in self.defenses.iter().flatten() {
+        for gate in self.gates.iter().flatten() {
             for (mine, theirs) in merged.iter_mut().zip(gate.queue_delays()) {
                 mine.merge(theirs);
             }
@@ -193,7 +180,7 @@ impl Simulator {
             (ambient, attack, degrade)
         };
 
-        // Decode once, at ingress; sinks, the queueing stage, and the
+        // Decode once, at ingress; sinks, the ingress gate, and the
         // destination node all reuse this one Message (decode-once
         // invariant, DESIGN.md §5.2). A payload our own codec rejects is
         // counted and dropped rather than aborting the run — one bad
@@ -256,25 +243,24 @@ impl Simulator {
             self.world.addr_of(id)
         };
 
-        // Ingress defense pipeline (classifier → admission → RRL; see
-        // `crate::defense` and `dike-defense`). Evaluated in front of the
-        // *site*, like the queue below. `defense_count` keeps the
-        // undefended common case to one branch, and like queue drops,
-        // defense drops happen after the Delivered accounting above —
-        // they stay inside the conservation ledger, broken out by cause.
+        // The ingress gate (cookie exemption → classifier → admission →
+        // RRL → plain service queue; see `crate::defense` and
+        // `dike-defense`), evaluated in front of the *site*: anycast
+        // looks up the member's unicast address, unicast the
+        // destination itself. `gate_count` keeps the ungated common
+        // case to one branch, and gate drops happen after the Delivered
+        // accounting above — they stay inside the conservation ledger,
+        // broken out by cause in the gate.
         let now = self.world.now;
         let site_addr = site_filter_addr.unwrap_or(dgram.dst);
-        // The wait a queueing stage imposed, once one has taken the query.
         let mut wait = None;
-        if self.world.defense_count > 0 {
+        if self.world.gate_count > 0 {
             match self
                 .world
-                .defense_mut(site_addr)
+                .gate_mut(site_addr)
                 .map(|gate| gate.on_query(now, dgram.src, &msg))
             {
                 None | Some(GateAction::Deliver) => {}
-                // The defense's class scheduler is the queue: skip the
-                // plain ingress queue below.
                 Some(GateAction::DeliverAfter(delay)) => wait = Some(delay),
                 Some(GateAction::Drop { slip }) => {
                     // The gate already did the per-cause accounting; the
@@ -287,27 +273,6 @@ impl Simulator {
                         self.world.send_datagram(local, dgram.src, payload);
                     }
                     return;
-                }
-            }
-        }
-
-        // Ingress service queue (the paper's future-work queueing model):
-        // the queue sits in front of the *site*, so anycast looks up the
-        // member's unicast address, unicast the destination itself.
-        // `queue_count` keeps the no-queues common case to one branch.
-        if wait.is_none() && self.world.queue_count > 0 {
-            if let Some(q) = self.world.queue_mut(site_addr) {
-                match q.offer(now) {
-                    QueueOutcome::Dropped => {
-                        // Already observed as Delivered above (it passed the
-                        // random-loss filters); report the queue drop too so
-                        // sinks can distinguish. Simplest faithful model:
-                        // count it as a drop at the ingress.
-                        self.world.net.queue_drops += 1;
-                        self.world.nodes.dropped[id.0 as usize] += 1;
-                        return;
-                    }
-                    QueueOutcome::Enqueued(delay) => wait = Some(delay),
                 }
             }
         }

@@ -37,10 +37,7 @@ impl Simulator {
     /// the telemetry registry. No-op unless telemetry is attached.
     pub fn label_node(&mut self, id: NodeId, label: &str) {
         if let Some(tel) = &self.telemetry {
-            tel.registry
-                .lock()
-                .expect("telemetry registry poisoned")
-                .set_node_label(id.0, label);
+            tel.registry.lock().set_node_label(id.0, label);
         }
     }
 
@@ -77,7 +74,7 @@ impl Simulator {
     /// labeled `at`. Duplicate boundaries collapse in the registry.
     fn cut_snapshot(&mut self, at: SimTime) {
         let Some(tel) = &self.telemetry else { return };
-        let mut reg = tel.registry.lock().expect("telemetry registry poisoned");
+        let mut reg = tel.registry.lock();
         let net = &self.world.net;
         reg.record_counter("netsim", None, "events_popped", net.events_popped);
         reg.record_counter("netsim", None, "timers_fired", net.timers_fired);
@@ -101,7 +98,10 @@ impl Simulator {
         );
         reg.record_counter("netsim", None, "bytes_encoded", net.bytes_encoded);
         reg.record_counter("netsim", None, "bytes_decoded", net.bytes_decoded);
-        reg.record_counter("netsim", None, "queue_drops", net.queue_drops);
+        // Plain-queue tail drops are the gates' queues' own counts.
+        let gates = self.world.gates.iter().flatten();
+        let queue_drops = gates.filter_map(|g| g.queue()).map(|q| q.dropped()).sum();
+        reg.record_counter("netsim", None, "queue_drops", queue_drops);
         reg.record_counter("netsim", None, "node_crashes", net.node_crashes);
         reg.record_counter("netsim", None, "node_restarts", net.node_restarts);
         reg.record_counter(
@@ -183,8 +183,9 @@ impl Simulator {
                 self.world.nodes.dropped[idx],
             );
             // Ingress-queue statistics for the node's unicast address
-            // (queues are keyed by address, dense like nodes).
-            if let Some(Some(q)) = self.world.queues.get(idx) {
+            // (gates are keyed by address, dense like nodes).
+            let gate = self.world.gates.get(idx).and_then(Option::as_ref);
+            if let Some(q) = gate.and_then(|g| g.queue()) {
                 reg.record_counter("netsim", id, "queue_accepted", q.accepted());
                 reg.record_counter("netsim", id, "queue_dropped", q.dropped());
                 reg.record_high_water("netsim", id, "queue_peak_backlog", q.peak_backlog() as f64);

@@ -63,7 +63,7 @@ fn run(burst: u16, queue: Option<QueueConfig>, background: f64) -> Vec<u64> {
         sim.set_ingress_queue(echo, cfg);
         if background > 0.0 {
             sim.schedule_control(SimTime::ZERO, move |w| {
-                if let Some(q) = w.queue_mut(echo) {
+                if let Some(q) = w.gate_mut(echo).and_then(|g| g.queue_mut()) {
                     q.inject_background_load(background);
                 }
             });

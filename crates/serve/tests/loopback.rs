@@ -9,7 +9,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpStream, UdpSocket};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dike_auth::{AuthServer, CacheTestZone, ZoneAnswer, ZoneProvider};
@@ -19,6 +19,7 @@ use dike_netsim::{
     Simulator,
 };
 use dike_serve::{LiveServer, ServeConfig};
+use dike_telemetry::sync::Mutex;
 use dike_wire::{codec, Message, Name, Question, RecordType};
 use std::net::Ipv4Addr;
 
@@ -65,7 +66,7 @@ impl Node for RecordingClient {
 
     fn on_datagram(&mut self, _ctx: &mut Context<'_>, _src: Addr, msg: &Message, _len: usize) {
         if msg.is_response {
-            self.replies.lock().expect("replies lock").push(msg.clone());
+            self.replies.lock().push(msg.clone());
         }
     }
 
@@ -105,7 +106,7 @@ fn run_sim(plan: Option<&DefensePlan>) -> (Vec<(u16, Vec<u8>)>, DefenseLedger) {
     sim.run_until(SimDuration::from_secs(10).after_zero());
     let ledger = sim.defense_ledger();
     drop(sim);
-    let replies = replies.lock().expect("replies lock");
+    let replies = replies.lock();
     let wires = replies
         .iter()
         .map(|m| (m.id, codec::encode(m).expect("response re-encodes")))

@@ -213,15 +213,6 @@ impl ServerView {
         }
         out
     }
-
-    /// Distinct sources over the whole run.
-    pub fn unique_sources_total(&self) -> usize {
-        let mut all: HashSet<Addr> = HashSet::new();
-        for b in &self.bins {
-            all.extend(b.sources.iter().copied());
-        }
-        all.len()
-    }
 }
 
 impl TraceSink for ServerView {
@@ -448,6 +439,5 @@ mod tests {
         );
         assert_eq!(view.bins().len(), 2);
         assert_eq!(view.bins()[1].sources.len(), 2);
-        assert_eq!(view.unique_sources_total(), 2);
     }
 }

@@ -1,11 +1,5 @@
-//! JSON and CSV export.
-//!
-//! JSON goes through [`crate::json`] and carries the full registry
-//! including histogram bins; CSV flattens to one row per series point
-//! (histogram bins are summarized as count/sum/mean — use JSON when you
-//! need the distribution).
-
-use std::fmt::Write as _;
+//! JSON export: through [`crate::json`], carrying the full registry
+//! including histogram bins.
 
 use crate::json::Writer;
 use crate::metrics::HistogramSnapshot;
@@ -82,64 +76,6 @@ impl MetricsRegistry {
         }
         w.end_array().end_object();
         w.finish()
-    }
-
-    /// Serializes the series as CSV: header row, then one row per
-    /// `(metric, snapshot point)`. Histogram rows carry count/sum/mean;
-    /// the full bins are only in [`MetricsRegistry::to_json`].
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(
-            "component,node,node_label,metric,type,snapshot,sim_time_nanos,value,high_water,hist_count,hist_sum\n",
-        );
-        for (key, series) in self.iter() {
-            for (idx, v) in &series.points {
-                let t = self
-                    .snapshot_times()
-                    .get(*idx as usize)
-                    .copied()
-                    .unwrap_or(0);
-                let node = key.node.map(|n| n.to_string()).unwrap_or_default();
-                let label = key
-                    .node
-                    .and_then(|n| self.node_label(n))
-                    .unwrap_or_default();
-                let _ = write!(
-                    out,
-                    "{},{},{},{},",
-                    csv_field(&key.component),
-                    node,
-                    csv_field(label),
-                    csv_field(&key.metric)
-                );
-                match v {
-                    MetricValue::Counter(n) => {
-                        let _ = writeln!(out, "counter,{idx},{t},{n},,,");
-                    }
-                    MetricValue::Gauge { value, high_water } => {
-                        let _ = writeln!(out, "gauge,{idx},{t},{value},{high_water},,");
-                    }
-                    MetricValue::Histogram(h) => {
-                        let mean = if h.count > 0 {
-                            format!("{}", h.sum as f64 / h.count as f64)
-                        } else {
-                            String::new()
-                        };
-                        let _ = writeln!(out, "histogram,{idx},{t},{mean},,{},{}", h.count, h.sum);
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Quotes a CSV field when needed.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
     }
 }
 
@@ -240,22 +176,5 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("we\\\"ird"));
         assert!(json.contains("a\\\\b"));
-    }
-
-    #[test]
-    fn csv_one_row_per_point_plus_header() {
-        let r = sample_registry();
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4, "{csv}");
-        assert!(lines[0].starts_with("component,node,node_label,metric"));
-        assert!(lines[1].contains("auth,1,auth:ns1,queries,counter,0,60000000000,12"));
-    }
-
-    #[test]
-    fn csv_quotes_awkward_fields() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("a\"b"), "\"a\"\"b\"");
     }
 }

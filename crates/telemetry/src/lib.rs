@@ -100,10 +100,10 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Creates a new shared registry handle (`Arc<Mutex<_>>`).
+/// Creates a new shared registry handle (`Arc<`[`sync::Mutex`]`<_>>`).
 ///
 /// The simulator and the caller each hold a clone; after the run the
 /// caller unwraps it (the simulator drops its clone when dropped).
 pub fn shared_registry() -> SharedRegistry {
-    std::sync::Arc::new(std::sync::Mutex::new(MetricsRegistry::new()))
+    std::sync::Arc::new(sync::Mutex::new(MetricsRegistry::new()))
 }

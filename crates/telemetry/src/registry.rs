@@ -2,9 +2,10 @@
 //! series, keyed by `(component, node_id, metric)`.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::sync::Mutex;
 
 /// A registry shared between the simulator (publisher) and the caller
 /// (consumer). Locked only at snapshot boundaries and at the end of the

@@ -153,11 +153,6 @@ impl Message {
                 || (self.rcode == Rcode::NoError && self.authoritative && !self.is_referral()))
     }
 
-    /// Answer records of the given type.
-    pub fn answers_of_type(&self, t: RecordType) -> impl Iterator<Item = &Record> {
-        self.answers.iter().filter(move |r| r.rtype() == t)
-    }
-
     /// The negative-cache TTL from the authority-section SOA, if present
     /// (RFC 2308 §5: the minimum of the SOA TTL and its `minimum` field).
     pub fn negative_ttl(&self) -> Option<u32> {
@@ -351,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn answers_of_type_filters() {
+    fn builder_appends_answers_in_order() {
         let query = q();
         let m = MessageBuilder::respond_to(&query)
             .authoritative()
@@ -366,8 +361,7 @@ mod tests {
                 RData::Ns(Name::parse("ns1.cachetest.nl").unwrap()),
             ))
             .build();
-        assert_eq!(m.answers_of_type(RecordType::A).count(), 1);
-        assert_eq!(m.answers_of_type(RecordType::NS).count(), 1);
-        assert_eq!(m.answers_of_type(RecordType::AAAA).count(), 0);
+        let types: Vec<RecordType> = m.answers.iter().map(Record::rtype).collect();
+        assert_eq!(types, [RecordType::A, RecordType::NS]);
     }
 }

@@ -986,7 +986,7 @@ fn queueing_extension(ctx: &mut Ctx) {
     };
     let mut setup = DdosExperiment::H.setup(ctx.scale, ctx.seed);
     let plain = Report::run(&setup);
-    setup.queueing = Some(queue);
+    setup.faults = setup.attack.map(|a| a.queue_floods(queue));
     let queued = Report::run(&setup);
     let mut tbl = TextTable::new(
         "Queueing extension (paper 5.1 future work): Experiment H latency, loss-only vs loss+queueing",
@@ -1633,7 +1633,7 @@ mod tests {
              farm_count: 3, home_router_public_upstream_share: 0.15 }, \
              first_round_spread: SimDuration(300000000000), \
              round_jitter: SimDuration(240000000000), track_probe: None, \
-             regional_latency: true, queueing: None, telemetry: None, faults: None, \
+             regional_latency: true, telemetry: None, faults: None, \
              defense: None, spoofed_flood: None, late_wave: None, tcp: None, \
              cookie_secret: None, tcp_exhaustion: None, nxns: None, \
              resolver_max_fetch: None, audit: false, shards: 1 }"
@@ -1661,7 +1661,7 @@ mod tests {
              farm_count: 3, home_router_public_upstream_share: 0.15 }, \
              first_round_spread: SimDuration(300000000000), \
              round_jitter: SimDuration(240000000000), track_probe: None, \
-             regional_latency: true, queueing: None, \
+             regional_latency: true, \
              telemetry: Some(TelemetryConfig { snapshot_interval_nanos: 600000000000 }), \
              faults: None, \
              defense: Some(DefensePlan { defenses: [Admission { target: Addr(167772163), \

@@ -22,10 +22,10 @@ use dike::defense::{ClassifierKind, Defense, DefensePlan, RrlConfig};
 use dike::experiments::run_experiment_sharded;
 use dike::experiments::setup::{run_experiment, ExperimentSetup};
 use dike::experiments::topology;
-use dike::faults::{Fault, FaultPlan, FloodShape};
+use dike::faults::{Fault, FaultPlan, Waveform};
 use dike::netsim::{
     Addr, ClassedQueueConfig, Context, LatencyModel, LinkParams, LinkTable, Node, NodeId,
-    QueueConfig, SimDuration, Simulator, TcpConfig, TcpConnId, TimerToken,
+    QueueConfig, SimDuration, SimTime, Simulator, TcpConfig, TcpConnId, TimerToken,
 };
 use dike::wire::{Message, Name, RecordType};
 
@@ -213,16 +213,7 @@ fn random_fault(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
         )
         .with_latency_factor(rng.random_range(1.0..8.0)),
         2 => {
-            let shape = match rng.random_range(0..3u32) {
-                0 => FloodShape::Square,
-                1 => FloodShape::Pulse {
-                    period: secs(rng.random_range(1..=10)),
-                    duty: rng.random_range(0.1..=1.0),
-                },
-                _ => FloodShape::Ramp {
-                    steps: rng.random_range(1..=6),
-                },
-            };
+            let shape = random_waveform(rng);
             Fault::flood(
                 target,
                 start,
@@ -235,16 +226,35 @@ fn random_fault(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> Fault {
             )
             .with_shape(shape)
         }
-        _ => {
-            let n = rng.random_range(1..=addrs.len());
-            Fault::random_drop(dike::attack::Attack::partial(
-                addrs[..n].to_vec(),
-                rng.random_range(0.0..=1.0),
-                start,
-                duration,
-            ))
-        }
+        _ => random_drop(rng, addrs, start, duration),
     }
+}
+
+/// A random attack waveform: square, a pulse of 1–10 s cycles, or a
+/// ramp of up to six stairs.
+fn random_waveform(rng: &mut Rng) -> Waveform {
+    match rng.random_range(0..3u32) {
+        0 => Waveform::Square,
+        1 => Waveform::Pulse {
+            period: secs(rng.random_range(1..=10)),
+            duty: rng.random_range(0.1..=1.0),
+        },
+        _ => Waveform::Ramp {
+            steps: rng.random_range(1..=6),
+        },
+    }
+}
+
+/// A random shaped random-drop attack on a prefix of `addrs`.
+fn random_drop(rng: &mut Rng, addrs: &[Addr], start: SimTime, duration: SimDuration) -> Fault {
+    let n = rng.random_range(1..=addrs.len());
+    Fault::random_drop(dike::attack::Attack::partial(
+        addrs[..n].to_vec(),
+        rng.random_range(0.0..=1.0),
+        start,
+        duration,
+    ))
+    .with_shape(random_waveform(rng))
 }
 
 fn random_plan(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> FaultPlan {
@@ -285,15 +295,7 @@ fn random_sharded_fault(rng: &mut Rng, nodes: &[NodeId], addrs: &[Addr]) -> Faul
             rng.random_range(1.0..50.0),
         )
         .with_latency_factor(rng.random_range(1.0..8.0)),
-        _ => {
-            let n = rng.random_range(1..=addrs.len());
-            Fault::random_drop(dike::attack::Attack::partial(
-                addrs[..n].to_vec(),
-                rng.random_range(0.0..=1.0),
-                start,
-                duration,
-            ))
-        }
+        _ => random_drop(rng, addrs, start, duration),
     }
 }
 

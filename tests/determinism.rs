@@ -34,7 +34,7 @@ fn fixed_setup_is_the_pinned_run() {
          farm_count: 3, home_router_public_upstream_share: 0.15 }, \
          first_round_spread: SimDuration(300000000000), \
          round_jitter: SimDuration(240000000000), track_probe: None, \
-         regional_latency: true, queueing: None, telemetry: None, faults: None, \
+         regional_latency: true, telemetry: None, faults: None, \
          defense: None, spoofed_flood: None, late_wave: None, tcp: None, \
          cookie_secret: None, tcp_exhaustion: None, nxns: None, \
          resolver_max_fetch: None, audit: false, shards: 1 }"

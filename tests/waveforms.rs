@@ -3,9 +3,10 @@
 //! the flip side of the paper's finding that caches ride out anything
 //! shorter than a TTL.
 
-use dike::attack::{Attack, Waveform};
+use dike::attack::Attack;
 use dike::experiments::topology::{build, BuildConfig};
 use dike::experiments::PopulationMix;
+use dike::faults::{Fault, FaultPlan, Waveform};
 use dike::netsim::{QueueConfig, QueueOutcome, ServiceQueue, SimDuration, Simulator};
 use dike::stats::timeseries::outcome_timeseries;
 
@@ -29,13 +30,18 @@ fn run(waveform: Waveform, loss: f64, seed: u64) -> f64 {
             nxns: None,
         },
     );
-    Attack::partial(
-        topo.ns.to_vec(),
-        loss,
-        SimDuration::from_mins(60).after_zero(),
-        SimDuration::from_mins(60),
-    )
-    .schedule_with_waveform(&mut sim, waveform);
+    FaultPlan::new()
+        .with(
+            Fault::random_drop(Attack::partial(
+                topo.ns.to_vec(),
+                loss,
+                SimDuration::from_mins(60).after_zero(),
+                SimDuration::from_mins(60),
+            ))
+            .with_shape(waveform),
+        )
+        .schedule(&mut sim)
+        .expect("a valid attack");
     sim.run_until(SimDuration::from_mins(150).after_zero());
     drop(sim);
     let log = std::sync::Arc::try_unwrap(topo.log)
@@ -55,7 +61,7 @@ fn pulsed_total_outages_are_absorbed_by_caches() {
     // every cache entry survives the on-phase, and the off-phase
     // refreshes whatever expired.
     let pulsed = run(
-        Waveform::Pulsed {
+        Waveform::Pulse {
             period: SimDuration::from_mins(10),
             duty: 0.5,
         },
@@ -70,8 +76,8 @@ fn pulsed_total_outages_are_absorbed_by_caches() {
     // The same *average* intensity applied constantly (50% loss) is also
     // absorbed — retries cover random loss. Both beat a constant 100%
     // outage by a wide margin.
-    let constant_half = run(Waveform::Constant, 0.5, 21);
-    let constant_full = run(Waveform::Constant, 1.0, 21);
+    let constant_half = run(Waveform::Square, 0.5, 21);
+    let constant_full = run(Waveform::Square, 1.0, 21);
     assert!(constant_half > 0.85, "{constant_half}");
     assert!(
         constant_full < pulsed - 0.3,
@@ -139,7 +145,7 @@ fn queue_backlog_is_monotone_in_background_load() {
 
 #[test]
 fn flood_waveforms_conserve_offered_datagrams() {
-    // The three FloodShape profiles the fault engine schedules, as load
+    // The three Waveform profiles the fault engine schedules, as load
     // functions of time (ms): a sustained square, a 50%-duty pulse with
     // 2-second halves, and a four-step ramp to the same 80% peak. The
     // peak is chosen so a full buffer drains within one clean half:
@@ -194,15 +200,8 @@ fn flood_waveforms_conserve_offered_datagrams() {
 
 #[test]
 fn ramping_attacks_degrade_gradually() {
-    let ramp = run(
-        Waveform::Ramp {
-            from: 0.1,
-            steps: 6,
-        },
-        1.0,
-        22,
-    );
-    let flat = run(Waveform::Constant, 1.0, 22);
+    let ramp = run(Waveform::Ramp { steps: 6 }, 1.0, 22);
+    let flat = run(Waveform::Square, 1.0, 22);
     assert!(
         ramp > flat + 0.1,
         "a ramp's early low-intensity phase keeps more clients alive: {ramp} vs {flat}"
