@@ -21,6 +21,9 @@ use dike_wire::{Name, RData, Record};
 
 use crate::zone::{default_soa, Zone};
 
+/// TTL on every record of the malicious zone.
+const TTL: u32 = 300;
+
 /// Shape of the malicious delegation zone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NxnsZoneConfig {
@@ -32,8 +35,6 @@ pub struct NxnsZoneConfig {
     /// that is queried twice amplifies only once (the resolver caches
     /// both the referral and the victim's negative answers).
     pub cuts: usize,
-    /// TTL on the malicious NS records.
-    pub ttl: u32,
 }
 
 impl Default for NxnsZoneConfig {
@@ -41,7 +42,6 @@ impl Default for NxnsZoneConfig {
         NxnsZoneConfig {
             fanout: 20,
             cuts: 64,
-            ttl: 300,
         }
     }
 }
@@ -76,20 +76,16 @@ pub fn attacker_zone(
     cfg: &NxnsZoneConfig,
 ) -> Zone {
     assert!(cfg.fanout > 0, "nxns fan-out must be positive");
-    let mut z = Zone::new(origin.clone(), cfg.ttl, default_soa(origin));
+    let mut z = Zone::new(origin.clone(), TTL, default_soa(origin));
     let apex_ns = origin.child("ns").expect("valid label");
-    z.add(Record::new(
-        origin.clone(),
-        cfg.ttl,
-        RData::Ns(apex_ns.clone()),
-    ));
-    z.add(Record::new(apex_ns, cfg.ttl, RData::A(server_addr)));
+    z.add(Record::new(origin.clone(), TTL, RData::Ns(apex_ns.clone())));
+    z.add(Record::new(apex_ns, TTL, RData::A(server_addr)));
     for q in 0..cfg.cuts {
         let cut = cut_name(origin, q);
         for j in 0..cfg.fanout {
             z.add(Record::new(
                 cut.clone(),
-                cfg.ttl,
+                TTL,
                 RData::Ns(ns_target(victim, q, j)),
             ));
         }
@@ -120,11 +116,7 @@ mod tests {
     }
 
     fn cfg() -> NxnsZoneConfig {
-        NxnsZoneConfig {
-            fanout: 5,
-            cuts: 3,
-            ttl: 300,
-        }
+        NxnsZoneConfig { fanout: 5, cuts: 3 }
     }
 
     #[test]

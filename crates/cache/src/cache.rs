@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use dike_netsim::SimTime;
 use dike_wire::{Name, Record, RecordType};
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, STALE_WINDOW};
 use crate::entry::{CacheKey, Entry, EntryData, NegativeKind, TrustLevel};
 
 /// The result of a cache lookup.
@@ -218,14 +218,11 @@ impl ResolverCache {
                 let rotation = entry.hits as usize;
                 let answer = match &entry.data {
                     EntryData::Positive(records) => {
-                        // BIND-style cyclic rotation: successive hits
-                        // start the RRset at successive offsets.
+                        // BIND-style cyclic rotation (`rrset-order
+                        // cyclic`): successive hits start the RRset at
+                        // successive offsets.
                         let n = records.len();
-                        let start = if self.config.rotate_rrsets && n > 1 {
-                            rotation % n
-                        } else {
-                            0
-                        };
+                        let start = rotation % n;
                         CacheAnswer::Fresh(
                             (0..n)
                                 .map(|i| records[(start + i) % n].with_ttl(remaining))
@@ -265,7 +262,7 @@ impl ResolverCache {
             // Still fresh: callers should have used `lookup`.
             return self.lookup(now, name, rtype);
         }
-        if !entry.usable_as_stale(now, self.config.stale_window) {
+        if !entry.usable_as_stale(now, STALE_WINDOW) {
             return CacheAnswer::Miss;
         }
         match &entry.data {
@@ -435,19 +432,17 @@ mod tests {
 
     #[test]
     fn serve_stale_respects_window() {
-        let mut c = ResolverCache::new(CacheConfig {
-            serve_stale: true,
-            stale_window: SimDuration::from_secs(100),
-            ..CacheConfig::honoring()
-        });
+        let mut c = ResolverCache::new(CacheConfig::honoring().with_serve_stale());
         let n = Name::parse("a.nl").unwrap();
         c.insert(at(0), vec![rec("a.nl", 60, 1)]);
+        let window = STALE_WINDOW.as_secs();
+        assert_eq!(window, 3 * 86_400, "the stale window is three days");
         assert!(matches!(
-            c.lookup_stale(at(120), &n, RecordType::A),
+            c.lookup_stale(at(60 + window - 1), &n, RecordType::A),
             CacheAnswer::Stale(_)
         ));
         assert_eq!(
-            c.lookup_stale(at(161), &n, RecordType::A),
+            c.lookup_stale(at(60 + window + 1), &n, RecordType::A),
             CacheAnswer::Miss
         );
     }
@@ -573,27 +568,20 @@ mod tests {
                 other => panic!("expected fresh, got {other:?}"),
             })
             .collect();
+        assert_eq!(
+            firsts[0],
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            "the first hit serves insertion order"
+        );
         assert_eq!(firsts[0], firsts[3], "rotation cycles with period 3");
         assert_ne!(firsts[0], firsts[1]);
         assert_ne!(firsts[1], firsts[2]);
-    }
-
-    #[test]
-    fn rotation_can_be_disabled() {
-        let mut c = ResolverCache::new(CacheConfig {
-            rotate_rrsets: false,
-            ..CacheConfig::honoring()
-        });
-        c.insert(
-            at(0),
-            vec![rec("multi.nl", 3600, 1), rec("multi.nl", 3600, 2)],
-        );
-        let n = Name::parse("multi.nl").unwrap();
+        // A single-record RRset has nothing to rotate.
+        c.insert(at(0), vec![rec("one.nl", 3600, 9)]);
+        let one = Name::parse("one.nl").unwrap();
         for _ in 0..3 {
-            match c.lookup(at(1), &n, RecordType::A) {
-                CacheAnswer::Fresh(rs) => {
-                    assert_eq!(rs[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 1)))
-                }
+            match c.lookup(at(1), &one, RecordType::A) {
+                CacheAnswer::Fresh(rs) => assert_eq!(rs.len(), 1),
                 other => panic!("expected fresh, got {other:?}"),
             }
         }

@@ -2,6 +2,10 @@
 
 use dike_netsim::SimDuration;
 
+/// How long past expiry an entry remains usable as stale data (RFC 8767
+/// suggests one to three days; we take the upper end).
+pub const STALE_WINDOW: SimDuration = SimDuration::from_secs(3 * 86_400);
+
 /// Tunable cache behaviour. The defaults model a well-behaved resolver
 /// that honors TTLs; the named constructors model the deviations the
 /// paper attributes the ~30% cache-miss rate to.
@@ -9,31 +13,22 @@ use dike_netsim::SimDuration;
 pub struct CacheConfig {
     /// Maximum number of RRset entries before LRU eviction.
     pub capacity: usize,
-    /// Records with smaller TTLs are raised to this floor (0 = honor).
-    pub min_ttl: u32,
     /// Records with larger TTLs are clamped to this cap.
     pub max_ttl: u32,
     /// Whether expired entries may be served when refresh fails
-    /// (RFC 8767). Stale answers carry TTL 0, matching the paper's
-    /// observation that 1031/1048 late successes had TTL 0 (§5.3).
+    /// (RFC 8767) for up to [`STALE_WINDOW`]. Stale answers carry TTL 0,
+    /// matching the paper's observation that 1031/1048 late successes
+    /// had TTL 0 (§5.3).
     pub serve_stale: bool,
-    /// How long past expiry an entry remains usable as stale data.
-    pub stale_window: SimDuration,
-    /// Round-robin rotation of multi-record RRsets on each hit, the way
-    /// BIND's `rrset-order cyclic` spreads load over A records.
-    pub rotate_rrsets: bool,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity: 100_000,
-            min_ttl: 0,
             // Unbound's default cache-max-ttl: 1 day.
             max_ttl: 86_400,
             serve_stale: false,
-            stale_window: SimDuration::from_secs(3 * 86_400),
-            rotate_rrsets: true,
         }
     }
 }
@@ -74,7 +69,7 @@ impl CacheConfig {
 
     /// The effective TTL after clamping.
     pub fn clamp_ttl(&self, ttl: u32) -> u32 {
-        ttl.max(self.min_ttl).min(self.max_ttl)
+        ttl.min(self.max_ttl)
     }
 }
 
@@ -87,6 +82,9 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.clamp_ttl(60), 60);
         assert_eq!(c.clamp_ttl(3600), 3600);
+        // Short TTLs are never raised.
+        assert_eq!(c.clamp_ttl(0), 0);
+        assert_eq!(c.clamp_ttl(1), 1);
     }
 
     #[test]
@@ -101,14 +99,5 @@ mod tests {
         let c = CacheConfig::unbound_like();
         assert_eq!(c.clamp_ttl(7 * 86_400), 86_400);
         assert_eq!(c.clamp_ttl(86_400), 86_400);
-    }
-
-    #[test]
-    fn min_ttl_raises() {
-        let c = CacheConfig {
-            min_ttl: 300,
-            ..CacheConfig::default()
-        };
-        assert_eq!(c.clamp_ttl(60), 300);
     }
 }

@@ -26,6 +26,6 @@ mod entry;
 mod fragmented;
 
 pub use cache::{CacheAnswer, CacheStats, ResolverCache};
-pub use config::CacheConfig;
+pub use config::{CacheConfig, STALE_WINDOW};
 pub use entry::{CacheKey, EntryData, NegativeKind, TrustLevel};
 pub use fragmented::FragmentedCache;

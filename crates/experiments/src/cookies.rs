@@ -46,15 +46,18 @@ pub const COOKIE_SECRET: u64 = 0x7873_c00c_1e5e_c4e7;
 // The connection-table exhaustion attack
 // ---------------------------------------------------------------------
 
+/// Sustained connection attempts per second per target of a
+/// [`TcpExhaustion`] attack. Against a 64-slot table with a 10 s idle
+/// reaper, the hogs re-fill slots ~5× faster than the reaper frees them.
+const HOG_CONNS_PER_SEC: f64 = 30.0;
+
 /// A TCP connection-table exhaustion attack: hog nodes dial the
 /// authoritatives and hold every connection they win until the server's
 /// idle reaper closes it, re-dialing continuously. With
-/// `conns_per_sec × idle_timeout ≥ table_capacity` the table stays full
-/// and legitimate TCP retries are shed with RST.
+/// `HOG_CONNS_PER_SEC × idle_timeout ≥ table_capacity` the table stays
+/// full and legitimate TCP retries are shed with RST.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpExhaustion {
-    /// Sustained connection attempts per second per target.
-    pub conns_per_sec: f64,
     /// Minutes after start when the hogs begin dialing.
     pub start_min: u64,
     /// Attack duration in minutes.
@@ -63,9 +66,8 @@ pub struct TcpExhaustion {
 
 impl TcpExhaustion {
     /// An exhaustion attack aligned with an attack window.
-    pub fn aligned_with(attack: &AttackPlan, conns_per_sec: f64) -> TcpExhaustion {
+    pub fn aligned_with(attack: &AttackPlan) -> TcpExhaustion {
         TcpExhaustion {
-            conns_per_sec,
             start_min: attack.start_min,
             duration_min: attack.duration_min,
         }
@@ -141,7 +143,7 @@ pub(crate) fn install_tcp_exhaustion(
     let stats = Arc::new(Mutex::new(ExhaustionStats::default()));
     let start = SimDuration::from_mins(exhaustion.start_min);
     let end = (start + SimDuration::from_mins(exhaustion.duration_min)).after_zero();
-    let interval = SimDuration::from_secs_f64(1.0 / exhaustion.conns_per_sec.max(0.001));
+    let interval = SimDuration::from_secs_f64(1.0 / HOG_CONNS_PER_SEC);
     for (i, target) in targets.into_iter().enumerate() {
         // Stagger the two hogs by half an interval so their dials
         // interleave instead of pulsing together.
@@ -275,11 +277,8 @@ pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
             setup.arm_defense(|ns, onset| rrl(2, ns, onset));
             setup.tcp = Some(TcpConfig::default());
             if arm == CookieArm::SlipTcpExhausted {
-                // 30 dials/sec against a 64-slot table with a 10 s idle
-                // reaper: the hogs re-fill slots ~5× faster than the
-                // reaper frees them.
                 let attack = setup.attack.expect("Experiment H attacks");
-                setup.tcp_exhaustion = Some(TcpExhaustion::aligned_with(&attack, 30.0));
+                setup.tcp_exhaustion = Some(TcpExhaustion::aligned_with(&attack));
             }
         }
         CookieArm::Cookies => {

@@ -156,6 +156,12 @@ pub(crate) fn install_spoofed_flood(
 // The late-resolver wave (history-classifier false positives)
 // ---------------------------------------------------------------------
 
+/// Query pacing of one late-wave resolver: one query per 30 seconds
+/// (0.033 qps). That is far below every preset's RRL rate of 0.1 qps,
+/// so rate limiting never triggers: what refuses these sources is
+/// classification, not volume.
+pub const LATE_RESOLVER_QPS: f64 = 1.0 / 30.0;
+
 /// A wave of *legitimate* resolvers that first appear after the attack
 /// onset — the history classifier's blind spot. `ClassifierKind::History`
 /// whitelists sources seen before its cutoff (the onset); a resolver that
@@ -167,11 +173,8 @@ pub(crate) fn install_spoofed_flood(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LateResolverWave {
     /// New resolvers arriving per minute, spread evenly over the window.
+    /// Each then queries at [`LATE_RESOLVER_QPS`].
     pub arrivals_per_min: f64,
-    /// Sustained queries per second per resolver once arrived. Keep this
-    /// far below the presets' RRL rate so rate limiting never triggers:
-    /// what refuses these sources is classification, not volume.
-    pub qps_per_resolver: f64,
     /// Minutes after start when the first resolver arrives (the attack
     /// onset, so every arrival postdates the history cutoff).
     pub start_min: u64,
@@ -198,7 +201,7 @@ pub(crate) fn install_late_wave(
 ) -> Arc<Mutex<SpoofedStats>> {
     let stats = Arc::new(Mutex::new(SpoofedStats::default()));
     let n = wave.count();
-    let interval = SimDuration::from_secs_f64(1.0 / wave.qps_per_resolver.max(0.001));
+    let interval = SimDuration::from_secs_f64(1.0 / LATE_RESOLVER_QPS);
     let end = SimDuration::from_mins(wave.start_min + wave.window_min).after_zero();
     for i in 0..n {
         let arrival = SimDuration::from_secs_f64(

@@ -18,6 +18,9 @@ use crate::report::Report;
 use crate::setup::ExperimentSetup;
 use crate::topology;
 
+/// Fraction of each victim's service capacity the flood consumes.
+pub const FLOOD_LOAD: f64 = 0.9;
+
 /// Knobs for the degraded scenario. Defaults mirror Experiment H's
 /// shape (TTL 1800, window 60–120 of a 180-minute run) with the loss
 /// made bursty and the flood made a queue load instead of a drop rate.
@@ -38,8 +41,6 @@ pub struct DegradedParams {
     pub mean_burst: f64,
     /// Latency multiplier on paths into the victims during the window.
     pub latency_factor: f64,
-    /// Fraction of each victim's service capacity the flood consumes.
-    pub flood_load: f64,
     /// The ingress queue installed at each victim.
     pub queue: QueueConfig,
 }
@@ -54,7 +55,6 @@ impl Default for DegradedParams {
             mean_loss: 0.75,
             mean_burst: 20.0,
             latency_factor: 4.0,
-            flood_load: 0.9,
             queue: QueueConfig {
                 rate_pps: 2_000.0,
                 capacity: 2_000,
@@ -76,7 +76,7 @@ impl DegradedParams {
                     .with_latency_factor(self.latency_factor),
             );
             plan.push(
-                Fault::flood(ns, start, duration, self.flood_load, self.queue)
+                Fault::flood(ns, start, duration, FLOOD_LOAD, self.queue)
                     .with_shape(Waveform::Square),
             );
         }

@@ -37,46 +37,18 @@ pub fn attack_origin() -> Name {
     Name::parse("attack").expect("static")
 }
 
-/// The attack-side plan: the malicious zone's shape plus the client's
-/// pacing. Each query targets a fresh delegation cut (`w.s<q>.attack`),
-/// defeating both the referral cache and the failure cache — a repeat
-/// name would amplify only once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NxnsAttack {
-    /// The malicious zone's shape (NS fan-out per cut, cut count, TTL).
-    pub zone: NxnsZoneConfig,
-    /// Minutes after start when the client begins querying.
-    pub start_min: u64,
-    /// Client queries per second (timer-paced, no RNG).
-    pub qps_thousandths: u64,
-    /// Total queries the client sends (cycles through the zone's cuts).
-    pub queries: usize,
-}
+/// When the attack client sends its first query.
+const START: SimDuration = SimDuration::from_mins(5);
 
-impl Default for NxnsAttack {
-    fn default() -> Self {
-        NxnsAttack {
-            zone: NxnsZoneConfig::default(),
-            start_min: 5,
-            qps_thousandths: 2_000,
-            queries: 60,
-        }
-    }
-}
+/// The client's inter-query interval: 2 queries per second, timer-paced
+/// (no RNG).
+const INTERVAL: SimDuration = SimDuration::from_millis(500);
 
-impl NxnsAttack {
-    /// The default attack with this NS fan-out per referral.
-    pub fn with_fanout(fanout: usize) -> Self {
-        let mut attack = NxnsAttack::default();
-        attack.zone.fanout = fanout;
-        attack
-    }
-
-    /// The client's inter-query interval.
-    pub fn interval(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1_000.0 / self.qps_thousandths.max(1) as f64)
-    }
-}
+/// Total queries the client sends. Each targets a fresh delegation cut
+/// (`w.s<q>.attack`), defeating both the referral cache and the failure
+/// cache — a repeat name would amplify only once — so this stays within
+/// [`NxnsZoneConfig::default`]'s cut count.
+pub const NXNS_QUERIES: usize = 60;
 
 /// What the attack client saw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,9 +67,6 @@ pub struct NxnsStats {
 struct NxnsClient {
     resolver: Addr,
     origin: Name,
-    first_fire: SimDuration,
-    interval: SimDuration,
-    total: usize,
     cuts: usize,
     sent: usize,
     stats: Arc<Mutex<NxnsStats>>,
@@ -105,7 +74,7 @@ struct NxnsClient {
 
 impl Node for NxnsClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(self.first_fire, TimerToken(0));
+        ctx.set_timer(START, TimerToken(0));
     }
 
     fn on_datagram(&mut self, _ctx: &mut Context<'_>, src: Addr, msg: &Message, _len: usize) {
@@ -121,7 +90,7 @@ impl Node for NxnsClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.sent >= self.total {
+        if self.sent >= NXNS_QUERIES {
             return;
         }
         let cut = self.sent % self.cuts.max(1);
@@ -132,7 +101,7 @@ impl Node for NxnsClient {
         );
         self.sent += 1;
         self.stats.lock().queries_sent += 1;
-        ctx.set_timer(self.interval, TimerToken(0));
+        ctx.set_timer(INTERVAL, TimerToken(0));
     }
 }
 
@@ -140,17 +109,14 @@ impl Node for NxnsClient {
 /// callers unwrap it after the simulator is dropped.
 pub(crate) fn install_nxns(
     sim: &mut Simulator,
-    attack: &NxnsAttack,
+    zone: &NxnsZoneConfig,
     resolver: Addr,
 ) -> Arc<Mutex<NxnsStats>> {
     let stats = Arc::new(Mutex::new(NxnsStats::default()));
     sim.add_node(Box::new(NxnsClient {
         resolver,
         origin: attack_origin(),
-        first_fire: SimDuration::from_mins(attack.start_min),
-        interval: attack.interval(),
-        total: attack.queries,
-        cuts: attack.zone.cuts,
+        cuts: zone.cuts,
         sent: 0,
         stats: stats.clone(),
     }));
@@ -221,8 +187,8 @@ pub struct NxnsRow {
 /// The full mitigation comparison.
 #[derive(Debug, Clone)]
 pub struct NxnsComparison {
-    /// The attack every arm ran under.
-    pub attack: NxnsAttack,
+    /// The malicious zone every arm ran against.
+    pub zone: NxnsZoneConfig,
     /// One row per [`ALL_NXNS_ARMS`] entry, in order.
     pub rows: Vec<NxnsRow>,
 }
@@ -238,7 +204,7 @@ pub fn nxns_setup(arm: NxnsArm, scale: f64, seed: u64) -> ExperimentSetup {
     setup.rounds = 3;
     setup.total_duration = SimDuration::from_mins(40);
     setup.telemetry = Some(TelemetryConfig::every_mins(10));
-    setup.nxns = Some(NxnsAttack::default());
+    setup.nxns = Some(NxnsZoneConfig::default());
     setup.resolver_max_fetch = arm.max_fetch();
     setup
 }
@@ -252,13 +218,13 @@ fn auth_queries(out: &ExperimentOutput, label: &str) -> u64 {
 }
 
 /// Derives a comparison row from a finished run.
-pub fn nxns_row(arm: NxnsArm, attack: &NxnsAttack, out: &ExperimentOutput) -> NxnsRow {
+pub fn nxns_row(arm: NxnsArm, zone: &NxnsZoneConfig, out: &ExperimentOutput) -> NxnsRow {
     let reg = out.metrics.as_ref().expect("nxns_setup sets telemetry");
     let client = out.nxns.expect("nxns armed");
     let victim_queries = auth_queries(out, "auth:nxns-victim");
     NxnsRow {
         arm,
-        fanout: attack.zone.fanout,
+        fanout: zone.fanout,
         client,
         victim_queries,
         attacker_queries: auth_queries(out, "auth:nxns-attacker"),
@@ -271,15 +237,15 @@ pub fn nxns_row(arm: NxnsArm, attack: &NxnsAttack, out: &ExperimentOutput) -> Nx
 /// Runs one arm and derives its comparison row.
 pub fn run_nxns_case(arm: NxnsArm, scale: f64, seed: u64) -> NxnsRow {
     let setup = nxns_setup(arm, scale, seed);
-    let attack = setup.nxns.expect("nxns_setup arms the attack");
+    let zone = setup.nxns.expect("nxns_setup arms the attack");
     let out = run_experiment(&setup);
-    nxns_row(arm, &attack, &out)
+    nxns_row(arm, &zone, &out)
 }
 
 /// Runs every arm under the identical scenario and seed.
 pub fn run_nxns_comparison(scale: f64, seed: u64) -> NxnsComparison {
     NxnsComparison {
-        attack: NxnsAttack::default(),
+        zone: NxnsZoneConfig::default(),
         rows: ALL_NXNS_ARMS
             .into_iter()
             .map(|arm| run_nxns_case(arm, scale, seed))
@@ -296,8 +262,8 @@ mod tests {
         for arm in ALL_NXNS_ARMS {
             let setup = nxns_setup(arm, 0.003, 7);
             assert_eq!(setup.resolver_max_fetch, arm.max_fetch());
-            let attack = setup.nxns.expect("attack armed");
-            assert!(attack.queries <= attack.zone.cuts, "fresh cut per query");
+            let zone = setup.nxns.expect("attack armed");
+            assert!(NXNS_QUERIES <= zone.cuts, "fresh cut per query");
             assert!(setup.telemetry.is_some(), "amplification needs telemetry");
         }
     }
@@ -310,9 +276,10 @@ mod tests {
         let run = |fanout: usize| {
             let mut setup = nxns_setup(NxnsArm::Undefended, 0.003, 11);
             setup.audit = true;
-            let mut attack = NxnsAttack::with_fanout(fanout);
-            attack.queries = 12;
-            setup.nxns = Some(attack);
+            setup.nxns = Some(NxnsZoneConfig {
+                fanout,
+                ..NxnsZoneConfig::default()
+            });
             let out = run_experiment(&setup);
             (
                 auth_queries(&out, "auth:nxns-victim"),
@@ -322,7 +289,7 @@ mod tests {
         let (v1, sent1) = run(4);
         let (v2, sent2) = run(4);
         assert_eq!((v1, sent1), (v2, sent2), "identical seeds, identical runs");
-        assert_eq!(sent1, 12);
+        assert_eq!(sent1, NXNS_QUERIES as u64);
         let (v3, _) = run(8);
         assert!(
             v3 > v1,

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use dike_attack::Attack;
+use dike_auth::NxnsZoneConfig;
 use dike_defense::{Defense, DefensePlan};
 use dike_faults::{Fault, FaultPlan};
 use dike_netsim::{trace, Addr, QueueConfig, SimDuration, SimTime, Simulator};
@@ -17,7 +18,7 @@ use crate::cookies::{install_tcp_exhaustion, ExhaustionStats, TcpExhaustion};
 use crate::defense::{
     install_late_wave, install_spoofed_flood, LateResolverWave, SpoofedFlood, SpoofedStats,
 };
-use crate::nxns::{install_nxns, NxnsAttack, NxnsStats};
+use crate::nxns::{install_nxns, NxnsStats};
 use crate::population::PopulationMix;
 use crate::topology::{self, BuildConfig, VpMeta};
 
@@ -192,7 +193,7 @@ pub struct ExperimentSetup {
     /// `victim` zone join the hierarchy, and a dedicated attack client
     /// cycles fresh delegation cuts through its own recursive. Tally in
     /// [`ExperimentOutput::nxns`].
-    pub nxns: Option<NxnsAttack>,
+    pub nxns: Option<NxnsZoneConfig>,
     /// MaxFetch(k), the NXNSAttack mitigation, applied to every
     /// recursive in the population (see
     /// [`crate::topology::BuildConfig::resolver_max_fetch`]).
@@ -203,13 +204,16 @@ pub struct ExperimentSetup {
     /// environment variable (any value but `0`).
     pub audit: bool,
     /// Cut the world into this many shards and run them on parallel
-    /// worker threads (see [`crate::shard`]). `0` or `1` keeps the
-    /// single-threaded engine and its pinned digest; `>= 2` switches to
-    /// the sharded engine, whose outcome is identical for every shard
-    /// count but *not* to the single-threaded engine's (per-node RNG
-    /// streams and the cross-shard latency floor). Several features are
-    /// not yet shard-aware and are rejected — see
-    /// [`crate::shard::run_experiment_sharded`].
+    /// worker threads (see [`crate::shard`]); the only way into the
+    /// sharded engine. `0` or `1` keeps the single-threaded engine and
+    /// its pinned digest; `>= 2` switches to the sharded engine, whose
+    /// outcome is identical for every shard count but *not* to the
+    /// single-threaded engine's (per-node RNG streams and the
+    /// cross-shard latency floor). Several features are not shard-aware
+    /// and are rejected — see [`crate::shard::run_experiment_sharded`].
+    /// Sharding does not pay: at the paper's 9.2k probes two shards ran
+    /// at 0.76–0.93× the speed of one, so parallelism across sweep cells
+    /// and replicates ([`crate::SweepEngine`]) is the parallelism.
     pub shards: usize,
 }
 
@@ -322,7 +326,7 @@ impl From<&ExperimentSetup> for BuildConfig {
             resolver_tcp_fallback: setup.tcp.is_some(),
             cookie_secret: setup.cookie_secret,
             resolver_max_fetch: setup.resolver_max_fetch,
-            nxns: setup.nxns.map(|a| a.zone),
+            nxns: setup.nxns,
         }
     }
 }
@@ -460,9 +464,9 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
         .as_ref()
         .map(|ex| install_tcp_exhaustion(&mut sim, ex, topo.ns));
 
-    let nxns_handle = setup.nxns.as_ref().map(|attack| {
+    let nxns_handle = setup.nxns.as_ref().map(|zone| {
         let nx = topo.nxns.expect("BuildConfig armed the NXNS world");
-        install_nxns(&mut sim, attack, nx.resolver)
+        install_nxns(&mut sim, zone, nx.resolver)
     });
 
     sim.run_until(setup.total_duration.after_zero());

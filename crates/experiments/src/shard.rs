@@ -20,8 +20,7 @@
 //!   *median* here but inside the tail of the shortest last-mile paths
 //!   (`topology::build` gives 60 % of probes a LogNormal with a 2–11 ms
 //!   median and σ 0.25), so the clamp does bind: on 0.005 % of the
-//!   sampled delays in `repro scale --scale 0.5`, which prints the
-//!   share (`SimPerf::floor_clamped`).
+//!   sampled delays of a 4.6k-probe run under 90 % loss.
 //!
 //! Feature gates: parts of the stack that route through global
 //! single-threaded state (TCP connections, cookies, telemetry

@@ -58,11 +58,6 @@ pub struct SweepAxis {
     values: Vec<(String, Mutation)>,
 }
 
-/// Query pacing of one late-wave resolver on the
-/// [`SweepAxis::late_arrivals_per_min`] axis: one query per 30 seconds
-/// (0.033 qps, under every preset's RRL rate of 0.1 qps).
-pub const LATE_RESOLVER_QPS: f64 = 1.0 / 30.0;
-
 impl SweepAxis {
     /// An axis called `name` (the CSV header and JSON key) over
     /// `(label, mutation)` values. Any field of the setup is an axis in
@@ -132,7 +127,7 @@ impl SweepAxis {
     /// New-resolver arrival rates: legitimate resolvers per minute that
     /// first appear after the attack onset, spread over the attack
     /// window (Table 4's common window without an attack) and each
-    /// querying at [`LATE_RESOLVER_QPS`] until it closes. Crossed with
+    /// querying at [`crate::defense::LATE_RESOLVER_QPS`] until it closes. Crossed with
     /// [`SweepAxis::defense_preset`], this is the history-classifier
     /// false-positive grid: every arrival postdates the history cutoff,
     /// so admission defenses misfile the whole wave as unknown, and the
@@ -146,7 +141,6 @@ impl SweepAxis {
                     let window = s.attack.unwrap_or_else(AttackPlan::complete);
                     s.late_wave = Some(LateResolverWave {
                         arrivals_per_min,
-                        qps_per_resolver: LATE_RESOLVER_QPS,
                         start_min: window.start_min,
                         window_min: window.duration_min,
                     });
@@ -525,25 +519,6 @@ fn worker_count(threads: usize, jobs: usize, detected: Option<usize>) -> usize {
     cap.max(1).min(jobs)
 }
 
-/// Worker count for a sweep whose *jobs* are themselves parallel: a
-/// setup with `shards` shard workers occupies `shards` threads, so
-/// the sweep pool shrinks to keep `workers × shards` within the budget
-/// [`worker_count`] resolved. Without this, a `--threads 0` sweep of
-/// sharded setups oversubscribes the machine `shards`-fold (and a
-/// 4-core box sweeping 4-shard runs would spawn 16 hot threads).
-fn sharded_worker_count(
-    threads: usize,
-    jobs: usize,
-    shards: usize,
-    detected: Option<usize>,
-) -> usize {
-    let budget = worker_count(threads, jobs, detected);
-    if budget == 0 {
-        return 0;
-    }
-    (budget / shards.max(1)).max(1)
-}
-
 fn detected_parallelism() -> Option<usize> {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -677,8 +652,7 @@ impl SweepEngine {
         if jobs == 0 {
             return Vec::new();
         }
-        let workers =
-            sharded_worker_count(self.threads, jobs, self.base.shards, detected_parallelism());
+        let workers = worker_count(self.threads, jobs, detected_parallelism());
 
         let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
         slots.resize_with(jobs, || None);
@@ -999,7 +973,6 @@ mod tests {
             s7.late_wave,
             Some(LateResolverWave {
                 arrivals_per_min: 2.0,
-                qps_per_resolver: LATE_RESOLVER_QPS,
                 start_min: 20,
                 window_min: 20,
             })
@@ -1078,22 +1051,6 @@ mod tests {
         assert_eq!(worker_count(4, 100, Some(16)), 4);
         assert_eq!(worker_count(4, 2, Some(16)), 2);
         assert_eq!(worker_count(0, 0, Some(16)), 0);
-    }
-
-    #[test]
-    fn sharded_jobs_shrink_the_worker_pool() {
-        // workers × shards stays within the resolved budget.
-        assert_eq!(sharded_worker_count(0, 100, 4, Some(16)), 4);
-        assert_eq!(sharded_worker_count(0, 100, 3, Some(16)), 5);
-        assert_eq!(sharded_worker_count(8, 100, 4, Some(16)), 2);
-        // Single-threaded jobs (shards 0 or 1) change nothing.
-        assert_eq!(sharded_worker_count(0, 100, 0, Some(16)), 16);
-        assert_eq!(sharded_worker_count(0, 100, 1, Some(16)), 16);
-        // Never starves: one worker survives any shard count…
-        assert_eq!(sharded_worker_count(0, 100, 64, Some(16)), 1);
-        assert_eq!(sharded_worker_count(0, 100, 4, None), 2);
-        // …and no jobs still means no workers.
-        assert_eq!(sharded_worker_count(0, 0, 4, Some(16)), 0);
     }
 
     #[test]

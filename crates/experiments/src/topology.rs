@@ -263,9 +263,7 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
     // Transport knobs applied uniformly to every recursive in the
     // population (no-ops in config → identical behavior when off).
     let transport = |mut rc: dike_resolver::ResolverConfig| {
-        if cfg.resolver_tcp_fallback {
-            rc.tcp_fallback = Some(dike_resolver::TcpFallbackPolicy::default());
-        }
+        rc.tcp_fallback = cfg.resolver_tcp_fallback;
         if cfg.cookie_secret.is_some() {
             rc.use_cookies = true;
         }

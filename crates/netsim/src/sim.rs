@@ -218,12 +218,9 @@ impl World {
         if factor != 1.0 {
             delay = SimDuration::from_nanos((delay.as_nanos() as f64 * factor) as u64);
         }
-        match self.shard.as_deref_mut() {
-            Some(s) if delay < s.floor => {
-                s.floor_clamped += 1;
-                s.floor
-            }
-            _ => delay,
+        match self.shard.as_deref() {
+            Some(s) => delay.max(s.floor),
+            None => delay,
         }
     }
 
@@ -341,9 +338,6 @@ pub struct SimPerf {
     pub bytes_encoded: u64,
     /// Octets consumed by the ingress decoder.
     pub bytes_decoded: u64,
-    /// One-way delay samples the sharded engine clamped up to its
-    /// propagation floor (0 on the plain engine, which has no floor).
-    pub floor_clamped: u64,
     /// Synchronisation rounds (barrier crossings) of the sharded engine,
     /// identical on every shard; 0 on the plain engine.
     pub sync_rounds: u64,
@@ -714,7 +708,6 @@ impl Simulator {
             datagrams_undecodable: net.datagrams_undecodable,
             bytes_encoded: net.bytes_encoded,
             bytes_decoded: net.bytes_decoded,
-            floor_clamped: self.world.shard.as_deref().map_or(0, |s| s.floor_clamped),
             sync_rounds: 0,
             wall_nanos: self.wall_nanos,
         }

@@ -59,31 +59,18 @@ impl RetryPolicy {
     }
 }
 
-/// RFC 7766 TCP fallback: how a truncated (TC=1) UDP answer is retried
-/// over TCP. TCP retries pace themselves — their timeouts are distinct
-/// from the UDP [`RetryPolicy`] and a TCP attempt does not consume a
-/// UDP attempt from the task's budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TcpFallbackPolicy {
-    /// How long to wait for the handshake to complete before giving up
-    /// on the connection and resuming UDP retries. The simulator never
-    /// times out a SYN on its own: this timer is the dialer's
-    /// responsibility, and it also covers SYNs silently dropped by a
-    /// dead or unreachable server.
-    pub connect_timeout: SimDuration,
-    /// How long to wait for the response once the query has been sent
-    /// over the established connection.
-    pub response_timeout: SimDuration,
-}
+/// RFC 7766 TCP fallback: how long to wait for the handshake before
+/// giving up on the connection and resuming UDP retries. The simulator
+/// never times out a SYN on its own: this timer is the dialer's
+/// responsibility, and it also covers SYNs silently dropped by a dead or
+/// unreachable server. TCP timeouts are distinct from the UDP
+/// [`RetryPolicy`], and a TCP attempt does not consume a UDP attempt from
+/// the task's budget.
+pub const TCP_CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
-impl Default for TcpFallbackPolicy {
-    fn default() -> Self {
-        TcpFallbackPolicy {
-            connect_timeout: SimDuration::from_secs(2),
-            response_timeout: SimDuration::from_secs(4),
-        }
-    }
-}
+/// RFC 7766 TCP fallback: how long to wait for the response once the
+/// query has been sent over the established connection.
+pub const TCP_RESPONSE_TIMEOUT: SimDuration = SimDuration::from_secs(4);
 
 /// How the next upstream/authoritative server is chosen per attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,7 +131,7 @@ pub struct ResolverConfig {
     /// Cap on concurrently pending resolution tasks (BIND's
     /// `recursive-clients`, Unbound's `num-queries-per-thread`). When the
     /// table is full, new client questions are refused with SERVFAIL —
-    /// load shedding under retry storms. Zero disables the cap.
+    /// load shedding under retry storms.
     pub max_pending: usize,
     /// Periodic full cache flush (operator flushes, machine restarts —
     /// the paper's §3.1 lists these among the causes of early cache
@@ -156,11 +143,12 @@ pub struct ResolverConfig {
     /// question get an immediate SERVFAIL instead of triggering a new
     /// resolution — damping the retry storm of paper §6. Zero disables.
     pub servfail_ttl: SimDuration,
-    /// RFC 7766 TCP fallback on truncated answers. `None` (the default)
-    /// keeps the resolver UDP-only, which is what the paper measures —
-    /// a slipped TC=1 then counts as a lost answer unless another
-    /// server's UDP retry succeeds.
-    pub tcp_fallback: Option<TcpFallbackPolicy>,
+    /// RFC 7766 TCP fallback on truncated answers, paced by
+    /// [`TCP_CONNECT_TIMEOUT`] and [`TCP_RESPONSE_TIMEOUT`]. `false` (the
+    /// default) keeps the resolver UDP-only, which is what the paper
+    /// measures — a slipped TC=1 then counts as a lost answer unless
+    /// another server's UDP retry succeeds.
+    pub tcp_fallback: bool,
     /// RFC 7873 DNS cookies: attach a deterministic client cookie to
     /// every upstream query and learn the server half from responses. A
     /// cookie-validating ingress defense then exempts this resolver
@@ -193,7 +181,7 @@ impl ResolverConfig {
             max_pending: 10_000,
             flush_interval: None,
             servfail_ttl: SimDuration::from_secs(5),
-            tcp_fallback: None,
+            tcp_fallback: false,
             use_cookies: false,
             max_fetch: None,
         }
@@ -214,7 +202,7 @@ impl ResolverConfig {
             max_pending: 10_000,
             flush_interval: None,
             servfail_ttl: SimDuration::from_secs(5),
-            tcp_fallback: None,
+            tcp_fallback: false,
             use_cookies: false,
             max_fetch: None,
         }

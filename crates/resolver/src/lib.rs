@@ -29,6 +29,9 @@ pub mod profiles;
 mod selector;
 mod task;
 
-pub use config::{ResolverConfig, ResolverMode, RetryPolicy, SelectionPolicy, TcpFallbackPolicy};
+pub use config::{
+    ResolverConfig, ResolverMode, RetryPolicy, SelectionPolicy, TCP_CONNECT_TIMEOUT,
+    TCP_RESPONSE_TIMEOUT,
+};
 pub use node::{RecursiveResolver, ResolverStats};
 pub use selector::ServerSelector;

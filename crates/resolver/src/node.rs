@@ -6,7 +6,7 @@ use dike_cache::{CacheAnswer, CacheKey, FragmentedCache, NegativeKind, TrustLeve
 use dike_netsim::{Addr, Context, Node, SimTime, TcpConnId, TimerToken};
 use dike_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
 
-use crate::config::{ResolverConfig, ResolverMode};
+use crate::config::{ResolverConfig, ResolverMode, TCP_CONNECT_TIMEOUT, TCP_RESPONSE_TIMEOUT};
 use crate::selector::ServerSelector;
 use crate::task::{Outstanding, Task, TcpAttempt, Waiter};
 
@@ -259,10 +259,7 @@ impl RecursiveResolver {
                 // (BIND's recursive-clients behaviour).
                 let key = CacheKey::new(q.name.clone(), q.qtype);
                 let would_join = self.task_by_key.contains_key(&key);
-                if !would_join
-                    && self.config.max_pending > 0
-                    && self.tasks.len() >= self.config.max_pending
-                {
+                if !would_join && self.tasks.len() >= self.config.max_pending {
                     self.stats.shed += 1;
                     ctx.send(src, &Message::error_response(msg, Rcode::ServFail));
                     return;
@@ -707,7 +704,7 @@ impl RecursiveResolver {
         self.learn_cookie(ctx.self_addr(), src, msg);
 
         if msg.truncated {
-            if self.config.tcp_fallback.is_some() {
+            if self.config.tcp_fallback {
                 // RFC 7766: re-ask the same server over TCP. The TCP
                 // attempt has its own timeouts and does not consume a
                 // UDP attempt from the retry budget.
@@ -805,7 +802,6 @@ impl RecursiveResolver {
     /// after a truncated UDP answer. The connect timer doubles as the
     /// cleanup path for SYNs the server silently drops.
     fn start_tcp_retry(&mut self, ctx: &mut Context<'_>, tid: u64, server: Addr) {
-        let policy = self.config.tcp_fallback.expect("caller checked");
         let Some(task) = self.tasks.get(&tid) else {
             return;
         };
@@ -823,7 +819,7 @@ impl RecursiveResolver {
             self.attach_cookie(ctx.self_addr(), server, &mut query);
         }
         let conn = ctx.tcp_connect(server);
-        let timer = ctx.set_timer(policy.connect_timeout, TimerToken(tid | TCP_TOKEN_BIT));
+        let timer = ctx.set_timer(TCP_CONNECT_TIMEOUT, TimerToken(tid | TCP_TOKEN_BIT));
         self.tcp_by_conn.insert(conn.0, tid);
         let task = self.tasks.get_mut(&tid).expect("task exists");
         task.tcp = Some(TcpAttempt {
@@ -1225,8 +1221,7 @@ impl Node for RecursiveResolver {
         // Handshake complete: swap the connect timer for the response
         // timer and put the query on the wire.
         ctx.cancel_timer(att.timer);
-        let policy = self.config.tcp_fallback.expect("attempt exists");
-        att.timer = ctx.set_timer(policy.response_timeout, TimerToken(tid | TCP_TOKEN_BIT));
+        att.timer = ctx.set_timer(TCP_RESPONSE_TIMEOUT, TimerToken(tid | TCP_TOKEN_BIT));
         let query = att.query.clone();
         ctx.tcp_send(conn, &query);
     }
@@ -1323,7 +1318,7 @@ impl Node for RecursiveResolver {
         out.counter("resolver", "backoff_resets", s.backoff_resets);
         // Published only when the fallback is configured, so UDP-only
         // runs keep their exact metric shape.
-        if self.config.tcp_fallback.is_some() {
+        if self.config.tcp_fallback {
             out.counter("resolver", "tcp_fallbacks", s.tcp_fallbacks);
             out.counter("resolver", "tcp_answers", s.tcp_answers);
             out.counter("resolver", "tcp_failures", s.tcp_failures);

@@ -39,7 +39,7 @@ pub fn bind_like(roots: Vec<Addr>) -> ResolverConfig {
         max_pending: 10_000,
         flush_interval: None,
         servfail_ttl: SimDuration::from_secs(5),
-        tcp_fallback: None,
+        tcp_fallback: false,
         use_cookies: false,
         max_fetch: None,
     }
@@ -67,7 +67,7 @@ pub fn unbound_like(roots: Vec<Addr>) -> ResolverConfig {
         max_pending: 10_000,
         flush_interval: None,
         servfail_ttl: SimDuration::from_secs(5),
-        tcp_fallback: None,
+        tcp_fallback: false,
         use_cookies: false,
         max_fetch: None,
     }
@@ -113,7 +113,7 @@ pub fn farm_frontend(backends: Vec<Addr>) -> ResolverConfig {
         max_pending: 10_000,
         flush_interval: None,
         servfail_ttl: SimDuration::from_secs(2),
-        tcp_fallback: None,
+        tcp_fallback: false,
         use_cookies: false,
         max_fetch: None,
     }
@@ -153,7 +153,7 @@ pub fn home_router(upstreams: Vec<Addr>) -> ResolverConfig {
         max_pending: 10_000,
         flush_interval: None,
         servfail_ttl: SimDuration::from_secs(5),
-        tcp_fallback: None,
+        tcp_fallback: false,
         use_cookies: false,
         max_fetch: None,
     }

@@ -33,7 +33,7 @@
 //! server preserves it.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -270,11 +270,7 @@ impl LiveServer {
         }
 
         let tcp_listener = match &config.tcp_bind {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
         let tcp_local_addr = tcp_listener.as_ref().map(|l| l.local_addr()).transpose()?;
@@ -366,20 +362,37 @@ impl LiveServer {
 
     /// Stops the threads and returns the final socket-loop counters.
     pub fn stop(mut self) -> ServeStats {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.halt();
+        self.stats()
+    }
+
+    /// Raises the shutdown flag, wakes the TCP accept loop (blocked in
+    /// `accept`) with one loopback connection, and joins every thread.
+    fn halt(&mut self) {
+        if self.threads.is_empty() {
+            return;
+        }
+        // SeqCst: the accept loop loads the flag after `accept` returns
+        // the wake-up connection, which is opened only after this store.
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(mut addr) = self.tcp_local_addr {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for LiveServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.halt();
     }
 }
 
@@ -459,13 +472,18 @@ fn socket_loop(
     shared.core.lock().stats.fold_send_errors(&mut send_errors);
 }
 
-/// The DNS-over-TCP accept loop: poll the nonblocking listener, spawn a
-/// thread per connection, and join them all before exiting so `stop()`
-/// leaves no thread behind.
+/// The DNS-over-TCP accept loop: block in `accept`, spawn a thread per
+/// connection, and join them all before exiting so `stop()` leaves no
+/// thread behind. Shutdown wakes it with one connection, which is
+/// dropped uncounted.
 fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>, shutdown: &Arc<AtomicBool>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, peer)) => {
                 shared.core.lock().stats.tcp_connections += 1;
                 let shared = Arc::clone(shared);
@@ -474,9 +492,7 @@ fn tcp_accept_loop(listener: &TcpListener, shared: &Arc<Shared>, shutdown: &Arc<
                     tcp_conn_loop(stream, peer, &shared, &shutdown);
                 }));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            // Out of descriptors and the like: back off instead of spinning.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }

@@ -442,3 +442,26 @@ fn a_panicking_tcp_handler_does_not_take_the_udp_loop_down() {
     assert_eq!(stats.tcp_queries, 0, "the trapped query was never answered");
     assert_eq!(stats.datagrams_received, 1);
 }
+
+/// The accept loop blocks in `accept`; `stop()` wakes it with one
+/// loopback connection, which must neither hang the join nor count as a
+/// client.
+#[test]
+fn stop_wakes_an_idle_tcp_listener() {
+    let handle = LiveServer::start(
+        ServeConfig {
+            tcp_bind: Some("127.0.0.1:0".parse().unwrap()),
+            ..ServeConfig::default()
+        },
+        AuthServer::new().with_zone(Box::new(zone())),
+    )
+    .expect("bind loopback");
+    let started = std::time::Instant::now();
+    let stats = handle.stop();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "stop took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(stats.tcp_connections, 0, "the wake-up is not a client");
+}

@@ -8,7 +8,7 @@ use dike_wire::{Message, Name, RecordType};
 use crate::log::{QueryOutcome, QueryRecord, SharedProbeLog, VpKey};
 
 /// Atlas's DNS query timeout (paper §3.2).
-pub const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+const QUERY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// Probe configuration.
 #[derive(Debug, Clone)]
@@ -30,8 +30,6 @@ pub struct StubConfig {
     pub round_jitter: SimDuration,
     /// Number of rounds to run.
     pub rounds: u32,
-    /// Per-query timeout.
-    pub timeout: SimDuration,
 }
 
 impl StubConfig {
@@ -55,7 +53,6 @@ impl StubConfig {
             round_interval,
             round_jitter: SimDuration::ZERO,
             rounds,
-            timeout: DEFAULT_TIMEOUT,
         }
     }
 }
@@ -124,7 +121,7 @@ impl StubProbe {
             let id = self.next_id;
             self.next_id = self.next_id.wrapping_add(1).max(1);
             let msg = Message::query(id, self.config.qname.clone(), self.config.qtype);
-            let timer = ctx.set_timer(self.config.timeout, TimerToken(id as u64));
+            let timer = ctx.set_timer(QUERY_TIMEOUT, TimerToken(id as u64));
             self.pending.insert(
                 id,
                 Pending {

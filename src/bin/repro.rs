@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use dike_experiments::baseline::{run_baseline, BaselineResult, BASELINES};
 use dike_experiments::ddos::{DdosExperiment, ALL};
-use dike_experiments::degraded::{run_degraded, DegradedParams};
+use dike_experiments::degraded::{run_degraded, DegradedParams, FLOOD_LOAD};
 use dike_experiments::glue;
 use dike_experiments::implications;
 use dike_experiments::production::{run_nl, run_root, NlConfig, RootConfig};
@@ -50,9 +50,6 @@ struct Args {
     threads: usize,
     /// `sweep`: seed replicates per arm.
     replicates: u32,
-    /// `scale`/`sweep`: shard workers per run (0 = the `scale` target's
-    /// built-in 1/2/4 ladder; single-threaded for `sweep`).
-    shards: usize,
 }
 
 /// What the command line asks for.
@@ -74,8 +71,8 @@ fn value<T: std::str::FromStr>(flag: &str, what: &str, v: Option<String>) -> Res
 }
 
 /// Reads the command line (without the program name). Anything it does
-/// not understand — an unknown `--option`, a second target — is an
-/// error, never ignored. `--list` and `--help` win over whatever else is
+/// not understand — an unknown `--option` or target, a second target —
+/// is an error, never ignored. `--list` and `--help` win over whatever else is
 /// there, as soon as they are read.
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Action, String> {
     let mut args = Args {
@@ -88,7 +85,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Action, String> {
         grid_json: None,
         threads: 0,
         replicates: 3,
-        shards: 0,
     };
     let mut target = None;
     while let Some(a) = it.next() {
@@ -101,12 +97,15 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Action, String> {
             "--grid-json" => args.grid_json = Some(value(&a, "a path", it.next())?),
             "--threads" => args.threads = value(&a, "an integer", it.next())?,
             "--replicates" => args.replicates = value(&a, "an integer", it.next())?,
-            "--shards" => args.shards = value(&a, "an integer", it.next())?,
             "--list" => return Ok(Action::List),
             "--help" | "-h" => return Ok(Action::Help),
             option if option.starts_with('-') => return Err(format!("unknown option '{option}'")),
             word => {
-                if target.replace(word.to_lowercase()).is_some() {
+                let name = word.to_lowercase();
+                if name != "all" && !TARGETS.iter().any(|(t, ..)| *t == name) {
+                    return Err(format!("unknown target '{word}' (try --help)"));
+                }
+                if target.replace(name).is_some() {
                     return Err(format!("unexpected argument '{word}'"));
                 }
             }
@@ -136,11 +135,8 @@ fn help() -> String {
          sweep-only flags: [--csv FILE] [--grid-json FILE]\n\
          [--replicates K] [--threads N] — run the attack-loss x TTL\n\
          grid through the SweepEngine and export per-arm summaries\n\
-         (byte-identical output for any worker count)\n\
-         scale: run one large population through the sharded\n\
-         parallel engine; [--shards K] runs exactly K shards\n\
-         (default: a 1/2/4 ladder with a digest cross-check);\n\
-         --scale sizes the population against the paper's 9.2k\n",
+         (byte-identical output for any worker count);\n\
+         --scale sizes the probe population against the paper's 9.2k\n",
         names.join(" ")
     )
 }
@@ -220,7 +216,7 @@ impl Ctx {
 type Target = (&'static str, fn(&mut Ctx, &Args), bool);
 
 /// Every target: its name, its runner, and whether `all` includes it
-/// (`sweep`, `falsepos` and `scale` are sized by their own flags and can
+/// (`sweep` and `falsepos` are sized by their own flags and can
 /// dwarf the lettered runs). `all` runs in this order, and `--list` and
 /// `--help` print it.
 const TARGETS: &[Target] = &[
@@ -253,7 +249,6 @@ const TARGETS: &[Target] = &[
     ("nxns", |c, _| nxns_comparison(c), true),
     ("sweep", sweep_grid, false),
     ("falsepos", false_positive_sweep, false),
-    ("scale", scale_benchmark, false),
 ];
 
 fn main() {
@@ -265,16 +260,10 @@ fn main() {
     };
     let mut ctx = Ctx::new(args.scale, args.seed, args.metrics.is_some());
     let t = args.target.clone();
-    let mut matched = false;
     for (name, run, in_all) in TARGETS {
         if t == *name || (t == "all" && *in_all) {
-            matched = true;
             run(&mut ctx, &args);
         }
-    }
-
-    if !matched {
-        die(&format!("unknown target '{t}' (try --help)"));
     }
 
     if let Some(path) = args.json {
@@ -1020,7 +1009,7 @@ fn degraded_scenario(ctx: &mut Ctx) {
         (params.mean_loss * 100.0) as u32,
         params.mean_burst as u32,
         params.latency_factor,
-        params.flood_load,
+        FLOOD_LOAD,
         params.start_min,
         params.start_min + params.duration_min,
     );
@@ -1200,7 +1189,7 @@ fn cookies_comparison(ctx: &mut Ctx) {
 }
 
 fn nxns_comparison(ctx: &mut Ctx) {
-    use dike_experiments::nxns::{run_nxns_comparison, ALL_NXNS_ARMS};
+    use dike_experiments::nxns::{run_nxns_comparison, ALL_NXNS_ARMS, NXNS_QUERIES};
 
     eprintln!(
         "[repro] nxns: running {} arms of the NXNSAttack amplification comparison at scale {} ...",
@@ -1212,7 +1201,7 @@ fn nxns_comparison(ctx: &mut Ctx) {
         format!(
             "NXNSAttack amplification: fan-out {} glueless NS per referral, \
              {} attack queries (one fresh cut each)",
-            cmp.attack.zone.fanout, cmp.attack.queries,
+            cmp.zone.fanout, NXNS_QUERIES,
         ),
         &[
             "arm",
@@ -1257,7 +1246,6 @@ fn sweep_engine(args: &Args) -> SweepEngine {
     let base = ExperimentSetup {
         attack: Some(AttackPlan::complete().window_min(40, 40)),
         seed: args.seed,
-        shards: args.shards.max(1),
         ..ExperimentSetup::paced(sweep_probes(args.scale), 1800, 10, 100)
     };
     SweepEngine::new(base)
@@ -1443,108 +1431,6 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
     );
 }
 
-// ---------------------------------------------------------------------
-// Sharded scale-out benchmark (ROADMAP: one scenario across all cores)
-// ---------------------------------------------------------------------
-
-/// One large population under a partial attack, run through the sharded
-/// parallel engine at each requested shard count. `--scale` sizes the
-/// population against the paper's 9.2k probes (so `--scale 0.5` is ~10×
-/// the default lettered runs), and every row of the table must print
-/// the same digest — the shard count changes wall-clock only, never the
-/// outcome. The `rounds` and `events/round` columns say where the time
-/// went (one barrier crossing per round), and the line under the table
-/// how often the sharded engine's 1 ms delay floor actually bound.
-/// `DIKE_AUDIT=1` additionally asserts the cross-shard conservation
-/// ledger after every run.
-fn scale_benchmark(ctx: &mut Ctx, args: &Args) {
-    use dike_experiments::setup::{AttackPlan, AttackScope};
-    use dike_experiments::{run_experiment_sharded, ExperimentSetup};
-
-    let probes = ((9_200.0 * ctx.scale) as usize).max(40);
-    let shard_counts: Vec<usize> = if args.shards > 0 {
-        vec![args.shards]
-    } else {
-        vec![1, 2, 4]
-    };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "[repro] scale: {probes} probes, 70 sim-minutes, 90% loss at both NS, \
-         shard counts {shard_counts:?} ({cores} core(s) available) ..."
-    );
-
-    let mut tbl = TextTable::new(
-        format!(
-            "Sharded scale-out: {probes} probes on {cores} core(s); equal digests = equal runs"
-        ),
-        &[
-            "shards",
-            "VPs",
-            "records",
-            "events",
-            "wall s",
-            "rounds",
-            "events/round",
-            "events/s",
-            "digest",
-        ],
-    );
-    let mut digests: Vec<u64> = Vec::new();
-    // Delays come from per-node streams, so the share is the same on
-    // every row; the last one is printed.
-    let mut clamped = (0, 0);
-    for &k in &shard_counts {
-        let mut setup = ExperimentSetup::new(probes, 1800);
-        setup.seed = ctx.seed;
-        setup.round_interval = SimDuration::from_mins(10);
-        setup.rounds = 6;
-        setup.total_duration = SimDuration::from_mins(70);
-        setup.attack = Some(AttackPlan {
-            start_min: 20,
-            duration_min: 40,
-            loss: 0.9,
-            scope: AttackScope::BothNs,
-        });
-        setup.shards = k;
-        let started = std::time::Instant::now();
-        let out = run_experiment_sharded(&setup);
-        let wall = started.elapsed();
-        let digest = out.log.digest();
-        digests.push(digest);
-        let events = out.perf.events_popped;
-        let rounds = out.perf.sync_rounds;
-        clamped = (out.perf.floor_clamped, out.perf.datagrams_sent);
-        tbl.row(&[
-            k.to_string(),
-            out.n_vps.to_string(),
-            out.log.records.len().to_string(),
-            events.to_string(),
-            format!("{:.2}", wall.as_secs_f64()),
-            rounds.to_string(),
-            format!("{:.1}", events as f64 / rounds.max(1) as f64),
-            format!("{:.0}", events as f64 / wall.as_secs_f64().max(1e-9)),
-            format!("{digest:016x}"),
-        ]);
-    }
-    ctx.emit(&tbl);
-    println!(
-        "delay floor (1 ms) bound on {} of {} sampled one-way delays ({:.3}%)",
-        clamped.0,
-        clamped.1,
-        100.0 * clamped.0 as f64 / clamped.1.max(1) as f64
-    );
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "shard counts disagreed: {digests:x?}"
-    );
-    if shard_counts.len() > 1 {
-        println!(
-            "all shard counts produced digest {:016x} — outcome is shard-count-independent",
-            digests[0]
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1572,6 +1458,8 @@ mod tests {
                 "unknown option '--replicate'",
             ),
             (&["fig8", "fig9"], "unexpected argument 'fig9'"),
+            (&["scale"], "unknown target 'scale' (try --help)"),
+            (&["sweep", "--shards", "2"], "unknown option '--shards'"),
             (&["sweep", "--replicates"], "--replicates needs an integer"),
             (&["--scale", "big"], "--scale needs a number"),
         ] {
@@ -1676,8 +1564,7 @@ mod tests {
              spoofed_flood: Some(SpoofedFlood { sources: 24, qps_per_source: 10.0, \
              start_min: 60, duration_min: 60 }), \
              late_wave: Some(LateResolverWave { arrivals_per_min: 2.0, \
-             qps_per_resolver: 0.03333333333333333, start_min: 60, \
-             window_min: 60 }), tcp: None, cookie_secret: None, \
+             start_min: 60, window_min: 60 }), tcp: None, cookie_secret: None, \
              tcp_exhaustion: None, nxns: None, resolver_max_fetch: None, \
              audit: false, shards: 1 }"
         );

@@ -77,7 +77,7 @@ fn rounds_are_fewer_than_events() {
     let one = run_experiment_sharded(&sharded_setup(1)).perf;
     assert!((1..=2).contains(&one.sync_rounds), "{}", one.sync_rounds);
     let legacy = Report::run(&fixed_setup(1)).perf();
-    assert_eq!((legacy.sync_rounds, legacy.floor_clamped), (0, 0));
+    assert_eq!(legacy.sync_rounds, 0);
 }
 
 /// Run-twice determinism with the full supported fault + defense
