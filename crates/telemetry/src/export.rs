@@ -3,7 +3,7 @@
 
 use crate::json::Writer;
 use crate::metrics::HistogramSnapshot;
-use crate::registry::{MetricValue, MetricsRegistry};
+use crate::registry::{Kind, MetricValue, MetricsRegistry, Row, Rows};
 
 fn histogram_json(h: &HistogramSnapshot, w: &mut Writer) {
     w.begin_object();
@@ -39,6 +39,18 @@ fn value_fields(v: &MetricValue, w: &mut Writer) {
     }
 }
 
+/// A row's latest value and its `points` array.
+fn series<V: Kind>(row: &Row<V>, w: &mut Writer) {
+    value_fields(&row.current.value(), w);
+    w.key("points").begin_array();
+    for (idx, v) in &row.points {
+        w.begin_object().key("snapshot").u64((*idx).into());
+        value_fields(&v.value(), w);
+        w.end_object();
+    }
+    w.end_array();
+}
+
 impl MetricsRegistry {
     /// Serializes the whole registry — snapshot times, node labels, and
     /// every metric's latest value plus its sparse series — as a JSON
@@ -57,22 +69,20 @@ impl MetricsRegistry {
         }
         w.end_object();
         w.key("metrics").begin_array();
-        for (key, series) in self.iter() {
+        for (family, node, row) in self.rows_in_order() {
             w.begin_object();
-            w.key("component").str(&key.component).key("node");
-            match key.node {
+            w.key("component").str(&family.component).key("node");
+            match node {
                 Some(n) => w.u64(n.into()),
                 None => w.null(),
             };
-            w.key("metric").str(&key.metric);
-            value_fields(&series.current, &mut w);
-            w.key("points").begin_array();
-            for (idx, v) in &series.points {
-                w.begin_object().key("snapshot").u64((*idx).into());
-                value_fields(v, &mut w);
-                w.end_object();
+            w.key("metric").str(&family.metric);
+            match &family.rows {
+                Rows::Counter(rows) => series(&rows[row], &mut w),
+                Rows::Gauge(rows) => series(&rows[row], &mut w),
+                Rows::Histogram(rows) => series(&rows[row], &mut w),
             }
-            w.end_array().end_object();
+            w.end_object();
         }
         w.end_array().end_object();
         w.finish()

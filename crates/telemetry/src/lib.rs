@@ -22,17 +22,22 @@
 //! * **Cheap.** Hot paths bump plain integer fields the component owns
 //!   (a count is a `u64`, a distribution an unsynchronized
 //!   [`Histogram`]); the registry is only touched when a snapshot
-//!   boundary is crossed. `benchmark/`'s `telemetry.cut_overhead` layer
-//!   metric is the measured cost of those cuts.
+//!   boundary is crossed. There, republishing a known counter or gauge
+//!   is a family guess, a row lookup by node id and a store, with no
+//!   allocation, and a stored counter point is 16 bytes. `benchmark/`'s
+//!   `telemetry.cut_overhead` layer metric is the measured cost of the
+//!   cuts: about 11 ms per cut at 20,553 nodes.
 //!
 //! # Model
 //!
 //! Components own their instruments and *publish* them into a
 //! [`MetricsRegistry`] at snapshot boundaries, keyed by
-//! `(component, node_id, metric)`. The registry keeps the latest value
-//! per key plus a time-binned series: one point per snapshot boundary
-//! (cumulative values, like Prometheus counters — consumers diff
-//! adjacent points for per-bin rates).
+//! `(component, node_id, metric)` and stored as one family per
+//! `(component, metric)` with one row per node. The registry keeps the
+//! latest value per key plus a time-binned series: one point per
+//! snapshot boundary at which the value changed (cumulative values, like
+//! Prometheus counters — consumers diff adjacent points for per-bin
+//! rates).
 //!
 //! ```
 //! use dike_telemetry::{Histogram, MetricsRegistry};
@@ -63,7 +68,7 @@ pub mod rng;
 pub mod sync;
 
 pub use metrics::{Histogram, HistogramSnapshot};
-pub use registry::{MetricKey, MetricValue, MetricsRegistry, NodePublisher, SharedRegistry};
+pub use registry::{MetricValue, MetricsRegistry, NodePublisher, SharedRegistry};
 
 /// Telemetry configuration: how often (in simulated time) the driver
 /// cuts a snapshot of every registered metric.

@@ -134,12 +134,15 @@ impl Histogram {
 
     /// Non-empty bins as `(bin_lower_bound, count)` pairs.
     pub fn nonzero_bins(&self) -> Vec<(u64, u64)> {
+        self.nonzero().collect()
+    }
+
+    fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.bins
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (bin_lower_bound(i), c))
-            .collect()
     }
 
     /// Adds every sample of `other` into this histogram (bin-wise; the
@@ -163,18 +166,27 @@ impl Histogram {
 
     /// A frozen copy suitable for storing in a snapshot series.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: self.min(),
-            max: self.max(),
-            bins: self.nonzero_bins(),
-        }
+        let mut s = HistogramSnapshot::default();
+        self.snapshot_into(&mut s);
+        s
+    }
+
+    /// [`Histogram::snapshot`] into `out`, reusing its bin buffer: the
+    /// registry's republish of a known histogram allocates only when it
+    /// has more non-empty bins than the buffer has held before.
+    pub(crate) fn snapshot_into(&self, out: &mut HistogramSnapshot) {
+        out.count = self.count;
+        out.sum = self.sum;
+        out.min = self.min();
+        out.max = self.max();
+        out.bins.clear();
+        out.bins.extend(self.nonzero());
     }
 }
 
 /// A frozen histogram: counts per non-empty log bin plus summary stats.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The default is the snapshot of an empty histogram.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

@@ -17,7 +17,7 @@ use dike::experiments::topology;
 use dike::faults::{Fault, FaultPlan};
 use dike::netsim::SimDuration;
 use dike::stats::timeseries::outcome_timeseries;
-use dike::telemetry::{MetricKey, MetricValue, TelemetryConfig};
+use dike::telemetry::{MetricValue, TelemetryConfig};
 
 fn main() {
     let mins = |m: u64| SimDuration::from_mins(m);
@@ -95,8 +95,8 @@ fn main() {
     for (idx, at) in reg.snapshot_times().iter().enumerate() {
         print!("{:>5}", at / 60_000_000_000);
         for m in metrics {
-            let v = match reg.value_at(&MetricKey::new("netsim", None, m), idx as u32) {
-                Some(MetricValue::Counter(c)) => *c,
+            let v = match reg.value_at("netsim", None, m, idx as u32) {
+                Some(MetricValue::Counter(c)) => c,
                 _ => 0,
             };
             print!(" {:>12}", v);
