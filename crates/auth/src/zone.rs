@@ -1,6 +1,7 @@
 //! The zone model and its lookup semantics.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
 
 use dike_wire::{Name, Question, RData, Record, RecordType, SoaData};
 
@@ -37,32 +38,39 @@ pub enum ZoneAnswer {
     NotInZone,
 }
 
+/// The RRsets at one owner name, by type.
+type RRsets = BTreeMap<RecordType, Vec<Record>>;
+
 /// An in-memory DNS zone.
 ///
 /// Records are stored per `(name, type)`. Any NS RRset owned by a name
 /// *below* the origin marks a zone cut: queries at or below it produce
 /// referrals, and address records stored below the cut serve as glue.
-#[derive(Debug, Clone)]
+///
+/// Owners live in a hash index: the answer path only ever probes exact
+/// names, so nothing on it compares names in canonical order. The cold
+/// paths that must ([`Zone::iter_records`], [`Zone::to_zonefile`] and
+/// `Debug`) sort the owners when called.
+#[derive(Clone)]
 pub struct Zone {
     origin: Name,
     soa: Record,
-    records: BTreeMap<Name, BTreeMap<RecordType, Vec<Record>>>,
+    records: HashMap<Name, RRsets>,
+    /// Every proper ancestor of an owner, strictly below the origin. A
+    /// name here without records of its own is an empty non-terminal.
+    interior: HashSet<Name>,
 }
 
 impl Zone {
     /// Creates a zone with the given origin and SOA data.
     pub fn new(origin: Name, soa_ttl: u32, soa: SoaData) -> Self {
         let soa_record = Record::new(origin.clone(), soa_ttl, RData::Soa(soa));
-        let mut records = BTreeMap::new();
-        records.insert(origin.clone(), {
-            let mut m = BTreeMap::new();
-            m.insert(RecordType::SOA, vec![soa_record.clone()]);
-            m
-        });
+        let apex = RRsets::from([(RecordType::SOA, vec![soa_record.clone()])]);
         Zone {
+            records: HashMap::from([(origin.clone(), apex)]),
             origin,
             soa: soa_record,
-            records,
+            interior: HashSet::new(),
         }
     }
 
@@ -106,6 +114,12 @@ impl Zone {
             record.name,
             self.origin
         );
+        for ancestor in between(&record.name, &self.origin) {
+            // An ancestor already present has all of its own above it.
+            if !self.interior.insert(ancestor) {
+                break;
+            }
+        }
         self.records
             .entry(record.name.clone())
             .or_default()
@@ -123,11 +137,16 @@ impl Zone {
             .sum()
     }
 
+    /// The owners in canonical DNS order.
+    fn sorted_owners(&self) -> BTreeMap<&Name, &RRsets> {
+        self.records.iter().collect()
+    }
+
     /// Iterates every record in canonical order (SOA first at the apex,
-    /// then names in canonical DNS order).
+    /// then names in canonical DNS order). Sorts the owners on each call.
     pub fn iter_records(&self) -> impl Iterator<Item = &Record> {
-        self.records
-            .values()
+        self.sorted_owners()
+            .into_values()
             .flat_map(|types| types.values().flatten())
     }
 
@@ -183,57 +202,34 @@ impl Zone {
             .map(|v| v.as_slice())
     }
 
-    /// Finds the deepest zone cut strictly below the origin covering
-    /// `name`, if any.
-    fn covering_cut(&self, name: &Name) -> Option<&Name> {
-        // Walk from `name` up toward (but excluding) the origin looking
-        // for an NS RRset owner.
-        let mut best: Option<&Name> = None;
-        for candidate in name.self_and_ancestors() {
-            if candidate == self.origin {
-                break;
-            }
-            if let Some((key, types)) = self.records.get_key_value(&candidate) {
-                if types.contains_key(&RecordType::NS) {
-                    // Keep walking up: if several nested cuts exist, the
-                    // shallowest one (closest to the origin) owns the
-                    // referral — everything deeper belongs to the child.
-                    best = Some(key);
-                }
-            }
-        }
-        best
-    }
-
-    /// Whether any name exists at or below `name` (an existing node or an
-    /// empty non-terminal).
-    fn name_exists(&self, name: &Name) -> bool {
-        if self.records.contains_key(name) {
-            return true;
-        }
-        // Canonical ordering groups descendants after the name; scan the
-        // range starting at `name` for a subdomain.
-        self.records
-            .range(name.clone()..)
-            .take_while(|(k, _)| k.is_subdomain_of(name))
-            .next()
-            .is_some()
-    }
-
     /// Answers a question per authoritative-server semantics.
     pub fn answer(&self, q: &Question) -> ZoneAnswer {
         if !q.name.is_subdomain_of(&self.origin) {
             return ZoneAnswer::NotInZone;
         }
 
+        // One walk from the qname up to (excluding) the origin probes each
+        // name once: the qname's probe is also the exact-match lookup, and
+        // any NS owner on the way is a zone cut. Keep walking past a cut:
+        // if several nested cuts exist, the shallowest one (closest to the
+        // origin) owns the referral — everything deeper belongs to the
+        // child.
+        let node = self.records.get(&q.name);
+        let mut cut = node
+            .filter(|_| q.name != self.origin)
+            .and_then(|types| types.get(&RecordType::NS))
+            .map(Vec::as_slice);
+        for ancestor in between(&q.name, &self.origin) {
+            if let Some(ns) = self.rrset(&ancestor, RecordType::NS) {
+                cut = Some(ns);
+            }
+        }
+
         // Delegations take precedence over everything except data at the
         // origin itself — but an NS query *at the cut* is still a referral
         // (the child is authoritative for its own apex).
-        if let Some(cut) = self.covering_cut(&q.name) {
-            let ns = self
-                .rrset(cut, RecordType::NS)
-                .expect("cut implies NS rrset")
-                .to_vec();
+        if let Some(ns) = cut {
+            let ns = ns.to_vec();
             let mut glue = Vec::new();
             for r in &ns {
                 if let RData::Ns(target) = &r.rdata {
@@ -247,8 +243,10 @@ impl Zone {
             return ZoneAnswer::Referral { ns, glue };
         }
 
-        let Some(types) = self.records.get(&q.name) else {
-            return if self.name_exists(&q.name) {
+        let Some(types) = node else {
+            // A name with no records exists if some owner sits below it
+            // (an empty non-terminal).
+            return if self.interior.contains(&q.name) {
                 ZoneAnswer::NoData {
                     soa: self.soa.clone(),
                 }
@@ -298,6 +296,25 @@ impl Zone {
         ZoneAnswer::NoData {
             soa: self.soa.clone(),
         }
+    }
+}
+
+/// The names strictly between `name` and its ancestor `origin`, deepest
+/// first: `a.b.c.nl` under `nl` yields `b.c.nl`, then `c.nl`.
+fn between<'a>(name: &'a Name, origin: &Name) -> impl Iterator<Item = Name> + 'a {
+    let depth = name.label_count() - origin.label_count();
+    name.self_and_ancestors().take(depth).skip(1)
+}
+
+/// Prints the owners in canonical order, not the per-process hash order.
+/// `interior` is derived from the owners and left out.
+impl fmt::Debug for Zone {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Zone")
+            .field("origin", &self.origin)
+            .field("soa", &self.soa)
+            .field("records", &self.sorted_owners())
+            .finish()
     }
 }
 
@@ -484,6 +501,17 @@ mod tests {
             },
             other => panic!("expected authoritative, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn debug_lists_owners_in_canonical_order() {
+        let shown = format!("{:?}", test_zone());
+        let owners = ["", "alias.", "ns1.", "ns2.", "sub.", "ns1.sub.", "www."];
+        let at: Vec<usize> = owners
+            .iter()
+            .map(|o| shown.find(&format!("Name({o}cachetest.nl): {{")).unwrap())
+            .collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{shown}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Rules: `;` starts a comment; `@` means the origin; names without a
 //! trailing dot are relative to the origin; TTL and class (`IN`) are
 //! optional per record (TTL falls back to `$TTL`); supported types are
-//! SOA, NS, A, AAAA, CNAME, TXT, MX, PTR and DS.
+//! SOA, NS, A, AAAA, CNAME, TXT, MX, PTR, SRV and DS.
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -108,7 +108,8 @@ pub fn parse(text: &str, default_origin: Option<&Name>) -> Result<Zone, ParseErr
                             .map_err(|_| err(lineno, format!("TTL {raw} out of range")))?,
                     );
                 }
-                Some(&"IN") | Some(&"in") => {
+                // Mnemonics are case-insensitive (RFC 4343).
+                Some(tok) if tok.eq_ignore_ascii_case("IN") => {
                     tokens.remove(0);
                 }
                 _ => break,
@@ -285,13 +286,16 @@ fn parse_rdata(
     }
 }
 
+/// Decodes hex digit pairs. Works on bytes, so a multi-byte character is
+/// a bad digit, never a slice through a char boundary.
 fn parse_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    let digit = |b: &u8| char::from(*b).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| match pair {
+            [hi, lo] => Some(((digit(hi)? << 4) | digit(lo)?) as u8),
+            _ => None,
+        })
         .collect()
 }
 
@@ -411,6 +415,18 @@ v6             IN AAAA  2001:db8::1
                 assert_eq!(digest, &vec![0xde, 0xad, 0xbe, 0xef]);
             }
             other => panic!("expected DS, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn class_mnemonic_is_case_insensitive() {
+        for class in ["IN", "in", "In", "iN"] {
+            let text =
+                format!("$ORIGIN x.nl.\n@ 60 {class} SOA ns h 1 2 3 4 5\nx 60 {class} A 1.2.3.4\n");
+            let z = parse(&text, None).unwrap_or_else(|e| panic!("{class}: {e}"));
+            assert!(z
+                .rrset(&Name::parse("x.x.nl").unwrap(), RecordType::A)
+                .is_some());
         }
     }
 

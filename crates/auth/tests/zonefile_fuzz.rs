@@ -28,6 +28,43 @@ fn parser_never_panics_on_mutated_valid_zone() {
     });
 }
 
+/// Records that once panicked, kept as fixed cases: each is an error.
+#[test]
+fn parser_rejects_pinned_inputs_without_panicking() {
+    const PINNED: [&str; 1] = [
+        // `parse_hex` sliced the digest at byte offsets: "end byte index 2
+        // is not a char boundary".
+        "x IN DS 1 2 3 a\u{e9}b",
+    ];
+    for line in PINNED {
+        let text = format!("$ORIGIN z.test.\n$TTL 60\n@ IN SOA ns h 1 2 3 4 5\n{line}\n");
+        assert!(zonefile::parse(&text, None).is_err(), "{line}");
+    }
+}
+
+#[test]
+fn parser_never_panics_on_arbitrary_rdata() {
+    const TYPES: [&str; 10] = [
+        "A", "AAAA", "NS", "CNAME", "PTR", "MX", "SRV", "TXT", "DS", "SOA",
+    ];
+    check::cases("parser_never_panics_on_arbitrary_rdata", CASES, |g| {
+        let rtype = *g.pick(&TYPES);
+        // Each field is arbitrary text or a number, mostly one that fits a
+        // u8, so a type's leading numeric fields parse often enough for
+        // the text after them to be reached.
+        let fields = g.vec(0..9, |g| match g.range(0..4u32) {
+            0 => g.text(1..7),
+            1 => g.range(0..70_000u32).to_string(),
+            _ => g.range(0..256u32).to_string(),
+        });
+        let text = format!(
+            "$ORIGIN z.test.\n$TTL 60\n@ IN SOA ns h 1 2 3 4 5\nx IN {rtype} {}\n",
+            fields.join(" ")
+        );
+        let _ = zonefile::parse(&text, None);
+    });
+}
+
 #[test]
 fn parser_never_panics_on_line_permutations() {
     const LINES: [&str; 9] = [

@@ -378,6 +378,68 @@ fn cookie_exempt_client_sails_past_the_slipping_gate() {
     handle.stop();
 }
 
+/// A static zone with every shape of answer: apex NS with in-zone
+/// addresses, a CNAME, an empty non-terminal (`deep`, `b.deep`) and a
+/// delegation with glue.
+const ZONEFILE: &str = "\
+$ORIGIN example.test.
+$TTL 300
+@         IN SOA   ns1 hostmaster 7 14400 3600 1209600 60
+@         IN NS    ns1
+@         IN NS    ns2
+ns1       IN A     192.0.2.1
+ns2       IN A     192.0.2.2
+ns2       IN AAAA  2001:db8::2
+www    60 IN A     192.0.2.80
+alias     IN CNAME www
+a.b.deep  IN TXT   \"leaf\"
+sub       IN NS    ns.sub
+ns.sub    IN A     192.0.2.53
+";
+
+/// A zone-file zone on a live socket: each kind of answer is
+/// byte-identical to what the in-process server encodes.
+#[test]
+fn a_zone_file_zone_is_served_byte_identically() {
+    let zone = || Box::new(dike_auth::zonefile::parse(ZONEFILE, None).expect("zone parses"));
+    let mut reference = AuthServer::new().with_zone(zone());
+    let handle = LiveServer::start(ServeConfig::default(), AuthServer::new().with_zone(zone()))
+        .expect("bind loopback");
+    let client = udp_client(&handle);
+
+    use dike_wire::Rcode::{NoError, NxDomain};
+    use RecordType::{A, NS};
+    // (name in the zone, type, rcode, AA, [answers, authorities, additionals])
+    let cases = [
+        ("nope", A, NxDomain, true, [0, 1, 0]),
+        ("b.deep", A, NoError, true, [0, 1, 0]),
+        ("x.sub", A, NoError, false, [0, 1, 1]),
+        ("@", NS, NoError, true, [2, 0, 3]),
+        ("alias", A, NoError, true, [2, 0, 0]),
+    ];
+    for (i, (label, qtype, rcode, aa, counts)) in cases.into_iter().enumerate() {
+        let name = match label {
+            "@" => Name::parse("example.test").unwrap(),
+            _ => Name::parse(&format!("{label}.example.test")).unwrap(),
+        };
+        let q = Message::query(i as u16 + 1, name, qtype);
+        let expected = codec::encode(&reference.handle_query(SimTime::ZERO, &q)).unwrap();
+        let live = udp_exchange(&client, &q);
+        assert_eq!(
+            live, expected,
+            "{label} {qtype}: live and in-process differ"
+        );
+        let m = codec::decode(&live).expect("decodes");
+        let counts_seen = [m.answers.len(), m.authorities.len(), m.additionals.len()];
+        assert_eq!(
+            (m.rcode, m.authoritative, counts_seen),
+            (rcode, aa, counts),
+            "{label} {qtype}"
+        );
+    }
+    handle.stop();
+}
+
 /// A zone whose lookup panics on one name: the stand-in for any bug in
 /// a handler that runs under the server's lock.
 struct Tripwire(CacheTestZone);
