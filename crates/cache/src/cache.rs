@@ -1,10 +1,11 @@
 //! The cache proper: an LRU-bounded TTL cache with negative entries and
 //! optional serve-stale.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use dike_netsim::SimTime;
-use dike_wire::{Name, Record, RecordType};
+use dike_wire::{Name, RData, Record, RecordType};
 
 use crate::config::{CacheConfig, STALE_WINDOW};
 use crate::entry::{CacheKey, Entry, EntryData, NegativeKind, TrustLevel};
@@ -13,12 +14,12 @@ use crate::entry::{CacheKey, Entry, EntryData, NegativeKind, TrustLevel};
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheAnswer {
     /// A live positive entry; records carry the decremented TTL.
-    Fresh(Vec<Record>),
+    Fresh(CachedRrset),
     /// A live negative entry.
     Negative(NegativeKind),
     /// An expired entry served under serve-stale rules; records carry
     /// TTL 0 per RFC 8767 (and the paper's §5.3 observation).
-    Stale(Vec<Record>),
+    Stale(CachedRrset),
     /// Nothing usable.
     Miss,
 }
@@ -28,6 +29,44 @@ impl CacheAnswer {
     /// without contacting an authoritative.
     pub fn is_usable_fresh(&self) -> bool {
         matches!(self, CacheAnswer::Fresh(_) | CacheAnswer::Negative(_))
+    }
+}
+
+/// A positive answer as served: the cached RRset itself (shared, not
+/// copied), where this hit's rotation starts, and the TTL every record
+/// carries. Nothing is copied until [`CachedRrset::into_records`].
+#[derive(Debug, Clone)]
+pub struct CachedRrset {
+    records: Arc<[Record]>,
+    start: usize,
+    ttl: u32,
+}
+
+impl CachedRrset {
+    /// The records in served order: BIND-style cyclic rotation
+    /// (`rrset-order cyclic`) starts successive hits at successive
+    /// offsets.
+    fn rotated(&self) -> impl Iterator<Item = &Record> {
+        let (before, from) = self.records.split_at(self.start);
+        from.iter().chain(before)
+    }
+
+    /// The records' data in served order.
+    pub fn rdata(&self) -> impl Iterator<Item = &RData> {
+        self.rotated().map(|r| &r.rdata)
+    }
+
+    /// The records in served order, each carrying the served TTL — what
+    /// goes into a client's answer section.
+    pub fn into_records(self) -> Vec<Record> {
+        self.rotated().map(|r| r.with_ttl(self.ttl)).collect()
+    }
+}
+
+/// Equal when the served records are: same order, same TTL.
+impl PartialEq for CachedRrset {
+    fn eq(&self, other: &Self) -> bool {
+        self.ttl == other.ttl && self.rotated().eq(other.rotated())
     }
 }
 
@@ -51,17 +90,36 @@ pub struct CacheStats {
     pub flushes: u64,
 }
 
+/// "No slot": the end of the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// One occupied cache slot, threaded onto the LRU list.
+#[derive(Debug)]
+struct Slot {
+    key: CacheKey,
+    entry: Entry,
+    /// The next less recently used slot.
+    prev: u32,
+    /// The next more recently used slot.
+    next: u32,
+}
+
 /// A recursive resolver's cache.
 ///
-/// Entries are whole RRsets keyed by `(name, type)`. The LRU order is a
-/// `u64` use-stamp per key plus a `BTreeMap` from stamp to key, giving
-/// `O(log n)` touch and eviction.
+/// Entries are whole RRsets keyed by `(name, type)`. `index` maps a key to
+/// its slot in `slots`; the slots form a doubly-linked LRU list from
+/// `head` (least recently used, the next victim) to `tail` (most
+/// recent), so a touch and an eviction are O(1) and allocate nothing.
+/// The slab never has holes: an eviction hands the victim's slot to the
+/// new entry, a re-insert overwrites its own slot, and only a flush
+/// removes slots (all of them).
 #[derive(Debug)]
 pub struct ResolverCache {
     config: CacheConfig,
-    map: HashMap<CacheKey, (Entry, u64)>,
-    lru: BTreeMap<u64, CacheKey>,
-    next_stamp: u64,
+    index: HashMap<CacheKey, u32>,
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
     stats: CacheStats,
 }
 
@@ -70,9 +128,10 @@ impl ResolverCache {
     pub fn new(config: CacheConfig) -> Self {
         ResolverCache {
             config,
-            map: HashMap::new(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -84,12 +143,12 @@ impl ResolverCache {
 
     /// Number of live slots (including expired ones not yet evicted).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// True when no slots are occupied.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// Statistics so far.
@@ -100,7 +159,7 @@ impl ResolverCache {
     /// Stores a positive RRset observed at `now` with authoritative trust.
     /// The effective TTL is the minimum TTL across the set, clamped by
     /// configuration. Returns the effective TTL actually stored.
-    pub fn insert(&mut self, now: SimTime, records: Vec<Record>) -> u32 {
+    pub fn insert(&mut self, now: SimTime, records: impl Into<Arc<[Record]>>) -> u32 {
         self.insert_ranked(now, records, TrustLevel::Authoritative)
     }
 
@@ -108,19 +167,27 @@ impl ResolverCache {
     /// §5.4.1): lower-trust data (glue) never replaces live higher-trust
     /// data (an authoritative answer). Returns the effective TTL of
     /// whatever ends up cached.
-    pub fn insert_ranked(&mut self, now: SimTime, records: Vec<Record>, trust: TrustLevel) -> u32 {
+    pub fn insert_ranked(
+        &mut self,
+        now: SimTime,
+        records: impl Into<Arc<[Record]>>,
+        trust: TrustLevel,
+    ) -> u32 {
+        let records = records.into();
         debug_assert!(!records.is_empty(), "cannot cache an empty RRset");
         let key = CacheKey::new(records[0].name.clone(), records[0].rtype());
         // Data ranking: keep a live higher-trust entry.
-        if let Some((existing, _)) = self.map.get(&key) {
-            if existing.trust > trust && existing.remaining_ttl(now).is_some() {
-                return existing.remaining_ttl(now).unwrap_or(0);
+        if let Some(&at) = self.index.get(&key) {
+            let existing = &self.slots[at as usize].entry;
+            if existing.trust > trust {
+                if let Some(remaining) = existing.remaining_ttl(now) {
+                    return remaining;
+                }
             }
         }
         let raw_ttl = records.iter().map(|r| r.ttl).min().unwrap_or(0);
         let ttl = self.config.clamp_ttl(raw_ttl);
         self.store(
-            now,
             key,
             Entry {
                 data: EntryData::Positive(records),
@@ -144,7 +211,6 @@ impl ResolverCache {
     ) -> u32 {
         let ttl = self.config.clamp_ttl(neg_ttl);
         self.store(
-            now,
             CacheKey::new(name, rtype),
             Entry {
                 data: EntryData::Negative(kind),
@@ -157,30 +223,68 @@ impl ResolverCache {
         ttl
     }
 
-    fn store(&mut self, _now: SimTime, key: CacheKey, entry: Entry) {
+    /// Puts `entry` under `key` as the most recently used slot: over the
+    /// key's own slot if it has one, else over the least recently used
+    /// slot when the cache is full, else in a new slot.
+    fn store(&mut self, key: CacheKey, entry: Entry) {
         self.stats.insertions += 1;
-        // Replace any existing slot for this key.
-        if let Some((_, old_stamp)) = self.map.remove(&key) {
-            self.lru.remove(&old_stamp);
-        }
-        // Evict the least recently used slot if full.
-        while self.map.len() >= self.config.capacity {
-            let Some((&stamp, _)) = self.lru.iter().next() else {
-                break;
-            };
-            let victim = self.lru.remove(&stamp).expect("lru entry vanished");
-            self.map.remove(&victim);
-            self.stats.evictions += 1;
-        }
-        let stamp = self.bump();
-        self.lru.insert(stamp, key.clone());
-        self.map.insert(key, (entry, stamp));
+        let at = match self.index.get(&key) {
+            Some(&at) => {
+                self.slots[at as usize].entry = entry;
+                self.unlink(at);
+                at
+            }
+            // A capacity of 0 still holds the entry just stored.
+            None if self.slots.len() >= self.config.capacity.max(1) => {
+                let at = self.head;
+                self.unlink(at);
+                self.stats.evictions += 1;
+                let slot = &mut self.slots[at as usize];
+                let victim = std::mem::replace(&mut slot.key, key.clone());
+                slot.entry = entry;
+                self.index.remove(&victim);
+                self.index.insert(key, at);
+                at
+            }
+            None => {
+                assert!(self.slots.len() < NIL as usize, "slot indices are u32");
+                let at = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    key: key.clone(),
+                    entry,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.index.insert(key, at);
+                at
+            }
+        };
+        self.push_tail(at);
     }
 
-    fn bump(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
+    /// Takes slot `at` out of the LRU list.
+    fn unlink(&mut self, at: u32) {
+        let Slot { prev, next, .. } = self.slots[at as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Links slot `at` in as the most recently used.
+    fn push_tail(&mut self, at: u32) {
+        let slot = &mut self.slots[at as usize];
+        slot.prev = self.tail;
+        slot.next = NIL;
+        match self.tail {
+            NIL => self.head = at,
+            t => self.slots[t as usize].next = at,
+        }
+        self.tail = at;
     }
 
     /// Looks up `(name, rtype)` at `now`. Fresh entries are returned with
@@ -201,51 +305,43 @@ impl ResolverCache {
         rtype: RecordType,
         min_trust: TrustLevel,
     ) -> CacheAnswer {
-        let key = CacheKey::new(name.clone(), rtype);
-        if let Some((entry, _)) = self.map.get(&key) {
-            if entry.trust < min_trust {
-                self.stats.misses += 1;
-                return CacheAnswer::Miss;
-            }
-        }
-        let Some((entry, stamp)) = self.map.get(&key) else {
-            self.stats.misses += 1;
-            return CacheAnswer::Miss;
-        };
-        match entry.remaining_ttl(now) {
-            Some(remaining) => {
-                self.stats.hits += 1;
-                let rotation = entry.hits as usize;
-                let answer = match &entry.data {
-                    EntryData::Positive(records) => {
-                        // BIND-style cyclic rotation (`rrset-order
-                        // cyclic`): successive hits start the RRset at
-                        // successive offsets.
-                        let n = records.len();
-                        let start = rotation % n;
-                        CacheAnswer::Fresh(
-                            (0..n)
-                                .map(|i| records[(start + i) % n].with_ttl(remaining))
-                                .collect(),
-                        )
-                    }
-                    EntryData::Negative(kind) => CacheAnswer::Negative(*kind),
-                };
-                // Touch for LRU and rotation.
-                let old = *stamp;
-                let new = self.bump();
-                self.lru.remove(&old);
-                self.lru.insert(new, key.clone());
-                let slot = self.map.get_mut(&key).expect("entry vanished");
-                slot.0.hits = slot.0.hits.wrapping_add(1);
-                slot.1 = new;
-                answer
-            }
+        match self.index.get(&CacheKey::new(name.clone(), rtype)) {
+            Some(&at) => self.serve(at, now, min_trust),
             None => {
-                self.stats.expired += 1;
+                self.stats.misses += 1;
                 CacheAnswer::Miss
             }
         }
+    }
+
+    /// Answers from slot `at`: a miss below `min_trust`, expired past its
+    /// TTL, else a hit that advances the RRset's rotation and makes the
+    /// slot the most recently used.
+    fn serve(&mut self, at: u32, now: SimTime, min_trust: TrustLevel) -> CacheAnswer {
+        let entry = &mut self.slots[at as usize].entry;
+        if entry.trust < min_trust {
+            self.stats.misses += 1;
+            return CacheAnswer::Miss;
+        }
+        let Some(remaining) = entry.remaining_ttl(now) else {
+            self.stats.expired += 1;
+            return CacheAnswer::Miss;
+        };
+        self.stats.hits += 1;
+        let answer = match &entry.data {
+            EntryData::Positive(records) => CacheAnswer::Fresh(CachedRrset {
+                records: Arc::clone(records),
+                start: entry.hits as usize % records.len(),
+                ttl: remaining,
+            }),
+            EntryData::Negative(kind) => CacheAnswer::Negative(*kind),
+        };
+        entry.hits = entry.hits.wrapping_add(1);
+        if at != self.tail {
+            self.unlink(at);
+            self.push_tail(at);
+        }
+        answer
     }
 
     /// After resolution has failed, tries to serve an expired entry under
@@ -254,13 +350,13 @@ impl ResolverCache {
         if !self.config.serve_stale {
             return CacheAnswer::Miss;
         }
-        let key = CacheKey::new(name.clone(), rtype);
-        let Some((entry, _)) = self.map.get(&key) else {
+        let Some(&at) = self.index.get(&CacheKey::new(name.clone(), rtype)) else {
             return CacheAnswer::Miss;
         };
+        let entry = &self.slots[at as usize].entry;
         if entry.remaining_ttl(now).is_some() {
             // Still fresh: callers should have used `lookup`.
-            return self.lookup(now, name, rtype);
+            return self.serve(at, now, TrustLevel::Glue);
         }
         if !entry.usable_as_stale(now, STALE_WINDOW) {
             return CacheAnswer::Miss;
@@ -268,7 +364,11 @@ impl ResolverCache {
         match &entry.data {
             EntryData::Positive(records) => {
                 self.stats.stale_served += 1;
-                CacheAnswer::Stale(records.iter().map(|r| r.with_ttl(0)).collect())
+                CacheAnswer::Stale(CachedRrset {
+                    records: Arc::clone(records),
+                    start: 0,
+                    ttl: 0,
+                })
             }
             EntryData::Negative(_) => CacheAnswer::Miss,
         }
@@ -276,16 +376,17 @@ impl ResolverCache {
 
     /// Drops everything — an operator flush or a machine reboot.
     pub fn flush(&mut self) {
-        self.map.clear();
-        self.lru.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.stats.flushes += 1;
     }
 
     /// The remaining TTL of a cached entry, for inspection in experiments.
     pub fn remaining_ttl(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<u32> {
-        self.map
-            .get(&CacheKey::new(name.clone(), rtype))
-            .and_then(|(e, _)| e.remaining_ttl(now))
+        let &at = self.index.get(&CacheKey::new(name.clone(), rtype))?;
+        self.slots[at as usize].entry.remaining_ttl(now)
     }
 
     /// A snapshot of every live slot: `(key, remaining TTL, trust)` — the
@@ -293,9 +394,13 @@ impl ResolverCache {
     /// the paper's Appendix A.3.
     pub fn dump(&self, now: SimTime) -> Vec<(CacheKey, u32, TrustLevel)> {
         let mut out: Vec<(CacheKey, u32, TrustLevel)> = self
-            .map
+            .slots
             .iter()
-            .filter_map(|(k, (e, _))| e.remaining_ttl(now).map(|ttl| (k.clone(), ttl, e.trust)))
+            .filter_map(|s| {
+                let e = &s.entry;
+                e.remaining_ttl(now)
+                    .map(|ttl| (s.key.clone(), ttl, e.trust))
+            })
             .collect();
         out.sort_by(|a, b| (&a.0.name, a.0.rtype).cmp(&(&b.0.name, b.0.rtype)));
         out
@@ -321,14 +426,20 @@ mod tests {
         SimDuration::from_secs(secs).after_zero()
     }
 
+    /// The records a fresh answer serves.
+    fn fresh(answer: CacheAnswer) -> Vec<Record> {
+        match answer {
+            CacheAnswer::Fresh(rrset) => rrset.into_records(),
+            other => panic!("expected fresh, got {other:?}"),
+        }
+    }
+
     #[test]
     fn hit_returns_decremented_ttl() {
         let mut c = ResolverCache::new(CacheConfig::honoring());
         c.insert(at(0), vec![rec("a.nl", 3600, 1)]);
-        match c.lookup(at(1200), &Name::parse("a.nl").unwrap(), RecordType::A) {
-            CacheAnswer::Fresh(rs) => assert_eq!(rs[0].ttl, 2400),
-            other => panic!("expected fresh, got {other:?}"),
-        }
+        let rs = fresh(c.lookup(at(1200), &Name::parse("a.nl").unwrap(), RecordType::A));
+        assert_eq!(rs[0].ttl, 2400);
     }
 
     #[test]
@@ -413,7 +524,7 @@ mod tests {
         // Fresh lookup path is unaffected.
         assert_eq!(c.lookup(at(120), &n, RecordType::A), CacheAnswer::Miss);
         match c.lookup_stale(at(120), &n, RecordType::A) {
-            CacheAnswer::Stale(rs) => assert_eq!(rs[0].ttl, 0),
+            CacheAnswer::Stale(rs) => assert_eq!(rs.into_records()[0].ttl, 0),
             other => panic!("expected stale, got {other:?}"),
         }
         assert_eq!(c.stats().stale_served, 1);
@@ -465,15 +576,11 @@ mod tests {
         let n = Name::parse("a.nl").unwrap();
         c.insert(at(0), vec![rec("a.nl", 60, 1)]);
         c.insert(at(30), vec![rec("a.nl", 60, 2)]);
-        match c.lookup(at(59), &n, RecordType::A) {
-            CacheAnswer::Fresh(rs) => {
-                // Refreshed at t=30, so 31 seconds remain, and the new
-                // rdata is served.
-                assert_eq!(rs[0].ttl, 31);
-                assert_eq!(rs[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 2)));
-            }
-            other => panic!("expected fresh, got {other:?}"),
-        }
+        // Refreshed at t=30, so 31 seconds remain, and the new rdata is
+        // served.
+        let rs = fresh(c.lookup(at(59), &n, RecordType::A));
+        assert_eq!(rs[0].ttl, 31);
+        assert_eq!(rs[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 2)));
         assert_eq!(c.len(), 1);
     }
 
@@ -489,13 +596,9 @@ mod tests {
             TrustLevel::Authoritative,
         );
         c.insert_ranked(at(10), vec![rec("cachetest.nl", 3600, 2)], TrustLevel::Glue);
-        match c.lookup(at(10), &n, RecordType::A) {
-            CacheAnswer::Fresh(rs) => {
-                assert_eq!(rs[0].ttl, 50, "authoritative entry kept (60s aging)");
-                assert_eq!(rs[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 1)));
-            }
-            other => panic!("expected fresh, got {other:?}"),
-        }
+        let rs = fresh(c.lookup(at(10), &n, RecordType::A));
+        assert_eq!(rs[0].ttl, 50, "authoritative entry kept (60s aging)");
+        assert_eq!(rs[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 1)));
     }
 
     #[test]
@@ -513,10 +616,7 @@ mod tests {
             vec![rec("cachetest.nl", 3600, 2)],
             TrustLevel::Glue,
         );
-        match c.lookup(at(100), &n, RecordType::A) {
-            CacheAnswer::Fresh(rs) => assert_eq!(rs[0].ttl, 3600),
-            other => panic!("expected fresh, got {other:?}"),
-        }
+        assert_eq!(fresh(c.lookup(at(100), &n, RecordType::A))[0].ttl, 3600);
     }
 
     #[test]
@@ -529,10 +629,7 @@ mod tests {
             vec![rec("cachetest.nl", 60, 2)],
             TrustLevel::Authoritative,
         );
-        match c.lookup(at(10), &n, RecordType::A) {
-            CacheAnswer::Fresh(rs) => assert_eq!(rs[0].ttl, 60),
-            other => panic!("expected fresh, got {other:?}"),
-        }
+        assert_eq!(fresh(c.lookup(at(10), &n, RecordType::A))[0].ttl, 60);
     }
 
     #[test]
@@ -563,10 +660,7 @@ mod tests {
         );
         let n = Name::parse("multi.nl").unwrap();
         let firsts: Vec<_> = (0..4)
-            .map(|_| match c.lookup(at(1), &n, RecordType::A) {
-                CacheAnswer::Fresh(rs) => rs[0].rdata.clone(),
-                other => panic!("expected fresh, got {other:?}"),
-            })
+            .map(|_| fresh(c.lookup(at(1), &n, RecordType::A))[0].rdata.clone())
             .collect();
         assert_eq!(
             firsts[0],
@@ -580,11 +674,26 @@ mod tests {
         c.insert(at(0), vec![rec("one.nl", 3600, 9)]);
         let one = Name::parse("one.nl").unwrap();
         for _ in 0..3 {
-            match c.lookup(at(1), &one, RecordType::A) {
-                CacheAnswer::Fresh(rs) => assert_eq!(rs.len(), 1),
-                other => panic!("expected fresh, got {other:?}"),
-            }
+            assert_eq!(fresh(c.lookup(at(1), &one, RecordType::A)).len(), 1);
         }
+    }
+
+    #[test]
+    fn hits_share_the_stored_rrset() {
+        let mut c = ResolverCache::new(CacheConfig::honoring());
+        c.insert(at(0), vec![rec("a.nl", 3600, 1), rec("a.nl", 3600, 2)]);
+        let n = Name::parse("a.nl").unwrap();
+        let (CacheAnswer::Fresh(first), CacheAnswer::Fresh(second)) = (
+            c.lookup(at(1), &n, RecordType::A),
+            c.lookup(at(1), &n, RecordType::A),
+        ) else {
+            panic!("expected two fresh answers");
+        };
+        assert!(
+            Arc::ptr_eq(&first.records, &second.records),
+            "no copy per hit"
+        );
+        assert_ne!(first, second, "each hit starts the rotation one further");
     }
 
     #[test]

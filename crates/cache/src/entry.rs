@@ -1,5 +1,7 @@
 //! Cache entries and keys.
 
+use std::sync::Arc;
+
 use dike_netsim::SimTime;
 use dike_wire::{Name, Record, RecordType};
 
@@ -41,9 +43,9 @@ pub enum NegativeKind {
 
 /// What a cache slot holds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EntryData {
-    /// A positive RRset.
-    Positive(Vec<Record>),
+pub(crate) enum EntryData {
+    /// A positive RRset, shared with every answer served from it.
+    Positive(Arc<[Record]>),
     /// A cached negative result (RFC 2308).
     Negative(NegativeKind),
 }
@@ -75,14 +77,14 @@ impl Entry {
     }
 
     /// When the entry expires.
-    pub fn expires_at(&self, _now: SimTime) -> SimTime {
+    pub fn expires_at(&self) -> SimTime {
         self.stored_at + dike_netsim::SimDuration::from_secs(self.effective_ttl as u64)
     }
 
     /// Whether the entry is still usable as *stale* data at `now`, given a
     /// post-expiry window.
     pub fn usable_as_stale(&self, now: SimTime, window: dike_netsim::SimDuration) -> bool {
-        let hard_limit = self.expires_at(now) + window;
+        let hard_limit = self.expires_at() + window;
         now < hard_limit
     }
 }
@@ -95,11 +97,11 @@ mod tests {
 
     fn entry(ttl: u32) -> Entry {
         Entry {
-            data: EntryData::Positive(vec![Record::new(
+            data: EntryData::Positive(Arc::from([Record::new(
                 Name::parse("cachetest.nl").unwrap(),
                 ttl,
                 dike_wire::RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-            )]),
+            )])),
             stored_at: SimTime::ZERO,
             effective_ttl: ttl,
             trust: TrustLevel::Authoritative,

@@ -9,6 +9,8 @@
 //! [`FragmentedCache`] models the farm: `n` independent [`ResolverCache`]s
 //! with a selector choosing which backend handles each query.
 
+use std::sync::Arc;
+
 use dike_netsim::SimTime;
 use dike_telemetry::rng::Rng;
 use dike_wire::{Name, Record, RecordType};
@@ -79,7 +81,12 @@ impl FragmentedCache {
     }
 
     /// Inserts into a specific backend (the one that resolved the query).
-    pub fn insert_on(&mut self, backend: usize, now: SimTime, records: Vec<Record>) -> u32 {
+    pub fn insert_on(
+        &mut self,
+        backend: usize,
+        now: SimTime,
+        records: impl Into<Arc<[Record]>>,
+    ) -> u32 {
         self.backends[backend].insert(now, records)
     }
 
@@ -88,7 +95,7 @@ impl FragmentedCache {
         &mut self,
         backend: usize,
         now: SimTime,
-        records: Vec<Record>,
+        records: impl Into<Arc<[Record]>>,
         trust: crate::TrustLevel,
     ) -> u32 {
         self.backends[backend].insert_ranked(now, records, trust)
@@ -203,14 +210,14 @@ mod tests {
         f.insert_on(1, at(0), vec![aaaa("p1.cachetest.nl", 3600, 3)]);
         f.insert_on(0, at(600), vec![aaaa("p1.cachetest.nl", 3600, 7)]);
         let s0 = match f.lookup_on(0, at(700), &name, RecordType::AAAA) {
-            CacheAnswer::Fresh(rs) => match rs[0].rdata {
+            CacheAnswer::Fresh(rs) => match rs.rdata().next().unwrap() {
                 RData::Aaaa(a) => a.segments()[4],
                 _ => unreachable!(),
             },
             _ => panic!("expected hit"),
         };
         let s1 = match f.lookup_on(1, at(710), &name, RecordType::AAAA) {
-            CacheAnswer::Fresh(rs) => match rs[0].rdata {
+            CacheAnswer::Fresh(rs) => match rs.rdata().next().unwrap() {
                 RData::Aaaa(a) => a.segments()[4],
                 _ => unreachable!(),
             },

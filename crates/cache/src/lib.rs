@@ -25,7 +25,7 @@ mod config;
 mod entry;
 mod fragmented;
 
-pub use cache::{CacheAnswer, CacheStats, ResolverCache};
+pub use cache::{CacheAnswer, CacheStats, CachedRrset, ResolverCache};
 pub use config::{CacheConfig, STALE_WINDOW};
-pub use entry::{CacheKey, EntryData, NegativeKind, TrustLevel};
+pub use entry::{CacheKey, NegativeKind, TrustLevel};
 pub use fragmented::FragmentedCache;

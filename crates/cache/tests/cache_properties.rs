@@ -32,7 +32,7 @@ fn remaining_ttl_is_exact() {
         match c.lookup(at(elapsed), &name, RecordType::A) {
             CacheAnswer::Fresh(rs) => {
                 assert!(elapsed < stored as u64, "hit implies not expired");
-                assert_eq!(rs[0].ttl as u64, stored as u64 - elapsed);
+                assert_eq!(rs.into_records()[0].ttl as u64, stored as u64 - elapsed);
             }
             CacheAnswer::Miss => {
                 assert!(elapsed >= stored as u64, "miss implies expired");
@@ -98,7 +98,7 @@ fn stale_respects_window() {
             CacheAnswer::Stale(rs) => {
                 assert!(probe >= ttl as u64);
                 assert!(probe < ttl as u64 + window);
-                assert_eq!(rs[0].ttl, 0, "stale answers carry TTL 0");
+                assert_eq!(rs.into_records()[0].ttl, 0, "stale answers carry TTL 0");
             }
             CacheAnswer::Miss => assert!(probe >= ttl as u64 + window),
             other => panic!("unexpected {other:?}"),
@@ -106,8 +106,9 @@ fn stale_respects_window() {
     });
 }
 
-/// Lookups never mutate what is stored: two consecutive lookups at the
-/// same instant return identical answers.
+/// A hit advances the entry's rotation and LRU position but never its
+/// data: on a one-record RRset, two consecutive lookups at the same
+/// instant return identical answers.
 #[test]
 fn lookup_is_repeatable() {
     check::cases("lookup_is_repeatable", CASES, |g| {

@@ -1,6 +1,7 @@
 //! The recursive resolver node.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dike_cache::{CacheAnswer, CacheKey, FragmentedCache, NegativeKind, TrustLevel};
 use dike_netsim::{Addr, Context, Node, SimTime, TcpConnId, TimerToken};
@@ -157,7 +158,7 @@ impl RecursiveResolver {
                     .cache
                     .lookup_on_min_trust(backend, now, &current, qtype, min_trust)
                 {
-                    return (chain, current, Some(records));
+                    return (chain, current, Some(records.into_records()));
                 }
                 if let CacheAnswer::Fresh(cnames) = self.cache.lookup_on_min_trust(
                     backend,
@@ -166,8 +167,9 @@ impl RecursiveResolver {
                     RecordType::CNAME,
                     min_trust,
                 ) {
-                    if let Some(RData::Cname(target)) = cnames.first().map(|r| r.rdata.clone()) {
-                        chain.extend(cnames);
+                    let first = cnames.rdata().next().cloned();
+                    if let Some(RData::Cname(target)) = first {
+                        chain.extend(cnames.into_records());
                         current = target;
                         continue;
                     }
@@ -179,7 +181,7 @@ impl RecursiveResolver {
             .cache
             .lookup_on_min_trust(backend, now, &current, qtype, min_trust)
         {
-            CacheAnswer::Fresh(records) => Some(records),
+            CacheAnswer::Fresh(records) => Some(records.into_records()),
             _ => None,
         };
         (chain, current, records)
@@ -361,14 +363,11 @@ impl RecursiveResolver {
                         continue;
                     };
                     let mut addrs = Vec::new();
-                    for ns in &ns_records {
-                        let Some(target) = ns.rdata.target_name() else {
-                            continue;
-                        };
+                    for target in ns_records.rdata().filter_map(RData::target_name) {
                         if let CacheAnswer::Fresh(a_records) =
                             self.cache.lookup_on(backend, now, target, RecordType::A)
                         {
-                            addrs.extend(a_records.iter().filter_map(record_addr));
+                            addrs.extend(a_records.rdata().filter_map(v4_addr));
                         }
                     }
                     if !addrs.is_empty() {
@@ -489,7 +488,7 @@ impl RecursiveResolver {
             let resp = match stale {
                 CacheAnswer::Stale(records) | CacheAnswer::Fresh(records) => {
                     self.stats.stale_served += 1;
-                    waiter_response(w, &task.key, Rcode::NoError, records)
+                    waiter_response(w, &task.key, Rcode::NoError, records.into_records())
                 }
                 _ => waiter_response(w, &task.key, Rcode::ServFail, Vec::new()),
             };
@@ -510,22 +509,15 @@ impl RecursiveResolver {
         };
         let now = ctx.now();
         // Insert into the owning backend and every waiter's backend. Each
-        // (name, type) group is its own RRset.
+        // (name, type) group is its own RRset, shared by every backend.
         let mut backends: Vec<usize> = std::iter::once(task.backend)
             .chain(task.waiters.iter().map(|w| w.backend))
             .collect();
         backends.sort_unstable();
         backends.dedup();
-        let mut grouped: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
-        for r in task.cname_chain.iter().chain(&extra_cnames).chain(&records) {
-            grouped
-                .entry((r.name.clone(), r.rtype()))
-                .or_default()
-                .push(r.clone());
-        }
-        for (_, rrset) in grouped {
+        for rrset in rrsets(task.cname_chain.iter().chain(&extra_cnames).chain(&records)) {
             for &b in &backends {
-                self.cache.insert_on(b, now, rrset.clone());
+                self.cache.insert_on(b, now, Arc::clone(&rrset));
             }
         }
         // The client's answer section: the CNAME chain in order, then the
@@ -611,7 +603,7 @@ impl RecursiveResolver {
         }
         for (w, records) in served {
             self.stats.stale_served += 1;
-            let resp = waiter_response(&w, &key, Rcode::NoError, records);
+            let resp = waiter_response(&w, &key, Rcode::NoError, records.into_records());
             ctx.send(w.client, &resp);
         }
     }
@@ -991,20 +983,13 @@ impl RecursiveResolver {
         self.cache
             .insert_ranked_on(backend, now, ns_records, TrustLevel::Glue);
         // Group glue per (owner, type) so each RRset caches coherently.
-        let mut grouped: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
-        for g in &glue {
-            grouped
-                .entry((g.name.clone(), g.rtype()))
-                .or_default()
-                .push(g.clone());
-        }
-        for (_, rrset) in grouped {
+        for rrset in rrsets(&glue) {
             self.cache
                 .insert_ranked_on(backend, now, rrset, TrustLevel::Glue);
         }
 
         // New candidate set from the glue.
-        let mut addrs: Vec<Addr> = glue.iter().filter_map(record_addr).collect();
+        let mut addrs: Vec<Addr> = glue.iter().filter_map(|g| v4_addr(&g.rdata)).collect();
         addrs.sort();
         addrs.dedup();
         let glueless = addrs.is_empty();
@@ -1095,11 +1080,28 @@ fn waiter_response(w: &Waiter, key: &CacheKey, rcode: Rcode, answers: Vec<Record
     resp
 }
 
-fn record_addr(r: &Record) -> Option<Addr> {
-    match &r.rdata {
+fn v4_addr(rdata: &RData) -> Option<Addr> {
+    match rdata {
         RData::A(v4) => Some(Addr(u32::from(*v4))),
         _ => None,
     }
+}
+
+/// Splits `records` into RRsets, one per `(owner, type)`, in order of
+/// first appearance. That is the order they are cached in, which is the
+/// LRU order, so it must not depend on a hash seed.
+fn rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<Arc<[Record]>> {
+    let mut groups: Vec<Vec<Record>> = Vec::new();
+    for r in records {
+        match groups
+            .iter_mut()
+            .find(|g| g[0].rtype() == r.rtype() && g[0].name == r.name)
+        {
+            Some(group) => group.push(r.clone()),
+            None => groups.push(vec![r.clone()]),
+        }
+    }
+    groups.into_iter().map(Arc::from).collect()
 }
 
 impl RecursiveResolver {
