@@ -345,8 +345,16 @@ impl ResolverCache {
     }
 
     /// After resolution has failed, tries to serve an expired entry under
-    /// serve-stale rules. Records come back with TTL 0.
-    pub fn lookup_stale(&mut self, now: SimTime, name: &Name, rtype: RecordType) -> CacheAnswer {
+    /// serve-stale rules. Records come back with TTL 0. Entries below
+    /// `min_trust` are never served, fresh or stale (see
+    /// [`ResolverCache::lookup_min_trust`]).
+    pub fn lookup_stale(
+        &mut self,
+        now: SimTime,
+        name: &Name,
+        rtype: RecordType,
+        min_trust: TrustLevel,
+    ) -> CacheAnswer {
         if !self.config.serve_stale {
             return CacheAnswer::Miss;
         }
@@ -356,9 +364,9 @@ impl ResolverCache {
         let entry = &self.slots[at as usize].entry;
         if entry.remaining_ttl(now).is_some() {
             // Still fresh: callers should have used `lookup`.
-            return self.serve(at, now, TrustLevel::Glue);
+            return self.serve(at, now, min_trust);
         }
-        if !entry.usable_as_stale(now, STALE_WINDOW) {
+        if entry.trust < min_trust || !entry.usable_as_stale(now, STALE_WINDOW) {
             return CacheAnswer::Miss;
         }
         match &entry.data {
@@ -523,7 +531,7 @@ mod tests {
         c.insert(at(0), vec![rec("a.nl", 60, 1)]);
         // Fresh lookup path is unaffected.
         assert_eq!(c.lookup(at(120), &n, RecordType::A), CacheAnswer::Miss);
-        match c.lookup_stale(at(120), &n, RecordType::A) {
+        match c.lookup_stale(at(120), &n, RecordType::A, TrustLevel::Glue) {
             CacheAnswer::Stale(rs) => assert_eq!(rs.into_records()[0].ttl, 0),
             other => panic!("expected stale, got {other:?}"),
         }
@@ -536,7 +544,7 @@ mod tests {
         let n = Name::parse("a.nl").unwrap();
         c.insert(at(0), vec![rec("a.nl", 60, 1)]);
         assert_eq!(
-            c.lookup_stale(at(120), &n, RecordType::A),
+            c.lookup_stale(at(120), &n, RecordType::A, TrustLevel::Glue),
             CacheAnswer::Miss
         );
     }
@@ -549,11 +557,11 @@ mod tests {
         let window = STALE_WINDOW.as_secs();
         assert_eq!(window, 3 * 86_400, "the stale window is three days");
         assert!(matches!(
-            c.lookup_stale(at(60 + window - 1), &n, RecordType::A),
+            c.lookup_stale(at(60 + window - 1), &n, RecordType::A, TrustLevel::Glue),
             CacheAnswer::Stale(_)
         ));
         assert_eq!(
-            c.lookup_stale(at(60 + window + 1), &n, RecordType::A),
+            c.lookup_stale(at(60 + window + 1), &n, RecordType::A, TrustLevel::Glue),
             CacheAnswer::Miss
         );
     }

@@ -189,7 +189,13 @@ impl Model {
         answer
     }
 
-    fn lookup_stale(&mut self, now: SimTime, name: &Name, rtype: RecordType) -> Answer {
+    fn lookup_stale(
+        &mut self,
+        now: SimTime,
+        name: &Name,
+        rtype: RecordType,
+        min_trust: TrustLevel,
+    ) -> Answer {
         if !self.config.serve_stale {
             return Answer::Miss;
         }
@@ -197,9 +203,9 @@ impl Model {
             return Answer::Miss;
         };
         if entry.remaining_ttl(now).is_some() {
-            return self.lookup_min_trust(now, name, rtype, TrustLevel::Glue);
+            return self.lookup_min_trust(now, name, rtype, min_trust);
         }
-        if !entry.usable_as_stale(now) {
+        if entry.trust < min_trust || !entry.usable_as_stale(now) {
             return Answer::Miss;
         }
         match &entry.data {
@@ -331,9 +337,9 @@ fn the_cache_matches_the_reference_model() {
                         "lookup_min_trust"
                     }
                     10 => {
-                        let (name, rtype) = arb_key(g);
-                        let got = Answer::from(cache.lookup_stale(now, &name, rtype));
-                        let want = model.lookup_stale(now, &name, rtype);
+                        let ((name, rtype), trust) = (arb_key(g), arb_trust(g));
+                        let got = Answer::from(cache.lookup_stale(now, &name, rtype, trust));
+                        let want = model.lookup_stale(now, &name, rtype, trust);
                         assert_eq!(got, want, "step {step}: lookup_stale {name} {rtype}");
                         "lookup_stale"
                     }

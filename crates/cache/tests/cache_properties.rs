@@ -1,6 +1,6 @@
 //! Property tests for the cache's core invariants.
 
-use dike_cache::{CacheAnswer, CacheConfig, ResolverCache, STALE_WINDOW};
+use dike_cache::{CacheAnswer, CacheConfig, ResolverCache, TrustLevel, STALE_WINDOW};
 use dike_netsim::{SimDuration, SimTime};
 use dike_telemetry::check;
 use dike_wire::{Name, RData, Record, RecordType};
@@ -93,7 +93,7 @@ fn stale_respects_window() {
         let mut c = ResolverCache::new(CacheConfig::honoring().with_serve_stale());
         c.insert(at(0), vec![rec("x.nl", ttl)]);
         let name = Name::parse("x.nl").unwrap();
-        match c.lookup_stale(at(probe), &name, RecordType::A) {
+        match c.lookup_stale(at(probe), &name, RecordType::A, TrustLevel::Authoritative) {
             CacheAnswer::Fresh(_) => assert!(probe < ttl as u64),
             CacheAnswer::Stale(rs) => {
                 assert!(probe >= ttl as u64);

@@ -182,7 +182,12 @@ fn cache_contract_for_resolver() {
     );
     // Negative entries are never served stale.
     assert_eq!(
-        cache.lookup_stale(expired, &name("missing.cachetest.nl"), RecordType::AAAA),
+        cache.lookup_stale(
+            expired,
+            &name("missing.cachetest.nl"),
+            RecordType::AAAA,
+            dike::cache::TrustLevel::Glue
+        ),
         CacheAnswer::Miss
     );
 }
