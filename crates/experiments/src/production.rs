@@ -144,7 +144,7 @@ pub fn run_nl(cfg: &NlConfig) -> NlResult {
             let now = SimTime::from_nanos((t * 1e9) as u64);
             let backend = cache.pick_backend(&mut rng);
             let miss = !matches!(
-                cache.lookup_on(backend, now, name, dike_wire::RecordType::A),
+                cache[backend].lookup(now, name, dike_wire::RecordType::A),
                 CacheAnswer::Fresh(_)
             ) || behavior == RecursiveBehavior::NoCache;
             if miss {
@@ -156,8 +156,7 @@ pub fn run_nl(cfg: &NlConfig) -> NlResult {
                         stamps[ni].push(t + rng.random_range(0.05..8.0));
                     }
                 }
-                cache.insert_on(
-                    backend,
+                cache[backend].insert(
                     now,
                     vec![Record::new(
                         name.clone(),

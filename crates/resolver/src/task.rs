@@ -35,14 +35,13 @@ pub(crate) struct TcpAttempt {
     pub conn: dike_netsim::TcpConnId,
     /// The server being re-asked (the one that sent TC=1).
     pub server: Addr,
-    /// Our message id on the TCP query.
-    pub msg_id: u16,
     /// When the connection was dialed (TCP RTT samples include the
     /// handshake — the honest cost of the fallback).
     pub sent_at: SimTime,
     /// The connect- or response-timeout timer currently armed.
     pub timer: dike_netsim::TimerId,
-    /// The query to replay once the handshake completes.
+    /// The query to replay once the handshake completes; its id is the
+    /// one the answer must carry.
     pub query: dike_wire::Message,
 }
 
@@ -94,4 +93,13 @@ pub(crate) struct Task {
     /// loop park → re-ask parent → park forever; the resolver caps this
     /// and fails the task with SERVFAIL.
     pub glue_waits: u32,
+}
+
+impl Task {
+    /// Whether `msg` echoes the question this task is asking now. An
+    /// answer that does not, over UDP or TCP, is dropped.
+    pub fn is_echoed_by(&self, msg: &dike_wire::Message) -> bool {
+        msg.question()
+            .is_some_and(|q| q.name == self.current_name && q.qtype == self.key.rtype)
+    }
 }

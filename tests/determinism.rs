@@ -211,10 +211,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Pinned telemetry export of the RRL-defended flooded Experiment H:
 /// every cut of every node's counters, gauges and histograms, with node
-/// labels, as `MetricsRegistry::to_json` writes them. The constant was
-/// measured on the map-backed registry the family-backed one replaced,
-/// so it cross-checks the export order, the sparse-point rule and the
-/// number formatting of one against the other.
+/// labels, as `MetricsRegistry::to_json` writes them. The first constant
+/// was measured on the map-backed registry the family-backed one
+/// replaced, so it cross-checked the export order, the sparse-point rule
+/// and the number formatting of one against the other.
+///
+/// The resolver reading its cache once per question moved it from
+/// 0x5595_af25_f205_cc8c: a per-series diff of the two exports differs
+/// only in the `cache.hits`, `cache.misses` and `cache.expired` series.
 #[test]
 fn telemetry_export_is_pinned() {
     use dike::experiments::defense::{defense_setup, DefensePreset, SpoofedFlood};
@@ -226,5 +230,5 @@ fn telemetry_export_is_pinned() {
         .metrics()
         .expect("defense_setup sets telemetry")
         .to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0x5595_af25_f205_cc8c);
+    assert_eq!(fnv1a(json.as_bytes()), 0xd663_75c9_8f65_9011);
 }
