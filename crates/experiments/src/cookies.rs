@@ -29,14 +29,13 @@ use std::sync::Arc;
 
 use dike_defense::{Defense, DefensePlan, RrlConfig};
 use dike_netsim::{
-    Addr, Context, DefenseLedger, Node, SimDuration, SimTime, Simulator, TcpConfig, TcpConnId,
-    TimerToken,
+    Addr, Context, Node, SimDuration, SimTime, Simulator, TcpConfig, TcpConnId, TimerToken,
 };
 use dike_telemetry::sync::Mutex;
 
-use crate::defense::{flooded_experiment_h, SpoofedFlood, SpoofedStats};
-use crate::report::Report;
+use crate::defense::flooded_experiment_h;
 use crate::setup::{AttackPlan, ExperimentSetup};
+use crate::sweep::{SweepAxis, SweepEngine};
 
 /// The cookie secret the comparison arms share between the
 /// authoritatives (minting) and the ingress gates (validation).
@@ -200,141 +199,72 @@ impl CookieArm {
             CookieArm::Cookies => "rrl-drop+cookies",
         }
     }
-}
 
-/// One row of the cookie comparison table.
-#[derive(Debug, Clone)]
-pub struct CookieRow {
-    /// Which arm.
-    pub arm: CookieArm,
-    /// Legitimate-client OK fraction during the attack window
-    /// (per-query weighted).
-    pub ok_during_attack: Option<f64>,
-    /// The spoofed fleet's tally.
-    pub spoofed: SpoofedStats,
-    /// RRL-limited queries (drop + slip).
-    pub rrl_limited: u64,
-    /// Limited queries answered TC=1.
-    pub rrl_slipped: u64,
-    /// Queries that bypassed the gate on a validated cookie.
-    pub cookie_exempt: u64,
-    /// TC=1 answers that triggered a resolver TCP retry.
-    pub tcp_fallbacks: u64,
-    /// TCP retries that produced a full answer.
-    pub tcp_answers: u64,
-    /// TCP retries that timed out or were reset.
-    pub tcp_failures: u64,
-    /// Connections the transport opened (handshakes completed).
-    pub tcp_opened: u64,
-    /// Handshakes the servers shed with RST (table full).
-    pub syn_refused: u64,
-    /// The hog fleet's tally, on the exhaustion arm.
-    pub exhaustion: Option<ExhaustionStats>,
-}
-
-/// The full three-way comparison (plus baseline and exhaustion arms).
-#[derive(Debug, Clone)]
-pub struct CookieComparison {
-    /// The scenario's attack (Experiment H's 90% loss window).
-    pub attack: AttackPlan,
-    /// The spoofed flood all arms share.
-    pub flood: SpoofedFlood,
-    /// The table capacity the TCP arms run with.
-    pub tcp: TcpConfig,
-    /// One row per [`ALL_ARMS`] entry, in order.
-    pub rows: Vec<CookieRow>,
-}
-
-/// The flooded Experiment H scenario of [`crate::defense::defense_setup`]
-/// (so rows are comparable across the two repro targets) with `arm`'s
-/// defenses, transport and hog fleet armed.
-pub fn cookie_setup(arm: CookieArm, scale: f64, seed: u64) -> ExperimentSetup {
-    let mut setup = flooded_experiment_h(scale, seed);
-
-    // Much tighter than the §7 presets' 0.1 qps: this comparison needs
-    // the collateral the paper worries about — legitimate aggregating
-    // resolvers caught by the limiter — so the drop/slip/cookie contrast
-    // is visible. At 0.002 qps a prefix gets its burst token and then
-    // roughly one answer every eight minutes; every recursive serving
-    // more than one client trips it during the attack.
-    let rrl = |slip: u32, ns: [Addr; 2], onset: SimTime| {
-        let cfg = RrlConfig {
-            rate_qps: 0.002,
-            burst: 1.0,
-            slip,
-            prefix_bits: 32,
+    /// Arms this arm's defenses, transport and hog fleet on the flooded
+    /// Experiment H scenario: the arm's mutation in [`cookie_grid`].
+    fn apply(self, setup: &mut ExperimentSetup) {
+        // Much tighter than the §7 presets' 0.1 qps: this comparison
+        // needs the collateral the paper worries about — legitimate
+        // aggregating resolvers caught by the limiter — so the
+        // drop/slip/cookie contrast is visible. At 0.002 qps a prefix
+        // gets its burst token and then roughly one answer every eight
+        // minutes; every recursive serving more than one client trips it
+        // during the attack.
+        let rrl = |slip: u32, ns: [Addr; 2], onset: SimTime| {
+            let cfg = RrlConfig {
+                rate_qps: 0.002,
+                burst: 1.0,
+                slip,
+                prefix_bits: 32,
+            };
+            let mut plan = DefensePlan::new();
+            for t in ns {
+                plan.push(Defense::rrl(t, cfg).starting_at(onset));
+            }
+            plan
         };
-        let mut plan = DefensePlan::new();
-        for t in ns {
-            plan.push(Defense::rrl(t, cfg).starting_at(onset));
-        }
-        plan
-    };
-    match arm {
-        CookieArm::Undefended => {}
-        CookieArm::RrlDrop => setup.arm_defense(|ns, onset| rrl(0, ns, onset)),
-        CookieArm::SlipTcp | CookieArm::SlipTcpExhausted => {
-            setup.arm_defense(|ns, onset| rrl(2, ns, onset));
-            setup.tcp = Some(TcpConfig::default());
-            if arm == CookieArm::SlipTcpExhausted {
-                let attack = setup.attack.expect("Experiment H attacks");
-                setup.tcp_exhaustion = Some(TcpExhaustion::aligned_with(&attack));
+        match self {
+            CookieArm::Undefended => {}
+            CookieArm::RrlDrop => setup.arm_defense(|ns, onset| rrl(0, ns, onset)),
+            CookieArm::SlipTcp | CookieArm::SlipTcpExhausted => {
+                setup.arm_defense(|ns, onset| rrl(2, ns, onset));
+                setup.tcp = Some(TcpConfig::default());
+                if self == CookieArm::SlipTcpExhausted {
+                    let attack = setup.attack.expect("Experiment H attacks");
+                    setup.tcp_exhaustion = Some(TcpExhaustion::aligned_with(&attack));
+                }
+            }
+            CookieArm::Cookies => {
+                // Drop-mode RRL; `arm_defense` adds the exemption at both
+                // gates because the secret is set.
+                setup.cookie_secret = Some(COOKIE_SECRET);
+                setup.arm_defense(|ns, onset| rrl(0, ns, onset));
             }
         }
-        CookieArm::Cookies => {
-            // Drop-mode RRL; `arm_defense` adds the exemption at both
-            // gates because the secret is set.
-            setup.cookie_secret = Some(COOKIE_SECRET);
-            setup.arm_defense(|ns, onset| rrl(0, ns, onset));
-        }
-    }
-    setup
-}
-
-/// Runs one arm and derives its comparison row.
-pub fn run_cookie_case(arm: CookieArm, scale: f64, seed: u64) -> CookieRow {
-    let report = Report::run(&cookie_setup(arm, scale, seed));
-    let reg = report.metrics().expect("cookie_setup sets telemetry");
-    let ledger = DefenseLedger::from_registry(reg, "netsim");
-    let counter = |name: &str| reg.counter_total("netsim", None, name).unwrap_or(0);
-    CookieRow {
-        arm,
-        ok_during_attack: report.ok_fraction_during_attack(),
-        spoofed: report.spoofed_stats().unwrap_or_default(),
-        rrl_limited: ledger.rrl_limited,
-        rrl_slipped: ledger.rrl_slipped,
-        cookie_exempt: ledger.cookie_exempt,
-        tcp_fallbacks: reg.counter_sum("resolver", "tcp_fallbacks"),
-        tcp_answers: reg.counter_sum("resolver", "tcp_answers"),
-        tcp_failures: reg.counter_sum("resolver", "tcp_failures"),
-        tcp_opened: counter("tcp_conns_opened"),
-        syn_refused: counter("tcp_syn_refused"),
-        exhaustion: report.output.exhaustion,
     }
 }
 
-/// Runs every arm under the identical scenario and seed.
-pub fn run_cookie_comparison(scale: f64, seed: u64) -> CookieComparison {
-    let probe = cookie_setup(CookieArm::SlipTcp, scale, seed);
-    CookieComparison {
-        attack: probe.attack.unwrap(),
-        flood: probe.spoofed_flood.unwrap(),
-        tcp: probe.tcp.unwrap(),
-        rows: ALL_ARMS
-            .into_iter()
-            .map(|arm| run_cookie_case(arm, scale, seed))
-            .collect(),
-    }
+/// The `repro cookies` grid: the flooded Experiment H scenario of
+/// [`crate::defense::defense_grid`] (so rows are comparable across the
+/// two repro targets), one arm per [`ALL_ARMS`] entry.
+pub fn cookie_grid(scale: f64, seed: u64) -> SweepEngine {
+    SweepEngine::new(flooded_experiment_h(scale, seed)).axis(SweepAxis::new(
+        "arm",
+        ALL_ARMS.map(|arm| (arm.label(), move |s: &mut ExperimentSetup| arm.apply(s))),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defense::DefenseRow;
 
     #[test]
     fn arm_setups_are_internally_consistent() {
-        for arm in ALL_ARMS {
-            let setup = cookie_setup(arm, 0.01, 7);
+        let engine = cookie_grid(0.01, 7);
+        for (i, arm) in ALL_ARMS.into_iter().enumerate() {
+            assert_eq!(engine.coord_labels(i), [("arm".into(), arm.label().into())]);
+            let setup = engine.setup_for(i, 0);
             if let Some(plan) = &setup.defense {
                 plan.validate().expect("arm plans validate");
             }
@@ -362,7 +292,7 @@ mod tests {
     /// 29).
     #[test]
     fn cookie_setup_matches_the_captured_setup() {
-        let setup = cookie_setup(CookieArm::Cookies, 0.012, 29);
+        let setup = cookie_grid(0.012, 29).setup_for(4, 0);
         assert_eq!(setup.track_probe, None, "no Table 7 drill-down");
         assert_eq!((setup.n_probes, setup.ttl, setup.rounds), (110, 1800, 18));
         assert_eq!(
@@ -398,29 +328,12 @@ mod tests {
     /// * cookies hold legitimate success at the undefended level while
     ///   suppressing the spoofed fleet's served volume entirely.
     #[test]
-    #[ignore = "debugging aid: dumps every arm's row"]
-    fn dump_rows() {
-        for arm in ALL_ARMS {
-            let row = run_cookie_case(arm, 0.012, 29);
-            println!("{:?}", row);
-        }
-    }
-
-    #[test]
     fn three_way_comparison_meets_the_acceptance_contract() {
-        let cmp = run_cookie_comparison(0.012, 29);
-        let row = |arm: CookieArm| {
-            cmp.rows
-                .iter()
-                .find(|r| r.arm == arm)
-                .expect("all arms present")
+        let rows = cookie_grid(0.012, 29).run_rows(|report| DefenseRow::of(&report));
+        let [undefended, drop, slip, hogged, cookies] = &rows[..] else {
+            panic!("one row per arm: {rows:?}")
         };
-        let undefended = row(CookieArm::Undefended);
-        let drop = row(CookieArm::RrlDrop);
-        let slip = row(CookieArm::SlipTcp);
-        let hogged = row(CookieArm::SlipTcpExhausted);
-        let cookies = row(CookieArm::Cookies);
-        let ok = |r: &CookieRow| r.ok_during_attack.expect("attack rounds have traffic");
+        let ok = |r: &DefenseRow| r.ok_during_attack.expect("attack rounds have traffic");
 
         // The TCP path actually runs: slips trigger dials, dials earn
         // full answers, and legit success beats silent drops.

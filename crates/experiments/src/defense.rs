@@ -30,9 +30,11 @@ use dike_telemetry::sync::Mutex;
 use dike_telemetry::TelemetryConfig;
 use dike_wire::{Message, Name, RecordType};
 
+use crate::cookies::ExhaustionStats;
 use crate::ddos::DdosExperiment;
 use crate::report::Report;
 use crate::setup::{AttackPlan, ExperimentSetup};
+use crate::sweep::{SweepAxis, SweepEngine};
 
 // ---------------------------------------------------------------------
 // The spoofed-source flood
@@ -328,21 +330,24 @@ impl DefensePreset {
 }
 
 // ---------------------------------------------------------------------
-// The comparison runner
+// The comparison grid
 // ---------------------------------------------------------------------
 
-/// One row of the defense comparison table.
+/// One defended run, read off its [`Report`]: what the legitimate
+/// clients kept, what the spoofed and late fleets were served, and the
+/// defense layer's ledger. The row of the `defense`, `cookies` and
+/// `falsepos` tables.
 #[derive(Debug, Clone)]
 pub struct DefenseRow {
-    /// Which defense.
-    pub preset: DefensePreset,
     /// Legitimate-client OK fraction during the attack window
     /// (per-query weighted, like Table 4's analysis).
     pub ok_during_attack: Option<f64>,
     /// The spoofed fleet's tally.
     pub spoofed: SpoofedStats,
-    /// Queries the defense layer refused (drops + sheds), from the
-    /// netsim counters.
+    /// The late legitimate wave's tally. Its answered share is the
+    /// complement of the history classifier's false-positive cost.
+    pub late: SpoofedStats,
+    /// Queries the defense layer refused (drops + sheds).
     pub defense_drops: u64,
     /// RRL-limited queries (drop + slip).
     pub rrl_limited: u64,
@@ -352,25 +357,54 @@ pub struct DefenseRow {
     pub shed: u64,
     /// Scale-out provisioning actions fired.
     pub scaleouts: u64,
+    /// Queries that bypassed the gate on a validated cookie.
+    pub cookie_exempt: u64,
+    /// TC=1 answers that triggered a resolver TCP retry.
+    pub tcp_fallbacks: u64,
+    /// TCP retries that produced a full answer.
+    pub tcp_answers: u64,
+    /// TCP retries that timed out or were reset.
+    pub tcp_failures: u64,
+    /// Handshakes the servers shed with RST (table full).
+    pub syn_refused: u64,
+    /// The hog fleet's tally, when the run had one.
+    pub exhaustion: Option<ExhaustionStats>,
 }
 
-/// The full §7 comparison: one row per preset.
-#[derive(Debug, Clone)]
-pub struct DefenseComparison {
-    /// The scenario's attack (Experiment H's 90% loss window).
-    pub attack: AttackPlan,
-    /// The spoofed flood all rows share.
-    pub flood: SpoofedFlood,
-    /// One row per [`ALL_PRESETS`] entry, in order.
-    pub rows: Vec<DefenseRow>,
+impl DefenseRow {
+    /// Reads the row off a run that collected telemetry.
+    pub fn of(report: &Report) -> DefenseRow {
+        let out = &report.output;
+        let reg = out
+            .metrics
+            .as_ref()
+            .expect("defended runs collect telemetry");
+        let ledger = DefenseLedger::from_registry(reg, "netsim");
+        let netsim = |name| reg.counter_total("netsim", None, name).unwrap_or(0);
+        DefenseRow {
+            ok_during_attack: report.ok_fraction_during_attack(),
+            spoofed: out.spoofed.unwrap_or_default(),
+            late: out.late.unwrap_or_default(),
+            defense_drops: ledger.defense_drops,
+            rrl_limited: ledger.rrl_limited,
+            rrl_slipped: ledger.rrl_slipped,
+            shed: ledger.shed(),
+            scaleouts: netsim("scaleout_activations"),
+            cookie_exempt: ledger.cookie_exempt,
+            tcp_fallbacks: reg.counter_sum("resolver", "tcp_fallbacks"),
+            tcp_answers: reg.counter_sum("resolver", "tcp_answers"),
+            tcp_failures: reg.counter_sum("resolver", "tcp_failures"),
+            syn_refused: netsim("tcp_syn_refused"),
+            exhaustion: out.exhaustion,
+        }
+    }
 }
 
-/// Experiment H (Table 4: 90% loss at both name servers, minutes
-/// 60–120, TTL 1800) plus a 24 × 10 qps spoofed flood over the attack
-/// window, with telemetry cuts on the figures' 10-minute grid — the
-/// scenario the §7 and cookie comparisons run their arms under. `scale`
-/// scales the probe population exactly like [`crate::ddos::run_ddos`];
-/// no probe is tracked for Table 7.
+/// Experiment H (Table 4: 90% loss at both name servers, minutes 60–120,
+/// TTL 1800) plus a 24 × 10 qps spoofed flood over the attack window,
+/// with telemetry cuts on the figures' 10-minute grid — the base of the
+/// §7 and cookie grids. `scale` scales the probe population exactly like
+/// [`crate::ddos::run_ddos`]; no probe is tracked for Table 7.
 pub(crate) fn flooded_experiment_h(scale: f64, seed: u64) -> ExperimentSetup {
     let p = DdosExperiment::H.params();
     let attack = p.attack();
@@ -382,43 +416,18 @@ pub(crate) fn flooded_experiment_h(scale: f64, seed: u64) -> ExperimentSetup {
 }
 
 /// The flooded Experiment H scenario with `preset` armed at the attack
-/// onset.
+/// onset: one arm of [`defense_grid`].
 pub fn defense_setup(preset: DefensePreset, scale: f64, seed: u64) -> ExperimentSetup {
     let mut setup = flooded_experiment_h(scale, seed);
     setup.arm_defense(|ns, onset| preset.plan(ns, onset));
     setup
 }
 
-/// Runs one preset and derives its comparison row.
-pub fn run_defense_case(preset: DefensePreset, scale: f64, seed: u64) -> DefenseRow {
-    let report = Report::run(&defense_setup(preset, scale, seed));
-    let reg = report.metrics().expect("defense_setup sets telemetry");
-    let ledger = DefenseLedger::from_registry(reg, "netsim");
-    DefenseRow {
-        preset,
-        ok_during_attack: report.ok_fraction_during_attack(),
-        spoofed: report.spoofed_stats().unwrap_or_default(),
-        defense_drops: ledger.defense_drops,
-        rrl_limited: ledger.rrl_limited,
-        rrl_slipped: ledger.rrl_slipped,
-        shed: ledger.shed(),
-        scaleouts: reg
-            .counter_total("netsim", None, "scaleout_activations")
-            .unwrap_or(0),
-    }
-}
-
-/// Runs every preset under the identical scenario and seed.
-pub fn run_defense_comparison(scale: f64, seed: u64) -> DefenseComparison {
-    let probe = defense_setup(DefensePreset::None, scale, seed);
-    DefenseComparison {
-        attack: probe.attack.unwrap(),
-        flood: probe.spoofed_flood.unwrap(),
-        rows: ALL_PRESETS
-            .into_iter()
-            .map(|p| run_defense_case(p, scale, seed))
-            .collect(),
-    }
+/// The `repro defense` grid: the flooded Experiment H scenario, one arm
+/// per [`ALL_PRESETS`] entry.
+pub fn defense_grid(scale: f64, seed: u64) -> SweepEngine {
+    SweepEngine::new(flooded_experiment_h(scale, seed))
+        .axis(SweepAxis::defense_preset(ALL_PRESETS.to_vec()))
 }
 
 #[cfg(test)]
@@ -446,7 +455,17 @@ mod tests {
     /// seed 29).
     #[test]
     fn defense_setup_matches_the_captured_setup() {
-        let setup = defense_setup(DefensePreset::RrlSlip, 0.012, 29);
+        let engine = defense_grid(0.012, 29);
+        assert_eq!(
+            engine.coord_labels(2),
+            [("defense".into(), "rrl-slip".into())]
+        );
+        let setup = engine.setup_for(2, 0);
+        assert_eq!(
+            format!("{setup:?}"),
+            format!("{:?}", defense_setup(DefensePreset::RrlSlip, 0.012, 29)),
+            "the grid's arm is the setup `defense_setup` builds"
+        );
         assert_eq!(
             setup.track_probe, None,
             "no Table 7 drill-down (and sharded runs reject one)"
@@ -477,10 +496,14 @@ mod tests {
     /// The §7 acceptance numbers at reduced scale: RRL-with-slip must
     /// hold legitimate clients within 5 points of the undefended run
     /// while refusing at least half the spoofed fleet's served volume.
+    fn row(preset: DefensePreset) -> DefenseRow {
+        DefenseRow::of(&Report::run(&defense_setup(preset, 0.012, 29)))
+    }
+
     #[test]
     fn rrl_slip_protects_the_server_without_hurting_clients() {
-        let none = run_defense_case(DefensePreset::None, 0.012, 29);
-        let slip = run_defense_case(DefensePreset::RrlSlip, 0.012, 29);
+        let none = row(DefensePreset::None);
+        let slip = row(DefensePreset::RrlSlip);
         let ok_none = none.ok_during_attack.expect("attack rounds have traffic");
         let ok_slip = slip.ok_during_attack.expect("attack rounds have traffic");
         assert!(
@@ -502,7 +525,7 @@ mod tests {
     /// unknown-class flood while known resolvers keep their share.
     #[test]
     fn admission_sheds_the_spoofed_class() {
-        let adm = run_defense_case(DefensePreset::Admission, 0.012, 29);
+        let adm = row(DefensePreset::Admission);
         assert!(adm.shed > 0, "unknown class saturates and sheds");
         let ok = adm.ok_during_attack.expect("attack rounds have traffic");
         assert!(ok > 0.3, "known resolvers keep service: {ok}");

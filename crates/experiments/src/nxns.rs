@@ -30,7 +30,8 @@ use dike_telemetry::sync::Mutex;
 use dike_telemetry::TelemetryConfig;
 use dike_wire::{Message, Name, Rcode, RecordType};
 
-use crate::setup::{run_experiment, ExperimentOutput, ExperimentSetup};
+use crate::setup::{ExperimentOutput, ExperimentSetup};
+use crate::sweep::{SweepAxis, SweepEngine};
 
 /// The malicious TLD the attacker's zone is delegated as.
 pub fn attack_origin() -> Name {
@@ -124,51 +125,20 @@ pub(crate) fn install_nxns(
 }
 
 // ---------------------------------------------------------------------
-// The comparison arms
+// The comparison grid
 // ---------------------------------------------------------------------
 
-/// One arm of the `repro nxns` comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NxnsArm {
-    /// No mitigation: the full 2N fan-out lands on the victim.
-    Undefended,
-    /// MaxFetch(5): at most 5 NS-address fetches per referral.
-    MaxFetch5,
-    /// MaxFetch(2): the paper's aggressive setting.
-    MaxFetch2,
-}
-
-/// All arms, in comparison-table order.
-pub const ALL_NXNS_ARMS: [NxnsArm; 3] =
-    [NxnsArm::Undefended, NxnsArm::MaxFetch5, NxnsArm::MaxFetch2];
-
-impl NxnsArm {
-    /// The comparison-table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            NxnsArm::Undefended => "undefended",
-            NxnsArm::MaxFetch5 => "maxfetch-5",
-            NxnsArm::MaxFetch2 => "maxfetch-2",
-        }
-    }
-
-    /// The arm's MaxFetch(k) value (`None` = uncapped).
-    pub fn max_fetch(self) -> Option<u32> {
-        match self {
-            NxnsArm::Undefended => None,
-            NxnsArm::MaxFetch5 => Some(5),
-            NxnsArm::MaxFetch2 => Some(2),
-        }
-    }
-}
+/// The arms of the `repro nxns` grid: a label and the resolvers'
+/// MaxFetch(k), `None` for uncapped.
+const MAX_FETCH_ARMS: [(&str, Option<u32>); 3] = [
+    ("undefended", None),
+    ("maxfetch-5", Some(5)),
+    ("maxfetch-2", Some(2)),
+];
 
 /// One row of the NXNS comparison table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NxnsRow {
-    /// Which arm.
-    pub arm: NxnsArm,
-    /// NS fan-out per malicious referral.
-    pub fanout: usize,
     /// The attack client's tally.
     pub client: NxnsStats,
     /// Queries the victim authoritative received (the amplified load).
@@ -184,33 +154,33 @@ pub struct NxnsRow {
     pub glue_wait_exhausted: u64,
 }
 
-/// The full mitigation comparison.
-#[derive(Debug, Clone)]
-pub struct NxnsComparison {
-    /// The malicious zone every arm ran against.
-    pub zone: NxnsZoneConfig,
-    /// One row per [`ALL_NXNS_ARMS`] entry, in order.
-    pub rows: Vec<NxnsRow>,
-}
-
-/// The scenario each arm runs under: a small background population (so
-/// the amplification rides through the standard world, not a bespoke
-/// rig) plus the NXNS cast and telemetry every 10 minutes.
-pub fn nxns_setup(arm: NxnsArm, scale: f64, seed: u64) -> ExperimentSetup {
+/// The `repro nxns` grid: a small background population (so the
+/// amplification rides through the standard world, not a bespoke rig)
+/// plus the NXNS cast and telemetry every 10 minutes, one arm per
+/// MaxFetch setting. The base is the undefended arm.
+pub fn nxns_grid(scale: f64, seed: u64) -> SweepEngine {
     let n_probes = ((2_400.0 * scale).round() as usize).max(8);
-    let mut setup = ExperimentSetup::new(n_probes, 1800);
-    setup.seed = seed;
-    setup.round_interval = SimDuration::from_mins(10);
-    setup.rounds = 3;
-    setup.total_duration = SimDuration::from_mins(40);
-    setup.telemetry = Some(TelemetryConfig::every_mins(10));
-    setup.nxns = Some(NxnsZoneConfig::default());
-    setup.resolver_max_fetch = arm.max_fetch();
-    setup
+    let base = ExperimentSetup {
+        seed,
+        round_interval: SimDuration::from_mins(10),
+        rounds: 3,
+        total_duration: SimDuration::from_mins(40),
+        telemetry: Some(TelemetryConfig::every_mins(10)),
+        nxns: Some(NxnsZoneConfig::default()),
+        ..ExperimentSetup::new(n_probes, 1800)
+    };
+    SweepEngine::new(base).axis(SweepAxis::new(
+        "arm",
+        MAX_FETCH_ARMS.map(|(label, k)| {
+            (label, move |s: &mut ExperimentSetup| {
+                s.resolver_max_fetch = k;
+            })
+        }),
+    ))
 }
 
 fn auth_queries(out: &ExperimentOutput, label: &str) -> u64 {
-    let reg = out.metrics.as_ref().expect("nxns_setup sets telemetry");
+    let reg = out.metrics.as_ref().expect("the nxns grid sets telemetry");
     reg.node_labels()
         .filter(|(_, l)| *l == label)
         .map(|(id, _)| reg.counter_total("auth", Some(id), "queries").unwrap_or(0))
@@ -218,13 +188,11 @@ fn auth_queries(out: &ExperimentOutput, label: &str) -> u64 {
 }
 
 /// Derives a comparison row from a finished run.
-pub fn nxns_row(arm: NxnsArm, zone: &NxnsZoneConfig, out: &ExperimentOutput) -> NxnsRow {
-    let reg = out.metrics.as_ref().expect("nxns_setup sets telemetry");
+pub fn nxns_row(out: &ExperimentOutput) -> NxnsRow {
+    let reg = out.metrics.as_ref().expect("the nxns grid sets telemetry");
     let client = out.nxns.expect("nxns armed");
     let victim_queries = auth_queries(out, "auth:nxns-victim");
     NxnsRow {
-        arm,
-        fanout: zone.fanout,
         client,
         victim_queries,
         attacker_queries: auth_queries(out, "auth:nxns-attacker"),
@@ -234,34 +202,18 @@ pub fn nxns_row(arm: NxnsArm, zone: &NxnsZoneConfig, out: &ExperimentOutput) -> 
     }
 }
 
-/// Runs one arm and derives its comparison row.
-pub fn run_nxns_case(arm: NxnsArm, scale: f64, seed: u64) -> NxnsRow {
-    let setup = nxns_setup(arm, scale, seed);
-    let zone = setup.nxns.expect("nxns_setup arms the attack");
-    let out = run_experiment(&setup);
-    nxns_row(arm, &zone, &out)
-}
-
-/// Runs every arm under the identical scenario and seed.
-pub fn run_nxns_comparison(scale: f64, seed: u64) -> NxnsComparison {
-    NxnsComparison {
-        zone: NxnsZoneConfig::default(),
-        rows: ALL_NXNS_ARMS
-            .into_iter()
-            .map(|arm| run_nxns_case(arm, scale, seed))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::run_experiment;
 
     #[test]
     fn arm_setups_are_internally_consistent() {
-        for arm in ALL_NXNS_ARMS {
-            let setup = nxns_setup(arm, 0.003, 7);
-            assert_eq!(setup.resolver_max_fetch, arm.max_fetch());
+        let engine = nxns_grid(0.003, 7);
+        for (i, (label, k)) in MAX_FETCH_ARMS.into_iter().enumerate() {
+            assert_eq!(engine.coord_labels(i), [("arm".into(), label.into())]);
+            let setup = engine.setup_for(i, 0);
+            assert_eq!(setup.resolver_max_fetch, k);
             let zone = setup.nxns.expect("attack armed");
             assert!(NXNS_QUERIES <= zone.cuts, "fresh cut per query");
             assert!(setup.telemetry.is_some(), "amplification needs telemetry");
@@ -274,7 +226,7 @@ mod tests {
     #[test]
     fn amplification_is_reproducible_monotone_and_audit_clean() {
         let run = |fanout: usize| {
-            let mut setup = nxns_setup(NxnsArm::Undefended, 0.003, 11);
+            let mut setup = nxns_grid(0.003, 11).base;
             setup.audit = true;
             setup.nxns = Some(NxnsZoneConfig {
                 fanout,
@@ -302,22 +254,17 @@ mod tests {
     /// the victim's load to at most k queries per referral.
     #[test]
     fn nxns_comparison_meets_the_acceptance_contract() {
-        let cmp = run_nxns_comparison(0.003, 11);
-        let row = |arm: NxnsArm| {
-            cmp.rows
-                .iter()
-                .find(|r| r.arm == arm)
-                .expect("all arms present")
+        let engine = nxns_grid(0.003, 11);
+        let fanout = engine.base.nxns.expect("attack armed").fanout;
+        let rows = engine.run_rows(|report| nxns_row(&report.output));
+        let [undefended, k5, k2] = &rows[..] else {
+            panic!("one row per arm: {rows:?}")
         };
-        let undefended = row(NxnsArm::Undefended);
-        let k5 = row(NxnsArm::MaxFetch5);
-        let k2 = row(NxnsArm::MaxFetch2);
 
         assert!(undefended.client.queries_sent > 0);
         assert!(
             undefended.amplification >= 10.0,
-            "undefended amplification at fan-out {}: {}",
-            undefended.fanout,
+            "undefended amplification at fan-out {fanout}: {}",
             undefended.amplification
         );
         assert_eq!(undefended.max_fetch_exceeded, 0, "no cap, no counter");
@@ -347,11 +294,15 @@ mod tests {
         );
     }
 
+    /// The comparison rows do not depend on how many workers run the
+    /// grid's arms.
     #[test]
-    #[ignore = "debugging aid: dumps every arm's row"]
-    fn dump_rows() {
-        for arm in ALL_NXNS_ARMS {
-            println!("{:?}", run_nxns_case(arm, 0.003, 11));
-        }
+    fn comparison_rows_are_identical_across_worker_counts() {
+        let rows = |threads| {
+            nxns_grid(0.003, 11)
+                .threads(threads)
+                .run_rows(|r| nxns_row(&r.output))
+        };
+        assert_eq!(rows(1), rows(0));
     }
 }

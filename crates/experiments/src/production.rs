@@ -9,11 +9,10 @@
 //! simulated cache missed.
 
 use dike_cache::{CacheAnswer, CacheConfig, FragmentedCache};
-use dike_netsim::{Addr, Context, Node, SimDuration, SimTime, TimerToken};
+use dike_netsim::{SimDuration, SimTime};
 use dike_stats::ecdf::Ecdf;
-use dike_stats::passive::{PassiveAnalyzer, PassiveReport};
 use dike_telemetry::rng::Rng;
-use dike_wire::{Message, Name, RData, Record, RecordType};
+use dike_wire::{Name, RData, Record};
 
 /// How one simulated recursive treats the measured records.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -355,6 +354,9 @@ pub fn run_root(cfg: &RootConfig) -> RootResult {
 mod tests {
     use super::*;
     use dike_cache::ResolverCache;
+    use dike_netsim::{Addr, Context, Node, TimerToken};
+    use dike_stats::passive::{PassiveAnalyzer, PassiveReport};
+    use dike_wire::{Message, RecordType};
 
     /// A single honoring resolver's refresh Δt series under Poisson
     /// clients with `mean_gap_s` between queries.
@@ -482,134 +484,134 @@ mod tests {
             "friendly letter {f4} should beat worst letter {h4}"
         );
     }
-}
 
-// ---------------------------------------------------------------------
-// Figure 4, full-simulation cross-check
-// ---------------------------------------------------------------------
+    // ---------------------------------------------------------------------
+    // Figure 4, full-simulation cross-check
+    // ---------------------------------------------------------------------
 
-/// A client generating Poisson-paced queries for one of the watched
-/// names through its recursive resolver.
-struct PoissonClient {
-    resolver: Addr,
-    names: Vec<Name>,
-    mean_gap: f64,
-    next_id: u16,
-}
-
-impl Node for PoissonClient {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let gap = self.sample_gap(ctx);
-        ctx.set_timer(gap, TimerToken(0));
+    /// A client generating Poisson-paced queries for one of the watched
+    /// names through its recursive resolver.
+    struct PoissonClient {
+        resolver: Addr,
+        names: Vec<Name>,
+        mean_gap: f64,
+        next_id: u16,
     }
-    fn on_datagram(&mut self, _ctx: &mut Context<'_>, _src: Addr, _msg: &Message, _l: usize) {}
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
-        self.next_id = self.next_id.wrapping_add(1).max(1);
-        let name = self.names[ctx.rng().random_range(0..self.names.len())].clone();
-        ctx.send(
-            self.resolver,
-            &Message::query(self.next_id, name, RecordType::A),
+
+    impl Node for PoissonClient {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let gap = self.sample_gap(ctx);
+            ctx.set_timer(gap, TimerToken(0));
+        }
+        fn on_datagram(&mut self, _ctx: &mut Context<'_>, _src: Addr, _msg: &Message, _l: usize) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
+            self.next_id = self.next_id.wrapping_add(1).max(1);
+            let name = self.names[ctx.rng().random_range(0..self.names.len())].clone();
+            ctx.send(
+                self.resolver,
+                &Message::query(self.next_id, name, RecordType::A),
+            );
+            let gap = self.sample_gap(ctx);
+            ctx.set_timer(gap, TimerToken(0));
+        }
+    }
+
+    impl PoissonClient {
+        fn sample_gap(&self, ctx: &mut Context<'_>) -> SimDuration {
+            let u: f64 = ctx.rng().random_range(f64::EPSILON..1.0);
+            SimDuration::from_secs_f64(-self.mean_gap * u.ln())
+        }
+    }
+
+    /// Configuration for the full-simulation Figure 4 cross-check.
+    #[derive(Debug, Clone, Copy)]
+    pub struct NlSimConfig {
+        /// Recursive resolvers (each is one "source" at the authoritative).
+        pub n_recursives: usize,
+        /// Observation window.
+        pub duration: SimDuration,
+        /// Zone TTL for the watched records.
+        pub ttl: u32,
+        /// Simulator seed.
+        pub seed: u64,
+    }
+
+    impl Default for NlSimConfig {
+        fn default() -> Self {
+            NlSimConfig {
+                n_recursives: 150,
+                duration: SimDuration::from_secs(6 * 3600),
+                ttl: 3600,
+                seed: 14,
+            }
+        }
+    }
+
+    /// The generator behind [`run_nl`] models caches directly; this
+    /// reference model cross-checks it by running the *full stack* — authoritative server,
+    /// recursive resolvers (honoring, fragmented and TTL-capping profiles),
+    /// Poisson clients — and feeding the captured traffic through the same
+    /// §4.1 passive analysis ([`PassiveAnalyzer`]).
+    pub fn run_nl_full_sim(cfg: &NlSimConfig) -> PassiveReport {
+        use dike_auth::{zonefile, AuthServer};
+        use dike_resolver::{profiles, RecursiveResolver};
+
+        let mut sim = dike_netsim::Simulator::new(cfg.seed);
+        let names: Vec<Name> = (1..=5)
+            .map(|i| Name::parse(&format!("ns{i}.dns.nl")).expect("static"))
+            .collect();
+
+        // The dns.nl zone, built through the zone-file parser for variety.
+        let mut zone_text = String::from(
+            "$ORIGIN dns.nl.\n$TTL 3600\n@ IN SOA ns1 hostmaster 1 14400 3600 1209600 60\n",
         );
-        let gap = self.sample_gap(ctx);
-        ctx.set_timer(gap, TimerToken(0));
-    }
-}
-
-impl PoissonClient {
-    fn sample_gap(&self, ctx: &mut Context<'_>) -> SimDuration {
-        let u: f64 = ctx.rng().random_range(f64::EPSILON..1.0);
-        SimDuration::from_secs_f64(-self.mean_gap * u.ln())
-    }
-}
-
-/// Configuration for the full-simulation Figure 4 cross-check.
-#[derive(Debug, Clone, Copy)]
-pub struct NlSimConfig {
-    /// Recursive resolvers (each is one "source" at the authoritative).
-    pub n_recursives: usize,
-    /// Observation window.
-    pub duration: SimDuration,
-    /// Zone TTL for the watched records.
-    pub ttl: u32,
-    /// Simulator seed.
-    pub seed: u64,
-}
-
-impl Default for NlSimConfig {
-    fn default() -> Self {
-        NlSimConfig {
-            n_recursives: 150,
-            duration: SimDuration::from_secs(6 * 3600),
-            ttl: 3600,
-            seed: 14,
+        for i in 1..=5 {
+            zone_text.push_str(&format!("ns{i} {} IN A 194.0.28.{i}\n", cfg.ttl));
         }
-    }
-}
+        let zone = zonefile::parse(&zone_text, None).expect("valid zone text");
+        let (_, auth) = sim.add_node(Box::new(AuthServer::new().with_zone(Box::new(zone))));
 
-/// The generator behind [`run_nl`] models caches directly; this variant
-/// cross-checks it by running the *full stack* — authoritative server,
-/// recursive resolvers (honoring, fragmented and TTL-capping profiles),
-/// Poisson clients — and feeding the captured traffic through the same
-/// §4.1 passive analysis ([`PassiveAnalyzer`]).
-pub fn run_nl_full_sim(cfg: &NlSimConfig) -> PassiveReport {
-    use dike_auth::{zonefile, AuthServer};
-    use dike_resolver::{profiles, RecursiveResolver};
+        let (analyzer, sink) =
+            dike_netsim::trace::shared(PassiveAnalyzer::new([auth], names.clone(), RecordType::A));
+        sim.add_sink(sink);
 
-    let mut sim = dike_netsim::Simulator::new(cfg.seed);
-    let names: Vec<Name> = (1..=5)
-        .map(|i| Name::parse(&format!("ns{i}.dns.nl")).expect("static"))
-        .collect();
-
-    // The dns.nl zone, built through the zone-file parser for variety.
-    let mut zone_text = String::from(
-        "$ORIGIN dns.nl.\n$TTL 3600\n@ IN SOA ns1 hostmaster 1 14400 3600 1209600 60\n",
-    );
-    for i in 1..=5 {
-        zone_text.push_str(&format!("ns{i} {} IN A 194.0.28.{i}\n", cfg.ttl));
-    }
-    let zone = zonefile::parse(&zone_text, None).expect("valid zone text");
-    let (_, auth) = sim.add_node(Box::new(AuthServer::new().with_zone(Box::new(zone))));
-
-    let (analyzer, sink) =
-        dike_netsim::trace::shared(PassiveAnalyzer::new([auth], names.clone(), RecordType::A));
-    sim.add_sink(sink);
-
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x9e37);
-    for i in 0..cfg.n_recursives {
-        // Population mirrors the generator's behaviour classes.
-        let x: f64 = rng.random_range(0.0..1.0);
-        let mut rc = if i % 2 == 0 {
-            profiles::bind_like(vec![auth])
-        } else {
-            profiles::unbound_like(vec![auth])
-        };
-        if x < 0.6 {
-            // honoring: leave as-is
-        } else if x < 0.8 {
-            rc.cache_backends = rng.random_range(2..6); // fragmented farm
-        } else {
-            rc.cache = CacheConfig {
-                max_ttl: cfg.ttl / 2, // capped at half the TTL
-                ..rc.cache
+        let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x9e37);
+        for i in 0..cfg.n_recursives {
+            // Population mirrors the generator's behaviour classes.
+            let x: f64 = rng.random_range(0.0..1.0);
+            let mut rc = if i % 2 == 0 {
+                profiles::bind_like(vec![auth])
+            } else {
+                profiles::unbound_like(vec![auth])
             };
+            if x < 0.6 {
+                // honoring: leave as-is
+            } else if x < 0.8 {
+                rc.cache_backends = rng.random_range(2..6); // fragmented farm
+            } else {
+                rc.cache = CacheConfig {
+                    max_ttl: cfg.ttl / 2, // capped at half the TTL
+                    ..rc.cache
+                };
+            }
+            let (_, r) = sim.add_node(Box::new(RecursiveResolver::new(rc)));
+            // Client demand: log-uniform mean inter-arrival, 20 s - 200 s,
+            // dense enough to refresh promptly at expiry (the paper's
+            // production recursives see orders of magnitude more demand).
+            let mean_gap = 10f64.powf(rng.random_range(1.3..2.3));
+            sim.add_node(Box::new(PoissonClient {
+                resolver: r,
+                names: names.clone(),
+                mean_gap,
+                next_id: 0,
+            }));
         }
-        let (_, r) = sim.add_node(Box::new(RecursiveResolver::new(rc)));
-        // Client demand: log-uniform mean inter-arrival, 20 s - 200 s,
-        // dense enough to refresh promptly at expiry (the paper's
-        // production recursives see orders of magnitude more demand).
-        let mean_gap = 10f64.powf(rng.random_range(1.3..2.3));
-        sim.add_node(Box::new(PoissonClient {
-            resolver: r,
-            names: names.clone(),
-            mean_gap,
-            next_id: 0,
-        }));
-    }
 
-    sim.run_until(cfg.duration.after_zero());
-    drop(sim);
-    let analyzer = std::sync::Arc::try_unwrap(analyzer)
-        .expect("single owner")
-        .into_inner();
-    analyzer.analyze(cfg.ttl, 5)
+        sim.run_until(cfg.duration.after_zero());
+        drop(sim);
+        let analyzer = std::sync::Arc::try_unwrap(analyzer)
+            .expect("single owner")
+            .into_inner();
+        analyzer.analyze(cfg.ttl, 5)
+    }
 }

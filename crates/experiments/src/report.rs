@@ -5,14 +5,11 @@
 //! (Fig. 10) — so every runner and comparison row computes them the same
 //! way.
 
+use crate::setup::{run_experiment, AttackPlan, ExperimentOutput, ExperimentSetup};
 use dike_netsim::SimDuration;
 use dike_stats::classify::{Classification, Classifier};
 use dike_stats::latency::{latency_timeseries, LatencyBin};
 use dike_stats::timeseries::{ok_fraction_in, outcome_timeseries, OutcomeBin};
-use dike_telemetry::MetricsRegistry;
-
-use crate::defense::SpoofedStats;
-use crate::setup::{run_experiment, AttackPlan, ExperimentOutput, ExperimentSetup};
 
 /// Everything a run produced, with convenience accessors for the paper's
 /// headline metrics.
@@ -113,36 +110,6 @@ impl Report {
             return None;
         }
         Some(mean(start, end).unwrap_or(0.0) / before)
-    }
-
-    /// The metric registry collected during the run, when the setup
-    /// asked for [`ExperimentSetup::telemetry`].
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.output.metrics.as_ref()
-    }
-
-    /// The spoofed fleet's tally, when
-    /// [`ExperimentSetup::spoofed_flood`] was configured.
-    pub fn spoofed_stats(&self) -> Option<SpoofedStats> {
-        self.output.spoofed
-    }
-
-    /// The late legitimate wave's tally, when
-    /// [`ExperimentSetup::late_wave`] was configured. Its answered share
-    /// (`full_answers / sent`) is the complement of the history
-    /// classifier's false-positive cost: every unanswered query
-    /// here came from a legitimate source the defense refused (or queue
-    /// contention the flood caused).
-    pub fn late_resolver_stats(&self) -> Option<SpoofedStats> {
-        self.output.late
-    }
-
-    /// Hot-path throughput counters for the run: events popped, datagrams
-    /// decoded/delivered, bytes through the codec, and the wall-clock time
-    /// the event loop spent. Observability only — wall-clock fields vary
-    /// across machines while the datagram counters are deterministic.
-    pub fn perf(&self) -> dike_netsim::SimPerf {
-        self.output.perf
     }
 }
 
@@ -300,7 +267,7 @@ mod tests {
             })
         };
         let (a, b) = (run(), run());
-        let (ra, rb) = (a.metrics().unwrap(), b.metrics().unwrap());
+        let (ra, rb) = (a.output.metrics.unwrap(), b.output.metrics.unwrap());
         assert!(!ra.is_empty());
         assert_eq!(ra.snapshot_times(), rb.snapshot_times());
         assert_eq!(

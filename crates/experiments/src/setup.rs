@@ -12,6 +12,7 @@ use dike_faults::{Fault, FaultPlan};
 use dike_netsim::{trace, Addr, QueueConfig, SimDuration, SimTime, Simulator};
 use dike_stats::server_view::ServerView;
 use dike_stub::ProbeLog;
+use dike_telemetry::sync::Mutex;
 use dike_telemetry::{MetricsRegistry, TelemetryConfig};
 
 use crate::cookies::{install_tcp_exhaustion, ExhaustionStats, TcpExhaustion};
@@ -476,37 +477,13 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
     let perf = sim.perf();
     drop(sim); // release the Arc clones the simulator holds
 
-    let log = Arc::try_unwrap(topo.log)
-        .expect("simulator dropped, log has one owner")
-        .into_inner();
-    let server = Arc::try_unwrap(view_handle)
-        .expect("simulator dropped, view has one owner")
-        .into_inner();
-    let metrics = registry.map(|reg| {
-        Arc::try_unwrap(reg)
-            .expect("simulator dropped, registry has one owner")
-            .into_inner()
-    });
-    let spoofed = spoofed_handle.map(|h| {
-        Arc::try_unwrap(h)
-            .expect("simulator dropped, spoofed tally has one owner")
-            .into_inner()
-    });
-    let late = late_handle.map(|h| {
-        Arc::try_unwrap(h)
-            .expect("simulator dropped, late-wave tally has one owner")
-            .into_inner()
-    });
-    let exhaustion = exhaustion_handle.map(|h| {
-        Arc::try_unwrap(h)
-            .expect("simulator dropped, hog tally has one owner")
-            .into_inner()
-    });
-    let nxns = nxns_handle.map(|h| {
-        Arc::try_unwrap(h)
-            .expect("simulator dropped, nxns tally has one owner")
-            .into_inner()
-    });
+    let log = sole(topo.log, "log");
+    let server = sole(view_handle, "view");
+    let metrics = registry.map(|h| sole(h, "registry"));
+    let spoofed = spoofed_handle.map(|h| sole(h, "spoofed tally"));
+    let late = late_handle.map(|h| sole(h, "late-wave tally"));
+    let exhaustion = exhaustion_handle.map(|h| sole(h, "hog tally"));
+    let nxns = nxns_handle.map(|h| sole(h, "nxns tally"));
     let n_vps = topo.vps.len();
     ExperimentOutput {
         log,
@@ -523,6 +500,15 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
         exhaustion,
         nxns,
     }
+}
+
+/// Takes back a run's shared handle once the simulator (or the shards),
+/// which held the other clones, is dropped. `what` names the handle in
+/// the panic.
+pub(crate) fn sole<T>(handle: Arc<Mutex<T>>, what: &str) -> T {
+    Arc::try_unwrap(handle)
+        .unwrap_or_else(|_| panic!("simulator dropped, so the {what} has one owner"))
+        .into_inner()
 }
 
 #[cfg(test)]

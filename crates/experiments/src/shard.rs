@@ -32,8 +32,6 @@
 //! latency — covers every Table 4 scenario and the fault/defense
 //! sweeps.
 
-use std::sync::Arc;
-
 use dike_defense::Defense;
 use dike_faults::{Fault, FaultPlan};
 use dike_netsim::{
@@ -41,7 +39,7 @@ use dike_netsim::{
 };
 use dike_stats::server_view::ServerView;
 
-use crate::setup::{audit_enabled, ExperimentOutput, ExperimentSetup};
+use crate::setup::{audit_enabled, sole, ExperimentOutput, ExperimentSetup};
 use crate::topology::{self, BuildConfig};
 
 /// Panics listing every setup feature the sharded engine cannot honour.
@@ -233,16 +231,12 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
     let perf = sharded.perf();
     drop(sharded); // release the Arc clones the shard simulators hold
 
-    let mut log = Arc::try_unwrap(topo.log)
-        .expect("shards dropped, log has one owner")
-        .into_inner();
+    let mut log = sole(topo.log, "log");
     // Shard threads append concurrently; the record *set* is
     // deterministic but the raw order is not. Canonical order is what
     // digests compare.
     log.canonicalize();
-    let server = Arc::try_unwrap(view_handle)
-        .expect("shards dropped, view has one owner")
-        .into_inner();
+    let server = sole(view_handle, "view");
 
     let n_vps = topo.vps.len();
     ExperimentOutput {

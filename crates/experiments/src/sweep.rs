@@ -252,7 +252,9 @@ impl ReplicateSummary {
             latency_ecdf: Ecdf::of(&rtts).downsample(ECDF_POINTS),
             server_queries: report.output.server.total_queries,
             retries: report
-                .metrics()
+                .output
+                .metrics
+                .as_ref()
                 .map(|m| m.counter_sum("resolver", "retries")),
         }
     }
@@ -696,6 +698,19 @@ impl SweepEngine {
         (0..arms)
             .map(|_| (0..k).map(|_| flat.next().expect("cell")).collect())
             .collect()
+    }
+
+    /// Runs each arm once, at the base seed, and folds its report into one
+    /// row: a comparison table, in arm order. Replicate 0 runs the base
+    /// seed, so each row is the row of the arm's setup run by hand.
+    pub fn run_rows<T, F>(&self, row: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(Report) -> T + Sync,
+    {
+        assert_eq!(self.replicates, 1, "a comparison row is one run");
+        let folded = self.run_fold(|_, report| row(report));
+        folded.into_iter().flatten().collect()
     }
 
     /// Runs the grid with the standard streaming fold: each report

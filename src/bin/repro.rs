@@ -15,6 +15,13 @@
 //! per-arm summaries. It is deliberately not part of `all` — grids are
 //! sized by `--replicates`/`--scale` and can dwarf the lettered runs.
 //!
+//! The comparison targets — `queueing`, `defense`, `cookies` and `nxns`
+//! — run on the same engine, as `falsepos` does: one base setup, one
+//! axis of arms, one table row (or column) per arm. `--threads` sets the
+//! engine's workers for every grid target and never changes a byte of
+//! output; `--replicates` applies to `sweep` and `falsepos`, since a
+//! comparison runs each arm once.
+//!
 //! `--scale` scales the probe population (1.0 ≈ the paper's 9.2k probes;
 //! the default 0.05 runs every target in a few minutes). Output is the
 //! same rows/series the paper reports; EXPERIMENTS.md records
@@ -23,14 +30,17 @@
 use std::collections::HashMap;
 
 use dike_experiments::baseline::{run_baseline, BaselineResult, BASELINES};
+use dike_experiments::cookies::cookie_grid;
 use dike_experiments::ddos::{DdosExperiment, ALL};
+use dike_experiments::defense::{defense_grid, DefenseRow, SpoofedFlood, ALL_PRESETS};
 use dike_experiments::degraded::{run_degraded, DegradedParams, FLOOD_LOAD};
 use dike_experiments::glue;
 use dike_experiments::implications;
+use dike_experiments::nxns::{nxns_grid, nxns_row, NXNS_QUERIES};
 use dike_experiments::production::{run_nl, run_root, NlConfig, RootConfig};
 use dike_experiments::software::{run_software_mean, Software};
 use dike_experiments::{AttackPlan, ExperimentSetup, Report, SweepAxis, SweepEngine};
-use dike_netsim::{DefenseLedger, SimDuration};
+use dike_netsim::{QueueConfig, SimDuration};
 use dike_stats::table::{pct, ratio, TextTable};
 use dike_stats::timeseries::class_timeseries;
 use dike_telemetry::json::Writer;
@@ -46,9 +56,9 @@ struct Args {
     csv: Option<String>,
     /// `sweep`: JSON export path for the full sweep result.
     grid_json: Option<String>,
-    /// `sweep`: worker threads (0 = available parallelism).
+    /// Grid targets: worker threads (0 = available parallelism).
     threads: usize,
-    /// `sweep`: seed replicates per arm.
+    /// `sweep` and `falsepos`: seed replicates per arm.
     replicates: u32,
 }
 
@@ -132,10 +142,11 @@ fn help() -> String {
          --metrics collects sim-time telemetry during the DDoS runs and\n\
          writes the full metric registry (per-node counters, gauges,\n\
          retry histograms) as JSON, keyed by experiment letter\n\
-         sweep-only flags: [--csv FILE] [--grid-json FILE]\n\
-         [--replicates K] [--threads N] — run the attack-loss x TTL\n\
-         grid through the SweepEngine and export per-arm summaries\n\
-         (byte-identical output for any worker count);\n\
+         grid flags: [--threads N] sets the SweepEngine workers of\n\
+         sweep, falsepos, queueing, defense, cookies and nxns\n\
+         (byte-identical output for any worker count); sweep and\n\
+         falsepos take [--replicates K], and sweep exports its per-arm\n\
+         summaries with [--csv FILE] [--grid-json FILE];\n\
          --scale sizes the probe population against the paper's 9.2k\n",
         names.join(" ")
     )
@@ -144,6 +155,11 @@ fn help() -> String {
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+/// A table cell for an optional share: a percentage, or `-`.
+fn opt_pct(share: Option<f64>) -> String {
+    share.map(pct).unwrap_or_else(|| "-".into())
 }
 
 /// Caches expensive runs so `repro all` shares them across targets.
@@ -188,7 +204,7 @@ impl Ctx {
                 BASELINES
                     .iter()
                     .enumerate()
-                    .map(|(i, cfg)| run_baseline(*cfg, scale, seed + i as u64))
+                    .map(|(i, cfg)| run_baseline(*cfg, scale, seed.wrapping_add(i as u64)))
                     .collect(),
             );
         }
@@ -202,7 +218,7 @@ impl Ctx {
                 "[repro] running DDoS experiment {letter} at scale {} ...",
                 self.scale
             );
-            let mut setup = exp.setup(self.scale, self.seed + letter as u64);
+            let mut setup = exp.setup(self.scale, self.seed.wrapping_add(letter as u64));
             // Snapshot on the same 10-minute grid the paper's figures use.
             setup.telemetry = self
                 .collect_metrics
@@ -242,11 +258,11 @@ const TARGETS: &[Target] = &[
     ("table6", |c, _| table6(c), true),
     ("table7", |c, _| table7(c), true),
     ("implications", |c, _| implications_sweep(c), true),
-    ("queueing", |c, _| queueing_extension(c), true),
+    ("queueing", queueing_extension, true),
     ("degraded", |c, _| degraded_scenario(c), true),
-    ("defense", |c, _| defense_comparison(c), true),
-    ("cookies", |c, _| cookies_comparison(c), true),
-    ("nxns", |c, _| nxns_comparison(c), true),
+    ("defense", defense_comparison, true),
+    ("cookies", cookies_comparison, true),
+    ("nxns", nxns_comparison, true),
     ("sweep", sweep_grid, false),
     ("falsepos", false_positive_sweep, false),
 ];
@@ -560,7 +576,7 @@ fn table4(ctx: &mut Ctx) {
             r.output.n_vps.to_string(),
             r.output.log.records.len().to_string(),
             answers.to_string(),
-            ok.map(pct).unwrap_or_else(|| "-".into()),
+            opt_pct(ok),
         ]);
     }
     ctx.emit(&tbl);
@@ -951,8 +967,8 @@ fn implications_sweep(ctx: &mut Ctx) {
         tbl.row(&[
             r.config.ttl.to_string(),
             r.config.sites_attacked.to_string(),
-            r.ok_before_attack.map(pct).unwrap_or_else(|| "-".into()),
-            r.ok_during_attack.map(pct).unwrap_or_else(|| "-".into()),
+            opt_pct(r.ok_before_attack),
+            opt_pct(r.ok_during_attack),
         ]);
     }
     ctx.emit(&tbl);
@@ -967,21 +983,35 @@ fn implications_sweep(ctx: &mut Ctx) {
 // Future work (paper §5.1): the queueing extension
 // ---------------------------------------------------------------------
 
-fn queueing_extension(ctx: &mut Ctx) {
+fn queueing_extension(ctx: &mut Ctx, args: &Args) {
     eprintln!("[repro] queueing extension: Experiment H with and without ingress queues ...");
-    let queue = dike_netsim::QueueConfig {
+    let queue = QueueConfig {
         rate_pps: 2_000.0,
         capacity: 2_000,
     };
-    let mut setup = DdosExperiment::H.setup(ctx.scale, ctx.seed);
-    let plain = Report::run(&setup);
-    setup.faults = setup.attack.map(|a| a.queue_floods(queue));
-    let queued = Report::run(&setup);
+    let arms = [("loss", false), ("+queue", true)].map(|(label, queued)| {
+        (label, move |s: &mut ExperimentSetup| {
+            if queued {
+                s.faults = s.attack.map(|a| a.queue_floods(queue));
+            }
+        })
+    });
+    let engine = SweepEngine::new(DdosExperiment::H.setup(ctx.scale, ctx.seed))
+        .axis(SweepAxis::new("queue", arms))
+        .threads(args.threads);
+    let latencies = engine.run_rows(|report| report.latencies);
+    let [plain, queued] = [0, 1].map(|arm| engine.coord_labels(arm).remove(0).1);
     let mut tbl = TextTable::new(
         "Queueing extension (paper 5.1 future work): Experiment H latency, loss-only vs loss+queueing",
-        &["min", "median (loss)", "p90 (loss)", "median (+queue)", "p90 (+queue)"],
+        &[
+            "min",
+            &format!("median ({plain})"),
+            &format!("p90 ({plain})"),
+            &format!("median ({queued})"),
+            &format!("p90 ({queued})"),
+        ],
     );
-    for (a, b) in plain.latencies.iter().zip(&queued.latencies) {
+    for (a, b) in latencies[0].iter().zip(&latencies[1]) {
         let fmt = |s: Option<dike_stats::quantile::LatencySummary>| match s {
             Some(s) => (format!("{:.0}", s.median), format!("{:.0}", s.p90)),
             None => ("-".into(), "-".into()),
@@ -1050,28 +1080,41 @@ fn degraded_scenario(ctx: &mut Ctx) {
 // defenses the paper discusses, run against its Experiment-H scenario)
 // ---------------------------------------------------------------------
 
-fn defense_comparison(ctx: &mut Ctx) {
-    use dike_experiments::defense::{run_defense_comparison, ALL_PRESETS};
+/// The attack and flood every defended arm runs under, for a title.
+fn flooded_attack(base: &ExperimentSetup) -> String {
+    let attack = base.attack.expect("the defended grids attack");
+    let flood = base.spoofed_flood.expect("the defended grids flood");
+    format!(
+        "{}% loss at both NS + {} spoofed sources x {} qps, minutes {}-{}",
+        (attack.loss * 100.0) as u32,
+        flood.sources,
+        flood.qps_per_source,
+        attack.start_min,
+        attack.start_min + attack.duration_min,
+    )
+}
 
+/// The share of the first (undefended) arm's served spoofed volume that
+/// `row` refuses.
+fn served_cut(row: &DefenseRow, rows: &[DefenseRow]) -> String {
+    match rows[0].spoofed.full_answers {
+        0 => "-".into(),
+        base => pct(1.0 - row.spoofed.full_answers as f64 / base as f64),
+    }
+}
+
+fn defense_comparison(ctx: &mut Ctx, args: &Args) {
+    let engine = defense_grid(ctx.scale, ctx.seed).threads(args.threads);
     eprintln!(
         "[repro] defense: running {} presets under Experiment H + spoofed flood at scale {} ...",
-        ALL_PRESETS.len(),
+        engine.arm_count(),
         ctx.scale
     );
-    let cmp = run_defense_comparison(ctx.scale, ctx.seed);
-    let baseline_served = cmp
-        .rows
-        .first()
-        .map(|r| r.spoofed.full_answers)
-        .unwrap_or(0);
+    let rows = engine.run_rows(|report| DefenseRow::of(&report));
     let mut tbl = TextTable::new(
         format!(
-            "Defense comparison (paper 7): {}% loss at both NS + {} spoofed sources x {} qps, minutes {}-{}",
-            (cmp.attack.loss * 100.0) as u32,
-            cmp.flood.sources,
-            cmp.flood.qps_per_source,
-            cmp.attack.start_min,
-            cmp.attack.start_min + cmp.attack.duration_min,
+            "Defense comparison (paper 7): {}",
+            flooded_attack(&engine.base)
         ),
         &[
             "defense",
@@ -1085,18 +1128,13 @@ fn defense_comparison(ctx: &mut Ctx) {
             "scale-outs",
         ],
     );
-    for r in &cmp.rows {
-        let cut = if baseline_served > 0 {
-            pct(1.0 - r.spoofed.full_answers as f64 / baseline_served as f64)
-        } else {
-            "-".into()
-        };
+    for (arm, r) in rows.iter().enumerate() {
         tbl.row(&[
-            r.preset.label().to_string(),
-            r.ok_during_attack.map(pct).unwrap_or_else(|| "-".into()),
+            engine.coord_labels(arm).remove(0).1,
+            opt_pct(r.ok_during_attack),
             r.spoofed.sent.to_string(),
             r.spoofed.full_answers.to_string(),
-            cut,
+            served_cut(r, &rows),
             r.rrl_slipped.to_string(),
             r.rrl_limited.to_string(),
             r.shed.to_string(),
@@ -1113,30 +1151,22 @@ fn defense_comparison(ctx: &mut Ctx) {
     );
 }
 
-fn cookies_comparison(ctx: &mut Ctx) {
-    use dike_experiments::cookies::{run_cookie_comparison, ALL_ARMS};
-
+fn cookies_comparison(ctx: &mut Ctx, args: &Args) {
+    let engine = cookie_grid(ctx.scale, ctx.seed).threads(args.threads);
     eprintln!(
         "[repro] cookies: running {} arms under Experiment H + spoofed flood at scale {} ...",
-        ALL_ARMS.len(),
+        engine.arm_count(),
         ctx.scale
     );
-    let cmp = run_cookie_comparison(ctx.scale, ctx.seed);
-    let baseline_served = cmp
-        .rows
-        .first()
-        .map(|r| r.spoofed.full_answers)
-        .unwrap_or(0);
+    let rows = engine.run_rows(|report| DefenseRow::of(&report));
+    let tcp = (0..engine.arm_count())
+        .find_map(|arm| engine.setup_for(arm, 0).tcp)
+        .expect("a TCP arm");
     let mut tbl = TextTable::new(
         format!(
-            "TCP fallback + DNS cookies: {}% loss at both NS + {} spoofed sources x {} qps, \
-             minutes {}-{}, TCP table {} slots",
-            (cmp.attack.loss * 100.0) as u32,
-            cmp.flood.sources,
-            cmp.flood.qps_per_source,
-            cmp.attack.start_min,
-            cmp.attack.start_min + cmp.attack.duration_min,
-            cmp.tcp.table_capacity,
+            "TCP fallback + DNS cookies: {}, TCP table {} slots",
+            flooded_attack(&engine.base),
+            tcp.table_capacity,
         ),
         &[
             "arm",
@@ -1151,17 +1181,12 @@ fn cookies_comparison(ctx: &mut Ctx) {
             "SYNs refused",
         ],
     );
-    for r in &cmp.rows {
-        let cut = if baseline_served > 0 {
-            pct(1.0 - r.spoofed.full_answers as f64 / baseline_served as f64)
-        } else {
-            "-".into()
-        };
+    for (arm, r) in rows.iter().enumerate() {
         tbl.row(&[
-            r.arm.label().to_string(),
-            r.ok_during_attack.map(pct).unwrap_or_else(|| "-".into()),
+            engine.coord_labels(arm).remove(0).1,
+            opt_pct(r.ok_during_attack),
             r.spoofed.full_answers.to_string(),
-            cut,
+            served_cut(r, &rows),
             r.rrl_slipped.to_string(),
             r.cookie_exempt.to_string(),
             r.tcp_fallbacks.to_string(),
@@ -1171,7 +1196,7 @@ fn cookies_comparison(ctx: &mut Ctx) {
         ]);
     }
     ctx.emit(&tbl);
-    if let Some(ex) = cmp.rows.iter().find_map(|r| r.exhaustion) {
+    if let Some(ex) = rows.iter().find_map(|r| r.exhaustion) {
         println!(
             "connection-table exhaustion (hogged arm): {} dials, {} slots won and held, \
              {} refused with RST",
@@ -1188,20 +1213,20 @@ fn cookies_comparison(ctx: &mut Ctx) {
     );
 }
 
-fn nxns_comparison(ctx: &mut Ctx) {
-    use dike_experiments::nxns::{run_nxns_comparison, ALL_NXNS_ARMS, NXNS_QUERIES};
-
+fn nxns_comparison(ctx: &mut Ctx, args: &Args) {
+    let engine = nxns_grid(ctx.scale, ctx.seed).threads(args.threads);
     eprintln!(
         "[repro] nxns: running {} arms of the NXNSAttack amplification comparison at scale {} ...",
-        ALL_NXNS_ARMS.len(),
+        engine.arm_count(),
         ctx.scale
     );
-    let cmp = run_nxns_comparison(ctx.scale, ctx.seed);
+    let rows = engine.run_rows(|report| nxns_row(&report.output));
+    let zone = engine.base.nxns.expect("the nxns grid arms the attack");
     let mut tbl = TextTable::new(
         format!(
             "NXNSAttack amplification: fan-out {} glueless NS per referral, \
              {} attack queries (one fresh cut each)",
-            cmp.zone.fanout, NXNS_QUERIES,
+            zone.fanout, NXNS_QUERIES,
         ),
         &[
             "arm",
@@ -1213,9 +1238,9 @@ fn nxns_comparison(ctx: &mut Ctx) {
             "glue waits exhausted",
         ],
     );
-    for r in &cmp.rows {
+    for (arm, r) in rows.iter().enumerate() {
         tbl.row(&[
-            r.arm.label().to_string(),
+            engine.coord_labels(arm).remove(0).1,
             r.client.queries_sent.to_string(),
             r.victim_queries.to_string(),
             format!("{:.1}x", r.amplification),
@@ -1322,8 +1347,6 @@ fn sweep_grid(ctx: &mut Ctx, args: &Args) {
 /// The `falsepos` grid: defense preset × late-arrival rate over a
 /// loss-free attack window with the 24 × 10 qps spoofed flood.
 fn false_positive_engine(args: &Args) -> SweepEngine {
-    use dike_experiments::defense::{SpoofedFlood, ALL_PRESETS};
-
     let attack = AttackPlan::loss(0.0).window_min(60, 60);
     let base = ExperimentSetup {
         attack: Some(attack),
@@ -1357,27 +1380,7 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
         engine.base.n_probes,
     );
 
-    struct Cell {
-        ok_during_attack: Option<f64>,
-        late_sent: u64,
-        late_served: u64,
-        shed: u64,
-        rrl_limited: u64,
-    }
-    let folded: Vec<Vec<Cell>> = engine.run_fold(|_job, report| {
-        let late = report.late_resolver_stats().unwrap_or_default();
-        let ledger = report
-            .metrics()
-            .map(|m| DefenseLedger::from_registry(m, "netsim"))
-            .unwrap_or_default();
-        Cell {
-            ok_during_attack: report.ok_fraction_during_attack(),
-            late_sent: late.sent,
-            late_served: late.full_answers + late.truncated_answers,
-            shed: ledger.shed(),
-            rrl_limited: ledger.rrl_limited,
-        }
-    });
+    let folded = engine.run_fold(|_job, report| DefenseRow::of(&report));
 
     let mut tbl = TextTable::new(
         format!(
@@ -1397,13 +1400,12 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
             "RRL limited",
         ],
     );
-    for (arm, cells) in folded.iter().enumerate() {
+    for (arm, rows) in folded.iter().enumerate() {
         let coords = engine.coord_labels(arm);
-        let sent: u64 = cells.iter().map(|c| c.late_sent).sum();
-        let served: u64 = cells.iter().map(|c| c.late_served).sum();
-        let shed: u64 = cells.iter().map(|c| c.shed).sum();
-        let rrl: u64 = cells.iter().map(|c| c.rrl_limited).sum();
-        let oks: Vec<f64> = cells.iter().filter_map(|c| c.ok_during_attack).collect();
+        let sum = |f: fn(&DefenseRow) -> u64| rows.iter().map(f).sum::<u64>();
+        let sent = sum(|r| r.late.sent);
+        let served = sum(|r| r.late.full_answers + r.late.truncated_answers);
+        let oks: Vec<f64> = rows.iter().filter_map(|r| r.ok_during_attack).collect();
         let ok = (!oks.is_empty()).then(|| oks.iter().sum::<f64>() / oks.len() as f64);
         let refused = if sent > 0 {
             pct(1.0 - served as f64 / sent as f64)
@@ -1416,9 +1418,9 @@ fn false_positive_sweep(ctx: &mut Ctx, args: &Args) {
             sent.to_string(),
             served.to_string(),
             refused,
-            ok.map(pct).unwrap_or_else(|| "-".into()),
-            shed.to_string(),
-            rrl.to_string(),
+            opt_pct(ok),
+            sum(|r| r.shed).to_string(),
+            sum(|r| r.rrl_limited).to_string(),
         ]);
     }
     ctx.emit(&tbl);
@@ -1500,6 +1502,19 @@ mod tests {
         for (name, ..) in TARGETS {
             assert!(text.contains(&format!(" {name} ")), "--help names {name}");
         }
+    }
+
+    /// A `--seed` near the top of `u64` wraps the per-run seed offsets
+    /// (baseline index, experiment letter) instead of overflowing, so
+    /// debug and release builds run the same seeds.
+    #[test]
+    fn seeds_near_u64_max_wrap() {
+        let mut ctx = Ctx::new(0.002, u64::MAX, false);
+        assert_eq!(ctx.baselines().len(), BASELINES.len());
+        let letter = DdosExperiment::A.letter() as u64;
+        let direct = Report::run(&DdosExperiment::A.setup(0.002, letter - 1));
+        let report = ctx.ddos(DdosExperiment::A);
+        assert_eq!(report.outcomes, direct.outcomes);
     }
 
     /// `repro sweep --scale 0.05 --seed 42`, arm loss 0.9 × TTL 1800: the

@@ -76,7 +76,7 @@ fn decoded_equals_delivered_loss_free() {
         seed: 99,
         ..ExperimentSetup::paced(10, 1800, 10, 30)
     });
-    let perf = report.perf();
+    let perf = report.output.perf;
     assert!(perf.datagrams_delivered > 0);
     assert_eq!(perf.datagrams_decoded, perf.datagrams_delivered);
     assert_eq!(perf.datagrams_undecodable, 0);
@@ -227,7 +227,8 @@ fn telemetry_export_is_pinned() {
     setup.spoofed_flood = Some(SpoofedFlood::aligned_with(&attack, 24, 60.0));
     let report = Report::run(&setup);
     let json = report
-        .metrics()
+        .output
+        .metrics
         .expect("defense_setup sets telemetry")
         .to_json();
     assert_eq!(fnv1a(json.as_bytes()), 0xd663_75c9_8f65_9011);

@@ -215,7 +215,7 @@ fn claim_telemetry_agrees_with_server_view() {
     let mut setup = DdosExperiment::F.setup(0.008, 7);
     setup.telemetry = Some(TelemetryConfig::every_mins(10));
     let r = Report::run(&setup);
-    let reg = r.metrics().expect("telemetry requested");
+    let reg = r.output.metrics.expect("telemetry requested");
     let ns_ids: Vec<u32> = reg
         .node_labels()
         .filter(|(_, l)| *l == "auth:ns1" || *l == "auth:ns2")

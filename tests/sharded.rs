@@ -76,7 +76,7 @@ fn rounds_are_fewer_than_events() {
     assert!(two.sync_rounds > 0 && two.sync_rounds < two.events_popped);
     let one = run_experiment_sharded(&sharded_setup(1)).perf;
     assert!((1..=2).contains(&one.sync_rounds), "{}", one.sync_rounds);
-    let legacy = Report::run(&fixed_setup(1)).perf();
+    let legacy = Report::run(&fixed_setup(1)).output.perf;
     assert_eq!(legacy.sync_rounds, 0);
 }
 
