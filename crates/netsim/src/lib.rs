@@ -7,7 +7,7 @@
 //! hosts.
 //!
 //! Design follows the event-driven, poll-free philosophy of embedded
-//! network stacks: a single virtual clock, a timer-wheel event queue keyed
+//! network stacks: a single virtual clock, a binary-heap event queue keyed
 //! by `(time, sequence)`, and nodes that react to exactly two stimuli —
 //! datagram delivery and timer expiry. All randomness (latency jitter,
 //! packet loss) flows from seeded [`dike_telemetry::rng::Rng`] streams — one

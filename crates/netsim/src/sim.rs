@@ -9,6 +9,7 @@
 //! (`telemetry`), the sharded engine's plumbing ([`shard`]) and the
 //! auditor ([`audit`]).
 
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use dike_telemetry::rng::Rng;
@@ -19,7 +20,7 @@ use crate::addr::{Addr, NodeId};
 use crate::anycast::AnycastTable;
 use crate::datagram::Datagram;
 use crate::defense::IngressGate;
-use crate::event::{Event, EventQueue, HeapEntry};
+use crate::event::{Event, HeapEntry};
 use crate::link::LinkTable;
 use crate::node::{Context, Node, NodeHotState, TimerId, TimerSlab, TimerToken};
 use crate::time::{SimDuration, SimTime};
@@ -90,7 +91,7 @@ struct NetStats {
 /// without borrow gymnastics.
 pub struct World {
     now: SimTime,
-    queue: EventQueue,
+    queue: BinaryHeap<HeapEntry>,
     seq: u64,
     links: LinkTable,
     rng: Rng,
@@ -353,7 +354,7 @@ impl Simulator {
             started_upto: 0,
             world: World {
                 now: SimTime::ZERO,
-                queue: EventQueue::new(),
+                queue: BinaryHeap::new(),
                 seq: 0,
                 links: LinkTable::default(),
                 rng: Rng::seed_from_u64(seed),
@@ -681,7 +682,7 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = std::time::Instant::now();
         self.start_pending();
-        while let Some(at) = self.world.queue.next_at() {
+        while let Some(at) = self.world.queue.peek().map(|e| e.at) {
             if at > deadline {
                 break;
             }

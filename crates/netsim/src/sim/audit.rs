@@ -26,11 +26,7 @@
 //! 4. **Liveness bookkeeping** — restarts never exceed crashes, and the
 //!    per-node up/epoch vectors stay in step with the node registry.
 //! 5. **Defense ledger** — defense drops are fully attributed by cause.
-//! 6. **Wheel-slot conservation** — walking the event wheel finds
-//!    exactly `len()` entries, every slot entry files under the
-//!    level/slot its time dictates, and the ready run is sorted (see
-//!    `EventWheel::audit`).
-//! 7. **Connection conservation** — every TCP connection ever dialed is
+//! 6. **Connection conservation** — every TCP connection ever dialed is
 //!    accounted for exactly once:
 //!    `opened = closed + reset + live` (see [`crate::tcp`]), with
 //!    refused SYNs a subset of resets.
@@ -94,7 +90,7 @@ pub struct AuditReport {
     /// Scale-out provisioning actions that have fired (informational,
     /// like `queued_deliveries`; no invariant constrains it).
     pub scaleout_activations: u64,
-    /// Cumulative TCP transport counters — invariant 7 checks
+    /// Cumulative TCP transport counters — invariant 6 checks
     /// `opened == closed + reset + live`.
     pub tcp: crate::tcp::TcpStats,
     /// TCP connections currently live (any state).
@@ -104,14 +100,6 @@ pub struct AuditReport {
     pub pending_tcp: u64,
     /// Pending `Event::Timer` entries in the queue.
     pub pending_timers: u64,
-    /// Entries pending in the event wheel, per its incremental count.
-    pub wheel_len: u64,
-    /// Entries found by exhaustively walking the wheel's ready run and
-    /// slots; invariant 6 requires this to equal `wheel_len`.
-    pub wheel_scanned: u64,
-    /// Wheel entries filed in a slot their time does not map to (or a
-    /// ready run out of `(time, seq)` order); invariant 6 requires 0.
-    pub wheel_misplaced: u64,
     /// Timer slots currently allocated (granted and not yet recycled).
     pub allocated_timer_slots: u64,
     /// Crashes applied so far.
@@ -216,10 +204,6 @@ impl Simulator {
                 Event::NodeDown { .. } | Event::NodeUp { .. } | Event::Control(_) => {}
             }
         }
-        let wheel = world.queue.audit();
-        report.wheel_len = wheel.len;
-        report.wheel_scanned = wheel.scanned;
-        report.wheel_misplaced = wheel.misplaced;
 
         // Cross-shard terms extend both identities symmetrically: what a
         // shard hands out (`xshard_out`) leaves its ledger, what it is
@@ -290,15 +274,7 @@ impl Simulator {
                 report.defense_drops, report.delivered
             ));
         }
-        // Invariant 6: the wheel's incremental length matches an
-        // exhaustive walk, and every entry sits where its time says.
-        if report.wheel_scanned != report.wheel_len || report.wheel_misplaced != 0 {
-            report.violations.push(format!(
-                "wheel-slot conservation: len={} but scan found {} ({} misplaced)",
-                report.wheel_len, report.wheel_scanned, report.wheel_misplaced
-            ));
-        }
-        // Invariant 7: connection conservation — every dialed connection
+        // Invariant 6: connection conservation — every dialed connection
         // is closed, reset, or still live, exactly once.
         let conn_accounted = report.tcp.closed + report.tcp.reset + report.tcp_live;
         if report.tcp.opened != conn_accounted {

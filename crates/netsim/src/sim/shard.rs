@@ -7,7 +7,7 @@
 //! The global node index space `[0, N)` is cut into K contiguous slices;
 //! shard `i` owns the nodes whose unicast addresses fall in
 //! `[starts[i], starts[i+1])` and runs them on its own [`Simulator`]
-//! (own event wheel, own clock). Datagrams between co-sharded nodes take
+//! (own event queue, own clock). Datagrams between co-sharded nodes take
 //! the ordinary local path. A datagram whose destination lives on
 //! another shard has its path delay sampled *on the sending shard* (from
 //! the sender's RNG stream, exactly like a local send), and is parked in
@@ -369,11 +369,7 @@ fn run_shard(sim: &mut Simulator, i: usize, deadline_ns: u64, ex: &Exchange) -> 
                     .append(out);
             }
         }
-        let head = sim
-            .world
-            .queue
-            .next_at()
-            .map_or(u64::MAX, SimTime::as_nanos);
+        let head = sim.world.queue.peek().map_or(u64::MAX, |e| e.at.as_nanos());
         ex.heads[parity * k + i].store(head, Ordering::Release);
 
         ex.barrier.wait();
@@ -702,7 +698,7 @@ impl Simulator {
     /// Panics on a plain (non-sharded) simulator.
     pub(crate) fn run_round(&mut self, peers_next: u64, end: u64) {
         self.start_pending();
-        while let Some(at) = self.world.queue.next_at() {
+        while let Some(at) = self.world.queue.peek().map(|e| e.at) {
             let s = self.world.shard.as_deref().expect("a sharded world");
             let horizon = peers_next
                 .min(s.parked_min)

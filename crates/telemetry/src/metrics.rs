@@ -132,11 +132,6 @@ impl Histogram {
         Some(bin_lower_bound(HISTOGRAM_BINS - 1))
     }
 
-    /// Non-empty bins as `(bin_lower_bound, count)` pairs.
-    pub fn nonzero_bins(&self) -> Vec<(u64, u64)> {
-        self.nonzero().collect()
-    }
-
     fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.bins
             .iter()

@@ -99,7 +99,15 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Action, String> {
     let mut target = None;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => args.scale = value(&a, "a number", it.next())?,
+            "--scale" => {
+                args.scale = value(&a, "a number", it.next())?;
+                if !(args.scale.is_finite() && args.scale > 0.0) {
+                    return Err(format!(
+                        "--scale must be positive and finite, not {}",
+                        args.scale
+                    ));
+                }
+            }
             "--seed" => args.seed = value(&a, "an integer", it.next())?,
             "--json" => args.json = Some(value(&a, "a path", it.next())?),
             "--metrics" => args.metrics = Some(value(&a, "a path", it.next())?),
@@ -1464,6 +1472,22 @@ mod tests {
             (&["sweep", "--shards", "2"], "unknown option '--shards'"),
             (&["sweep", "--replicates"], "--replicates needs an integer"),
             (&["--scale", "big"], "--scale needs a number"),
+            (
+                &["--scale", "inf"],
+                "--scale must be positive and finite, not inf",
+            ),
+            (
+                &["--scale", "nan"],
+                "--scale must be positive and finite, not NaN",
+            ),
+            (
+                &["--scale", "0"],
+                "--scale must be positive and finite, not 0",
+            ),
+            (
+                &["--scale", "-3"],
+                "--scale must be positive and finite, not -3",
+            ),
         ] {
             assert_eq!(parse(words).err().as_deref(), Some(complaint), "{words:?}");
         }
