@@ -16,16 +16,11 @@
 //!   `min(SOA TTL, SOA minimum)`.
 //! * **Serve-stale** (RFC 8767 draft, ref.\[19\] in the paper) — expired entries
 //!   may be served with TTL 0 when the authoritatives are unreachable.
-//! * **Fragmentation** — large public resolvers run many independent
-//!   caches behind a load balancer; [`FragmentedCache`] models a farm of
-//!   independent caches selected per query.
 
 mod cache;
 mod config;
 mod entry;
-mod fragmented;
 
 pub use cache::{CacheAnswer, CacheStats, CachedRrset, ResolverCache};
 pub use config::{CacheConfig, STALE_WINDOW};
 pub use entry::{CacheKey, NegativeKind, TrustLevel};
-pub use fragmented::FragmentedCache;

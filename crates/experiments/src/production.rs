@@ -8,7 +8,7 @@
 //! authoritative-side query timestamp in these figures exists because a
 //! simulated cache missed.
 
-use dike_cache::{CacheAnswer, CacheConfig, FragmentedCache};
+use dike_cache::{CacheAnswer, CacheConfig, ResolverCache};
 use dike_netsim::{SimDuration, SimTime};
 use dike_stats::ecdf::Ecdf;
 use dike_telemetry::rng::Rng;
@@ -121,11 +121,14 @@ pub fn run_nl(cfg: &NlConfig) -> NlResult {
             },
             _ => CacheConfig::honoring(),
         };
+        // A fragmented farm: k caches, one drawn per query.
         let backends = match behavior {
             RecursiveBehavior::Fragmented(k) => k,
             _ => 1,
         };
-        let mut cache = FragmentedCache::new(backends, cache_cfg);
+        let mut caches: Vec<_> = (0..backends)
+            .map(|_| ResolverCache::new(cache_cfg))
+            .collect();
 
         // Poisson client arrivals; each miss emits a query timestamp.
         // The paper computes inter-arrivals per (source, target name), so
@@ -141,9 +144,14 @@ pub fn run_nl(cfg: &NlConfig) -> NlResult {
             let ni = rng.random_range(0..names.len());
             let name = &names[ni];
             let now = SimTime::from_nanos((t * 1e9) as u64);
-            let backend = cache.pick_backend(&mut rng);
+            let backend = if backends == 1 {
+                0
+            } else {
+                rng.random_range(0..backends)
+            };
+            let cache = &mut caches[backend];
             let miss = !matches!(
-                cache[backend].lookup(now, name, dike_wire::RecordType::A),
+                cache.lookup(now, name, dike_wire::RecordType::A),
                 CacheAnswer::Fresh(_)
             ) || behavior == RecursiveBehavior::NoCache;
             if miss {
@@ -155,7 +163,7 @@ pub fn run_nl(cfg: &NlConfig) -> NlResult {
                         stamps[ni].push(t + rng.random_range(0.05..8.0));
                     }
                 }
-                cache[backend].insert(
+                cache.insert(
                     now,
                     vec![Record::new(
                         name.clone(),
@@ -584,17 +592,28 @@ mod tests {
             } else {
                 profiles::unbound_like(vec![auth])
             };
+            let mut farm = 1;
             if x < 0.6 {
                 // honoring: leave as-is
             } else if x < 0.8 {
-                rc.cache_backends = rng.random_range(2..6); // fragmented farm
+                farm = rng.random_range(2..6); // fragmented farm
             } else {
                 rc.cache = CacheConfig {
                     max_ttl: cfg.ttl / 2, // capped at half the TTL
                     ..rc.cache
                 };
             }
-            let (_, r) = sim.add_node(Box::new(RecursiveResolver::new(rc)));
+            let backends: Vec<_> = (0..farm)
+                .map(|_| sim.add_node(Box::new(RecursiveResolver::new(rc.clone()))).1)
+                .collect();
+            // A farm is a frontend spraying queries over backends that
+            // each keep their own cache.
+            let r = if farm == 1 {
+                backends[0]
+            } else {
+                let frontend = profiles::farm_frontend(backends);
+                sim.add_node(Box::new(RecursiveResolver::new(frontend))).1
+            };
             // Client demand: log-uniform mean inter-arrival, 20 s - 200 s,
             // dense enough to refresh promptly at expiry (the paper's
             // production recursives see orders of magnitude more demand).

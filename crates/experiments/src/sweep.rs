@@ -182,13 +182,11 @@ fn derive_seed(base: u64, replicate: u32) -> u64 {
     splitmix64(splitmix64(base) ^ replicate as u64)
 }
 
-/// One unit of sweep work: which arm, which replicate, which seed.
+/// One unit of sweep work: which arm, which seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepJob {
     /// Arm index in row-major axis order (first axis slowest).
     pub arm: usize,
-    /// Replicate index within the arm.
-    pub replicate: u32,
     /// The derived simulator seed this cell runs with.
     pub seed: u64,
 }
@@ -676,7 +674,6 @@ impl SweepEngine {
                         let (arm, rep) = (idx / k, (idx % k) as u32);
                         let job = SweepJob {
                             arm,
-                            replicate: rep,
                             seed: engine.job_seed(rep),
                         };
                         let report = Report::run(&engine.setup_for(arm, rep));

@@ -69,8 +69,6 @@ pub struct Topology {
     pub vps: Vec<VpMeta>,
     /// Backend addresses of the Google-like farm (farm 0).
     pub google_backends: Vec<Addr>,
-    /// Backend addresses of the other public farms.
-    pub other_public_backends: Vec<Addr>,
     /// All public frontend addresses (the public R1s).
     pub public_r1s: HashSet<Addr>,
     /// Probes actually created.
@@ -289,7 +287,6 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
 
     // --- Public farms: backends first (iterative), then frontends. ---
     let mut google_backends = Vec::new();
-    let mut other_public_backends = Vec::new();
     let mut farm_frontends: Vec<Vec<Addr>> = Vec::new();
     for farm in 0..cfg.mix.farm_count {
         let mut backends = Vec::new();
@@ -297,7 +294,6 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
             let serve_stale =
                 (b as f64 + 0.5) / cfg.mix.farm_backends as f64 <= cfg.mix.farm_serve_stale_share;
             let mut rc = profiles::unbound_like(roots.clone());
-            rc.is_public = true;
             if serve_stale {
                 rc = profiles::with_serve_stale(rc);
             }
@@ -313,8 +309,6 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
         }
         if farm == 0 {
             google_backends = backends;
-        } else {
-            other_public_backends.extend(backends);
         }
         farm_frontends.push(frontends);
     }
@@ -470,7 +464,6 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
         log,
         vps,
         google_backends,
-        other_public_backends,
         public_r1s,
         n_probes: cfg.n_probes,
         nxns: nxns_cast,

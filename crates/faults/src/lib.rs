@@ -78,7 +78,32 @@ pub enum Waveform {
     },
 }
 
+/// Most level changes one shaped fault may expand to, one control event
+/// each. The largest shape in the tree has 120 (1 s pulses over 60 s).
+const MAX_WAVEFORM_LEVELS: u64 = 100_000;
+
 impl Waveform {
+    /// Rejects a pulse with a zero period or a `duty` outside `(0, 1]`,
+    /// and a shape that [`Waveform::levels`] would expand to more than
+    /// [`MAX_WAVEFORM_LEVELS`] levels over `duration`.
+    fn validate(self, duration: SimDuration) -> Result<(), FaultError> {
+        let levels = match self {
+            Waveform::Square => 2,
+            Waveform::Pulse { period, duty } => {
+                if period == SimDuration::ZERO || !(duty > 0.0 && duty <= 1.0) {
+                    return Err(FaultError::WaveformOutOfRange(self));
+                }
+                let cycles = duration.as_nanos().div_ceil(period.as_nanos());
+                cycles.saturating_mul(2)
+            }
+            Waveform::Ramp { steps } => u64::from(steps.max(1)) + 1,
+        };
+        if levels > MAX_WAVEFORM_LEVELS {
+            return Err(FaultError::WaveformOutOfRange(self));
+        }
+        Ok(())
+    }
+
     /// Expands the window `[start, start + duration)` at `peak`
     /// intensity into the instants the intensity changes and the level
     /// it takes there, in scheduling order. The last level is 0: the
@@ -191,6 +216,11 @@ pub enum FaultError {
     /// A restart with zero downtime: the crash and restart would race at
     /// the same instant.
     ZeroRestartDelay,
+    /// A waveform that cannot be scheduled: a pulse with a zero period or
+    /// a `duty` outside `(0, 1]` (or not a number), or a shape whose
+    /// expansion over its window exceeds 100,000 level changes (each one
+    /// control event).
+    WaveformOutOfRange(Waveform),
 }
 
 impl std::fmt::Display for FaultError {
@@ -211,6 +241,10 @@ impl std::fmt::Display for FaultError {
             }
             FaultError::ZeroDuration(kind) => write!(f, "{kind} has zero duration"),
             FaultError::ZeroRestartDelay => write!(f, "restart delay is zero"),
+            FaultError::WaveformOutOfRange(s) => write!(
+                f,
+                "{s:?}: a zero period, a duty outside (0, 1] or over {MAX_WAVEFORM_LEVELS} levels"
+            ),
         }
     }
 }
@@ -341,6 +375,7 @@ impl Fault {
             Fault::Flood {
                 duration,
                 peak_load,
+                shape,
                 ..
             } => {
                 if !(peak_load.is_finite() && *peak_load > 0.0 && *peak_load <= 1.0) {
@@ -349,9 +384,12 @@ impl Fault {
                 if *duration == SimDuration::ZERO {
                     return Err(FaultError::ZeroDuration("flood"));
                 }
-                Ok(())
+                shape.validate(*duration)
             }
-            Fault::RandomDrop { attack, .. } => Ok(attack.validate()?),
+            Fault::RandomDrop { attack, shape } => {
+                attack.validate()?;
+                shape.validate(attack.duration)
+            }
         }
     }
 
@@ -487,8 +525,9 @@ impl FaultPlan {
 // object per fault. This section only maps fields to keys; the format
 // itself (escaping, number syntax, strict parsing, range-checked field
 // access) lives in `dike_telemetry::json`, the workspace's one codec.
-// Plan files come from operators (`dike-serve --plan`), so `from_json`
-// rejects what it does not understand instead of guessing.
+// A plan's JSON may be written by hand, so `from_json` rejects what it
+// does not understand instead of guessing, and `FaultPlan::validate`
+// still checks every value it accepts.
 
 impl FaultPlan {
     /// Serializes the plan to one-line JSON.
@@ -921,6 +960,68 @@ mod tests {
         assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
         let err = FaultPlan::from_json(&old.replace("}]}", r#","shape":"sine"}]}"#)).unwrap_err();
         assert!(err.contains("unknown waveform shape"), "{err}");
+    }
+
+    /// Shapes that `Waveform::levels` cannot expand in bounded time and
+    /// memory: each is rejected up front, as a drop and as a flood, and
+    /// `schedule` returns instead of looping.
+    #[test]
+    fn unschedulable_waveforms_are_rejected() {
+        let pulse = |period, duty| Waveform::Pulse { period, duty };
+        let bad = [
+            pulse(SimDuration::ZERO, 0.5),
+            pulse(d(10), 0.0),
+            pulse(d(10), 1.5),
+            pulse(d(10), -0.25),
+            pulse(d(10), f64::NAN),
+            pulse(d(10), f64::INFINITY),
+            // 60 s of 1 ns cycles: 1.2 × 10^11 levels.
+            pulse(SimDuration::from_nanos(1), 0.5),
+            Waveform::Ramp { steps: u32::MAX },
+        ];
+        let drop = Fault::random_drop(Attack::partial(vec![Addr(3)], 0.75, t(5), d(60)));
+        let flood = Fault::flood(
+            Addr(4),
+            t(5),
+            d(60),
+            0.9,
+            QueueConfig::small_authoritative(),
+        );
+        for shape in bad {
+            for fault in [drop.clone(), flood.clone()] {
+                let fault = fault.with_shape(shape);
+                let err = fault.validate().unwrap_err();
+                assert!(
+                    matches!(err, FaultError::WaveformOutOfRange(_)),
+                    "{shape:?}: {err}"
+                );
+                let plan = FaultPlan::new().with(fault);
+                let scheduled = plan.schedule(&mut Simulator::new(1));
+                assert!(
+                    matches!(scheduled, Err((0, FaultError::WaveformOutOfRange(_)))),
+                    "{shape:?}"
+                );
+            }
+        }
+        // `from_json` parses a zero period; validation is what stops it.
+        let json = r#"{"faults":[{"kind":"random_drop","targets":[3],"loss":0.75,"start_ns":0,"duration_ns":60000000000,"shape":"pulse","period_ns":0,"duty":0.5}]}"#;
+        let plan = FaultPlan::from_json(json).unwrap();
+        assert!(plan.schedule(&mut Simulator::new(1)).is_err());
+        // The cap counts levels exactly: 60 s of 1.2 ms cycles is 100,000
+        // levels, one cycle more is over. The largest shape in use passes.
+        for (shape, ok) in [
+            (pulse(SimDuration::from_micros(1_200), 0.5), true),
+            (pulse(SimDuration::from_nanos(1_199_999), 0.5), false),
+            (Waveform::Ramp { steps: 99_999 }, true),
+            (Waveform::Ramp { steps: 100_000 }, false),
+            (pulse(d(1), 0.5), true),
+        ] {
+            assert_eq!(flood.clone().with_shape(shape).validate().is_ok(), ok);
+            if ok {
+                assert!(shape.levels(t(5), d(60), 0.9).len() <= 100_000);
+            }
+        }
+        assert_eq!(pulse(d(1), 0.5).levels(t(0), d(60), 0.9).len(), 120);
     }
 
     #[test]

@@ -107,11 +107,8 @@ pub struct ResolverConfig {
     pub mode: ResolverMode,
     /// Retry pacing.
     pub retry: RetryPolicy,
-    /// Cache behaviour (per backend).
+    /// Cache behaviour.
     pub cache: CacheConfig,
-    /// Number of independent cache backends (1 = a single shared cache;
-    /// >1 models a load-balanced farm with fragmented caches, §3.5).
-    pub cache_backends: usize,
     /// Whether to resolve A records for NS names learned from referrals
     /// (infrastructure queries).
     pub infra_a: bool,
@@ -119,9 +116,6 @@ pub struct ResolverConfig {
     /// IPv4-only, so these draw negative answers — the `AAAA-for-NS`
     /// series in paper Fig. 10. Unbound does this, BIND is lazier.
     pub infra_aaaa: bool,
-    /// Whether this resolver is a *public* resolver (used for the paper's
-    /// Table 3 public/non-public split).
-    pub is_public: bool,
     /// Upstream selection policy.
     pub selection: SelectionPolicy,
     /// Whether client answers may be served from referral (glue) data.
@@ -172,10 +166,8 @@ impl ResolverConfig {
             mode: ResolverMode::Iterative { roots },
             retry: RetryPolicy::default(),
             cache: CacheConfig::honoring(),
-            cache_backends: 1,
             infra_a: true,
             infra_aaaa: true,
-            is_public: false,
             selection: SelectionPolicy::SrttBased,
             answer_from_glue: false,
             max_pending: 10_000,
@@ -193,10 +185,8 @@ impl ResolverConfig {
             mode: ResolverMode::Forwarding { upstreams },
             retry: RetryPolicy::default(),
             cache: CacheConfig::honoring(),
-            cache_backends: 1,
             infra_a: false,
             infra_aaaa: false,
-            is_public: false,
             selection: SelectionPolicy::SrttBased,
             answer_from_glue: false,
             max_pending: 10_000,

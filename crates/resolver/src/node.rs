@@ -1,9 +1,8 @@
 //! The recursive resolver node.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use dike_cache::{CacheAnswer, CacheKey, FragmentedCache, NegativeKind, TrustLevel};
+use dike_cache::{CacheAnswer, CacheKey, NegativeKind, ResolverCache, TrustLevel};
 use dike_netsim::{Addr, Context, Node, SimTime, TcpConnId, TimerToken};
 use dike_wire::{Message, Name, RData, Rcode, Record, RecordType};
 
@@ -85,7 +84,7 @@ pub struct ResolverStats {
 /// [`ResolverMode`]).
 pub struct RecursiveResolver {
     config: ResolverConfig,
-    cache: FragmentedCache,
+    cache: ResolverCache,
     selector: ServerSelector,
     tasks: HashMap<u64, Task>,
     task_by_key: HashMap<CacheKey, u64>,
@@ -110,10 +109,9 @@ pub struct RecursiveResolver {
 impl RecursiveResolver {
     /// A resolver with the given configuration.
     pub fn new(config: ResolverConfig) -> Self {
-        let cache = FragmentedCache::new(config.cache_backends, config.cache);
         RecursiveResolver {
+            cache: ResolverCache::new(config.cache),
             config,
-            cache,
             selector: ServerSelector::new(),
             tasks: HashMap::new(),
             task_by_key: HashMap::new(),
@@ -155,23 +153,22 @@ impl RecursiveResolver {
     /// once for `qtype` and, when that misses, once for a CNAME.
     fn follow_cached_cnames(
         &mut self,
-        backend: usize,
         now: SimTime,
         name: &Name,
         qtype: RecordType,
         min_trust: TrustLevel,
     ) -> (Vec<Record>, Name, CacheAnswer) {
-        let cache = &mut self.cache[backend];
         let mut chain = Vec::new();
         let mut current = name.clone();
         for chased in 0..=MAX_CHASE {
-            let answer = cache.lookup_min_trust(now, &current, qtype, min_trust);
+            let answer = self.cache.lookup_min_trust(now, &current, qtype, min_trust);
             let done = !matches!(answer, CacheAnswer::Miss);
             if done || qtype == RecordType::CNAME || chased == MAX_CHASE {
                 return (chain, current, answer);
             }
             let CacheAnswer::Fresh(cnames) =
-                cache.lookup_min_trust(now, &current, RecordType::CNAME, min_trust)
+                self.cache
+                    .lookup_min_trust(now, &current, RecordType::CNAME, min_trust)
             else {
                 break;
             };
@@ -229,11 +226,10 @@ impl RecursiveResolver {
             }
             self.failed_until.remove(&key);
         }
-        let backend = self.cache.pick_backend(ctx.rng());
         // Follow cached aliases first, so a hit on `www -> web -> A` is
         // served entirely from cache with the chain in the answer.
         let (chain, final_name, answer) =
-            self.follow_cached_cnames(backend, now, &q.name, q.qtype, self.client_trust());
+            self.follow_cached_cnames(now, &q.name, q.qtype, self.client_trust());
         match answer {
             CacheAnswer::Fresh(records) => {
                 self.stats.cache_hits += 1;
@@ -261,9 +257,8 @@ impl RecursiveResolver {
                 let waiter = Waiter {
                     client: src,
                     msg_id: msg.id,
-                    backend,
                 };
-                self.start_or_join(ctx, key, final_name, chain, backend, Some(waiter), 0);
+                self.start_or_join(ctx, key, final_name, chain, Some(waiter), 0);
             }
         }
     }
@@ -275,14 +270,12 @@ impl RecursiveResolver {
     /// Starts resolving `key` at `current_name`, past the CNAME `chain`
     /// already followed, or joins the resolution of `key` in flight. A
     /// new task has no servers yet: `send_next` finds them.
-    #[allow(clippy::too_many_arguments)]
     fn start_or_join(
         &mut self,
         ctx: &mut Context<'_>,
         key: CacheKey,
         current_name: Name,
         chain: Vec<Record>,
-        backend: usize,
         waiter: Option<Waiter>,
         depth: u8,
     ) {
@@ -305,7 +298,6 @@ impl RecursiveResolver {
             current_name,
             chase_depth: chain.len() as u8,
             cname_chain: chain,
-            backend,
             waiters: waiter.into_iter().collect(),
             depth,
             attempts: 0,
@@ -327,8 +319,8 @@ impl RecursiveResolver {
     /// they serve: for forwarding mode, the configured upstreams; for
     /// iterative mode, the deepest cached delegation covering `name`
     /// (falling back to the root hints).
-    fn closest_servers(&mut self, now: SimTime, backend: usize, name: &Name) -> (Vec<Addr>, usize) {
-        let cache = &mut self.cache[backend];
+    fn closest_servers(&mut self, now: SimTime, name: &Name) -> (Vec<Addr>, usize) {
+        let cache = &mut self.cache;
         match &self.config.mode {
             ResolverMode::Forwarding { upstreams } => (upstreams.clone(), 0),
             ResolverMode::Iterative { roots } => {
@@ -372,8 +364,8 @@ impl RecursiveResolver {
         // has none yet. A retry adopts a strictly deeper delegation: an
         // infrastructure query may have filled in a glueless referral's
         // missing NS address since the last attempt.
-        let (backend, current_name) = (task.backend, task.current_name.clone());
-        let (servers, zone_depth) = self.closest_servers(ctx.now(), backend, &current_name);
+        let current_name = task.current_name.clone();
+        let (servers, zone_depth) = self.closest_servers(ctx.now(), &current_name);
         let task = self.tasks.get_mut(&tid).expect("task exists");
         if task.servers.is_empty() || zone_depth > task.zone_depth {
             if !task.servers.is_empty() {
@@ -474,13 +466,13 @@ impl RecursiveResolver {
         }
     }
 
-    /// Serve-stale (RFC 8767; paper §5.3): the answer `w`'s backend still
+    /// Serve-stale (RFC 8767; paper §5.3): the answer the cache still
     /// holds for `key` once resolution has failed or stalled — an expired
     /// entry, or a fresh one — at the client trust floor. `None` when it
     /// holds nothing to serve.
     fn stale_response(&mut self, now: SimTime, w: &Waiter, key: &CacheKey) -> Option<Message> {
-        let min_trust = self.client_trust();
-        match self.cache[w.backend].lookup_stale(now, &key.name, key.rtype, min_trust) {
+        let floor = self.client_trust();
+        match self.cache.lookup_stale(now, &key.name, key.rtype, floor) {
             CacheAnswer::Stale(records) | CacheAnswer::Fresh(records) => {
                 self.stats.stale_served += 1;
                 Some(waiter_response(
@@ -494,28 +486,21 @@ impl RecursiveResolver {
         }
     }
 
-    /// Finishes task `tid` with `outcome`: caches it in the task's backend
-    /// and every waiter's, then answers every waiter.
+    /// Finishes task `tid` with `outcome`: caches it, then answers every
+    /// waiter.
     fn complete_task(&mut self, ctx: &mut Context<'_>, tid: u64, outcome: Outcome) {
         let Some(task) = self.remove_task(tid) else {
             return;
         };
         let now = ctx.now();
-        let mut backends: Vec<usize> = std::iter::once(task.backend)
-            .chain(task.waiters.iter().map(|w| w.backend))
-            .collect();
-        backends.sort_unstable();
-        backends.dedup();
         let (rcode, answers) = match outcome {
             Outcome::Records(records) => {
                 // The client's answer section: the CNAME chain in order,
                 // then the final records. Each (name, type) group is its
-                // own RRset, shared by every backend.
+                // own RRset.
                 let answer = || task.cname_chain.iter().chain(&records);
                 for rrset in rrsets(answer()) {
-                    for &b in &backends {
-                        self.cache[b].insert(now, Arc::clone(&rrset));
-                    }
+                    self.cache.insert(now, rrset);
                 }
                 // A TTL-rewriting resolver rewrites what it *returns*,
                 // too: the client sees the clamped TTL (how the paper
@@ -525,10 +510,8 @@ impl RecursiveResolver {
                 (Rcode::NoError, answer().map(clamp).collect())
             }
             Outcome::Negative(kind, neg_ttl) => {
-                for &b in &backends {
-                    let name = task.key.name.clone();
-                    self.cache[b].insert_negative(now, name, task.key.rtype, kind, neg_ttl);
-                }
+                let (name, rtype) = (task.key.name.clone(), task.key.rtype);
+                self.cache.insert_negative(now, name, rtype, kind, neg_ttl);
                 (negative_rcode(kind), Vec::new())
             }
         };
@@ -796,14 +779,13 @@ impl RecursiveResolver {
         task.chase_depth += 1;
         task.cname_chain.push(cname_rec.clone());
         self.stats.backoff_resets += 1;
-        let backend = task.backend;
         let qtype = task.key.rtype;
         // Cache the alias itself so later queries skip the hop.
-        self.cache[backend].insert(now, vec![cname_rec]);
+        self.cache.insert(now, vec![cname_rec]);
         // The target (or a further alias chain ending in the target) may
         // already be cached.
         let (more_chain, final_name, answer) =
-            self.follow_cached_cnames(backend, now, &target, qtype, TrustLevel::Authoritative);
+            self.follow_cached_cnames(now, &target, qtype, TrustLevel::Authoritative);
         let task = self.tasks.get_mut(&tid).expect("task vanished");
         task.cname_chain.extend(more_chain);
         task.current_name = final_name;
@@ -905,17 +887,15 @@ impl RecursiveResolver {
             .cloned()
             .collect();
 
-        let backend = task.backend;
         let depth = task.depth;
 
         // Cache the delegation and its glue with referral (glue) trust,
         // so authoritative data the resolver already holds wins
         // (RFC 2181 §5.4.1, paper Appendix A).
-        let cache = &mut self.cache[backend];
-        cache.insert_ranked(now, ns_records, TrustLevel::Glue);
+        self.cache.insert_ranked(now, ns_records, TrustLevel::Glue);
         // Group glue per (owner, type) so each RRset caches coherently.
         for rrset in rrsets(&glue) {
-            cache.insert_ranked(now, rrset, TrustLevel::Glue);
+            self.cache.insert_ranked(now, rrset, TrustLevel::Glue);
         }
 
         // New candidate set from the glue.
@@ -973,12 +953,13 @@ impl RecursiveResolver {
                 // glue against the child zone (hardened glue), which is
                 // what puts A-for-NS / AAAA-for-NS queries on the wire
                 // (Fig. 10).
-                let fresh = self.cache[backend]
+                let fresh = self
+                    .cache
                     .lookup_min_trust(now, &name, rtype, TrustLevel::Authoritative)
                     .is_usable_fresh();
                 if !fresh {
                     let key = CacheKey::new(name.clone(), rtype);
-                    self.start_or_join(ctx, key, name, Vec::new(), backend, None, 1);
+                    self.start_or_join(ctx, key, name, Vec::new(), None, 1);
                 }
             }
         }
@@ -1020,7 +1001,7 @@ fn v4_addr(rdata: &RData) -> Option<Addr> {
 /// Splits `records` into RRsets, one per `(owner, type)`, in order of
 /// first appearance. That is the order they are cached in, which is the
 /// LRU order, so it must not depend on a hash seed.
-fn rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<Arc<[Record]>> {
+fn rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<Vec<Record>> {
     let mut groups: Vec<Vec<Record>> = Vec::new();
     for r in records {
         match groups
@@ -1031,7 +1012,7 @@ fn rrsets<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<Arc<[Record]
             None => groups.push(vec![r.clone()]),
         }
     }
-    groups.into_iter().map(Arc::from).collect()
+    groups
 }
 
 /// The client rcode of a negative answer.
@@ -1043,9 +1024,9 @@ fn negative_rcode(kind: NegativeKind) -> Rcode {
 }
 
 impl RecursiveResolver {
-    /// Dumps backend 0's cache (Appendix A.3's `rndc dumpdb` analogue).
+    /// Dumps the cache (Appendix A.3's `rndc dumpdb` analogue).
     pub fn dump_cache(&self, now: SimTime) -> Vec<(CacheKey, u32, TrustLevel)> {
-        self.cache[0].dump(now)
+        self.cache.dump(now)
     }
 }
 
@@ -1085,7 +1066,7 @@ impl Node for RecursiveResolver {
         // Learned server quality (SRTT) is process state too.
         self.selector = ServerSelector::new();
         if cold_cache {
-            self.cache.flush_all();
+            self.cache.flush();
             self.stats.flushes += 1;
         }
         // A warm restart models fast process supervision with a
@@ -1102,7 +1083,7 @@ impl Node for RecursiveResolver {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
         if token.0 == FLUSH_TOKEN {
-            self.cache.flush_all();
+            self.cache.flush();
             self.failed_until.clear();
             self.stats.flushes += 1;
             if let Some(interval) = self.config.flush_interval {

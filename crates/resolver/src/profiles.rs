@@ -30,10 +30,8 @@ pub fn bind_like(roots: Vec<Addr>) -> ResolverConfig {
             max_ttl: 7 * 86_400,
             ..CacheConfig::default()
         },
-        cache_backends: 1,
         infra_a: true,
         infra_aaaa: false,
-        is_public: false,
         selection: SelectionPolicy::SrttBased,
         answer_from_glue: false,
         max_pending: 10_000,
@@ -58,10 +56,8 @@ pub fn unbound_like(roots: Vec<Addr>) -> ResolverConfig {
             max_attempts: 7,
         },
         cache: CacheConfig::unbound_like(),
-        cache_backends: 1,
         infra_a: false,
         infra_aaaa: true,
-        is_public: false,
         selection: SelectionPolicy::SrttBased,
         answer_from_glue: false,
         max_pending: 10_000,
@@ -70,17 +66,6 @@ pub fn unbound_like(roots: Vec<Addr>) -> ResolverConfig {
         tcp_fallback: false,
         use_cookies: false,
         max_fetch: None,
-    }
-}
-
-/// A public-resolver backend farm (Google-style): anycast frontends with
-/// fragmented caches. `fragments` is the number of independent caches in
-/// the site serving one client population.
-pub fn public_frontend(roots: Vec<Addr>, fragments: usize) -> ResolverConfig {
-    ResolverConfig {
-        cache_backends: fragments.max(1),
-        is_public: true,
-        ..unbound_like(roots)
     }
 }
 
@@ -104,10 +89,8 @@ pub fn farm_frontend(backends: Vec<Addr>) -> ResolverConfig {
             capacity: 1,
             ..CacheConfig::default()
         },
-        cache_backends: 1,
         infra_a: false,
         infra_aaaa: false,
-        is_public: true,
         selection: SelectionPolicy::Random,
         answer_from_glue: false,
         max_pending: 10_000,
@@ -144,10 +127,8 @@ pub fn home_router(upstreams: Vec<Addr>) -> ResolverConfig {
             capacity: 256,
             ..CacheConfig::default()
         },
-        cache_backends: 1,
         infra_a: false,
         infra_aaaa: false,
-        is_public: false,
         selection: SelectionPolicy::SrttBased,
         answer_from_glue: false,
         max_pending: 10_000,
@@ -176,15 +157,6 @@ mod tests {
         let u = unbound_like(vec![Addr(1)]);
         assert!(b.retry.max_attempts < u.retry.max_attempts);
         assert!(!b.infra_aaaa && u.infra_aaaa);
-    }
-
-    #[test]
-    fn public_frontend_is_fragmented_and_public() {
-        let p = public_frontend(vec![Addr(1)], 4);
-        assert_eq!(p.cache_backends, 4);
-        assert!(p.is_public);
-        // Fragment count is floored at 1.
-        assert_eq!(public_frontend(vec![Addr(1)], 0).cache_backends, 1);
     }
 
     #[test]

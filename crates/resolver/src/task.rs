@@ -10,9 +10,6 @@ pub(crate) struct Waiter {
     pub client: Addr,
     /// The message id the client used.
     pub msg_id: u16,
-    /// The cache backend that handled this client's lookup; the final
-    /// answer is inserted here.
-    pub backend: usize,
 }
 
 /// The upstream query currently in flight for a task.
@@ -60,8 +57,6 @@ pub(crate) struct Task {
     pub cname_chain: Vec<dike_wire::Record>,
     /// CNAMEs followed; bounded to stop loops.
     pub chase_depth: u8,
-    /// The backend that owns the resolution (infra answers land here).
-    pub backend: usize,
     /// Clients waiting for the answer.
     pub waiters: Vec<Waiter>,
     /// 0 = client-driven, 1 = infrastructure (NS address) query.

@@ -1,7 +1,7 @@
 //! What one client query reads from the resolver's cache. Each case warms
 //! a resolver, then pins the reads of one more client query: the cache's
-//! hits + misses + expired (`FragmentedCache::stats()`, as the resolver
-//! publishes them), from just before the query reaches the resolver to
+//! hits + misses + expired (the resolver's one `ResolverCache`'s
+//! `stats()`, as the resolver publishes them), from just before the query reaches the resolver to
 //! just before any upstream answer could come back.
 
 use std::net::Ipv4Addr;

@@ -478,39 +478,59 @@ fn forwarding_farm_retries_across_upstreams() {
     assert_eq!(probe_serial(&obs[0].records), 1);
 }
 
+/// The paper's fragmented public-resolver farm (§3.5), as the topology
+/// builds it: a `farm_frontend` spraying queries over backends that each
+/// keep their own cache. One backend fetches the hot name once; four
+/// backends fetch it again on every cold one.
 #[test]
 fn fragmented_cache_produces_both_hits_and_misses() {
-    let mut sim = Simulator::new(109);
-    fast_fabric(&mut sim);
-    let h = build_hierarchy(&mut sim, 3600);
-    let (resolver_id, resolver_addr) = sim.add_node(Box::new(RecursiveResolver::new(
-        profiles::public_frontend(vec![h.root], 4),
-    )));
-    // 12 queries for the same name, spaced a minute apart: with 4
-    // fragments some land on cold backends.
-    let script: Vec<_> = (0..12)
-        .map(|i| {
-            (
-                SimDuration::from_secs(1 + i * 60),
-                name("8.cachetest.nl"),
-                RecordType::AAAA,
-            )
-        })
-        .collect();
-    let (client, observed) = TestClient::new(resolver_addr, script);
-    sim.add_node(Box::new(client));
-    sim.run_until(SimDuration::from_secs(800).after_zero());
+    for backends in [1, 4] {
+        let mut sim = Simulator::new(109);
+        fast_fabric(&mut sim);
+        let h = build_hierarchy(&mut sim, 3600);
+        let farm: Vec<Addr> = (0..backends)
+            .map(|_| {
+                let rc = profiles::unbound_like(vec![h.root]);
+                sim.add_node(Box::new(RecursiveResolver::new(rc))).1
+            })
+            .collect();
+        let frontend = profiles::farm_frontend(farm);
+        let (_, frontend) = sim.add_node(Box::new(RecursiveResolver::new(frontend)));
+        // 12 queries for the hot name, a minute apart, each followed by
+        // one for another name: the frontend's one-entry cache would
+        // otherwise answer every repeat itself.
+        let script: Vec<_> = (0..12)
+            .flat_map(|i| {
+                let at = |s: u64| SimDuration::from_secs(1 + i * 60 + s);
+                [
+                    (at(0), name("8.cachetest.nl"), RecordType::AAAA),
+                    (at(30), name("9.cachetest.nl"), RecordType::AAAA),
+                ]
+            })
+            .collect();
+        let (client, observed) = TestClient::new(frontend, script);
+        sim.add_node(Box::new(client));
+        sim.run_until(SimDuration::from_secs(800).after_zero());
 
-    let obs = observed.lock();
-    assert_eq!(obs.len(), 12);
-    let _ = resolver_id;
-    // TTLs differentiate cache hits (decremented) from fresh fetches
-    // (full 3600). With 4 backends both must occur.
-    let fresh = obs.iter().filter(|o| o.records[0].ttl == 3600).count();
-    let cached = obs.iter().filter(|o| o.records[0].ttl < 3600).count();
-    assert!(
-        fresh >= 2,
-        "expected multiple cold-backend fetches, got {fresh}"
-    );
-    assert!(cached >= 2, "expected some cache hits, got {cached}");
+        let obs = observed.lock();
+        assert_eq!(obs.len(), 24, "{backends} backends");
+        let hot: Vec<_> = obs
+            .iter()
+            .filter(|o| o.records[0].name == name("8.cachetest.nl"))
+            .collect();
+        assert_eq!(hot.len(), 12, "{backends} backends");
+        // TTLs differentiate cache hits (decremented) from fresh fetches
+        // (full 3600).
+        let fresh = hot.iter().filter(|o| o.records[0].ttl == 3600).count();
+        let cached = hot.iter().filter(|o| o.records[0].ttl < 3600).count();
+        if backends == 1 {
+            assert_eq!(fresh, 1, "one cache fetches the hot name once");
+        } else {
+            assert!(
+                fresh >= 2,
+                "expected multiple cold-backend fetches, got {fresh}"
+            );
+            assert!(cached >= 2, "expected some cache hits, got {cached}");
+        }
+    }
 }

@@ -47,12 +47,6 @@ pub struct ClassifiedAnswer {
     pub class: AnswerClass,
     /// The serial observed in the payload.
     pub serial: u16,
-    /// Whether the serial went *backwards* relative to this VP's previous
-    /// answer — the cache-fragmentation fingerprint of §3.5.
-    pub serial_decreased: bool,
-    /// Whether the recursive's reported TTL deviates >10% from the TTL
-    /// encoded in the payload (TTL rewriting).
-    pub ttl_altered: bool,
 }
 
 /// Aggregate counts in the shape of the paper's Table 2.
@@ -178,9 +172,8 @@ impl Classifier {
             }
             // Warm-up: the first answer.
             let (_, _, mut prev_serial, payload_ttl, recv_ttl) = answers[0];
-            let warm_altered = ttl_altered(payload_ttl, recv_ttl);
             result.summary.warmup += 1;
-            if warm_altered {
+            if ttl_altered(payload_ttl, recv_ttl) {
                 result.summary.warmup_ttl_altered += 1;
             } else {
                 result.summary.warmup_ttl_as_zone += 1;
@@ -190,8 +183,6 @@ impl Classifier {
                 at: answers[0].0,
                 class: AnswerClass::WarmUp,
                 serial: prev_serial,
-                serial_decreased: false,
-                ttl_altered: warm_altered,
             });
 
             // The cache should hold the previous answer until this
@@ -208,7 +199,8 @@ impl Classifier {
                 let fresh_serial_now = self.serial_at(answered_at);
                 let fresh_serial_sent = self.serial_at(sent_at);
                 let observed_auth = serial == fresh_serial_now || serial == fresh_serial_sent;
-                let altered = ttl_altered(payload_ttl, recv_ttl);
+                // A serial going *backwards* is the cache-fragmentation
+                // fingerprint of §3.5.
                 let dec = serial < prev_serial;
 
                 let class = match (expect_cache, observed_auth) {
@@ -227,7 +219,7 @@ impl Classifier {
                     }
                     AnswerClass::AC => {
                         result.summary.ac += 1;
-                        if altered {
+                        if ttl_altered(payload_ttl, recv_ttl) {
                             result.summary.ac_ttl_altered += 1;
                         } else {
                             result.summary.ac_ttl_as_zone += 1;
@@ -246,8 +238,6 @@ impl Classifier {
                     at: sent_at,
                     class,
                     serial,
-                    serial_decreased: dec,
-                    ttl_altered: altered,
                 });
 
                 // Update expectations: a fresh answer refreshes the cache

@@ -52,13 +52,24 @@ ns5  IN A 194.0.28.5
     use dike::resolver::{profiles, RecursiveResolver};
     for i in 0..30 {
         let mut cfg = profiles::unbound_like(vec![auth]);
-        if i % 5 == 0 {
-            cfg.cache_backends = 3; // a fragmented farm
-        }
         if i % 7 == 0 {
             cfg.cache.max_ttl = 1800; // a TTL capper
         }
-        let (_, r) = sim.add_node(Box::new(RecursiveResolver::new(cfg)));
+        // Every fifth resolver is a fragmented farm: a frontend over three
+        // backends, each with its own cache.
+        let farm = if i % 5 == 0 { 3 } else { 1 };
+        let backends: Vec<_> = (0..farm)
+            .map(|_| {
+                sim.add_node(Box::new(RecursiveResolver::new(cfg.clone())))
+                    .1
+            })
+            .collect();
+        let r = if farm == 1 {
+            backends[0]
+        } else {
+            let frontend = profiles::farm_frontend(backends);
+            sim.add_node(Box::new(RecursiveResolver::new(frontend))).1
+        };
         sim.add_node(Box::new(PollingClient {
             resolver: r,
             i,
