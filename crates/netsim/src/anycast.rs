@@ -13,8 +13,7 @@
 //! ingress filters (install loss on a member's unicast address to attack
 //! that site).
 
-use std::collections::HashMap;
-
+use dike_telemetry::hash::FastMap;
 use dike_telemetry::rng::splitmix64;
 
 use crate::addr::{Addr, NodeId};
@@ -22,7 +21,7 @@ use crate::addr::{Addr, NodeId};
 /// The anycast registry: virtual address → member nodes.
 #[derive(Debug, Default)]
 pub struct AnycastTable {
-    groups: HashMap<Addr, Vec<NodeId>>,
+    groups: FastMap<Addr, Vec<NodeId>>,
 }
 
 impl AnycastTable {
@@ -89,7 +88,7 @@ mod tests {
     #[test]
     fn catchment_shares_are_roughly_even() {
         let t = table();
-        let mut counts = HashMap::new();
+        let mut counts = std::collections::HashMap::new();
         let n = 3000;
         for src in 0..n {
             *counts

@@ -1,8 +1,7 @@
 //! The network fabric: latency models, static loss, and dynamic
 //! ingress-loss filters (the DDoS emulation mechanism).
 
-use std::collections::HashMap;
-
+use dike_telemetry::hash::FastMap;
 use dike_telemetry::rng::Rng;
 
 use crate::addr::Addr;
@@ -214,9 +213,9 @@ struct DegradeEntry {
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     default: LinkParams,
-    overrides: HashMap<(Addr, Addr), LinkParams>,
-    ingress_loss: HashMap<Addr, f64>,
-    degrade: HashMap<Addr, DegradeEntry>,
+    overrides: FastMap<(Addr, Addr), LinkParams>,
+    ingress_loss: FastMap<Addr, f64>,
+    degrade: FastMap<Addr, DegradeEntry>,
 }
 
 impl LinkTable {
@@ -224,9 +223,9 @@ impl LinkTable {
     pub fn new(default: LinkParams) -> Self {
         LinkTable {
             default,
-            overrides: HashMap::new(),
-            ingress_loss: HashMap::new(),
-            degrade: HashMap::new(),
+            overrides: FastMap::default(),
+            ingress_loss: FastMap::default(),
+            degrade: FastMap::default(),
         }
     }
 

@@ -8,9 +8,8 @@
 //! SRTT among candidates not yet tried in the current round; when every
 //! candidate has been tried, the round restarts.
 
-use std::collections::HashMap;
-
 use dike_netsim::{Addr, SimDuration};
+use dike_telemetry::hash::FastMap;
 use dike_telemetry::rng::Rng;
 
 /// Exponential decay factor applied when updating SRTT with a new sample
@@ -28,7 +27,7 @@ const SRTT_CAP_MS: f64 = 30_000.0;
 /// RTT-based server selector shared by all of a resolver's tasks.
 #[derive(Debug, Default)]
 pub struct ServerSelector {
-    srtt_ms: HashMap<Addr, f64>,
+    srtt_ms: FastMap<Addr, f64>,
 }
 
 impl ServerSelector {

@@ -10,10 +10,9 @@
 //! * unique recursive (Rn) source addresses per bin (Fig. 12);
 //! * per-probe-id Rn fan-out and query counts (Fig. 11, Table 7).
 
-use std::collections::{HashMap, HashSet};
-
 use dike_netsim::trace::{Disposition, TraceSink};
 use dike_netsim::{Addr, SimDuration, SimTime};
+use dike_telemetry::hash::{FastMap, FastSet};
 use dike_wire::{Message, RecordType};
 
 use crate::quantile::quantile;
@@ -76,7 +75,7 @@ pub struct ServerBin {
     /// Everything else.
     pub other: usize,
     /// Distinct recursive addresses seen this bin.
-    pub sources: HashSet<Addr>,
+    pub sources: FastSet<Addr>,
 }
 
 impl ServerBin {
@@ -107,17 +106,44 @@ pub struct AmplificationBin {
     pub queries_max: f64,
 }
 
+/// One probe id's AAAA-for-PID traffic: its distinct `(bin, source)`
+/// pairs and its queries per bin, both sorted by bin (Fig. 11, and the
+/// sources behind §3's Google split).
+#[derive(Debug, Default)]
+struct ProbeTraffic {
+    /// Distinct `(bin, source)` pairs, ascending.
+    sources: Vec<(u32, Addr)>,
+    /// `(bin, queries)`, ascending by bin; the same bins as `sources`.
+    queries: Vec<(u32, u32)>,
+}
+
+impl ProbeTraffic {
+    /// Counts one query from `src` in `bin`. Traffic mostly arrives in
+    /// time order, so both inserts are appends or land in the last bin;
+    /// the sharded engine's sinks interleave, and any order gives the
+    /// same vectors.
+    fn record(&mut self, bin: u32, src: Addr) {
+        if let Err(at) = self.sources.binary_search(&(bin, src)) {
+            self.sources.insert(at, (bin, src));
+        }
+        match self.queries.binary_search_by_key(&bin, |&(b, _)| b) {
+            Ok(at) => self.queries[at].1 += 1,
+            Err(at) => self.queries.insert(at, (bin, 1)),
+        }
+    }
+}
+
 /// The authoritative-side sink.
 #[derive(Debug)]
 pub struct ServerView {
-    auth_addrs: HashSet<Addr>,
+    auth_addrs: FastSet<Addr>,
     bin_width_min: u64,
     bins: Vec<ServerBin>,
-    /// (bin, pid) → (distinct sources, AAAA-for-PID query count).
-    per_probe: HashMap<(usize, u16), (HashSet<Addr>, usize)>,
+    /// pid → its AAAA-for-PID sources and query counts per bin.
+    per_probe: FastMap<u16, ProbeTraffic>,
     /// pid → every (bin, source, delivered) tuple — Table 7 drill-down.
-    drilldown: HashMap<u16, Vec<(usize, Addr, bool)>>,
-    drilldown_pids: HashSet<u16>,
+    drilldown: FastMap<u16, Vec<(usize, Addr, bool)>>,
+    drilldown_pids: FastSet<u16>,
     /// Total queries offered (any type).
     pub total_queries: u64,
 }
@@ -130,9 +156,9 @@ impl ServerView {
             auth_addrs: auth_addrs.into_iter().collect(),
             bin_width_min: (bin_width.as_secs() / 60).max(1),
             bins: Vec::new(),
-            per_probe: HashMap::new(),
-            drilldown: HashMap::new(),
-            drilldown_pids: HashSet::new(),
+            per_probe: FastMap::default(),
+            drilldown: FastMap::default(),
+            drilldown_pids: FastSet::default(),
             total_queries: 0,
         }
     }
@@ -147,34 +173,36 @@ impl ServerView {
         &self.bins
     }
 
-    /// Fig. 11's per-probe amplification distribution, one entry per bin.
+    /// Fig. 11's per-probe amplification distribution, one entry per bin,
+    /// from one pass over the probes.
     pub fn amplification(&self) -> Vec<AmplificationBin> {
         let nbins = self.bins.len();
-        let mut out = Vec::with_capacity(nbins);
-        for bin in 0..nbins {
-            let rn_counts: Vec<f64> = self
-                .per_probe
-                .iter()
-                .filter(|((b, _), _)| *b == bin)
-                .map(|(_, (srcs, _))| srcs.len() as f64)
-                .collect();
-            let q_counts: Vec<f64> = self
-                .per_probe
-                .iter()
-                .filter(|((b, _), _)| *b == bin)
-                .map(|(_, (_, q))| *q as f64)
-                .collect();
-            out.push(AmplificationBin {
-                start_min: bin as u64 * self.bin_width_min,
-                rn_median: quantile(&rn_counts, 0.5).unwrap_or(0.0),
-                rn_p90: quantile(&rn_counts, 0.9).unwrap_or(0.0),
-                rn_max: rn_counts.iter().copied().fold(0.0, f64::max),
-                queries_median: quantile(&q_counts, 0.5).unwrap_or(0.0),
-                queries_p90: quantile(&q_counts, 0.9).unwrap_or(0.0),
-                queries_max: q_counts.iter().copied().fold(0.0, f64::max),
-            });
+        let mut rn_counts = vec![Vec::new(); nbins];
+        let mut q_counts = vec![Vec::new(); nbins];
+        for probe in self.per_probe.values() {
+            let mut sources = probe.sources.as_slice();
+            for &(bin, queries) in &probe.queries {
+                let rn = sources.partition_point(|&(b, _)| b == bin);
+                sources = &sources[rn..];
+                rn_counts[bin as usize].push(rn as f64);
+                q_counts[bin as usize].push(queries as f64);
+            }
         }
-        out
+        let max = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+        (0..nbins)
+            .map(|bin| {
+                let (rn, q) = (&rn_counts[bin], &q_counts[bin]);
+                AmplificationBin {
+                    start_min: bin as u64 * self.bin_width_min,
+                    rn_median: quantile(rn, 0.5).unwrap_or(0.0),
+                    rn_p90: quantile(rn, 0.9).unwrap_or(0.0),
+                    rn_max: max(rn),
+                    queries_median: quantile(q, 0.5).unwrap_or(0.0),
+                    queries_p90: quantile(q, 0.9).unwrap_or(0.0),
+                    queries_max: max(q),
+                }
+            })
+            .collect()
     }
 
     /// Table 7 rows for a tracked probe: per bin, the number of queries
@@ -203,14 +231,15 @@ impl ServerView {
         rows
     }
 
-    /// Every distinct source that asked for `pid`'s name, across bins.
-    pub fn probe_sources(&self, pid: u16) -> HashSet<Addr> {
-        let mut out = HashSet::new();
-        for ((_, p), (srcs, _)) in &self.per_probe {
-            if *p == pid {
-                out.extend(srcs.iter().copied());
-            }
-        }
+    /// Every distinct source that asked for `pid`'s name, across bins,
+    /// ascending.
+    pub fn probe_sources(&self, pid: u16) -> Vec<Addr> {
+        let Some(probe) = self.per_probe.get(&pid) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Addr> = probe.sources.iter().map(|&(_, src)| src).collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 }
@@ -247,12 +276,8 @@ impl TraceSink for ServerView {
             ServerQueryType::AaaaForNs => bin.aaaa_for_ns += 1,
             ServerQueryType::AaaaForPid { pid } => {
                 bin.aaaa_for_pid += 1;
-                let entry = self
-                    .per_probe
-                    .entry((bin_idx, pid))
-                    .or_insert_with(|| (HashSet::new(), 0));
-                entry.0.insert(src);
-                entry.1 += 1;
+                let bin32 = u32::try_from(bin_idx).expect("bin index fits u32");
+                self.per_probe.entry(pid).or_default().record(bin32, src);
                 if self.drilldown_pids.contains(&pid) {
                     self.drilldown.entry(pid).or_default().push((
                         bin_idx,

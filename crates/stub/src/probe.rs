@@ -1,8 +1,7 @@
 //! The probe node.
 
-use std::collections::HashMap;
-
 use dike_netsim::{Addr, Context, Node, SimDuration, TimerId, TimerToken};
+use dike_telemetry::hash::FastMap;
 use dike_wire::{Message, Name, RecordType};
 
 use crate::log::{QueryOutcome, QueryRecord, SharedProbeLog, VpKey};
@@ -86,7 +85,7 @@ pub struct StubStats {
 pub struct StubProbe {
     config: StubConfig,
     log: SharedProbeLog,
-    pending: HashMap<u16, Pending>,
+    pending: FastMap<u16, Pending>,
     next_id: u16,
     round: u32,
     stats: StubStats,
@@ -98,7 +97,7 @@ impl StubProbe {
         StubProbe {
             config,
             log,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             next_id: 1,
             round: 0,
             stats: StubStats::default(),

@@ -11,10 +11,11 @@
 //!
 //! * **Zero dependencies.** Instrumentation must never drag the build
 //!   graph around. Being at the bottom of the graph, the crate is also
-//!   where the workspace's one JSON codec lives ([`json`]), and the three
-//!   small things that used to be external crates: the random number
-//!   generator ([`rng`]), the non-poisoning lock ([`sync`]) and the seeded
-//!   property-test runner ([`check`]). The crate compiles with a bare
+//!   where the workspace's one JSON codec lives ([`json`]), the
+//!   simulator's fixed hasher ([`hash`]), and the three small things that
+//!   used to be external crates: the random number generator ([`rng`]),
+//!   the non-poisoning lock ([`sync`]) and the seeded property-test runner
+//!   ([`check`]). The crate compiles with a bare
 //!   `rustc --edition 2021 --test src/lib.rs`.
 //! * **Deterministic.** Snapshots are cut on *simulated*-time boundaries
 //!   only — never wall clock — so two runs with the same seed produce
@@ -61,6 +62,7 @@
 
 pub mod check;
 mod export;
+pub mod hash;
 pub mod json;
 mod metrics;
 mod registry;
