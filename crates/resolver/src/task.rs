@@ -72,6 +72,9 @@ pub(crate) struct Task {
     /// Label count of the zone the candidates serve — referral progress
     /// is "strictly deeper than this".
     pub zone_depth: usize,
+    /// The cache generation at the task's last delegation walk; while
+    /// the cache holds it, a retry keeps its servers without walking.
+    pub walked_at: u64,
     /// The server the previous attempt went to, for counting
     /// server-selection switches across retries.
     pub last_server: Option<Addr>,

@@ -219,6 +219,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The resolver reading its cache once per question moved it from
 /// 0x5595_af25_f205_cc8c: a per-series diff of the two exports differs
 /// only in the `cache.hits`, `cache.misses` and `cache.expired` series.
+/// A retry skipping its delegation walk while the cache generation holds
+/// moved it again, from 0xd663_75c9_8f65_9011, in the same three series
+/// only.
 #[test]
 fn telemetry_export_is_pinned() {
     use dike::experiments::defense::{defense_setup, DefensePreset, SpoofedFlood};
@@ -231,5 +234,5 @@ fn telemetry_export_is_pinned() {
         .metrics
         .expect("defense_setup sets telemetry")
         .to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0xd663_75c9_8f65_9011);
+    assert_eq!(fnv1a(json.as_bytes()), 0x2d39_7c71_25ae_0b14);
 }
