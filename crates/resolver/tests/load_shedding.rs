@@ -15,7 +15,7 @@ use dike_wire::{Message, Name, Rcode, RecordType};
 /// Fires `n` distinct-name queries in one burst and tallies outcomes.
 struct BurstClient {
     resolver: Addr,
-    n: u16,
+    n: u32,
     servfails: Arc<Mutex<usize>>,
     oks: Arc<Mutex<usize>>,
 }
@@ -38,13 +38,32 @@ impl Node for BurstClient {
             ctx.send(
                 self.resolver,
                 &Message::query(
-                    pid,
+                    pid as u16,
                     Name::parse(&format!("{pid}.cachetest.nl")).unwrap(),
                     RecordType::AAAA,
                 ),
             );
         }
     }
+}
+
+/// A server that never answers.
+struct Silent;
+
+impl Node for Silent {
+    fn on_datagram(&mut self, _ctx: &mut Context<'_>, _src: Addr, _msg: &Message, _l: usize) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, _t: TimerToken) {}
+}
+
+fn shed_of(sim: &Simulator, resolver: dike_netsim::NodeId) -> u64 {
+    sim.node(resolver)
+        .unwrap()
+        .as_any()
+        .unwrap()
+        .downcast_ref::<RecursiveResolver>()
+        .unwrap()
+        .stats()
+        .shed
 }
 
 fn run(max_pending: usize, authoritatives_up: bool) -> (usize, usize, u64) {
@@ -70,15 +89,7 @@ fn run(max_pending: usize, authoritatives_up: bool) -> (usize, usize, u64) {
         oks: oks.clone(),
     }));
     sim.run_until(SimDuration::from_secs(90).after_zero());
-    let shed = sim
-        .node(resolver_id)
-        .unwrap()
-        .as_any()
-        .unwrap()
-        .downcast_ref::<RecursiveResolver>()
-        .unwrap()
-        .stats()
-        .shed;
+    let shed = shed_of(&sim, resolver_id);
     let s = *servfails.lock();
     let o = *oks.lock();
     (o, s, shed)
@@ -115,4 +126,32 @@ fn shedding_does_not_trigger_when_authoritatives_answer() {
     let (ok, servfail, shed) = run(50, true);
     assert_eq!(ok + servfail, 200);
     assert_eq!(servfail as u64, shed);
+}
+
+#[test]
+fn exhausted_message_ids_shed_instead_of_spinning() {
+    // A pending table larger than the 65,535 upstream message ids, and
+    // one more distinct question than there are ids, all asked at once
+    // of a root that never answers. The last task finds no free id: it
+    // is shed with SERVFAIL instead of searching the id space forever.
+    let mut sim = Simulator::new(72);
+    *sim.links_mut() = LinkTable::new(LinkParams {
+        latency: LatencyModel::Fixed(SimDuration::from_millis(8)),
+        loss: 0.0,
+    });
+    let (_, root) = sim.add_node(Box::new(Silent));
+    let mut cfg = profiles::bind_like(vec![root]);
+    cfg.max_pending = 70_000;
+    let (resolver_id, resolver) = sim.add_node(Box::new(RecursiveResolver::new(cfg)));
+    let servfails = Arc::new(Mutex::new(0));
+    let n = u32::from(u16::MAX) + 1;
+    sim.add_node(Box::new(BurstClient {
+        resolver,
+        n,
+        servfails: servfails.clone(),
+        oks: Arc::new(Mutex::new(0)),
+    }));
+    sim.run_until_idle();
+    assert_eq!(shed_of(&sim, resolver_id), 1, "one question more than ids");
+    assert_eq!(*servfails.lock(), n as usize, "every question answered");
 }
