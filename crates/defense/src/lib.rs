@@ -22,8 +22,9 @@
 //!   nothing.
 //! * [`Defense::Admission`] — priority scheduling: a weighted-class
 //!   ingress scheduler ([`ClassedQueue`]) with per-class buffers, fed by
-//!   a [`SourceClassifier`] that sorts sources into known-resolver /
-//!   unknown / flagged classes (Rizvi et al.'s admission control).
+//!   a source classifier ([`ClassifierKind`]) that sorts sources into
+//!   known-resolver / unknown / flagged classes (Rizvi et al.'s
+//!   admission control).
 //! * [`Defense::ScaleOut`] — anycast scale-out: after a configurable
 //!   detection delay, multiply the target's service capacity and
 //!   optionally join standby replicas into its anycast catchment.
@@ -38,7 +39,7 @@
 //! defense's serializable configuration. An empty plan schedules nothing
 //! and leaves a run bit-identical to a defense-free build.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dike_netsim::{
     Addr, ClassedQueue, ClassedQueueConfig, IngressDefense, IngressVerdict, NodeId, QueueClass,
@@ -107,17 +108,6 @@ struct Bucket {
     limited: u64,
 }
 
-/// What the rate limiter decided about one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RrlOutcome {
-    /// Under rate; answer normally.
-    Answer,
-    /// Over rate; drop silently.
-    Drop,
-    /// Over rate; answer truncated (TC=1).
-    Slip,
-}
-
 /// The RRL engine: one token bucket per source prefix, refilled in sim
 /// time. Deterministic — no RNG, and the slip cadence is a per-bucket
 /// counter, not a coin flip.
@@ -137,8 +127,9 @@ impl Rrl {
     }
 
     /// Accounts one query from `src` at `now` and says what to do with
-    /// the response.
-    pub fn check(&mut self, now: SimTime, src: Addr) -> RrlOutcome {
+    /// it: [`IngressVerdict::Pass`] under rate, [`IngressVerdict::RrlDrop`]
+    /// or [`IngressVerdict::RrlSlip`] over it.
+    pub fn check(&mut self, now: SimTime, src: Addr) -> IngressVerdict {
         let key = src.0 & self.config.mask();
         let burst = self.config.burst.max(1.0);
         let bucket = self.buckets.entry(key).or_insert(Bucket {
@@ -151,13 +142,13 @@ impl Rrl {
         bucket.refilled = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
-            return RrlOutcome::Answer;
+            return IngressVerdict::Pass;
         }
         bucket.limited += 1;
         if self.config.slip > 0 && bucket.limited.is_multiple_of(self.config.slip as u64) {
-            RrlOutcome::Slip
+            IngressVerdict::RrlSlip
         } else {
-            RrlOutcome::Drop
+            IngressVerdict::RrlDrop
         }
     }
 }
@@ -166,115 +157,88 @@ impl Rrl {
 // Source classification
 // ---------------------------------------------------------------------
 
-/// Sorts query sources into the admission scheduler's service classes.
-/// Implementations must be deterministic (no RNG, no wall clock).
-pub trait SourceClassifier: Send {
-    /// The class traffic from `src` is served in.
-    fn classify(&self, src: Addr) -> QueueClass;
-
-    /// Called for every arriving query, *before* any defense layer
-    /// activates, so history-based classifiers can learn the pre-attack
-    /// population. Default no-op.
-    fn observe(&mut self, _now: SimTime, _src: Addr) {}
-}
-
-/// A fixed allowlist/blocklist classifier: listed `known` sources are
-/// served first-class, listed `flagged` sources last, everyone else in
-/// the middle.
-#[derive(Debug, Clone, Default)]
-pub struct StaticClassifier {
-    known: Vec<Addr>,
-    flagged: Vec<Addr>,
-}
-
-impl StaticClassifier {
-    /// Builds the classifier from the two lists (sorted internally, so
-    /// list order does not matter).
-    pub fn new(mut known: Vec<Addr>, mut flagged: Vec<Addr>) -> StaticClassifier {
-        known.sort_unstable();
-        known.dedup();
-        flagged.sort_unstable();
-        flagged.dedup();
-        StaticClassifier { known, flagged }
-    }
-}
-
-impl SourceClassifier for StaticClassifier {
-    fn classify(&self, src: Addr) -> QueueClass {
-        if self.flagged.binary_search(&src).is_ok() {
-            QueueClass::Flagged
-        } else if self.known.binary_search(&src).is_ok() {
-            QueueClass::Known
-        } else {
-            QueueClass::Unknown
-        }
-    }
-}
-
-/// A history-based classifier (Rizvi et al.): sources first seen before
-/// `cutoff` — attack onset, in practice — are *known* resolvers; sources
-/// that appear only after it are *unknown* (spoofed floods land here).
-#[derive(Debug, Clone)]
-pub struct HistoryClassifier {
-    cutoff: SimTime,
-    first_seen: BTreeMap<Addr, SimTime>,
-}
-
-impl HistoryClassifier {
-    /// A classifier that trusts everything it saw before `cutoff`.
-    pub fn new(cutoff: SimTime) -> HistoryClassifier {
-        HistoryClassifier {
-            cutoff,
-            first_seen: BTreeMap::new(),
-        }
-    }
-
-    /// Number of distinct sources observed so far.
-    pub fn seen(&self) -> usize {
-        self.first_seen.len()
-    }
-}
-
-impl SourceClassifier for HistoryClassifier {
-    fn classify(&self, src: Addr) -> QueueClass {
-        match self.first_seen.get(&src) {
-            Some(first) if *first < self.cutoff => QueueClass::Known,
-            _ => QueueClass::Unknown,
-        }
-    }
-
-    fn observe(&mut self, now: SimTime, src: Addr) {
-        self.first_seen.entry(src).or_insert(now);
-    }
-}
-
-/// The serializable description of a classifier — what a [`Defense`]
-/// carries; [`ClassifierKind::build`] turns it into the live object.
+/// The serializable description of a source classifier — what a
+/// [`Defense::Admission`] carries. Either kind is deterministic: no RNG,
+/// no wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClassifierKind {
-    /// A [`StaticClassifier`] over explicit lists.
+    /// A fixed allowlist/blocklist: listed `known` sources are served
+    /// first-class, listed `flagged` sources last, everyone else in the
+    /// middle. List order and repeats do not matter.
     Static {
         /// First-class sources.
         known: Vec<Addr>,
         /// Last-class sources.
         flagged: Vec<Addr>,
     },
-    /// A [`HistoryClassifier`] trusting sources first seen before
-    /// `cutoff`.
+    /// History-based (Rizvi et al.): sources seen before `cutoff` —
+    /// attack onset, in practice — are *known* resolvers; sources that
+    /// appear only after it are *unknown* (spoofed floods land here).
     History {
         /// The trust cutoff (attack onset).
         cutoff: SimTime,
     },
 }
 
-impl ClassifierKind {
-    /// Instantiates the live classifier.
-    pub fn build(&self) -> Box<dyn SourceClassifier> {
-        match self {
-            ClassifierKind::Static { known, flagged } => {
-                Box::new(StaticClassifier::new(known.clone(), flagged.clone()))
+/// The live classifier an admission layer runs, built from its
+/// [`ClassifierKind`].
+enum Classifier {
+    /// The kind's lists, sorted and deduplicated for binary search.
+    Static {
+        known: Vec<Addr>,
+        flagged: Vec<Addr>,
+    },
+    /// The sources observed before `cutoff`. Arrivals at or after the
+    /// cutoff are never inserted, so the set stops growing at attack
+    /// onset however many addresses a flood forges.
+    History {
+        cutoff: SimTime,
+        seen: BTreeSet<Addr>,
+    },
+}
+
+impl Classifier {
+    fn new(kind: &ClassifierKind) -> Classifier {
+        let sorted = |list: &[Addr]| {
+            let mut list = list.to_vec();
+            list.sort_unstable();
+            list.dedup();
+            list
+        };
+        match kind {
+            ClassifierKind::Static { known, flagged } => Classifier::Static {
+                known: sorted(known),
+                flagged: sorted(flagged),
+            },
+            ClassifierKind::History { cutoff } => Classifier::History {
+                cutoff: *cutoff,
+                seen: BTreeSet::new(),
+            },
+        }
+    }
+
+    /// Learns from one arriving query. Query times never decrease, so a
+    /// source inserted here is one whose *first* sighting preceded the
+    /// cutoff.
+    fn observe(&mut self, now: SimTime, src: Addr) {
+        if let Classifier::History { cutoff, seen } = self {
+            if now < *cutoff {
+                seen.insert(src);
             }
-            ClassifierKind::History { cutoff } => Box::new(HistoryClassifier::new(*cutoff)),
+        }
+    }
+
+    /// The class traffic from `src` is served in.
+    fn classify(&self, src: Addr) -> QueueClass {
+        match self {
+            Classifier::Static { flagged, .. } if flagged.binary_search(&src).is_ok() => {
+                QueueClass::Flagged
+            }
+            Classifier::Static { known, .. } if known.binary_search(&src).is_ok() => {
+                QueueClass::Known
+            }
+            Classifier::History { seen, .. } if seen.contains(&src) => QueueClass::Known,
+            _ => QueueClass::Unknown,
         }
     }
 }
@@ -286,7 +250,7 @@ impl ClassifierKind {
 struct AdmissionLayer {
     start: SimTime,
     queue: ClassedQueue,
-    classifier: Box<dyn SourceClassifier>,
+    classifier: Classifier,
 }
 
 /// The composed defense pipeline installed in front of one server
@@ -297,13 +261,6 @@ struct AdmissionLayer {
 pub struct DefenseEngine {
     rrl: Option<(SimTime, Rrl)>,
     admission: Option<AdmissionLayer>,
-}
-
-impl DefenseEngine {
-    /// An engine with no layers (passes everything).
-    pub fn new() -> DefenseEngine {
-        DefenseEngine::default()
-    }
 }
 
 impl IngressDefense for DefenseEngine {
@@ -325,18 +282,15 @@ impl IngressDefense for DefenseEngine {
                 }
             }
         }
-        if let Some((start, rrl)) = &mut self.rrl {
-            if now >= *start {
-                match rrl.check(now, src) {
-                    RrlOutcome::Drop => return IngressVerdict::RrlDrop,
-                    RrlOutcome::Slip => return IngressVerdict::RrlSlip,
-                    RrlOutcome::Answer => {}
-                }
+        let rrl = match &mut self.rrl {
+            Some((start, rrl)) if now >= *start => rrl.check(now, src),
+            _ => IngressVerdict::Pass,
+        };
+        match (rrl, queued) {
+            (IngressVerdict::Pass, Some((delay, class))) => {
+                IngressVerdict::Enqueue { delay, class }
             }
-        }
-        match queued {
-            Some((delay, class)) => IngressVerdict::Enqueue { delay, class },
-            None => IngressVerdict::Pass,
+            (verdict, _) => verdict,
         }
     }
 
@@ -528,15 +482,6 @@ impl Defense {
         self
     }
 
-    /// Adds standby replicas to a [`Defense::ScaleOut`]; no-op on other
-    /// variants.
-    pub fn joining(mut self, replicas: Vec<NodeId>) -> Defense {
-        if let Defense::ScaleOut { join, .. } = &mut self {
-            *join = replicas;
-        }
-        self
-    }
-
     /// Checks this defense's parameters.
     pub fn validate(&self) -> Result<(), DefenseError> {
         match self {
@@ -689,7 +634,7 @@ impl DefensePlan {
                     engines.entry(*target).or_default().admission = Some(AdmissionLayer {
                         start: *start,
                         queue: ClassedQueue::new(*queue),
-                        classifier: classifier.build(),
+                        classifier: Classifier::new(classifier),
                     });
                 }
                 // Cookie exemptions live on the ingress gate, not the
@@ -966,10 +911,13 @@ mod tests {
                     flagged: vec![Addr(9)],
                 },
             ))
-            .with(
-                Defense::scale_out(Addr(0xc612_0001), t(60), d(300), 3.0)
-                    .joining(vec![NodeId(7), NodeId(8)]),
-            )
+            .with(Defense::ScaleOut {
+                target: Addr(0xc612_0001),
+                at: t(60),
+                detection_delay: d(300),
+                capacity_factor: 3.0,
+                join: vec![NodeId(7), NodeId(8)],
+            })
             .with(Defense::cookie(Addr(0x0a00_0001), 0x5eed_c001))
     }
 
@@ -1171,30 +1119,30 @@ mod tests {
         let mut rrl = Rrl::new(RrlConfig::drop_at(2.0)); // 2 qps, burst 2
         let src = Addr(0x0a00_0001);
         // Burst drains the bucket…
-        assert_eq!(rrl.check(t(0), src), RrlOutcome::Answer);
-        assert_eq!(rrl.check(t(0), src), RrlOutcome::Answer);
-        assert_eq!(rrl.check(t(0), src), RrlOutcome::Drop);
+        assert_eq!(rrl.check(t(0), src), IngressVerdict::Pass);
+        assert_eq!(rrl.check(t(0), src), IngressVerdict::Pass);
+        assert_eq!(rrl.check(t(0), src), IngressVerdict::RrlDrop);
         // …and a second later two tokens are back.
-        assert_eq!(rrl.check(t(1), src), RrlOutcome::Answer);
-        assert_eq!(rrl.check(t(1), src), RrlOutcome::Answer);
-        assert_eq!(rrl.check(t(1), src), RrlOutcome::Drop);
+        assert_eq!(rrl.check(t(1), src), IngressVerdict::Pass);
+        assert_eq!(rrl.check(t(1), src), IngressVerdict::Pass);
+        assert_eq!(rrl.check(t(1), src), IngressVerdict::RrlDrop);
         // A different /24 has its own bucket.
-        assert_eq!(rrl.check(t(1), Addr(0x0a00_0101)), RrlOutcome::Answer);
+        assert_eq!(rrl.check(t(1), Addr(0x0a00_0101)), IngressVerdict::Pass);
     }
 
     #[test]
     fn rrl_slip_answers_every_nth_limited_query() {
         let mut rrl = Rrl::new(RrlConfig::slip_at(1.0, 2));
         let src = Addr(0x0a00_0001);
-        assert_eq!(rrl.check(t(0), src), RrlOutcome::Answer);
-        let outcomes: Vec<RrlOutcome> = (0..4).map(|_| rrl.check(t(0), src)).collect();
+        assert_eq!(rrl.check(t(0), src), IngressVerdict::Pass);
+        let outcomes: Vec<IngressVerdict> = (0..4).map(|_| rrl.check(t(0), src)).collect();
         assert_eq!(
             outcomes,
             [
-                RrlOutcome::Drop,
-                RrlOutcome::Slip,
-                RrlOutcome::Drop,
-                RrlOutcome::Slip
+                IngressVerdict::RrlDrop,
+                IngressVerdict::RrlSlip,
+                IngressVerdict::RrlDrop,
+                IngressVerdict::RrlSlip
             ]
         );
     }
@@ -1203,19 +1151,28 @@ mod tests {
     fn rrl_aggregates_by_prefix() {
         let mut rrl = Rrl::new(RrlConfig::drop_at(1.0));
         // Two addresses in the same /24 share one bucket.
-        assert_eq!(rrl.check(t(0), Addr(0x0a00_0001)), RrlOutcome::Answer);
-        assert_eq!(rrl.check(t(0), Addr(0x0a00_0002)), RrlOutcome::Drop);
+        assert_eq!(rrl.check(t(0), Addr(0x0a00_0001)), IngressVerdict::Pass);
+        assert_eq!(rrl.check(t(0), Addr(0x0a00_0002)), IngressVerdict::RrlDrop);
     }
 
     #[test]
     fn history_classifier_trusts_the_pre_attack_population() {
-        let mut c = HistoryClassifier::new(t(60));
+        let mut c = Classifier::new(&ClassifierKind::History { cutoff: t(60) });
         c.observe(t(10), Addr(1));
-        c.observe(t(70), Addr(2));
+        c.observe(t(60), Addr(2));
+        c.observe(t(70), Addr(3));
         assert_eq!(c.classify(Addr(1)), QueueClass::Known);
-        assert_eq!(c.classify(Addr(2)), QueueClass::Unknown);
-        assert_eq!(c.classify(Addr(3)), QueueClass::Unknown, "never seen");
-        assert_eq!(c.seen(), 2);
+        assert_eq!(
+            c.classify(Addr(2)),
+            QueueClass::Unknown,
+            "seen at the cutoff"
+        );
+        assert_eq!(c.classify(Addr(3)), QueueClass::Unknown);
+        assert_eq!(c.classify(Addr(4)), QueueClass::Unknown, "never seen");
+        let Classifier::History { seen, .. } = &c else {
+            unreachable!()
+        };
+        assert_eq!(seen.len(), 1, "nothing seen from the cutoff on is kept");
         // Re-observing after the cutoff must not demote a known source.
         c.observe(t(80), Addr(1));
         assert_eq!(c.classify(Addr(1)), QueueClass::Known);
@@ -1223,7 +1180,10 @@ mod tests {
 
     #[test]
     fn static_classifier_routes_all_three_classes() {
-        let c = StaticClassifier::new(vec![Addr(5)], vec![Addr(6)]);
+        let c = Classifier::new(&ClassifierKind::Static {
+            known: vec![Addr(5), Addr(5)],
+            flagged: vec![Addr(6)],
+        });
         assert_eq!(c.classify(Addr(5)), QueueClass::Known);
         assert_eq!(c.classify(Addr(6)), QueueClass::Flagged);
         assert_eq!(c.classify(Addr(7)), QueueClass::Unknown);

@@ -10,7 +10,7 @@
 
 use dike_cache::{CacheAnswer, CacheConfig, ResolverCache};
 use dike_netsim::{SimDuration, SimTime};
-use dike_stats::ecdf::Ecdf;
+use dike_stats::passive::{PassiveReport, PassiveTally};
 use dike_telemetry::rng::Rng;
 use dike_wire::{Name, RData, Record};
 
@@ -57,27 +57,6 @@ impl Default for NlConfig {
     }
 }
 
-/// Fig. 4 output.
-#[derive(Debug, Clone)]
-pub struct NlResult {
-    /// ECDF of each recursive's median inter-arrival Δt (seconds),
-    /// after excluding sub-10-second parallel queries — the paper's
-    /// Figure 4 curve.
-    pub median_dt_ecdf: Ecdf,
-    /// Fraction of raw queries with Δt < 10 s (paper: ~28%).
-    pub frac_under_10s: f64,
-    /// Recursives with ≥5 queries (the paper's inclusion threshold).
-    pub analyzed: usize,
-    /// Total queries generated at the authoritatives.
-    pub total_queries: usize,
-    /// Fraction of analyzed recursives whose median Δt falls within ±10%
-    /// of the full TTL — the paper's "largest peak is at 3600 s".
-    pub frac_at_ttl: f64,
-    /// Fraction within ±10% of half the TTL (the paper's smaller peak
-    /// around 1800 s).
-    pub frac_at_half_ttl: f64,
-}
-
 fn sample_behavior_nl(rng: &mut Rng) -> RecursiveBehavior {
     let x: f64 = rng.random_range(0.0..1.0);
     if x < 0.42 {
@@ -95,20 +74,17 @@ fn sample_behavior_nl(rng: &mut Rng) -> RecursiveBehavior {
     }
 }
 
-/// Runs the Fig. 4 emulation.
-pub fn run_nl(cfg: &NlConfig) -> NlResult {
+/// Runs the Fig. 4 emulation, feeding each recursive's query timestamps
+/// through the §4.1 passive analysis ([`PassiveTally`], recursives with
+/// ≥ 5 queries).
+pub fn run_nl(cfg: &NlConfig) -> PassiveReport {
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let names: Vec<Name> = (1..=5)
         .map(|i| Name::parse(&format!("ns{i}.dns.nl")).expect("static"))
         .collect();
     let horizon = cfg.duration.as_secs_f64();
 
-    let mut medians = Vec::new();
-    let mut under_10 = 0usize;
-    let mut total = 0usize;
-    let mut analyzed = 0usize;
-    let mut at_ttl = 0usize;
-    let mut at_half = 0usize;
+    let mut tally = PassiveTally::new(cfg.ttl, 5);
 
     for _ in 0..cfg.n_recursives {
         let behavior = sample_behavior_nl(&mut rng);
@@ -174,55 +150,9 @@ pub fn run_nl(cfg: &NlConfig) -> NlResult {
             }
         }
 
-        let n_queries: usize = stamps.iter().map(Vec::len).sum();
-        if n_queries < 5 {
-            continue;
-        }
-        analyzed += 1;
-        total += n_queries;
-        // Per-name inter-arrivals, pooled per recursive.
-        let mut gaps: Vec<f64> = Vec::new();
-        for per_name in &mut stamps {
-            per_name.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            gaps.extend(per_name.windows(2).map(|w| w[1] - w[0]));
-        }
-        under_10 += gaps.iter().filter(|&&g| g < 10.0).count();
-        // The paper excludes the parallel (<10 s) queries before taking
-        // the median.
-        gaps.retain(|&g| g >= 10.0);
-        if gaps.is_empty() {
-            continue;
-        }
-        gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median = gaps[gaps.len() / 2];
-        if (median - cfg.ttl as f64).abs() < cfg.ttl as f64 * 0.10 {
-            at_ttl += 1;
-        } else if (median - cfg.ttl as f64 / 2.0).abs() < cfg.ttl as f64 * 0.10 {
-            at_half += 1;
-        }
-        medians.push(median);
+        tally.add_source(&stamps);
     }
-
-    NlResult {
-        median_dt_ecdf: Ecdf::of(&medians),
-        frac_under_10s: if total == 0 {
-            0.0
-        } else {
-            under_10 as f64 / total as f64
-        },
-        analyzed,
-        total_queries: total,
-        frac_at_ttl: if medians.is_empty() {
-            0.0
-        } else {
-            at_ttl as f64 / medians.len() as f64
-        },
-        frac_at_half_ttl: if medians.is_empty() {
-            0.0
-        } else {
-            at_half as f64 / medians.len() as f64
-        },
-    }
+    tally.report()
 }
 
 /// Fig. 5 configuration: a day of `DS nl` queries (TTL 86400) at the 13
@@ -363,7 +293,7 @@ mod tests {
     use super::*;
     use dike_cache::ResolverCache;
     use dike_netsim::{Addr, Context, Node, TimerToken};
-    use dike_stats::passive::{PassiveAnalyzer, PassiveReport};
+    use dike_stats::passive::PassiveAnalyzer;
     use dike_wire::{Message, RecordType};
 
     /// A single honoring resolver's refresh Δt series under Poisson
@@ -423,7 +353,7 @@ mod tests {
             n_recursives: 800,
             ..NlConfig::default()
         });
-        assert!(r.analyzed > 100, "analyzed {}", r.analyzed);
+        assert!(r.analyzed_sources > 100, "analyzed {}", r.analyzed_sources);
         // A visible sub-10 s parallel-query fraction (paper: ~28%).
         assert!(
             (0.05..0.5).contains(&r.frac_under_10s),
@@ -457,7 +387,7 @@ mod tests {
         });
         assert!(r.analyzed_sources > 40, "{r:?}");
         // Honoring resolvers put the biggest peak at the TTL...
-        let at_ttl = r.frac_at(3600.0);
+        let at_ttl = r.frac_at_ttl;
         assert!(at_ttl > 0.3, "peak at TTL: {at_ttl} {r:?}");
         // ...and cappers/fragmented farms create early (AC) refetches.
         assert!(r.ac_intervals > 0, "early refetches exist: {r:?}");

@@ -85,7 +85,7 @@ pub struct DefenseLedger {
     pub shed_by_class: [u64; QUEUE_CLASSES.len()],
     /// Queries that bypassed the defense entirely because they carried a
     /// valid RFC 7873 server cookie (return-routable source — see
-    /// [`IngressGate::with_cookie_secret`]). Not a drop: these were
+    /// [`IngressGate::set_cookie_secret`]). Not a drop: these were
     /// delivered.
     pub cookie_exempt: u64,
 }
@@ -204,14 +204,6 @@ impl IngressGate {
         }
     }
 
-    /// Enables the RFC 7873 cookie-validation exemption: queries whose
-    /// cookie validates under `secret` for their source address skip the
-    /// wrapped defense (counted in [`DefenseLedger::cookie_exempt`]).
-    pub fn with_cookie_secret(mut self, secret: u64) -> Self {
-        self.cookie_secret = Some(secret);
-        self
-    }
-
     /// Installs `defense`, or swaps it for the wrapped one. Everything
     /// the gate owns — ledger, delay histograms, cookie secret, queue —
     /// stays, so the accounting of a defended address is cumulative
@@ -242,7 +234,10 @@ impl IngressGate {
         self.queue.as_mut()
     }
 
-    /// Sets or clears the cookie-exemption secret on an installed gate.
+    /// Sets or clears the RFC 7873 cookie-validation exemption: queries
+    /// whose cookie validates under the secret for their source address
+    /// skip the wrapped defense (counted in
+    /// [`DefenseLedger::cookie_exempt`]).
     pub fn set_cookie_secret(&mut self, secret: Option<u64>) {
         self.cookie_secret = secret;
     }
@@ -340,12 +335,7 @@ impl IngressGate {
         &self.ledger
     }
 
-    /// Admission delays observed for `class`, in nanoseconds.
-    pub fn queue_delay(&self, class: QueueClass) -> &Histogram {
-        &self.queue_delay[class.index()]
-    }
-
-    /// All three per-class admission-delay histograms, indexed like
+    /// The per-class admission delays in nanoseconds, indexed like
     /// [`QUEUE_CLASSES`].
     pub fn queue_delays(&self) -> &[Histogram; QUEUE_CLASSES.len()] {
         &self.queue_delay
@@ -418,8 +408,9 @@ mod tests {
             l.defense_drops,
             l.rrl_limited + l.shed_by_class.iter().sum::<u64>()
         );
-        assert_eq!(gate.queue_delay(QueueClass::Known).count(), 1);
-        assert_eq!(gate.queue_delay(QueueClass::Unknown).count(), 0);
+        let delays = gate.queue_delays();
+        assert_eq!(delays[QueueClass::Known.index()].count(), 1);
+        assert_eq!(delays[QueueClass::Unknown.index()].count(), 0);
     }
 
     #[test]
@@ -448,8 +439,8 @@ mod tests {
         const SECRET: u64 = 0x5eed;
         let src = Addr(0x0a00_0007);
         // A defense that would drop everything.
-        let mut gate = IngressGate::new(Box::new(Script(vec![IngressVerdict::RrlDrop; 3])))
-            .with_cookie_secret(SECRET);
+        let mut gate = IngressGate::new(Box::new(Script(vec![IngressVerdict::RrlDrop; 3])));
+        gate.set_cookie_secret(Some(SECRET));
 
         // Full, valid cookie: exempt — the scripted RrlDrop is never
         // consulted.
@@ -495,8 +486,8 @@ mod tests {
 
         const SECRET: u64 = 0x1414;
         let src = Addr(0x0a00_0009);
-        let mut gate = IngressGate::new(Box::new(Script(vec![IngressVerdict::RrlSlip])))
-            .with_cookie_secret(SECRET);
+        let mut gate = IngressGate::new(Box::new(Script(vec![IngressVerdict::RrlSlip])));
+        gate.set_cookie_secret(Some(SECRET));
 
         let mut q = Message::query(
             0x1414,

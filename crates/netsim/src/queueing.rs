@@ -194,16 +194,6 @@ impl QueueClass {
         }
     }
 
-    /// Lower-case label (`known` / `unknown` / `flagged`), used in
-    /// telemetry metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueClass::Known => "known",
-            QueueClass::Unknown => "unknown",
-            QueueClass::Flagged => "flagged",
-        }
-    }
-
     /// The telemetry counter of queries shed from this class's queue.
     pub fn shed_metric(self) -> &'static str {
         match self {

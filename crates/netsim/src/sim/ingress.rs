@@ -54,7 +54,7 @@ impl World {
     }
 
     /// Sets (or clears) the RFC 7873 cookie-exemption secret on the
-    /// gate installed at `addr` (see [`IngressGate::with_cookie_secret`]).
+    /// gate installed at `addr` (see [`IngressGate::set_cookie_secret`]).
     /// Debug-asserts when no gate is installed — defense plans install
     /// engines before secrets.
     pub fn set_ingress_cookie_secret(&mut self, addr: Addr, secret: Option<u64>) {

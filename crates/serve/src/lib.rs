@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dike_auth::AuthServer;
-use dike_defense::DefensePlan;
+use dike_defense::{Defense, DefensePlan};
 use dike_netsim::service::{Clock, Transport};
 use dike_netsim::{Addr, DefenseLedger, GateAction, IngressGate, Node, SimDuration, SimTime};
 use dike_telemetry::sync::Mutex;
@@ -171,7 +171,8 @@ pub struct ServeConfig {
     /// validated, its engines composed exactly as the simulator would
     /// ([`DefensePlan::build_engines`]), and the first target's engine
     /// installed behind an [`IngressGate`] — a live instance serves one
-    /// ingress. ScaleOut defenses are control-plane actions and are
+    /// ingress. A cookie defense at that target arms the gate's
+    /// exemption. ScaleOut defenses are control-plane actions and are
     /// ignored in live mode.
     pub plan: Option<DefensePlan>,
     /// If set, a DNS-over-TCP listener on this address serves the same
@@ -183,7 +184,8 @@ pub struct ServeConfig {
     /// RFC 7873 cookie secret, applied to both sides of the seam: the
     /// [`AuthServer`] mints server cookies into responses, and the
     /// ingress gate (when a plan is mounted) exempts queries whose
-    /// cookie validates. Overrides any secret already set on either.
+    /// cookie validates. Overrides any secret already set on either,
+    /// the plan's cookie defense included.
     pub cookie_secret: Option<u64>,
     /// Interval between telemetry snapshots.
     pub telemetry_every: Duration,
@@ -254,9 +256,18 @@ impl LiveServer {
                     std::io::Error::new(ErrorKind::InvalidInput, format!("defense {i}: {e}"))
                 })?;
                 plan.build_engines()
-                    .into_values()
+                    .into_iter()
                     .next()
-                    .map(|engine| IngressGate::new(Box::new(engine)))
+                    .map(|(target, engine)| {
+                        let mut gate = IngressGate::new(Box::new(engine));
+                        // The plan's cookie layer at the mounted target, as
+                        // `DefensePlan::schedule` arms it in the simulator.
+                        gate.set_cookie_secret(plan.defenses.iter().find_map(|d| match d {
+                            Defense::Cookie { target: t, secret } if *t == target => Some(*secret),
+                            _ => None,
+                        }));
+                        gate
+                    })
             }
             None => None,
         };

@@ -14,9 +14,10 @@
 //! `DefensePlan` format the simulator's experiments use
 //! (`DefensePlan::to_json`). `--tcp-bind` adds a DNS-over-TCP listener
 //! (RFC 7766 framing) sharing the same zones — where resolvers land
-//! after a TC=1 slip. `--cookie-secret` arms RFC 7873 cookies: the
-//! server mints them and the mounted plan's gate exempts queries whose
-//! cookie validates. Runs until killed.
+//! after a TC=1 slip. A `cookie` defense in the plan arms the mounted
+//! gate's RFC 7873 exemption; `--cookie-secret` arms both halves (the
+//! server mints cookies and the gate exempts queries whose cookie
+//! validates) and overrides the plan's secret. Runs until killed.
 
 use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;

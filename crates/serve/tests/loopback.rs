@@ -378,6 +378,49 @@ fn cookie_exempt_client_sails_past_the_slipping_gate() {
     handle.stop();
 }
 
+/// A plan's own cookie layer arms the live gate's exemption, as
+/// `DefensePlan::schedule` does in the simulator, with no
+/// `ServeConfig.cookie_secret` set.
+#[test]
+fn a_plans_cookie_layer_exempts_on_the_live_gate() {
+    use dike_wire::cookie;
+    const SECRET: u64 = 0xc00c_1e5e;
+    let plan = DefensePlan::new()
+        .with(Defense::rrl(Addr(0), rrl_config()))
+        .with(Defense::cookie(Addr(0), SECRET));
+    let handle = LiveServer::start(
+        ServeConfig {
+            plan: Some(plan),
+            ..ServeConfig::default()
+        },
+        AuthServer::new().with_zone(Box::new(zone())),
+    )
+    .expect("bind loopback");
+    let client = udp_client(&handle);
+    let src = 0x7f00_0001; // 127.0.0.1 as the gate keys it
+
+    // Two plain queries spend the burst.
+    for id in 1..=2u16 {
+        let resp = codec::decode(&udp_exchange(&client, &query(id))).expect("decodes");
+        assert!(!resp.truncated, "query {id} answered in full");
+    }
+
+    let mut q = query(3);
+    let client_cookie = cookie::client_cookie_for(src, src);
+    let full = cookie::Cookie {
+        client: client_cookie,
+        server: Some(cookie::server_cookie(&client_cookie, src, SECRET).to_vec()),
+    };
+    cookie::set_cookie(&mut q, 1232, &full);
+    let resp = codec::decode(&udp_exchange(&client, &q)).expect("decodes");
+    assert!(!resp.truncated, "the plan's cookie layer exempts the query");
+
+    let ledger = handle.defense_ledger();
+    assert_eq!(ledger.cookie_exempt, 1, "{ledger:?}");
+    assert_eq!(ledger.rrl_limited, 0, "{ledger:?}");
+    handle.stop();
+}
+
 /// A static zone with every shape of answer: apex NS with in-zone
 /// addresses, a CNAME, an empty non-terminal (`deep`, `b.deep`) and a
 /// delegation with glue.

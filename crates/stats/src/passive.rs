@@ -7,9 +7,10 @@
 //! (Δ ≥ TTL), excludes sub-10-second parallel queries, and plots the
 //! ECDF of each recursive's median Δt (Figure 4).
 //!
-//! [`PassiveAnalyzer`] is that pipeline as a [`TraceSink`]: attach it to
-//! a simulation, let traffic flow, then read the same statistics the
-//! paper computed.
+//! [`PassiveTally`] is the per-source step of that pipeline and
+//! [`PassiveAnalyzer`] the capture in front of it, as a [`TraceSink`]:
+//! attach it to a simulation, let traffic flow, then read the same
+//! statistics the paper computed.
 
 use std::collections::HashMap;
 
@@ -26,9 +27,10 @@ pub struct PassiveReport {
     pub analyzed_sources: usize,
     /// Sources discarded for sending fewer.
     pub discarded_sources: usize,
-    /// All queries observed (for the watched names).
+    /// Queries sent by the analyzed sources.
     pub total_queries: usize,
-    /// Fraction of inter-arrivals under 10 s (parallel queries).
+    /// Inter-arrivals under 10 s (parallel queries), as a fraction of
+    /// `total_queries` (paper: ~28%).
     pub frac_under_10s: f64,
     /// Inter-arrivals with Δ < TTL (unnecessary refetches), after the
     /// <10 s exclusion — the paper's `AC` label.
@@ -37,18 +39,94 @@ pub struct PassiveReport {
     pub aa_intervals: usize,
     /// ECDF of per-source median Δt (seconds), the Figure 4 curve.
     pub median_dt_ecdf: Ecdf,
+    /// Fraction of those medians with |Δt − TTL| < TTL/10 — the
+    /// paper's "largest peak is at 3600 s".
+    pub frac_at_ttl: f64,
+    /// Fraction with |Δt − TTL/2| < TTL/10 (the paper's smaller peak
+    /// around 1800 s).
+    pub frac_at_half_ttl: f64,
 }
 
-impl PassiveReport {
-    /// Fraction of resolvers whose median Δt sits within ±10% of `ttl` —
-    /// the "peak at the TTL" measure.
-    pub fn frac_at(&self, ttl: f64) -> f64 {
-        if self.median_dt_ecdf.is_empty() {
-            return 0.0;
+/// The per-source step of the §4.1 analysis, as an accumulator: feed it
+/// each source's query timestamps with [`PassiveTally::add_source`],
+/// then read the [`PassiveReport`]. [`PassiveAnalyzer`] feeds it from a
+/// captured trace; the Figure 4 generator feeds it directly.
+#[derive(Debug, Default)]
+pub struct PassiveTally {
+    ttl: f64,
+    min_queries: usize,
+    analyzed: usize,
+    discarded: usize,
+    total: usize,
+    under_10: usize,
+    ac: usize,
+    aa: usize,
+    medians: Vec<f64>,
+}
+
+impl PassiveTally {
+    /// `ttl` is the zone TTL for AA/AC labeling and the peaks,
+    /// `min_queries` the per-source inclusion threshold (the paper
+    /// uses 5).
+    pub fn new(ttl: u32, min_queries: usize) -> Self {
+        PassiveTally {
+            ttl: ttl as f64,
+            min_queries,
+            ..PassiveTally::default()
         }
-        let hi = self.median_dt_ecdf.at(ttl * 1.1);
-        let lo = self.median_dt_ecdf.at(ttl * 0.9);
-        hi - lo
+    }
+
+    /// Adds one source: its query timestamps in seconds, one series per
+    /// watched name (inter-arrivals are taken per name, then pooled),
+    /// each in any order.
+    pub fn add_source(&mut self, per_name: &[Vec<f64>]) {
+        let n: usize = per_name.iter().map(Vec::len).sum();
+        if n < self.min_queries {
+            self.discarded += 1;
+            return;
+        }
+        self.analyzed += 1;
+        self.total += n;
+        let mut gaps: Vec<f64> = Vec::new();
+        for stamps in per_name {
+            let mut s = stamps.clone();
+            s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            gaps.extend(s.windows(2).map(|w| w[1] - w[0]));
+        }
+        self.under_10 += gaps.iter().filter(|&&g| g < 10.0).count();
+        // The paper excludes the parallel (<10 s) queries before taking
+        // the median.
+        gaps.retain(|&g| g >= 10.0);
+        let early = gaps.iter().filter(|&&g| g < self.ttl).count();
+        self.ac += early;
+        self.aa += gaps.len() - early;
+        if !gaps.is_empty() {
+            gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            self.medians.push(gaps[gaps.len() / 2]);
+        }
+    }
+
+    /// The statistics over every source added so far.
+    pub fn report(&self) -> PassiveReport {
+        let share = |k: usize, of: usize| if of == 0 { 0.0 } else { k as f64 / of as f64 };
+        let near = |center: f64| {
+            let n = self
+                .medians
+                .iter()
+                .filter(|&&m| (m - center).abs() < self.ttl * 0.10);
+            share(n.count(), self.medians.len())
+        };
+        PassiveReport {
+            analyzed_sources: self.analyzed,
+            discarded_sources: self.discarded,
+            total_queries: self.total,
+            frac_under_10s: share(self.under_10, self.total),
+            ac_intervals: self.ac,
+            aa_intervals: self.aa,
+            median_dt_ecdf: Ecdf::of(&self.medians),
+            frac_at_ttl: near(self.ttl),
+            frac_at_half_ttl: near(self.ttl / 2.0),
+        }
     }
 }
 
@@ -59,9 +137,8 @@ pub struct PassiveAnalyzer {
     servers: Vec<Addr>,
     names: Vec<Name>,
     qtype: RecordType,
-    /// (source, name index) → query timestamps (seconds).
-    series: HashMap<(Addr, usize), Vec<f64>>,
-    total: usize,
+    /// Per source, one timestamp series (seconds) per watched name.
+    series: HashMap<Addr, Vec<Vec<f64>>>,
 }
 
 impl PassiveAnalyzer {
@@ -76,69 +153,17 @@ impl PassiveAnalyzer {
             names: names.into_iter().collect(),
             qtype,
             series: HashMap::new(),
-            total: 0,
         }
     }
 
-    /// Runs the §4.1 analysis: `ttl` is the zone TTL for AA/AC labeling,
-    /// `min_queries` the per-source inclusion threshold (the paper uses 5).
+    /// Runs the §4.1 analysis on everything captured ([`PassiveTally`]
+    /// has the definitions).
     pub fn analyze(&self, ttl: u32, min_queries: usize) -> PassiveReport {
-        // Group per source across names.
-        let mut per_source: HashMap<Addr, Vec<&Vec<f64>>> = HashMap::new();
-        for ((src, _), stamps) in &self.series {
-            per_source.entry(*src).or_default().push(stamps);
+        let mut tally = PassiveTally::new(ttl, min_queries);
+        for per_name in self.series.values() {
+            tally.add_source(per_name);
         }
-
-        let mut analyzed = 0usize;
-        let mut discarded = 0usize;
-        let mut under_10 = 0usize;
-        let mut intervals = 0usize;
-        let mut ac = 0usize;
-        let mut aa = 0usize;
-        let mut medians = Vec::new();
-
-        for (_, name_series) in per_source {
-            let n: usize = name_series.iter().map(|s| s.len()).sum();
-            if n < min_queries {
-                discarded += 1;
-                continue;
-            }
-            analyzed += 1;
-            let mut gaps: Vec<f64> = Vec::new();
-            for stamps in name_series {
-                let mut s = stamps.clone();
-                s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                gaps.extend(s.windows(2).map(|w| w[1] - w[0]));
-            }
-            intervals += gaps.len();
-            under_10 += gaps.iter().filter(|&&g| g < 10.0).count();
-            gaps.retain(|&g| g >= 10.0);
-            for &g in &gaps {
-                if g < ttl as f64 {
-                    ac += 1;
-                } else {
-                    aa += 1;
-                }
-            }
-            if !gaps.is_empty() {
-                gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                medians.push(gaps[gaps.len() / 2]);
-            }
-        }
-
-        PassiveReport {
-            analyzed_sources: analyzed,
-            discarded_sources: discarded,
-            total_queries: self.total,
-            frac_under_10s: if intervals == 0 {
-                0.0
-            } else {
-                under_10 as f64 / intervals as f64
-            },
-            ac_intervals: ac,
-            aa_intervals: aa,
-            median_dt_ecdf: Ecdf::of(&medians),
-        }
+        tally.report()
     }
 }
 
@@ -167,10 +192,10 @@ impl TraceSink for PassiveAnalyzer {
         let Some(idx) = self.names.iter().position(|n| *n == q.name) else {
             return;
         };
-        self.total += 1;
+        let names = self.names.len();
         self.series
-            .entry((src, idx))
-            .or_default()
+            .entry(src)
+            .or_insert_with(|| vec![Vec::new(); names])[idx]
             .push(now.as_secs_f64());
     }
 }
@@ -215,7 +240,7 @@ mod tests {
         assert_eq!(r.analyzed_sources, 1);
         assert_eq!(r.aa_intervals, 5);
         assert_eq!(r.ac_intervals, 0);
-        assert!(r.frac_at(3600.0) > 0.99);
+        assert!(r.frac_at_ttl > 0.99);
     }
 
     #[test]
@@ -241,7 +266,7 @@ mod tests {
         let r = an.analyze(3600, 5);
         assert!(r.frac_under_10s > 0.4, "{}", r.frac_under_10s);
         // The median is computed on the >=10 s gaps only: ~3598 s.
-        assert!(r.frac_at(3600.0) > 0.99);
+        assert!(r.frac_at_ttl > 0.99);
     }
 
     #[test]

@@ -112,7 +112,7 @@ ns5  IN A 194.0.28.5
     );
     println!(
         "median-dt mass within 10% of the TTL: {:.0}%  (paper: the largest peak)",
-        report.frac_at(3600.0) * 100.0
+        report.frac_at_ttl * 100.0
     );
 }
 

@@ -502,7 +502,7 @@ fn fig4(ctx: &mut Ctx) {
     ctx.emit(&tbl);
     println!(
         "analyzed={} recursives, queries={}, <10s fraction={} (paper ~28%), peak@TTL={} vs peak@TTL/2={}",
-        r.analyzed,
+        r.analyzed_sources,
         r.total_queries,
         pct(r.frac_under_10s),
         pct(r.frac_at_ttl),
