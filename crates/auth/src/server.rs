@@ -1,6 +1,7 @@
 //! The authoritative server node.
 
-use dike_netsim::service::{Clock, Transport};
+use std::sync::Arc;
+
 use dike_netsim::{Addr, Context, Node, SimDuration, SimTime, TimerToken};
 use dike_wire::{Message, MessageBuilder, Opcode, Question, Rcode};
 
@@ -43,7 +44,8 @@ impl ZoneProvider for Zone {
 /// referrals vs negatives). All values are cumulative since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthStats {
-    /// Queries handled (every call to [`AuthServer::handle_query`]).
+    /// Queries answered, on every path: [`AuthServer::handle_query`],
+    /// [`AuthServer::respond`] and [`AuthServer::answer_stream`].
     pub queries: u64,
     /// Queries asking for an A record.
     pub queries_a: u64,
@@ -77,7 +79,6 @@ pub struct AuthStats {
 /// paper's Appendix A measures).
 pub struct AuthServer {
     zones: Vec<Box<dyn ZoneProvider>>,
-    queries_handled: u64,
     stats: AuthStats,
     /// RFC 7873 server-cookie secret. When set, responses to queries
     /// carrying a client cookie get the server half minted in — the
@@ -93,7 +94,6 @@ impl AuthServer {
     pub fn new() -> Self {
         AuthServer {
             zones: Vec::new(),
-            queries_handled: 0,
             stats: AuthStats::default(),
             cookie_secret: None,
         }
@@ -123,11 +123,6 @@ impl AuthServer {
         self
     }
 
-    /// Queries answered so far.
-    pub fn queries_handled(&self) -> u64 {
-        self.queries_handled
-    }
-
     /// Cumulative counters (queries by type, response dispositions).
     pub fn stats(&self) -> &AuthStats {
         &self.stats
@@ -147,11 +142,11 @@ impl AuthServer {
     /// larger than the transport allows (the client's EDNS0 advertised
     /// size, or RFC 1035's 512 octets without EDNS) are truncated: the
     /// record sections are emptied and the `TC` bit set, telling the
-    /// client to retry elsewhere (or over TCP, which the paper's
-    /// UDP-only measurements — and this simulator — do not model).
+    /// client to retry elsewhere, or over TCP (DESIGN.md §5.8,
+    /// [`AuthServer::answer_stream`]).
     pub fn handle_query(&mut self, now: SimTime, query: &Message) -> Message {
-        // NOTE: keep in sync with `serve_datagram`, which encodes once
-        // through the transport instead of calling `encoded_len`.
+        // NOTE: keep in sync with `respond`, which encodes once through
+        // the caller's encoder instead of calling `encoded_len`.
         let mut resp = self.answer_query(now, query);
         match dike_wire::codec::encoded_len(&resp) {
             Ok(len) if len > Self::payload_limit(query) => self.truncate(&mut resp),
@@ -181,32 +176,33 @@ impl AuthServer {
         self.stats.truncated += 1;
     }
 
-    /// Serves one datagram through the service seam: answer the query,
-    /// encode once through the transport's pooled buffer, and reuse the
-    /// bytes for both the size-limit check and the send (only the rare
-    /// truncation path re-encodes). This is the whole node-facing fast
-    /// path — [`Node::on_datagram`] delegates here with the simulator's
-    /// [`Context`], and `dike-serve` calls it with a live UDP transport,
-    /// so simulated and live servers answer byte-identically.
-    pub fn serve_datagram<C: Clock + Transport>(&mut self, ctx: &mut C, src: Addr, msg: &Message) {
-        if msg.is_response {
-            return; // authoritatives only answer queries
+    /// Answers one datagram from `src` at `now` and returns the bytes to
+    /// send back (`None` for a response message: authoritatives only
+    /// answer queries): [`AuthServer::answer_stream`]'s answer, truncated
+    /// when it exceeds the client's payload limit. It is encoded once
+    /// through `encode`, and those bytes serve both the size check and
+    /// the reply; only a truncated answer is encoded a second time.
+    /// [`Node::on_datagram`] calls this with the simulator's pooled
+    /// encoder and `dike-serve`'s socket loop with its own, so the two
+    /// worlds send byte-identical answers.
+    pub fn respond(
+        &mut self,
+        now: SimTime,
+        src: Addr,
+        query: &Message,
+        mut encode: impl FnMut(&Message) -> Arc<[u8]>,
+    ) -> Option<Arc<[u8]>> {
+        let mut resp = self.answer_stream(now, src, query)?;
+        let wire = encode(&resp);
+        if wire.len() <= Self::payload_limit(query) {
+            return Some(wire);
         }
-        let now = ctx.now();
-        let mut resp = self.answer_query(now, msg);
-        self.mint_cookie(src, msg, &mut resp);
-        let wire = ctx.encode(&resp);
-        if wire.len() > Self::payload_limit(msg) {
-            self.truncate(&mut resp);
-            // RFC 7873 §5.2: even a truncated response carries the
-            // server cookie, so the client's TCP retry (or UDP retry
-            // through a cookie-validating limiter) is already exempt.
-            self.mint_cookie(src, msg, &mut resp);
-            let wire = ctx.encode(&resp);
-            ctx.send_wire(src, wire);
-        } else {
-            ctx.send_wire(src, wire);
-        }
+        self.truncate(&mut resp);
+        // RFC 7873 §5.2: even a truncated response carries the server
+        // cookie, so the client's TCP retry (or UDP retry through a
+        // cookie-validating limiter) is already exempt.
+        self.mint_cookie(src, query, &mut resp);
+        Some(encode(&resp))
     }
 
     /// Answers one query received over a stream transport (TCP). No
@@ -226,20 +222,9 @@ impl AuthServer {
     /// `query` carried a client cookie. A no-op otherwise, so servers
     /// without the knob answer byte-identically to before.
     fn mint_cookie(&self, src: Addr, query: &Message, resp: &mut Message) {
-        let Some(secret) = self.cookie_secret else {
-            return;
-        };
-        let Some(c) = dike_wire::cookie::cookie_of(query) else {
-            return;
-        };
-        let full = dike_wire::Cookie {
-            client: c.client,
-            server: Some(dike_wire::cookie::server_cookie(&c.client, src.0, secret).to_vec()),
-        };
-        let size = query
-            .edns_payload_size()
-            .unwrap_or(dike_wire::MAX_UDP_PAYLOAD as u16);
-        dike_wire::cookie::set_cookie(resp, size, &full);
+        if let Some(secret) = self.cookie_secret {
+            dike_wire::cookie::complete(resp, query, src.0, secret);
+        }
     }
 
     /// Zone indices that want periodic rotation, with their intervals.
@@ -262,7 +247,6 @@ impl AuthServer {
     }
 
     fn answer_query(&mut self, now: SimTime, query: &Message) -> Message {
-        self.queries_handled += 1;
         self.stats.queries += 1;
         match query.question().map(|q| q.qtype) {
             Some(dike_wire::RecordType::A) => self.stats.queries_a += 1,
@@ -352,7 +336,9 @@ impl Node for AuthServer {
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, src: Addr, msg: &Message, _wire_len: usize) {
-        self.serve_datagram(ctx, src, msg);
+        if let Some(wire) = self.respond(ctx.now(), src, msg, |m| ctx.encode(m)) {
+            ctx.send_wire(src, wire);
+        }
     }
 
     fn on_tcp_message(
@@ -430,7 +416,7 @@ mod tests {
             panic!("expected AAAA")
         };
         assert_eq!(decode_probe_aaaa(addr).unwrap().probe_id, 1414);
-        assert_eq!(s.queries_handled(), 1);
+        assert_eq!(s.stats().queries, 1);
     }
 
     #[test]
@@ -509,9 +495,9 @@ mod tests {
         assert_eq!(resp.negative_ttl(), Some(60));
     }
 
-    #[test]
-    fn oversized_response_is_truncated_without_edns() {
-        // A zone with enough TXT data at one name to blow past 512 octets.
+    /// A zone with enough TXT data at one name to blow past 512 octets:
+    /// four 200-octet strings at `fat.big.test`.
+    fn fat_zone() -> Zone {
         let origin = name("big.test");
         let mut z = Zone::new(origin.clone(), 3600, default_soa(&origin));
         for i in 0..4 {
@@ -521,7 +507,12 @@ mod tests {
                 RData::Txt(vec![vec![b'a' + i as u8; 200]]),
             ));
         }
-        let mut s = AuthServer::new().with_zone(Box::new(z));
+        z
+    }
+
+    #[test]
+    fn oversized_response_is_truncated_without_edns() {
+        let mut s = AuthServer::new().with_zone(Box::new(fat_zone()));
 
         // Plain 512-octet client: truncated, empty sections.
         let q = Message::iterative_query(21, name("fat.big.test"), RecordType::TXT);
@@ -607,16 +598,7 @@ mod tests {
 
     #[test]
     fn answer_stream_never_truncates() {
-        let origin = name("big.test");
-        let mut z = Zone::new(origin.clone(), 3600, default_soa(&origin));
-        for i in 0..4 {
-            z.add(Record::new(
-                name("fat.big.test"),
-                60,
-                RData::Txt(vec![vec![b'a' + i as u8; 200]]),
-            ));
-        }
-        let mut s = AuthServer::new().with_zone(Box::new(z));
+        let mut s = AuthServer::new().with_zone(Box::new(fat_zone()));
         let q = Message::iterative_query(31, name("fat.big.test"), RecordType::TXT);
         // The same query truncates over UDP (no EDNS, > 512 octets)…
         let udp = s.handle_query(SimTime::ZERO, &q);
@@ -628,6 +610,63 @@ mod tests {
         assert!(!tcp.truncated);
         assert_eq!(tcp.answers.len(), 4);
         assert_eq!(s.stats().truncated, 1, "only the UDP path truncated");
+    }
+
+    /// Runs [`AuthServer::respond`] with a counting encoder and returns
+    /// the reply, decoded, with the number of encodes it took.
+    fn respond_counting(s: &mut AuthServer, src: Addr, q: &Message) -> (Option<Message>, usize) {
+        let mut enc = dike_wire::codec::EncodeBuffer::new();
+        let mut encodes = 0;
+        let wire = s.respond(SimTime::ZERO, src, q, |m| {
+            encodes += 1;
+            enc.encode(m).expect("encodable")
+        });
+        let reply = wire.map(|w| dike_wire::codec::decode(&w).expect("decodable"));
+        (reply, encodes)
+    }
+
+    #[test]
+    fn respond_truncates_then_re_mints_the_cookie() {
+        use dike_wire::cookie;
+        let mut s = AuthServer::new()
+            .with_zone(Box::new(fat_zone()))
+            .with_cookie_secret(0x5eed);
+        let src = Addr(0x0a00_0009);
+        let client = cookie::Cookie::client_only(cookie::client_cookie_for(src.0, 0x0a00_0001));
+        let query = |id, qname| {
+            let mut q = Message::iterative_query(id, name(qname), RecordType::TXT).with_edns(512);
+            cookie::set_cookie(&mut q, 512, &client);
+            q
+        };
+        let validates =
+            |m: &Message| cookie::cookie_of(m).is_some_and(|c| cookie::validate(&c, src.0, 0x5eed));
+
+        // Over the limit: encoded, truncated, re-minted, encoded again.
+        let (reply, encodes) = respond_counting(&mut s, src, &query(41, "fat.big.test"));
+        let reply = reply.expect("a query is answered");
+        assert!(reply.truncated);
+        assert!(reply.answers.is_empty() && reply.authorities.is_empty());
+        assert_eq!(reply.additionals.len(), 1, "only the OPT survives");
+        assert!(
+            validates(&reply),
+            "the TC=1 answer carries the server cookie"
+        );
+        assert_eq!(encodes, 2);
+        assert_eq!(s.stats().truncated, 1);
+
+        // Within the limit: one encode, the same cookie.
+        let (reply, encodes) = respond_counting(&mut s, src, &query(42, "thin.big.test"));
+        let reply = reply.expect("a query is answered");
+        assert!(!reply.truncated);
+        assert!(validates(&reply));
+        assert_eq!(encodes, 1);
+        assert_eq!(s.stats().truncated, 1);
+
+        // A response message: no answer, no encode, no query counted.
+        let mut stray = query(43, "fat.big.test");
+        stray.is_response = true;
+        assert_eq!(respond_counting(&mut s, src, &stray), (None, 0));
+        assert_eq!(s.stats().queries, 2);
     }
 
     #[test]

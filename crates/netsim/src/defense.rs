@@ -310,19 +310,8 @@ impl IngressGate {
                     // Holding the secret, complete the cookie: the slip
                     // doubles as the cookie handshake, and the client's
                     // *next* query bypasses RRL (RFC 7873 §5.2.3).
-                    if let (Some(secret), Some(c)) =
-                        (self.cookie_secret, dike_wire::cookie::cookie_of(msg))
-                    {
-                        let full = dike_wire::Cookie {
-                            client: c.client,
-                            server: Some(
-                                dike_wire::cookie::server_cookie(&c.client, src.0, secret).to_vec(),
-                            ),
-                        };
-                        let size = msg
-                            .edns_payload_size()
-                            .unwrap_or(dike_wire::MAX_UDP_PAYLOAD as u16);
-                        dike_wire::cookie::set_cookie(&mut resp, size, &full);
+                    if let Some(secret) = self.cookie_secret {
+                        dike_wire::cookie::complete(&mut resp, msg, src.0, secret);
                     }
                 }
                 GateAction::Drop { slip: Some(resp) }

@@ -39,10 +39,6 @@
 //!   `dike-faults` crate.
 //! * [`audit`] — pull-based invariant checker (datagram conservation,
 //!   decode-once, timer hygiene) that fault-heavy runs assert clean.
-//! * [`service`] — the node-facing service seam ([`Clock`] +
-//!   [`Transport`] + the [`IngressGate`] hook): server logic written
-//!   against it runs unchanged in the simulator and on live UDP
-//!   sockets (the `dike-serve` crate).
 //! * Telemetry — attach a [`dike_telemetry::MetricsRegistry`] with
 //!   [`Simulator::attach_telemetry`] and the simulator publishes its
 //!   event/datagram counters plus every node's
@@ -65,7 +61,6 @@ mod event;
 mod link;
 mod node;
 pub mod queueing;
-pub mod service;
 mod sim;
 mod time;
 pub mod trace;
@@ -83,7 +78,6 @@ pub use queueing::{
     ClassedQueue, ClassedQueueConfig, QueueClass, QueueConfig, QueueOutcome, ServiceQueue,
     QUEUE_CLASSES,
 };
-pub use service::{Clock, Transport};
 pub use shard::{
     even_starts, Envelope, ShardAuditReport, ShardConfig, ShardedSim, DEFAULT_LOOKAHEAD,
 };

@@ -500,15 +500,32 @@ impl Simulator {
             let idx = self.started_upto;
             self.started_upto += 1;
             let id = NodeId(idx as u32);
-            let addr = self.world.addr_of(id);
-            let mut node = self.nodes[idx].take().expect("node missing during start");
-            node.on_start(&mut Context {
+            self.dispatch(id, self.world.addr_of(id), |node, ctx| node.on_start(ctx));
+        }
+    }
+
+    /// Checks node `id` out of the registry, runs `f` on it with a
+    /// [`Context`] that sends from `addr`, and puts it back. A node that
+    /// is already checked out is skipped (cannot happen single-threaded).
+    fn dispatch(
+        &mut self,
+        id: NodeId,
+        addr: Addr,
+        f: impl FnOnce(&mut dyn Node, &mut Context<'_>),
+    ) {
+        let idx = id.0 as usize;
+        let Some(mut node) = self.nodes[idx].take() else {
+            return;
+        };
+        f(
+            &mut *node,
+            &mut Context {
                 world: &mut self.world,
                 node: id,
                 addr,
-            });
-            self.nodes[idx] = Some(node);
-        }
+            },
+        );
+        self.nodes[idx] = Some(node);
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -611,22 +628,10 @@ impl Simulator {
     /// or after its wait in a service or defense queue) to its node.
     /// Takes the message decoded at ingress — this path never re-decodes.
     fn hand_to_node(&mut self, src: Addr, msg: &Message, wire_len: usize, id: NodeId, local: Addr) {
-        let idx = id.0 as usize;
-        self.world.nodes.delivered[idx] += 1;
-        let Some(mut node) = self.nodes[idx].take() else {
-            return; // node is mid-dispatch; cannot happen single-threaded
-        };
-        node.on_datagram(
-            &mut Context {
-                world: &mut self.world,
-                node: id,
-                addr: local,
-            },
-            src,
-            msg,
-            wire_len,
-        );
-        self.nodes[idx] = Some(node);
+        self.world.nodes.delivered[id.0 as usize] += 1;
+        self.dispatch(id, local, |node, ctx| {
+            node.on_datagram(ctx, src, msg, wire_len)
+        });
     }
 
     /// Runs the restart sequence on a node that just came back up:
@@ -634,35 +639,16 @@ impl Simulator {
     /// caches), then `on_start` to re-arm its initial timers in the new
     /// epoch.
     fn restart_node(&mut self, id: NodeId, cold: bool) {
-        let idx = id.0 as usize;
-        let Some(mut node) = self.nodes[idx].take() else {
-            return;
-        };
-        node.on_restart(cold);
-        let addr = self.world.addr_of(id);
-        node.on_start(&mut Context {
-            world: &mut self.world,
-            node: id,
-            addr,
+        self.dispatch(id, self.world.addr_of(id), |node, ctx| {
+            node.on_restart(cold);
+            node.on_start(ctx);
         });
-        self.nodes[idx] = Some(node);
     }
 
     fn dispatch_timer(&mut self, id: NodeId, token: TimerToken) {
-        let idx = id.0 as usize;
-        let Some(mut node) = self.nodes[idx].take() else {
-            return;
-        };
-        let addr = self.world.addr_of(id);
-        node.on_timer(
-            &mut Context {
-                world: &mut self.world,
-                node: id,
-                addr,
-            },
-            token,
-        );
-        self.nodes[idx] = Some(node);
+        self.dispatch(id, self.world.addr_of(id), |node, ctx| {
+            node.on_timer(ctx, token)
+        });
     }
 
     /// Runs until the queue is empty. With telemetry attached, a final

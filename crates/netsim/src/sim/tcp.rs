@@ -38,7 +38,6 @@ use dike_wire::Message;
 use super::{Simulator, World};
 use crate::addr::{Addr, NodeId};
 use crate::event::Event;
-use crate::node::{Context, Node};
 use crate::time::{SimDuration, SimTime};
 
 /// Handle to a simulated TCP connection. Ids are allocated monotonically
@@ -484,7 +483,7 @@ impl Simulator {
         if !self.world.nodes.up[client.0 as usize] {
             return; // crash teardown raced this event out of the queue
         }
-        self.dispatch_tcp(client, |node, ctx| {
+        self.dispatch(client, self.world.addr_of(client), |node, ctx| {
             node.on_tcp_connected(ctx, TcpConnId(conn), server_addr)
         });
     }
@@ -518,7 +517,7 @@ impl Simulator {
         if !self.world.nodes.up[target.0 as usize] {
             return; // crash teardown races: conn removal is same-instant
         }
-        self.dispatch_tcp(target, |node, ctx| {
+        self.dispatch(target, self.world.addr_of(target), |node, ctx| {
             node.on_tcp_message(ctx, TcpConnId(conn), peer_addr, msg, wire_len)
         });
     }
@@ -529,7 +528,7 @@ impl Simulator {
         if !self.world.nodes.up[nidx] || self.world.nodes.epoch[nidx] != epoch {
             return; // the peer crashed (or restarted) in the meantime
         }
-        self.dispatch_tcp(notify, |node, ctx| {
+        self.dispatch(notify, self.world.addr_of(notify), |node, ctx| {
             node.on_tcp_closed(ctx, TcpConnId(conn), reset)
         });
     }
@@ -564,24 +563,5 @@ impl Simulator {
                 },
             );
         }
-    }
-
-    /// Checks a node out of the registry, runs a TCP hook against the
-    /// world, and puts it back — the `dispatch_timer` pattern.
-    fn dispatch_tcp(&mut self, id: NodeId, f: impl FnOnce(&mut Box<dyn Node>, &mut Context<'_>)) {
-        let idx = id.0 as usize;
-        let Some(mut node) = self.nodes[idx].take() else {
-            return;
-        };
-        let addr = self.world.addr_of(id);
-        f(
-            &mut node,
-            &mut Context {
-                world: &mut self.world,
-                node: id,
-                addr,
-            },
-        );
-        self.nodes[idx] = Some(node);
     }
 }

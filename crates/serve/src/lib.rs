@@ -2,25 +2,24 @@
 
 //! # dike-serve
 //!
-//! The second implementation of the service seam (DESIGN.md §5.6): the
-//! same [`AuthServer`] and [`DefensePlan`] layers that run inside the
-//! simulator, mounted on real UDP sockets via `std::net`.
+//! The same [`AuthServer`] and [`DefensePlan`] layers that run inside
+//! the simulator, mounted on real UDP sockets via `std::net`
+//! (DESIGN.md §5.6).
 //!
-//! The simulator implements [`Clock`] and [`Transport`] with virtual
-//! time and the event heap; this crate implements them with a monotonic
-//! wall-clock anchor ([`WallClock`]) and a bound [`UdpSocket`]
-//! ([`LiveContext`]). Server logic — query answering, truncation, the
-//! [`IngressGate`] defense accounting — is written once against the
-//! seam and does not know which world it is in, which is what makes the
-//! loopback parity test possible: the same queries against the same
-//! zone and plan produce byte-identical answers and matching defense
-//! ledgers in both modes.
+//! Both worlds answer a datagram the same way: run it through an
+//! [`IngressGate`], then call [`AuthServer::respond`] with the current
+//! time and an encoder, and send the bytes it returns. The simulator
+//! passes virtual time and its pooled encoder; the socket loop passes
+//! [`WallClock::now`] and its own [`EncodeBuffer`]. That one function
+//! is what makes the loopback parity test possible: the same queries
+//! against the same zone and plan produce byte-identical answers and
+//! matching defense ledgers in both modes.
 //!
 //! Threading model: one thread per UDP socket (queries are independent;
 //! the socket thread owns the encode buffer and takes the one state
 //! lock once per datagram), an optional TCP accept thread plus one thread
 //! per DNS-over-TCP connection (RFC 7766 two-byte length framing,
-//! served through [`AuthServer::answer_stream`] — the same seam the
+//! served through [`AuthServer::answer_stream`] — the function the
 //! simulator's `on_tcp_message` path uses, so stream answers match the
 //! sim byte for byte), and an optional telemetry thread that publishes
 //! live snapshots — to a JSON file, a trivial HTTP endpoint, or both —
@@ -42,21 +41,19 @@ use std::time::{Duration, Instant};
 
 use dike_auth::AuthServer;
 use dike_defense::{Defense, DefensePlan};
-use dike_netsim::service::{Clock, Transport};
 use dike_netsim::{Addr, DefenseLedger, GateAction, IngressGate, Node, SimDuration, SimTime};
 use dike_telemetry::sync::Mutex;
 use dike_telemetry::{MetricsRegistry, NodePublisher};
 use dike_wire::codec::{self, EncodeBuffer};
-use dike_wire::Message;
 
 /// How long the socket thread blocks in `recv_from` before re-checking
 /// the shutdown flag and due zone rotations.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// A monotonic wall clock mapped onto [`SimTime`]: nanoseconds since
-/// the server started. Node logic written against [`Clock`] sees the
-/// same type and the same "time starts at zero" convention in both
-/// worlds.
+/// the server started, so the `now` the socket loop hands
+/// [`AuthServer::respond`] and the [`IngressGate`] has the simulator's
+/// type and its "time starts at zero" convention.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {
     epoch: Instant,
@@ -69,6 +66,11 @@ impl WallClock {
             epoch: Instant::now(),
         }
     }
+
+    /// The current instant.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+    }
 }
 
 impl Default for WallClock {
@@ -77,62 +79,16 @@ impl Default for WallClock {
     }
 }
 
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-}
-
-/// The seam address of a socket peer: the IPv4 address as a `u32` (the
-/// low 32 bits for IPv6). Ports are deliberately dropped — the seam's
-/// [`Addr`] is what RRL prefix aggregation and classifiers key on, and
-/// those operate on hosts, not flows.
+/// The [`Addr`] of a socket peer: the IPv4 address as a `u32` (the
+/// low 32 bits for IPv6). Ports are deliberately dropped — an [`Addr`]
+/// is what RRL prefix aggregation and classifiers key on, and those
+/// operate on hosts, not flows.
 pub fn addr_of_peer(peer: SocketAddr) -> Addr {
     match peer.ip() {
         IpAddr::V4(ip) => Addr(u32::from(ip)),
         IpAddr::V6(ip) => {
             let o = ip.octets();
             Addr(u32::from_be_bytes([o[12], o[13], o[14], o[15]]))
-        }
-    }
-}
-
-/// The live implementation of the service seam, built per datagram: a
-/// wall clock, the serving socket, and the peer the current query came
-/// from. [`Transport::send_wire`] replies to that peer — the only
-/// destination a single-socket authoritative ever sends to.
-pub struct LiveContext<'a> {
-    clock: WallClock,
-    socket: &'a UdpSocket,
-    peer: SocketAddr,
-    local: Addr,
-    enc: &'a mut EncodeBuffer,
-    send_errors: &'a mut u64,
-}
-
-impl Clock for LiveContext<'_> {
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-}
-
-impl Transport for LiveContext<'_> {
-    fn self_addr(&self) -> Addr {
-        self.local
-    }
-
-    fn encode(&mut self, msg: &Message) -> Arc<[u8]> {
-        self.enc.encode(msg).expect("server response encodes")
-    }
-
-    fn send_wire(&mut self, dst: Addr, payload: Arc<[u8]>) {
-        debug_assert_eq!(
-            dst,
-            addr_of_peer(self.peer),
-            "a live authoritative only replies to the querying peer"
-        );
-        if self.socket.send_to(&payload, self.peer).is_err() {
-            *self.send_errors += 1;
         }
     }
 }
@@ -181,7 +137,7 @@ pub struct ServeConfig {
     /// the ingress gate, mirroring the simulator's stream path — this
     /// is where a resolver lands after a TC=1 slip.
     pub tcp_bind: Option<SocketAddr>,
-    /// RFC 7873 cookie secret, applied to both sides of the seam: the
+    /// RFC 7873 cookie secret, applied to both sides of the handshake: the
     /// [`AuthServer`] mints server cookies into responses, and the
     /// ingress gate (when a plan is mounted) exempts queries whose
     /// cookie validates. Overrides any secret already set on either,
@@ -302,9 +258,8 @@ impl LiveServer {
         {
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
-            let local = addr_of_peer(local_addr);
             threads.push(std::thread::spawn(move || {
-                socket_loop(&socket, local, &shared, &shutdown, rotations);
+                socket_loop(&socket, &shared, &shutdown, rotations);
             }));
         }
         if let Some(listener) = tcp_listener {
@@ -407,13 +362,12 @@ impl Drop for LiveServer {
     }
 }
 
-/// The per-socket serve loop: decode, run the ingress gate, serve
-/// through the seam. Mirrors the simulator's delivery pipeline — the
-/// gate did all defense accounting, the loop only obeys the
-/// [`GateAction`].
+/// The per-socket serve loop: decode, run the ingress gate, answer
+/// through [`AuthServer::respond`]. Mirrors the simulator's delivery
+/// pipeline — the gate did all defense accounting, the loop only obeys
+/// the [`GateAction`].
 fn socket_loop(
     socket: &UdpSocket,
-    local: Addr,
     shared: &Shared,
     shutdown: &AtomicBool,
     rotations: Vec<(usize, SimDuration)>,
@@ -452,33 +406,27 @@ fn socket_loop(
             continue;
         };
         let action = core.gate.as_mut().map(|gate| gate.on_query(now, src, &msg));
-        match action {
+        let reply = match action {
             Some(GateAction::Drop { slip }) => {
-                drop(core);
-                if let Some(resp) = slip {
-                    let payload = enc.encode(&resp).expect("slip response encodes");
-                    if socket.send_to(&payload, peer).is_err() {
-                        send_errors += 1;
-                    }
-                }
-                continue;
+                slip.map(|resp| enc.encode(&resp).expect("slip response encodes"))
             }
             // An accepted-with-delay query is served immediately: the
             // queueing delay is recorded in the gate's histograms, but a
             // single-socket loop does not hold the reply back (the
             // simulator models the wait; a live thread sleeping would
             // head-of-line-block every later query instead).
-            Some(GateAction::DeliverAfter(_)) | Some(GateAction::Deliver) | None => {}
-        }
-        let mut ctx = LiveContext {
-            clock: shared.clock,
-            socket,
-            peer,
-            local,
-            enc: &mut enc,
-            send_errors: &mut send_errors,
+            Some(GateAction::DeliverAfter(_)) | Some(GateAction::Deliver) | None => {
+                core.server.respond(now, src, &msg, |m| {
+                    enc.encode(m).expect("server response encodes")
+                })
+            }
         };
-        core.server.serve_datagram(&mut ctx, src, &msg);
+        drop(core);
+        if let Some(payload) = reply {
+            if socket.send_to(&payload, peer).is_err() {
+                send_errors += 1;
+            }
+        }
     }
     shared.core.lock().stats.fold_send_errors(&mut send_errors);
 }
@@ -682,6 +630,7 @@ fn serve_http_snapshot(mut stream: TcpStream, body: &str) {
 mod tests {
     use super::*;
     use dike_telemetry::check;
+    use dike_wire::Message;
 
     #[test]
     fn wall_clock_is_monotonic_from_zero() {

@@ -2,10 +2,9 @@
 //! the simulator and once through a `dike-serve` socket on 127.0.0.1,
 //! must produce byte-identical answers and matching defense ledgers.
 //!
-//! This is the acceptance test of the service seam (DESIGN.md §5.6):
-//! the server logic and the ingress gate are the same code in both
-//! worlds, so any divergence here means one side grew a hidden
-//! dependency on its world.
+//! This is the acceptance test of DESIGN.md §5.6: `AuthServer::respond`
+//! and the ingress gate are the same code in both worlds, so any
+//! divergence here means one side grew a hidden dependency on its world.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpStream, UdpSocket};

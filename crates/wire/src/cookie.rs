@@ -200,6 +200,25 @@ pub fn set_cookie(msg: &mut Message, payload_size: u16, cookie: &Cookie) {
     *raw = out;
 }
 
+/// Completes the cookie handshake in `resp`, a server's response to
+/// `query` from `src_addr`: when `query` carries a client cookie, `resp`
+/// gets the full cookie, its server half minted under `secret` (via
+/// [`set_cookie`], advertising the query's EDNS size or 512). A no-op
+/// when `query` carries no cookie.
+pub fn complete(resp: &mut Message, query: &Message, src_addr: u32, secret: u64) {
+    let Some(c) = cookie_of(query) else {
+        return;
+    };
+    let full = Cookie {
+        client: c.client,
+        server: Some(server_cookie(&c.client, src_addr, secret).to_vec()),
+    };
+    let size = query
+        .edns_payload_size()
+        .unwrap_or(crate::MAX_UDP_PAYLOAD as u16);
+    set_cookie(resp, size, &full);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
