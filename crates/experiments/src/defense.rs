@@ -17,7 +17,8 @@
 //!   defense layer draws no randomness, so the "none" row reproduces
 //!   the plain Experiment H run exactly.
 //! * The spoofed fleet is deterministic too: timer-paced sources, one
-//!   node per spoofed address, staggered starts — no RNG.
+//!   node per spoofed address, staggered starts, one encoded query per
+//!   source — no RNG.
 
 use std::sync::Arc;
 
@@ -56,6 +57,63 @@ pub struct SpoofedFlood {
     pub duration_min: u64,
 }
 
+/// First query id of the spoofed flood; source `i` sends id
+/// `FLOOD_FIRST_ID + i`.
+const FLOOD_FIRST_ID: u16 = 50_000;
+
+/// First query id of the late wave; resolver `i` sends id
+/// `WAVE_FIRST_ID + i`, below the flood's range.
+const WAVE_FIRST_ID: u16 = 40_000;
+
+/// Most sources a flood may have: their ids run from
+/// [`FLOOD_FIRST_ID`] to `u16::MAX` without wrapping into the probe ids.
+const MAX_FLOOD_SOURCES: usize = (u16::MAX - FLOOD_FIRST_ID) as usize + 1;
+
+/// Most resolvers a late wave may install: their ids run from
+/// [`WAVE_FIRST_ID`] up to, not into, the flood's range.
+const MAX_LATE_ARRIVALS: usize = (FLOOD_FIRST_ID - WAVE_FIRST_ID) as usize;
+
+/// Why a spoofed flood or late wave cannot be installed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FleetError {
+    /// The rate is NaN, infinite or out of range: a flood needs a
+    /// positive rate, a wave a non-negative one.
+    RateOutOfRange(f64),
+    /// The flood's rate paces its sources below one nanosecond, so a
+    /// source would re-arm at the same instant forever.
+    ZeroInterval(f64),
+    /// More flood sources than the 15,536 query ids from 50,000 up.
+    TooManySources(usize),
+    /// More late resolvers than the 10,000 query ids from 40,000 up to
+    /// the flood's range.
+    TooManyArrivals(usize),
+}
+
+impl std::fmt::Display for FleetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetError::RateOutOfRange(r) => write!(f, "rate {r} is out of range"),
+            FleetError::ZeroInterval(r) => {
+                write!(f, "rate {r} q/s paces a source below one nanosecond")
+            }
+            FleetError::TooManySources(n) => {
+                write!(
+                    f,
+                    "{n} sources exceed the {MAX_FLOOD_SOURCES} flood query ids"
+                )
+            }
+            FleetError::TooManyArrivals(n) => {
+                write!(
+                    f,
+                    "{n} arrivals exceed the {MAX_LATE_ARRIVALS} late-wave query ids"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for FleetError {}
+
 impl SpoofedFlood {
     /// A flood aligned with an attack window.
     pub fn aligned_with(attack: &AttackPlan, sources: usize, qps_per_source: f64) -> SpoofedFlood {
@@ -65,6 +123,28 @@ impl SpoofedFlood {
             start_min: attack.start_min,
             duration_min: attack.duration_min,
         }
+    }
+
+    /// One source's pacing interval.
+    fn interval(&self) -> SimDuration {
+        SimDuration::from_secs_f64(1.0 / self.qps_per_source)
+    }
+
+    /// Checks that the flood can be installed: a finite positive rate
+    /// that paces each source at least one nanosecond apart, and no more
+    /// sources than query ids.
+    pub fn validate(&self) -> Result<(), FleetError> {
+        let rate = self.qps_per_source;
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err(FleetError::RateOutOfRange(rate));
+        }
+        if self.interval() == SimDuration::ZERO {
+            return Err(FleetError::ZeroInterval(rate));
+        }
+        if self.sources > MAX_FLOOD_SOURCES {
+            return Err(FleetError::TooManySources(self.sources));
+        }
+        Ok(())
     }
 }
 
@@ -91,8 +171,18 @@ struct SpoofedSource {
     interval: SimDuration,
     end: SimTime,
     query_id: u16,
+    /// The source's one query, encoded at its first tick and resent as
+    /// the same refcounted bytes on every later one.
+    payload: Option<Arc<[u8]>>,
     next_target: usize,
     stats: Arc<Mutex<SpoofedStats>>,
+}
+
+/// The query a source with `id` sends, every tick: an iterative
+/// `{id}.cachetest.nl AAAA` carrying `id` as its message id.
+fn spoofed_query(id: u16) -> Message {
+    let name = Name::parse(&format!("{id}.cachetest.nl")).expect("a numeric label parses");
+    Message::iterative_query(id, name, RecordType::AAAA)
 }
 
 impl Node for SpoofedSource {
@@ -115,43 +205,48 @@ impl Node for SpoofedSource {
         if ctx.now() >= self.end {
             return;
         }
-        let name = Name::parse(&format!("{}.cachetest.nl", self.query_id)).unwrap();
-        let q = Message::iterative_query(self.query_id, name, RecordType::AAAA);
+        let id = self.query_id;
+        let payload = self
+            .payload
+            .get_or_insert_with(|| ctx.encode(&spoofed_query(id)))
+            .clone();
         let dst = self.targets[self.next_target % 2];
         self.next_target += 1;
-        ctx.send(dst, &q);
+        ctx.send_wire(dst, payload);
         self.stats.lock().sent += 1;
         ctx.set_timer(self.interval, TimerToken(0));
     }
 }
 
-/// Adds the fleet to a built world. Returns the shared tally; callers
-/// unwrap it after the simulator is dropped.
+/// Adds the fleet to a built world, or refuses an invalid flood before
+/// adding anything. Returns the shared tally; callers unwrap it after
+/// the simulator is dropped.
 pub(crate) fn install_spoofed_flood(
     sim: &mut Simulator,
     flood: &SpoofedFlood,
     targets: [Addr; 2],
-) -> Arc<Mutex<SpoofedStats>> {
+) -> Result<Arc<Mutex<SpoofedStats>>, FleetError> {
+    flood.validate()?;
     let stats = Arc::new(Mutex::new(SpoofedStats::default()));
     let start = SimDuration::from_mins(flood.start_min);
     let end = (start + SimDuration::from_mins(flood.duration_min)).after_zero();
-    let interval = SimDuration::from_secs_f64(1.0 / flood.qps_per_source.max(0.001));
+    let interval = flood.interval();
     for i in 0..flood.sources {
         // Stagger sources across one pacing interval so the fleet's
         // aggregate is smooth, not `sources`-sized pulses.
-        let stagger =
-            SimDuration::from_nanos(interval.as_nanos() * i as u64 / flood.sources.max(1) as u64);
+        let stagger = interval.as_nanos() as u128 * i as u128 / flood.sources as u128;
         sim.add_node(Box::new(SpoofedSource {
             targets,
-            first_fire: start + stagger,
+            first_fire: start + SimDuration::from_nanos(stagger as u64),
             interval,
             end,
-            query_id: 50_000u16.wrapping_add(i as u16),
+            query_id: FLOOD_FIRST_ID + i as u16,
+            payload: None,
             next_target: i % 2,
             stats: stats.clone(),
         }));
     }
-    stats
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------
@@ -190,24 +285,39 @@ impl LateResolverWave {
     pub fn count(&self) -> usize {
         (self.arrivals_per_min * self.window_min as f64).ceil() as usize
     }
+
+    /// Checks that the wave can be installed: a finite non-negative
+    /// arrival rate, and no more resolvers than query ids.
+    pub fn validate(&self) -> Result<(), FleetError> {
+        let rate = self.arrivals_per_min;
+        if !rate.is_finite() || rate < 0.0 {
+            return Err(FleetError::RateOutOfRange(rate));
+        }
+        if self.count() > MAX_LATE_ARRIVALS {
+            return Err(FleetError::TooManyArrivals(self.count()));
+        }
+        Ok(())
+    }
 }
 
 /// Adds the wave to a built world, reusing the timer-paced source node:
 /// on the wire a late legitimate resolver and a slow spoofed source are
 /// the same traffic — which is exactly why history classification
-/// cannot tell them apart. Returns the shared tally.
+/// cannot tell them apart. Refuses an invalid wave before adding
+/// anything; returns the shared tally.
 pub(crate) fn install_late_wave(
     sim: &mut Simulator,
     wave: &LateResolverWave,
     targets: [Addr; 2],
-) -> Arc<Mutex<SpoofedStats>> {
+) -> Result<Arc<Mutex<SpoofedStats>>, FleetError> {
+    wave.validate()?;
     let stats = Arc::new(Mutex::new(SpoofedStats::default()));
     let n = wave.count();
     let interval = SimDuration::from_secs_f64(1.0 / LATE_RESOLVER_QPS);
     let end = SimDuration::from_mins(wave.start_min + wave.window_min).after_zero();
     for i in 0..n {
         let arrival = SimDuration::from_secs_f64(
-            wave.start_min as f64 * 60.0 + i as f64 * 60.0 / wave.arrivals_per_min.max(0.001),
+            wave.start_min as f64 * 60.0 + i as f64 * 60.0 / wave.arrivals_per_min,
         );
         sim.add_node(Box::new(SpoofedSource {
             targets,
@@ -216,12 +326,13 @@ pub(crate) fn install_late_wave(
             end,
             // Distinct probe-name space from the flood (50_000..), so the
             // server-side view can tell the fleets apart if it cares.
-            query_id: 40_000u16.wrapping_add(i as u16),
+            query_id: WAVE_FIRST_ID + i as u16,
+            payload: None,
             next_target: i % 2,
             stats: stats.clone(),
         }));
     }
-    stats
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------
@@ -433,6 +544,177 @@ pub fn defense_grid(scale: f64, seed: u64) -> SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::{run_experiment, sole};
+    use dike_netsim::trace::{self, MemoryTrace};
+    use dike_netsim::{LatencyModel, LinkParams, LinkTable};
+
+    fn flood(sources: usize, qps_per_source: f64) -> SpoofedFlood {
+        SpoofedFlood {
+            sources,
+            qps_per_source,
+            start_min: 1,
+            duration_min: 1,
+        }
+    }
+
+    fn wave(arrivals_per_min: f64, window_min: u64) -> LateResolverWave {
+        LateResolverWave {
+            arrivals_per_min,
+            start_min: 1,
+            window_min,
+        }
+    }
+
+    #[test]
+    fn a_flood_rate_must_be_finite_and_positive() {
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0] {
+            let err = flood(1, rate).validate().unwrap_err();
+            assert_eq!(format!("{err:?}"), format!("RateOutOfRange({rate:?})"));
+        }
+        assert_eq!(flood(1, 1e-300).validate(), Ok(()));
+    }
+
+    /// A valid but very slow flood: the stagger of source 23 inside a
+    /// 10^18 ns interval is past `u64::MAX` before the division.
+    #[test]
+    fn a_slow_flood_staggers_without_overflow() {
+        let mut sim = Simulator::new(1);
+        let slow = flood(24, 1e-9);
+        assert!(install_spoofed_flood(&mut sim, &slow, [Addr(1), Addr(2)]).is_ok());
+    }
+
+    #[test]
+    fn a_flood_paces_its_sources_at_least_a_nanosecond_apart() {
+        assert_eq!(flood(1, 1e9).validate(), Ok(()));
+        assert_eq!(flood(1, 1e9).interval(), SimDuration::from_nanos(1));
+        for rate in [2e9, 1e12, f64::MAX] {
+            assert_eq!(
+                flood(1, rate).validate(),
+                Err(FleetError::ZeroInterval(rate))
+            );
+        }
+    }
+
+    #[test]
+    fn flood_query_ids_never_wrap_into_probe_ids() {
+        assert_eq!(flood(MAX_FLOOD_SOURCES, 1.0).validate(), Ok(()));
+        assert_eq!(
+            FLOOD_FIRST_ID as usize + MAX_FLOOD_SOURCES - 1,
+            u16::MAX as usize
+        );
+        assert_eq!(
+            flood(15_537, 1.0).validate(),
+            Err(FleetError::TooManySources(15_537))
+        );
+    }
+
+    #[test]
+    fn a_wave_rate_must_be_finite_and_non_negative() {
+        for rate in [f64::NAN, f64::INFINITY, -0.5] {
+            let err = wave(rate, 60).validate().unwrap_err();
+            assert_eq!(format!("{err:?}"), format!("RateOutOfRange({rate:?})"));
+        }
+        let empty = wave(0.0, 60);
+        assert_eq!((empty.validate(), empty.count()), (Ok(()), 0));
+    }
+
+    #[test]
+    fn wave_query_ids_stay_below_the_flood() {
+        assert_eq!(wave(100.0, 100).count(), MAX_LATE_ARRIVALS);
+        assert_eq!(wave(100.0, 100).validate(), Ok(()));
+        assert_eq!(
+            WAVE_FIRST_ID as usize + MAX_LATE_ARRIVALS,
+            FLOOD_FIRST_ID as usize
+        );
+        assert_eq!(
+            wave(100.01, 100).validate(),
+            Err(FleetError::TooManyArrivals(10_001))
+        );
+    }
+
+    /// A small run, refused before its first event.
+    fn run_with(configure: impl FnOnce(&mut ExperimentSetup)) {
+        let mut setup = ExperimentSetup::paced(4, 1800, 10, 20);
+        configure(&mut setup);
+        run_experiment(&setup);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid spoofed flood: rate inf is out of range")]
+    fn run_experiment_rejects_an_unpaced_flood() {
+        run_with(|s| s.spoofed_flood = Some(flood(1, f64::INFINITY)));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid late wave: rate inf is out of range")]
+    fn run_experiment_rejects_an_endless_wave() {
+        run_with(|s| s.late_wave = Some(wave(f64::INFINITY, 60)));
+    }
+
+    /// Takes every datagram, answers none.
+    struct Silent;
+
+    impl Node for Silent {
+        fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+        fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
+    }
+
+    /// The fleet alone against two silent targets: every arrival is its
+    /// source's one query, the tally counts every tick the pacing
+    /// allows, and each source encodes its query once for all of them.
+    #[test]
+    fn each_source_sends_its_one_encoded_query_every_tick() {
+        let mut sim = Simulator::new(3);
+        *sim.links_mut() = LinkTable::new(LinkParams {
+            latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
+            loss: 0.0,
+        });
+        let targets = [0, 1].map(|_| sim.add_node(Box::new(Silent)).1);
+        let (recorded, sink) = trace::shared(MemoryTrace::default());
+        sim.add_sink(sink);
+        let fleet = flood(3, 2.0);
+        let stats = install_spoofed_flood(&mut sim, &fleet, targets).expect("valid flood");
+        sim.run_until(SimDuration::from_mins(3).after_zero());
+        let perf = sim.perf();
+        drop(sim);
+        let events = sole(recorded, "trace").events;
+        let stats = sole(stats, "spoofed tally");
+
+        // Source i starts i/3 of a 0.5 s interval into the minute and
+        // fires until the minute ends.
+        let interval = fleet.interval().as_nanos();
+        let window = SimDuration::from_mins(fleet.duration_min).as_nanos();
+        let sources = fleet.sources as u64;
+        let ticks: u64 = (0..sources)
+            .map(|i| (window - interval * i / sources).div_ceil(interval))
+            .sum();
+        assert_eq!(ticks, 3 * 120);
+        assert_eq!(stats.sent, ticks);
+        assert_eq!(events.len() as u64, stats.sent);
+
+        // Sources were added in order after the targets, so their
+        // addresses rank them: the i-th lowest sends id 50,000 + i.
+        let mut srcs: Vec<Addr> = events.iter().map(|e| e.src).collect();
+        srcs.sort();
+        srcs.dedup();
+        assert_eq!(srcs.len(), fleet.sources);
+        let mut payload_bytes = 0;
+        for (i, &src) in srcs.iter().enumerate() {
+            let id = FLOOD_FIRST_ID + i as u16;
+            let name = Name::parse(&format!("{id}.cachetest.nl")).unwrap();
+            let query = Message::iterative_query(id, name, RecordType::AAAA);
+            let len = dike_wire::codec::encode(&query).unwrap().len();
+            for e in events.iter().filter(|e| e.src == src) {
+                assert!(targets.contains(&e.dst));
+                assert_eq!(e.msg.as_ref(), Some(&query));
+                assert_eq!(e.wire_len, len);
+            }
+            payload_bytes += len as u64;
+        }
+        // One encode per source, however many ticks it sends.
+        assert_eq!(perf.bytes_encoded, payload_bytes);
+        assert_eq!(perf.datagrams_sent, ticks);
+    }
 
     #[test]
     fn presets_have_distinct_labels_and_produce_valid_plans() {

@@ -450,15 +450,15 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
             .unwrap_or_else(|(i, e)| panic!("invalid defense plan (defense {i}): {e}"));
     }
 
-    let spoofed_handle = setup
-        .spoofed_flood
-        .as_ref()
-        .map(|flood| install_spoofed_flood(&mut sim, flood, topo.ns));
+    let spoofed_handle = setup.spoofed_flood.as_ref().map(|flood| {
+        install_spoofed_flood(&mut sim, flood, topo.ns)
+            .unwrap_or_else(|e| panic!("invalid spoofed flood: {e}"))
+    });
 
-    let late_handle = setup
-        .late_wave
-        .as_ref()
-        .map(|wave| install_late_wave(&mut sim, wave, topo.ns));
+    let late_handle = setup.late_wave.as_ref().map(|wave| {
+        install_late_wave(&mut sim, wave, topo.ns)
+            .unwrap_or_else(|e| panic!("invalid late wave: {e}"))
+    });
 
     let exhaustion_handle = setup
         .tcp_exhaustion

@@ -209,6 +209,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The RRL-slip defended, flooded Experiment H at scale 0.02, with the
+/// flood raised to 24 sources × 60 q/s: the run both flood pins below
+/// measure.
+fn pinned_flood_setup() -> ExperimentSetup {
+    use dike::experiments::defense::{defense_setup, DefensePreset, SpoofedFlood};
+    let mut setup = defense_setup(DefensePreset::RrlSlip, 0.02, 42);
+    let attack = setup.attack.expect("defense_setup always attacks");
+    setup.spoofed_flood = Some(SpoofedFlood::aligned_with(&attack, 24, 60.0));
+    setup
+}
+
 /// Pinned telemetry export of the RRL-defended flooded Experiment H:
 /// every cut of every node's counters, gauges and histograms, with node
 /// labels, as `MetricsRegistry::to_json` writes them. The first constant
@@ -221,18 +232,69 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// only in the `cache.hits`, `cache.misses` and `cache.expired` series.
 /// A retry skipping its delegation walk while the cache generation holds
 /// moved it again, from 0xd663_75c9_8f65_9011, in the same three series
-/// only.
+/// only. Each spoofed source encoding its one query once, not every
+/// tick, moved it a third time, from 0x2d39_7c71_25ae_0b14, in the
+/// `netsim.bytes_encoded` series only: that counter tallies encoder
+/// output, and the flood now resends its bytes without re-encoding them.
+/// Every datagram, decode and answer stayed, as [`flood_run_is_pinned`]
+/// shows.
 #[test]
 fn telemetry_export_is_pinned() {
-    use dike::experiments::defense::{defense_setup, DefensePreset, SpoofedFlood};
-    let mut setup = defense_setup(DefensePreset::RrlSlip, 0.02, 42);
-    let attack = setup.attack.expect("defense_setup always attacks");
-    setup.spoofed_flood = Some(SpoofedFlood::aligned_with(&attack, 24, 60.0));
-    let report = Report::run(&setup);
+    let report = Report::run(&pinned_flood_setup());
     let json = report
         .output
         .metrics
         .expect("defense_setup sets telemetry")
         .to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0x2d39_7c71_25ae_0b14);
+    assert_eq!(fnv1a(json.as_bytes()), 0x10a7_13d1_4c84_50c6);
+}
+
+/// Pinned outputs of the same flooded run: the client log's record count
+/// and digest, the authoritatives' query total per 10-minute bin, and
+/// the spoofed fleet's tally. The constants were measured before the
+/// fleet encoded each query once, and held unchanged after it: that
+/// change moved no datagram.
+#[test]
+fn flood_run_is_pinned() {
+    use dike::experiments::defense::SpoofedStats;
+    let report = Report::run(&pinned_flood_setup());
+    assert_eq!(log_digest(&report), (4541, 0x936c_f382_1ee3_0630));
+    let server = &report.output.server;
+    let bins: Vec<(u64, usize)> = server
+        .bins()
+        .iter()
+        .map(|b| (b.start_min, b.total()))
+        .collect();
+    assert_eq!(
+        bins,
+        [
+            (0, 452),
+            (10, 140),
+            (20, 113),
+            (30, 200),
+            (40, 197),
+            (50, 125),
+            (60, 864_862),
+            (70, 865_756),
+            (80, 865_184),
+            (90, 865_043),
+            (100, 865_155),
+            (110, 865_186),
+            (120, 242),
+            (130, 218),
+            (140, 190),
+            (150, 190),
+            (160, 218),
+            (170, 148),
+        ]
+    );
+    assert_eq!(server.total_queries, 5_193_619);
+    assert_eq!(
+        report.output.spoofed,
+        Some(SpoofedStats {
+            sent: 5_184_001,
+            full_answers: 17_424,
+            truncated_answers: 251_104,
+        })
+    );
 }
