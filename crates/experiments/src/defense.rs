@@ -661,7 +661,8 @@ mod tests {
 
     /// The fleet alone against two silent targets: every arrival is its
     /// source's one query, the tally counts every tick the pacing
-    /// allows, and each source encodes its query once for all of them.
+    /// allows, and each source's query is encoded once and decoded once
+    /// for all of them.
     #[test]
     fn each_source_sends_its_one_encoded_query_every_tick() {
         let mut sim = Simulator::new(3);
@@ -711,9 +712,12 @@ mod tests {
             }
             payload_bytes += len as u64;
         }
-        // One encode per source, however many ticks it sends.
+        // One encode per source, however many ticks it sends, and one
+        // decode: every later arrival reuses its source's first.
         assert_eq!(perf.bytes_encoded, payload_bytes);
         assert_eq!(perf.datagrams_sent, ticks);
+        assert_eq!(perf.datagrams_decoded, ticks);
+        assert_eq!(perf.decode_calls, sources);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! hosts.
 //!
 //! Design follows the event-driven, poll-free philosophy of embedded
-//! network stacks: a single virtual clock, a binary-heap event queue keyed
-//! by `(time, sequence)`, and nodes that react to exactly two stimuli —
+//! network stacks: a single virtual clock, one event queue that pops by
+//! time and, within an instant, in push order, and nodes that react to exactly two stimuli —
 //! datagram delivery and timer expiry. All randomness (latency jitter,
 //! packet loss) flows from seeded [`dike_telemetry::rng::Rng`] streams — one
 //! per run, or one per node in a sharded world ([`shard`]) — so a run is a

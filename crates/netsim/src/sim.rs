@@ -9,9 +9,9 @@
 //! (`telemetry`), the sharded engine's plumbing ([`shard`]) and the
 //! auditor ([`audit`]).
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use dike_telemetry::hash::FastMap;
 use dike_telemetry::rng::Rng;
 use dike_wire::codec::EncodeBuffer;
 use dike_wire::Message;
@@ -20,7 +20,7 @@ use crate::addr::{Addr, NodeId};
 use crate::anycast::AnycastTable;
 use crate::datagram::Datagram;
 use crate::defense::IngressGate;
-use crate::event::{Event, HeapEntry};
+use crate::event::{Event, EventQueue};
 use crate::link::LinkTable;
 use crate::node::{Context, Node, NodeHotState, TimerId, TimerSlab, TimerToken};
 use crate::time::{SimDuration, SimTime};
@@ -56,15 +56,21 @@ struct NetStats {
     datagrams_delivered: u64,
     datagrams_dropped: u64,
     datagrams_no_route: u64,
-    /// Payloads decoded at ingress (the decode-once invariant means this
-    /// equals arrivals, and equals deliveries in a loss-free run).
+    /// Arrivals whose payload decoded at ingress (the decode-once
+    /// invariant means this equals arrivals, and equals deliveries in a
+    /// loss-free run), whether the codec ran or a resent payload's
+    /// decode was reused.
     datagrams_decoded: u64,
+    /// Codec calls at ingress: one per arrival, except that a sender's
+    /// resent payload is decoded once (see `World::decode`). Kept out of
+    /// telemetry.
+    decode_calls: u64,
     /// Payloads the codec rejected at ingress; traced as
     /// [`Disposition::Malformed`] and dropped.
     datagrams_undecodable: u64,
     /// Octets produced by the pooled encoder.
     bytes_encoded: u64,
-    /// Octets consumed by the ingress decoder.
+    /// Octets of the payloads counted in `datagrams_decoded`.
     bytes_decoded: u64,
     /// High-water mark of the event-queue depth.
     queue_depth_high_water: u64,
@@ -91,8 +97,7 @@ struct NetStats {
 /// without borrow gymnastics.
 pub struct World {
     now: SimTime,
-    queue: BinaryHeap<HeapEntry>,
-    seq: u64,
+    queue: EventQueue,
     links: LinkTable,
     rng: Rng,
     /// First unicast address owned by this world: [`FIRST_ADDR`] for a
@@ -119,6 +124,12 @@ pub struct World {
     /// Pooled wire encoder: one per run, so steady-state sends are
     /// allocation-free and payloads are refcounted slices of pool chunks.
     encoder: EncodeBuffer,
+    /// Per sender, the last payload that arrived while shared (its
+    /// sender kept the bytes to resend them) and its decode, which the
+    /// sender's next arrival of the same allocation reuses. The entry
+    /// holds a clone of the payload, so its address cannot be reused
+    /// while the entry lives.
+    resent: FastMap<Addr, (Arc<[u8]>, Arc<Message>)>,
     net: NetStats,
     /// Struct-of-arrays per-node hot state: address, liveness, epoch,
     /// and traffic counters, dense-indexed by node id.
@@ -179,9 +190,7 @@ impl World {
     }
 
     fn push(&mut self, at: SimTime, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(HeapEntry { at, seq, event });
+        self.queue.push(at, event);
         let depth = self.queue.len() as u64;
         if depth > self.net.queue_depth_high_water {
             self.net.queue_depth_high_water = depth;
@@ -331,13 +340,18 @@ pub struct SimPerf {
     pub datagrams_sent: u64,
     /// Datagrams handed to nodes.
     pub datagrams_delivered: u64,
-    /// Payloads decoded at ingress (== arrivals under decode-once).
+    /// Arrivals whose payload decoded at ingress (== arrivals under
+    /// decode-once), reused decodes of a resent payload included.
     pub datagrams_decoded: u64,
+    /// Codec calls at ingress: `datagrams_decoded + datagrams_undecodable`
+    /// less the arrivals that reused their sender's decode of the same
+    /// resent payload.
+    pub decode_calls: u64,
     /// Payloads rejected by the codec at ingress.
     pub datagrams_undecodable: u64,
     /// Octets produced by the pooled encoder.
     pub bytes_encoded: u64,
-    /// Octets consumed by the ingress decoder.
+    /// Octets of the payloads counted in `datagrams_decoded`.
     pub bytes_decoded: u64,
     /// Synchronisation rounds (barrier crossings) of the sharded engine,
     /// identical on every shard; 0 on the plain engine.
@@ -354,8 +368,7 @@ impl Simulator {
             started_upto: 0,
             world: World {
                 now: SimTime::ZERO,
-                queue: BinaryHeap::new(),
-                seq: 0,
+                queue: EventQueue::default(),
                 links: LinkTable::default(),
                 rng: Rng::seed_from_u64(seed),
                 first_addr: FIRST_ADDR,
@@ -367,6 +380,7 @@ impl Simulator {
                 gate_count: 0,
                 timers: TimerSlab::default(),
                 encoder: EncodeBuffer::new(),
+                resent: FastMap::default(),
                 net: NetStats::default(),
                 nodes: NodeHotState::default(),
                 tcp: TcpWorld::default(),
@@ -447,18 +461,33 @@ impl Simulator {
 
     /// Schedules `f` to mutate the world at time `at` — the hook attack
     /// scenarios use to start and stop loss filters.
+    ///
+    /// # Panics
+    /// Panics if `at` is before [`Simulator::now`].
     pub fn schedule_control(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
+        self.assert_not_past("schedule_control", at);
         self.world.push(at, Event::Control(Box::new(f)));
+    }
+
+    /// Panics, naming `call`, if `at` is before the clock: an event there
+    /// would run with `now()` moving backwards.
+    fn assert_not_past(&self, call: &str, at: SimTime) {
+        let now = self.world.now;
+        assert!(at >= now, "{call}: at {at} is before now {now}");
     }
 
     /// Schedules a crash of `node` at time `at`: from then on its ingress
     /// traffic is dropped and timers it armed before the crash are
     /// suppressed. Crashing an already-down node is a no-op.
+    ///
+    /// # Panics
+    /// Panics on an unknown node, or if `at` is before [`Simulator::now`].
     pub fn schedule_node_down(&mut self, at: SimTime, node: NodeId) {
         assert!(
             (node.0 as usize) < self.nodes.len(),
             "cannot crash unknown node {node}"
         );
+        self.assert_not_past("schedule_node_down", at);
         self.world.push(at, Event::NodeDown { node });
     }
 
@@ -466,11 +495,15 @@ impl Simulator {
     /// [`Node::on_restart`] hook runs with `cold_cache` (wipe volatile
     /// state or keep it), then `on_start` re-arms its timers. Restarting
     /// a node that is not down is a no-op.
+    ///
+    /// # Panics
+    /// Panics on an unknown node, or if `at` is before [`Simulator::now`].
     pub fn schedule_node_up(&mut self, at: SimTime, node: NodeId, cold_cache: bool) {
         assert!(
             (node.0 as usize) < self.nodes.len(),
             "cannot restart unknown node {node}"
         );
+        self.assert_not_past("schedule_node_up", at);
         self.world.push(
             at,
             Event::NodeUp {
@@ -530,21 +563,21 @@ impl Simulator {
 
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(entry) = self.world.queue.pop() else {
+        let Some((at, event)) = self.world.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.at >= self.world.now, "time went backwards");
+        debug_assert!(at >= self.world.now, "time went backwards");
         // Snapshot boundaries are cut *before* the first event at or past
         // them is applied: a snapshot at t covers exactly the events with
         // time < t, independent of how events cluster around boundaries.
         if let Some(tel) = &self.telemetry {
-            if entry.at >= tel.next_at {
-                self.cut_due_snapshots(entry.at);
+            if at >= tel.next_at {
+                self.cut_due_snapshots(at);
             }
         }
-        self.world.now = entry.at;
+        self.world.now = at;
         self.world.net.events_popped += 1;
-        match entry.event {
+        match event {
             Event::Deliver(dgram) => self.deliver(dgram),
             Event::DeliverQueued {
                 dgram,
@@ -668,7 +701,7 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = std::time::Instant::now();
         self.start_pending();
-        while let Some(at) = self.world.queue.peek().map(|e| e.at) {
+        while let Some(at) = self.world.queue.peek() {
             if at > deadline {
                 break;
             }
@@ -692,6 +725,7 @@ impl Simulator {
             datagrams_sent: net.datagrams_sent,
             datagrams_delivered: net.datagrams_delivered,
             datagrams_decoded: net.datagrams_decoded,
+            decode_calls: net.decode_calls,
             datagrams_undecodable: net.datagrams_undecodable,
             bytes_encoded: net.bytes_encoded,
             bytes_decoded: net.bytes_decoded,

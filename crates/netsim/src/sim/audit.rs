@@ -191,8 +191,8 @@ impl Simulator {
             ..AuditReport::default()
         };
 
-        for entry in world.queue.iter() {
-            match &entry.event {
+        for event in world.queue.iter() {
+            match event {
                 Event::Deliver(_) => report.in_flight += 1,
                 Event::DeliverQueued { .. } => report.queued_deliveries += 1,
                 Event::Timer { .. } => report.pending_timers += 1,

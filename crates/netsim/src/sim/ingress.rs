@@ -3,7 +3,11 @@
 //! datagram through them — routing, the loss filters, decode, the gate
 //! (defense, then service queue) — and hands what survives to its node.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use dike_telemetry::Histogram;
+use dike_wire::Message;
 
 use super::{rng_stream, Simulator, World};
 use crate::addr::Addr;
@@ -14,7 +18,65 @@ use crate::queueing::QueueConfig;
 use crate::time::SimDuration;
 use crate::trace::Disposition;
 
+/// An arrival's decoded message: a one-shot payload's own, or the
+/// sender's shared decode of a payload it resends.
+enum Decoded {
+    Owned(Message),
+    Shared(Arc<Message>),
+}
+
+impl Deref for Decoded {
+    type Target = Message;
+
+    fn deref(&self) -> &Message {
+        match self {
+            Decoded::Owned(msg) => msg,
+            Decoded::Shared(msg) => msg,
+        }
+    }
+}
+
+impl Decoded {
+    /// The message behind an `Arc`, for a wait in the ingress gate: one
+    /// allocation for a one-shot payload, as boxing it was, and none for
+    /// a shared one.
+    fn into_shared(self) -> Arc<Message> {
+        match self {
+            Decoded::Owned(msg) => Arc::new(msg),
+            Decoded::Shared(msg) => msg,
+        }
+    }
+}
+
 impl World {
+    /// Decodes an arriving payload, or reuses its decode. Only a sender
+    /// that keeps its bytes can resend them, so a payload that is not
+    /// shared (`strong_count == 1`) decodes as it always did, with no
+    /// extra allocation. A shared one is looked up by sender: when it is
+    /// the very allocation the sender's last shared arrival carried,
+    /// that arrival's message is reused; otherwise it is decoded and
+    /// remembered in the sender's place. `None` when the codec rejects
+    /// it (a rejection is not remembered).
+    fn decode(&mut self, dgram: &Datagram) -> Option<Decoded> {
+        let shared = Arc::strong_count(&dgram.payload) > 1;
+        if shared {
+            if let Some((bytes, msg)) = self.resent.get(&dgram.src) {
+                if Arc::ptr_eq(bytes, &dgram.payload) {
+                    return Some(Decoded::Shared(Arc::clone(msg)));
+                }
+            }
+        }
+        self.net.decode_calls += 1;
+        let msg = dgram.message().ok()?;
+        if !shared {
+            return Some(Decoded::Owned(msg));
+        }
+        let msg = Arc::new(msg);
+        self.resent
+            .insert(dgram.src, (Arc::clone(&dgram.payload), Arc::clone(&msg)));
+        Some(Decoded::Shared(msg))
+    }
+
     /// The gate at `addr`, installed empty on first use.
     fn gate_entry(&mut self, addr: Addr) -> Option<&mut IngressGate> {
         let Some(idx) = self.unicast_index(addr) else {
@@ -182,17 +244,15 @@ impl Simulator {
 
         // Decode once, at ingress; sinks, the ingress gate, and the
         // destination node all reuse this one Message (decode-once
-        // invariant, DESIGN.md §5.2). A payload our own codec rejects is
-        // counted and dropped rather than aborting the run — one bad
-        // packet must not kill a sweep arm.
-        let msg = match dgram.message() {
-            Ok(m) => {
-                self.world.net.datagrams_decoded += 1;
-                self.world.net.bytes_decoded += wire_len as u64;
-                Some(m)
-            }
-            Err(_) => None,
-        };
+        // invariant, DESIGN.md §5.2), and a sender's resent payload is
+        // decoded once for all its arrivals. A payload our own codec
+        // rejects is counted and dropped rather than aborting the run —
+        // one bad packet must not kill a sweep arm.
+        let msg = self.world.decode(&dgram);
+        if msg.is_some() {
+            self.world.net.datagrams_decoded += 1;
+            self.world.net.bytes_decoded += wire_len as u64;
+        }
 
         let disposition = if msg.is_none() {
             Disposition::Malformed
@@ -204,7 +264,7 @@ impl Simulator {
             Disposition::Delivered
         };
         self.world
-            .observe(dgram.src, dgram.dst, msg.as_ref(), wire_len, disposition);
+            .observe(dgram.src, dgram.dst, msg.as_deref(), wire_len, disposition);
         if let Some(id) = dest {
             if disposition != Disposition::Malformed {
                 // Offered counts before the loss filters — the same ingress
@@ -281,7 +341,7 @@ impl Simulator {
                 now + delay,
                 Event::DeliverQueued {
                     dgram,
-                    msg: Box::new(msg),
+                    msg: msg.into_shared(),
                     node: id,
                     local,
                 },

@@ -52,8 +52,9 @@
 //! lookahead most rounds get, and a one-shard world (no peers, no
 //! envelopes) runs the whole deadline as a single round. The invariant
 //! is checked, not assumed: an envelope injected behind its shard's
-//! clock is counted (`xshard_late`) in every build and
-//! [`ShardedSim::audit`] reports it.
+//! clock is counted (`xshard_late`) in every build, which
+//! [`ShardedSim::audit`] reports, and one behind the shard's last
+//! popped event panics in the event queue's push.
 //!
 //! The barrier is a sense-reversing counter on two atomics that spins
 //! briefly and then [`std::thread::yield_now`]s — no mutex, no condvar,
@@ -369,7 +370,7 @@ fn run_shard(sim: &mut Simulator, i: usize, deadline_ns: u64, ex: &Exchange) -> 
                     .append(out);
             }
         }
-        let head = sim.world.queue.peek().map_or(u64::MAX, |e| e.at.as_nanos());
+        let head = sim.world.queue.peek().map_or(u64::MAX, |at| at.as_nanos());
         ex.heads[parity * k + i].store(head, Ordering::Release);
 
         ex.barrier.wait();
@@ -563,6 +564,7 @@ impl ShardedSim {
             total.datagrams_sent += p.datagrams_sent;
             total.datagrams_delivered += p.datagrams_delivered;
             total.datagrams_decoded += p.datagrams_decoded;
+            total.decode_calls += p.decode_calls;
             total.datagrams_undecodable += p.datagrams_undecodable;
             total.bytes_encoded += p.bytes_encoded;
             total.bytes_decoded += p.bytes_decoded;
@@ -698,7 +700,7 @@ impl Simulator {
     /// Panics on a plain (non-sharded) simulator.
     pub(crate) fn run_round(&mut self, peers_next: u64, end: u64) {
         self.start_pending();
-        while let Some(at) = self.world.queue.peek().map(|e| e.at) {
+        while let Some(at) = self.world.queue.peek() {
             let s = self.world.shard.as_deref().expect("a sharded world");
             let horizon = peers_next
                 .min(s.parked_min)

@@ -230,6 +230,174 @@ fn run_until_advances_clock_to_deadline() {
     assert_eq!(sim.now().as_secs(), 100);
 }
 
+/// A run to 10 s, then a world change scheduled for 5 s: it would run
+/// with the clock moving backwards, so each scheduling call refuses it
+/// where it is made.
+fn sim_at_ten_seconds() -> Simulator {
+    let mut sim = Simulator::new(6);
+    sim.add_node(Box::new(Echo));
+    sim.run_until(SimDuration::from_secs(10).after_zero());
+    sim
+}
+
+#[test]
+#[should_panic(expected = "schedule_control: at t+5.000s is before now t+10.000s")]
+fn a_control_before_now_is_refused() {
+    sim_at_ten_seconds().schedule_control(SimDuration::from_secs(5).after_zero(), |_| {});
+}
+
+#[test]
+#[should_panic(expected = "schedule_node_down: at t+5.000s is before now t+10.000s")]
+fn a_crash_before_now_is_refused() {
+    sim_at_ten_seconds().schedule_node_down(SimDuration::from_secs(5).after_zero(), NodeId(0));
+}
+
+#[test]
+#[should_panic(expected = "schedule_node_up: at t+5.000s is before now t+10.000s")]
+fn a_restart_before_now_is_refused() {
+    sim_at_ten_seconds().schedule_node_up(SimDuration::from_secs(5).after_zero(), NodeId(0), false);
+}
+
+/// `at == now()` is accepted, and the event runs at `now()`, after
+/// everything already queued for that instant — before the first pop,
+/// and after `run_until` moved the clock to an instant nothing popped at.
+#[test]
+fn scheduling_at_now_runs_after_what_is_queued_there() {
+    let log = std::sync::Arc::new(dike_telemetry::sync::Mutex::new(Vec::new()));
+    let mut sim = Simulator::new(6);
+    let record = |sim: &mut Simulator, at: SimTime, tag: &'static str| {
+        let log = log.clone();
+        sim.schedule_control(at, move |w| log.lock().push((tag, w.now().as_secs())));
+    };
+    record(&mut sim, SimTime::ZERO, "a");
+    record(&mut sim, SimTime::ZERO, "b");
+    let now = sim.now();
+    record(&mut sim, now, "c");
+    sim.run_until(SimDuration::from_secs(10).after_zero());
+    let now = sim.now();
+    record(&mut sim, now, "d");
+    record(&mut sim, now, "e");
+    sim.run_until_idle();
+    assert_eq!(
+        *log.lock(),
+        [("a", 0), ("b", 0), ("c", 0), ("d", 10), ("e", 10)]
+    );
+}
+
+/// Sends one query a millisecond to `target`, `ticks` times, switching
+/// from `msgs[0]` through the rest in equal stretches. A keeping sender
+/// encodes each message once and resends its bytes; a one-shot sender
+/// encodes on every tick and keeps nothing.
+struct Resender {
+    target: Addr,
+    msgs: Vec<Message>,
+    keep: bool,
+    kept: Option<(usize, Arc<[u8]>)>,
+    tick: usize,
+    ticks: usize,
+}
+
+impl Node for Resender {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
+    }
+
+    fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+        let which = self.tick * self.msgs.len() / self.ticks;
+        if !self.keep {
+            ctx.send(self.target, &self.msgs[which]);
+        } else {
+            let payload = match &self.kept {
+                Some((kept, bytes)) if *kept == which => Arc::clone(bytes),
+                _ => {
+                    let bytes = ctx.encode(&self.msgs[which]);
+                    self.kept = Some((which, Arc::clone(&bytes)));
+                    bytes
+                }
+            };
+            ctx.send_wire(self.target, payload);
+        }
+        self.tick += 1;
+        if self.tick < self.ticks {
+            ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
+        }
+    }
+}
+
+/// Takes every datagram, answers none.
+struct Sink;
+
+impl Node for Sink {
+    fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+    fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
+}
+
+/// Runs one [`Resender`] of `msgs` against a [`Sink`] and returns what
+/// the sink's ingress observed, with the run's counters.
+fn resend_run(msgs: &[Message], keep: bool, ticks: usize) -> (Vec<Option<Message>>, SimPerf) {
+    let mut sim = Simulator::new(8);
+    fixed_fabric(&mut sim, 5);
+    let (_, target) = sim.add_node(Box::new(Sink));
+    sim.add_node(Box::new(Resender {
+        target,
+        msgs: msgs.to_vec(),
+        keep,
+        kept: None,
+        tick: 0,
+        ticks,
+    }));
+    let (trace, sink) = shared(MemoryTrace::default());
+    sim.add_sink(sink);
+    sim.run_until_idle();
+    sim.audit().assert_clean();
+    let observed = trace.lock().events.iter().map(|e| e.msg.clone()).collect();
+    (observed, sim.perf())
+}
+
+fn numbered_query(id: u16) -> Message {
+    Message::query(
+        id,
+        Name::parse(&format!("{id}.cachetest.nl")).unwrap(),
+        RecordType::AAAA,
+    )
+}
+
+/// A sender that resends one payload N times costs one codec call; every
+/// arrival still counts as decoded and observes the payload's decode.
+#[test]
+fn a_resent_payload_is_decoded_once() {
+    let query = numbered_query(7);
+    let len = dike_wire::codec::encode(&query).unwrap().len() as u64;
+    let (observed, perf) = resend_run(std::slice::from_ref(&query), true, 10);
+    assert_eq!(observed, vec![Some(query); 10]);
+    assert_eq!(perf.decode_calls, 1);
+    assert_eq!(perf.datagrams_decoded, 10);
+    assert_eq!(perf.bytes_decoded, 10 * len);
+}
+
+/// A sender that switches payloads is decoded afresh at the switch: its
+/// arrivals observe the new message, not the one it resent before.
+#[test]
+fn a_switched_payload_is_decoded_afresh() {
+    let msgs = [numbered_query(1), numbered_query(2)];
+    let (observed, perf) = resend_run(&msgs, true, 10);
+    let want: Vec<Option<Message>> = (0..10).map(|i| Some(msgs[i / 5].clone())).collect();
+    assert_eq!(observed, want);
+    assert_eq!((perf.decode_calls, perf.datagrams_decoded), (2, 10));
+}
+
+/// A one-shot payload (its sender keeps no clone) costs one codec call
+/// per arrival, as it always did.
+#[test]
+fn a_one_shot_payload_is_decoded_on_every_arrival() {
+    let query = numbered_query(7);
+    let (observed, perf) = resend_run(std::slice::from_ref(&query), false, 10);
+    assert_eq!(observed, vec![Some(query); 10]);
+    assert_eq!((perf.decode_calls, perf.datagrams_decoded), (10, 10));
+}
+
 /// Nodes added between runs start on the next run, and nobody starts
 /// twice — on the plain run loops and on the sharded engine's rounds.
 #[test]
