@@ -64,7 +64,7 @@ pub struct Zone {
 impl Zone {
     /// Creates a zone with the given origin and SOA data.
     pub fn new(origin: Name, soa_ttl: u32, soa: SoaData) -> Self {
-        let soa_record = Record::new(origin.clone(), soa_ttl, RData::Soa(soa));
+        let soa_record = Record::new(origin.clone(), soa_ttl, RData::Soa(Box::new(soa)));
         let apex = RRsets::from([(RecordType::SOA, vec![soa_record.clone()])]);
         Zone {
             records: HashMap::from([(origin.clone(), apex)]),

@@ -133,7 +133,7 @@ pub fn parse(text: &str, default_origin: Option<&Name>) -> Result<Zone, ParseErr
                 if owner != origin_name {
                     return Err(err(lineno, "SOA owner must be the origin"));
                 }
-                zone = Some(Zone::new(origin_name, ttl, soa));
+                zone = Some(Zone::new(origin_name, ttl, *soa));
             }
             other => {
                 let z = zone
@@ -272,7 +272,7 @@ fn parse_rdata(
                     .parse()
                     .map_err(|_| err(lineno, format!("bad SOA field {}", tokens[i])))
             };
-            Ok(RData::Soa(SoaData {
+            Ok(RData::Soa(Box::new(SoaData {
                 mname: resolve_name(tokens[0], origin).map_err(|e| err(lineno, e))?,
                 rname: resolve_name(tokens[1], origin).map_err(|e| err(lineno, e))?,
                 serial: num(2)?,
@@ -280,7 +280,7 @@ fn parse_rdata(
                 retry: num(4)?,
                 expire: num(5)?,
                 minimum: num(6)?,
-            }))
+            })))
         }
         other => Err(err(lineno, format!("unsupported record type {other}"))),
     }

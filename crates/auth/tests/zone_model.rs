@@ -26,7 +26,7 @@ struct Model {
 
 impl Model {
     fn new(origin: Name, soa_ttl: u32, soa: SoaData) -> Self {
-        let soa_record = Record::new(origin.clone(), soa_ttl, RData::Soa(soa));
+        let soa_record = Record::new(origin.clone(), soa_ttl, RData::Soa(Box::new(soa)));
         let mut records = BTreeMap::new();
         records.insert(origin.clone(), {
             let mut m = BTreeMap::new();

@@ -99,8 +99,9 @@ pub struct BuildConfig {
     pub population_seed: u64,
     /// Model regional access latency: probes get a per-probe last-mile
     /// RTT class (close / medium / far, mirroring Atlas's geographic
-    /// spread, paper §3.2), installed as per-pair link overrides between
-    /// the probe and its recursives.
+    /// spread, paper §3.2), installed as the probe's access profile: it
+    /// governs every path to and from the probe, and a probe talks only
+    /// to its recursives.
     pub regional_latency: bool,
     /// Give every recursive resolver an RFC 7766 TCP-retry path: a TC=1
     /// answer (an RRL slip) re-asks the same server over a simulated
@@ -450,10 +451,7 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
                 },
                 loss: 0.0,
             };
-            for r1 in &recursives {
-                sim.links_mut().set_path(probe_addr, *r1, params);
-                sim.links_mut().set_path(*r1, probe_addr, params);
-            }
+            sim.links_mut().set_access(probe_addr, params);
         }
     }
 
@@ -528,6 +526,48 @@ mod tests {
         // The classic world stays exactly as it was.
         let mut plain = Simulator::new(1);
         assert!(build(&mut plain, &small_cfg(20)).nxns.is_none());
+    }
+
+    #[test]
+    fn a_probes_access_class_covers_both_directions_of_its_paths() {
+        let mut sim = Simulator::new(1);
+        let topo = build(&mut sim, &small_cfg(200));
+        // The population ends with each probe's home routers followed by
+        // the probe itself, in probe-id order.
+        let r1s = |probe: u16| topo.vps.iter().filter(move |v| v.vp.probe == probe);
+        let homes = |probe: u16| r1s(probe).filter(|v| v.kind == R1Kind::HomeRouter).count() as u32;
+        let probe_ids = 1..=topo.n_probes as u16;
+        let tail: u32 = probe_ids.clone().map(|p| 1 + homes(p)).sum();
+        let mut next = sim.next_addr().0 - tail;
+        let links = sim.world_mut().links();
+        for probe_id in probe_ids {
+            next += homes(probe_id);
+            let probe = Addr(next);
+            next += 1;
+            let first = r1s(probe_id)
+                .next()
+                .expect("every probe has a recursive")
+                .r1;
+            let class = links.params(probe, first);
+            let LatencyModel::LogNormal { median, sigma } = class.latency else {
+                panic!("probe {probe_id}: {class:?} is not an access class");
+            };
+            assert_eq!(sigma, 0.25, "probe {probe_id}");
+            assert!(
+                (2..150).contains(&(median.as_nanos() / 1_000_000)),
+                "probe {probe_id}: median {median:?}"
+            );
+            for r1 in r1s(probe_id).map(|v| v.r1) {
+                assert_eq!(links.params(probe, r1), class, "probe {probe_id} → {r1}");
+                assert_eq!(links.params(r1, probe), class, "{r1} → probe {probe_id}");
+                assert_eq!(
+                    links.params(r1, topo.ns[0]),
+                    LinkParams::default(),
+                    "{r1} → ns1"
+                );
+            }
+        }
+        assert_eq!(Addr(next), sim.next_addr());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use dike_telemetry::hash::FastMap;
 use dike_telemetry::rng::Rng;
 
 use crate::addr::Addr;
+use crate::sim::{FIRST_ADDR, FIRST_VIP};
 use crate::time::SimDuration;
 
 /// How long a datagram takes to cross a link.
@@ -202,8 +203,9 @@ struct DegradeEntry {
     bad: bool,
 }
 
-/// The routing fabric: a default path model, optional per-pair overrides,
-/// and dynamic per-destination ingress loss used to emulate DDoS.
+/// The routing fabric: a default path model, optional per-node access
+/// profiles, and dynamic per-destination ingress loss used to emulate
+/// DDoS.
 ///
 /// Ingress loss models the paper's emulation exactly: "we simulate a DDoS
 /// attack by dropping some fraction or all incoming DNS queries to each
@@ -213,7 +215,11 @@ struct DegradeEntry {
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     default: LinkParams,
-    overrides: FastMap<(Addr, Addr), LinkParams>,
+    /// Access profiles (a node's last mile), dense-indexed by
+    /// `addr - FIRST_ADDR` over the global unicast pool, so every shard
+    /// of a sharded world holds the same clone. Empty when no node has
+    /// one.
+    access: Vec<Option<LinkParams>>,
     ingress_loss: FastMap<Addr, f64>,
     degrade: FastMap<Addr, DegradeEntry>,
 }
@@ -223,28 +229,46 @@ impl LinkTable {
     pub fn new(default: LinkParams) -> Self {
         LinkTable {
             default,
-            overrides: FastMap::default(),
+            access: Vec::new(),
             ingress_loss: FastMap::default(),
             degrade: FastMap::default(),
         }
     }
 
-    /// Sets parameters for one directed `src → dst` path.
-    pub fn set_path(&mut self, src: Addr, dst: Addr, params: LinkParams) {
-        self.overrides.insert((src, dst), params);
+    /// Gives `node` an access profile: every path to or from it uses
+    /// `params` (the sender's profile wins when both ends have one).
+    ///
+    /// # Panics
+    /// Panics if `node` is not a unicast node address; an anycast VIP has
+    /// no last mile of its own.
+    pub fn set_access(&mut self, node: Addr, params: LinkParams) {
+        assert!(
+            (FIRST_ADDR..FIRST_VIP).contains(&node.0),
+            "access profile for {node}, which is not a unicast node address"
+        );
+        let idx = (node.0 - FIRST_ADDR) as usize;
+        if idx >= self.access.len() {
+            self.access.resize(idx + 1, None);
+        }
+        self.access[idx] = Some(params);
     }
 
-    /// The parameters governing `src → dst`.
+    /// The access profile of `addr`, if it has one.
+    fn access(&self, addr: Addr) -> Option<LinkParams> {
+        let idx = addr.0.wrapping_sub(FIRST_ADDR) as usize;
+        self.access.get(idx).copied().flatten()
+    }
+
+    /// The parameters governing `src → dst`: the sender's access profile,
+    /// else the receiver's, else the default.
     pub fn params(&self, src: Addr, dst: Addr) -> LinkParams {
-        // Fast path: most fabrics install no overrides at all, and the
-        // emptiness check skips the hash lookup on every datagram.
-        if self.overrides.is_empty() {
+        // Fast path: most fabrics install no profiles at all.
+        if self.access.is_empty() {
             return self.default;
         }
-        match self.overrides.get(&(src, dst)) {
-            Some(p) => *p,
-            None => self.default,
-        }
+        self.access(src)
+            .or_else(|| self.access(dst))
+            .unwrap_or(self.default)
     }
 
     /// Installs (or updates) an ingress drop filter: datagrams destined to
@@ -378,20 +402,66 @@ mod tests {
         assert!((0.45..0.55).contains(&frac), "median fraction {frac}");
     }
 
-    #[test]
-    fn pair_override_wins_over_default() {
-        let mut t = LinkTable::default();
-        let a = Addr(1);
-        let b = Addr(2);
-        let c = Addr(3);
-        let fast = LinkParams {
+    fn fast() -> LinkParams {
+        LinkParams {
             latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
             loss: 0.0,
+        }
+    }
+
+    #[test]
+    fn access_profile_covers_both_directions() {
+        let mut t = LinkTable::default();
+        let probe = Addr(FIRST_ADDR + 7);
+        let (r1, r2) = (Addr(FIRST_ADDR + 1), Addr(FIRST_ADDR + 40));
+        t.set_access(probe, fast());
+        for other in [r1, r2] {
+            assert_eq!(t.params(probe, other), fast(), "sends from the node");
+            assert_eq!(t.params(other, probe), fast(), "sends to the node");
+        }
+    }
+
+    #[test]
+    fn paths_without_a_profile_use_the_default() {
+        let mut t = LinkTable::default();
+        t.set_access(Addr(FIRST_ADDR + 7), fast());
+        let (a, b) = (Addr(FIRST_ADDR), Addr(FIRST_ADDR + 8));
+        assert_eq!(t.params(a, b), LinkParams::default());
+        assert_eq!(t.params(b, a), LinkParams::default());
+        // Beyond the table's end, and below the unicast pool.
+        let far = Addr(FIRST_ADDR + 10_000);
+        assert_eq!(t.params(far, a), LinkParams::default());
+        assert_eq!(t.params(Addr(1), Addr(2)), LinkParams::default());
+    }
+
+    #[test]
+    fn the_senders_profile_wins() {
+        let mut t = LinkTable::default();
+        let (a, b) = (Addr(FIRST_ADDR), Addr(FIRST_ADDR + 1));
+        let slow = LinkParams {
+            latency: LatencyModel::Fixed(SimDuration::from_millis(90)),
+            loss: 0.0,
         };
-        t.set_path(a, b, fast);
-        assert_eq!(t.params(a, b), fast, "pair override wins");
-        assert_eq!(t.params(c, b), LinkParams::default(), "other sources");
-        assert_eq!(t.params(a, c), LinkParams::default(), "default elsewhere");
+        t.set_access(a, fast());
+        t.set_access(b, slow);
+        assert_eq!(t.params(a, b), fast());
+        assert_eq!(t.params(b, a), slow);
+    }
+
+    #[test]
+    fn a_vip_falls_outside_the_table() {
+        let mut t = LinkTable::default();
+        t.set_access(Addr(FIRST_ADDR), fast());
+        let vip = Addr(FIRST_VIP);
+        let other = Addr(FIRST_ADDR + 3);
+        assert_eq!(t.params(other, vip), LinkParams::default());
+        assert_eq!(t.params(vip, other), LinkParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a unicast node address")]
+    fn a_vip_gets_no_profile() {
+        LinkTable::default().set_access(Addr(FIRST_VIP), fast());
     }
 
     #[test]

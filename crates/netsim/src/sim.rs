@@ -41,7 +41,7 @@ pub(crate) const FIRST_ADDR: u32 = 0x0a00_0001;
 
 /// First anycast VIP handed out by [`Simulator::add_anycast_group`]:
 /// `198.18.0.1` (benchmarking range, far from the unicast pool).
-const FIRST_VIP: u32 = 0xc612_0001;
+pub(crate) const FIRST_VIP: u32 = 0xc612_0001;
 
 /// Simulator-level counters, always maintained (plain integer adds, so
 /// the hot path carries no telemetry branch) and published into the
@@ -146,7 +146,7 @@ impl World {
         self.now
     }
 
-    /// The network fabric, for installing loss filters and path overrides.
+    /// The network fabric, for installing loss filters and access latency.
     pub fn links_mut(&mut self) -> &mut LinkTable {
         &mut self.links
     }

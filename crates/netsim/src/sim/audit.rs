@@ -55,11 +55,6 @@ pub struct AuditReport {
     /// Datagrams injected from other shards (always 0 in a plain world);
     /// they enter this ledger at injection, like a local send.
     pub xshard_in: u64,
-    /// Cross-shard datagrams injected with an arrival time behind this
-    /// shard's clock (always 0 in a plain world). The sharded engine's
-    /// horizon rules it out; [`crate::shard::ShardedSim::audit`] reports
-    /// any as a causality violation.
-    pub xshard_late: u64,
     /// Datagrams handed past the ingress filters (includes queue drops,
     /// which are counted delivered at ingress and broken out separately).
     pub delivered: u64,
@@ -164,15 +159,14 @@ impl Simulator {
         let world = &self.world;
         let net = &world.net;
         let ledger = world.defense_ledger();
-        let (xshard_out, xshard_in, xshard_late) = world
+        let (xshard_out, xshard_in) = world
             .shard
             .as_deref()
-            .map_or((0, 0, 0), |s| (s.xshard_out, s.xshard_in, s.xshard_late));
+            .map_or((0, 0), |s| (s.xshard_out, s.xshard_in));
         let mut report = AuditReport {
             sent: net.datagrams_sent,
             xshard_out,
             xshard_in,
-            xshard_late,
             delivered: net.datagrams_delivered,
             dropped: net.datagrams_dropped,
             no_route: net.datagrams_no_route,

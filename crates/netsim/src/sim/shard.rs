@@ -52,9 +52,8 @@
 //! lookahead most rounds get, and a one-shard world (no peers, no
 //! envelopes) runs the whole deadline as a single round. The invariant
 //! is checked, not assumed: an envelope injected behind its shard's
-//! clock is counted (`xshard_late`) in every build, which
-//! [`ShardedSim::audit`] reports, and one behind the shard's last
-//! popped event panics in the event queue's push.
+//! clock panics the shard, in every build, with a message naming the
+//! shard, the envelope's arrival and the clock.
 //!
 //! The barrier is a sense-reversing counter on two atomics that spins
 //! briefly and then [`std::thread::yield_now`]s — no mutex, no condvar,
@@ -508,9 +507,9 @@ impl ShardedSim {
     /// Audits every shard (cross-shard terms included) plus the pairwise
     /// envelope-conservation invariant: everything posted into the
     /// exchange matrix was drained exactly once, and the matrix totals
-    /// match each shard's own `xshard_out` / `xshard_in` ledger. An
-    /// envelope that reached its shard late (`xshard_late`) is a
-    /// violation of the horizon's causality argument, in every build.
+    /// match each shard's own `xshard_out` / `xshard_in` ledger. (An
+    /// envelope that reaches its shard late never gets this far: the
+    /// injection panics.)
     pub fn audit(&self) -> ShardAuditReport {
         let k = self.shards.len();
         let mut report = ShardAuditReport {
@@ -540,12 +539,6 @@ impl ShardedSim {
                 report.violations.push(format!(
                     "cross-shard conservation: shard {s} drained {col} envelopes but its ledger says xshard_in={}",
                     report.shards[s].xshard_in
-                ));
-            }
-            let late = report.shards[s].xshard_late;
-            if late != 0 {
-                report.violations.push(format!(
-                    "cross-shard causality: {late} envelopes reached shard {s} behind its clock"
                 ));
             }
         }
@@ -603,9 +596,6 @@ pub(crate) struct ShardState {
     pub(crate) xshard_out: u64,
     /// Datagrams injected from another shard (counted at injection).
     pub(crate) xshard_in: u64,
-    /// Injected envelopes whose arrival time was already behind this
-    /// shard's clock. The horizon rules this out; the auditor checks.
-    pub(crate) xshard_late: u64,
 }
 
 impl ShardState {
@@ -674,7 +664,6 @@ impl Simulator {
             parked_min: u64::MAX,
             xshard_out: 0,
             xshard_in: 0,
-            xshard_late: 0,
         }));
         sim
     }
@@ -714,20 +703,23 @@ impl Simulator {
     }
 
     /// Injects envelopes received from other shards, already merged in
-    /// the fixed cross-shard order, leaving `envelopes` empty. Arrival
-    /// times must not be in this shard's past — the horizon guarantees
-    /// it, and `xshard_late` counts the exceptions for the auditor.
+    /// the fixed cross-shard order, leaving `envelopes` empty.
+    ///
+    /// # Panics
+    /// Panics if an envelope arrives behind this shard's clock: the
+    /// horizon rules that out, so one that does is a causality bug in
+    /// the engine, not a condition a run can recover from.
     pub(crate) fn inject_envelopes(&mut self, envelopes: &mut Vec<Envelope>) {
         let now = self.world.now;
-        if let Some(s) = self.world.shard.as_deref_mut() {
-            s.xshard_in += envelopes.len() as u64;
-            s.xshard_late += envelopes.iter().filter(|e| e.at < now).count() as u64;
-        }
+        let s = self.world.shard.as_deref_mut().expect("a sharded world");
+        s.xshard_in += envelopes.len() as u64;
+        let id = s.id;
         for env in envelopes.drain(..) {
-            debug_assert!(
+            assert!(
                 env.at >= now,
-                "cross-shard envelope arrived in the past: {} < {now}",
-                env.at,
+                "cross-shard causality: shard {id} was handed an envelope arriving at {} ns, behind its clock at {} ns",
+                env.at.as_nanos(),
+                now.as_nanos(),
             );
             self.world.push(
                 env.at,
@@ -958,7 +950,6 @@ mod tests {
             });
             let report = sim.audit();
             report.assert_clean();
-            assert!(report.shards.iter().all(|s| s.xshard_late == 0));
             (log, report)
         };
         let (base, _) = run(1);
@@ -1103,6 +1094,45 @@ mod tests {
             "downtime must drop ingress traffic"
         );
         let _ = NodeId(0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cross-shard causality: shard 0 was handed an envelope arriving at 10000000 ns, behind its clock at 50000000 ns"
+    )]
+    fn an_envelope_behind_the_clock_panics_at_injection() {
+        let mut sim = Simulator::new_sharded(
+            3,
+            ShardConfig {
+                id: 0,
+                starts: vec![crate::sim::FIRST_ADDR],
+                floor: DEFAULT_LOOKAHEAD,
+            },
+        );
+        let (_, echo) = sim.add_node(Box::new(Echo));
+        sim.add_node(Box::new(Chatter {
+            target: echo,
+            remaining: 0,
+            log: ReplyLog::default(),
+            me: 1,
+        }));
+        // The chatter's first timer fires at 50 ms and moves the clock.
+        sim.run_round(
+            u64::MAX,
+            SimDuration::from_millis(60).after_zero().as_nanos(),
+        );
+        assert_eq!(sim.world.now, SimDuration::from_millis(50).after_zero());
+        let payload = sim.world.encode(&Message::query(
+            1,
+            Name::parse("x.nl").unwrap(),
+            RecordType::A,
+        ));
+        sim.inject_envelopes(&mut vec![Envelope {
+            at: SimDuration::from_millis(10).after_zero(),
+            src: Addr(crate::sim::FIRST_ADDR + 9),
+            dst: echo,
+            payload,
+        }]);
     }
 
     #[test]

@@ -86,7 +86,10 @@ pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: ResolverCache,
     selector: ServerSelector,
-    tasks: FastMap<u64, Task>,
+    /// In-flight tasks, boxed: a bucket is a pointer, so a table grown
+    /// for an attack's peak holds 16-byte slots, not whole tasks, and a
+    /// finished task's memory goes back to the allocator.
+    tasks: FastMap<u64, Box<Task>>,
     task_by_key: FastMap<CacheKey, u64>,
     /// RFC 2308 §7 failure cache: question → do-not-retry-before.
     failed_until: FastMap<CacheKey, SimTime>,
@@ -299,7 +302,7 @@ impl RecursiveResolver {
         }
         let id = self.next_task_id;
         self.next_task_id += 1;
-        let task = Task {
+        let task = Box::new(Task {
             key: key.clone(),
             current_name,
             chase_depth: chain.len() as u8,
@@ -316,7 +319,7 @@ impl RecursiveResolver {
             tcp: None,
             awaiting_glue: false,
             glue_waits: 0,
-        };
+        });
         self.tasks.insert(id, task);
         self.task_by_key.insert(key, id);
         self.send_next(ctx, id);
@@ -596,7 +599,7 @@ impl RecursiveResolver {
         }
     }
 
-    fn remove_task(&mut self, tid: u64) -> Option<Task> {
+    fn remove_task(&mut self, tid: u64) -> Option<Box<Task>> {
         let task = self.tasks.remove(&tid)?;
         self.task_by_key.remove(&task.key);
         if let Some(out) = &task.outstanding {

@@ -117,7 +117,7 @@ impl<'a> Decoder<'a> {
             RecordType::NS => Ok(RData::Ns(self.name()?)),
             RecordType::CNAME => Ok(RData::Cname(self.name()?)),
             RecordType::PTR => Ok(RData::Ptr(self.name()?)),
-            RecordType::SOA => Ok(RData::Soa(SoaData {
+            RecordType::SOA => Ok(RData::Soa(Box::new(SoaData {
                 mname: self.name()?,
                 rname: self.name()?,
                 serial: self.u32()?,
@@ -125,7 +125,7 @@ impl<'a> Decoder<'a> {
                 retry: self.u32()?,
                 expire: self.u32()?,
                 minimum: self.u32()?,
-            })),
+            }))),
             RecordType::MX => Ok(RData::Mx {
                 preference: self.u16()?,
                 exchange: self.name()?,

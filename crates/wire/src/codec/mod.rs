@@ -90,7 +90,7 @@ mod tests {
             .authority(Record::new(
                 name("cachetest.nl"),
                 3600,
-                RData::Soa(SoaData {
+                RData::Soa(Box::new(SoaData {
                     mname: name("ns1.cachetest.nl"),
                     rname: name("hostmaster.cachetest.nl"),
                     serial: 2018052200,
@@ -98,7 +98,7 @@ mod tests {
                     retry: 3600,
                     expire: 1209600,
                     minimum: 60,
-                }),
+                })),
             ))
             .build();
         assert_eq!(round_trip(&m).unwrap(), m);

@@ -321,7 +321,7 @@ mod tests {
             .authority(Record::new(
                 Name::parse("cachetest.nl").unwrap(),
                 3600,
-                RData::Soa(soa),
+                RData::Soa(Box::new(soa)),
             ))
             .build();
         assert!(neg.is_negative());

@@ -40,8 +40,10 @@ pub enum RData {
     Ns(Name),
     /// Canonical name.
     Cname(Name),
-    /// Start of authority.
-    Soa(SoaData),
+    /// Start of authority, boxed: its two names and five counters would
+    /// otherwise set the size of every `RData`, and only one record of a
+    /// negative answer is an SOA.
+    Soa(Box<SoaData>),
     /// Pointer.
     Ptr(Name),
     /// Mail exchange.
@@ -262,7 +264,7 @@ mod tests {
             RData::A(Ipv4Addr::new(192, 0, 2, 1)).to_string(),
             "192.0.2.1"
         );
-        let soa = RData::Soa(SoaData {
+        let soa = RData::Soa(Box::new(SoaData {
             mname: Name::parse("ns1.dns.nl").unwrap(),
             rname: Name::parse("hostmaster.dns.nl").unwrap(),
             serial: 7,
@@ -270,7 +272,7 @@ mod tests {
             retry: 600,
             expire: 86400,
             minimum: 60,
-        });
+        }));
         assert_eq!(
             soa.to_string(),
             "ns1.dns.nl hostmaster.dns.nl 7 3600 600 86400 60"

@@ -101,4 +101,22 @@ mod tests {
         );
         assert_eq!(r.to_string(), "cachetest.nl 60 IN A 192.0.2.1");
     }
+
+    /// Every message section, cached RRset and zone RRset is a slice of
+    /// records, so their size is the simulator's bytes per answer. A
+    /// variant stored inline (an unboxed `SoaData`) regrows all of them.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn record_layout_stays_small() {
+        assert!(
+            std::mem::size_of::<RData>() <= 40,
+            "RData is {} bytes",
+            std::mem::size_of::<RData>()
+        );
+        assert!(
+            std::mem::size_of::<Record>() <= 80,
+            "Record is {} bytes",
+            std::mem::size_of::<Record>()
+        );
+    }
 }

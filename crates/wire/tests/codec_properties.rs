@@ -41,7 +41,7 @@ fn arb_rdata(g: &mut Gen) -> RData {
         4 => RData::Ptr(arb_name(g)),
         5 => {
             let t = arb_u32(g);
-            RData::Soa(SoaData {
+            RData::Soa(Box::new(SoaData {
                 mname: arb_name(g),
                 rname: arb_name(g),
                 serial: arb_u32(g),
@@ -49,7 +49,7 @@ fn arb_rdata(g: &mut Gen) -> RData {
                 retry: t / 2,
                 expire: t.saturating_mul(2),
                 minimum: t % 86400,
-            })
+            }))
         }
         6 => RData::Mx {
             preference: arb_u16(g),
