@@ -62,8 +62,8 @@ pub struct SpoofedFlood {
 const FLOOD_FIRST_ID: u16 = 50_000;
 
 /// First query id of the late wave; resolver `i` sends id
-/// `WAVE_FIRST_ID + i`, below the flood's range.
-const WAVE_FIRST_ID: u16 = 40_000;
+/// `WAVE_FIRST_ID + i`, below the flood's range and above every probe's.
+pub(crate) const WAVE_FIRST_ID: u16 = 40_000;
 
 /// Most sources a flood may have: their ids run from
 /// [`FLOOD_FIRST_ID`] to `u16::MAX` without wrapping into the probe ids.

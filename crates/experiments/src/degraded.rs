@@ -108,11 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_valid_and_round_trips() {
+    fn plan_is_valid() {
         let plan = small().plan();
         assert_eq!(plan.len(), 4, "degrade + flood per victim");
         plan.validate().expect("valid plan");
-        assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
     }
 
     #[test]

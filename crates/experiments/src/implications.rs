@@ -106,8 +106,10 @@ const ATTACK_START_MIN: u64 = 60;
 const ATTACK_DURATION_MIN: u64 = 60;
 const TOTAL_MIN: u64 = 150;
 
-/// Runs one sweep point.
+/// Runs one sweep point. Panics at 40,000 probes or more, the fleet
+/// limit [`crate::topology::build`] sets for probe ids.
 pub fn run_implications(cfg: &ImplicationsConfig) -> ImplicationsResult {
+    crate::topology::assert_probe_count(cfg.n_probes);
     let mut sim = Simulator::new(cfg.seed);
 
     // --- Build the anycast service: sites first, then the VIPs. ---
@@ -299,6 +301,12 @@ mod tests {
             root_during > dyn_during + 0.4,
             "the paper's contrast: {root_during} vs {dyn_during}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "40000 probes requested, but probe ids must stay below 40000")]
+    fn a_fleet_that_reaches_the_wave_ids_is_refused() {
+        run_implications(&ImplicationsConfig::root_like(40_000, 1));
     }
 
     /// "A DNS service composed of multiple authoritatives using IP

@@ -11,8 +11,8 @@
 //! replicates, and every finished [`Report`] is folded *in the worker*
 //! into an [`ArmSummary`]-bound [`ReplicateSummary`] — memory stays
 //! O(arms), never O(arms × full reports). Seeds are derived
-//! deterministically from the base seed, so results (and the CSV/JSON
-//! exports) are byte-identical regardless of worker count.
+//! deterministically from the base seed, so results (and the JSON
+//! export) are byte-identical regardless of worker count.
 //!
 //! ```
 //! use dike_experiments::{AttackPlan, ExperimentSetup, SweepAxis, SweepEngine};
@@ -28,8 +28,7 @@
 //!     .replicates(2)
 //!     .run();
 //! assert_eq!(result.arms.len(), 4);
-//! let csv = result.to_csv();
-//! assert!(csv.starts_with("arm,loss,ttl_s,"));
+//! assert_eq!(result.axes[1].0, "ttl_s");
 //! ```
 
 use dike_stats::ecdf::Ecdf;
@@ -59,7 +58,7 @@ pub struct SweepAxis {
 }
 
 impl SweepAxis {
-    /// An axis called `name` (the CSV header and JSON key) over
+    /// An axis called `name` (its JSON key) over
     /// `(label, mutation)` values. Any field of the setup is an axis in
     /// one line:
     ///
@@ -149,7 +148,7 @@ impl SweepAxis {
         )
     }
 
-    /// The axis name used in CSV headers and JSON keys.
+    /// The axis name used in JSON keys.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -320,30 +319,11 @@ impl ArmSummary {
             replicates,
         }
     }
-
-    /// Total client queries across replicates.
-    pub fn queries(&self) -> usize {
-        self.replicates.iter().map(|r| r.queries).sum()
-    }
-
-    /// Total queries offered to the authoritatives across replicates.
-    pub fn server_queries(&self) -> u64 {
-        self.replicates.iter().map(|r| r.server_queries).sum()
-    }
-
-    /// Total upstream retries, when telemetry was collected.
-    pub fn retries(&self) -> Option<u64> {
-        self.replicates
-            .iter()
-            .map(|r| r.retries)
-            .sum::<Option<u64>>()
-    }
 }
 
 /// A finished sweep: the grid spec and one [`ArmSummary`] per arm, in
-/// arm order. [`SweepResult::to_csv`] and [`SweepResult::to_json`] are
-/// deterministic byte-for-byte for a given engine configuration,
-/// regardless of worker count.
+/// arm order. [`SweepResult::to_json`] is deterministic byte-for-byte
+/// for a given engine configuration, regardless of worker count.
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     /// `(axis name, value labels)` for each axis, in grid order.
@@ -361,10 +341,6 @@ pub struct SweepResult {
 /// representation, and what the JSON export prints too).
 fn fmt_f64(x: f64) -> String {
     format!("{x:?}")
-}
-
-fn fmt_opt(x: Option<f64>) -> String {
-    x.filter(|v| v.is_finite()).map(fmt_f64).unwrap_or_default()
 }
 
 fn opt_f64_json(w: &mut Writer, x: Option<f64>) {
@@ -386,52 +362,6 @@ fn band_json(w: &mut Writer, key: &str, b: Option<Band>) {
 }
 
 impl SweepResult {
-    /// The grid as CSV: one row per arm, coordinates first, then the
-    /// per-query totals and the p10/p50/p90 replicate bands of each
-    /// headline metric. Empty cells mean "not defined for this arm"
-    /// (e.g. no attack window overlapped a round).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("arm");
-        for (name, _) in &self.axes {
-            out.push(',');
-            out.push_str(name);
-        }
-        out.push_str(
-            ",replicates,queries,ok_fraction_p10,ok_fraction_p50,ok_fraction_p90,\
-             ok_during_attack_p10,ok_during_attack_p50,ok_during_attack_p90,\
-             traffic_multiplier_p10,traffic_multiplier_p50,traffic_multiplier_p90,\
-             latency_median_ms_p10,latency_median_ms_p50,latency_median_ms_p90,\
-             server_queries,retries\n",
-        );
-        for arm in &self.arms {
-            out.push_str(&arm.arm.to_string());
-            for (_, v) in &arm.coords {
-                out.push(',');
-                out.push_str(v);
-            }
-            let band3 = |b: Option<Band>| {
-                format!(
-                    "{},{},{}",
-                    fmt_opt(b.map(|b| b.lo)),
-                    fmt_opt(b.map(|b| b.median)),
-                    fmt_opt(b.map(|b| b.hi))
-                )
-            };
-            out.push_str(&format!(
-                ",{},{},{},{},{},{},{},{}\n",
-                arm.replicates.len(),
-                arm.queries(),
-                band3(arm.ok_fraction),
-                band3(arm.ok_during_attack),
-                band3(arm.traffic_multiplier),
-                band3(arm.latency_median_ms),
-                arm.server_queries(),
-                arm.retries().map(|r| r.to_string()).unwrap_or_default(),
-            ));
-        }
-        out
-    }
-
     /// The full result as JSON: grid spec, per-arm bands, and
     /// per-replicate summaries including the downsampled latency ECDFs.
     pub fn to_json(&self) -> String {
@@ -533,8 +463,7 @@ fn detected_parallelism() -> Option<usize> {
 /// the base seed (see [`SweepEngine::job_seed`]), cells are folded into
 /// pre-assigned slots, and exports iterate arms in index order — so
 /// [`SweepEngine::run`] produces byte-identical
-/// [`SweepResult::to_csv`]/[`SweepResult::to_json`] output for 1 worker
-/// and N workers.
+/// [`SweepResult::to_json`] output for 1 worker and N workers.
 pub struct SweepEngine {
     /// The setup every arm mutates.
     pub base: ExperimentSetup,
@@ -803,8 +732,8 @@ mod tests {
         }
     }
 
-    /// Byte for byte what the exports were before the JSON half moved
-    /// onto `dike_telemetry::json`.
+    /// Byte for byte what the export was before it moved onto
+    /// `dike_telemetry::json`.
     #[test]
     fn exports_match_the_golden_bytes() {
         let null_rep = r#""ok_fraction":0.75,"ok_during_attack":null,"traffic_multiplier":null,"latency":null,"latency_ecdf_ms":[],"#;
@@ -833,17 +762,6 @@ mod tests {
         ]
         .concat();
         assert_eq!(golden_result().to_json(), json);
-        let csv = "arm,ttl,loss \"q\",replicates,queries,\
-            ok_fraction_p10,ok_fraction_p50,ok_fraction_p90,\
-            ok_during_attack_p10,ok_during_attack_p50,ok_during_attack_p90,\
-            traffic_multiplier_p10,traffic_multiplier_p50,traffic_multiplier_p90,\
-            latency_median_ms_p10,latency_median_ms_p50,latency_median_ms_p90,\
-            server_queries,retries\n\
-            0,60,0.9,2,2400,0.75,0.75,0.75,\
-            0.3333333333333333,0.3333333333333333,0.3333333333333333,\
-            8.2,8.2,8.2,12.5,12.5,12.5,10000,\n\
-            1,1800,0.9,1,1200,0.75,0.75,0.75,,,,,,,,,,18446744073709551615,\n";
-        assert_eq!(golden_result().to_csv(), csv);
     }
 
     fn tiny_base() -> ExperimentSetup {
@@ -1012,7 +930,7 @@ mod tests {
     #[test]
     fn defense_grid_is_identical_across_worker_counts() {
         // The acceptance grid: a defense axis crossed with the loss
-        // axis, byte-identical CSV/JSON for 1 worker and N workers.
+        // axis, byte-identical JSON for 1 worker and N workers.
         let grid = || {
             SweepEngine::new(tiny_base())
                 .axis(SweepAxis::defense_preset(vec![
@@ -1024,12 +942,10 @@ mod tests {
         };
         let one = grid().threads(1).run();
         let many = grid().threads(0).run();
-        assert_eq!(one.to_csv(), many.to_csv());
         assert_eq!(one.to_json(), many.to_json());
         assert_eq!(one.arms.len(), 2);
-        let csv = one.to_csv();
-        assert!(csv.lines().next().unwrap().starts_with("arm,defense,loss,"));
-        assert!(csv.contains("rrl-slip"));
+        assert_eq!(one.axes[0].0, "defense");
+        assert!(one.to_json().contains("\"defense\":\"rrl-slip\""));
     }
 
     #[test]
@@ -1075,7 +991,6 @@ mod tests {
         };
         let one = grid().threads(1).run();
         let many = grid().threads(0).run();
-        assert_eq!(one.to_csv(), many.to_csv());
         assert_eq!(one.to_json(), many.to_json());
         assert_eq!(one.arms.len(), 4);
         for arm in &one.arms {
@@ -1095,7 +1010,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_carry_the_grid_spec() {
+    fn json_carries_the_grid_spec() {
         let result = SweepEngine::new(tiny_base())
             .axis(SweepAxis::attack_loss(vec![0.5]))
             .axis(SweepAxis::new(
@@ -1107,17 +1022,10 @@ mod tests {
                 }),
             ))
             .run();
-        let csv = result.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines
-                .next()
-                .map(|h| h.starts_with("arm,loss,serve_stale_share,")),
-            Some(true)
-        );
-        assert_eq!(lines.count(), 2, "one row per arm");
+        assert_eq!(result.arms.len(), 2, "one arm per grid point");
         let json = result.to_json();
         assert!(json.contains("\"schema\":\"dike-sweep/1\""));
+        assert!(json.contains("\"axes\":[{\"name\":\"loss\""));
         assert!(json.contains("\"name\":\"serve_stale_share\""));
         assert!(json.ends_with("}\n"));
     }

@@ -54,6 +54,17 @@ pub struct NxnsAddrs {
     pub resolver: Addr,
 }
 
+/// Panics unless every probe id `1..=n_probes` lies below the late
+/// wave's first id: a larger fleet would reuse the late wave's query
+/// ids, then the spoofed flood's query names, then wrap past `u16::MAX`.
+pub(crate) fn assert_probe_count(n_probes: usize) {
+    let limit = usize::from(crate::defense::WAVE_FIRST_ID);
+    assert!(
+        n_probes < limit,
+        "{n_probes} probes requested, but probe ids must stay below {limit}"
+    );
+}
+
 /// Everything the analysis needs to know about the built world.
 #[derive(Debug)]
 pub struct Topology {
@@ -253,8 +264,10 @@ fn hierarchy(
     (root, nl_a, [ns1, ns2], nxns_addrs)
 }
 
-/// Builds the whole measurement world into `sim`.
+/// Builds the whole measurement world into `sim`. Panics at 40,000
+/// probes or more, where probe ids would run into the late wave's.
 pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
+    assert_probe_count(cfg.n_probes);
     let mut rng = Rng::seed_from_u64(cfg.population_seed);
     let (root, nl, ns, nxns_auths) = hierarchy(sim, cfg.ttl, cfg.cookie_secret, cfg.nxns.as_ref());
     let roots = vec![root];
@@ -360,8 +373,7 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
 
     // --- Probes (and their dedicated home routers). ---
     let mut vps = Vec::new();
-    let mut log_owner = Some(new_shared_log());
-    let log = log_owner.take().expect("just created");
+    let log = new_shared_log();
     for probe_idx in 0..cfg.n_probes {
         let probe_id = (probe_idx + 1) as u16;
         let n_rec = cfg.mix.sample_recursive_count(&mut rng);
@@ -454,6 +466,11 @@ pub fn build(sim: &mut Simulator, cfg: &BuildConfig) -> Topology {
             sim.links_mut().set_access(probe_addr, params);
         }
     }
+    // A stub logs one record per VP per round at most, so the log never
+    // grows during the run (a doubling would hold both buffers at once).
+    log.lock()
+        .records
+        .reserve_exact(vps.len() * cfg.rounds as usize);
 
     Topology {
         root,
@@ -568,6 +585,28 @@ mod tests {
             }
         }
         assert_eq!(Addr(next), sim.next_addr());
+    }
+
+    #[test]
+    #[should_panic(expected = "40000 probes requested, but probe ids must stay below 40000")]
+    fn a_fleet_that_reaches_the_wave_ids_is_refused() {
+        assert_probe_count(39_999);
+        build(&mut Simulator::new(1), &small_cfg(40_000));
+    }
+
+    #[test]
+    fn the_probe_log_holds_every_round_without_growing() {
+        let mut sim = Simulator::new(2);
+        let cfg = small_cfg(50);
+        let topo = build(&mut sim, &cfg);
+        let bound = topo.vps.len() * cfg.rounds as usize;
+        let capacity = topo.log.lock().records.capacity();
+        assert!(capacity >= bound, "capacity {capacity} < {bound}");
+        // Past the last round's timeouts.
+        sim.run_until(SimDuration::from_mins(70).after_zero());
+        let log = topo.log.lock();
+        assert!(log.records.len() <= bound, "{} records", log.records.len());
+        assert_eq!(log.records.capacity(), capacity, "the log grew");
     }
 
     #[test]

@@ -2,16 +2,15 @@
 
 //! # dike-faults
 //!
-//! Composable, serializable fault plans for the simulator.
+//! Composable fault plans for the simulator.
 //!
 //! The paper emulates DDoS as one mechanism — random drop at the
 //! authoritatives' ingress (§5.1) — and names richer failure modes
 //! ("degraded but not failed" servers, queueing collapse) as future
 //! work. This crate is that fault layer: a [`FaultPlan`] is a list of
 //! [`Fault`]s, each scheduled through the simulator's event system, so a
-//! fault scenario is data — buildable in code, serializable to JSON for
-//! record/replay, and composable (crash a server *while* its sibling's
-//! link burns and the flood ramps).
+//! fault scenario is data — built in code and composable (crash a
+//! server *while* its sibling's link burns and the flood ramps).
 //!
 //! The fault taxonomy (DESIGN.md §5.3):
 //!
@@ -42,7 +41,6 @@ use dike_attack::{Attack, AttackError};
 use dike_netsim::{
     Addr, DegradeParams, IngressGate, NodeId, QueueConfig, SimDuration, SimTime, Simulator,
 };
-use dike_telemetry::json::{self, Field, Writer};
 
 /// Restart half of a crash/restart pair: bring the node back `after` the
 /// crash, optionally wiping volatile state.
@@ -517,207 +515,6 @@ impl FaultPlan {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------
-//
-// A plan's record/replay form: `{"faults":[{"kind":…,…},…]}`, one flat
-// object per fault. This section only maps fields to keys; the format
-// itself (escaping, number syntax, strict parsing, range-checked field
-// access) lives in `dike_telemetry::json`, the workspace's one codec.
-// A plan's JSON may be written by hand, so `from_json` rejects what it
-// does not understand instead of guessing, and `FaultPlan::validate`
-// still checks every value it accepts.
-
-impl FaultPlan {
-    /// Serializes the plan to one-line JSON.
-    pub fn to_json(&self) -> String {
-        let mut w = Writer::new();
-        w.begin_object().key("faults").begin_array();
-        for f in &self.faults {
-            fault_json(f, &mut w);
-        }
-        w.end_array().end_object();
-        w.finish()
-    }
-
-    /// Parses [`FaultPlan::to_json`] output. Returns a description of
-    /// the first problem on malformed input.
-    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let doc = json::parse(text)?;
-        let faults = doc
-            .named("plan")
-            .get("faults")?
-            .array()?
-            .map(fault_from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(FaultPlan { faults })
-    }
-}
-
-fn fault_json(f: &Fault, w: &mut Writer) {
-    w.begin_object();
-    match f {
-        Fault::NodeDown { node, at, restart } => {
-            w.key("kind").str("node_down");
-            w.key("node").u64(node.0.into());
-            w.key("at_ns").u64(at.as_nanos());
-            if let Some(r) = restart {
-                w.key("restart_after_ns").u64(r.after.as_nanos());
-                w.key("cold_cache").bool(r.cold_cache);
-            }
-        }
-        Fault::LinkDegrade {
-            target,
-            start,
-            duration,
-            mean_loss,
-            mean_burst,
-            latency_factor,
-        } => {
-            w.key("kind").str("link_degrade");
-            w.key("target").u64(target.0.into());
-            w.key("start_ns").u64(start.as_nanos());
-            w.key("duration_ns").u64(duration.as_nanos());
-            w.key("mean_loss").f64(*mean_loss);
-            w.key("mean_burst").f64(*mean_burst);
-            w.key("latency_factor").f64(*latency_factor);
-        }
-        Fault::Flood {
-            target,
-            start,
-            duration,
-            peak_load,
-            shape,
-            queue,
-        } => {
-            w.key("kind").str("flood");
-            w.key("target").u64(target.0.into());
-            w.key("start_ns").u64(start.as_nanos());
-            w.key("duration_ns").u64(duration.as_nanos());
-            w.key("peak_load").f64(*peak_load);
-            waveform_json(shape, w);
-            if let Some(q) = queue {
-                w.key("queue_rate_pps").f64(q.rate_pps);
-                w.key("queue_capacity").u64(q.capacity.into());
-            }
-        }
-        Fault::RandomDrop { attack: a, shape } => {
-            w.key("kind").str("random_drop");
-            w.key("targets").begin_array();
-            for t in &a.targets {
-                w.u64(t.0.into());
-            }
-            w.end_array();
-            w.key("loss").f64(a.loss);
-            w.key("start_ns").u64(a.start.as_nanos());
-            w.key("duration_ns").u64(a.duration.as_nanos());
-            // A square drop keeps the form plans had before drops took
-            // a shape.
-            if *shape != Waveform::Square {
-                waveform_json(shape, w);
-            }
-        }
-    }
-    w.end_object();
-}
-
-fn waveform_json(shape: &Waveform, w: &mut Writer) {
-    match shape {
-        Waveform::Square => {
-            w.key("shape").str("square");
-        }
-        Waveform::Pulse { period, duty } => {
-            w.key("shape").str("pulse");
-            w.key("period_ns").u64(period.as_nanos());
-            w.key("duty").f64(*duty);
-        }
-        Waveform::Ramp { steps } => {
-            w.key("shape").str("ramp");
-            w.key("steps").u64((*steps).into());
-        }
-    }
-}
-
-/// The waveform named by the `shape` value `name`, with its parameters
-/// read from `f`.
-fn waveform(name: &str, f: Field<'_>) -> Result<Waveform, String> {
-    match name {
-        "square" => Ok(Waveform::Square),
-        "pulse" => Ok(Waveform::Pulse {
-            period: span(f, "period_ns")?,
-            duty: f.get("duty")?.f64()?,
-        }),
-        "ramp" => Ok(Waveform::Ramp {
-            steps: f.get("steps")?.uint()?,
-        }),
-        other => Err(format!("unknown waveform shape \"{other}\"")),
-    }
-}
-
-fn time(f: Field<'_>, key: &str) -> Result<SimTime, String> {
-    Ok(SimTime::from_nanos(f.get(key)?.uint()?))
-}
-
-fn span(f: Field<'_>, key: &str) -> Result<SimDuration, String> {
-    Ok(SimDuration::from_nanos(f.get(key)?.uint()?))
-}
-
-fn fault_from_json(f: Field<'_>) -> Result<Fault, String> {
-    match f.get("kind")?.str()? {
-        "node_down" => Ok(Fault::NodeDown {
-            node: NodeId(f.get("node")?.uint()?),
-            at: time(f, "at_ns")?,
-            restart: match f.opt("restart_after_ns")? {
-                Some(after) => Some(Restart {
-                    after: SimDuration::from_nanos(after.uint()?),
-                    cold_cache: f.get("cold_cache")?.bool()?,
-                }),
-                None => None,
-            },
-        }),
-        "link_degrade" => Ok(Fault::LinkDegrade {
-            target: Addr(f.get("target")?.uint()?),
-            start: time(f, "start_ns")?,
-            duration: span(f, "duration_ns")?,
-            mean_loss: f.get("mean_loss")?.f64()?,
-            mean_burst: f.get("mean_burst")?.f64()?,
-            latency_factor: f.get("latency_factor")?.f64()?,
-        }),
-        "flood" => Ok(Fault::Flood {
-            target: Addr(f.get("target")?.uint()?),
-            start: time(f, "start_ns")?,
-            duration: span(f, "duration_ns")?,
-            peak_load: f.get("peak_load")?.f64()?,
-            shape: waveform(f.get("shape")?.str()?, f)?,
-            queue: match f.opt("queue_rate_pps")? {
-                Some(rate) => Some(QueueConfig {
-                    rate_pps: rate.f64()?,
-                    capacity: f.get("queue_capacity")?.uint()?,
-                }),
-                None => None,
-            },
-        }),
-        "random_drop" => Ok(Fault::RandomDrop {
-            attack: Attack {
-                targets: f
-                    .get("targets")?
-                    .array()?
-                    .map(|t| t.uint().map(Addr))
-                    .collect::<Result<_, _>>()?,
-                loss: f.get("loss")?.f64()?,
-                start: time(f, "start_ns")?,
-                duration: span(f, "duration_ns")?,
-            },
-            shape: match f.opt("shape")? {
-                Some(name) => waveform(name.str()?, f)?,
-                None => Waveform::Square,
-            },
-        }),
-        other => Err(format!("unknown fault kind \"{other}\"")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,163 +529,6 @@ mod tests {
 
     fn d(secs: u64) -> SimDuration {
         SimDuration::from_secs(secs)
-    }
-
-    fn full_plan() -> FaultPlan {
-        FaultPlan::new()
-            .with(Fault::crash_restart(NodeId(3), t(10), d(30), true))
-            .with(Fault::node_down(NodeId(4), t(100)))
-            .with(
-                Fault::link_degrade(Addr(0x0a00_0001), t(5), d(60), 0.4, 25.0)
-                    .with_latency_factor(3.5),
-            )
-            .with(
-                Fault::flood(
-                    Addr(0x0a00_0002),
-                    t(20),
-                    d(40),
-                    0.95,
-                    QueueConfig::small_authoritative(),
-                )
-                .with_shape(Waveform::Ramp { steps: 4 }),
-            )
-            .with(
-                Fault::flood(
-                    Addr(0x0a00_0003),
-                    t(0),
-                    d(10),
-                    0.5,
-                    QueueConfig {
-                        rate_pps: 500.0,
-                        capacity: 64,
-                    },
-                )
-                .with_shape(Waveform::Pulse {
-                    period: d(2),
-                    duty: 0.5,
-                }),
-            )
-            .with(Fault::random_drop(Attack::partial(
-                vec![Addr(1), Addr(2)],
-                0.9,
-                t(30),
-                d(30),
-            )))
-    }
-
-    #[test]
-    fn json_round_trip_preserves_every_fault() {
-        let plan = full_plan();
-        let json = plan.to_json();
-        let back = FaultPlan::from_json(&json).unwrap();
-        assert_eq!(plan, back);
-        // And the round-tripped plan serializes identically (stable form).
-        assert_eq!(json, back.to_json());
-    }
-
-    #[test]
-    fn empty_plan_round_trips() {
-        let plan = FaultPlan::new();
-        assert!(plan.is_empty());
-        assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(FaultPlan::from_json("").is_err());
-        assert!(FaultPlan::from_json("[]").is_err());
-        assert!(FaultPlan::from_json("{\"faults\":[{}]}").is_err());
-        assert!(FaultPlan::from_json("{\"faults\":[{\"kind\":\"martian\"}]}").is_err());
-        assert!(
-            FaultPlan::from_json("{\"faults\":[{\"kind\":\"node_down\",\"node\":1}]}").is_err(),
-            "missing at_ns"
-        );
-    }
-
-    /// Every row is a plan the parser accepted before it moved onto
-    /// `dike_telemetry::json` (non-finite numbers, integers truncated
-    /// with `as`, first-duplicate-wins, anything-but-`true` is `false`,
-    /// Unicode `trim`). The error must name the offending field.
-    #[test]
-    fn from_json_rejects_hostile_plans() {
-        let node_down = |tail: &str| format!(r#"{{"kind":"node_down","at_ns":5,{tail}}}"#);
-        let degrade = |tail: &str| {
-            format!(
-                r#"{{"kind":"link_degrade","start_ns":0,"duration_ns":1,"latency_factor":1,{tail}}}"#
-            )
-        };
-        let flood = |tail: &str| {
-            format!(
-                r#"{{"kind":"flood","target":1,"start_ns":0,"duration_ns":1,"peak_load":0.5,{tail}}}"#
-            )
-        };
-        let rows = [
-            (
-                degrade(r#""target":1,"mean_loss":NaN,"mean_burst":2"#),
-                "byte",
-            ),
-            (
-                degrade(r#""target":1,"mean_loss":0.5,"mean_burst":inf"#),
-                "byte",
-            ),
-            (
-                degrade(r#""target":1,"mean_loss":-Infinity,"mean_burst":2"#),
-                "byte",
-            ),
-            (
-                degrade(r#""target":4294967297,"mean_loss":0.5,"mean_burst":2"#),
-                "\"target\"",
-            ),
-            (node_down(r#""node":4294967297"#), "\"node\""),
-            (
-                node_down(r#""node":1,"node":2"#),
-                "duplicate field \"node\"",
-            ),
-            (
-                node_down(r#""node":1,"restart_after_ns":9,"cold_cache":"yes""#),
-                "\"cold_cache\"",
-            ),
-            (
-                node_down(r#""node":1,"restart_after_ns":9,"cold_cache":1"#),
-                "\"cold_cache\"",
-            ),
-            (flood(r#""shape":"ramp","steps":4294967296"#), "\"steps\""),
-            (
-                flood(r#""shape":"square","queue_rate_pps":100,"queue_capacity":4294967296"#),
-                "\"queue_capacity\"",
-            ),
-        ];
-        for (fault, needle) in rows {
-            let err = FaultPlan::from_json(&format!(r#"{{"faults":[{fault}]}}"#)).unwrap_err();
-            assert!(err.contains(needle), "{fault}: {err}");
-        }
-        // Trailing bytes: a no-break space is not JSON whitespace.
-        let err = FaultPlan::from_json("{\"faults\":[]}\u{a0}").unwrap_err();
-        assert!(err.contains("trailing bytes"), "{err}");
-    }
-
-    /// A plan file written before the move (integral floats print as
-    /// `25`, not `25.0`) still reads back as the same plan.
-    #[test]
-    fn plans_written_by_the_old_writer_still_parse() {
-        let old = concat!(
-            r#"{"faults":[{"kind":"node_down","node":3,"at_ns":10000000000,"restart_after_ns":30000000000,"cold_cache":true},"#,
-            r#"{"kind":"node_down","node":4,"at_ns":100000000000},"#,
-            r#"{"kind":"link_degrade","target":167772161,"start_ns":5000000000,"duration_ns":60000000000,"#,
-            r#""mean_loss":0.4,"mean_burst":25,"latency_factor":3.5},"#,
-            r#"{"kind":"flood","target":167772162,"start_ns":20000000000,"duration_ns":40000000000,"peak_load":0.95,"#,
-            r#""shape":"ramp","steps":4,"queue_rate_pps":10000,"queue_capacity":1000},"#,
-            r#"{"kind":"flood","target":167772163,"start_ns":0,"duration_ns":10000000000,"peak_load":0.5,"#,
-            r#""shape":"pulse","period_ns":2000000000,"duty":0.5,"queue_rate_pps":500,"queue_capacity":64},"#,
-            r#"{"kind":"random_drop","targets":[1,2],"loss":0.9,"start_ns":30000000000,"duration_ns":30000000000}]}"#,
-        );
-        assert_eq!(FaultPlan::from_json(old).unwrap(), full_plan());
-        assert_eq!(
-            full_plan().to_json(),
-            old.replace(":25,", ":25.0,")
-                .replace(":10000,", ":10000.0,")
-                .replace(":500,", ":500.0,")
-        );
     }
 
     #[test]
@@ -931,35 +571,16 @@ mod tests {
         assert!(invalid.schedule(&mut sim).is_err());
     }
 
-    /// A random-drop plan as the writer wrote it before drops took a
-    /// shape reads back as a square drop, and every shaped drop
-    /// survives the round trip.
     #[test]
-    fn drops_are_square_by_default_and_shaped_drops_round_trip() {
-        let old = r#"{"faults":[{"kind":"random_drop","targets":[1,2],"loss":0.9,"start_ns":30000000000,"duration_ns":30000000000}]}"#;
-        let parsed = FaultPlan::from_json(old).unwrap();
+    fn drops_are_square_by_default() {
+        let drop = Fault::random_drop(Attack::partial(vec![Addr(3)], 0.75, t(5), d(60)));
         assert!(matches!(
-            parsed.faults[..],
-            [Fault::RandomDrop {
+            drop,
+            Fault::RandomDrop {
                 shape: Waveform::Square,
                 ..
-            }]
+            }
         ));
-        assert_eq!(parsed.to_json(), old, "a square drop writes no shape");
-
-        let drop = Fault::random_drop(Attack::partial(vec![Addr(3)], 0.75, t(5), d(60)));
-        let plan = FaultPlan::new()
-            .with(drop.clone().with_shape(Waveform::Pulse {
-                period: d(20),
-                duty: 0.25,
-            }))
-            .with(drop.with_shape(Waveform::Ramp { steps: 3 }));
-        let json = plan.to_json();
-        assert!(json.contains(r#""shape":"pulse","period_ns":20000000000,"duty":0.25"#));
-        assert!(json.contains(r#""shape":"ramp","steps":3"#));
-        assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
-        let err = FaultPlan::from_json(&old.replace("}]}", r#","shape":"sine"}]}"#)).unwrap_err();
-        assert!(err.contains("unknown waveform shape"), "{err}");
     }
 
     /// Shapes that `Waveform::levels` cannot expand in bounded time and
@@ -1003,10 +624,6 @@ mod tests {
                 );
             }
         }
-        // `from_json` parses a zero period; validation is what stops it.
-        let json = r#"{"faults":[{"kind":"random_drop","targets":[3],"loss":0.75,"start_ns":0,"duration_ns":60000000000,"shape":"pulse","period_ns":0,"duty":0.5}]}"#;
-        let plan = FaultPlan::from_json(json).unwrap();
-        assert!(plan.schedule(&mut Simulator::new(1)).is_err());
         // The cap counts levels exactly: 60 s of 1.2 ms cycles is 100,000
         // levels, one cycle more is over. The largest shape in use passes.
         for (shape, ok) in [

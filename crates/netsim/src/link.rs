@@ -13,13 +13,6 @@ use crate::time::SimDuration;
 pub enum LatencyModel {
     /// A constant delay.
     Fixed(SimDuration),
-    /// Uniformly distributed between `min` and `max`.
-    Uniform {
-        /// Lower bound.
-        min: SimDuration,
-        /// Upper bound (inclusive enough for our purposes).
-        max: SimDuration,
-    },
     /// Log-normal around a median — the classic shape of Internet RTT
     /// distributions; `sigma` is the log-space standard deviation.
     LogNormal {
@@ -35,11 +28,6 @@ impl LatencyModel {
     pub fn sample(&self, rng: &mut Rng) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
-            LatencyModel::Uniform { min, max } => {
-                let lo = min.as_nanos();
-                let hi = max.as_nanos().max(lo + 1);
-                SimDuration::from_nanos(rng.random_range(lo..hi))
-            }
             LatencyModel::LogNormal { median, sigma } => {
                 // Box–Muller from two uniforms; exp(sigma * z) scales the
                 // median multiplicatively.
@@ -368,19 +356,6 @@ mod tests {
         let mut r = rng();
         for _ in 0..10 {
             assert_eq!(m.sample(&mut r), SimDuration::from_millis(10));
-        }
-    }
-
-    #[test]
-    fn uniform_latency_within_bounds() {
-        let m = LatencyModel::Uniform {
-            min: SimDuration::from_millis(5),
-            max: SimDuration::from_millis(15),
-        };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let d = m.sample(&mut r);
-            assert!(d >= SimDuration::from_millis(5) && d <= SimDuration::from_millis(15));
         }
     }
 

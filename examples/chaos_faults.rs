@@ -8,7 +8,7 @@
 //!
 //! Neither fault is expressible as the paper's random drop: the crash is
 //! a hard binary outage with a restart edge, the degrade is correlated
-//! loss plus congestion delay. The run prints the serialized fault plan,
+//! loss plus congestion delay. The run prints the fault plan,
 //! the per-round client view, and the sim-time telemetry cut of the
 //! fault counters.
 
@@ -38,7 +38,7 @@ fn main() {
             Fault::link_degrade(ns2_addr, mins(60).after_zero(), mins(60), 0.85, 30.0)
                 .with_latency_factor(3.0),
         );
-    println!("fault plan:\n  {}\n", plan.to_json());
+    println!("fault plan:\n  {plan:?}\n");
 
     let mut setup = ExperimentSetup::new(300, 1800);
     setup.seed = 42;

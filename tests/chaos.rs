@@ -387,9 +387,6 @@ fn chaos_iteration(case_seed: u64) -> u64 {
     let mut world = chaos_world(case_seed, 3, 4);
     let plan = random_plan(&mut rng, &world.echo_ids, &world.echo_addrs);
     plan.validate().expect("generated plans are valid");
-    // Serialization is total for valid plans: every generated plan must
-    // survive the portable JSON round trip unchanged.
-    assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
     plan.schedule(&mut world.sim).expect("plan schedules");
     world
         .sim
