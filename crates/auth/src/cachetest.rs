@@ -27,7 +27,7 @@ use crate::server::ZoneProvider;
 use crate::zone::{default_soa, Zone, ZoneAnswer};
 
 /// The fixed 64-bit prefix of every synthesized AAAA answer.
-pub const AAAA_PREFIX: [u16; 4] = [0xfd0f, 0x3897, 0xfaf7, 0xa375];
+pub(crate) const AAAA_PREFIX: [u16; 4] = [0xfd0f, 0x3897, 0xfaf7, 0xa375];
 
 /// The fields encoded in a synthesized AAAA address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

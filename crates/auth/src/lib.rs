@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-auth
 //!
@@ -26,7 +27,7 @@ mod server;
 mod zone;
 pub mod zonefile;
 
-pub use cachetest::{decode_probe_aaaa, probe_aaaa, CacheTestZone, ProbePayload, AAAA_PREFIX};
+pub use cachetest::{decode_probe_aaaa, probe_aaaa, CacheTestZone, ProbePayload};
 pub use nxns::NxnsZoneConfig;
-pub use server::{AuthServer, AuthStats, ZoneProvider};
+pub use server::{AuthServer, ZoneProvider};
 pub use zone::{Zone, ZoneAnswer};

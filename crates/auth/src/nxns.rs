@@ -47,7 +47,7 @@ impl Default for NxnsZoneConfig {
 }
 
 /// The delegation cut serving attack query `q`: `s<q>.<origin>`.
-pub fn cut_name(origin: &Name, q: usize) -> Name {
+pub(crate) fn cut_name(origin: &Name, q: usize) -> Name {
     origin.child(&format!("s{q}")).expect("valid label")
 }
 
@@ -60,7 +60,7 @@ pub fn query_name(origin: &Name, q: usize) -> Name {
 /// The `j`-th victim-hosted NS name of cut `q`: `n<q>-<j>.<victim>`.
 /// Unique per (cut, slot), so the victim sees every fetch as a fresh
 /// name and negative caching never dampens the storm.
-pub fn ns_target(victim: &Name, q: usize, j: usize) -> Name {
+pub(crate) fn ns_target(victim: &Name, q: usize, j: usize) -> Name {
     victim.child(&format!("n{q}-{j}")).expect("valid label")
 }
 

@@ -43,31 +43,31 @@ impl ZoneProvider for Zone {
 /// server-side analysis slices traffic (queries by type, answers vs
 /// referrals vs negatives). All values are cumulative since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuthStats {
+pub(crate) struct AuthStats {
     /// Queries answered, on every path: [`AuthServer::handle_query`],
     /// [`AuthServer::respond`] and [`AuthServer::answer_stream`].
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Queries asking for an A record.
-    pub queries_a: u64,
+    pub(crate) queries_a: u64,
     /// Queries asking for a AAAA record.
-    pub queries_aaaa: u64,
+    pub(crate) queries_aaaa: u64,
     /// Queries asking for an NS record.
-    pub queries_ns: u64,
+    pub(crate) queries_ns: u64,
     /// Queries for any other record type (or malformed/no question).
-    pub queries_other: u64,
+    pub(crate) queries_other: u64,
     /// Authoritative answers with records (`AA` set, answer section
     /// non-empty before any truncation).
-    pub answers: u64,
+    pub(crate) answers: u64,
     /// Delegations to a child zone (`AA` clear, NS in authority).
-    pub referrals: u64,
+    pub(crate) referrals: u64,
     /// Negative answers: NODATA plus NXDOMAIN.
-    pub negatives: u64,
+    pub(crate) negatives: u64,
     /// The NXDOMAIN subset of `negatives`.
-    pub nxdomain: u64,
+    pub(crate) nxdomain: u64,
     /// Errors: REFUSED, FORMERR, NOTIMP.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Responses truncated to fit the client's advertised payload size.
-    pub truncated: u64,
+    pub(crate) truncated: u64,
 }
 
 /// An authoritative DNS server hosting one or more zones.
@@ -121,11 +121,6 @@ impl AuthServer {
     pub fn with_zone(mut self, zone: Box<dyn ZoneProvider>) -> Self {
         self.zones.push(zone);
         self
-    }
-
-    /// Cumulative counters (queries by type, response dispositions).
-    pub fn stats(&self) -> &AuthStats {
-        &self.stats
     }
 
     /// Index of the deepest zone containing `name`.
@@ -416,7 +411,7 @@ mod tests {
             panic!("expected AAAA")
         };
         assert_eq!(decode_probe_aaaa(addr).unwrap().probe_id, 1414);
-        assert_eq!(s.stats().queries, 1);
+        assert_eq!(s.stats.queries, 1);
     }
 
     #[test]
@@ -545,7 +540,7 @@ mod tests {
             assert!(!resp.truncated, "fits in 512, adv={tiny}");
             assert_eq!(resp.answers.len(), 1);
         }
-        assert_eq!(s.stats().truncated, 0);
+        assert_eq!(s.stats.truncated, 0);
     }
 
     #[test]
@@ -583,7 +578,7 @@ mod tests {
         let q = Message::iterative_query(4, name("example.com"), RecordType::A);
         s.handle_query(SimTime::ZERO, &q);
 
-        let st = *s.stats();
+        let st = s.stats;
         assert_eq!(st.queries, 4);
         assert_eq!(st.queries_a, 2);
         assert_eq!(st.queries_aaaa, 1);
@@ -609,7 +604,7 @@ mod tests {
             .unwrap();
         assert!(!tcp.truncated);
         assert_eq!(tcp.answers.len(), 4);
-        assert_eq!(s.stats().truncated, 1, "only the UDP path truncated");
+        assert_eq!(s.stats.truncated, 1, "only the UDP path truncated");
     }
 
     /// Runs [`AuthServer::respond`] with a counting encoder and returns
@@ -652,7 +647,7 @@ mod tests {
             "the TC=1 answer carries the server cookie"
         );
         assert_eq!(encodes, 2);
-        assert_eq!(s.stats().truncated, 1);
+        assert_eq!(s.stats.truncated, 1);
 
         // Within the limit: one encode, the same cookie.
         let (reply, encodes) = respond_counting(&mut s, src, &query(42, "thin.big.test"));
@@ -660,13 +655,13 @@ mod tests {
         assert!(!reply.truncated);
         assert!(validates(&reply));
         assert_eq!(encodes, 1);
-        assert_eq!(s.stats().truncated, 1);
+        assert_eq!(s.stats.truncated, 1);
 
         // A response message: no answer, no encode, no query counted.
         let mut stray = query(43, "fat.big.test");
         stray.is_response = true;
         assert_eq!(respond_counting(&mut s, src, &stray), (None, 0));
-        assert_eq!(s.stats().queries, 2);
+        assert_eq!(s.stats.queries, 2);
     }
 
     #[test]

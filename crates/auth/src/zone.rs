@@ -93,7 +93,7 @@ impl Zone {
     }
 
     /// Bumps the SOA serial — a zone reload.
-    pub fn bump_serial(&mut self) {
+    pub(crate) fn bump_serial(&mut self) {
         if let RData::Soa(s) = &mut self.soa.rdata {
             s.serial = s.serial.wrapping_add(1);
         }

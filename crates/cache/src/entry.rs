@@ -53,20 +53,20 @@ pub(crate) enum EntryData {
 /// One cache slot.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
-    pub data: EntryData,
+    pub(crate) data: EntryData,
     /// When the entry was stored.
-    pub stored_at: SimTime,
+    pub(crate) stored_at: SimTime,
     /// Effective TTL in seconds after clamping.
-    pub effective_ttl: u32,
+    pub(crate) effective_ttl: u32,
     /// Data-ranking trust of the stored records (RFC 2181 §5.4.1).
-    pub trust: TrustLevel,
+    pub(crate) trust: TrustLevel,
     /// Hits served from this entry, driving RRset rotation.
-    pub hits: u32,
+    pub(crate) hits: u32,
 }
 
 impl Entry {
     /// Seconds of life left at `now`; `None` once expired.
-    pub fn remaining_ttl(&self, now: SimTime) -> Option<u32> {
+    pub(crate) fn remaining_ttl(&self, now: SimTime) -> Option<u32> {
         let age = now.since(self.stored_at).as_secs();
         let ttl = self.effective_ttl as u64;
         if age >= ttl {
@@ -77,13 +77,13 @@ impl Entry {
     }
 
     /// When the entry expires.
-    pub fn expires_at(&self) -> SimTime {
+    pub(crate) fn expires_at(&self) -> SimTime {
         self.stored_at + dike_netsim::SimDuration::from_secs(self.effective_ttl as u64)
     }
 
     /// Whether the entry is still usable as *stale* data at `now`, given a
     /// post-expiry window.
-    pub fn usable_as_stale(&self, now: SimTime, window: dike_netsim::SimDuration) -> bool {
+    pub(crate) fn usable_as_stale(&self, now: SimTime, window: dike_netsim::SimDuration) -> bool {
         let hard_limit = self.expires_at() + window;
         now < hard_limit
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-defense
 //!
@@ -73,7 +74,7 @@ pub struct RrlConfig {
 
 impl RrlConfig {
     /// Rate limiting with silent drops at `rate_qps` per /24.
-    pub fn drop_at(rate_qps: f64) -> RrlConfig {
+    pub(crate) fn drop_at(rate_qps: f64) -> RrlConfig {
         RrlConfig {
             rate_qps,
             burst: rate_qps.max(1.0),

@@ -130,7 +130,7 @@ pub fn run_baseline(config: BaselineConfig, scale: f64, seed: u64) -> BaselineRe
 
 /// Computes Table 3's split from the classification and the topology
 /// metadata.
-pub fn split_by_r1(output: &ExperimentOutput, c: &Classification) -> PublicSplit {
+pub(crate) fn split_by_r1(output: &ExperimentOutput, c: &Classification) -> PublicSplit {
     use std::collections::HashMap;
     let kind_of: HashMap<_, _> = output.vps.iter().map(|m| (m.vp, m.kind)).collect();
     let google_backends: std::collections::HashSet<_> =

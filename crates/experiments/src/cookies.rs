@@ -39,7 +39,7 @@ use crate::sweep::{SweepAxis, SweepEngine};
 
 /// The cookie secret the comparison arms share between the
 /// authoritatives (minting) and the ingress gates (validation).
-pub const COOKIE_SECRET: u64 = 0x7873_c00c_1e5e_c4e7;
+pub(crate) const COOKIE_SECRET: u64 = 0x7873_c00c_1e5e_c4e7;
 
 // ---------------------------------------------------------------------
 // The connection-table exhaustion attack
@@ -164,7 +164,7 @@ pub(crate) fn install_tcp_exhaustion(
 
 /// One arm of the `repro cookies` comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CookieArm {
+pub(crate) enum CookieArm {
     /// No defense — the legit-success and amplification baseline.
     Undefended,
     /// Silent-drop RRL (the §7 collateral case).
@@ -180,7 +180,7 @@ pub enum CookieArm {
 }
 
 /// All arms, in comparison-table order.
-pub const ALL_ARMS: [CookieArm; 5] = [
+pub(crate) const ALL_ARMS: [CookieArm; 5] = [
     CookieArm::Undefended,
     CookieArm::RrlDrop,
     CookieArm::SlipTcp,
@@ -190,7 +190,7 @@ pub const ALL_ARMS: [CookieArm; 5] = [
 
 impl CookieArm {
     /// The comparison-table label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CookieArm::Undefended => "undefended",
             CookieArm::RrlDrop => "rrl-drop",
@@ -246,7 +246,9 @@ impl CookieArm {
 
 /// The `repro cookies` grid: the flooded Experiment H scenario of
 /// [`crate::defense::defense_grid`] (so rows are comparable across the
-/// two repro targets), one arm per [`ALL_ARMS`] entry.
+/// two repro targets), one arm per comparison-table row: undefended,
+/// RRL drop, RRL slip + TCP, the same with hogged connection tables, and
+/// RRL drop with a cookie exemption.
 pub fn cookie_grid(scale: f64, seed: u64) -> SweepEngine {
     SweepEngine::new(flooded_experiment_h(scale, seed)).axis(SweepAxis::new(
         "arm",

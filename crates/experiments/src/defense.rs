@@ -75,7 +75,7 @@ const MAX_LATE_ARRIVALS: usize = (FLOOD_FIRST_ID - WAVE_FIRST_ID) as usize;
 
 /// Why a spoofed flood or late wave cannot be installed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FleetError {
+pub(crate) enum FleetError {
     /// The rate is NaN, infinite or out of range: a flood needs a
     /// positive rate, a wave a non-negative one.
     RateOutOfRange(f64),
@@ -133,7 +133,7 @@ impl SpoofedFlood {
     /// Checks that the flood can be installed: a finite positive rate
     /// that paces each source at least one nanosecond apart, and no more
     /// sources than query ids.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
         let rate = self.qps_per_source;
         if !rate.is_finite() || rate <= 0.0 {
             return Err(FleetError::RateOutOfRange(rate));
@@ -257,7 +257,7 @@ pub(crate) fn install_spoofed_flood(
 /// (0.033 qps). That is far below every preset's RRL rate of 0.1 qps,
 /// so rate limiting never triggers: what refuses these sources is
 /// classification, not volume.
-pub const LATE_RESOLVER_QPS: f64 = 1.0 / 30.0;
+pub(crate) const LATE_RESOLVER_QPS: f64 = 1.0 / 30.0;
 
 /// A wave of *legitimate* resolvers that first appear after the attack
 /// onset — the history classifier's blind spot. `ClassifierKind::History`
@@ -270,7 +270,7 @@ pub const LATE_RESOLVER_QPS: f64 = 1.0 / 30.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LateResolverWave {
     /// New resolvers arriving per minute, spread evenly over the window.
-    /// Each then queries at [`LATE_RESOLVER_QPS`].
+    /// Each then queries once every 30 seconds.
     pub arrivals_per_min: f64,
     /// Minutes after start when the first resolver arrives (the attack
     /// onset, so every arrival postdates the history cutoff).
@@ -288,7 +288,7 @@ impl LateResolverWave {
 
     /// Checks that the wave can be installed: a finite non-negative
     /// arrival rate, and no more resolvers than query ids.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
         let rate = self.arrivals_per_min;
         if !rate.is_finite() || rate < 0.0 {
             return Err(FleetError::RateOutOfRange(rate));

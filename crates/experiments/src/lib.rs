@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-experiments
 //!
@@ -58,7 +59,6 @@ pub mod implications;
 pub mod nxns;
 pub mod population;
 pub mod production;
-pub mod public_resolvers;
 pub mod report;
 pub mod setup;
 pub mod shard;

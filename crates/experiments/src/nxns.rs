@@ -34,7 +34,7 @@ use crate::setup::{ExperimentOutput, ExperimentSetup};
 use crate::sweep::{SweepAxis, SweepEngine};
 
 /// The malicious TLD the attacker's zone is delegated as.
-pub fn attack_origin() -> Name {
+pub(crate) fn attack_origin() -> Name {
     Name::parse("attack").expect("static")
 }
 

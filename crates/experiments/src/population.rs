@@ -21,13 +21,6 @@ pub enum R1Kind {
     TtlCapper,
 }
 
-impl R1Kind {
-    /// Whether the R1 is a public resolver (Table 3's split).
-    pub fn is_public(self) -> bool {
-        matches!(self, R1Kind::PublicGoogle | R1Kind::PublicOther)
-    }
-}
-
 /// The population mix. Defaults are calibrated to the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationMix {
@@ -101,7 +94,7 @@ impl Default for PopulationMix {
 
 impl PopulationMix {
     /// Samples how many recursives a probe has (1–3).
-    pub fn sample_recursive_count(&self, rng: &mut Rng) -> usize {
+    pub(crate) fn sample_recursive_count(&self, rng: &mut Rng) -> usize {
         let x: f64 = rng.random_range(0.0..1.0);
         if x < self.recursives_per_probe[0] {
             1
@@ -113,7 +106,7 @@ impl PopulationMix {
     }
 
     /// Samples the R1 kind for one vantage point.
-    pub fn sample_r1_kind(&self, rng: &mut Rng) -> R1Kind {
+    pub(crate) fn sample_r1_kind(&self, rng: &mut Rng) -> R1Kind {
         let x: f64 = rng.random_range(0.0..1.0);
         if x < self.frac_public {
             if rng.random_range(0.0..1.0) < self.google_share {
@@ -131,7 +124,7 @@ impl PopulationMix {
     }
 
     /// Expected vantage points per probe.
-    pub fn mean_vps_per_probe(&self) -> f64 {
+    pub(crate) fn mean_vps_per_probe(&self) -> f64 {
         self.recursives_per_probe[0]
             + 2.0 * self.recursives_per_probe[1]
             + 3.0 * self.recursives_per_probe[2]
@@ -168,7 +161,7 @@ mod tests {
         let mut google = 0;
         for _ in 0..n {
             let k = m.sample_r1_kind(&mut rng);
-            if k.is_public() {
+            if matches!(k, R1Kind::PublicGoogle | R1Kind::PublicOther) {
                 public += 1;
             }
             if k == R1Kind::PublicGoogle {

@@ -463,15 +463,15 @@ mod tests {
 
     /// Configuration for the full-simulation Figure 4 cross-check.
     #[derive(Debug, Clone, Copy)]
-    pub struct NlSimConfig {
+    pub(crate) struct NlSimConfig {
         /// Recursive resolvers (each is one "source" at the authoritative).
-        pub n_recursives: usize,
+        pub(crate) n_recursives: usize,
         /// Observation window.
-        pub duration: SimDuration,
+        pub(crate) duration: SimDuration,
         /// Zone TTL for the watched records.
-        pub ttl: u32,
+        pub(crate) ttl: u32,
         /// Simulator seed.
-        pub seed: u64,
+        pub(crate) seed: u64,
     }
 
     impl Default for NlSimConfig {
@@ -490,7 +490,7 @@ mod tests {
     /// recursive resolvers (honoring, fragmented and TTL-capping profiles),
     /// Poisson clients — and feeding the captured traffic through the same
     /// §4.1 passive analysis ([`PassiveAnalyzer`]).
-    pub fn run_nl_full_sim(cfg: &NlSimConfig) -> PassiveReport {
+    pub(crate) fn run_nl_full_sim(cfg: &NlSimConfig) -> PassiveReport {
         use dike_auth::{zonefile, AuthServer};
         use dike_resolver::{profiles, RecursiveResolver};
 

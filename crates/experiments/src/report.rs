@@ -135,7 +135,6 @@ mod tests {
                 ),
                 vps: Vec::new(),
                 google_backends: Vec::new(),
-                public_r1s: Default::default(),
                 n_probes: 0,
                 n_vps: 0,
                 metrics: None,

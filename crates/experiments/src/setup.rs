@@ -103,7 +103,7 @@ impl AttackPlan {
     /// setup carrying it will schedule. Random drop is the fault
     /// engine's compatibility case, so the same plan can be composed
     /// with richer faults.
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         FaultPlan::new().with(self.fault())
     }
 
@@ -193,7 +193,7 @@ pub struct ExperimentSetup {
     /// Arm the NXNSAttack: a malicious `attack` zone and a victim
     /// `victim` zone join the hierarchy, and a dedicated attack client
     /// cycles fresh delegation cuts through its own recursive. Tally in
-    /// [`ExperimentOutput::nxns`].
+    /// [`crate::nxns::nxns_row`].
     pub nxns: Option<NxnsZoneConfig>,
     /// MaxFetch(k), the NXNSAttack mitigation, applied to every
     /// recursive in the population (see
@@ -274,7 +274,7 @@ impl ExperimentSetup {
     /// 8 minutes (so the first round fires within the first interval and
     /// the configured number of pre-attack queries happens), 4 minutes of
     /// per-round jitter. No attack yet.
-    pub fn table4_paced(scale: f64, ttl: u32, total_min: u64, seed: u64) -> Self {
+    pub(crate) fn table4_paced(scale: f64, ttl: u32, total_min: u64, seed: u64) -> Self {
         ExperimentSetup {
             seed,
             first_round_spread: SimDuration::from_mins(8),
@@ -291,7 +291,7 @@ impl ExperimentSetup {
     /// cookie exemption (validation rejects one without a gate). An
     /// empty plan leaves `defense` at `None`, so the simulator keeps its
     /// defense-free hot path and the pinned determinism digest.
-    pub fn arm_defense(&mut self, plan: impl FnOnce([Addr; 2], SimTime) -> DefensePlan) {
+    pub(crate) fn arm_defense(&mut self, plan: impl FnOnce([Addr; 2], SimTime) -> DefensePlan) {
         let ns = topology::ns_addrs();
         let onset = SimDuration::from_mins(self.attack.map_or(0, |a| a.start_min)).after_zero();
         let mut plan = plan(ns, onset);
@@ -349,9 +349,7 @@ pub struct ExperimentOutput {
     /// Per-VP wiring metadata.
     pub vps: Vec<VpMeta>,
     /// Addresses of the Google-like farm backends.
-    pub google_backends: Vec<dike_netsim::Addr>,
-    /// All public frontend (R1) addresses.
-    pub public_r1s: std::collections::HashSet<dike_netsim::Addr>,
+    pub(crate) google_backends: Vec<dike_netsim::Addr>,
     /// Probes in the run.
     pub n_probes: usize,
     /// Vantage points in the run.
@@ -375,7 +373,7 @@ pub struct ExperimentOutput {
     pub exhaustion: Option<ExhaustionStats>,
     /// The NXNS attack client's tally, present when
     /// [`ExperimentSetup::nxns`] was set.
-    pub nxns: Option<NxnsStats>,
+    pub(crate) nxns: Option<NxnsStats>,
 }
 
 /// Runs one experiment to completion. With [`ExperimentSetup::shards`]
@@ -490,7 +488,6 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
         server,
         vps: topo.vps,
         google_backends: topo.google_backends,
-        public_r1s: topo.public_r1s,
         n_probes: topo.n_probes,
         n_vps,
         metrics,

@@ -244,7 +244,6 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
         server,
         vps: topo.vps,
         google_backends: topo.google_backends,
-        public_r1s: topo.public_r1s,
         n_probes: topo.n_probes,
         n_vps,
         metrics: None,

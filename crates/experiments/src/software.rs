@@ -101,7 +101,7 @@ impl Node for OneShot {
 /// Runs one cold-cache resolution of `sub.cachetest.nl` and counts the
 /// queries offered to each hierarchy level. With `ddos`, both target
 /// authoritatives are fully blackholed before the query fires.
-pub fn run_software(software: Software, ddos: bool, seed: u64) -> QueryBreakdown {
+pub(crate) fn run_software(software: Software, ddos: bool, seed: u64) -> QueryBreakdown {
     let mut sim = Simulator::new(seed);
     let (root, nl, ns) = add_hierarchy(&mut sim, 3600);
     let (_, resolver) = sim.add_node(Box::new(RecursiveResolver::new(

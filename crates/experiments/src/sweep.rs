@@ -110,8 +110,8 @@ impl SweepAxis {
     }
 
     /// Server-side defense presets (§7): each value arms one preset at
-    /// both authoritatives from the attack onset
-    /// ([`ExperimentSetup::arm_defense`]), replacing any earlier defense.
+    /// both authoritatives from the attack onset, replacing any earlier
+    /// defense.
     pub fn defense_preset(presets: Vec<DefensePreset>) -> Self {
         Self::new(
             "defense",
@@ -126,7 +126,7 @@ impl SweepAxis {
     /// New-resolver arrival rates: legitimate resolvers per minute that
     /// first appear after the attack onset, spread over the attack
     /// window (Table 4's common window without an attack) and each
-    /// querying at [`crate::defense::LATE_RESOLVER_QPS`] until it closes. Crossed with
+    /// querying once every 30 seconds until it closes. Crossed with
     /// [`SweepAxis::defense_preset`], this is the history-classifier
     /// false-positive grid: every arrival postdates the history cutoff,
     /// so admission defenses misfile the whole wave as unknown, and the
@@ -212,7 +212,7 @@ pub struct ReplicateSummary {
     /// Downsampled ECDF of answered-query RTTs in milliseconds.
     pub latency_ecdf: Vec<(f64, f64)>,
     /// Queries offered to the authoritatives (retry/traffic counter).
-    pub server_queries: u64,
+    pub(crate) server_queries: u64,
     /// Upstream retries, when the base setup collected telemetry.
     pub retries: Option<u64>,
 }
@@ -511,7 +511,7 @@ impl SweepEngine {
     }
 
     /// The base seed all replicate seeds derive from (the base setup's).
-    pub fn base_seed(&self) -> u64 {
+    pub(crate) fn base_seed(&self) -> u64 {
         self.base.seed
     }
 
@@ -522,7 +522,7 @@ impl SweepEngine {
 
     /// The per-axis value indices of `arm` (row-major, first axis
     /// slowest).
-    pub fn coords_of(&self, mut arm: usize) -> Vec<usize> {
+    pub(crate) fn coords_of(&self, mut arm: usize) -> Vec<usize> {
         let mut idx = vec![0usize; self.axes.len()];
         for (k, axis) in self.axes.iter().enumerate().rev() {
             idx[k] = arm % axis.len();

@@ -45,23 +45,26 @@ pub fn ns_node_ids() -> [NodeId; 2] {
 /// victim authoritatives are always nodes 4 and 5, the dedicated attack
 /// recursive node 6.
 #[derive(Debug, Clone, Copy)]
-pub struct NxnsAddrs {
+pub(crate) struct NxnsAddrs {
     /// The attacker's authoritative (serves the malicious `attack` zone).
-    pub attacker: Addr,
+    pub(crate) attacker: Addr,
     /// The victim's authoritative (absorbs the amplified NS fetches).
-    pub victim: Addr,
+    pub(crate) victim: Addr,
     /// The recursive resolver the attack client queries.
-    pub resolver: Addr,
+    pub(crate) resolver: Addr,
 }
 
-/// Panics unless every probe id `1..=n_probes` lies below the late
-/// wave's first id: a larger fleet would reuse the late wave's query
-/// ids, then the spoofed flood's query names, then wrap past `u16::MAX`.
+/// Every probe id `1..=n_probes` must lie below this, the late wave's
+/// first id: a larger fleet would reuse the late wave's query ids, then
+/// the spoofed flood's query names, then wrap past `u16::MAX`.
+pub const PROBE_ID_LIMIT: usize = crate::defense::WAVE_FIRST_ID as usize;
+
+/// Panics unless every probe id `1..=n_probes` lies below
+/// [`PROBE_ID_LIMIT`].
 pub(crate) fn assert_probe_count(n_probes: usize) {
-    let limit = usize::from(crate::defense::WAVE_FIRST_ID);
     assert!(
-        n_probes < limit,
-        "{n_probes} probes requested, but probe ids must stay below {limit}"
+        n_probes < PROBE_ID_LIMIT,
+        "{n_probes} probes requested, but probe ids must stay below {PROBE_ID_LIMIT}"
     );
 }
 
@@ -79,13 +82,13 @@ pub struct Topology {
     /// Per-VP wiring.
     pub vps: Vec<VpMeta>,
     /// Backend addresses of the Google-like farm (farm 0).
-    pub google_backends: Vec<Addr>,
+    pub(crate) google_backends: Vec<Addr>,
     /// All public frontend addresses (the public R1s).
-    pub public_r1s: HashSet<Addr>,
+    pub(crate) public_r1s: HashSet<Addr>,
     /// Probes actually created.
     pub n_probes: usize,
     /// The NXNSAttack cast, when [`BuildConfig::nxns`] armed it.
-    pub nxns: Option<NxnsAddrs>,
+    pub(crate) nxns: Option<NxnsAddrs>,
 }
 
 /// Topology build parameters.
@@ -181,7 +184,7 @@ pub fn add_hierarchy(sim: &mut Simulator, ttl: u32) -> (Addr, Addr, [Addr; 2]) {
 /// [`add_hierarchy`] with RFC 7873 cookie minting armed at every server
 /// when `cookie_secret` is set (a no-op for queries without a client
 /// cookie, so UDP-only runs stay byte-identical).
-pub fn add_hierarchy_with(
+pub(crate) fn add_hierarchy_with(
     sim: &mut Simulator,
     ttl: u32,
     cookie_secret: Option<u64>,

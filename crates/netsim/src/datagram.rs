@@ -16,24 +16,24 @@ use crate::addr::Addr;
 /// cloning a datagram (retransmits, duplicate delivery) shares the
 /// underlying buffer instead of copying it.
 #[derive(Debug, Clone)]
-pub struct Datagram {
+pub(crate) struct Datagram {
     /// Source address.
-    pub src: Addr,
+    pub(crate) src: Addr,
     /// Destination address.
-    pub dst: Addr,
+    pub(crate) dst: Addr,
     /// Encoded DNS payload.
-    pub payload: Arc<[u8]>,
+    pub(crate) payload: Arc<[u8]>,
 }
 
 impl Datagram {
     /// Size of the DNS payload in octets (traffic accounting uses this;
     /// the simulator does not model IP/UDP header overhead).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         self.payload.len()
     }
 
     /// Decodes the payload back into a [`Message`].
-    pub fn message(&self) -> Result<Message, dike_wire::codec::CodecError> {
+    pub(crate) fn message(&self) -> Result<Message, dike_wire::codec::CodecError> {
         dike_wire::codec::decode(&self.payload)
     }
 }

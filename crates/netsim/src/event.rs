@@ -15,7 +15,7 @@ use crate::sim::World;
 use crate::time::SimTime;
 
 /// Things that can happen.
-pub enum Event {
+pub(crate) enum Event {
     /// A datagram reaches its destination's ingress (loss filters are
     /// evaluated here, at arrival, like a filter in front of the target).
     Deliver(Datagram),
@@ -177,7 +177,7 @@ const KEEP_DRAINED: usize = 1024;
 /// # Panics
 /// [`EventQueue::push`] panics on an instant before the last pop: the
 /// clock would run backwards.
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// The last-popped instant in nanoseconds (0 before the first pop).
     last: u64,
     /// Slots of the entries at `last`, in push order; `run[head..]` are
@@ -217,7 +217,7 @@ impl EventQueue {
     ///
     /// # Panics
     /// Panics if `at` is before the last-popped instant.
-    pub fn push(&mut self, at: SimTime, event: Event) {
+    pub(crate) fn push(&mut self, at: SimTime, event: Event) {
         let key = at.as_nanos();
         assert!(
             key >= self.last,
@@ -253,7 +253,7 @@ impl EventQueue {
     }
 
     /// The instant of the next pop, if any.
-    pub fn peek(&self) -> Option<SimTime> {
+    pub(crate) fn peek(&self) -> Option<SimTime> {
         if self.head < self.run.len() {
             return Some(SimTime::from_nanos(self.last));
         }
@@ -262,7 +262,7 @@ impl EventQueue {
     }
 
     /// Removes the earliest entry (the first pushed among equals).
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
         if self.head == self.run.len() && !self.advance() {
             return None;
         }
@@ -305,12 +305,12 @@ impl EventQueue {
     }
 
     /// Number of queued events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slab.len() - self.free.len()
     }
 
     /// Every queued event, in no particular order (the auditor's census).
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.slab.iter().flatten()
     }
 }

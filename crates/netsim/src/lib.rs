@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-netsim
 //!
@@ -34,7 +35,7 @@
 //! * Faults — node crash/restart ([`Simulator::schedule_node_down`] /
 //!   [`Simulator::schedule_node_up`], with cold-cache restarts via
 //!   [`Node::on_restart`]) and bursty Gilbert–Elliott link degrades
-//!   ([`GilbertElliott`], [`LinkTable::set_degrade`]) alongside the
+//!   ([`DegradeParams`], [`LinkTable::set_degrade`]) alongside the
 //!   paper's Bernoulli ingress loss. Higher-level fault plans live in the
 //!   `dike-faults` crate.
 //! * [`audit`] — pull-based invariant checker (datagram conservation,
@@ -69,18 +70,15 @@ pub mod trace_io;
 pub use addr::{Addr, NodeId};
 pub use anycast::AnycastTable;
 pub use audit::AuditReport;
-pub use datagram::Datagram;
 pub use defense::{DefenseLedger, GateAction, IngressDefense, IngressGate, IngressVerdict};
 pub use dike_telemetry as telemetry;
-pub use link::{DegradeParams, GilbertElliott, LatencyModel, LinkParams, LinkTable};
+pub use link::{DegradeParams, LatencyModel, LinkParams, LinkTable};
 pub use node::{Context, Node, TimerId, TimerToken};
 pub use queueing::{
     ClassedQueue, ClassedQueueConfig, QueueClass, QueueConfig, QueueOutcome, ServiceQueue,
     QUEUE_CLASSES,
 };
-pub use shard::{
-    even_starts, Envelope, ShardAuditReport, ShardConfig, ShardedSim, DEFAULT_LOOKAHEAD,
-};
+pub use shard::{even_starts, ShardAuditReport, ShardConfig, ShardedSim, DEFAULT_LOOKAHEAD};
 pub use sim::{audit, shard, tcp};
 pub use sim::{SimPerf, Simulator};
 pub use tcp::{TcpConfig, TcpConnId, TcpStats};

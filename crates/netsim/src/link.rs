@@ -79,15 +79,15 @@ impl Default for LinkParams {
 /// state. Both draws come from the run's seeded RNG, so fault runs stay
 /// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GilbertElliott {
+pub(crate) struct GilbertElliott {
     /// Per-arrival probability of moving Good → Bad.
-    pub p_enter_bad: f64,
+    pub(crate) p_enter_bad: f64,
     /// Per-arrival probability of moving Bad → Good.
-    pub p_exit_bad: f64,
+    pub(crate) p_exit_bad: f64,
     /// Loss probability while Good (ambient residual loss).
-    pub loss_good: f64,
+    pub(crate) loss_good: f64,
     /// Loss probability while Bad (the burst).
-    pub loss_bad: f64,
+    pub(crate) loss_bad: f64,
 }
 
 impl GilbertElliott {
@@ -95,7 +95,7 @@ impl GilbertElliott {
     /// burst length (in arrivals). `mean_loss` is achieved by setting
     /// `loss_bad = 1` inside bursts and `loss_good = 0` outside, with the
     /// stationary Bad-state probability equal to `mean_loss`.
-    pub fn bursty(mean_loss: f64, mean_burst_len: f64) -> Self {
+    pub(crate) fn bursty(mean_loss: f64, mean_burst_len: f64) -> Self {
         let mean_loss = mean_loss.clamp(0.0, 1.0);
         // Stationary P(Bad) = p_enter / (p_enter + p_exit) = mean_loss.
         // Total loss pins the chain in Bad (p_exit = 0): with any exit
@@ -119,7 +119,7 @@ impl GilbertElliott {
 
     /// Steps the chain one arrival: transitions `state` (true = Bad),
     /// then samples a drop from the post-transition state.
-    pub fn sample_drop(&self, state: &mut bool, rng: &mut Rng) -> bool {
+    pub(crate) fn sample_drop(&self, state: &mut bool, rng: &mut Rng) -> bool {
         let flip = if *state {
             self.p_exit_bad
         } else {
@@ -135,22 +135,6 @@ impl GilbertElliott {
         };
         loss > 0.0 && rng.random_bool(loss.clamp(0.0, 1.0))
     }
-
-    /// Stationary probability of being in the Bad state.
-    pub fn stationary_bad(&self) -> f64 {
-        let denom = self.p_enter_bad + self.p_exit_bad;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            self.p_enter_bad / denom
-        }
-    }
-
-    /// Long-run mean loss rate of the process.
-    pub fn mean_loss(&self) -> f64 {
-        let pb = self.stationary_bad();
-        pb * self.loss_bad + (1.0 - pb) * self.loss_good
-    }
 }
 
 /// A degraded-but-not-failed condition on every path toward one
@@ -159,7 +143,7 @@ impl GilbertElliott {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeParams {
     /// The loss process.
-    pub ge: GilbertElliott,
+    pub(crate) ge: GilbertElliott,
     /// Multiplier on the sampled path latency (≥ 1.0 for inflation;
     /// values below 1 are allowed but physically dubious). Applied at
     /// send time, so it affects datagrams launched while the degrade is
@@ -307,7 +291,7 @@ impl LinkTable {
     /// whether the datagram is lost to the burst process. Draws from
     /// `rng` only when a degrade is installed, so fault-free runs keep an
     /// untouched RNG stream.
-    pub fn degrade_drop(&mut self, dst: Addr, rng: &mut Rng) -> bool {
+    pub(crate) fn degrade_drop(&mut self, dst: Addr, rng: &mut Rng) -> bool {
         if self.degrade.is_empty() {
             return false;
         }
@@ -487,7 +471,11 @@ mod tests {
     #[test]
     fn gilbert_elliott_bursty_hits_target_mean_loss() {
         let ge = GilbertElliott::bursty(0.5, 20.0);
-        assert!((ge.mean_loss() - 0.5).abs() < 1e-9);
+        // Loss is certain in Bad and absent in Good, so the mean loss is
+        // the stationary probability of Bad.
+        assert_eq!((ge.loss_good, ge.loss_bad), (0.0, 1.0));
+        let bad = ge.p_enter_bad / (ge.p_enter_bad + ge.p_exit_bad);
+        assert!((bad - 0.5).abs() < 1e-9);
         let mut r = rng();
         let mut state = false;
         let n = 100_000;

@@ -195,7 +195,7 @@ impl QueueClass {
     }
 
     /// The telemetry counter of queries shed from this class's queue.
-    pub fn shed_metric(self) -> &'static str {
+    pub(crate) fn shed_metric(self) -> &'static str {
         match self {
             QueueClass::Known => "shed_known",
             QueueClass::Unknown => "shed_unknown",
@@ -204,7 +204,7 @@ impl QueueClass {
     }
 
     /// The telemetry histogram of this class's admission queue delay.
-    pub fn queue_delay_metric(self) -> &'static str {
+    pub(crate) fn queue_delay_metric(self) -> &'static str {
         match self {
             QueueClass::Known => "defense_queue_delay_known",
             QueueClass::Unknown => "defense_queue_delay_unknown",

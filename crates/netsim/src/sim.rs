@@ -9,6 +9,7 @@
 //! (`telemetry`), the sharded engine's plumbing ([`shard`]) and the
 //! auditor ([`audit`]).
 
+use std::fmt;
 use std::sync::Arc;
 
 use dike_telemetry::hash::FastMap;
@@ -162,7 +163,7 @@ impl World {
     }
 
     /// The address of `node`.
-    pub fn addr_of(&self, node: NodeId) -> Addr {
+    pub(crate) fn addr_of(&self, node: NodeId) -> Addr {
         self.nodes.addr[node.0 as usize]
     }
 
@@ -170,7 +171,7 @@ impl World {
     /// resolves per source, by catchment). O(1): unicast addresses are
     /// assigned densely from `FIRST_ADDR`, so this is arithmetic, not a
     /// map lookup.
-    pub fn node_at(&self, addr: Addr) -> Option<NodeId> {
+    pub(crate) fn node_at(&self, addr: Addr) -> Option<NodeId> {
         let idx = addr.0.wrapping_sub(self.first_addr);
         ((idx as usize) < self.nodes.len()).then_some(NodeId(idx))
     }
@@ -187,6 +188,22 @@ impl World {
     /// membership mid-run from a control event.
     pub fn anycast_mut(&mut self) -> &mut AnycastTable {
         &mut self.anycast
+    }
+
+    /// The instant `delay` after now, for an `event` at `node`.
+    ///
+    /// # Panics
+    /// Panics, naming the event, its node and the instant, if that
+    /// instant is past the end of simulated time. Saturating there
+    /// instead would hold the clock at its last instant: a timer that
+    /// re-arms would fire at that instant forever.
+    fn after(&self, delay: SimDuration, event: &str, node: impl fmt::Display) -> SimTime {
+        self.now.checked_add(delay).unwrap_or_else(|| {
+            panic!(
+                "{event} at {node}: {delay} after now {} is past the end of simulated time",
+                self.now
+            )
+        })
     }
 
     fn push(&mut self, at: SimTime, event: Event) {
@@ -243,7 +260,7 @@ impl World {
     pub(crate) fn send_datagram(&mut self, src: Addr, dst: Addr, payload: Arc<[u8]>) {
         self.net.datagrams_sent += 1;
         let delay = self.path_delay(src, dst);
-        let at = self.now + delay;
+        let at = self.after(delay, "delivery", dst);
         if let Some(s) = self.shard.as_deref_mut() {
             let target = s.shard_of(dst);
             if target != s.id {
@@ -274,7 +291,7 @@ impl World {
         token: TimerToken,
     ) -> TimerId {
         let id = self.timers.grant();
-        let at = self.now + delay;
+        let at = self.after(delay, "timer", node);
         let epoch = self.nodes.epoch[node.0 as usize];
         self.push(
             at,

@@ -51,10 +51,10 @@ pub struct AuditReport {
     /// in a plain world). Conservation treats them as leaving this
     /// ledger; the sharded auditor ([`crate::shard::ShardedSim::audit`])
     /// checks they arrive exactly once on the owning shard.
-    pub xshard_out: u64,
+    pub(crate) xshard_out: u64,
     /// Datagrams injected from other shards (always 0 in a plain world);
     /// they enter this ledger at injection, like a local send.
-    pub xshard_in: u64,
+    pub(crate) xshard_in: u64,
     /// Datagrams handed past the ingress filters (includes queue drops,
     /// which are counted delivered at ingress and broken out separately).
     pub delivered: u64,
@@ -71,7 +71,7 @@ pub struct AuditReport {
     pub in_flight: u64,
     /// Pending `Event::DeliverQueued` entries (already counted in
     /// `delivered`; reported for visibility).
-    pub queued_deliveries: u64,
+    pub(crate) queued_deliveries: u64,
     /// Queries an ingress defense kept from its node (already counted in
     /// `delivered`, like queue drops; broken out here). Must equal the
     /// sum of the per-cause counters below — invariant 5.
@@ -92,11 +92,11 @@ pub struct AuditReport {
     pub tcp_live: u64,
     /// Pending TCP transport events (SYNs, deliveries, FINs, idle
     /// probes) in the queue; informational.
-    pub pending_tcp: u64,
+    pub(crate) pending_tcp: u64,
     /// Pending `Event::Timer` entries in the queue.
-    pub pending_timers: u64,
+    pub(crate) pending_timers: u64,
     /// Timer slots currently allocated (granted and not yet recycled).
-    pub allocated_timer_slots: u64,
+    pub(crate) allocated_timer_slots: u64,
     /// Crashes applied so far.
     pub node_crashes: u64,
     /// Restarts applied so far.
@@ -107,7 +107,7 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// Whether every invariant held.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 
@@ -115,7 +115,7 @@ impl AuditReport {
     /// harness and `DIKE_AUDIT=1` experiment runs use this.
     ///
     /// # Panics
-    /// Panics when [`AuditReport::is_clean`] is false.
+    /// Panics when [`AuditReport::violations`] is not empty.
     pub fn assert_clean(&self) {
         assert!(
             self.is_clean(),

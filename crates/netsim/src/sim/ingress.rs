@@ -145,7 +145,7 @@ impl World {
 
     /// Run-wide per-class admission-delay histograms (nanoseconds),
     /// merged across gates; indexed like [`crate::queueing::QUEUE_CLASSES`].
-    pub fn defense_queue_delays(&self) -> [Histogram; 3] {
+    pub(crate) fn defense_queue_delays(&self) -> [Histogram; 3] {
         let mut merged: [Histogram; 3] = Default::default();
         for gate in self.gates.iter().flatten() {
             for (mine, theirs) in merged.iter_mut().zip(gate.queue_delays()) {
@@ -338,7 +338,7 @@ impl Simulator {
         }
         match wait {
             Some(delay) if delay > SimDuration::ZERO => self.world.push(
-                now + delay,
+                self.world.after(delay, "queued delivery", local),
                 Event::DeliverQueued {
                     dgram,
                     msg: msg.into_shared(),

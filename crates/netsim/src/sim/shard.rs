@@ -11,7 +11,7 @@
 //! the ordinary local path. A datagram whose destination lives on
 //! another shard has its path delay sampled *on the sending shard* (from
 //! the sender's RNG stream, exactly like a local send), and is parked in
-//! a per-`(src, dst)`-shard outbox as an [`Envelope`] carrying its
+//! a per-`(src, dst)`-shard outbox as an envelope carrying its
 //! absolute arrival time.
 //!
 //! # Conservative rounds
@@ -118,15 +118,15 @@ pub const DEFAULT_LOOKAHEAD: SimDuration = SimDuration::from_millis(1);
 /// sampled on the sending shard, so only the absolute arrival time
 /// travels — the receiving shard injects it verbatim.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Absolute arrival time (send time + sampled one-way delay).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Sending node's address.
-    pub src: Addr,
+    pub(crate) src: Addr,
     /// Destination address (owned by the receiving shard).
-    pub dst: Addr,
+    pub(crate) dst: Addr,
     /// Encoded wire payload.
-    pub payload: Arc<[u8]>,
+    pub(crate) payload: Arc<[u8]>,
 }
 
 /// Configuration for one shard of a sharded world, handed to
@@ -186,15 +186,11 @@ pub struct ShardAuditReport {
 }
 
 impl ShardAuditReport {
-    /// Whether every invariant held, on every shard and across them.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.shards.iter().all(|r| r.is_clean())
-    }
-
     /// Panics with every violation if the audit is not clean.
     ///
     /// # Panics
-    /// Panics when [`ShardAuditReport::is_clean`] is false.
+    /// Panics when any shard's report or the cross-shard check names a
+    /// violation.
     pub fn assert_clean(&self) {
         let mut all: Vec<String> = Vec::new();
         for (i, r) in self.shards.iter().enumerate() {

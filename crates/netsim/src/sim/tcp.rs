@@ -71,8 +71,9 @@ impl Default for TcpConfig {
     }
 }
 
-/// Cumulative transport counters, reported by
-/// [`crate::Simulator::tcp_stats`] and audited for conservation.
+/// Cumulative transport counters, reported in
+/// [`AuditReport::tcp`](crate::AuditReport::tcp) and audited for
+/// conservation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TcpStats {
     /// Connections dialed (every `tcp_connect`, whether or not the
@@ -89,7 +90,7 @@ pub struct TcpStats {
     /// Messages delivered over established connections (both directions).
     pub messages: u64,
     /// High-water mark of concurrently-live connections.
-    pub live_high_water: u64,
+    pub(crate) live_high_water: u64,
 }
 
 /// Connection lifecycle. `SynSent` connections occupy no table slot —
@@ -191,23 +192,6 @@ impl World {
             .and_then(|slot| slot.as_ref())
     }
 
-    /// Cumulative transport counters (see [`crate::tcp::TcpStats`]).
-    pub fn tcp_stats(&self) -> TcpStats {
-        self.tcp.stats
-    }
-
-    /// Connections currently live in any state (the auditor's `live`
-    /// term in `opened == closed + reset + live`).
-    pub fn tcp_conns_live(&self) -> u64 {
-        self.tcp.live()
-    }
-
-    /// Established connections currently holding a slot in `addr`'s
-    /// listener table. `None` when no listener is installed there.
-    pub fn tcp_listener_open(&self, addr: Addr) -> Option<usize> {
-        self.tcp_listener(addr).map(|l| l.open)
-    }
-
     /// Dials `dst` from `client` (see [`Context::tcp_connect`]).
     pub(crate) fn tcp_connect(
         &mut self,
@@ -237,7 +221,7 @@ impl World {
             self.tcp.stats.live_high_water = live;
         }
         let delay = self.path_delay(client_addr, dst);
-        let at = self.now + delay;
+        let at = self.after(delay, "TCP delivery", dst);
         self.push(at, Event::TcpSyn { conn: id });
         TcpConnId(id)
     }
@@ -268,7 +252,7 @@ impl World {
                 delay = delay + l.config.per_conn_cost;
             }
         }
-        let at = self.now + delay;
+        let at = self.after(delay, "TCP delivery", dst);
         self.push(
             at,
             Event::TcpMsg {
@@ -306,7 +290,7 @@ impl World {
         }
         let epoch = self.nodes.epoch[peer.0 as usize];
         let delay = self.path_delay(src, dst);
-        let at = self.now + delay;
+        let at = self.after(delay, "TCP delivery", dst);
         self.push(
             at,
             Event::TcpFin {
@@ -373,7 +357,7 @@ impl World {
             }
             let epoch = self.nodes.epoch[peer.0 as usize];
             let delay = self.path_delay(src, dst);
-            let at = self.now + delay;
+            let at = self.after(delay, "TCP delivery", dst);
             self.push(
                 at,
                 Event::TcpFin {
@@ -393,16 +377,6 @@ impl Simulator {
     /// table capacity.
     pub fn set_tcp_listener(&mut self, addr: Addr, config: TcpConfig) {
         self.world.set_tcp_listener(addr, config);
-    }
-
-    /// Cumulative TCP transport counters.
-    pub fn tcp_stats(&self) -> TcpStats {
-        self.world.tcp_stats()
-    }
-
-    /// TCP connections currently live (any state).
-    pub fn tcp_conns_live(&self) -> u64 {
-        self.world.tcp_conns_live()
     }
 
     /// SYN arrival at the dialed address: accept (table slot allocated,
@@ -444,9 +418,13 @@ impl Simulator {
                 c.state = TcpConnState::Established;
                 c.last_activity = now;
                 let delay = self.world.path_delay(server_addr, client_addr);
-                self.world.push(now + delay, Event::TcpOpen { conn });
+                let open_at = self.world.after(delay, "TCP delivery", client_addr);
+                self.world.push(open_at, Event::TcpOpen { conn });
+                let idle_at = self
+                    .world
+                    .after(idle_timeout, "TCP idle timer", server_addr);
                 self.world
-                    .push(now + idle_timeout, Event::TcpIdle { conn, stamp: now });
+                    .push(idle_at, Event::TcpIdle { conn, stamp: now });
             }
             None => {
                 // Graceful shed: RST the handshake, keep serving UDP.
@@ -458,7 +436,7 @@ impl Simulator {
                     let epoch = self.world.nodes.epoch[client.0 as usize];
                     let delay = self.world.path_delay(server_addr, client_addr);
                     self.world.push(
-                        now + delay,
+                        self.world.after(delay, "TCP delivery", client_addr),
                         Event::TcpFin {
                             conn,
                             notify: client,
@@ -511,8 +489,9 @@ impl Simulator {
             .tcp_listener(server_addr)
             .map(|l| l.config.idle_timeout)
         {
+            let idle_at = self.world.after(idle, "TCP idle timer", server_addr);
             self.world
-                .push(now + idle, Event::TcpIdle { conn, stamp: now });
+                .push(idle_at, Event::TcpIdle { conn, stamp: now });
         }
         if !self.world.nodes.up[target.0 as usize] {
             return; // crash teardown races: conn removal is same-instant
@@ -551,10 +530,9 @@ impl Simulator {
         // gets no callback, per the Node::on_tcp_closed contract.
         if self.world.nodes.up[client.0 as usize] {
             let epoch = self.world.nodes.epoch[client.0 as usize];
-            let now = self.world.now;
             let delay = self.world.path_delay(server_addr, client_addr);
             self.world.push(
-                now + delay,
+                self.world.after(delay, "TCP delivery", client_addr),
                 Event::TcpFin {
                     conn,
                     notify: client,

@@ -35,14 +35,15 @@ impl Simulator {
 
     /// Attaches a human-readable label (e.g. `auth:ns1`) to a node in
     /// the telemetry registry. No-op unless telemetry is attached.
-    pub fn label_node(&mut self, id: NodeId, label: &str) {
+    pub(crate) fn label_node(&mut self, id: NodeId, label: &str) {
         if let Some(tel) = &self.telemetry {
             tel.registry.lock().set_node_label(id.0, label);
         }
     }
 
-    /// [`Simulator::label_node`] keyed by address instead of node id.
-    /// Ignores anycast VIPs and unknown addresses.
+    /// Attaches a human-readable label (e.g. `auth:ns1`) to the node at
+    /// `addr` in the telemetry registry. No-op unless telemetry is
+    /// attached; ignores anycast VIPs and unknown addresses.
     pub fn label_addr(&mut self, addr: Addr, label: &str) {
         if let Some(id) = self.world.node_at(addr) {
             self.label_node(id, label);

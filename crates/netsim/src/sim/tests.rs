@@ -258,6 +258,64 @@ fn a_restart_before_now_is_refused() {
     sim_at_ten_seconds().schedule_node_up(SimDuration::from_secs(5).after_zero(), NodeId(0), false);
 }
 
+/// A node whose first timer fires 1 ns before the end of simulated
+/// time. Each firing then sends a query to `target`, or, without one,
+/// re-arms the timer a second later.
+struct EndOfTime {
+    target: Option<Addr>,
+}
+
+impl Node for EndOfTime {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_nanos(u64::MAX - 1), TimerToken(0));
+    }
+
+    fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+        match self.target {
+            Some(dst) => ctx.send(dst, &Message::query(1, Name::root(), RecordType::NS)),
+            None => {
+                ctx.set_timer(SimDuration::from_secs(1), token);
+            }
+        }
+    }
+}
+
+/// Starts `sim`'s nodes, then steps it until it idles or `budget` events
+/// have run, so that a world stuck at its last instant ends the test
+/// instead of hanging it.
+fn step_at_most(sim: &mut Simulator, budget: usize) {
+    sim.start_pending();
+    for _ in 0..budget {
+        if !sim.step() {
+            return;
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "timer at n0: 1000.000ms after now t+18446744073.710s \
+                           is past the end of simulated time")]
+fn a_timer_past_the_end_of_time_is_refused() {
+    let mut sim = Simulator::new(7);
+    sim.add_node(Box::new(EndOfTime { target: None }));
+    step_at_most(&mut sim, 1_000);
+}
+
+#[test]
+#[should_panic(
+    expected = "delivery at 10.0.0.1: 10.000ms after now t+18446744073.710s \
+                           is past the end of simulated time"
+)]
+fn a_delivery_past_the_end_of_time_is_refused() {
+    let mut sim = Simulator::new(8);
+    fixed_fabric(&mut sim, 10);
+    let (_, echo) = sim.add_node(Box::new(Echo));
+    sim.add_node(Box::new(EndOfTime { target: Some(echo) }));
+    step_at_most(&mut sim, 1_000);
+}
+
 /// `at == now()` is accepted, and the event runs at `now()`, after
 /// everything already queued for that instant — before the first pop,
 /// and after `run_until` moved the clock to an instant nothing popped at.
@@ -905,12 +963,12 @@ fn tcp_handshake_costs_one_rtt_and_per_conn_cost_applies() {
         *log.lock(),
         vec![("connected".to_string(), 20), ("reply".to_string(), 45)]
     );
-    let stats = sim.tcp_stats();
+    let stats = sim.world.tcp.stats;
     assert_eq!(stats.opened, 1);
     assert_eq!(stats.closed, 1);
     assert_eq!(stats.reset, 0);
     assert_eq!(stats.messages, 2);
-    assert_eq!(sim.tcp_conns_live(), 0);
+    assert_eq!(sim.world.tcp.live(), 0);
     sim.audit().assert_clean();
 }
 
@@ -928,9 +986,9 @@ fn tcp_dial_without_listener_is_reset() {
     }));
     sim.run_until_idle();
     assert_eq!(*log.lock(), vec![("reset".to_string(), 20)]);
-    let stats = sim.tcp_stats();
+    let stats = sim.world.tcp.stats;
     assert_eq!((stats.opened, stats.reset, stats.syn_refused), (1, 1, 1));
-    assert_eq!(sim.tcp_conns_live(), 0);
+    assert_eq!(sim.world.tcp.live(), 0);
     sim.audit().assert_clean();
 }
 
@@ -968,7 +1026,7 @@ fn tcp_table_full_sheds_handshakes_but_udp_still_served() {
         rtt: None,
     }));
     sim.run_until(SimDuration::from_secs(30).after_zero());
-    let stats = sim.tcp_stats();
+    let stats = sim.world.tcp.stats;
     assert_eq!(stats.syn_refused, 1, "second handshake shed with RST");
     // Same-instant SYNs race deterministically: exactly one of the
     // two dialers connected, the other saw a reset.
@@ -1011,8 +1069,10 @@ fn tcp_idle_timeout_reaps_and_releases_the_table_slot() {
     // Last activity is the reply reaching the client at t=40ms;
     // reaped 2s later, plus one path delay for the FIN.
     assert_eq!(entries[2].1, 2050);
-    assert_eq!(sim.world_mut().tcp_listener_open(server_addr), Some(0));
-    let stats = sim.tcp_stats();
+    let listeners = &sim.world.tcp.listeners;
+    let open: Vec<usize> = listeners.iter().flatten().map(|l| l.open).collect();
+    assert_eq!(open, [0], "the reaped connection gave its slot back");
+    let stats = sim.world.tcp.stats;
     assert_eq!((stats.opened, stats.closed, stats.reset), (1, 1, 0));
     sim.audit().assert_clean();
 }
@@ -1043,9 +1103,9 @@ fn tcp_server_crash_resets_connections_and_conserves() {
         Some(("reset", 1010)),
         "crash severs the connection with an RST: {entries:?}"
     );
-    let stats = sim.tcp_stats();
+    let stats = sim.world.tcp.stats;
     assert_eq!((stats.opened, stats.closed, stats.reset), (1, 0, 1));
-    assert_eq!(sim.tcp_conns_live(), 0);
+    assert_eq!(sim.world.tcp.live(), 0);
     sim.audit().assert_clean();
 }
 
@@ -1060,7 +1120,7 @@ fn udp_only_runs_never_touch_tcp_state() {
         rtt: None,
     }));
     sim.run_until_idle();
-    assert_eq!(sim.tcp_stats(), crate::tcp::TcpStats::default());
-    assert_eq!(sim.tcp_conns_live(), 0);
+    assert_eq!(sim.world.tcp.stats, crate::tcp::TcpStats::default());
+    assert_eq!(sim.world.tcp.live(), 0);
     sim.audit().assert_clean();
 }

@@ -42,6 +42,12 @@ impl SimTime {
         self.0 / 60_000_000_000
     }
 
+    /// The instant `d` after `self`, or `None` past the end of simulated
+    /// time (`u64::MAX` ns).
+    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
+
     /// Time elapsed since `earlier`, saturating at zero.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))

@@ -47,10 +47,11 @@ pub trait TraceSink: Send {
 
 /// A shared, thread-safe handle to a sink, so experiments can keep a
 /// reference while the simulator drives it.
-pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
+pub(crate) type SharedSink = Arc<Mutex<dyn TraceSink>>;
 
-/// Wraps a concrete sink into a [`SharedSink`] plus a typed handle for
-/// reading results after the run.
+/// Wraps a concrete sink into the shared, type-erased handle that
+/// [`Simulator::add_sink`](crate::Simulator::add_sink) takes, plus a
+/// typed handle for reading results after the run.
 pub fn shared<T: TraceSink + 'static>(sink: T) -> (Arc<Mutex<T>>, SharedSink) {
     let typed = Arc::new(Mutex::new(sink));
     let erased: SharedSink = typed.clone();

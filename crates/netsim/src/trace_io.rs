@@ -63,7 +63,7 @@ impl TraceRow {
 
     /// Renders the row as one JSON line (no trailing newline). Returns
     /// `None` if the message fails to encode.
-    pub fn to_json_line(&self) -> Option<String> {
+    pub(crate) fn to_json_line(&self) -> Option<String> {
         let wire = codec::encode(&self.msg).ok()?;
         let mut hex = String::with_capacity(wire.len() * 2);
         for b in &wire {
@@ -87,7 +87,7 @@ impl TraceRow {
     /// Returns `None` for anything that is not a well-formed row (bad
     /// JSON, missing or out-of-range fields, an unknown `disposition`,
     /// undecodable `msg_hex`).
-    pub fn from_json_line(line: &str) -> Option<TraceRow> {
+    pub(crate) fn from_json_line(line: &str) -> Option<TraceRow> {
         let doc = json::parse(line).ok()?;
         let row = doc.named("row");
         let disposition = row.get("disposition").ok()?.str().ok()?;
@@ -136,7 +136,7 @@ pub struct JsonlTraceWriter<W: Write + Send> {
     pub errors: u64,
     /// Malformed-payload events skipped (a `TraceRow` stores the decoded
     /// message, which a malformed payload does not have).
-    pub skipped_malformed: u64,
+    pub(crate) skipped_malformed: u64,
 }
 
 impl<W: Write + Send> JsonlTraceWriter<W> {

@@ -11,11 +11,11 @@ use dike_netsim::{Addr, SimDuration};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Timeout before the first retry.
-    pub initial_timeout: SimDuration,
+    pub(crate) initial_timeout: SimDuration,
     /// Multiplier applied to the timeout after each retry.
-    pub backoff_factor: f64,
+    pub(crate) backoff_factor: f64,
     /// Ceiling on the per-try timeout.
-    pub max_timeout: SimDuration,
+    pub(crate) max_timeout: SimDuration,
     /// Total upstream sends per resolution task (first try included).
     /// The paper observes 6–7 tries per request when authoritatives are
     /// unreachable (§6.2).
@@ -43,7 +43,7 @@ impl RetryPolicy {
     /// configuration can produce a zero retry timeout, which would turn
     /// paced exponential backoff (paper §6.2) into an unpaced retry
     /// storm at the authoritatives.
-    pub fn timeout_for(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn timeout_for(&self, attempt: u32) -> SimDuration {
         let factor = if self.backoff_factor.is_finite() {
             self.backoff_factor.max(1.0)
         } else {
@@ -54,7 +54,7 @@ impl RetryPolicy {
     }
 
     /// Whether another attempt is allowed after `attempts` sends.
-    pub fn allows_retry(&self, attempts: u32) -> bool {
+    pub(crate) fn allows_retry(&self, attempts: u32) -> bool {
         attempts < self.max_attempts
     }
 }
@@ -66,15 +66,15 @@ impl RetryPolicy {
 /// unreachable server. TCP timeouts are distinct from the UDP
 /// [`RetryPolicy`], and a TCP attempt does not consume a UDP attempt from
 /// the task's budget.
-pub const TCP_CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+pub(crate) const TCP_CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// RFC 7766 TCP fallback: how long to wait for the response once the
 /// query has been sent over the established connection.
-pub const TCP_RESPONSE_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+pub(crate) const TCP_RESPONSE_TIMEOUT: SimDuration = SimDuration::from_secs(4);
 
 /// How the next upstream/authoritative server is chosen per attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
+pub(crate) enum SelectionPolicy {
     /// Prefer the lowest smoothed-RTT server (BIND-style).
     #[default]
     SrttBased,
@@ -86,7 +86,7 @@ pub enum SelectionPolicy {
 
 /// Where the resolver sends the queries it cannot answer from cache.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ResolverMode {
+pub(crate) enum ResolverMode {
     /// Full iterative resolution starting from these root server
     /// addresses.
     Iterative {
@@ -104,20 +104,20 @@ pub enum ResolverMode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolverConfig {
     /// Iterative or forwarding.
-    pub mode: ResolverMode,
+    pub(crate) mode: ResolverMode,
     /// Retry pacing.
     pub retry: RetryPolicy,
     /// Cache behaviour.
     pub cache: CacheConfig,
     /// Whether to resolve A records for NS names learned from referrals
     /// (infrastructure queries).
-    pub infra_a: bool,
+    pub(crate) infra_a: bool,
     /// Whether to also probe AAAA for NS names. The experiment zone is
     /// IPv4-only, so these draw negative answers — the `AAAA-for-NS`
     /// series in paper Fig. 10. Unbound does this, BIND is lazier.
-    pub infra_aaaa: bool,
+    pub(crate) infra_aaaa: bool,
     /// Upstream selection policy.
-    pub selection: SelectionPolicy,
+    pub(crate) selection: SelectionPolicy,
     /// Whether client answers may be served from referral (glue) data.
     /// RFC 2181 forbids it; a small share of real-world resolvers do it
     /// anyway (the ~5% "parent TTL" rows of the paper's Table 5).
@@ -137,11 +137,11 @@ pub struct ResolverConfig {
     /// question get an immediate SERVFAIL instead of triggering a new
     /// resolution — damping the retry storm of paper §6. Zero disables.
     pub servfail_ttl: SimDuration,
-    /// RFC 7766 TCP fallback on truncated answers, paced by
-    /// [`TCP_CONNECT_TIMEOUT`] and [`TCP_RESPONSE_TIMEOUT`]. `false` (the
-    /// default) keeps the resolver UDP-only, which is what the paper
-    /// measures — a slipped TC=1 then counts as a lost answer unless
-    /// another server's UDP retry succeeds.
+    /// RFC 7766 TCP fallback on truncated answers, paced by a 2 s
+    /// connect and a 4 s response timeout. `false` (the default) keeps
+    /// the resolver UDP-only, which is what the paper measures — a
+    /// slipped TC=1 then counts as a lost answer unless another server's
+    /// UDP retry succeeds.
     pub tcp_fallback: bool,
     /// RFC 7873 DNS cookies: attach a deterministic client cookie to
     /// every upstream query and learn the server half from responses. A

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-resolver
 //!
@@ -7,12 +8,12 @@
 //!
 //! A [`RecursiveResolver`] node can operate in two modes:
 //!
-//! * **Iterative** ([`ResolverMode::Iterative`]): full resolution from
+//! * **Iterative** ([`ResolverConfig::iterative`]): full resolution from
 //!   root hints, following referrals down the hierarchy, with bailiwick
 //!   checking, RTT-based server selection, exponential-backoff retries,
 //!   and infrastructure queries for the addresses of name servers it
 //!   learns (the A-for-NS / AAAA-for-NS traffic of paper Fig. 10).
-//! * **Forwarding** ([`ResolverMode::Forwarding`]): a first-level
+//! * **Forwarding** ([`ResolverConfig::forwarding`]): a first-level
 //!   recursive (R1, e.g. a home router or a public-resolver frontend)
 //!   that forwards to one or more upstream recursives (Rn), switching
 //!   upstream on retry — the multi-level amplification of paper §6.2.
@@ -29,9 +30,5 @@ pub mod profiles;
 mod selector;
 mod task;
 
-pub use config::{
-    ResolverConfig, ResolverMode, RetryPolicy, SelectionPolicy, TCP_CONNECT_TIMEOUT,
-    TCP_RESPONSE_TIMEOUT,
-};
+pub use config::{ResolverConfig, RetryPolicy};
 pub use node::{RecursiveResolver, ResolverStats};
-pub use selector::ServerSelector;

@@ -30,11 +30,11 @@ pub struct ResolverStats {
     /// Client queries answered from a fresh cache entry.
     pub cache_hits: u64,
     /// Client queries answered from the negative cache.
-    pub negative_hits: u64,
+    pub(crate) negative_hits: u64,
     /// Resolutions started (cache misses, deduplicated).
     pub resolutions: u64,
     /// Queries sent upstream (to authoritatives or forwarders).
-    pub upstream_queries: u64,
+    pub(crate) upstream_queries: u64,
     /// Upstream retries (sends beyond the first per task).
     pub retries: u64,
     /// Referrals followed.
@@ -56,11 +56,11 @@ pub struct ResolverStats {
     pub shed: u64,
     /// Retries that went to a different server than the previous attempt
     /// (server-selection switches).
-    pub server_switches: u64,
+    pub(crate) server_switches: u64,
     /// Server-selection rounds restarted after forward progress (a
     /// referral adopted, a CNAME chased, a deeper delegation found) —
     /// the per-round backoff state resets and selection starts over.
-    pub backoff_resets: u64,
+    pub(crate) backoff_resets: u64,
     /// Truncated UDP answers retried over TCP (RFC 7766 fallback; zero
     /// unless [`ResolverConfig::tcp_fallback`] is set).
     pub tcp_fallbacks: u64,
@@ -81,7 +81,7 @@ pub struct ResolverStats {
 }
 
 /// A recursive DNS resolver node (iterative or forwarding — see
-/// [`ResolverMode`]).
+/// [`ResolverConfig::iterative`] and [`ResolverConfig::forwarding`]).
 pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: ResolverCache,
@@ -137,12 +137,6 @@ impl RecursiveResolver {
     /// The configuration in force.
     pub fn config(&self) -> &ResolverConfig {
         &self.config
-    }
-
-    /// The distribution of upstream retries (sends beyond the first)
-    /// per finished task.
-    pub fn retry_histogram(&self) -> &dike_telemetry::Histogram {
-        &self.retry_histogram
     }
 
     /// Resolutions currently in flight.

@@ -26,41 +26,34 @@ const SRTT_CAP_MS: f64 = 30_000.0;
 
 /// RTT-based server selector shared by all of a resolver's tasks.
 #[derive(Debug, Default)]
-pub struct ServerSelector {
+pub(crate) struct ServerSelector {
     srtt_ms: FastMap<Addr, f64>,
 }
 
 impl ServerSelector {
     /// A selector with no history.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServerSelector::default()
     }
 
     /// Records a successful exchange with `server`.
-    pub fn record_success(&mut self, server: Addr, rtt: SimDuration) {
+    pub(crate) fn record_success(&mut self, server: Addr, rtt: SimDuration) {
         let sample = rtt.as_millis_f64();
         let e = self.srtt_ms.entry(server).or_insert(sample);
         *e = (*e * SRTT_ALPHA + sample * (1.0 - SRTT_ALPHA)).min(SRTT_CAP_MS);
     }
 
     /// Records a timeout against `server`.
-    pub fn record_timeout(&mut self, server: Addr) {
+    pub(crate) fn record_timeout(&mut self, server: Addr) {
         let e = self.srtt_ms.entry(server).or_insert(1_000.0);
         *e = (*e * TIMEOUT_PENALTY).min(SRTT_CAP_MS);
-    }
-
-    /// The current estimate for `server`, if any.
-    pub fn srtt(&self, server: Addr) -> Option<SimDuration> {
-        self.srtt_ms
-            .get(&server)
-            .map(|ms| SimDuration::from_secs_f64(ms / 1e3))
     }
 
     /// Picks the best candidate, preferring those not in `already_tried`.
     /// Unknown servers receive a small random estimate so that fresh
     /// servers are explored early. Returns `None` only for an empty
     /// candidate list.
-    pub fn pick(
+    pub(crate) fn pick(
         &mut self,
         candidates: &[Addr],
         already_tried: &[Addr],
@@ -88,7 +81,7 @@ impl ServerSelector {
     /// Uniform random selection, preferring untried candidates — the
     /// [`crate::SelectionPolicy::Random`] policy used by load-balanced
     /// farm frontends.
-    pub fn pick_uniform(
+    pub(crate) fn pick_uniform(
         candidates: &[Addr],
         already_tried: &[Addr],
         rng: &mut Rng,
@@ -171,7 +164,7 @@ mod tests {
         for _ in 0..100 {
             s.record_timeout(a);
         }
-        assert!(s.srtt(a).unwrap() <= SimDuration::from_secs(30));
+        assert!(s.srtt_ms[&a] <= 30_000.0, "capped at 30 s");
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-serve
 //!
@@ -10,7 +11,7 @@
 //! [`IngressGate`], then call [`AuthServer::respond`] with the current
 //! time and an encoder, and send the bytes it returns. The simulator
 //! passes virtual time and its pooled encoder; the socket loop passes
-//! [`WallClock::now`] and its own [`EncodeBuffer`]. That one function
+//! wall-clock time since start-up and its own [`EncodeBuffer`]. That one function
 //! is what makes the loopback parity test possible: the same queries
 //! against the same zone and plan produce byte-identical answers and
 //! matching defense ledgers in both modes.
@@ -55,20 +56,20 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// [`AuthServer::respond`] and the [`IngressGate`] has the simulator's
 /// type and its "time starts at zero" convention.
 #[derive(Debug, Clone, Copy)]
-pub struct WallClock {
+pub(crate) struct WallClock {
     epoch: Instant,
 }
 
 impl WallClock {
     /// A clock whose zero is now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WallClock {
             epoch: Instant::now(),
         }
     }
 
     /// The current instant.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 }
@@ -83,7 +84,7 @@ impl Default for WallClock {
 /// low 32 bits for IPv6). Ports are deliberately dropped — an [`Addr`]
 /// is what RRL prefix aggregation and classifiers key on, and those
 /// operate on hosts, not flows.
-pub fn addr_of_peer(peer: SocketAddr) -> Addr {
+pub(crate) fn addr_of_peer(peer: SocketAddr) -> Addr {
     match peer.ip() {
         IpAddr::V4(ip) => Addr(u32::from(ip)),
         IpAddr::V6(ip) => {
@@ -102,7 +103,7 @@ pub struct ServeStats {
     /// Datagrams that failed to decode as DNS messages.
     pub undecodable: u64,
     /// Replies (including RRL slips) the OS refused to send.
-    pub send_errors: u64,
+    pub(crate) send_errors: u64,
     /// DNS-over-TCP connections accepted.
     pub tcp_connections: u64,
     /// Queries answered over TCP (RFC 7766 framed).

@@ -109,7 +109,7 @@ pub struct Classifier {
     /// Zone serial rotation interval (10 minutes in every experiment).
     pub rotation: SimDuration,
     /// The serial the zone started with.
-    pub initial_serial: u16,
+    pub(crate) initial_serial: u16,
 }
 
 impl Default for Classifier {
@@ -123,7 +123,7 @@ impl Default for Classifier {
 
 impl Classifier {
     /// The serial a fresh authoritative answer carries at `t`.
-    pub fn serial_at(&self, t: SimTime) -> u16 {
+    pub(crate) fn serial_at(&self, t: SimTime) -> u16 {
         self.initial_serial
             .wrapping_add((t.as_nanos() / self.rotation.as_nanos().max(1)) as u16)
     }

@@ -25,8 +25,6 @@ use crate::ecdf::Ecdf;
 pub struct PassiveReport {
     /// Sources that sent at least `min_queries`.
     pub analyzed_sources: usize,
-    /// Sources discarded for sending fewer.
-    pub discarded_sources: usize,
     /// Queries sent by the analyzed sources.
     pub total_queries: usize,
     /// Inter-arrivals under 10 s (parallel queries), as a fraction of
@@ -56,7 +54,6 @@ pub struct PassiveTally {
     ttl: f64,
     min_queries: usize,
     analyzed: usize,
-    discarded: usize,
     total: usize,
     under_10: usize,
     ac: usize,
@@ -82,7 +79,6 @@ impl PassiveTally {
     pub fn add_source(&mut self, per_name: &[Vec<f64>]) {
         let n: usize = per_name.iter().map(Vec::len).sum();
         if n < self.min_queries {
-            self.discarded += 1;
             return;
         }
         self.analyzed += 1;
@@ -118,7 +114,6 @@ impl PassiveTally {
         };
         PassiveReport {
             analyzed_sources: self.analyzed,
-            discarded_sources: self.discarded,
             total_queries: self.total,
             frac_under_10s: share(self.under_10, self.total),
             ac_intervals: self.ac,
@@ -293,7 +288,7 @@ mod tests {
         observe_at(&mut an, 5, "ns1.dns.nl", 3600.0);
         let r = an.analyze(3600, 5);
         assert_eq!(r.analyzed_sources, 0);
-        assert_eq!(r.discarded_sources, 1);
+        assert_eq!(r.total_queries, 0, "none of its queries counted");
     }
 
     #[test]

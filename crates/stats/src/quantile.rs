@@ -16,7 +16,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Quantile over an already-sorted slice (ascending, finite, non-empty).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
     let n = sorted.len();
     if n == 1 {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-stub
 //!
@@ -22,4 +23,4 @@ mod log;
 mod probe;
 
 pub use log::{new_shared_log, ProbeLog, QueryOutcome, QueryRecord, SharedProbeLog, VpKey};
-pub use probe::{StubConfig, StubProbe, StubStats};
+pub use probe::{StubConfig, StubProbe};

@@ -46,17 +46,6 @@ impl QueryOutcome {
         )
     }
 
-    /// True for SERVFAIL answers.
-    pub fn is_servfail(&self) -> bool {
-        matches!(
-            self,
-            QueryOutcome::Answer {
-                rcode: Rcode::ServFail,
-                ..
-            }
-        )
-    }
-
     /// True for timeouts.
     pub fn is_timeout(&self) -> bool {
         matches!(self, QueryOutcome::Timeout)
@@ -99,22 +88,6 @@ impl ProbeLog {
             .iter()
             .filter(|r| r.outcome.is_timeout())
             .count()
-    }
-
-    /// Records answered SERVFAIL.
-    pub fn servfail_count(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.outcome.is_servfail())
-            .count()
-    }
-
-    /// Distinct vantage points seen.
-    pub fn vp_count(&self) -> usize {
-        let mut vps: Vec<VpKey> = self.records.iter().map(|r| r.vp).collect();
-        vps.sort();
-        vps.dedup();
-        vps.len()
     }
 
     /// FNV-1a over every field of every record, in log order: any
@@ -197,13 +170,13 @@ mod tests {
             aaaa: Some(Ipv6Addr::LOCALHOST),
             ttl: Some(60),
         };
-        assert!(ok.is_ok() && !ok.is_servfail() && !ok.is_timeout());
+        assert!(ok.is_ok() && !ok.is_timeout());
         let sf = QueryOutcome::Answer {
             rcode: Rcode::ServFail,
             aaaa: None,
             ttl: None,
         };
-        assert!(sf.is_servfail() && !sf.is_ok());
+        assert!(!sf.is_ok() && !sf.is_timeout());
         assert!(QueryOutcome::Timeout.is_timeout());
         // NOERROR without data is not "ok".
         let empty = QueryOutcome::Answer {
@@ -262,7 +235,5 @@ mod tests {
         }));
         assert_eq!(log.ok_count(), 1);
         assert_eq!(log.timeout_count(), 1);
-        assert_eq!(log.servfail_count(), 1);
-        assert_eq!(log.vp_count(), 1);
     }
 }

@@ -60,6 +60,8 @@
 //! assert!(json.contains("\"auth:ns1\""));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod check;
 mod export;
 pub mod hash;

@@ -10,7 +10,7 @@
 /// Number of log-scaled bins: bin 0 holds the value 0, bin `i` (for
 /// `i >= 1`) holds values in `[2^(i-1), 2^i)`. 64 bins cover all of
 /// `u64`.
-pub const HISTOGRAM_BINS: usize = 65;
+pub(crate) const HISTOGRAM_BINS: usize = 65;
 
 /// A histogram over `u64` samples with log-scaled (power-of-two) bins.
 ///
@@ -43,7 +43,7 @@ fn bin_index(v: u64) -> usize {
 }
 
 /// Inclusive lower bound of bin `i`.
-pub fn bin_lower_bound(i: usize) -> u64 {
+pub(crate) fn bin_lower_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         _ => 1u64 << (i - 1),

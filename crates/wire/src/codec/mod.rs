@@ -1,9 +1,10 @@
 //! Binary wire codec (RFC 1035 §4.1) with name compression.
 //!
-//! [`encode`] serializes a [`Message`] to its on-the-wire octets,
-//! compressing names against every name previously written (§4.1.4).
-//! [`decode`] parses octets back into a [`Message`], following compression
-//! pointers with strict loop and bounds protection.
+//! [`encode`] serializes a [`Message`](crate::Message) to its
+//! on-the-wire octets, compressing names against every name previously
+//! written (§4.1.4). [`decode`] parses octets back into a
+//! [`Message`](crate::Message), following compression pointers with
+//! strict loop and bounds protection.
 //!
 //! The codec is lossless for every [`crate::RData`] variant, including
 //! `Unknown`, which is what the property tests in this crate assert.
@@ -16,20 +17,16 @@ pub use decode::decode;
 pub use encode::{encode, encoded_len, EncodeBuffer};
 pub use error::CodecError;
 
-use crate::Message;
-
-/// Encodes `msg` and immediately decodes the result. Used in tests and by
-/// the simulator's "codec in the loop" mode to guarantee that everything a
-/// node sends survives serialization.
-pub fn round_trip(msg: &Message) -> Result<Message, CodecError> {
-    decode(&encode(msg)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Message, MessageBuilder, Name, RData, Rcode, Record, RecordType, SoaData};
     use std::net::{Ipv4Addr, Ipv6Addr};
+
+    /// Encodes `msg` and decodes the result.
+    fn round_trip(msg: &Message) -> Result<Message, CodecError> {
+        decode(&encode(msg)?)
+    }
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()

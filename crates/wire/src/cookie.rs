@@ -23,11 +23,11 @@ use crate::types::{RecordClass, RecordType};
 pub const COOKIE_OPTION_CODE: u16 = 10;
 
 /// Client cookie length (RFC 7873 §4: exactly 8 octets).
-pub const CLIENT_COOKIE_LEN: usize = 8;
+pub(crate) const CLIENT_COOKIE_LEN: usize = 8;
 
 /// Server cookie length used by this implementation (RFC 7873 allows
 /// 8–32; we always emit the minimum).
-pub const SERVER_COOKIE_LEN: usize = 8;
+pub(crate) const SERVER_COOKIE_LEN: usize = 8;
 
 /// A parsed DNS cookie: the client half, plus the server half when the
 /// sender has one.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dike-wire
 //!
@@ -41,7 +42,7 @@ mod types;
 
 pub use cookie::Cookie;
 pub use message::{Message, MessageBuilder, Question};
-pub use name::{Name, NameBuilder, NameError, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{Name, NameError};
 pub use rdata::{RData, SoaData};
 pub use record::Record;
 pub use types::{Opcode, Rcode, RecordClass, RecordType};

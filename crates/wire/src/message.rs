@@ -15,7 +15,7 @@ pub struct Question {
     /// Queried type.
     pub qtype: RecordType,
     /// Queried class.
-    pub qclass: RecordClass,
+    pub(crate) qclass: RecordClass,
 }
 
 impl Question {

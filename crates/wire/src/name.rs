@@ -14,10 +14,10 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Maximum length of a single label, per RFC 1035 §2.3.4.
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a whole name on the wire (including length octets and
 /// the root's zero octet), per RFC 1035 §2.3.4.
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 
 /// Longest wire run (no terminator) a name can carry.
 const MAX_RUN_LEN: usize = MAX_NAME_LEN - 1;
@@ -32,9 +32,9 @@ const INLINE_CAP: usize = 30;
 pub enum NameError {
     /// A label was empty (e.g. `a..b`) somewhere other than the root.
     EmptyLabel,
-    /// A label exceeded [`MAX_LABEL_LEN`] octets.
+    /// A label exceeded 63 octets (RFC 1035 §2.3.4).
     LabelTooLong(usize),
-    /// The whole name exceeded [`MAX_NAME_LEN`] octets in wire form.
+    /// The whole name exceeded 255 octets in wire form (RFC 1035 §2.3.4).
     NameTooLong(usize),
     /// A label contained a byte we refuse to carry (control characters).
     InvalidByte(u8),
@@ -104,7 +104,7 @@ impl Run {
 /// lowercased and appended to a stack buffer; no allocation happens
 /// until [`NameBuilder::finish`], and none at all for names that fit
 /// the inline representation.
-pub struct NameBuilder {
+pub(crate) struct NameBuilder {
     buf: [u8; MAX_RUN_LEN],
     len: usize,
 }
@@ -117,7 +117,7 @@ impl Default for NameBuilder {
 
 impl NameBuilder {
     /// An empty builder; finishing immediately yields the root.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NameBuilder {
             buf: [0u8; MAX_RUN_LEN],
             len: 0,
@@ -125,7 +125,7 @@ impl NameBuilder {
     }
 
     /// Validates and appends one label (lowercasing ASCII letters).
-    pub fn push_label(&mut self, bytes: &[u8]) -> Result<(), NameError> {
+    pub(crate) fn push_label(&mut self, bytes: &[u8]) -> Result<(), NameError> {
         check_label(bytes)?;
         // +1 length octet here, +1 terminating zero octet on the wire.
         let wire = self.len + 1 + bytes.len() + 1;
@@ -142,7 +142,7 @@ impl NameBuilder {
     }
 
     /// The assembled name.
-    pub fn finish(&self) -> Name {
+    pub(crate) fn finish(&self) -> Name {
         Name {
             run: Run::from_slice(&self.buf[..self.len]),
         }
@@ -210,7 +210,7 @@ impl Name {
     /// terminating zero octet. This is exactly the byte sequence the
     /// encoder writes (before compression), so hot paths copy it
     /// wholesale instead of re-walking labels.
-    pub fn as_wire_run(&self) -> &[u8] {
+    pub(crate) fn as_wire_run(&self) -> &[u8] {
         self.run.as_slice()
     }
 
@@ -291,24 +291,6 @@ impl Name {
             p += 1 + run[p] as usize;
         }
         p == cut
-    }
-
-    /// Number of labels shared with `other`, counted from the root.
-    pub fn common_suffix_len(&self, other: &Name) -> usize {
-        let (mut ao, mut bo) = ([0u8; 128], [0u8; 128]);
-        let an = self.label_offsets(&mut ao);
-        let bn = other.label_offsets(&mut bo);
-        let (ar, br) = (self.run.as_slice(), other.run.as_slice());
-        let mut shared = 0;
-        for i in 1..=an.min(bn) {
-            let (a, b) = (ao[an - i] as usize, bo[bn - i] as usize);
-            let (al, bl) = (ar[a] as usize, br[b] as usize);
-            if ar[a + 1..a + 1 + al] != br[b + 1..b + 1 + bl] {
-                break;
-            }
-            shared += 1;
-        }
-        shared
     }
 
     /// Iterator over `self` and each successive parent, ending at the root.
@@ -553,15 +535,6 @@ mod tests {
         names.sort();
         let strs: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         assert_eq!(strs, vec!["a.net", "nl", "a.nl", "b.nl"]);
-    }
-
-    #[test]
-    fn common_suffix_len_counts_shared_labels() {
-        let a = Name::parse("x.example.nl").unwrap();
-        let b = Name::parse("y.example.nl").unwrap();
-        assert_eq!(a.common_suffix_len(&b), 2);
-        assert_eq!(a.common_suffix_len(&a), 3);
-        assert_eq!(a.common_suffix_len(&Name::root()), 0);
     }
 
     #[test]

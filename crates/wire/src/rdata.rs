@@ -101,7 +101,7 @@ pub enum RData {
 
 impl RData {
     /// The [`RecordType`] this data corresponds to.
-    pub fn record_type(&self) -> RecordType {
+    pub(crate) fn record_type(&self) -> RecordType {
         match self {
             RData::A(_) => RecordType::A,
             RData::Aaaa(_) => RecordType::AAAA,
@@ -126,15 +126,6 @@ impl RData {
             RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => Some(n),
             RData::Mx { exchange, .. } => Some(exchange),
             RData::Srv { target, .. } => Some(target),
-            _ => None,
-        }
-    }
-
-    /// The address carried by A/AAAA data, if any.
-    pub fn ip_addr(&self) -> Option<std::net::IpAddr> {
-        match self {
-            RData::A(a) => Some((*a).into()),
-            RData::Aaaa(a) => Some((*a).into()),
             _ => None,
         }
     }
@@ -247,15 +238,6 @@ mod tests {
             Some(&ns)
         );
         assert_eq!(RData::A(Ipv4Addr::LOCALHOST).target_name(), None);
-    }
-
-    #[test]
-    fn ip_addr_extraction() {
-        let v4 = RData::A(Ipv4Addr::new(192, 0, 2, 1));
-        let v6 = RData::Aaaa(Ipv6Addr::LOCALHOST);
-        assert!(v4.ip_addr().unwrap().is_ipv4());
-        assert!(v6.ip_addr().unwrap().is_ipv6());
-        assert_eq!(RData::Txt(vec![]).ip_addr(), None);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum RecordType {
 
 impl RecordType {
     /// The wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             RecordType::A => 1,
             RecordType::NS => 2,
@@ -63,7 +63,7 @@ impl RecordType {
 
     /// Parses a wire value; unknown values are preserved, and known values
     /// never map to `Unknown`.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             1 => RecordType::A,
             2 => RecordType::NS,
@@ -117,7 +117,7 @@ pub enum RecordClass {
 
 impl RecordClass {
     /// The wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             RecordClass::IN => 1,
             RecordClass::CH => 3,
@@ -126,7 +126,7 @@ impl RecordClass {
     }
 
     /// Parses a wire value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             1 => RecordClass::IN,
             3 => RecordClass::CH,

@@ -39,6 +39,7 @@ use dike_experiments::implications;
 use dike_experiments::nxns::{nxns_grid, nxns_row, NXNS_QUERIES};
 use dike_experiments::production::{run_nl, run_root, NlConfig, RootConfig};
 use dike_experiments::software::{run_software_mean, Software};
+use dike_experiments::topology::PROBE_ID_LIMIT;
 use dike_experiments::{AttackPlan, ExperimentSetup, Report, SweepAxis, SweepEngine};
 use dike_netsim::{QueueConfig, SimDuration};
 use dike_stats::table::{pct, ratio, TextTable};
@@ -127,6 +128,15 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Action, String> {
     }
     if let Some(t) = target {
         args.target = t;
+    }
+    let probes = selected(&args.target)
+        .map(|(.., probes)| probes(args.scale))
+        .max();
+    if let Some(n) = probes.filter(|&n| n >= PROBE_ID_LIMIT) {
+        return Err(format!(
+            "--scale {} asks for {n} probes, but probe ids must stay below {PROBE_ID_LIMIT}",
+            args.scale
+        ));
     }
     Ok(Action::Run(args))
 }
@@ -233,43 +243,66 @@ impl Ctx {
     }
 }
 
-type Target = (&'static str, fn(&mut Ctx, &Args), bool);
+type Target = (&'static str, fn(&mut Ctx, &Args), bool, Probes);
 
-/// Every target: its name, its runner, and whether `all` includes it
+/// How many probes a target builds at a given `--scale`.
+type Probes = fn(f64) -> usize;
+
+/// The paper-scaled population: the baselines and every Table 4 run.
+const PAPER: Probes = ExperimentSetup::probes_at_scale;
+
+/// `implications`: its own, smaller anycast population.
+const ANYCAST: Probes = |scale| ((600.0 * scale.max(0.1)) as usize).max(60);
+
+/// `nxns`: the NXNS grid's background population.
+const NXNS: Probes = |scale| nxns_grid(scale, 0).base.n_probes;
+
+/// Targets that build no probes.
+const NO_PROBES: Probes = |_| 0;
+
+/// Every target: its name, its runner, whether `all` includes it
 /// (`sweep` and `falsepos` are sized by their own flags and can
-/// dwarf the lettered runs). `all` runs in this order, and `--list` and
-/// `--help` print it.
+/// dwarf the lettered runs), and its probe count at `--scale`, which
+/// the parser holds below the probe-id space. `all` runs in this order,
+/// and `--list` and `--help` print it.
 const TARGETS: &[Target] = &[
-    ("table1", |c, _| table1(c), true),
-    ("table2", |c, _| table2(c), true),
-    ("fig3", |c, _| fig3(c), true),
-    ("table3", |c, _| table3(c), true),
-    ("fig4", |c, _| fig4(c), true),
-    ("fig5", |c, _| fig5(c), true),
-    ("table4", |c, _| table4(c), true),
-    ("fig6", |c, _| fig6(c), true),
-    ("fig7", |c, _| fig7(c), true),
-    ("fig8", |c, _| fig8(c), true),
-    ("fig9", |c, _| fig9(c), true),
-    ("fig10", |c, _| fig10(c), true),
-    ("fig11", |c, _| fig11(c), true),
-    ("fig12", |c, _| fig12(c), true),
-    ("fig13", |c, _| fig13(c), true),
-    ("fig14", |c, _| fig14(c), true),
-    ("fig15", |c, _| fig15(c), true),
-    ("fig16", |c, _| fig16(c), true),
-    ("table5", |c, _| table5(c), true),
-    ("table6", |c, _| table6(c), true),
-    ("table7", |c, _| table7(c), true),
-    ("implications", |c, _| implications_sweep(c), true),
-    ("queueing", queueing_extension, true),
-    ("degraded", |c, _| degraded_scenario(c), true),
-    ("defense", defense_comparison, true),
-    ("cookies", cookies_comparison, true),
-    ("nxns", nxns_comparison, true),
-    ("sweep", sweep_grid, false),
-    ("falsepos", false_positive_sweep, false),
+    ("table1", |c, _| table1(c), true, PAPER),
+    ("table2", |c, _| table2(c), true, PAPER),
+    ("fig3", |c, _| fig3(c), true, PAPER),
+    ("table3", |c, _| table3(c), true, PAPER),
+    ("fig4", |c, _| fig4(c), true, NO_PROBES),
+    ("fig5", |c, _| fig5(c), true, NO_PROBES),
+    ("table4", |c, _| table4(c), true, PAPER),
+    ("fig6", |c, _| fig6(c), true, PAPER),
+    ("fig7", |c, _| fig7(c), true, PAPER),
+    ("fig8", |c, _| fig8(c), true, PAPER),
+    ("fig9", |c, _| fig9(c), true, PAPER),
+    ("fig10", |c, _| fig10(c), true, PAPER),
+    ("fig11", |c, _| fig11(c), true, PAPER),
+    ("fig12", |c, _| fig12(c), true, PAPER),
+    ("fig13", |c, _| fig13(c), true, PAPER),
+    ("fig14", |c, _| fig14(c), true, PAPER),
+    ("fig15", |c, _| fig15(c), true, PAPER),
+    ("fig16", |c, _| fig16(c), true, NO_PROBES),
+    ("table5", |c, _| table5(c), true, NO_PROBES),
+    ("table6", |c, _| table6(c), true, NO_PROBES),
+    ("table7", |c, _| table7(c), true, PAPER),
+    ("implications", |c, _| implications_sweep(c), true, ANYCAST),
+    ("queueing", queueing_extension, true, PAPER),
+    ("degraded", |c, _| degraded_scenario(c), true, PAPER),
+    ("defense", defense_comparison, true, PAPER),
+    ("cookies", cookies_comparison, true, PAPER),
+    ("nxns", nxns_comparison, true, NXNS),
+    ("sweep", sweep_grid, false, sweep_probes),
+    ("falsepos", false_positive_sweep, false, sweep_probes),
 ];
+
+/// The rows of [`TARGETS`] that `target` runs, in order.
+fn selected(target: &str) -> impl Iterator<Item = &'static Target> + '_ {
+    TARGETS
+        .iter()
+        .filter(move |(name, _, in_all, _)| target == *name || (target == "all" && *in_all))
+}
 
 fn main() {
     let args = match parse_args(std::env::args().skip(1)) {
@@ -280,10 +313,8 @@ fn main() {
     };
     let mut ctx = Ctx::new(args.scale, args.seed, args.metrics.is_some());
     let t = args.target.clone();
-    for (name, run, in_all) in TARGETS {
-        if t == *name || (t == "all" && *in_all) {
-            run(&mut ctx, &args);
-        }
+    for (_, run, ..) in selected(&t) {
+        run(&mut ctx, &args);
     }
 
     if let Some(path) = args.json {
@@ -955,7 +986,7 @@ fn table7(ctx: &mut Ctx) {
 // ---------------------------------------------------------------------
 
 fn implications_sweep(ctx: &mut Ctx) {
-    let n_probes = ((600.0 * ctx.scale.max(0.1)) as usize).max(60);
+    let n_probes = ANYCAST(ctx.scale);
     eprintln!("[repro] implications: anycast sweep with {n_probes} probes ...");
     let results = implications::sweep(n_probes, ctx.seed);
     let mut tbl = TextTable::new(
@@ -1485,6 +1516,15 @@ mod tests {
                 &["--scale", "-3"],
                 "--scale must be positive and finite, not -3",
             ),
+            // 9,200 × 5 probes would reach the late wave's ids.
+            (
+                &["fig10", "--scale", "5"],
+                "--scale 5 asks for 46000 probes, but probe ids must stay below 40000",
+            ),
+            (
+                &["--scale", "5"],
+                "--scale 5 asks for 46000 probes, but probe ids must stay below 40000",
+            ),
         ] {
             assert_eq!(parse(words).err().as_deref(), Some(complaint), "{words:?}");
         }
@@ -1494,6 +1534,17 @@ mod tests {
             ("sweep", 5, 0.1)
         );
         assert_eq!(parse(&[]).expect("no words").target, "all");
+        // The limit is per target: the same scale is refused for a
+        // paper-scaled run and accepted where the target builds fewer
+        // probes, or none.
+        for words in [
+            &["fig10", "--scale", "4.3"][..],
+            &["implications", "--scale", "5"],
+            &["sweep", "--scale", "5"],
+            &["fig4", "--scale", "50"],
+        ] {
+            assert!(parse(words).is_ok(), "{words:?}");
+        }
     }
 
     /// `--list` and `--help` come back as actions for `main` to perform:
