@@ -57,11 +57,11 @@ fn main() {
 }
 
 fn load(path: &str) -> dike_auth::Zone {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("zoneq: reading {path}: {e}");
         std::process::exit(2);
     });
-    zonefile::parse(&text, None).unwrap_or_else(|e| {
+    zonefile::read(std::io::BufReader::new(file), None).unwrap_or_else(|e| {
         eprintln!("zoneq: {e}");
         std::process::exit(1);
     })

@@ -1,6 +1,6 @@
 //! The zone model and its lookup semantics.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use dike_wire::{Name, Question, RData, Record, RecordType, SoaData};
@@ -38,14 +38,52 @@ pub enum ZoneAnswer {
     NotInZone,
 }
 
-/// The RRsets at one owner name, by type.
-type RRsets = BTreeMap<RecordType, Vec<Record>>;
+/// One owner name's records in one exact-size slice, sorted by type
+/// with insertion order kept within a type, so each RRset is one
+/// contiguous run. Never empty. It hashes, compares and borrows as its
+/// first record's name, so the index keeps no second copy of the owner.
+#[derive(Clone)]
+struct Owner(Box<[Record]>);
+
+impl Owner {
+    fn name(&self) -> &Name {
+        &self.0[0].name
+    }
+
+    /// The run of `rtype` records, if any.
+    fn rrset(&self, rtype: RecordType) -> Option<&[Record]> {
+        let start = self.0.partition_point(|r| r.rtype() < rtype);
+        let len = self.0[start..].partition_point(|r| r.rtype() == rtype);
+        (len > 0).then(|| &self.0[start..start + len])
+    }
+}
+
+impl PartialEq for Owner {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+    }
+}
+
+impl Eq for Owner {}
+
+impl std::hash::Hash for Owner {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<Name> for Owner {
+    fn borrow(&self) -> &Name {
+        self.name()
+    }
+}
 
 /// An in-memory DNS zone.
 ///
-/// Records are stored per `(name, type)`. Any NS RRset owned by a name
-/// *below* the origin marks a zone cut: queries at or below it produce
-/// referrals, and address records stored below the cut serve as glue.
+/// Records are stored per owner name, each owner's RRsets in one slice
+/// sorted by type. Any NS RRset owned by a name *below* the origin marks
+/// a zone cut: queries at or below it produce referrals, and address
+/// records stored below the cut serve as glue.
 ///
 /// Owners live in a hash index: the answer path only ever probes exact
 /// names, so nothing on it compares names in canonical order. The cold
@@ -55,7 +93,7 @@ type RRsets = BTreeMap<RecordType, Vec<Record>>;
 pub struct Zone {
     origin: Name,
     soa: Record,
-    records: HashMap<Name, RRsets>,
+    records: HashSet<Owner>,
     /// Every proper ancestor of an owner, strictly below the origin. A
     /// name here without records of its own is an empty non-terminal.
     interior: HashSet<Name>,
@@ -65,9 +103,9 @@ impl Zone {
     /// Creates a zone with the given origin and SOA data.
     pub fn new(origin: Name, soa_ttl: u32, soa: SoaData) -> Self {
         let soa_record = Record::new(origin.clone(), soa_ttl, RData::Soa(Box::new(soa)));
-        let apex = RRsets::from([(RecordType::SOA, vec![soa_record.clone()])]);
+        let apex = Owner(Box::new([soa_record.clone()]));
         Zone {
-            records: HashMap::from([(origin.clone(), apex)]),
+            records: HashSet::from([apex]),
             origin,
             soa: soa_record,
             interior: HashSet::new(),
@@ -97,8 +135,12 @@ impl Zone {
         if let RData::Soa(s) = &mut self.soa.rdata {
             s.serial = s.serial.wrapping_add(1);
         }
-        if let Some(types) = self.records.get_mut(&self.origin) {
-            types.insert(RecordType::SOA, vec![self.soa.clone()]);
+        if let Some(apex) = self.records.take(&self.origin) {
+            let mut records = apex.0.into_vec();
+            let start = records.partition_point(|r| r.rtype() < RecordType::SOA);
+            let end = records.partition_point(|r| r.rtype() <= RecordType::SOA);
+            records.splice(start..end, [self.soa.clone()]);
+            self.records.insert(Owner(records.into_boxed_slice()));
         }
     }
 
@@ -120,34 +162,31 @@ impl Zone {
                 break;
             }
         }
-        self.records
-            .entry(record.name.clone())
-            .or_default()
-            .entry(record.rtype())
-            .or_default()
-            .push(record);
+        // Room for exactly one more keeps the slice exact-size.
+        let mut records = self
+            .records
+            .take(&record.name)
+            .map_or_else(Vec::new, |owner| owner.0.into_vec());
+        records.reserve_exact(1);
+        let at = records.partition_point(|r| r.rtype() <= record.rtype());
+        records.insert(at, record);
+        self.records.insert(Owner(records.into_boxed_slice()));
     }
 
     /// Total number of records (handy for zone-file tests).
     pub fn record_count(&self) -> usize {
-        self.records
-            .values()
-            .flat_map(|m| m.values())
-            .map(|v| v.len())
-            .sum()
+        self.records.iter().map(|owner| owner.0.len()).sum()
     }
 
-    /// The owners in canonical DNS order.
-    fn sorted_owners(&self) -> BTreeMap<&Name, &RRsets> {
-        self.records.iter().collect()
+    /// The owners' records in canonical DNS order of the owners.
+    fn sorted_owners(&self) -> BTreeMap<&Name, &[Record]> {
+        self.records.iter().map(|o| (o.name(), &*o.0)).collect()
     }
 
-    /// Iterates every record in canonical order (SOA first at the apex,
-    /// then names in canonical DNS order). Sorts the owners on each call.
+    /// Iterates every record in canonical order (names in canonical DNS
+    /// order, each name's records by type). Sorts the owners on each call.
     pub fn iter_records(&self) -> impl Iterator<Item = &Record> {
-        self.sorted_owners()
-            .into_values()
-            .flat_map(|types| types.values().flatten())
+        self.sorted_owners().into_values().flatten()
     }
 
     /// Serializes the zone to master-file text that
@@ -196,10 +235,7 @@ impl Zone {
 
     /// All records of a type at a name, if any.
     pub fn rrset(&self, name: &Name, rtype: RecordType) -> Option<&[Record]> {
-        self.records
-            .get(name)
-            .and_then(|m| m.get(&rtype))
-            .map(|v| v.as_slice())
+        self.records.get(name).and_then(|owner| owner.rrset(rtype))
     }
 
     /// Answers a question per authoritative-server semantics.
@@ -217,8 +253,7 @@ impl Zone {
         let node = self.records.get(&q.name);
         let mut cut = node
             .filter(|_| q.name != self.origin)
-            .and_then(|types| types.get(&RecordType::NS))
-            .map(Vec::as_slice);
+            .and_then(|owner| owner.rrset(RecordType::NS));
         for ancestor in between(&q.name, &self.origin) {
             if let Some(ns) = self.rrset(&ancestor, RecordType::NS) {
                 cut = Some(ns);
@@ -243,7 +278,7 @@ impl Zone {
             return ZoneAnswer::Referral { ns, glue };
         }
 
-        let Some(types) = node else {
+        let Some(owner) = node else {
             // A name with no records exists if some owner sits below it
             // (an empty non-terminal).
             return if self.interior.contains(&q.name) {
@@ -258,8 +293,8 @@ impl Zone {
         };
 
         // Exact type match.
-        if let Some(rrset) = types.get(&q.qtype) {
-            let answers = rrset.clone();
+        if let Some(rrset) = owner.rrset(q.qtype) {
+            let answers = rrset.to_vec();
             let mut additionals = Vec::new();
             // For NS answers, include in-zone addresses of the servers.
             if q.qtype == RecordType::NS {
@@ -280,8 +315,8 @@ impl Zone {
         }
 
         // CNAME at the name answers any other type, chased in-zone.
-        if let Some(cnames) = types.get(&RecordType::CNAME) {
-            let mut answers = cnames.clone();
+        if let Some(cnames) = owner.rrset(RecordType::CNAME) {
+            let mut answers = cnames.to_vec();
             if let Some(RData::Cname(target)) = cnames.first().map(|r| &r.rdata) {
                 if let Some(rrset) = self.rrset(target, q.qtype) {
                     answers.extend(rrset.iter().cloned());
@@ -509,7 +544,7 @@ mod tests {
         let owners = ["", "alias.", "ns1.", "ns2.", "sub.", "ns1.sub.", "www."];
         let at: Vec<usize> = owners
             .iter()
-            .map(|o| shown.find(&format!("Name({o}cachetest.nl): {{")).unwrap())
+            .map(|o| shown.find(&format!("Name({o}cachetest.nl): [")).unwrap())
             .collect();
         assert!(at.windows(2).all(|w| w[0] < w[1]), "{shown}");
     }

@@ -16,8 +16,13 @@
 //! trailing dot are relative to the origin; TTL and class (`IN`) are
 //! optional per record (TTL falls back to `$TTL`); supported types are
 //! SOA, NS, A, AAAA, CNAME, TXT, MX, PTR, SRV and DS.
+//!
+//! [`read`] parses from any buffered reader one line at a time, so a
+//! server loading a file never holds its text and the zone at once;
+//! [`parse`] reads a string through it.
 
 use std::fmt;
+use std::io::BufRead;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use dike_wire::{Name, RData, Record, SoaData};
@@ -48,17 +53,34 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// Parses `text` into a [`Zone`]. The file must contain `$ORIGIN` (or the
-/// caller's `default_origin`) and exactly one SOA record, which must come
-/// before any other record.
+/// Parses `text` into a [`Zone`], as [`read`] does.
 pub fn parse(text: &str, default_origin: Option<&Name>) -> Result<Zone, ParseError> {
+    read(text.as_bytes(), default_origin)
+}
+
+/// Reads a zone file into a [`Zone`], one line at a time. The file must
+/// contain `$ORIGIN` (or the caller's `default_origin`) and exactly one
+/// SOA record, which must come before any other record. Lines end at
+/// `\n` or `\r\n`, as [`str::lines`] splits them; a line that is not
+/// UTF-8, or a read that fails, is an error naming that line.
+pub fn read(mut input: impl BufRead, default_origin: Option<&Name>) -> Result<Zone, ParseError> {
     let mut origin: Option<Name> = default_origin.cloned();
     let mut default_ttl: Option<u32> = None;
     let mut zone: Option<Zone> = None;
     let mut last_name: Option<Name> = None;
+    let mut buf = Vec::new();
 
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
+    for lineno in 1.. {
+        buf.clear();
+        let got = input.read_until(b'\n', &mut buf);
+        if got.map_err(|e| err(lineno, format!("read failed: {e}")))? == 0 {
+            break;
+        }
+        let mut bytes = buf.as_slice();
+        if let Some(rest) = bytes.strip_suffix(b"\n") {
+            bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+        }
+        let raw_line = std::str::from_utf8(bytes).map_err(|_| err(lineno, "line is not UTF-8"))?;
         let line = strip_comment(raw_line);
         if line.trim().is_empty() {
             continue;
@@ -439,5 +461,39 @@ v6             IN AAAA  2001:db8::1
             .rrset(&Name::parse("www.x.nl").unwrap(), RecordType::A)
             .unwrap();
         assert_eq!(rs.len(), 2);
+    }
+
+    #[test]
+    fn crlf_text_reads_as_its_lf_form() {
+        let crlf = SAMPLE.replace('\n', "\r\n");
+        let z = parse(&crlf, None).unwrap();
+        assert_eq!(z.to_zonefile(), parse(SAMPLE, None).unwrap().to_zonefile());
+    }
+
+    /// A reader whose every read fails.
+    struct Fails;
+
+    impl std::io::Read for Fails {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("device gone"))
+        }
+    }
+
+    #[test]
+    fn a_failed_read_names_its_line() {
+        let text = "$ORIGIN x.nl.\n$TTL 60\n@ IN SO";
+        let input = std::io::BufReader::new(std::io::Read::chain(text.as_bytes(), Fails));
+        let e = read(input, None).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("device gone"), "{e}");
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_an_error_naming_it() {
+        let text =
+            b"$ORIGIN x.nl.\n$TTL 60\n@ IN SOA ns h 1 2 3 4 5\nwww IN TXT \xff\nok IN A 1.2.3.4\n";
+        let e = read(&text[..], None).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("UTF-8"), "{e}");
     }
 }

@@ -1,6 +1,7 @@
 //! Oracle test for [`Zone`]: random zones are built into the zone and
 //! into a reference model side by side, and the two must give the same
-//! [`ZoneAnswer`] to every question and serialize to the same text.
+//! [`ZoneAnswer`] to every question, hold the same RRset at every owner
+//! and type, and serialize to the same text.
 //!
 //! The model is the zone's earlier design kept as plain code: one
 //! `BTreeMap` from owner name to its RRsets, a covering-cut walk, and a
@@ -289,8 +290,24 @@ fn the_zone_matches_the_reference_model() {
                 model.add(r.clone());
             }
             assert_eq!(zone.to_zonefile(), model.to_zonefile());
+            let count: usize = model
+                .records
+                .values()
+                .flat_map(|t| t.values())
+                .map(Vec::len)
+                .sum();
+            assert_eq!(zone.record_count(), count);
 
             let owners: Vec<Name> = model.records.keys().cloned().collect();
+            for owner in &owners {
+                for qtype in QTYPES {
+                    assert_eq!(
+                        zone.rrset(owner, qtype),
+                        model.rrset(owner, qtype),
+                        "{owner} {qtype}"
+                    );
+                }
+            }
             for name in arb_questions(g, &origin, &owners) {
                 for qtype in QTYPES {
                     let q = Question::new(name.clone(), qtype);

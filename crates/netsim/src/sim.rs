@@ -588,7 +588,7 @@ impl Simulator {
         // them is applied: a snapshot at t covers exactly the events with
         // time < t, independent of how events cluster around boundaries.
         if let Some(tel) = &self.telemetry {
-            if at >= tel.next_at {
+            if tel.next_at.is_some_and(|next| at >= next) {
                 self.cut_due_snapshots(at);
             }
         }

@@ -10,11 +10,12 @@ use crate::defense::DefenseLedger;
 use crate::time::{SimDuration, SimTime};
 
 /// Telemetry attachment: the shared registry plus the next sim-time
-/// boundary at which a snapshot is due.
+/// boundary at which a snapshot is due, `None` once the next would pass
+/// the end of simulated time.
 pub(super) struct Telemetry {
     registry: SharedRegistry,
     interval: SimDuration,
-    pub(super) next_at: SimTime,
+    pub(super) next_at: Option<SimTime>,
 }
 
 impl Simulator {
@@ -29,7 +30,7 @@ impl Simulator {
         self.telemetry = Some(Telemetry {
             registry,
             interval,
-            next_at: self.world.now + interval,
+            next_at: self.world.now.checked_add(interval),
         });
     }
 
@@ -60,14 +61,13 @@ impl Simulator {
     /// Cuts snapshots at every due boundary `<= upto`.
     pub(super) fn cut_due_snapshots(&mut self, upto: SimTime) {
         loop {
-            let Some(tel) = &self.telemetry else { return };
-            let at = tel.next_at;
-            if at > upto {
+            let next = self.telemetry.as_ref().and_then(|tel| tel.next_at);
+            let Some(at) = next.filter(|&at| at <= upto) else {
                 return;
-            }
+            };
             self.cut_snapshot(at);
             let tel = self.telemetry.as_mut().expect("telemetry still attached");
-            tel.next_at = at + tel.interval;
+            tel.next_at = at.checked_add(tel.interval);
         }
     }
 

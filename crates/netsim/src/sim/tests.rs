@@ -553,6 +553,38 @@ fn telemetry_snapshots_are_deterministic_across_runs() {
     assert_eq!(telemetry_run(9).to_json(), telemetry_run(9).to_json());
 }
 
+/// Boundaries every 2^62 ns before a control event at the end of
+/// simulated time: three are cut, the fourth would pass `u64::MAX` ns,
+/// and the run's final snapshot is at the end itself. A boundary that
+/// saturated there would be cut forever inside one `step()`, so the run
+/// has its own thread and a watchdog; a run that never returns is left
+/// detached.
+#[test]
+fn telemetry_stops_cutting_at_the_end_of_time() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let mut sim = Simulator::new(11);
+        sim.add_node(Box::new(Echo));
+        let reg = dike_telemetry::shared_registry();
+        let config = dike_telemetry::TelemetryConfig {
+            snapshot_interval_nanos: 1 << 62,
+        };
+        sim.attach_telemetry(reg.clone(), config);
+        sim.schedule_control(SimTime::from_nanos(u64::MAX), |_| {});
+        sim.run_until_idle();
+        let times = reg.lock().snapshot_times().to_vec();
+        let _ = done.send(());
+        times
+    });
+    let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+    assert!(
+        !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "the run did not return within 10 s"
+    );
+    let times = run.join().expect("the run panicked");
+    assert_eq!(times, [1 << 62, 2 << 62, 3 << 62, u64::MAX]);
+}
+
 /// An admission-style defense that delays every query by a fixed
 /// amount in one class.
 struct DelayAll(SimDuration, crate::queueing::QueueClass);

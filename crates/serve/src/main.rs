@@ -123,8 +123,8 @@ fn main() {
         )));
     } else {
         for path in &zonefiles {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail("--zonefile", e));
-            let zone = zonefile::parse(&text, None)
+            let file = std::fs::File::open(path).unwrap_or_else(|e| fail("--zonefile", e));
+            let zone = zonefile::read(std::io::BufReader::new(file), None)
                 .unwrap_or_else(|e| fail(&format!("--zonefile {}", path.display()), e));
             server.add_zone(Box::new(zone));
         }
