@@ -14,7 +14,10 @@
 //! server's stream path (RFC 7766: no size limit), exactly as a
 //! resolver falls back after a slip. With `--check`, parses the zone
 //! and prints its canonical form instead — a quick lint for
-//! hand-written zones.
+//! hand-written zones. Output cut short by a closed pipe (`| head`) ends
+//! quietly with status 0.
+
+use std::io::{self, ErrorKind, Write};
 
 use dike_auth::{zonefile, AuthServer};
 use dike_netsim::{Addr, SimTime};
@@ -48,11 +51,21 @@ fn main() {
             positional.push(arg);
         }
     }
-    match positional.as_slice() {
-        [flag, path] if flag == "--check" => check(path),
-        [path, name] => query(path, name, "A", tcp, bufsize),
-        [path, name, qtype] => query(path, name, qtype, tcp, bufsize),
+    let mut out = io::stdout().lock();
+    let written = match positional.as_slice() {
+        [flag, path] if flag == "--check" => check(path, &mut out),
+        [path, name] => query(path, name, "A", tcp, bufsize, &mut out),
+        [path, name, qtype] => query(path, name, qtype, tcp, bufsize, &mut out),
         _ => usage(),
+    };
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => {}
+        // The reader stopped early (`| head`): not a failure.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("zoneq: writing output: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -67,18 +80,26 @@ fn load(path: &str) -> dike_auth::Zone {
     })
 }
 
-fn check(path: &str) {
+fn check(path: &str, out: &mut impl Write) -> io::Result<()> {
     let zone = load(path);
-    println!(
+    writeln!(
+        out,
         "; zone {} ok: serial {}, {} records",
         zone.origin(),
         zone.serial(),
         zone.record_count()
-    );
-    print!("{}", zone.to_zonefile());
+    )?;
+    out.write_all(zone.to_zonefile().as_bytes())
 }
 
-fn query(path: &str, name: &str, qtype: &str, tcp: bool, bufsize: u16) {
+fn query(
+    path: &str,
+    name: &str,
+    qtype: &str,
+    tcp: bool,
+    bufsize: u16,
+    out: &mut impl Write,
+) -> io::Result<()> {
     let zone = load(path);
     let qname = Name::parse(name).unwrap_or_else(|e| {
         eprintln!("zoneq: bad name {name}: {e}");
@@ -108,17 +129,18 @@ fn query(path: &str, name: &str, qtype: &str, tcp: bool, bufsize: u16) {
     if resp.truncated && tcp {
         // The TC=1 fallback a resolver would take: same question, stream
         // semantics, no payload limit.
-        println!(";; Truncated, retrying over TCP (RFC 7766)");
+        writeln!(out, ";; Truncated, retrying over TCP (RFC 7766)")?;
         resp = server
             .answer_stream(SimTime::ZERO, Addr(0), &q)
             .expect("queries always get a stream answer");
         via = "TCP";
     }
 
-    println!(
+    writeln!(
+        out,
         ";; ->>HEADER<<- opcode: QUERY, status: {}, id: {}",
         resp.rcode, resp.id
-    );
+    )?;
     let mut flags = vec!["qr"];
     if resp.authoritative {
         flags.push("aa");
@@ -126,14 +148,15 @@ fn query(path: &str, name: &str, qtype: &str, tcp: bool, bufsize: u16) {
     if resp.truncated {
         flags.push("tc");
     }
-    println!(
+    writeln!(
+        out,
         ";; flags: {}; QUERY: 1, ANSWER: {}, AUTHORITY: {}, ADDITIONAL: {}",
         flags.join(" "),
         resp.answers.len(),
         resp.authorities.len(),
         resp.additionals.len()
-    );
-    println!("\n;; QUESTION SECTION:\n;{qname}.\t\tIN\t{qtype}");
+    )?;
+    writeln!(out, "\n;; QUESTION SECTION:\n;{qname}.\t\tIN\t{qtype}")?;
     for (label, records) in [
         ("ANSWER", &resp.answers),
         ("AUTHORITY", &resp.authorities),
@@ -142,11 +165,11 @@ fn query(path: &str, name: &str, qtype: &str, tcp: bool, bufsize: u16) {
         if records.is_empty() {
             continue;
         }
-        println!("\n;; {label} SECTION:");
+        writeln!(out, "\n;; {label} SECTION:")?;
         for r in records {
-            println!("{r}");
+            writeln!(out, "{r}")?;
         }
     }
     let size = dike_wire::codec::encoded_len(&resp).unwrap_or(0);
-    println!("\n;; MSG SIZE  rcvd: {size} ({via})");
+    writeln!(out, "\n;; MSG SIZE  rcvd: {size} ({via})")
 }

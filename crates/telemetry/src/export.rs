@@ -3,7 +3,7 @@
 
 use crate::json::Writer;
 use crate::metrics::HistogramSnapshot;
-use crate::registry::{Kind, MetricValue, MetricsRegistry, Row, Rows};
+use crate::registry::{Kind, Log, MetricValue, MetricsRegistry, Series};
 
 fn histogram_json(h: &HistogramSnapshot, w: &mut Writer) {
     w.begin_object();
@@ -39,13 +39,50 @@ fn value_fields(v: &MetricValue, w: &mut Writer) {
     }
 }
 
-/// A row's latest value and its `points` array.
-fn series<V: Kind>(row: &Row<V>, w: &mut Writer) {
-    value_fields(&row.current.value(), w);
+/// One family's points regrouped by row, in one counting pass: row
+/// `id`'s points are `order[ends[id - 1]..ends[id]]` (from 0 for row 0),
+/// in cut order.
+struct ByRow {
+    ends: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl ByRow {
+    /// Groups points whose row ids are `rows` among `count` rows.
+    fn of(rows: &[u32], count: usize) -> ByRow {
+        let mut ends = vec![0u32; count];
+        for &id in rows {
+            ends[id as usize] += 1;
+        }
+        let mut start = 0;
+        for n in &mut ends {
+            (*n, start) = (start, start + *n);
+        }
+        // Each row's slot walks from its start to its end.
+        let mut order = vec![0; rows.len()];
+        for (at, &id) in (0..).zip(rows) {
+            let slot = &mut ends[id as usize];
+            order[*slot as usize] = at;
+            *slot += 1;
+        }
+        ByRow { ends, order }
+    }
+
+    fn points(&self, id: usize) -> &[u32] {
+        let from = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.order[from as usize..self.ends[id] as usize]
+    }
+}
+
+/// Row `id`'s latest value and its `points` array, the points given by
+/// their indices into `s`; `starts` is where each cut's points begin.
+fn series<V: Kind>(s: &Series<V>, starts: &[u32], id: u32, points: &[u32], w: &mut Writer) {
+    value_fields(&s.current(id as usize), w);
     w.key("points").begin_array();
-    for (idx, v) in &row.points {
-        w.begin_object().key("snapshot").u64((*idx).into());
-        value_fields(&v.value(), w);
+    for &at in points {
+        let snapshot = starts.partition_point(|&start| start <= at) - 1;
+        w.begin_object().key("snapshot").u64(snapshot as u64);
+        value_fields(&s.point(at as usize), w);
         w.end_object();
     }
     w.end_array();
@@ -69,7 +106,12 @@ impl MetricsRegistry {
         }
         w.end_object();
         w.key("metrics").begin_array();
-        for (family, node, row) in self.rows_in_order() {
+        let families = self.families();
+        let by_row: Vec<ByRow> = (families.iter())
+            .map(|f| ByRow::of(f.point_rows(), f.nodes.len()))
+            .collect();
+        for (f, node, id) in self.rows_in_order() {
+            let family = &families[f];
             w.begin_object();
             w.key("component").str(&family.component).key("node");
             match node {
@@ -77,10 +119,11 @@ impl MetricsRegistry {
                 None => w.null(),
             };
             w.key("metric").str(&family.metric);
-            match &family.rows {
-                Rows::Counter(rows) => series(&rows[row], &mut w),
-                Rows::Gauge(rows) => series(&rows[row], &mut w),
-                Rows::Histogram(rows) => series(&rows[row], &mut w),
+            let (starts, points) = (&family.starts, by_row[f].points(id as usize));
+            match &family.log {
+                Log::Counter(s) => series(s, starts, id, points, &mut w),
+                Log::Gauge(s) => series(s, starts, id, points, &mut w),
+                Log::Histogram(s) => series(s, starts, id, points, &mut w),
             }
             w.end_object();
         }
