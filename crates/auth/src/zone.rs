@@ -38,10 +38,10 @@ pub enum ZoneAnswer {
     NotInZone,
 }
 
-/// One owner name's records in one exact-size slice, sorted by type
-/// with insertion order kept within a type, so each RRset is one
-/// contiguous run. Never empty. It hashes, compares and borrows as its
-/// first record's name, so the index keeps no second copy of the owner.
+/// One owner name's records in one exact-size slice, in insertion
+/// order, so an add appends whatever its type. Never empty. It hashes,
+/// compares and borrows as its first record's name, so the index keeps
+/// no second copy of the owner.
 #[derive(Clone)]
 struct Owner(Box<[Record]>);
 
@@ -50,11 +50,27 @@ impl Owner {
         &self.0[0].name
     }
 
-    /// The run of `rtype` records, if any.
-    fn rrset(&self, rtype: RecordType) -> Option<&[Record]> {
-        let start = self.0.partition_point(|r| r.rtype() < rtype);
-        let len = self.0[start..].partition_point(|r| r.rtype() == rtype);
-        (len > 0).then(|| &self.0[start..start + len])
+    /// The `rtype` records, in insertion order.
+    fn rrset(&self, rtype: RecordType) -> impl Iterator<Item = &Record> {
+        self.0.iter().filter(move |r| r.rtype() == rtype)
+    }
+
+    /// The `rtype` records, if any, in an exact-size vector (a collected
+    /// filter would start at four).
+    fn rrset_vec(&self, rtype: RecordType) -> Option<Vec<Record>> {
+        let len = self.rrset(rtype).count();
+        (len > 0).then(|| {
+            let mut rrset = Vec::with_capacity(len);
+            rrset.extend(self.rrset(rtype).cloned());
+            rrset
+        })
+    }
+
+    /// The records by type, insertion order kept within a type.
+    fn by_type(&self) -> Vec<&Record> {
+        let mut records: Vec<&Record> = self.0.iter().collect();
+        records.sort_by_key(|r| r.rtype());
+        records
     }
 }
 
@@ -80,15 +96,16 @@ impl std::borrow::Borrow<Name> for Owner {
 
 /// An in-memory DNS zone.
 ///
-/// Records are stored per owner name, each owner's RRsets in one slice
-/// sorted by type. Any NS RRset owned by a name *below* the origin marks
+/// Records are stored per owner name, each owner's records in one slice
+/// in insertion order. Any NS RRset owned by a name *below* the origin marks
 /// a zone cut: queries at or below it produce referrals, and address
 /// records stored below the cut serve as glue.
 ///
 /// Owners live in a hash index: the answer path only ever probes exact
 /// names, so nothing on it compares names in canonical order. The cold
 /// paths that must ([`Zone::iter_records`], [`Zone::to_zonefile`] and
-/// `Debug`) sort the owners when called.
+/// `Debug`) sort the owners, and each owner's records by type, when
+/// called.
 #[derive(Clone)]
 pub struct Zone {
     origin: Name,
@@ -137,9 +154,9 @@ impl Zone {
         }
         if let Some(apex) = self.records.take(&self.origin) {
             let mut records = apex.0.into_vec();
-            let start = records.partition_point(|r| r.rtype() < RecordType::SOA);
-            let end = records.partition_point(|r| r.rtype() <= RecordType::SOA);
-            records.splice(start..end, [self.soa.clone()]);
+            let at = records.iter().position(|r| r.rtype() == RecordType::SOA);
+            records.retain(|r| r.rtype() != RecordType::SOA);
+            records.insert(at.unwrap_or(records.len()), self.soa.clone());
             self.records.insert(Owner(records.into_boxed_slice()));
         }
     }
@@ -168,8 +185,7 @@ impl Zone {
             .take(&record.name)
             .map_or_else(Vec::new, |owner| owner.0.into_vec());
         records.reserve_exact(1);
-        let at = records.partition_point(|r| r.rtype() <= record.rtype());
-        records.insert(at, record);
+        records.push(record);
         self.records.insert(Owner(records.into_boxed_slice()));
     }
 
@@ -178,9 +194,13 @@ impl Zone {
         self.records.iter().map(|owner| owner.0.len()).sum()
     }
 
-    /// The owners' records in canonical DNS order of the owners.
-    fn sorted_owners(&self) -> BTreeMap<&Name, &[Record]> {
-        self.records.iter().map(|o| (o.name(), &*o.0)).collect()
+    /// The owners' records in canonical DNS order of the owners, each
+    /// owner's by type.
+    fn sorted_owners(&self) -> BTreeMap<&Name, Vec<&Record>> {
+        self.records
+            .iter()
+            .map(|o| (o.name(), o.by_type()))
+            .collect()
     }
 
     /// Iterates every record in canonical order (names in canonical DNS
@@ -233,9 +253,16 @@ impl Zone {
         out
     }
 
-    /// All records of a type at a name, if any.
-    pub fn rrset(&self, name: &Name, rtype: RecordType) -> Option<&[Record]> {
-        self.records.get(name).and_then(|owner| owner.rrset(rtype))
+    /// All records of a type at a name, in insertion order, if any.
+    pub fn rrset(&self, name: &Name, rtype: RecordType) -> Option<Vec<Record>> {
+        self.records.get(name)?.rrset_vec(rtype)
+    }
+
+    /// Appends the records of a type at a name to `out`.
+    fn extend_rrset(&self, out: &mut Vec<Record>, name: &Name, rtype: RecordType) {
+        if let Some(owner) = self.records.get(name) {
+            out.extend(owner.rrset(rtype).cloned());
+        }
     }
 
     /// Answers a question per authoritative-server semantics.
@@ -253,7 +280,7 @@ impl Zone {
         let node = self.records.get(&q.name);
         let mut cut = node
             .filter(|_| q.name != self.origin)
-            .and_then(|owner| owner.rrset(RecordType::NS));
+            .and_then(|owner| owner.rrset_vec(RecordType::NS));
         for ancestor in between(&q.name, &self.origin) {
             if let Some(ns) = self.rrset(&ancestor, RecordType::NS) {
                 cut = Some(ns);
@@ -264,14 +291,11 @@ impl Zone {
         // origin itself — but an NS query *at the cut* is still a referral
         // (the child is authoritative for its own apex).
         if let Some(ns) = cut {
-            let ns = ns.to_vec();
             let mut glue = Vec::new();
             for r in &ns {
                 if let RData::Ns(target) = &r.rdata {
                     for t in [RecordType::A, RecordType::AAAA] {
-                        if let Some(addrs) = self.rrset(target, t) {
-                            glue.extend(addrs.iter().cloned());
-                        }
+                        self.extend_rrset(&mut glue, target, t);
                     }
                 }
             }
@@ -293,17 +317,14 @@ impl Zone {
         };
 
         // Exact type match.
-        if let Some(rrset) = owner.rrset(q.qtype) {
-            let answers = rrset.to_vec();
+        if let Some(answers) = owner.rrset_vec(q.qtype) {
             let mut additionals = Vec::new();
             // For NS answers, include in-zone addresses of the servers.
             if q.qtype == RecordType::NS {
                 for r in &answers {
                     if let RData::Ns(target) = &r.rdata {
                         for t in [RecordType::A, RecordType::AAAA] {
-                            if let Some(addrs) = self.rrset(target, t) {
-                                additionals.extend(addrs.iter().cloned());
-                            }
+                            self.extend_rrset(&mut additionals, target, t);
                         }
                     }
                 }
@@ -315,12 +336,11 @@ impl Zone {
         }
 
         // CNAME at the name answers any other type, chased in-zone.
-        if let Some(cnames) = owner.rrset(RecordType::CNAME) {
-            let mut answers = cnames.to_vec();
-            if let Some(RData::Cname(target)) = cnames.first().map(|r| &r.rdata) {
-                if let Some(rrset) = self.rrset(target, q.qtype) {
-                    answers.extend(rrset.iter().cloned());
-                }
+        if let Some(mut answers) = owner.rrset_vec(RecordType::CNAME) {
+            if let Some(RData::Cname(target)) =
+                owner.rrset(RecordType::CNAME).next().map(|r| &r.rdata)
+            {
+                self.extend_rrset(&mut answers, target, q.qtype);
             }
             return ZoneAnswer::Authoritative {
                 answers,

@@ -652,13 +652,14 @@ impl DefensePlan {
     pub fn schedule(&self, sim: &mut Simulator) -> Result<(), (usize, DefenseError)> {
         self.validate()?;
         for (addr, engine) in self.build_engines() {
-            sim.set_ingress_defense(addr, Box::new(engine));
+            sim.world_mut().set_ingress_defense(addr, Box::new(engine));
         }
         for d in &self.defenses {
             if let Defense::Cookie { target, secret } = d {
                 // The engines above installed the gate; validation
                 // guarantees one exists for this target.
-                sim.set_ingress_cookie_secret(*target, Some(*secret));
+                sim.world_mut()
+                    .set_ingress_cookie_secret(*target, Some(*secret));
             }
             if let Defense::ScaleOut {
                 target,
@@ -1378,7 +1379,7 @@ mod tests {
         report.assert_clean();
         assert_eq!(*full.lock(), 100, "every cookie query is answered");
         assert_eq!(report.rrl_limited, 0);
-        assert_eq!(sim.defense_ledger().cookie_exempt, 100);
+        assert_eq!(sim.world_mut().defense_ledger().cookie_exempt, 100);
     }
 
     #[test]

@@ -210,8 +210,9 @@ pub struct ExperimentSetup {
     /// its pinned digest; `>= 2` switches to the sharded engine, whose
     /// outcome is identical for every shard count but *not* to the
     /// single-threaded engine's (per-node RNG streams and the
-    /// cross-shard latency floor). Several features are not shard-aware
-    /// and are rejected — see [`crate::shard::run_experiment_sharded`].
+    /// cross-shard latency floor). It runs `attack` alone: every other
+    /// scenario layer is rejected — see
+    /// [`crate::shard::run_experiment_sharded`].
     /// Sharding does not pay: at the paper's 9.2k probes two shards ran
     /// at 0.76–0.93× the speed of one, so parallelism across sweep cells
     /// and replicates ([`crate::SweepEngine`]) is the parallelism.
@@ -391,7 +392,7 @@ pub fn run_experiment(setup: &ExperimentSetup) -> ExperimentOutput {
     // untouched.
     if let Some(tcp_cfg) = setup.tcp {
         for addr in [topo.root, topo.nl, topo.ns[0], topo.ns[1]] {
-            sim.set_tcp_listener(addr, tcp_cfg);
+            sim.world_mut().set_tcp_listener(addr, tcp_cfg);
         }
     }
 

@@ -22,67 +22,40 @@
 //!   median and σ 0.25), so the clamp does bind: on 0.005 % of the
 //!   sampled delays of a 4.6k-probe run under 90 % loss.
 //!
-//! Feature gates: parts of the stack that route through global
-//! single-threaded state (TCP connections, cookies, telemetry
-//! snapshots, service queues, the auxiliary attack fleets, per-probe
-//! drill-down, anycast scale-out) are rejected up front with a clear
-//! panic rather than silently miscounted. The supported surface —
-//! the classic random-drop attack, node crash/restart faults, bursty
-//! link degrades, RRL/admission/cookie-less defenses, regional
-//! latency — covers every Table 4 scenario and the fault/defense
-//! sweeps.
+//! Feature gates: the engine runs the paper's attack (§5.1, random
+//! drop at the authoritatives) over regional latency, and nothing else.
+//! Every other scenario layer — faults, defenses, TCP, cookies,
+//! telemetry snapshots, the auxiliary attack fleets, per-probe
+//! drill-down — is rejected up front with a clear panic rather than
+//! silently miscounted.
 
-use dike_defense::Defense;
-use dike_faults::{Fault, FaultPlan};
 use dike_netsim::{
-    even_starts, trace, NodeId, ShardConfig, ShardedSim, SimDuration, Simulator, DEFAULT_LOOKAHEAD,
+    even_starts, trace, ShardConfig, ShardedSim, SimDuration, Simulator, DEFAULT_LOOKAHEAD,
 };
 use dike_stats::server_view::ServerView;
 
 use crate::setup::{audit_enabled, sole, ExperimentOutput, ExperimentSetup};
 use crate::topology::{self, BuildConfig};
 
-/// Panics listing every setup feature the sharded engine cannot honour.
+/// Panics listing every setup layer the sharded engine does not run.
 fn reject_unsupported(setup: &ExperimentSetup) {
-    let mut unsupported: Vec<&str> = Vec::new();
-    if setup.tcp.is_some() {
-        unsupported.push("tcp fallback");
-    }
-    if setup.cookie_secret.is_some() {
-        unsupported.push("dns cookies");
-    }
-    if setup.tcp_exhaustion.is_some() {
-        unsupported.push("tcp exhaustion fleet");
-    }
-    if setup.nxns.is_some() {
-        unsupported.push("nxns attack");
-    }
-    if setup.spoofed_flood.is_some() {
-        unsupported.push("spoofed flood fleet");
-    }
-    if setup.late_wave.is_some() {
-        unsupported.push("late resolver wave");
-    }
-    if setup.telemetry.is_some() {
-        unsupported.push("telemetry snapshots");
-    }
-    if setup.track_probe.is_some() {
-        unsupported.push("per-probe drill-down");
-    }
-    if setup.defense.as_ref().is_some_and(|d| {
-        d.defenses
-            .iter()
-            .any(|d| matches!(d, Defense::ScaleOut { .. }))
-    }) {
-        unsupported.push("anycast scale-out defense");
-    }
-    if setup
-        .faults
-        .as_ref()
-        .is_some_and(|f| f.faults.iter().any(|f| matches!(f, Fault::Flood { .. })))
-    {
-        unsupported.push("queue-flood fault");
-    }
+    let layers = [
+        ("fault plan", setup.faults.is_some()),
+        ("defense plan", setup.defense.is_some()),
+        ("tcp fallback", setup.tcp.is_some()),
+        ("dns cookies", setup.cookie_secret.is_some()),
+        ("tcp exhaustion fleet", setup.tcp_exhaustion.is_some()),
+        ("nxns attack", setup.nxns.is_some()),
+        ("spoofed flood fleet", setup.spoofed_flood.is_some()),
+        ("late resolver wave", setup.late_wave.is_some()),
+        ("telemetry snapshots", setup.telemetry.is_some()),
+        ("per-probe drill-down", setup.track_probe.is_some()),
+    ];
+    let unsupported: Vec<&str> = layers
+        .iter()
+        .filter(|(_, present)| *present)
+        .map(|(name, _)| *name)
+        .collect();
     assert!(
         unsupported.is_empty(),
         "sharded runs (shards = {}) do not support: {}; \
@@ -90,11 +63,6 @@ fn reject_unsupported(setup: &ExperimentSetup) {
         setup.shards,
         unsupported.join(", ")
     );
-}
-
-/// Which shard owns global node index `g`, given slice start indices.
-fn owner_shard(bounds: &[usize], g: usize) -> usize {
-    bounds.partition_point(|b| *b <= g) - 1
 }
 
 /// Runs one experiment on the sharded parallel engine.
@@ -130,14 +98,6 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
     // turns them into node-index bounds.
     let starts = even_starts(n, k);
     let bounds: Vec<usize> = starts.iter().map(|s| (s - starts[0]) as usize).collect();
-    // The hierarchy (root, nl, ns1, ns2) anchors the low end of the
-    // address space; defenses and the server view assume it stays
-    // together on shard 0.
-    let first_cut = bounds.get(1).copied().unwrap_or(n);
-    assert!(
-        first_cut >= 4,
-        "shard 0 ({first_cut} nodes) must hold the whole DNS hierarchy"
-    );
 
     let mut nodes = nodes.into_iter();
     let mut shards: Vec<Simulator> = (0..k)
@@ -160,12 +120,11 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
         .collect();
     debug_assert!(nodes.next().is_none(), "every node was dealt to a shard");
 
-    // Server-side accounting: the view filters on the ns addresses
-    // (shard 0), but the shared sink goes to every shard so the
-    // accounting point — datagram arrival at the defended ingress —
-    // is identical to the single-threaded engine's no matter where a
-    // query originated. Bin counters are sums, so cross-thread
-    // interleaving cannot change the result.
+    // Server-side accounting: the view filters on the ns addresses, and
+    // the shared sink goes to every shard so the accounting point —
+    // datagram arrival at the authoritative — is identical to the
+    // single-threaded engine's wherever its owner landed. Bin counters
+    // are sums, so cross-thread interleaving cannot change the result.
     let view = ServerView::new(topo.ns, SimDuration::from_mins(10));
     let (view_handle, sink) = trace::shared(view);
     for sim in &mut shards {
@@ -173,54 +132,16 @@ pub fn run_experiment_sharded(setup: &ExperimentSetup) -> ExperimentOutput {
     }
     drop(sink);
 
-    // The classic attack and any extra faults, dealt to shards:
-    //
-    // * ingress-loss and link-degrade faults go to *every* shard — loss
-    //   draws happen on the destination's shard, but the degrade's
-    //   latency factor applies at the sender, so all senders must see
-    //   the same window;
-    // * node crashes go to the owning shard only, with the node id
-    //   rebased from the global build order to the shard's local space.
-    let mut per_shard: Vec<FaultPlan> = vec![FaultPlan::new(); k];
-    let mut all_faults: Vec<Fault> = Vec::new();
+    // The attack's one random-drop fault goes to every shard: loss is
+    // drawn on the destination's shard, wherever the datagram came from.
     if let Some(plan) = setup.attack {
         debug_assert_eq!(plan.targets()[0], topo.ns[0]);
-        all_faults.push(plan.fault());
-    }
-    if let Some(plan) = &setup.faults {
-        all_faults.extend(plan.faults.iter().cloned());
-    }
-    for fault in all_faults {
-        match fault {
-            Fault::NodeDown { node, at, restart } => {
-                let g = node.0 as usize;
-                assert!(g < n, "fault names node {g}, world has {n}");
-                let s = owner_shard(&bounds, g);
-                per_shard[s].push(Fault::NodeDown {
-                    node: NodeId((g - bounds[s]) as u32),
-                    at,
-                    restart,
-                });
-            }
-            Fault::Flood { .. } => unreachable!("rejected by reject_unsupported"),
-            replicated @ (Fault::LinkDegrade { .. } | Fault::RandomDrop { .. }) => {
-                for plan in &mut per_shard {
-                    plan.push(replicated.clone());
-                }
-            }
+        let faults = plan.fault_plan();
+        for sim in &mut shards {
+            faults
+                .schedule(sim)
+                .unwrap_or_else(|(_, e)| panic!("invalid attack plan: {e}"));
         }
-    }
-    for (i, (sim, plan)) in shards.iter_mut().zip(&per_shard).enumerate() {
-        plan.schedule(sim)
-            .unwrap_or_else(|(j, e)| panic!("invalid fault plan on shard {i} (fault {j}): {e}"));
-    }
-
-    // Defenses guard the authoritatives' ingress, and the whole
-    // hierarchy lives on shard 0 (asserted above).
-    if let Some(defense) = &setup.defense {
-        defense
-            .schedule(&mut shards[0])
-            .unwrap_or_else(|(i, e)| panic!("invalid defense plan (defense {i}): {e}"));
     }
 
     let mut sharded = ShardedSim::new(shards);

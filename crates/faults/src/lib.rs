@@ -430,7 +430,7 @@ impl Fault {
                 queue,
             } => {
                 if let Some(cfg) = queue {
-                    sim.set_ingress_queue(*target, *cfg);
+                    sim.world_mut().set_ingress_queue(*target, *cfg);
                 }
                 let t = *target;
                 for (at, load) in shape.levels(*start, *duration, *peak_load) {

@@ -12,9 +12,9 @@
 //! simulator is event-driven, the queue is tracked *virtually* — one
 //! `busy_until` instant per queue — with O(1) work per arrival.
 //!
-//! Attach queues per destination address via
-//! [`crate::Simulator::set_ingress_queue`], which puts one in that
-//! address's [`crate::IngressGate`] behind any defense; attack traffic
+//! Attach queues per destination address via `World::set_ingress_queue`
+//! (reached through [`crate::Simulator::world_mut`]), which puts one in
+//! that address's [`crate::IngressGate`] behind any defense; attack traffic
 //! is modeled by [`ServiceQueue::inject_background_load`], which
 //! consumes a fraction of the service capacity exactly the way a
 //! volumetric flood does.

@@ -530,11 +530,6 @@ impl Simulator {
         );
     }
 
-    /// Whether `node` is currently up (see `World::node_is_up`).
-    pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.world.node_is_up(node)
-    }
-
     /// Borrows a node back out (e.g. to read its final state after the
     /// run). Returns `None` for ids that were never assigned.
     pub fn node(&self, id: NodeId) -> Option<&dyn Node> {

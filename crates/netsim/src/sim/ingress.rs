@@ -163,31 +163,6 @@ impl World {
 }
 
 impl Simulator {
-    /// Installs an ingress service queue in front of `addr`
-    /// (see [`crate::queueing`]).
-    pub fn set_ingress_queue(&mut self, addr: Addr, config: QueueConfig) {
-        self.world.set_ingress_queue(addr, config);
-    }
-
-    /// Installs an ingress defense pipeline in front of `addr`
-    /// (see [`crate::defense`]).
-    pub fn set_ingress_defense(&mut self, addr: Addr, defense: Box<dyn IngressDefense>) {
-        self.world.set_ingress_defense(addr, defense);
-    }
-
-    /// Arms (or clears) RFC 7873 cookie validation on the ingress gate
-    /// already installed at `addr` (see
-    /// [`crate::defense::IngressGate::set_cookie_secret`]).
-    pub fn set_ingress_cookie_secret(&mut self, addr: Addr, secret: Option<u64>) {
-        self.world.set_ingress_cookie_secret(addr, secret);
-    }
-
-    /// Run-wide defense drop accounting — what the sim/live parity test
-    /// compares against a live server's gate ledger.
-    pub fn defense_ledger(&self) -> DefenseLedger {
-        self.world.defense_ledger()
-    }
-
     pub(super) fn deliver(&mut self, dgram: Datagram) {
         let wire_len = dgram.wire_len();
 

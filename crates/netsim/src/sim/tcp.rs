@@ -372,13 +372,6 @@ impl World {
 }
 
 impl Simulator {
-    /// Installs a TCP listener on `addr` (see [`crate::tcp`]): the node
-    /// behind it starts accepting connections, bounded by the config's
-    /// table capacity.
-    pub fn set_tcp_listener(&mut self, addr: Addr, config: TcpConfig) {
-        self.world.set_tcp_listener(addr, config);
-    }
-
     /// SYN arrival at the dialed address: accept (table slot allocated,
     /// SYN-ACK back), refuse with RST (no listener, or table full), or —
     /// when the server node is down — silence, leaving the dialer to its

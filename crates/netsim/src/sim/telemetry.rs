@@ -25,8 +25,15 @@ impl Simulator {
     /// returns), publishing its own event/datagram counters and calling
     /// [`crate::Node::publish_metrics`] on every node. Never driven by wall
     /// clock, so metric series are as deterministic as the run itself.
+    ///
+    /// # Panics
+    /// On a zero snapshot interval, which would cut without end.
     pub fn attach_telemetry(&mut self, registry: SharedRegistry, config: TelemetryConfig) {
-        let interval = SimDuration::from_nanos(config.snapshot_interval_nanos.max(1));
+        assert!(
+            config.snapshot_interval_nanos > 0,
+            "telemetry snapshot interval is zero"
+        );
+        let interval = SimDuration::from_nanos(config.snapshot_interval_nanos);
         self.telemetry = Some(Telemetry {
             registry,
             interval,

@@ -585,6 +585,31 @@ fn telemetry_stops_cutting_at_the_end_of_time() {
     assert_eq!(times, [1 << 62, 2 << 62, 3 << 62, u64::MAX]);
 }
 
+/// A zero snapshot interval is refused when attached. Clamped to 1 ns
+/// it asked a one-second run for a billion cuts, so the run has its own
+/// thread and a watchdog, as above: the thread must panic, which drops
+/// its sender, within 10 s.
+#[test]
+fn a_zero_telemetry_interval_is_refused() {
+    let (done, finished) = std::sync::mpsc::channel::<()>();
+    let run = std::thread::spawn(move || {
+        let mut sim = Simulator::new(12);
+        sim.add_node(Box::new(Echo));
+        let reg = dike_telemetry::shared_registry();
+        sim.attach_telemetry(reg, dike_telemetry::TelemetryConfig::every_secs(0));
+        sim.run_until(SimTime::from_nanos(1_000_000_000));
+        let _ = done.send(());
+    });
+    let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+    assert!(
+        matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Disconnected)),
+        "the run did not panic within 10 s: {waited:?}"
+    );
+    let err = run.join().expect_err("the run panicked");
+    let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(msg.contains("interval is zero"), "panic said: {msg}");
+}
+
 /// An admission-style defense that delays every query by a fixed
 /// amount in one class.
 struct DelayAll(SimDuration, crate::queueing::QueueClass);
@@ -615,7 +640,7 @@ fn queue_delay_histograms_reach_the_telemetry_cuts() {
         sent_at: None,
         rtt: None,
     }));
-    sim.set_ingress_defense(
+    sim.world_mut().set_ingress_defense(
         echo_addr,
         Box::new(DelayAll(SimDuration::from_millis(3), QueueClass::Known)),
     );
@@ -685,11 +710,12 @@ fn ledger_read_from_the_registry_equals_the_simulators() {
             rtt: None,
         }));
     }
-    sim.set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
+    sim.world_mut()
+        .set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
     let reg = dike_telemetry::shared_registry();
     sim.attach_telemetry(reg.clone(), dike_telemetry::TelemetryConfig::every_secs(1));
     sim.run_until(SimDuration::from_secs(2).after_zero());
-    let ledger = sim.defense_ledger();
+    let ledger = sim.world_mut().defense_ledger();
     drop(sim);
     let reg = std::sync::Arc::try_unwrap(reg)
         .expect("simulator dropped its registry handle")
@@ -728,13 +754,15 @@ fn replacing_a_defense_keeps_the_gates_accounting_and_secret() {
     fixed_fabric(&mut sim, 10);
     let (_, echo_addr) = sim.add_node(Box::new(Echo));
     ping(&mut sim, echo_addr, 20);
-    sim.set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
-    sim.set_ingress_cookie_secret(echo_addr, Some(0x5ec2e7));
+    sim.world_mut()
+        .set_ingress_defense(echo_addr, Box::new(EveryVerdict(0)));
+    sim.world_mut()
+        .set_ingress_cookie_secret(echo_addr, Some(0x5ec2e7));
     sim.run_until(SimDuration::from_secs(1).after_zero());
-    let first_life = sim.defense_ledger();
+    let first_life = sim.world_mut().defense_ledger();
     assert_eq!(first_life.defense_drops, 15);
 
-    sim.set_ingress_defense(
+    sim.world_mut().set_ingress_defense(
         echo_addr,
         Box::new(DelayAll(SimDuration::from_millis(3), QueueClass::Known)),
     );
@@ -742,7 +770,7 @@ fn replacing_a_defense_keeps_the_gates_accounting_and_secret() {
     sim.run_until(SimDuration::from_secs(2).after_zero());
 
     assert_eq!(
-        sim.defense_ledger(),
+        sim.world_mut().defense_ledger(),
         first_life,
         "the second engine drops nothing; the first engine's drops stay"
     );
@@ -792,12 +820,13 @@ fn a_defense_and_a_queue_share_one_gate() {
     let (echo_id, echo_addr) = sim.add_node(Box::new(Echo));
     // Every query the defense sees is admitted after 3 ms; the plain
     // queue serves one query a second and holds one.
-    sim.set_ingress_defense(
+    sim.world_mut().set_ingress_defense(
         echo_addr,
         Box::new(DelayAll(SimDuration::from_millis(3), QueueClass::Known)),
     );
-    sim.set_ingress_cookie_secret(echo_addr, Some(SECRET));
-    sim.set_ingress_queue(
+    sim.world_mut()
+        .set_ingress_cookie_secret(echo_addr, Some(SECRET));
+    sim.world_mut().set_ingress_queue(
         echo_addr,
         QueueConfig {
             rate_pps: 1.0,
@@ -841,7 +870,7 @@ fn a_defense_and_a_queue_share_one_gate() {
         1,
         "a plain-queue wait is no admission delay"
     );
-    let ledger = sim.defense_ledger();
+    let ledger = sim.world_mut().defense_ledger();
     assert_eq!(ledger.cookie_exempt, 2);
     assert_eq!(
         ledger.defense_drops, 0,
@@ -861,7 +890,8 @@ fn a_defense_and_a_queue_share_one_gate() {
 
     // A replacement starts idle under the new config and keeps the
     // old queue's counts, like the ledger does.
-    sim.set_ingress_queue(echo_addr, QueueConfig::small_authoritative());
+    sim.world_mut()
+        .set_ingress_queue(echo_addr, QueueConfig::small_authoritative());
     sim.run_until(SimDuration::from_secs(3).after_zero());
     let gate = sim.world_mut().gate_mut(echo_addr).expect("gated");
     let queue = gate.queue().expect("queued");
@@ -975,7 +1005,7 @@ fn tcp_handshake_costs_one_rtt_and_per_conn_cost_applies() {
     let mut sim = Simulator::new(21);
     fixed_fabric(&mut sim, 10);
     let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
-    sim.set_tcp_listener(
+    sim.world_mut().set_tcp_listener(
         server_addr,
         crate::tcp::TcpConfig {
             per_conn_cost: SimDuration::from_millis(5),
@@ -1029,7 +1059,7 @@ fn tcp_table_full_sheds_handshakes_but_udp_still_served() {
     let mut sim = Simulator::new(23);
     fixed_fabric(&mut sim, 10);
     let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
-    sim.set_tcp_listener(
+    sim.world_mut().set_tcp_listener(
         server_addr,
         crate::tcp::TcpConfig {
             table_capacity: 1,
@@ -1080,7 +1110,7 @@ fn tcp_idle_timeout_reaps_and_releases_the_table_slot() {
     let mut sim = Simulator::new(24);
     fixed_fabric(&mut sim, 10);
     let (_, server_addr) = sim.add_node(Box::new(TcpEcho));
-    sim.set_tcp_listener(
+    sim.world_mut().set_tcp_listener(
         server_addr,
         crate::tcp::TcpConfig {
             table_capacity: 4,
@@ -1114,7 +1144,7 @@ fn tcp_server_crash_resets_connections_and_conserves() {
     let mut sim = Simulator::new(25);
     fixed_fabric(&mut sim, 10);
     let (server_id, server_addr) = sim.add_node(Box::new(TcpEcho));
-    sim.set_tcp_listener(
+    sim.world_mut().set_tcp_listener(
         server_addr,
         crate::tcp::TcpConfig {
             idle_timeout: SimDuration::from_secs(60),

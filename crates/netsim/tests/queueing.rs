@@ -60,7 +60,7 @@ fn run(burst: u16, queue: Option<QueueConfig>, background: f64) -> Vec<u64> {
     });
     let (_, echo) = sim.add_node(Box::new(Echo));
     if let Some(cfg) = queue {
-        sim.set_ingress_queue(echo, cfg);
+        sim.world_mut().set_ingress_queue(echo, cfg);
         if background > 0.0 {
             sim.schedule_control(SimTime::ZERO, move |w| {
                 if let Some(q) = w.gate_mut(echo).and_then(|g| g.queue_mut()) {

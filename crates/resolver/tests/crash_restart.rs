@@ -210,7 +210,7 @@ fn downed_resolver_blackholes_queries() {
     s.sim
         .schedule_node_down(SimDuration::from_secs(5).after_zero(), s.resolver_id);
     s.sim.run_until(SimDuration::from_secs(60).after_zero());
-    assert!(!s.sim.node_is_up(s.resolver_id));
+    assert!(!s.sim.world_mut().node_is_up(s.resolver_id));
     assert!(
         s.answers.lock().is_empty(),
         "a downed resolver answers nothing"

@@ -314,7 +314,7 @@ impl LiveServer {
     }
 
     /// The ingress gate's drop accounting — the same [`DefenseLedger`]
-    /// shape `Simulator::defense_ledger` returns, which is what the
+    /// shape `World::defense_ledger` returns, which is what the
     /// parity test compares. Zeroed when no plan is mounted.
     pub fn defense_ledger(&self) -> DefenseLedger {
         let core = self.shared.core.lock();

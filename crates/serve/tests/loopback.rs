@@ -103,7 +103,7 @@ fn run_sim(plan: Option<&DefensePlan>) -> (Vec<(u16, Vec<u8>)>, DefenseLedger) {
         replies: replies.clone(),
     }));
     sim.run_until(SimDuration::from_secs(10).after_zero());
-    let ledger = sim.defense_ledger();
+    let ledger = sim.world_mut().defense_ledger();
     drop(sim);
     let replies = replies.lock();
     let wires = replies

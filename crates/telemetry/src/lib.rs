@@ -90,14 +90,26 @@ pub struct TelemetryConfig {
 
 impl TelemetryConfig {
     /// Snapshot every `mins` simulated minutes.
+    ///
+    /// # Panics
+    /// If `mins` minutes overflow `u64` nanoseconds.
     pub const fn every_mins(mins: u64) -> Self {
-        Self::every_secs(mins * 60)
+        match mins.checked_mul(60) {
+            Some(secs) => Self::every_secs(secs),
+            None => panic!("telemetry interval overflows u64 nanoseconds"),
+        }
     }
 
     /// Snapshot every `secs` simulated seconds.
+    ///
+    /// # Panics
+    /// If `secs` seconds overflow `u64` nanoseconds.
     pub const fn every_secs(secs: u64) -> Self {
-        TelemetryConfig {
-            snapshot_interval_nanos: secs * 1_000_000_000,
+        match secs.checked_mul(1_000_000_000) {
+            Some(nanos) => TelemetryConfig {
+                snapshot_interval_nanos: nanos,
+            },
+            None => panic!("telemetry interval overflows u64 nanoseconds"),
         }
     }
 }

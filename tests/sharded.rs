@@ -80,51 +80,30 @@ fn rounds_are_fewer_than_events() {
     assert_eq!(legacy.sync_rounds, 0);
 }
 
-/// Run-twice determinism with the full supported fault + defense
-/// surface armed: a resolver crash/restart (owner-shard local fault), a
-/// bursty link degrade with latency inflation (replicated to every
-/// sender shard), the classic random-drop attack, and RRL at both
-/// authoritatives (shard 0) — twice, byte-identical, audits clean.
+/// The engine runs the attack alone: a setup that also carries a fault
+/// plan and a defense plan is refused before the world is staged, and
+/// the panic names both layers.
 #[test]
-fn faulted_defended_sharded_run_is_deterministic() {
-    let run = || {
-        let mut setup = sharded_setup(4);
-        let ns = dike::experiments::topology::ns_addrs();
-        // Node 10 is deep in the resolver population (the hierarchy is
-        // nodes 0–3); crash it mid-attack and bring it back cold.
-        setup.faults = Some(
-            FaultPlan::new()
-                .with(Fault::crash_restart(
-                    NodeId(10),
-                    SimDuration::from_mins(25).after_zero(),
-                    SimDuration::from_mins(10),
-                    true,
-                ))
-                .with(
-                    Fault::link_degrade(
-                        ns[1],
-                        SimDuration::from_mins(30).after_zero(),
-                        SimDuration::from_mins(20),
-                        0.5,
-                        8.0,
-                    )
-                    .with_latency_factor(2.0),
-                ),
-        );
-        let rrl = dike::defense::RrlConfig {
-            rate_qps: 5.0,
-            burst: 10.0,
-            slip: 0,
-            prefix_bits: 24,
-        };
-        setup.defense = Some(
-            DefensePlan::new()
-                .with(Defense::rrl(ns[0], rrl))
-                .with(Defense::rrl(ns[1], rrl)),
-        );
-        digest(&run_experiment_sharded(&setup))
+fn faulted_defended_sharded_setup_is_refused() {
+    let mut setup = sharded_setup(2);
+    let ns = dike::experiments::topology::ns_addrs();
+    setup.faults = Some(FaultPlan::new().with(Fault::crash_restart(
+        NodeId(10),
+        SimDuration::from_mins(25).after_zero(),
+        SimDuration::from_mins(10),
+        true,
+    )));
+    let rrl = dike::defense::RrlConfig {
+        rate_qps: 5.0,
+        burst: 10.0,
+        slip: 0,
+        prefix_bits: 24,
     };
-    let first = run();
-    assert!(first.0 > 0);
-    assert_eq!(first, run(), "same setup, same seed, different log");
+    setup.defense = Some(DefensePlan::new().with(Defense::rrl(ns[0], rrl)));
+    let err = std::panic::catch_unwind(|| run_experiment_sharded(&setup))
+        .expect_err("a faulted, defended sharded setup must be refused");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    for layer in ["fault plan", "defense plan"] {
+        assert!(msg.contains(layer), "panic said: {msg}");
+    }
 }
