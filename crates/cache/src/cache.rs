@@ -4,11 +4,11 @@
 use std::sync::Arc;
 
 use dike_netsim::SimTime;
-use dike_telemetry::hash::FastMap;
 use dike_wire::{Name, RData, Record, RecordType};
 
 use crate::config::{CacheConfig, STALE_WINDOW};
 use crate::entry::{CacheKey, Entry, EntryData, NegativeKind, TrustLevel};
+use crate::index::{tag, SlotIndex};
 
 /// The result of a cache lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,8 +106,10 @@ struct Slot {
 
 /// A recursive resolver's cache.
 ///
-/// Entries are whole RRsets keyed by `(name, type)`. `index` maps a key to
-/// its slot in `slots`; the slots form a doubly-linked LRU list from
+/// Entries are whole RRsets keyed by `(name, type)`. `index` finds a
+/// key's slot in `slots` from 8-byte buckets of slot number and hash
+/// tag, comparing the key held in the slot itself, so each key is stored
+/// once. The slots form a doubly-linked LRU list from
 /// `head` (least recently used, the next victim) to `tail` (most
 /// recent), so a touch and an eviction are O(1) and allocate nothing.
 /// The slab never has holes: an eviction hands the victim's slot to the
@@ -116,7 +118,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct ResolverCache {
     config: CacheConfig,
-    index: FastMap<CacheKey, u32>,
+    index: SlotIndex,
     slots: Vec<Slot>,
     head: u32,
     tail: u32,
@@ -130,7 +132,7 @@ impl ResolverCache {
     pub fn new(config: CacheConfig) -> Self {
         ResolverCache {
             config,
-            index: FastMap::default(),
+            index: SlotIndex::default(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -189,7 +191,7 @@ impl ResolverCache {
         debug_assert!(!records.is_empty(), "cannot cache an empty RRset");
         let key = CacheKey::new(records[0].name.clone(), records[0].rtype());
         // Data ranking: keep a live higher-trust entry.
-        if let Some(&at) = self.index.get(&key) {
+        if let Some(at) = self.slot_of(tag(&key.name, key.rtype), &key.name, key.rtype) {
             let existing = &self.slots[at as usize].entry;
             if existing.trust > trust {
                 if let Some(remaining) = existing.remaining_ttl(now) {
@@ -245,8 +247,9 @@ impl ResolverCache {
         {
             self.generation += 1;
         }
-        let at = match self.index.get(&key) {
-            Some(&at) => {
+        let key_tag = tag(&key.name, key.rtype);
+        let at = match self.slot_of(key_tag, &key.name, key.rtype) {
+            Some(at) => {
                 self.slots[at as usize].entry = entry;
                 self.unlink(at);
                 at
@@ -257,26 +260,35 @@ impl ResolverCache {
                 self.unlink(at);
                 self.stats.evictions += 1;
                 let slot = &mut self.slots[at as usize];
-                let victim = std::mem::replace(&mut slot.key, key.clone());
+                let victim = std::mem::replace(&mut slot.key, key);
                 slot.entry = entry;
-                self.index.remove(&victim);
-                self.index.insert(key, at);
+                self.index.remove(tag(&victim.name, victim.rtype), at);
+                self.index.insert(key_tag, at, self.slots.len());
                 at
             }
             None => {
                 assert!(self.slots.len() < NIL as usize, "slot indices are u32");
                 let at = self.slots.len() as u32;
                 self.slots.push(Slot {
-                    key: key.clone(),
+                    key,
                     entry,
                     prev: NIL,
                     next: NIL,
                 });
-                self.index.insert(key, at);
+                self.index.insert(key_tag, at, self.slots.len());
                 at
             }
         };
         self.push_tail(at);
+    }
+
+    /// The slot holding `(name, rtype)`, whose tag is `tag`.
+    fn slot_of(&self, tag: u32, name: &Name, rtype: RecordType) -> Option<u32> {
+        let slots = &self.slots;
+        self.index.find(tag, |at| {
+            let key = &slots[at as usize].key;
+            key.rtype == rtype && key.name == *name
+        })
     }
 
     /// Takes slot `at` out of the LRU list.
@@ -322,8 +334,8 @@ impl ResolverCache {
         rtype: RecordType,
         min_trust: TrustLevel,
     ) -> CacheAnswer {
-        match self.index.get(&CacheKey::new(name.clone(), rtype)) {
-            Some(&at) => self.serve(at, now, min_trust),
+        match self.slot_of(tag(name, rtype), name, rtype) {
+            Some(at) => self.serve(at, now, min_trust),
             None => {
                 self.stats.misses += 1;
                 CacheAnswer::Miss
@@ -375,7 +387,7 @@ impl ResolverCache {
         if !self.config.serve_stale {
             return CacheAnswer::Miss;
         }
-        let Some(&at) = self.index.get(&CacheKey::new(name.clone(), rtype)) else {
+        let Some(at) = self.slot_of(tag(name, rtype), name, rtype) else {
             return CacheAnswer::Miss;
         };
         let entry = &self.slots[at as usize].entry;
@@ -411,7 +423,7 @@ impl ResolverCache {
 
     /// The remaining TTL of a cached entry, for inspection in experiments.
     pub fn remaining_ttl(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<u32> {
-        let &at = self.index.get(&CacheKey::new(name.clone(), rtype))?;
+        let at = self.slot_of(tag(name, rtype), name, rtype)?;
         self.slots[at as usize].entry.remaining_ttl(now)
     }
 

@@ -21,6 +21,7 @@
 mod cache;
 mod config;
 mod entry;
+mod index;
 
 pub use cache::{CacheAnswer, CacheStats, CachedRrset, ResolverCache};
 pub use config::{CacheConfig, STALE_WINDOW};

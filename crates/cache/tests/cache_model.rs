@@ -9,10 +9,17 @@
 //! slow and obviously right; the cache under test is the slot slab with
 //! its intrusive LRU list and shared RRsets.
 //!
+//! Two families of cases: caches of one to eight slots over four owners,
+//! where keys collide, replace and evict on almost every step, and caches
+//! of up to 2,000 slots over 600 owners, where the index grows through
+//! many doublings, probes wrap around its end and evictions remove keys
+//! from long probe runs.
+//!
 //! `DIKE_CASES` scales the case count (CI runs 2000 in release).
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 use dike_cache::{
     CacheAnswer, CacheConfig, CacheKey, CacheStats, NegativeKind, ResolverCache, TrustLevel,
@@ -238,20 +245,21 @@ impl Model {
 /// Few owners, so keys collide, entries are replaced and capacity
 /// pressure evicts.
 const OWNERS: [&str; 4] = ["a.test", "b.test", "ns1.a.test", "www.b.test"];
+/// Owners of the large family: with three types each, 1,800 keys.
+const MANY_OWNERS: usize = 600;
 const RTYPES: [RecordType; 3] = [RecordType::A, RecordType::AAAA, RecordType::NS];
 /// Short TTLs expire within a few clock steps; the 8-day one outlives a
 /// 1-day cap.
 const TTLS: [u32; 7] = [1, 5, 30, 60, 300, 3_600, 8 * 86_400];
 
-fn arb_key(g: &mut Gen) -> (Name, RecordType) {
-    let owner = *g.pick(&OWNERS);
-    (Name::parse(owner).unwrap(), *g.pick(&RTYPES))
+fn arb_key(g: &mut Gen, owners: &[Name]) -> (Name, RecordType) {
+    (g.pick(owners).clone(), *g.pick(&RTYPES))
 }
 
 /// One to four records of one owner and type; few distinct rdata
 /// values, so a wrong rotation offset shows.
-fn arb_rrset(g: &mut Gen) -> Vec<Record> {
-    let (owner, rtype) = arb_key(g);
+fn arb_rrset(g: &mut Gen, owners: &[Name]) -> Vec<Record> {
+    let (owner, rtype) = arb_key(g, owners);
     g.vec(1..5, |g| {
         let v = g.range(1..5u8);
         let rdata = match rtype {
@@ -282,81 +290,129 @@ fn arb_step(g: &mut Gen) -> u64 {
     }
 }
 
+/// How a family of cases draws.
+struct Family {
+    owners: Vec<Name>,
+    capacity: Range<usize>,
+    steps: Range<usize>,
+    /// A step flushes with probability `1 / flush_one_in`.
+    flush_one_in: u32,
+    /// Steps between `dump()` comparisons; answers, statistics and
+    /// `len()` are compared after every step.
+    dump_every: usize,
+}
+
+/// Runs one random operation sequence on the cache and the model.
+fn run_case(g: &mut Gen, family: &Family) {
+    let config = CacheConfig {
+        capacity: g.range(family.capacity.clone()),
+        max_ttl: *g.pick(&[60, 86_400, 7 * 86_400]),
+        serve_stale: g.bool(),
+    };
+    let owners = &family.owners[..];
+    let mut cache = ResolverCache::new(config);
+    let mut model = Model::new(config);
+    let mut secs = 0u64;
+    let steps = g.range(family.steps.clone());
+    for step in 0..steps {
+        secs += arb_step(g);
+        let now = SimDuration::from_secs(secs).after_zero();
+        let what = if g.range(0..family.flush_one_in) == 0 {
+            cache.flush();
+            model.flush();
+            "flush"
+        } else {
+            match g.range(0..11u32) {
+                0 | 1 => {
+                    let rrset = arb_rrset(g, owners);
+                    let got = cache.insert(now, rrset.clone());
+                    let want = model.insert_ranked(now, rrset, TrustLevel::Authoritative);
+                    assert_eq!(got, want, "step {step}: insert");
+                    "insert"
+                }
+                2 | 3 => {
+                    let (rrset, trust) = (arb_rrset(g, owners), arb_trust(g));
+                    let got = cache.insert_ranked(now, rrset.clone(), trust);
+                    assert_eq!(got, model.insert_ranked(now, rrset, trust), "step {step}");
+                    "insert_ranked"
+                }
+                4 => {
+                    let (name, rtype) = arb_key(g, owners);
+                    let kind = *g.pick(&[NegativeKind::NxDomain, NegativeKind::NoData]);
+                    let ttl = *g.pick(&TTLS);
+                    let got = cache.insert_negative(now, name.clone(), rtype, kind, ttl);
+                    let want = model.insert_negative(now, name, rtype, kind, ttl);
+                    assert_eq!(got, want, "step {step}: insert_negative");
+                    "insert_negative"
+                }
+                5..=7 => {
+                    let (name, rtype) = arb_key(g, owners);
+                    let got = Answer::from(cache.lookup(now, &name, rtype));
+                    let want = model.lookup_min_trust(now, &name, rtype, TrustLevel::Glue);
+                    assert_eq!(got, want, "step {step}: lookup {name} {rtype}");
+                    "lookup"
+                }
+                8 | 9 => {
+                    let ((name, rtype), trust) = (arb_key(g, owners), arb_trust(g));
+                    let got = Answer::from(cache.lookup_min_trust(now, &name, rtype, trust));
+                    let want = model.lookup_min_trust(now, &name, rtype, trust);
+                    assert_eq!(got, want, "step {step}: lookup_min_trust {name} {rtype}");
+                    "lookup_min_trust"
+                }
+                _ => {
+                    let ((name, rtype), trust) = (arb_key(g, owners), arb_trust(g));
+                    let got = Answer::from(cache.lookup_stale(now, &name, rtype, trust));
+                    let want = model.lookup_stale(now, &name, rtype, trust);
+                    assert_eq!(got, want, "step {step}: lookup_stale {name} {rtype}");
+                    "lookup_stale"
+                }
+            }
+        };
+        assert_eq!(cache.stats(), model.stats, "step {step}: after {what}");
+        assert_eq!(cache.len(), model.map.len(), "step {step}: after {what}");
+        if step % family.dump_every == 0 || step + 1 == steps {
+            assert_eq!(
+                cache.dump(now),
+                model.dump(now),
+                "step {step}: after {what}"
+            );
+        }
+    }
+}
+
 #[test]
 fn the_cache_matches_the_reference_model() {
+    let family = Family {
+        owners: OWNERS.iter().map(|o| Name::parse(o).unwrap()).collect(),
+        capacity: 1..9,
+        steps: 0..200,
+        flush_one_in: 12,
+        dump_every: 1,
+    };
     check::cases(
         "the_cache_matches_the_reference_model",
         check::count(256),
-        |g| {
-            let config = CacheConfig {
-                capacity: g.range(1..9),
-                max_ttl: *g.pick(&[60, 86_400, 7 * 86_400]),
-                serve_stale: g.bool(),
-            };
-            let mut cache = ResolverCache::new(config);
-            let mut model = Model::new(config);
-            let mut secs = 0u64;
-            for step in 0..g.range(0..200usize) {
-                secs += arb_step(g);
-                let now = SimDuration::from_secs(secs).after_zero();
-                let what = match g.range(0..12u32) {
-                    0 | 1 => {
-                        let rrset = arb_rrset(g);
-                        let got = cache.insert(now, rrset.clone());
-                        let want = model.insert_ranked(now, rrset, TrustLevel::Authoritative);
-                        assert_eq!(got, want, "step {step}: insert");
-                        "insert"
-                    }
-                    2 | 3 => {
-                        let (rrset, trust) = (arb_rrset(g), arb_trust(g));
-                        let got = cache.insert_ranked(now, rrset.clone(), trust);
-                        assert_eq!(got, model.insert_ranked(now, rrset, trust), "step {step}");
-                        "insert_ranked"
-                    }
-                    4 => {
-                        let (name, rtype) = arb_key(g);
-                        let kind = *g.pick(&[NegativeKind::NxDomain, NegativeKind::NoData]);
-                        let ttl = *g.pick(&TTLS);
-                        let got = cache.insert_negative(now, name.clone(), rtype, kind, ttl);
-                        let want = model.insert_negative(now, name, rtype, kind, ttl);
-                        assert_eq!(got, want, "step {step}: insert_negative");
-                        "insert_negative"
-                    }
-                    5..=7 => {
-                        let (name, rtype) = arb_key(g);
-                        let got = Answer::from(cache.lookup(now, &name, rtype));
-                        let want = model.lookup_min_trust(now, &name, rtype, TrustLevel::Glue);
-                        assert_eq!(got, want, "step {step}: lookup {name} {rtype}");
-                        "lookup"
-                    }
-                    8 | 9 => {
-                        let ((name, rtype), trust) = (arb_key(g), arb_trust(g));
-                        let got = Answer::from(cache.lookup_min_trust(now, &name, rtype, trust));
-                        let want = model.lookup_min_trust(now, &name, rtype, trust);
-                        assert_eq!(got, want, "step {step}: lookup_min_trust {name} {rtype}");
-                        "lookup_min_trust"
-                    }
-                    10 => {
-                        let ((name, rtype), trust) = (arb_key(g), arb_trust(g));
-                        let got = Answer::from(cache.lookup_stale(now, &name, rtype, trust));
-                        let want = model.lookup_stale(now, &name, rtype, trust);
-                        assert_eq!(got, want, "step {step}: lookup_stale {name} {rtype}");
-                        "lookup_stale"
-                    }
-                    _ => {
-                        cache.flush();
-                        model.flush();
-                        "flush"
-                    }
-                };
-                assert_eq!(cache.stats(), model.stats, "step {step}: after {what}");
-                assert_eq!(cache.len(), model.map.len(), "step {step}: after {what}");
-                assert_eq!(
-                    cache.dump(now),
-                    model.dump(now),
-                    "step {step}: after {what}"
-                );
-            }
-        },
+        |g| run_case(g, &family),
+    );
+}
+
+/// Up to 1,800 keys in caches of up to 2,000 slots: the index grows from
+/// 8 buckets to 2,048, and a cache smaller than the keys drawn evicts on
+/// most inserts, each eviction a removal from the index.
+#[test]
+fn the_cache_matches_the_reference_model_at_scale() {
+    let family = Family {
+        owners: (0..MANY_OWNERS)
+            .map(|i| Name::parse(&format!("h{i}.zone{}.test", i % 7)).unwrap())
+            .collect(),
+        capacity: 1..2_001,
+        steps: 2_000..8_000,
+        flush_one_in: 1_500,
+        dump_every: 250,
+    };
+    check::cases(
+        "the_cache_matches_the_reference_model_at_scale",
+        check::count(32),
+        |g| run_case(g, &family),
     );
 }

@@ -3,6 +3,7 @@
 use dike_cache::{CacheAnswer, CacheKey, NegativeKind, ResolverCache, TrustLevel};
 use dike_netsim::{Addr, Context, Node, SimTime, TcpConnId, TimerToken};
 use dike_telemetry::hash::FastMap;
+use dike_telemetry::Histogram;
 use dike_wire::{Message, Name, RData, Rcode, Record, RecordType};
 
 use crate::config::{ResolverConfig, ResolverMode, TCP_CONNECT_TIMEOUT, TCP_RESPONSE_TIMEOUT};
@@ -106,7 +107,47 @@ pub struct RecursiveResolver {
     stats: ResolverStats,
     /// Upstream retries (attempts beyond the first) per finished task —
     /// the paper's retry-amplification distribution (Fig. 10).
-    retry_histogram: dike_telemetry::Histogram,
+    retry_tally: RetryTally,
+}
+
+/// A histogram of retries per task that holds only the bins a retry can
+/// reach. A task sends at most `max_attempts` times, so no sample
+/// exceeds `max_attempts - 1`: 4 bins at the default 7, never more than
+/// 33, where a [`Histogram`] carries 65 inline.
+struct RetryTally {
+    /// Samples per [`Histogram`] bin, from bin 0.
+    bins: Box<[u64]>,
+    sum: u64,
+    min: u32,
+    max: u32,
+}
+
+/// A sample's [`Histogram`] bin: 0 for 0, else `floor(log2(v)) + 1`.
+fn log_bin(v: u32) -> usize {
+    (u32::BITS - v.leading_zeros()) as usize
+}
+
+impl RetryTally {
+    fn new(max_attempts: u32) -> Self {
+        RetryTally {
+            bins: vec![0; log_bin(max_attempts.saturating_sub(1)) + 1].into_boxed_slice(),
+            sum: 0,
+            min: u32::MAX,
+            max: 0,
+        }
+    }
+
+    fn observe(&mut self, retries: u32) {
+        self.bins[log_bin(retries)] += 1;
+        self.sum = self.sum.saturating_add(u64::from(retries));
+        self.min = self.min.min(retries);
+        self.max = self.max.max(retries);
+    }
+
+    /// The equal [`Histogram`], built on the stack.
+    fn histogram(&self) -> Histogram {
+        Histogram::from_bins(&self.bins, self.sum, self.min.into(), self.max.into())
+    }
 }
 
 impl RecursiveResolver {
@@ -114,6 +155,7 @@ impl RecursiveResolver {
     pub fn new(config: ResolverConfig) -> Self {
         RecursiveResolver {
             cache: ResolverCache::new(config.cache),
+            retry_tally: RetryTally::new(config.retry.max_attempts),
             config,
             selector: ServerSelector::new(),
             tasks: FastMap::default(),
@@ -125,7 +167,6 @@ impl RecursiveResolver {
             next_task_id: 0,
             next_msg_id: 1,
             stats: ResolverStats::default(),
-            retry_histogram: dike_telemetry::Histogram::new(),
         }
     }
 
@@ -485,6 +526,12 @@ impl RecursiveResolver {
         self.stats.failures += 1;
         let now = ctx.now();
         if self.config.servfail_ttl > dike_netsim::SimDuration::ZERO {
+            // An expired entry answers nothing, and a question nobody asks
+            // again would never meet its expiry at a lookup: drop the
+            // expired ones before the table grows.
+            if self.failed_until.len() == self.failed_until.capacity() {
+                self.failed_until.retain(|_, &mut until| now < until);
+            }
             self.failed_until
                 .insert(task.key.clone(), now + self.config.servfail_ttl);
         }
@@ -606,8 +653,7 @@ impl RecursiveResolver {
         }
         // Every finished task contributes its retry count (sends beyond
         // the first) to the distribution, successes and failures alike.
-        self.retry_histogram
-            .observe(u64::from(task.attempts.saturating_sub(1)));
+        self.retry_tally.observe(task.attempts.saturating_sub(1));
         Some(task)
     }
 
@@ -1242,7 +1288,11 @@ impl Node for RecursiveResolver {
         }
         out.counter("resolver", "glue_wait_exhausted", s.glue_wait_exhausted);
         out.gauge("resolver", "in_flight_tasks", self.tasks.len() as f64);
-        out.histogram("resolver", "retries_per_task", &self.retry_histogram);
+        out.histogram(
+            "resolver",
+            "retries_per_task",
+            &self.retry_tally.histogram(),
+        );
         let c = self.cache.stats();
         out.counter("cache", "hits", c.hits);
         out.counter("cache", "misses", c.misses);
@@ -1251,5 +1301,104 @@ impl Node for RecursiveResolver {
         out.counter("cache", "insertions", c.insertions);
         out.counter("cache", "stale_served", c.stale_served);
         out.counter("cache", "flushes", c.flushes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dike_netsim::{SimDuration, Simulator};
+
+    /// Every resolver of a topology holds one of these for the whole
+    /// run (6,749 of them in the benchmark's Experiment H), so its size
+    /// is bytes per resolver node. An inline 65-bin `Histogram` is 552.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn resolver_layout_stays_small() {
+        assert!(
+            std::mem::size_of::<RecursiveResolver>() <= 700,
+            "RecursiveResolver is {} bytes",
+            std::mem::size_of::<RecursiveResolver>()
+        );
+    }
+
+    #[test]
+    fn the_retry_tally_publishes_the_observed_histogram() {
+        for max_attempts in [0, 1, 2, 3, 7, 8, 100, u32::MAX] {
+            let mut tally = RetryTally::new(max_attempts);
+            let mut want = Histogram::new();
+            assert_eq!(tally.histogram(), want);
+            let top = max_attempts.saturating_sub(1);
+            for retries in (0..top.min(300)).chain([top, 0, top / 2]) {
+                tally.observe(retries);
+                want.observe(u64::from(retries));
+            }
+            assert_eq!(tally.histogram(), want, "max_attempts {max_attempts}");
+        }
+        assert_eq!(RetryTally::new(7).bins.len(), 4);
+        assert_eq!(RetryTally::new(u32::MAX).bins.len(), 33);
+    }
+
+    /// A root that never answers: every question fails.
+    struct Silent;
+
+    impl Node for Silent {
+        fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+        fn on_timer(&mut self, _: &mut Context<'_>, _: TimerToken) {}
+    }
+
+    /// Asks a new question every `gap`, `n` in all.
+    struct Asker {
+        resolver: Addr,
+        gap: SimDuration,
+        n: u16,
+        asked: u16,
+    }
+
+    impl Node for Asker {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(self.gap, TimerToken(0));
+        }
+        fn on_datagram(&mut self, _: &mut Context<'_>, _: Addr, _: &Message, _: usize) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+            self.asked += 1;
+            let name = Name::parse(&format!("q{}.test", self.asked)).expect("a valid name");
+            ctx.send(
+                self.resolver,
+                &Message::query(self.asked, name, RecordType::A),
+            );
+            if self.asked < self.n {
+                ctx.set_timer(self.gap, TimerToken(0));
+            }
+        }
+    }
+
+    /// A thousand questions fail, each after the last one's failure
+    /// entry has expired, and none is asked again: the failure cache
+    /// must not keep them all.
+    #[test]
+    fn the_failure_cache_forgets_questions_nobody_asks_again() {
+        let mut sim = Simulator::new(52);
+        let (_, root) = sim.add_node(Box::new(Silent));
+        let mut cfg = crate::profiles::bind_like(vec![root]);
+        cfg.servfail_ttl = SimDuration::from_secs(2);
+        let (id, resolver) = sim.add_node(Box::new(RecursiveResolver::new(cfg)));
+        sim.add_node(Box::new(Asker {
+            resolver,
+            gap: SimDuration::from_secs(3),
+            n: 1_000,
+            asked: 0,
+        }));
+        sim.run_until_idle();
+        let r = sim
+            .node(id)
+            .and_then(|n| n.as_any())
+            .and_then(|n| n.downcast_ref::<RecursiveResolver>())
+            .expect("the resolver node");
+        assert_eq!(r.stats().failures, 1_000);
+        // A table never shrinks, so its capacity now bounds every size
+        // it had during the run.
+        let capacity = r.failed_until.capacity();
+        assert!(capacity <= 8, "{capacity} failure entries held");
     }
 }

@@ -62,6 +62,26 @@ impl Histogram {
         }
     }
 
+    /// The histogram of samples already binned elsewhere: `low_bins[i]`
+    /// samples in bin `i` (0 for the value 0, `[2^(i-1), 2^i)` after
+    /// that; bins past the slice are empty), with their sum, smallest
+    /// and largest. It equals the histogram that observed those samples
+    /// and allocates nothing; `min` and `max` are ignored when there are
+    /// no samples.
+    ///
+    /// # Panics
+    /// If `low_bins` is longer than a histogram's 65 bins.
+    pub fn from_bins(low_bins: &[u64], sum: u64, min: u64, max: u64) -> Self {
+        let mut h = Histogram::new();
+        h.bins[..low_bins.len()].copy_from_slice(low_bins);
+        h.count = low_bins.iter().sum();
+        h.sum = sum;
+        if h.count > 0 {
+            (h.min, h.max) = (min, max);
+        }
+        h
+    }
+
     /// Records one sample.
     #[inline]
     pub fn observe(&mut self, v: u64) {
@@ -249,6 +269,18 @@ mod tests {
         let before = a.clone();
         a.merge(&Histogram::new());
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn from_bins_equals_the_observed_histogram() {
+        assert_eq!(Histogram::from_bins(&[0; 4], 0, 3, 9), Histogram::new());
+        let mut h = Histogram::new();
+        for v in [0, 1, 3, 3, 6] {
+            h.observe(v);
+        }
+        assert_eq!(Histogram::from_bins(&[1, 1, 2, 1], 13, 0, 6), h);
+        let full = [1; HISTOGRAM_BINS];
+        assert_eq!(Histogram::from_bins(&full, 7, 0, u64::MAX).count(), 65);
     }
 
     #[test]
