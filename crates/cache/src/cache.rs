@@ -7,8 +7,8 @@ use dike_netsim::SimTime;
 use dike_wire::{Name, RData, Record, RecordType};
 
 use crate::config::{CacheConfig, STALE_WINDOW};
-use crate::entry::{CacheKey, Entry, EntryData, NegativeKind, TrustLevel};
-use crate::index::{tag, SlotIndex};
+use crate::entry::{CacheKey, EntryData, NegativeKind, Slot, TrustLevel, NIL};
+use crate::index::SlotIndex;
 
 /// The result of a cache lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,20 +90,6 @@ pub struct CacheStats {
     pub flushes: u64,
 }
 
-/// "No slot": the end of the LRU list.
-const NIL: u32 = u32::MAX;
-
-/// One occupied cache slot, threaded onto the LRU list.
-#[derive(Debug)]
-struct Slot {
-    key: CacheKey,
-    entry: Entry,
-    /// The next less recently used slot.
-    prev: u32,
-    /// The next more recently used slot.
-    next: u32,
-}
-
 /// A recursive resolver's cache.
 ///
 /// Entries are whole RRsets keyed by `(name, type)`. `index` finds a
@@ -114,7 +100,8 @@ struct Slot {
 /// recent), so a touch and an eviction are O(1) and allocate nothing.
 /// The slab never has holes: an eviction hands the victim's slot to the
 /// new entry, a re-insert overwrites its own slot, and only a flush
-/// removes slots (all of them).
+/// removes slots (all of them). The slab grows by a quarter, up to the
+/// configured capacity, so at most a fifth of what it holds is slack.
 #[derive(Debug)]
 pub struct ResolverCache {
     config: CacheConfig,
@@ -189,10 +176,10 @@ impl ResolverCache {
     ) -> u32 {
         let records = records.into();
         debug_assert!(!records.is_empty(), "cannot cache an empty RRset");
-        let key = CacheKey::new(records[0].name.clone(), records[0].rtype());
+        let (name, rtype) = (&records[0].name, records[0].rtype());
         // Data ranking: keep a live higher-trust entry.
-        if let Some(at) = self.slot_of(tag(&key.name, key.rtype), &key.name, key.rtype) {
-            let existing = &self.slots[at as usize].entry;
+        if let Some(at) = self.slot_of(SlotIndex::tag(name, rtype), name, rtype) {
+            let existing = &self.slots[at as usize];
             if existing.trust > trust {
                 if let Some(remaining) = existing.remaining_ttl(now) {
                     return remaining;
@@ -201,16 +188,9 @@ impl ResolverCache {
         }
         let raw_ttl = records.iter().map(|r| r.ttl).min().unwrap_or(0);
         let ttl = self.config.clamp_ttl(raw_ttl);
-        self.store(
-            key,
-            Entry {
-                data: EntryData::Positive(records),
-                stored_at: now,
-                effective_ttl: ttl,
-                trust,
-                hits: 0,
-            },
-        );
+        let name = name.clone();
+        let data = EntryData::Positive(records);
+        self.store(Slot::new(name, rtype, data, now, ttl, trust));
         ttl
     }
 
@@ -224,59 +204,49 @@ impl ResolverCache {
         neg_ttl: u32,
     ) -> u32 {
         let ttl = self.config.clamp_ttl(neg_ttl);
-        self.store(
-            CacheKey::new(name, rtype),
-            Entry {
-                data: EntryData::Negative(kind),
-                stored_at: now,
-                effective_ttl: ttl,
-                trust: TrustLevel::Authoritative,
-                hits: 0,
-            },
-        );
+        let (data, trust) = (EntryData::Negative(kind), TrustLevel::Authoritative);
+        self.store(Slot::new(name, rtype, data, now, ttl, trust));
         ttl
     }
 
-    /// Puts `entry` under `key` as the most recently used slot: over the
-    /// key's own slot if it has one, else over the least recently used
-    /// slot when the cache is full, else in a new slot.
-    fn store(&mut self, key: CacheKey, entry: Entry) {
+    /// Makes `fresh` the most recently used slot: over its key's own
+    /// slot if it has one, else over the least recently used slot when
+    /// the cache is full, else in a new slot.
+    fn store(&mut self, fresh: Slot) {
         self.stats.insertions += 1;
-        if matches!(entry.data, EntryData::Positive(_))
-            && matches!(key.rtype, RecordType::NS | RecordType::A)
+        if matches!(fresh.data, EntryData::Positive(_))
+            && matches!(fresh.rtype, RecordType::NS | RecordType::A)
         {
             self.generation += 1;
         }
-        let key_tag = tag(&key.name, key.rtype);
-        let at = match self.slot_of(key_tag, &key.name, key.rtype) {
+        let key_tag = SlotIndex::tag(&fresh.name, fresh.rtype);
+        let capacity = self.config.capacity.max(1); // 0 still holds the entry just stored
+        let at = match self.slot_of(key_tag, &fresh.name, fresh.rtype) {
             Some(at) => {
-                self.slots[at as usize].entry = entry;
                 self.unlink(at);
+                self.slots[at as usize] = fresh;
                 at
             }
-            // A capacity of 0 still holds the entry just stored.
-            None if self.slots.len() >= self.config.capacity.max(1) => {
+            None if self.slots.len() >= capacity => {
                 let at = self.head;
                 self.unlink(at);
                 self.stats.evictions += 1;
-                let slot = &mut self.slots[at as usize];
-                let victim = std::mem::replace(&mut slot.key, key);
-                slot.entry = entry;
-                self.index.remove(tag(&victim.name, victim.rtype), at);
+                let victim = std::mem::replace(&mut self.slots[at as usize], fresh);
+                self.index
+                    .remove(SlotIndex::tag(&victim.name, victim.rtype), at);
                 self.index.insert(key_tag, at, self.slots.len());
                 at
             }
             None => {
                 assert!(self.slots.len() < NIL as usize, "slot indices are u32");
-                let at = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    key,
-                    entry,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.index.insert(key_tag, at, self.slots.len());
-                at
+                let len = self.slots.len();
+                if len == self.slots.capacity() {
+                    // A quarter more, not double: at most a fifth slack.
+                    self.slots.reserve_exact((len / 4).clamp(1, capacity - len));
+                }
+                self.slots.push(fresh);
+                self.index.insert(key_tag, len as u32, len + 1);
+                len as u32
             }
         };
         self.push_tail(at);
@@ -286,8 +256,8 @@ impl ResolverCache {
     fn slot_of(&self, tag: u32, name: &Name, rtype: RecordType) -> Option<u32> {
         let slots = &self.slots;
         self.index.find(tag, |at| {
-            let key = &slots[at as usize].key;
-            key.rtype == rtype && key.name == *name
+            let slot = &slots[at as usize];
+            slot.rtype == rtype && slot.name == *name
         })
     }
 
@@ -334,7 +304,7 @@ impl ResolverCache {
         rtype: RecordType,
         min_trust: TrustLevel,
     ) -> CacheAnswer {
-        match self.slot_of(tag(name, rtype), name, rtype) {
+        match self.slot_of(SlotIndex::tag(name, rtype), name, rtype) {
             Some(at) => self.serve(at, now, min_trust),
             None => {
                 self.stats.misses += 1;
@@ -347,7 +317,7 @@ impl ResolverCache {
     /// TTL, else a hit that advances the RRset's rotation and makes the
     /// slot the most recently used.
     fn serve(&mut self, at: u32, now: SimTime, min_trust: TrustLevel) -> CacheAnswer {
-        let entry = &mut self.slots[at as usize].entry;
+        let entry = &mut self.slots[at as usize];
         if entry.trust < min_trust {
             self.stats.misses += 1;
             return CacheAnswer::Miss;
@@ -387,10 +357,10 @@ impl ResolverCache {
         if !self.config.serve_stale {
             return CacheAnswer::Miss;
         }
-        let Some(at) = self.slot_of(tag(name, rtype), name, rtype) else {
+        let Some(at) = self.slot_of(SlotIndex::tag(name, rtype), name, rtype) else {
             return CacheAnswer::Miss;
         };
-        let entry = &self.slots[at as usize].entry;
+        let entry = &self.slots[at as usize];
         if entry.remaining_ttl(now).is_some() {
             // Still fresh: callers should have used `lookup`.
             return self.serve(at, now, min_trust);
@@ -423,8 +393,8 @@ impl ResolverCache {
 
     /// The remaining TTL of a cached entry, for inspection in experiments.
     pub fn remaining_ttl(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<u32> {
-        let at = self.slot_of(tag(name, rtype), name, rtype)?;
-        self.slots[at as usize].entry.remaining_ttl(now)
+        let at = self.slot_of(SlotIndex::tag(name, rtype), name, rtype)?;
+        self.slots[at as usize].remaining_ttl(now)
     }
 
     /// A snapshot of every live slot: `(key, remaining TTL, trust)` — the
@@ -435,9 +405,8 @@ impl ResolverCache {
             .slots
             .iter()
             .filter_map(|s| {
-                let e = &s.entry;
-                e.remaining_ttl(now)
-                    .map(|ttl| (s.key.clone(), ttl, e.trust))
+                let key = || CacheKey::new(s.name.clone(), s.rtype);
+                s.remaining_ttl(now).map(|ttl| (key(), ttl, s.trust))
             })
             .collect();
         out.sort_by(|a, b| (&a.0.name, a.0.rtype).cmp(&(&b.0.name, b.0.rtype)));

@@ -50,9 +50,18 @@ pub(crate) enum EntryData {
     Negative(NegativeKind),
 }
 
-/// One cache slot.
-#[derive(Debug, Clone)]
-pub(crate) struct Entry {
+/// "No slot": the end of the LRU list.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// One occupied cache slot: its key, what it holds, and its place on the
+/// LRU list. The key's and the entry's fields sit side by side, so the
+/// slot carries one struct's padding, not three.
+#[derive(Debug)]
+pub(crate) struct Slot {
+    /// Owner name of the key.
+    pub(crate) name: Name,
+    /// Record type of the key.
+    pub(crate) rtype: RecordType,
     pub(crate) data: EntryData,
     /// When the entry was stored.
     pub(crate) stored_at: SimTime,
@@ -62,9 +71,36 @@ pub(crate) struct Entry {
     pub(crate) trust: TrustLevel,
     /// Hits served from this entry, driving RRset rotation.
     pub(crate) hits: u32,
+    /// The next less recently used slot.
+    pub(crate) prev: u32,
+    /// The next more recently used slot.
+    pub(crate) next: u32,
 }
 
-impl Entry {
+impl Slot {
+    /// A slot for `(name, rtype)` holding `data`, stored at `now` with
+    /// `effective_ttl`, not yet linked.
+    pub(crate) fn new(
+        name: Name,
+        rtype: RecordType,
+        data: EntryData,
+        now: SimTime,
+        effective_ttl: u32,
+        trust: TrustLevel,
+    ) -> Self {
+        Slot {
+            name,
+            rtype,
+            data,
+            stored_at: now,
+            effective_ttl,
+            trust,
+            hits: 0,
+            prev: NIL,
+            next: NIL,
+        }
+    }
+
     /// Seconds of life left at `now`; `None` once expired.
     pub(crate) fn remaining_ttl(&self, now: SimTime) -> Option<u32> {
         let age = now.since(self.stored_at).as_secs();
@@ -95,18 +131,23 @@ mod tests {
     use dike_netsim::SimDuration;
     use std::net::Ipv4Addr;
 
-    fn entry(ttl: u32) -> Entry {
-        Entry {
-            data: EntryData::Positive(Arc::from([Record::new(
-                Name::parse("cachetest.nl").unwrap(),
-                ttl,
-                dike_wire::RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-            )])),
-            stored_at: SimTime::ZERO,
-            effective_ttl: ttl,
-            trust: TrustLevel::Authoritative,
-            hits: 0,
-        }
+    fn entry(ttl: u32) -> Slot {
+        let name = Name::parse("cachetest.nl").unwrap();
+        let data = EntryData::Positive(Arc::from([Record::new(
+            name.clone(),
+            ttl,
+            dike_wire::RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+        )]));
+        let trust = TrustLevel::Authoritative;
+        Slot::new(name, RecordType::A, data, SimTime::ZERO, ttl, trust)
+    }
+
+    /// A slot is a key, an entry and two links in one struct's padding:
+    /// 80 bytes where the key, the entry and the links apart took 88.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_slot_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 80);
     }
 
     #[test]

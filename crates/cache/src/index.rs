@@ -2,7 +2,7 @@
 //!
 //! An open-addressing table of 8-byte buckets. A bucket holds a slot
 //! number and the key's tag, the high 32 bits of its [`FxHasher`] hash;
-//! the key itself lives only in its slot. A key starts at the bucket its
+//! the key itself lives only in its slot, and the caller compares it. A key starts at the bucket its
 //! tag's high bits pick and probes linearly to the first empty bucket,
 //! comparing full keys only where the tag matches. The load stays at or
 //! below ¾: an insert that would pass it doubles the table first. Tags
@@ -31,24 +31,27 @@ const VACANT: Bucket = Bucket {
     tag: 0,
 };
 
-/// The tag of the key `(name, rtype)`: the high half of its Fx hash,
-/// taken over the same fields, in the same order, as `CacheKey`'s.
-pub(crate) fn tag(name: &Name, rtype: RecordType) -> u32 {
-    let mut h = FxHasher::default();
-    name.hash(&mut h);
-    rtype.hash(&mut h);
-    (h.finish() >> 32) as u32
-}
-
-/// Slot numbers by key tag. It counts nothing itself: the caller passes
-/// the number of slots indexed, which is the slab's length.
+/// Slot numbers of a slab by key tag, for a slab whose entries hold
+/// their own `(name, type)` keys: the resolver cache's slots, or a
+/// resolver's in-flight tasks. It counts nothing itself: the caller
+/// passes the number of slots indexed.
 #[derive(Debug, Default)]
-pub(crate) struct SlotIndex {
+pub struct SlotIndex {
     /// Empty, or a power of two long.
     buckets: Box<[Bucket]>,
 }
 
 impl SlotIndex {
+    /// The tag of the key `(name, rtype)`: the high half of its Fx hash,
+    /// taken over the same fields, in the same order, as
+    /// [`CacheKey`](crate::CacheKey)'s.
+    pub fn tag(name: &Name, rtype: RecordType) -> u32 {
+        let mut h = FxHasher::default();
+        name.hash(&mut h);
+        rtype.hash(&mut h);
+        (h.finish() >> 32) as u32
+    }
+
     /// Where `tag`'s probe starts: its high bits, scaled to the table.
     fn home(&self, tag: u32) -> usize {
         ((u64::from(tag) * self.buckets.len() as u64) >> 32) as usize
@@ -75,14 +78,14 @@ impl SlotIndex {
     }
 
     /// The slot whose key has `tag` and passes `is_key`, if any.
-    pub(crate) fn find(&self, tag: u32, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub fn find(&self, tag: u32, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
         self.position(tag, |b| b.tag == tag && is_key(b.slot))
             .map(|at| self.buckets[at].slot)
     }
 
     /// Indexes `slot`, whose key has `tag` and is not indexed yet; `len`
-    /// slots are indexed once it is in.
-    pub(crate) fn insert(&mut self, tag: u32, slot: u32, len: usize) {
+    /// slots are indexed once it is in. `slot` is below `u32::MAX`.
+    pub fn insert(&mut self, tag: u32, slot: u32, len: usize) {
         debug_assert!(slot != EMPTY, "slot indices stay below u32::MAX");
         if len * 4 > self.buckets.len() * 3 {
             self.grow();
@@ -113,7 +116,7 @@ impl SlotIndex {
     /// Unindexes `slot`, whose key has `tag`. Each bucket after it in
     /// the run moves back into the gap unless the gap lies before that
     /// bucket's home, so every key stays reachable from its home.
-    pub(crate) fn remove(&mut self, tag: u32, slot: u32) {
+    pub fn remove(&mut self, tag: u32, slot: u32) {
         let mut gap = self
             .position(tag, |b| b.slot == slot)
             .expect("a removed slot is indexed");
@@ -135,7 +138,7 @@ impl SlotIndex {
     }
 
     /// Unindexes everything and keeps the table's size.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.buckets.fill(VACANT);
     }
 }

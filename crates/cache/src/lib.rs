@@ -26,3 +26,4 @@ mod index;
 pub use cache::{CacheAnswer, CacheStats, CachedRrset, ResolverCache};
 pub use config::{CacheConfig, STALE_WINDOW};
 pub use entry::{CacheKey, NegativeKind, TrustLevel};
+pub use index::SlotIndex;

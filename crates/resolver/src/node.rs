@@ -8,7 +8,7 @@ use dike_wire::{Message, Name, RData, Rcode, Record, RecordType};
 
 use crate::config::{ResolverConfig, ResolverMode, TCP_CONNECT_TIMEOUT, TCP_RESPONSE_TIMEOUT};
 use crate::selector::ServerSelector;
-use crate::task::{Outstanding, Task, TcpAttempt, Waiter};
+use crate::task::{Outstanding, Task, Tasks, TcpAttempt, Waiter};
 
 /// Longest CNAME chain followed, from cache and upstream together. RFC
 /// 1034 recommends limiting alias chains; 8 matches common resolver
@@ -87,14 +87,14 @@ pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: ResolverCache,
     selector: ServerSelector,
-    /// In-flight tasks, boxed: a bucket is a pointer, so a table grown
-    /// for an attack's peak holds 16-byte slots, not whole tasks, and a
-    /// finished task's memory goes back to the allocator.
-    tasks: FastMap<u64, Box<Task>>,
-    task_by_key: FastMap<CacheKey, u64>,
+    /// In-flight tasks, boxed: a slab grown for an attack's peak holds
+    /// 8-byte slots, not whole tasks, and a finished task's memory goes
+    /// back to the allocator.
+    tasks: Tasks,
     /// RFC 2308 §7 failure cache: question → do-not-retry-before.
     failed_until: FastMap<CacheKey, SimTime>,
-    by_msg_id: FastMap<u16, u64>,
+    /// The task slot of each UDP query in flight, by message id.
+    by_msg_id: FastMap<u16, u32>,
     /// In-flight TCP retries: connection id → task id. TCP responses
     /// are matched by connection, not by `by_msg_id` (no spoofing on an
     /// established connection).
@@ -102,7 +102,6 @@ pub struct RecursiveResolver {
     /// RFC 7873: server cookies learned from upstream responses, keyed
     /// by server address. Only populated when `use_cookies` is on.
     server_cookies: FastMap<Addr, dike_wire::Cookie>,
-    next_task_id: u64,
     next_msg_id: u16,
     stats: ResolverStats,
     /// Upstream retries (attempts beyond the first) per finished task —
@@ -158,13 +157,11 @@ impl RecursiveResolver {
             retry_tally: RetryTally::new(config.retry.max_attempts),
             config,
             selector: ServerSelector::new(),
-            tasks: FastMap::default(),
-            task_by_key: FastMap::default(),
+            tasks: Tasks::default(),
             failed_until: FastMap::default(),
             by_msg_id: FastMap::default(),
             tcp_by_conn: FastMap::default(),
             server_cookies: FastMap::default(),
-            next_task_id: 0,
             next_msg_id: 1,
             stats: ResolverStats::default(),
         }
@@ -289,7 +286,7 @@ impl RecursiveResolver {
                 // Load shedding: a full pending table answers SERVFAIL
                 // immediately instead of joining the retry storm
                 // (BIND's recursive-clients behaviour).
-                let would_join = self.task_by_key.contains_key(&key);
+                let would_join = self.tasks.find(&key).is_some();
                 if !would_join && self.tasks.len() >= self.config.max_pending {
                     self.stats.shed += 1;
                     ctx.send(src, &Message::error_response(msg, Rcode::ServFail));
@@ -323,11 +320,7 @@ impl RecursiveResolver {
         waiter: Option<Waiter>,
         depth: u8,
     ) {
-        if let Some(task) = self
-            .task_by_key
-            .get(&key)
-            .and_then(|tid| self.tasks.get_mut(tid))
-        {
+        if let Some(task) = self.tasks.find(&key) {
             task.waiters.extend(waiter);
             return; // join the in-flight resolution
         }
@@ -335,10 +328,9 @@ impl RecursiveResolver {
         if depth > 0 {
             self.stats.infra_tasks += 1;
         }
-        let id = self.next_task_id;
-        self.next_task_id += 1;
-        let task = Box::new(Task {
-            key: key.clone(),
+        let id = self.tasks.insert(|id| Task {
+            id,
+            key,
             current_name,
             chase_depth: chain.len() as u8,
             cname_chain: chain,
@@ -355,8 +347,6 @@ impl RecursiveResolver {
             awaiting_glue: false,
             glue_waits: 0,
         });
-        self.tasks.insert(id, task);
-        self.task_by_key.insert(key, id);
         self.send_next(ctx, id);
     }
 
@@ -397,7 +387,7 @@ impl RecursiveResolver {
     }
 
     fn send_next(&mut self, ctx: &mut Context<'_>, tid: u64) {
-        let Some(task) = self.tasks.get(&tid) else {
+        let Some(task) = self.tasks.get(tid) else {
             return;
         };
         if !self.config.retry.allows_retry(task.attempts) {
@@ -415,7 +405,7 @@ impl RecursiveResolver {
         let generation = self.cache.generation();
         if task.servers.is_empty() || task.walked_at != generation {
             let (servers, zone_depth) = self.closest_servers(ctx.now(), &current_name);
-            let task = self.tasks.get_mut(&tid).expect("task exists");
+            let task = self.tasks.get_mut(tid).expect("task exists");
             task.walked_at = generation;
             if task.servers.is_empty() || zone_depth > task.zone_depth {
                 if !task.servers.is_empty() {
@@ -426,7 +416,7 @@ impl RecursiveResolver {
                 task.tried.clear();
             }
         }
-        let task = self.tasks.get_mut(&tid).expect("task exists");
+        let task = self.tasks.get_mut(tid).expect("task exists");
         let picked = match self.config.selection {
             crate::config::SelectionPolicy::SrttBased => {
                 self.selector.pick(&task.servers, &task.tried, ctx.rng())
@@ -444,7 +434,7 @@ impl RecursiveResolver {
             self.shed_task(ctx, tid);
             return;
         };
-        let task = self.tasks.get_mut(&tid).expect("task exists");
+        let task = self.tasks.get_mut(tid).expect("task exists");
         if task.last_server.is_some_and(|prev| prev != server) {
             self.stats.server_switches += 1;
         }
@@ -462,13 +452,13 @@ impl RecursiveResolver {
         }
         let timeout = self.config.retry.timeout_for(attempt);
         let timer = ctx.set_timer(timeout, TimerToken(tid));
-        self.tasks.get_mut(&tid).expect("task exists").outstanding = Some(Outstanding {
+        self.tasks.get_mut(tid).expect("task exists").outstanding = Some(Outstanding {
             msg_id: query.id,
             server,
             sent_at: ctx.now(),
             timer,
         });
-        self.by_msg_id.insert(query.id, tid);
+        self.by_msg_id.insert(query.id, Tasks::slot(tid));
         ctx.send(server, &query);
     }
 
@@ -605,7 +595,7 @@ impl RecursiveResolver {
     /// from stale data where available, while resolution continues in
     /// the background. Waiters without stale data keep waiting.
     fn serve_stale_to_waiters(&mut self, ctx: &mut Context<'_>, tid: u64) {
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.get_mut(tid) else {
             return;
         };
         if task.waiters.is_empty() {
@@ -620,7 +610,7 @@ impl RecursiveResolver {
                 None => kept.push(w),
             }
         }
-        self.tasks.get_mut(&tid).expect("task exists").waiters = kept;
+        self.tasks.get_mut(tid).expect("task exists").waiters = kept;
     }
 
     /// Learns the server half of a cookie from an upstream response —
@@ -641,8 +631,7 @@ impl RecursiveResolver {
     }
 
     fn remove_task(&mut self, tid: u64) -> Option<Box<Task>> {
-        let task = self.tasks.remove(&tid)?;
-        self.task_by_key.remove(&task.key);
+        let task = self.tasks.remove(tid)?;
         if let Some(out) = &task.outstanding {
             self.by_msg_id.remove(&out.msg_id);
         }
@@ -662,12 +651,13 @@ impl RecursiveResolver {
     // ------------------------------------------------------------------
 
     fn handle_upstream_response(&mut self, ctx: &mut Context<'_>, src: Addr, msg: &Message) {
-        let Some(&tid) = self.by_msg_id.get(&msg.id) else {
+        let Some(&slot) = self.by_msg_id.get(&msg.id) else {
             return; // late or unsolicited; drop
         };
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.at_slot_mut(slot) else {
             return;
         };
+        let tid = task.id;
         let Some(out) = task.outstanding else {
             return;
         };
@@ -680,7 +670,7 @@ impl RecursiveResolver {
         self.by_msg_id.remove(&msg.id);
         let rtt = ctx.now() - out.sent_at;
         self.selector.record_success(src, rtt);
-        let task = self.tasks.get_mut(&tid).expect("task vanished");
+        let task = self.tasks.get_mut(tid).expect("task vanished");
         task.outstanding = None;
 
         self.learn_cookie(ctx.self_addr(), src, msg);
@@ -744,7 +734,7 @@ impl RecursiveResolver {
         // Positive answer. Three cases: records of the queried type
         // (done), a CNAME at the current name (chase it, possibly across
         // zones), or junk (try another server).
-        let task = self.tasks.get(&tid).expect("task vanished");
+        let task = self.tasks.get(tid).expect("task vanished");
         let of_type = |rtype| msg.answers.iter().filter(move |r| r.rtype() == rtype);
         if of_type(task.key.rtype).next().is_some() {
             // The responder may have chased CNAMEs in-zone; keep any it
@@ -778,7 +768,7 @@ impl RecursiveResolver {
     /// after a truncated UDP answer. The connect timer doubles as the
     /// cleanup path for SYNs the server silently drops.
     fn start_tcp_retry(&mut self, ctx: &mut Context<'_>, tid: u64, server: Addr) {
-        let Some(task) = self.tasks.get(&tid) else {
+        let Some(task) = self.tasks.get(tid) else {
             return;
         };
         let (name, qtype) = (task.current_name.clone(), task.key.rtype);
@@ -790,7 +780,7 @@ impl RecursiveResolver {
         let conn = ctx.tcp_connect(server);
         let timer = ctx.set_timer(TCP_CONNECT_TIMEOUT, TimerToken(tid | TCP_TOKEN_BIT));
         self.tcp_by_conn.insert(conn.0, tid);
-        self.tasks.get_mut(&tid).expect("task exists").tcp = Some(TcpAttempt {
+        self.tasks.get_mut(tid).expect("task exists").tcp = Some(TcpAttempt {
             conn,
             server,
             sent_at: ctx.now(),
@@ -803,7 +793,7 @@ impl RecursiveResolver {
     /// outlived its task or attempt is dropped.
     fn tcp_task(&mut self, conn: TcpConnId) -> Option<u64> {
         let &tid = self.tcp_by_conn.get(&conn.0)?;
-        let live = self.tasks.get(&tid).and_then(|t| t.tcp.as_ref());
+        let live = self.tasks.get(tid).and_then(|t| t.tcp.as_ref());
         if live.is_some_and(|att| att.conn == conn) {
             return Some(tid);
         }
@@ -813,7 +803,7 @@ impl RecursiveResolver {
 
     /// Takes task `tid`'s TCP attempt off the task and the connection map.
     fn take_tcp(&mut self, tid: u64) -> Option<TcpAttempt> {
-        let att = self.tasks.get_mut(&tid)?.tcp.take()?;
+        let att = self.tasks.get_mut(tid)?.tcp.take()?;
         self.tcp_by_conn.remove(&att.conn.0);
         Some(att)
     }
@@ -844,7 +834,7 @@ impl RecursiveResolver {
     /// selection from the deepest cached delegation for the new name.
     fn chase_cname(&mut self, ctx: &mut Context<'_>, tid: u64, cname_rec: Record) {
         let now = ctx.now();
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.get_mut(tid) else {
             return;
         };
         let RData::Cname(target) = cname_rec.rdata.clone() else {
@@ -865,7 +855,7 @@ impl RecursiveResolver {
         // already be cached.
         let (more_chain, final_name, answer) =
             self.follow_cached_cnames(now, &target, qtype, TrustLevel::Authoritative);
-        let task = self.tasks.get_mut(&tid).expect("task vanished");
+        let task = self.tasks.get_mut(tid).expect("task vanished");
         task.cname_chain.extend(more_chain);
         task.current_name = final_name;
         match answer {
@@ -894,7 +884,7 @@ impl RecursiveResolver {
         /// resolvable NS name to land, several client-visible seconds
         /// short of a downstream timeout.
         const MAX_GLUE_WAITS: u32 = 3;
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.get_mut(tid) else {
             return;
         };
         if task.glue_waits >= MAX_GLUE_WAITS {
@@ -925,7 +915,7 @@ impl RecursiveResolver {
             (owner, records)
         };
 
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.get_mut(tid) else {
             return;
         };
         // Bailiwick / progress check: the referred zone must contain the
@@ -982,7 +972,7 @@ impl RecursiveResolver {
         addrs.sort();
         addrs.dedup();
         let glueless = addrs.is_empty();
-        let task = self.tasks.get_mut(&tid).expect("task vanished");
+        let task = self.tasks.get_mut(tid).expect("task vanished");
         if !glueless {
             task.servers = addrs;
             task.zone_depth = ns_owner.label_count();
@@ -1110,11 +1100,11 @@ impl RecursiveResolver {
 }
 
 /// Timer token reserved for the periodic cache flush; resolution-task
-/// timers use the task id, which starts at 0 and can never reach this.
+/// timers use the task id, which never reaches this (see [`Tasks`]).
 const FLUSH_TOKEN: u64 = u64::MAX;
 
 /// High-bit marker distinguishing TCP-attempt timers from UDP retry
-/// timers (task ids allocate from 0 and can never reach bit 63).
+/// timers (a task id has bit 63 clear, see [`Tasks`]).
 /// `FLUSH_TOKEN` has this bit set too, so it must be checked first.
 const TCP_TOKEN_BIT: u64 = 1 << 63;
 
@@ -1135,7 +1125,6 @@ impl Node for RecursiveResolver {
         // retry timers are suppressed by the simulator, so the task table
         // must not survive into the new life.
         self.tasks.clear();
-        self.task_by_key.clear();
         self.by_msg_id.clear();
         // In-flight TCP retries die with the process; the simulator
         // resets the connections themselves on the crash.
@@ -1175,7 +1164,7 @@ impl Node for RecursiveResolver {
             return;
         }
         let tid = token.0;
-        let Some(task) = self.tasks.get_mut(&tid) else {
+        let Some(task) = self.tasks.get_mut(tid) else {
             return; // task already finished
         };
         if task.awaiting_glue {
@@ -1205,7 +1194,7 @@ impl Node for RecursiveResolver {
             ctx.tcp_close(conn);
             return;
         };
-        let att = self.tasks.get_mut(&tid).and_then(|t| t.tcp.as_mut());
+        let att = self.tasks.get_mut(tid).and_then(|t| t.tcp.as_mut());
         let att = att.expect("tcp_task found the attempt");
         // Handshake complete: swap the connect timer for the response
         // timer and put the query on the wire.
@@ -1225,7 +1214,7 @@ impl Node for RecursiveResolver {
         let Some(tid) = self.tcp_task(conn) else {
             return;
         };
-        let task = &self.tasks[&tid];
+        let task = self.tasks.get(tid).expect("tcp_task found the task");
         let asked = task.tcp.as_ref().map(|att| att.query.id);
         if asked != Some(msg.id) || !msg.is_response || !task.is_echoed_by(msg) {
             return;
@@ -1400,5 +1389,81 @@ mod tests {
         // it had during the run.
         let capacity = r.failed_until.capacity();
         assert!(capacity <= 8, "{capacity} failure entries held");
+    }
+
+    /// Drives a resolver's task table at set instants: at 1 s it starts
+    /// task A, and at 1.1 s it fails A, whose retry timer (1.8 s) stays
+    /// queued, and starts task B in A's slot (its timer: 1.9 s).
+    struct SlotReuse {
+        r: RecursiveResolver,
+        a: u64,
+        b: u64,
+        b_msg_id: u16,
+    }
+
+    const START_A: u64 = FLUSH_TOKEN - 1;
+    const FAIL_A_START_B: u64 = FLUSH_TOKEN - 2;
+
+    fn question(name: &str) -> CacheKey {
+        CacheKey::new(Name::parse(name).expect("a valid name"), RecordType::A)
+    }
+
+    impl Node for SlotReuse {
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_millis(1_000), TimerToken(START_A));
+            ctx.set_timer(SimDuration::from_millis(1_100), TimerToken(FAIL_A_START_B));
+        }
+        fn on_datagram(&mut self, ctx: &mut Context<'_>, src: Addr, msg: &Message, len: usize) {
+            self.r.on_datagram(ctx, src, msg, len);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+            let start = |r: &mut RecursiveResolver, ctx: &mut Context<'_>, key: CacheKey| {
+                let name = key.name.clone();
+                r.start_or_join(ctx, key.clone(), name, Vec::new(), None, 0);
+                r.tasks.find(&key).expect("the task").id
+            };
+            match token.0 {
+                START_A => self.a = start(&mut self.r, ctx, question("a.test")),
+                FAIL_A_START_B => {
+                    self.r.fail_task(ctx, self.a);
+                    self.b = start(&mut self.r, ctx, question("b.test"));
+                    let b = self.r.tasks.get(self.b).expect("task B");
+                    self.b_msg_id = b.outstanding.expect("B's query").msg_id;
+                }
+                _ => self.r.on_timer(ctx, token),
+            }
+        }
+    }
+
+    /// A's retry timer fires at 1.8 s, after B took A's slot: it must
+    /// find no task, and B keeps its one attempt and its query.
+    #[test]
+    fn a_finished_tasks_timer_never_reaches_the_task_in_its_slot() {
+        let mut sim = Simulator::new(53);
+        let (_, root) = sim.add_node(Box::new(Silent));
+        let r = RecursiveResolver::new(crate::profiles::bind_like(vec![root]));
+        let (id, _) = sim.add_node(Box::new(SlotReuse {
+            r,
+            a: 0,
+            b: 0,
+            b_msg_id: 0,
+        }));
+        sim.run_until(SimDuration::from_millis(1_850).after_zero());
+        let h = sim
+            .node(id)
+            .and_then(|n| n.as_any())
+            .and_then(|n| n.downcast_ref::<SlotReuse>())
+            .expect("the harness");
+        assert_eq!(Tasks::slot(h.a), Tasks::slot(h.b), "B reuses A's slot");
+        assert_ne!(h.a, h.b);
+        assert!(h.r.tasks.get(h.a).is_none());
+        let b = h.r.tasks.get(h.b).expect("B in flight");
+        assert_eq!(b.attempts, 1);
+        assert_eq!(b.outstanding.map(|o| o.msg_id), Some(h.b_msg_id));
+        assert_eq!(h.r.by_msg_id.len(), 1);
+        assert_eq!(h.r.stats().retries, 0);
     }
 }

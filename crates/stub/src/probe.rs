@@ -1,7 +1,6 @@
 //! The probe node.
 
 use dike_netsim::{Addr, Context, Node, SimDuration, TimerId, TimerToken};
-use dike_telemetry::hash::FastMap;
 use dike_wire::{Message, Name, RecordType};
 
 use crate::log::{QueryOutcome, QueryRecord, SharedProbeLog, VpKey};
@@ -60,9 +59,12 @@ impl StubConfig {
 /// timeouts; lower bits carry the payload).
 const TOKEN_ROUND: u64 = 1 << 63;
 
+/// A query out, waiting for its answer or its timeout.
 struct Pending {
-    vp: VpKey,
-    recursive: Addr,
+    /// The query's message id.
+    id: u16,
+    /// The index of the recursive asked in `config.recursives`.
+    recursive: u8,
     round: u32,
     sent_at: dike_netsim::SimTime,
     timer: TimerId,
@@ -85,7 +87,9 @@ pub(crate) struct StubStats {
 pub struct StubProbe {
     config: StubConfig,
     log: SharedProbeLog,
-    pending: FastMap<u16, Pending>,
+    /// Queries out, found by message id with a scan: one per recursive,
+    /// more only while rounds overlap the timeout.
+    pending: Vec<Pending>,
     next_id: u16,
     round: u32,
     stats: StubStats,
@@ -97,7 +101,7 @@ impl StubProbe {
         StubProbe {
             config,
             log,
-            pending: FastMap::default(),
+            pending: Vec::new(),
             next_id: 1,
             round: 0,
             stats: StubStats::default(),
@@ -107,6 +111,7 @@ impl StubProbe {
     fn fire_round(&mut self, ctx: &mut Context<'_>) {
         let round = self.round;
         self.round += 1;
+        self.pending.reserve_exact(self.config.recursives.len());
         // Index loop: iterating a borrowed `recursives` would pin `self`
         // immutably while the body mutates it (a per-round Vec clone
         // otherwise).
@@ -116,19 +121,18 @@ impl StubProbe {
             self.next_id = self.next_id.wrapping_add(1).max(1);
             let msg = Message::query(id, self.config.qname.clone(), self.config.qtype);
             let timer = ctx.set_timer(QUERY_TIMEOUT, TimerToken(id as u64));
-            self.pending.insert(
+            let pending = Pending {
                 id,
-                Pending {
-                    vp: VpKey {
-                        probe: self.config.probe_id,
-                        recursive: i as u8,
-                    },
-                    recursive,
-                    round,
-                    sent_at: ctx.now(),
-                    timer,
-                },
-            );
+                recursive: i as u8,
+                round,
+                sent_at: ctx.now(),
+                timer,
+            };
+            // An id still out after 65,535 more queries is forgotten.
+            match self.pending.iter_mut().find(|p| p.id == id) {
+                Some(old) => *old = pending,
+                None => self.pending.push(pending),
+            }
             ctx.send(recursive, &msg);
             self.stats.queries_sent += 1;
         }
@@ -145,6 +149,22 @@ impl StubProbe {
             ctx.set_timer(self.config.round_interval + jitter, TimerToken(TOKEN_ROUND));
         }
     }
+
+    /// Logs what became of the query `pending`.
+    fn log(&self, pending: Pending, outcome: QueryOutcome, rtt: Option<SimDuration>) {
+        let i = pending.recursive;
+        self.log.lock().records.push(QueryRecord {
+            vp: VpKey {
+                probe: self.config.probe_id,
+                recursive: i,
+            },
+            recursive: self.config.recursives[usize::from(i)],
+            round: pending.round,
+            sent_at: pending.sent_at,
+            outcome,
+            rtt,
+        });
+    }
 }
 
 impl Node for StubProbe {
@@ -159,14 +179,13 @@ impl Node for StubProbe {
         if !msg.is_response {
             return;
         }
-        let Some(pending) = self.pending.remove(&msg.id) else {
+        let Some(at) = self.pending.iter().position(|p| p.id == msg.id) else {
             return; // late answer after timeout: Atlas reports no answer
         };
-        if pending.recursive != src {
-            // Answer from the wrong resolver: put it back and ignore.
-            self.pending.insert(msg.id, pending);
-            return;
+        if self.config.recursives[usize::from(self.pending[at].recursive)] != src {
+            return; // answer from the wrong resolver: ignore it
         }
+        let pending = self.pending.swap_remove(at);
         ctx.cancel_timer(pending.timer);
         let aaaa = msg.answers.iter().find_map(|r| match &r.rdata {
             dike_wire::RData::Aaaa(a) => Some((*a, r.ttl)),
@@ -178,14 +197,8 @@ impl Node for StubProbe {
             aaaa: aaaa.map(|(a, _)| a),
             ttl: aaaa.map(|(_, t)| t),
         };
-        self.log.lock().records.push(QueryRecord {
-            vp: pending.vp,
-            recursive: pending.recursive,
-            round: pending.round,
-            sent_at: pending.sent_at,
-            outcome,
-            rtt: Some(ctx.now() - pending.sent_at),
-        });
+        let rtt = Some(ctx.now() - pending.sent_at);
+        self.log(pending, outcome, rtt);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
@@ -194,18 +207,12 @@ impl Node for StubProbe {
             return;
         }
         let id = token.0 as u16;
-        let Some(pending) = self.pending.remove(&id) else {
+        let Some(at) = self.pending.iter().position(|p| p.id == id) else {
             return; // answered already
         };
         self.stats.timeouts += 1;
-        self.log.lock().records.push(QueryRecord {
-            vp: pending.vp,
-            recursive: pending.recursive,
-            round: pending.round,
-            sent_at: pending.sent_at,
-            outcome: QueryOutcome::Timeout,
-            rtt: None,
-        });
+        let pending = self.pending.swap_remove(at);
+        self.log(pending, QueryOutcome::Timeout, None);
     }
 
     fn publish_metrics(&self, out: &mut dike_telemetry::NodePublisher<'_>) {
@@ -346,6 +353,157 @@ mod tests {
             )
         };
         assert_eq!(log.lock().records.iter().filter(servfail).count(), 1);
+    }
+
+    /// Passes each query on to `via`, which answers it.
+    struct Relay {
+        via: Addr,
+    }
+
+    impl Node for Relay {
+        fn on_datagram(&mut self, ctx: &mut Context<'_>, _: Addr, msg: &Message, _: usize) {
+            ctx.send(self.via, msg);
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+    }
+
+    /// Answers every query it is handed, but to `client`, from its own
+    /// address: an answer from a resolver the client never asked.
+    struct Impostor {
+        client: Addr,
+    }
+
+    impl Node for Impostor {
+        fn on_datagram(&mut self, ctx: &mut Context<'_>, _: Addr, msg: &Message, _: usize) {
+            let mut resp = Message::response_to(msg);
+            resp.answers.push(dike_wire::Record::new(
+                msg.question().unwrap().name.clone(),
+                60,
+                dike_wire::RData::Aaaa(std::net::Ipv6Addr::LOCALHOST),
+            ));
+            ctx.send(self.client, &resp);
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+    }
+
+    /// Rounds 2 s apart overlap the 5 s timeout. Of three recursives one
+    /// answers, one is blackholed, and one's answer comes from another
+    /// address (ignored, so it times out): up to seven queries are out
+    /// at once, two or three of them to the same recursive.
+    #[test]
+    fn rounds_that_overlap_the_timeout_keep_every_query_apart() {
+        let mut sim = Simulator::new(5);
+        fixed(&mut sim, 5);
+        let registry = dike_telemetry::shared_registry();
+        sim.attach_telemetry(
+            registry.clone(),
+            dike_telemetry::TelemetryConfig {
+                snapshot_interval_nanos: 500_000_000,
+            },
+        );
+        let (_, answers) = sim.add_node(Box::new(FakeResolver));
+        let (_, blackholed) = sim.add_node(Box::new(FakeResolver));
+        sim.links_mut().set_ingress_loss(blackholed, 1.0);
+        let (_, impostor) = sim.add_node(Box::new(Impostor {
+            client: Simulator::addr_at(4),
+        }));
+        let (_, misdirected) = sim.add_node(Box::new(Relay { via: impostor }));
+        let log = new_shared_log();
+        let cfg = StubConfig::new(
+            21,
+            vec![answers, blackholed, misdirected],
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(2),
+            4,
+        );
+        let (probe, probe_addr) = sim.add_node(Box::new(StubProbe::new(cfg, log.clone())));
+        assert_eq!(probe_addr, Simulator::addr_at(4));
+        sim.run_until(SimDuration::from_secs(20).after_zero());
+
+        // (recursive index, round, sent at s, answered, rtt ms) in log order.
+        let ms = |r: &QueryRecord| r.rtt.map(|d| d.as_millis());
+        let got: Vec<_> = log
+            .lock()
+            .records
+            .iter()
+            .map(|r| {
+                assert_eq!(r.vp.probe, 21);
+                assert_eq!(
+                    r.recursive,
+                    [answers, blackholed, misdirected][r.vp.recursive as usize]
+                );
+                let answered = match r.outcome {
+                    QueryOutcome::Answer { rcode, aaaa, ttl } => {
+                        assert_eq!(
+                            (rcode, aaaa, ttl),
+                            (
+                                Rcode::NoError,
+                                Some(std::net::Ipv6Addr::LOCALHOST),
+                                Some(60)
+                            )
+                        );
+                        true
+                    }
+                    QueryOutcome::Timeout => false,
+                };
+                (
+                    r.vp.recursive,
+                    r.round,
+                    r.sent_at.as_nanos() / 1_000_000_000,
+                    answered,
+                    ms(r),
+                )
+            })
+            .collect();
+        let answer = |round: u32| (0, round, 1 + 2 * u64::from(round), true, Some(10));
+        let timeout = |vp: u8, round: u32| (vp, round, 1 + 2 * u64::from(round), false, None);
+        assert_eq!(
+            got,
+            vec![
+                answer(0),
+                answer(1),
+                answer(2),
+                timeout(1, 0),
+                timeout(2, 0),
+                answer(3),
+                timeout(1, 1),
+                timeout(2, 1),
+                timeout(1, 2),
+                timeout(2, 2),
+                timeout(1, 3),
+                timeout(2, 3),
+            ]
+        );
+
+        // Queries out at half-second instants: three go out each round,
+        // the answered one leaves 10 ms later, the other two 5 s later.
+        let registry = registry.lock();
+        let pending_at = |secs: f64| {
+            let at = (secs * 1e9) as u64;
+            let idx = registry
+                .snapshot_times()
+                .iter()
+                .position(|&t| t == at)
+                .expect("a snapshot at that instant");
+            match registry.value_at("stub", Some(probe.0), "pending_queries", idx as u32) {
+                Some(dike_telemetry::MetricValue::Gauge { value, .. }) => value,
+                other => panic!("pending_queries at {secs} s: {other:?}"),
+            }
+        };
+        let want = [
+            (0.5, 0.0),
+            (1.5, 2.0),
+            (3.5, 4.0),
+            (5.5, 6.0),
+            (6.5, 4.0),
+            (7.5, 6.0),
+            (8.5, 4.0),
+            (10.5, 2.0),
+            (12.5, 0.0),
+        ];
+        for (secs, pending) in want {
+            assert_eq!(pending_at(secs), pending, "pending_queries at {secs} s");
+        }
     }
 
     #[test]
